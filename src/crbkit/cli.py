@@ -50,6 +50,7 @@ from .matlin import (
     DEFAULT_PSD_TOL_REL,
     DEFAULT_RANK_TOL_REL,
     as_sym_matrix,
+    is_psd,
     null_complement,
     orthonormal_columns,
     pinv_via_basis,
@@ -329,7 +330,13 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
 def information_matrix(config: RunConfig):
     """Resolve the run's information matrix; returns (SymMatrix, FimEstimate | None)."""
     if config.input_kind == "matrix":
-        return as_sym_matrix(config.matrix), None
+        sym = as_sym_matrix(config.matrix)
+        if not is_psd(sym, psd_tol_rel=config.psd_tol_rel):
+            raise InvalidInput(
+                "information matrix is not positive semidefinite: its smallest eigenvalue "
+                f"is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
+            )
+        return sym, None
     model = build_model(config)
     theta = resolve_theta(config, model.param_dim)
     config.theta = theta  # record the resolved point for the manifest
@@ -411,7 +418,7 @@ def cmd_analyze(config: RunConfig) -> int:
             rows.append(("fim_samples", str(estimate.n_samples)))
             rows.append(("fim_std_err_bound", format_float(estimate.std_err_bound)))
             rows.append(("fim_clip_magnitude", format_float(estimate.clip_magnitude)))
-    for i, value in enumerate(ranked_svd(sym, config.rank_tol_rel).sigma, 1):
+    for i, value in enumerate(basis.sigma, 1):
         rows.append((f"sigma_{i}", format_float(value)))
     for i, value in enumerate(report.eigenvalues.values, 1):
         rows.append((f"eig_pinv_{i}", format_float(value)))

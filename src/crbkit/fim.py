@@ -5,6 +5,11 @@ Monte-Carlo route averages score outer products over simulated
 observations with a deterministic, partition-derived random stream, so
 the result is reproducible for a given seed regardless of how the work
 would be split across workers.
+
+For a Gaussian-mean model the score of y = mu + L z is (L^-1 G)' z, so
+a partition of k draws is one (k, obs_dim) normal draw times L^-1 G and
+two matrix products; every other model is sampled and scored one draw
+at a time. Both routes give sample i the same z.
 """
 
 from __future__ import annotations
@@ -48,14 +53,18 @@ def _isotropic_variance(cov: np.ndarray) -> float | None:
     return None
 
 
+def _as_gaussian_mean(model) -> GaussianMeanModel | None:
+    if hasattr(model, "as_gaussian_mean"):
+        return model.as_gaussian_mean()
+    return model if isinstance(model, GaussianMeanModel) else None
+
+
 def fim_gaussian_mean(model, theta) -> FimEstimate:
     """Exact Fisher information G' Sigma^-1 G of a Gaussian-mean model.
 
     Accepts a GaussianMeanModel or any object exposing as_gaussian_mean().
     """
-    gaussian: GaussianMeanModel = (
-        model.as_gaussian_mean() if hasattr(model, "as_gaussian_mean") else model
-    )
+    gaussian = _as_gaussian_mean(model) or model
     jac = gaussian.jac_at(theta)
     var = _isotropic_variance(gaussian.noise_cov)
     if var is not None:
@@ -77,12 +86,20 @@ def fim_monte_carlo(
 ) -> FimEstimate:
     """Monte-Carlo Fisher information from score outer products.
 
-    Uses the model's analytic score when available and a central
-    finite-difference score otherwise. The sample mean is symmetrized
-    and its negative eigenvalues are clipped to zero so downstream
-    positive-semidefinite preconditions hold; the clip size is reported.
-    Raises NumericalFailure naming the sample index if a score is
-    non-finite.
+    A Gaussian-mean model (a GaussianMeanModel or any object exposing
+    as_gaussian_mean()) is sampled a partition at a time: its scores are
+    the rows of Z @ solve(L, G) for a (k, obs_dim) standard-normal draw Z,
+    with L the Cholesky factor of the noise covariance and G the mean
+    Jacobian at theta. That draw consumes the partition's stream exactly
+    as k sequential standard_normal(obs_dim) draws, so sample i sees the
+    same z as under model.sample. Other models are sampled one draw at a
+    time with the model's analytic score when available and a central
+    finite-difference score otherwise.
+
+    The sample mean is symmetrized and its negative eigenvalues are
+    clipped to zero so downstream positive-semidefinite preconditions
+    hold; the clip size is reported. Raises NumericalFailure naming the
+    global index of the first sample whose score is non-finite.
     """
     if n_samples < MIN_MC_SAMPLES:
         raise InvalidInput(f"n_samples must be at least {MIN_MC_SAMPLES}, got {n_samples}")
@@ -90,37 +107,45 @@ def fim_monte_carlo(
     if th.size != model.param_dim:
         raise InvalidInput(f"theta must have length {model.param_dim}, got {th.size}")
 
-    if hasattr(model, "score"):
-        score_fn = model.score
-    else:
-        def score_fn(y, theta_):
-            return finite_difference_score(model, y, theta_)
-
     dim = model.param_dim
+    gaussian = _as_gaussian_mean(model)
+    if gaussian is not None:
+        # score(mean + L z) = G' Sigma^-1 L z = (L^-1 G)' z
+        whitened_jac = np.linalg.solve(gaussian._chol, gaussian.jac_at(th))
+
+        def draw_scores(rng, count):
+            return rng.standard_normal((count, gaussian.obs_dim)) @ whitened_jac
+    else:
+        if hasattr(model, "score"):
+            score_fn = model.score
+        else:
+            def score_fn(y, theta_):
+                return finite_difference_score(model, y, theta_)
+
+        def draw_scores(rng, count):
+            scores = np.empty((count, dim))
+            for i in range(count):
+                scores[i] = np.asarray(score_fn(model.sample(th, rng), th), dtype=float).ravel()
+                if not np.all(np.isfinite(scores[i])):
+                    return scores[: i + 1]  # the caller reports this sample
+            return scores
+
     total = np.zeros((dim, dim))
     total_sq = np.zeros((dim, dim))
     n_partitions = (n_samples + PARTITION_SIZE - 1) // PARTITION_SIZE
     drawn = 0
     for part in range(n_partitions):
-        rng = _partition_rng(rng_seed, part)
-        part_count = min(PARTITION_SIZE, n_samples - drawn)
-        part_sum = np.zeros((dim, dim))
-        part_sum_sq = np.zeros((dim, dim))
-        for local in range(part_count):
-            y = model.sample(th, rng)
-            score = np.asarray(score_fn(y, th), dtype=float).ravel()
-            if not np.all(np.isfinite(score)):
-                raise NumericalFailure(
-                    f"non-finite score at sample {drawn + local}",
-                    sample_index=drawn + local,
-                )
-            outer = np.outer(score, score)
-            part_sum += outer
-            part_sum_sq += outer * outer
+        count = min(PARTITION_SIZE, n_samples - drawn)
+        scores = draw_scores(_partition_rng(rng_seed, part), count)
+        finite = np.isfinite(scores).all(axis=1)
+        if not finite.all():
+            index = drawn + int(np.argmin(finite))
+            raise NumericalFailure(f"non-finite score at sample {index}", sample_index=index)
+        squares = scores * scores
         # fixed reduction order: partitions fold in by index
-        total += part_sum
-        total_sq += part_sum_sq
-        drawn += part_count
+        total += scores.T @ scores
+        total_sq += squares.T @ squares
+        drawn += count
 
     mean = total / n_samples
     # entrywise sample variance of the outer products

@@ -155,16 +155,16 @@ def eigvals_desc(m) -> EigenSpectrum:
     return EigenSpectrum(np.linalg.eigvalsh(sym.entries))
 
 
-def is_psd(m, psd_tol: float | None = None) -> bool:
+def is_psd(m, psd_tol: float | None = None, psd_tol_rel: float = DEFAULT_PSD_TOL_REL) -> bool:
     """True iff the smallest eigenvalue is >= -psd_tol.
 
-    psd_tol defaults to DEFAULT_PSD_TOL_REL times the largest absolute
+    psd_tol defaults to psd_tol_rel times the largest absolute
     eigenvalue of m.
     """
     sym = as_sym_matrix(m)
     evals = np.linalg.eigvalsh(sym.entries)
     if psd_tol is None:
-        psd_tol = DEFAULT_PSD_TOL_REL * float(np.max(np.abs(evals)))
+        psd_tol = psd_tol_rel * float(np.max(np.abs(evals)))
     if psd_tol < 0:
         raise InvalidInput(f"psd_tol must be nonnegative, got {psd_tol}")
     return bool(evals[0] >= -psd_tol)

@@ -253,6 +253,25 @@ def test_experiment_full_rank_exits_2(tmp_path):
     assert main(["experiment", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "certify", "experiment"])
+def test_indefinite_matrix_input_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "indefinite.matx"
+    path.write_text("3 3\n1 0 0\n0 -1 0\n0 0 0\n")
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: reading input: information matrix is not positive semidefinite")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_psd_tol_sets_the_negative_eigenvalue_slack(tmp_path):
+    path = tmp_path / "slightly_negative.matx"
+    path.write_text("3 3\n1 0 0\n0 -1e-12 0\n0 0 0\n")
+    assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "a")]) == 0
+    tight = ["analyze", "--input", str(path), "--psd-tol", "1e-13", "--out", str(tmp_path / "b")]
+    assert main(tight) == 2
+
+
 def test_console_entry_point_reports_version(tmp_path):
     # Runs the script target declared in pyproject.toml the way the
     # generated console script does, so no install is needed.

@@ -176,3 +176,86 @@ def test_estimate_fields_default_for_analytic():
     assert isinstance(est, FimEstimate)
     assert est.n_samples == 0
     assert est.clip_magnitude == 0.0
+
+
+class _ProtocolOnly(_NoScoreModel):
+    """Wrapper exposing only the generic Model protocol, forcing the per-sample loop."""
+
+    def score(self, y, theta):
+        return self._inner.score(y, theta)
+
+
+def _correlated_noise_model():
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((4, 4))
+    cov = a @ a.T + 2.0 * np.eye(4)
+    jac = rng.standard_normal((4, 3))
+    return GaussianMeanModel(
+        mean_fn=lambda t: jac @ t + 1.0,
+        mean_jac=lambda t: jac,
+        noise_cov=cov,
+        param_dim=3,
+        obs_dim=4,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, theta",
+    [
+        (BlindChannelModel(3, 3, 0.5), [1.1, 0.6, 1.4, 0.9, 1.3, 0.7]),
+        (_correlated_noise_model(), [0.3, -0.2, 0.9]),
+    ],
+    ids=["blind_channel", "correlated_noise"],
+)
+def test_batched_gaussian_mean_path_matches_per_sample_loop(model, theta):
+    # 9000 samples span three partitions, the last one partial
+    batched = fim_monte_carlo(model, theta, 9_000, 31)
+    looped = fim_monte_carlo(_ProtocolOnly(model), theta, 9_000, 31)
+    scale = np.abs(looped.matrix.entries).max()
+    assert np.abs(batched.matrix.entries - looped.matrix.entries).max() <= 1e-12 * scale
+    assert batched.std_err_bound == pytest.approx(looped.std_err_bound, rel=1e-12, abs=0.0)
+    assert batched.n_samples == looped.n_samples == 9_000
+
+
+def test_gaussian_mean_path_evaluates_the_jacobian_once():
+    jac_calls = []
+
+    def mean_jac(t):
+        jac_calls.append(t)
+        return np.eye(2)
+
+    model = GaussianMeanModel(
+        mean_fn=lambda t: t, mean_jac=mean_jac, noise_cov=np.eye(2), param_dim=2, obs_dim=2
+    )
+    fim_monte_carlo(model, [0.1, 0.2], 9_000, 0)
+    assert len(jac_calls) == 1
+
+
+def test_non_finite_gaussian_jacobian_fails_at_sample_zero():
+    model = GaussianMeanModel(
+        mean_fn=lambda t: t,
+        mean_jac=lambda t: np.full((2, 2), np.nan),
+        noise_cov=np.eye(2),
+        param_dim=2,
+        obs_dim=2,
+    )
+    with pytest.raises(NumericalFailure) as err:
+        fim_monte_carlo(model, [0.1, 0.2], 1_000, 0)
+    assert err.value.sample_index == 0
+
+
+def test_million_sample_entries_within_isserlis_standard_errors():
+    # The score s is N(0, J), so Var(s_i s_j) = J_ii J_jj + J_ij^2 (Isserlis)
+    # gives each entry of the N-sample mean its own standard error.
+    model = BlindChannelModel(2, 2)
+    theta = np.random.default_rng(11).uniform(0.5, 1.5, 4)
+    jac = model.jac_at(theta)
+    analytic = jac.T @ jac / model.noise_var
+    n = 1_000_000
+    est = fim_monte_carlo(model, theta, n, 2024)
+    diag = np.diag(analytic)
+    std_err = np.sqrt((np.outer(diag, diag) + analytic**2) / n)
+    limit = 5.0 * std_err + est.clip_magnitude
+    assert np.all(np.abs(est.matrix.entries - analytic) <= limit)
+    # the reported bound is the Frobenius norm of the estimated std errors
+    assert est.std_err_bound == pytest.approx(np.linalg.norm(std_err), rel=0.05)
