@@ -10,7 +10,7 @@ trace and eigenvalue inequalities that relate every minimum constraint
 back to the pseudoinverse.
 """
 
-from __future__ import annotations
+import types
 
 __version__ = "0.1.0"
 
@@ -33,12 +33,14 @@ from .matlin import (
     EigenSpectrum,
     RankedSvd,
     SymMatrix,
+    as_ranked_svd,
     as_sym_matrix,
     eigvals_desc,
     is_nonsingular,
     is_psd,
     moore_penrose_residuals,
     null_complement,
+    null_complements,
     orthonormal_columns,
     pinv_via_basis,
     ranked_svd,
@@ -55,13 +57,16 @@ from .statmodel import (
     scalar_ambiguity_direction,
 )
 from .fim import FimEstimate, fim_gaussian_mean, fim_monte_carlo
-from .crb import CrbReport, constrained_crb, crb_exists, unconstrained_crb
+from .crb import CrbReport, bound_traces, constrained_crb, constrained_crbs, crb_exists, unconstrained_crb
 from .constraint import (
     ConstraintSpec,
+    ConstraintStack,
     MinConstraintReport,
     check_minimum_constraint,
+    evaluate_constraints,
     load_constraint_spec,
     optimal_affine_constraint,
+    sample_constraint_stacks,
     sample_minimum_constraints,
     save_constraint_spec,
 )
@@ -81,78 +86,8 @@ from .verify import (
     write_certificate_witnesses,
 )
 
-__all__ = [
-    "__version__",
-    # errors
-    "CrbKitError",
-    "InvalidMatrix",
-    "InvalidInput",
-    "InvalidModel",
-    "DegenerateParameter",
-    "NumericalFailure",
-    "RankDeficientConstraint",
-    "FullRankFim",
-    "SamplingExhausted",
-    "NotMinimumConstraint",
-    "SingularRestriction",
-    # matlin
-    "DEFAULT_RANK_TOL_REL",
-    "DEFAULT_PSD_TOL_REL",
-    "SymMatrix",
-    "RankedSvd",
-    "EigenSpectrum",
-    "as_sym_matrix",
-    "ranked_svd",
-    "pinv_via_basis",
-    "eigvals_desc",
-    "is_psd",
-    "is_nonsingular",
-    "null_complement",
-    "orthonormal_columns",
-    "moore_penrose_residuals",
-    # matx
-    "dump_matrix",
-    "parse_matrix",
-    "save_matrix",
-    "load_matrix",
-    # statmodel
-    "Model",
-    "GaussianMeanModel",
-    "BlindChannelModel",
-    "gaussian_location",
-    "convolve",
-    "blind_channel_mean_jac",
-    "scalar_ambiguity_direction",
-    "finite_difference_score",
-    # fim
-    "FimEstimate",
-    "fim_gaussian_mean",
-    "fim_monte_carlo",
-    # crb
-    "CrbReport",
-    "unconstrained_crb",
-    "constrained_crb",
-    "crb_exists",
-    # constraint
-    "ConstraintSpec",
-    "MinConstraintReport",
-    "check_minimum_constraint",
-    "optimal_affine_constraint",
-    "sample_minimum_constraints",
-    "save_constraint_spec",
-    "load_constraint_spec",
-    # verify
-    "DEFAULT_MARGIN_TOL",
-    "TheoremCertificate",
-    "FailingCase",
-    "verify_trace_bound",
-    "verify_eigen_dominance",
-    "verify_poincare",
-    "verify_constraint_equivalence",
-    "verify_min_rank",
-    "counterexample_check",
-    "merge_certificates",
-    "certificates_to_csv",
-    "write_certificate_witnesses",
-    "random_rank_deficient_psd",
-]
+# The public API is every name imported above; submodules are not part of it.
+__all__ = ["__version__"] + sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

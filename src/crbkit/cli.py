@@ -24,6 +24,7 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,11 @@ import numpy as np
 from . import __version__
 from .constraint import (
     optimal_affine_constraint,
+    sample_constraint_stacks,
     sample_minimum_constraints,
     save_constraint_spec,
 )
-from .crb import constrained_crb, unconstrained_crb
+from .crb import bound_traces, constrained_crb, unconstrained_crb
 from .errors import (
     CrbKitError,
     DegenerateParameter,
@@ -51,9 +53,8 @@ from .matlin import (
     DEFAULT_RANK_TOL_REL,
     as_sym_matrix,
     is_psd,
-    null_complement,
+    null_complements,
     orthonormal_columns,
-    pinv_via_basis,
     ranked_svd,
 )
 from .matx import format_float, load_matrix, parse_matrix, save_matrix
@@ -119,21 +120,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _label_key(label: str) -> int:
-    digest = hashlib.sha256(label.encode("ascii")).digest()
-    return int.from_bytes(digest[:4], "big")
+def _derived_sequence(seed: int, label: str, index: int) -> np.random.SeedSequence:
+    key = int.from_bytes(hashlib.sha256(label.encode("ascii")).digest()[:4], "big")
+    return np.random.SeedSequence(entropy=seed, spawn_key=(key, index))
 
 
 def derived_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Random stream derived from (seed, component label, index)."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(_label_key(label), index))
-    return np.random.default_rng(seq)
+    return np.random.default_rng(_derived_sequence(seed, label, index))
 
 
 def derived_seed(seed: int, label: str, index: int = 0) -> int:
     """Integer sub-seed derived from (seed, component label, index)."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(_label_key(label), index))
-    return int(seq.generate_state(1, np.uint64)[0])
+    return int(_derived_sequence(seed, label, index).generate_state(1, np.uint64)[0])
 
 
 @dataclass
@@ -201,22 +200,14 @@ def _sniff_is_config(text: str) -> bool:
     return False
 
 
-def _parse_float(values: dict[str, str], key: str) -> float | None:
+def _parse(values: dict[str, str], key: str, kind: type):
     if key not in values:
         return None
     try:
-        return float(values[key])
+        return kind(values[key])
     except ValueError as exc:
-        raise InvalidInput(f"config key {key} is not a number: {values[key]!r}") from exc
-
-
-def _parse_int(values: dict[str, str], key: str) -> int | None:
-    if key not in values:
-        return None
-    try:
-        return int(values[key])
-    except ValueError as exc:
-        raise InvalidInput(f"config key {key} is not an integer: {values[key]!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise InvalidInput(f"config key {key} is not {what}: {values[key]!r}") from exc
 
 
 def _pick(flag, file_value, default):
@@ -267,12 +258,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     model_params: dict = {}
     if model_kind == "blind_channel":
-        model_params["s_len"] = _pick(None, _parse_int(file_values, "s_len"), 3)
-        model_params["h_len"] = _pick(None, _parse_int(file_values, "h_len"), 3)
-        model_params["noise_var"] = _pick(None, _parse_float(file_values, "noise_var"), 1.0)
+        model_params["s_len"] = _pick(None, _parse(file_values, "s_len", int), 3)
+        model_params["h_len"] = _pick(None, _parse(file_values, "h_len", int), 3)
+        model_params["noise_var"] = _pick(None, _parse(file_values, "noise_var", float), 1.0)
     elif model_kind == "gaussian_location":
-        model_params["dim"] = _pick(None, _parse_int(file_values, "dim"), 4)
-        model_params["noise_var"] = _pick(None, _parse_float(file_values, "noise_var"), 1.0)
+        model_params["dim"] = _pick(None, _parse(file_values, "dim", int), 4)
+        model_params["noise_var"] = _pick(None, _parse(file_values, "noise_var", float), 1.0)
 
     theta = None
     if "theta" in file_values:
@@ -288,13 +279,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         model_kind=model_kind,
         model_params=model_params,
         theta=theta,
-        seed=_pick(args.seed, _parse_int(file_values, "seed"), DEFAULT_SEED),
-        count=_pick(args.count, _parse_int(file_values, "count"), DEFAULT_COUNT),
-        n_samples=_pick(args.samples, _parse_int(file_values, "samples"), DEFAULT_SAMPLES),
+        seed=_pick(args.seed, _parse(file_values, "seed", int), DEFAULT_SEED),
+        count=_pick(args.count, _parse(file_values, "count", int), DEFAULT_COUNT),
+        n_samples=_pick(args.samples, _parse(file_values, "samples", int), DEFAULT_SAMPLES),
         fim_method=_pick(None, file_values.get("fim_method"), "analytic"),
-        rank_tol_rel=_pick(args.rank_tol, _parse_float(file_values, "rank_tol"), DEFAULT_RANK_TOL_REL),
-        psd_tol_rel=_pick(args.psd_tol, _parse_float(file_values, "psd_tol"), DEFAULT_PSD_TOL_REL),
-        margin_tol=_pick(args.margin_tol, _parse_float(file_values, "margin_tol"), DEFAULT_MARGIN_TOL),
+        rank_tol_rel=_pick(args.rank_tol, _parse(file_values, "rank_tol", float), DEFAULT_RANK_TOL_REL),
+        psd_tol_rel=_pick(args.psd_tol, _parse(file_values, "psd_tol", float), DEFAULT_PSD_TOL_REL),
+        margin_tol=_pick(args.margin_tol, _parse(file_values, "margin_tol", float), DEFAULT_MARGIN_TOL),
         output_dir=Path(args.out),
     )
     config.validate()
@@ -302,18 +293,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_model(config: RunConfig):
-    if config.model_kind == "blind_channel":
-        return BlindChannelModel(
-            s_len=config.model_params["s_len"],
-            h_len=config.model_params["h_len"],
-            noise_var=config.model_params["noise_var"],
-        )
-    if config.model_kind == "gaussian_location":
-        return gaussian_location(
-            dim=config.model_params["dim"],
-            noise_var=config.model_params["noise_var"],
-        )
-    raise InvalidInput(f"unknown model {config.model_kind!r}")
+    factories = {"blind_channel": BlindChannelModel, "gaussian_location": gaussian_location}
+    if config.model_kind not in factories:
+        raise InvalidInput(f"unknown model {config.model_kind!r}")
+    return factories[config.model_kind](**config.model_params)
 
 
 def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
@@ -328,25 +311,32 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
 
 
 def information_matrix(config: RunConfig):
-    """Resolve the run's information matrix; returns (SymMatrix, FimEstimate | None)."""
-    if config.input_kind == "matrix":
-        sym = as_sym_matrix(config.matrix)
-        if not is_psd(sym, psd_tol_rel=config.psd_tol_rel):
-            raise InvalidInput(
-                "information matrix is not positive semidefinite: its smallest eigenvalue "
-                f"is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
-            )
-        return sym, None
-    model = build_model(config)
-    theta = resolve_theta(config, model.param_dim)
-    config.theta = theta  # record the resolved point for the manifest
-    if config.fim_method == "monte_carlo":
-        estimate = fim_monte_carlo(
-            model, theta, config.n_samples, derived_seed(config.seed, "fim-mc")
-        )
-    else:
-        estimate = fim_gaussian_mean(model, theta)
-    return estimate.matrix, estimate
+    """Resolve the run's information matrix; returns (SymMatrix, FimEstimate | None).
+
+    Invalid input raises CliError with exit 2, a failed estimate exit 3.
+    """
+    try:
+        if config.input_kind == "matrix":
+            sym = as_sym_matrix(config.matrix)
+            if not is_psd(sym, psd_tol_rel=config.psd_tol_rel):
+                raise InvalidInput(
+                    "information matrix is not positive semidefinite: its smallest eigenvalue "
+                    f"is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
+                )
+            return sym, None
+        model = build_model(config)
+        theta = resolve_theta(config, model.param_dim)
+        config.theta = theta  # record the resolved point for the manifest
+        if config.fim_method == "monte_carlo":
+            seed = derived_seed(config.seed, "fim-mc")
+            estimate = fim_monte_carlo(model, theta, config.n_samples, seed)
+        else:
+            estimate = fim_gaussian_mean(model, theta)
+        return estimate.matrix, estimate
+    except (InvalidInput, InvalidMatrix, InvalidModel) as exc:
+        raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+        raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
 
 
 def write_manifest(config: RunConfig, path: Path) -> None:
@@ -387,16 +377,11 @@ def cmd_analyze(config: RunConfig) -> int:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
 
-    try:
-        sym, estimate = information_matrix(config)
-    except (InvalidInput, InvalidMatrix, InvalidModel) as exc:
-        raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
-        raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
+    sym, estimate = information_matrix(config)
 
     try:
         basis = ranked_svd(sym, config.rank_tol_rel)
-        report = unconstrained_crb(sym, config.rank_tol_rel)
+        report = unconstrained_crb(basis, config.rank_tol_rel)
     except np.linalg.LinAlgError as exc:
         raise CliError(EXIT_NUMERICAL, f"decomposing information matrix: {exc}") from exc
 
@@ -430,8 +415,8 @@ def cmd_analyze(config: RunConfig) -> int:
         print(f"inverse written to {out / 'j_pinv.matx'}")
     else:
         try:
-            spec = optimal_affine_constraint(sym, np.zeros(n), config.rank_tol_rel)
-            bound = constrained_crb(sym, spec, config.rank_tol_rel)
+            spec = optimal_affine_constraint(basis, np.zeros(n), config.rank_tol_rel)
+            bound = constrained_crb(basis, spec, config.rank_tol_rel)
         except np.linalg.LinAlgError as exc:
             raise CliError(EXIT_NUMERICAL, f"synthesizing optimal constraint: {exc}") from exc
         save_constraint_spec(out / "constraint.matx", spec)
@@ -453,38 +438,36 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _certify_one_matrix(sym, config: RunConfig, index: int, constraints_count: int):
-    """All per-matrix certificates for one singular J."""
+def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count: int):
+    """All per-matrix certificates for one singular J, factored once as basis."""
     seed = config.seed
     tol = config.margin_tol
     rank_tol = config.rank_tol_rel
-    basis = ranked_svd(sym, rank_tol)
-    n, rank = sym.dim, basis.rank
+    n, rank = basis.dim, basis.rank
 
     specs = sample_minimum_constraints(
-        sym, constraints_count, derived_seed(seed, "certify-constraints", index), rank_tol
+        basis, constraints_count, derived_seed(seed, "certify-constraints", index), rank_tol
     )
-    trace_cert = verify_trace_bound(sym, specs, tol, rank_tol)
-    dominance_parts = []
-    for spec in specs:
-        v = null_complement(spec.f_jac, rank_tol)
-        dominance_parts.append(verify_eigen_dominance(sym, v, tol, rank_tol))
-    dominance_cert = merge_certificates(dominance_parts, tol)
+    trace_cert = verify_trace_bound(basis, specs, tol, rank_tol)
+    _, frames = null_complements(np.stack([spec.f_jac for spec in specs]), rank_tol)
+    dominance_cert = merge_certificates(
+        [verify_eigen_dominance(basis, v, tol, rank_tol) for v in frames], tol
+    )
 
     v = orthonormal_columns(
         derived_rng(seed, "certify-poincare", index).standard_normal((n, rank))
     )
-    poincare_cert = verify_poincare(sym, v, tol)
+    poincare_cert = verify_poincare(basis, v, tol)
 
     equiv_rng = derived_rng(seed, "certify-equivalence", index)
     alts = [
         equiv_rng.standard_normal((n - rank, n - rank)) @ basis.u_bar.T
         for _ in range(CERTIFY_EQUIVALENCE_ALTS)
     ]
-    equivalence_cert = verify_constraint_equivalence(sym, np.zeros(n), alts, tol, rank_tol)
+    equivalence_cert = verify_constraint_equivalence(basis, np.zeros(n), alts, tol, rank_tol)
 
     min_rank_cert = verify_min_rank(
-        sym, CERTIFY_MIN_RANK_TRIALS, derived_seed(seed, "certify-minrank", index), tol, rank_tol
+        basis, CERTIFY_MIN_RANK_TRIALS, derived_seed(seed, "certify-minrank", index), tol, rank_tol
     )
     return trace_cert, dominance_cert, poincare_cert, equivalence_cert, min_rank_cert
 
@@ -500,28 +483,25 @@ def cmd_certify(config: RunConfig) -> int:
         for i in range(config.count):
             n = int(shape_rng.integers(2, 9))
             rank = int(shape_rng.integers(1, n))
-            matrices.append(
-                random_rank_deficient_psd(n, rank, derived_rng(config.seed, "certify-matrix", i))
-            )
+            sym = random_rank_deficient_psd(n, rank, derived_rng(config.seed, "certify-matrix", i))
+            matrices.append(ranked_svd(sym, config.rank_tol_rel))
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
-        try:
-            sym, _ = information_matrix(config)
-        except (InvalidInput, InvalidMatrix, InvalidModel) as exc:
-            raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
-        if ranked_svd(sym, config.rank_tol_rel).rank == sym.dim:
+        sym, _ = information_matrix(config)
+        basis = ranked_svd(sym, config.rank_tol_rel)
+        if basis.rank in (0, sym.dim):
             raise CliError(
                 EXIT_INVALID_INPUT,
-                "certify: input information matrix is nonsingular; the bound "
-                "inequalities are only at stake for singular input",
+                f"certify: input information matrix is {'nonsingular' if basis.rank else 'zero'}; "
+                "the bound inequalities are only at stake for singular nonzero input",
             )
-        matrices.append(sym)
+        matrices.append(basis)
         constraints_count = config.count
 
     per_theorem: dict[str, list] = {tid: [] for tid in ("trace_bound", "eigen_dominance", "poincare", "equivalence", "min_rank")}
     try:
-        for index, sym in enumerate(matrices):
-            certs = _certify_one_matrix(sym, config, index, constraints_count)
+        for index, basis in enumerate(matrices):
+            certs = _certify_one_matrix(basis, config, index, constraints_count)
             for cert in certs:
                 per_theorem[cert.theorem_id].append(cert)
     except (SamplingExhausted, NumericalFailure, np.linalg.LinAlgError) as exc:
@@ -557,33 +537,29 @@ def cmd_experiment(config: RunConfig) -> int:
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
 
+    sym, _ = information_matrix(config)
+    basis = ranked_svd(sym, config.rank_tol_rel)
+    baseline = basis.pinv.trace
+    lines = [CSV_VERSION_LINE, f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
+    worst = np.inf
+    sampled = 0
+    seed = derived_seed(config.seed, "experiment-constraints")
     try:
-        sym, _ = information_matrix(config)
-    except (InvalidInput, InvalidMatrix, InvalidModel) as exc:
-        raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
-
-    baseline = pinv_via_basis(sym, config.rank_tol_rel).trace
-    try:
-        specs = sample_minimum_constraints(
-            sym, config.count, derived_seed(config.seed, "experiment-constraints"), config.rank_tol_rel
-        )
+        for stack, _ in sample_constraint_stacks(basis, config.count, seed, config.rank_tol_rel):
+            for trace in compress(bound_traces(stack), stack.is_minimum):
+                margin = trace - baseline
+                worst = min(worst, margin)
+                lines.append(f"{sampled},{format_float(trace)},{format_float(margin)}")
+                sampled += 1
     except FullRankFim as exc:
         raise CliError(EXIT_INVALID_INPUT, f"sampling constraints: {exc}") from exc
     except SamplingExhausted as exc:
         raise CliError(EXIT_NUMERICAL, f"sampling constraints: {exc}") from exc
-
-    lines = [CSV_VERSION_LINE, f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
-    worst = np.inf
-    for idx, spec in enumerate(specs):
-        report = constrained_crb(sym, spec, config.rank_tol_rel)
-        margin = report.trace - baseline
-        worst = min(worst, margin)
-        lines.append(f"{idx},{format_float(report.trace)},{format_float(margin)}")
     (out / "traces.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     write_manifest(config, out / "manifest.cfg")
 
     print(
-        f"{len(specs)} constraints sampled; baseline trace {format_float(baseline)}; "
+        f"{sampled} constraints sampled; baseline trace {format_float(baseline)}; "
         f"worst margin {format_float(worst)}"
     )
     if worst < -config.margin_tol:

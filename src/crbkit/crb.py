@@ -15,18 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintSpec
-from .errors import InvalidInput
-from .matlin import (
-    DEFAULT_RANK_TOL_REL,
-    EigenSpectrum,
-    SymMatrix,
-    as_sym_matrix,
-    eigvals_desc,
-    is_nonsingular,
-    null_complement,
-    ranked_svd,
-)
+from .constraint import ConstraintSpec, ConstraintStack, evaluate_constraints
+from .errors import InvalidInput, RankDeficientConstraint
+from .matlin import DEFAULT_RANK_TOL_REL, SymMatrix, as_ranked_svd, eigvals_desc
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,19 +44,19 @@ class CrbReport:
 
 
 def unconstrained_crb(j, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> CrbReport:
-    """Pseudoinverse bound of J; flags singular J via singular_fim_warning."""
-    sym = as_sym_matrix(j)
-    basis = ranked_svd(sym, rank_tol_rel)
-    restricted = basis.u_r.T @ sym.entries @ basis.u_r
-    bound = SymMatrix(basis.u_r @ np.linalg.inv(restricted) @ basis.u_r.T)
+    """Pseudoinverse bound of J; flags singular J via singular_fim_warning.
+
+    j may be a RankedSvd, whose pseudoinverse is then reused.
+    """
+    basis = as_ranked_svd(j, rank_tol_rel)
     return CrbReport(
-        bound=bound,
+        bound=basis.pinv,
         exists=True,
-        trace=bound.trace,
-        eigenvalues=eigvals_desc(bound),
+        trace=basis.pinv.trace,
+        eigenvalues=basis.pinv_eigenvalues,
         constraint_used="none",
         u_projector=SymMatrix(basis.range_projector()),
-        singular_fim_warning=basis.rank < sym.dim,
+        singular_fim_warning=basis.rank < basis.dim,
     )
 
 
@@ -76,56 +67,70 @@ def _resolve_constraint(constraint) -> tuple[np.ndarray, str]:
     return np.asarray(constraint, dtype=float), "jacobian-only"
 
 
+def _bounds(stack: ConstraintStack) -> np.ndarray:
+    """U (U'JU)^-1 U' for each constraint of a stack, one inv call for all.
+
+    Where U'JU is singular the identity stands in for it, and the entry is
+    no bound.
+    """
+    exists = stack.utju_nonsingular[:, None, None]
+    restricted = np.where(exists, stack.restricted, np.eye(stack.restricted.shape[1]))
+    return stack.u @ np.linalg.inv(restricted) @ stack.u.transpose(0, 2, 1)
+
+
+def bound_traces(stack: ConstraintStack) -> list[float]:
+    """Trace of each constrained bound of an evaluated stack; +inf where none exists."""
+    return [
+        float(np.trace(bound)) if exists else math.inf
+        for bound, exists in zip(_bounds(stack), stack.utju_nonsingular)
+    ]
+
+
+def constrained_crbs(
+    j, constraints, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
+) -> list[CrbReport]:
+    """Bounds under constraints of one shape, from stacked LAPACK calls.
+
+    Each constraint is a Jacobian or a ConstraintSpec; j may be a
+    RankedSvd. Computes U (U'JU)^-1 U' over each constraint's null basis U
+    when the restricted information is nonsingular; otherwise reports a
+    nonexistent (infinite) bound. Raises RankDeficientConstraint when a
+    Jacobian's rows are dependent.
+    """
+    basis = as_ranked_svd(j, rank_tol_rel)
+    resolved = [_resolve_constraint(c) for c in constraints]
+    shapes = sorted({f_jac.shape for f_jac, _ in resolved})
+    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][1] != basis.dim:
+        raise InvalidInput(
+            f"constraint Jacobian shapes {shapes} are not one shape (m, {basis.dim}) matching J"
+        )
+    stack = evaluate_constraints(basis, np.stack([f_jac for f_jac, _ in resolved]), rank_tol_rel)
+    if not np.all(stack.full_rank_jacobian):
+        raise RankDeficientConstraint(min(stack.row_rank), shapes[0][0])
+    reports = []
+    for (_, used), u, bound, exists in zip(resolved, stack.u, _bounds(stack), stack.utju_nonsingular):
+        bound = SymMatrix(bound) if exists else None
+        reports.append(CrbReport(
+            bound=bound,
+            exists=bool(exists),
+            trace=bound.trace if exists else math.inf,
+            eigenvalues=eigvals_desc(bound) if exists else None,
+            constraint_used=used,
+            u_projector=SymMatrix(u @ u.T),
+        ))
+    return reports
+
+
 def constrained_crb(
     j, constraint, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
 ) -> CrbReport:
-    """Bound under a constraint given as a Jacobian or a ConstraintSpec.
+    """Bound under one constraint, a Jacobian or a ConstraintSpec.
 
-    Computes U (U'JU)^-1 U' over the constraint's null basis U when the
-    restricted information is nonsingular; otherwise reports a
-    nonexistent (infinite) bound.
+    The k = 1 call of constrained_crbs.
     """
-    sym = as_sym_matrix(j)
-    f_jac, used = _resolve_constraint(constraint)
-    if f_jac.ndim != 2 or f_jac.shape[1] != sym.dim:
-        raise InvalidInput(
-            f"constraint Jacobian shape {f_jac.shape} does not match J of dim {sym.dim}"
-        )
-    u = null_complement(f_jac, rank_tol_rel)
-    restricted = u.T @ sym.entries @ u
-    projector = SymMatrix(u @ u.T) if u.shape[1] else SymMatrix(np.zeros((sym.dim, sym.dim)))
-    if not is_nonsingular(restricted, rank_tol_rel):
-        return CrbReport(
-            bound=None,
-            exists=False,
-            trace=math.inf,
-            eigenvalues=None,
-            constraint_used=used,
-            u_projector=projector,
-        )
-    if u.shape[1]:
-        bound = SymMatrix(u @ np.linalg.inv(restricted) @ u.T)
-    else:
-        # fully constrained parameter: zero covariance
-        bound = SymMatrix(np.zeros((sym.dim, sym.dim)))
-    return CrbReport(
-        bound=bound,
-        exists=True,
-        trace=bound.trace,
-        eigenvalues=eigvals_desc(bound),
-        constraint_used=used,
-        u_projector=projector,
-    )
+    return constrained_crbs(j, [constraint], rank_tol_rel)[0]
 
 
 def crb_exists(j, constraint, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> bool:
     """True iff the constrained bound is finite: U'JU numerically nonsingular."""
-    sym = as_sym_matrix(j)
-    f_jac, _ = _resolve_constraint(constraint)
-    if f_jac.ndim != 2 or f_jac.shape[1] != sym.dim:
-        raise InvalidInput(
-            f"constraint Jacobian shape {f_jac.shape} does not match J of dim {sym.dim}"
-        )
-    u = null_complement(f_jac, rank_tol_rel)
-    restricted = u.T @ sym.entries @ u
-    return is_nonsingular(restricted, rank_tol_rel)
+    return constrained_crb(j, constraint, rank_tol_rel).exists

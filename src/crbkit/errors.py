@@ -41,6 +41,11 @@ class NumericalFailure(CrbKitError):
 class RankDeficientConstraint(CrbKitError):
     """Constraint Jacobian does not have full row rank."""
 
+    def __init__(self, rank: int, rows: int):
+        super().__init__(f"Jacobian row rank {rank} below row count {rows}; rows are dependent")
+        self.rank = int(rank)
+        self.rows = int(rows)
+
 
 class FullRankFim(CrbKitError):
     """Fisher information is nonsingular; no constraint is needed or derivable."""

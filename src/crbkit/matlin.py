@@ -10,6 +10,7 @@ tolerances with stated defaults.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,7 +65,9 @@ class SymMatrix:
 
 
 def as_sym_matrix(m) -> SymMatrix:
-    """Coerce an array-like (or pass through a SymMatrix) to SymMatrix."""
+    """Coerce an array-like to SymMatrix; a SymMatrix or RankedSvd passes through."""
+    if isinstance(m, RankedSvd):
+        return m.matrix
     return m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
 
 
@@ -74,20 +77,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
+    """Rank from descending singular values (last axis): those above s_max * size * rank_tol_rel."""
+    if rank_tol_rel <= 0:
+        raise InvalidInput(f"rank_tol_rel must be positive, got {rank_tol_rel}")
+    return np.sum(s > s[..., :1] * size * rank_tol_rel, axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class RankedSvd:
-    """Rank-revealing decomposition of a symmetric matrix.
+    """Symmetric matrix J (matrix) factored once by its rank-revealing decomposition.
 
     u_r:   (n, r) orthonormal basis of the numerical range.
     sigma: (r,) singular values above the rank cutoff, descending.
     u_bar: (n, n - r) orthonormal basis of the numerical null space.
-    rank:  r.
+    rank:  r, decided with rank_tol_rel. The pseudoinverse and its
+    eigenvalues are computed on first use and kept.
     """
 
+    matrix: SymMatrix
     u_r: np.ndarray
     sigma: np.ndarray
     u_bar: np.ndarray
     rank: int
+    rank_tol_rel: float
 
     def __post_init__(self):
         object.__setattr__(self, "u_r", _freeze(self.u_r))
@@ -105,6 +118,17 @@ class RankedSvd:
     def null_projector(self) -> np.ndarray:
         """Orthogonal projector onto the numerical null space."""
         return self.u_bar @ self.u_bar.T
+
+    @cached_property
+    def pinv(self) -> SymMatrix:
+        """Moore-Penrose pseudoinverse U_r (U_r' J U_r)^-1 U_r'; zero for rank 0."""
+        restricted = self.u_r.T @ self.matrix.entries @ self.u_r
+        return SymMatrix(self.u_r @ np.linalg.inv(restricted) @ self.u_r.T)
+
+    @cached_property
+    def pinv_eigenvalues(self) -> EigenSpectrum:
+        """Eigenvalues of pinv, descending."""
+        return eigvals_desc(self.pinv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,13 +151,17 @@ def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
     Singular values below or at sigma_max * n * rank_tol_rel count as zero.
     The zero matrix yields rank 0 with u_bar spanning the whole space.
     """
-    if rank_tol_rel <= 0:
-        raise InvalidInput(f"rank_tol_rel must be positive, got {rank_tol_rel}")
     sym = as_sym_matrix(m)
     u, s, _ = np.linalg.svd(sym.entries)
-    cutoff = s[0] * sym.dim * rank_tol_rel if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    return RankedSvd(u_r=u[:, :rank], sigma=s[:rank], u_bar=u[:, rank:], rank=rank)
+    rank = int(_rank_cutoff(s, sym.dim, rank_tol_rel))
+    return RankedSvd(sym, u[:, :rank], s[:rank], u[:, rank:], rank, rank_tol_rel)
+
+
+def as_ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
+    """Factor m with ranked_svd, or pass through a RankedSvd made with rank_tol_rel."""
+    if isinstance(m, RankedSvd) and m.rank_tol_rel == rank_tol_rel:
+        return m
+    return ranked_svd(m, rank_tol_rel)
 
 
 def pinv_via_basis(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> SymMatrix:
@@ -142,11 +170,7 @@ def pinv_via_basis(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> SymMatrix:
     Computes U_r (U_r' M U_r)^-1 U_r' with U_r from ranked_svd. For the
     zero matrix this is the zero matrix.
     """
-    sym = as_sym_matrix(m)
-    basis = ranked_svd(sym, rank_tol_rel)
-    restricted = basis.u_r.T @ sym.entries @ basis.u_r
-    pinv = basis.u_r @ np.linalg.inv(restricted) @ basis.u_r.T
-    return SymMatrix(pinv)
+    return as_ranked_svd(m, rank_tol_rel).pinv
 
 
 def eigvals_desc(m) -> EigenSpectrum:
@@ -170,6 +194,16 @@ def is_psd(m, psd_tol: float | None = None, psd_tol_rel: float = DEFAULT_PSD_TOL
     return bool(evals[0] >= -psd_tol)
 
 
+def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):
+    """Row ranks (k,) and orthonormal null bases (k, n, n - m) of (k, m, n) Jacobians.
+
+    One svd call gives both; where ranks[i] == m, f_jacs[i] @ u[i] = 0.
+    """
+    m, n = f_jacs.shape[1:]
+    _, s, vh = np.linalg.svd(f_jacs)
+    return _rank_cutoff(s, max(m, n), rank_tol_rel), vh[:, m:].transpose(0, 2, 1)
+
+
 def null_complement(f_jac, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.ndarray:
     """Orthonormal basis U of the null space of a full-row-rank Jacobian.
 
@@ -178,54 +212,44 @@ def null_complement(f_jac, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.nda
     identity. Raises RankDeficientConstraint when the numerical row rank
     is below m.
     """
-    if rank_tol_rel <= 0:
-        raise InvalidInput(f"rank_tol_rel must be positive, got {rank_tol_rel}")
     jac = _as_2d(f_jac, "constraint Jacobian")
-    m, n = jac.shape
-    if n == 0:
-        raise InvalidMatrix("constraint Jacobian has zero columns")
-    if m == 0:
-        return np.eye(n)
-    if m > n:
-        raise RankDeficientConstraint(f"Jacobian has {m} rows but only {n} columns")
-    _, s, vh = np.linalg.svd(jac)
-    cutoff = s[0] * max(m, n) * rank_tol_rel if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    if rank < m:
-        raise RankDeficientConstraint(
-            f"Jacobian row rank {rank} below row count {m}; rows are dependent"
-        )
-    return vh[m:].T
+    ranks, u = null_complements(jac[None], rank_tol_rel)
+    if ranks[0] < jac.shape[0]:
+        raise RankDeficientConstraint(ranks[0], jac.shape[0])
+    return u[0]
+
+
+def nonsingular(evals: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.ndarray:
+    """True where the smallest ascending eigenvalue (last axis) exceeds rank_tol_rel
+    times the largest; a 0 x 0 matrix, with no eigenvalues, counts as nonsingular."""
+    if evals.shape[-1] == 0:
+        return np.ones(evals.shape[:-1], dtype=bool)
+    return evals[..., 0] > rank_tol_rel * evals[..., -1]
 
 
 def is_nonsingular(a, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> bool:
-    """Relative nonsingularity test for a symmetric matrix.
-
-    True iff the smallest eigenvalue exceeds rank_tol_rel times the
-    largest. Empty (0, 0) input counts as nonsingular.
-    """
+    """Relative nonsingularity test for a symmetric matrix (see nonsingular)."""
     arr = _as_2d(a, "matrix")
     if arr.shape[0] != arr.shape[1]:
         raise InvalidMatrix(f"expected square input, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        return True
-    evals = np.linalg.eigvalsh(0.5 * (arr + arr.T))
-    return bool(evals[0] > rank_tol_rel * evals[-1])
+    return bool(nonsingular(np.linalg.eigvalsh(0.5 * (arr + arr.T)), rank_tol_rel))
 
 
 def orthonormal_columns(a) -> np.ndarray:
-    """Orthonormalize the columns of a full-column-rank (n, k) matrix.
+    """Orthonormalize the columns of full-column-rank (..., n, k) matrices.
 
     QR with the sign of R's diagonal fixed to +1, so Gaussian input maps
-    to a uniformly distributed orthonormal frame.
+    to a uniformly distributed orthonormal frame. A stack is one qr call.
     """
-    arr = _as_2d(a, "matrix")
-    if arr.shape[1] > arr.shape[0]:
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim < 2 or not np.all(np.isfinite(arr)):
+        raise InvalidMatrix(f"matrix must be finite with at least 2 dimensions, got shape {arr.shape}")
+    if arr.shape[-1] > arr.shape[-2]:
         raise InvalidInput(f"need at least as many rows as columns, got {arr.shape}")
     q, r = np.linalg.qr(arr)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
 
 
 def moore_penrose_residuals(m, p) -> tuple[float, float, float, float]:

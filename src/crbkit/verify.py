@@ -27,24 +27,25 @@ import numpy as np
 from .constraint import (
     ConstraintSpec,
     check_minimum_constraint,
+    evaluate_constraints,
     optimal_affine_constraint,
 )
-from .crb import constrained_crb
+from .crb import bound_traces, constrained_crbs
 from .errors import (
     InvalidInput,
     NotMinimumConstraint,
+    RankDeficientConstraint,
     SingularRestriction,
 )
 from .matlin import (
     DEFAULT_RANK_TOL_REL,
     SymMatrix,
+    as_ranked_svd,
     as_sym_matrix,
     eigvals_desc,
     is_nonsingular,
-    null_complement,
     orthonormal_columns,
     pinv_via_basis,
-    ranked_svd,
 )
 from .matx import dump_matrix, format_float
 
@@ -164,23 +165,31 @@ def verify_trace_bound(
 ) -> TheoremCertificate:
     """Check tr(constrained CRB) >= tr(pinv J) for minimum constraints.
 
-    Raises NotMinimumConstraint when some spec fails its preconditions.
+    All specs are checked and bounded in one stacked evaluation; j may be
+    a RankedSvd. Raises NotMinimumConstraint when some spec fails its
+    preconditions.
     """
-    sym = as_sym_matrix(j)
-    base_trace = pinv_via_basis(sym, rank_tol_rel).trace
-    margins: list[float] = []
-    cases: list[tuple[str, dict[str, np.ndarray]]] = []
-    for idx, spec in enumerate(specs):
-        report = check_minimum_constraint(sym, spec, rank_tol_rel)
-        if not report.is_minimum:
-            raise NotMinimumConstraint(
-                f"constraint {idx} ({spec.label or 'unlabeled'}) is not minimum: {report.details}"
-            )
-        bound = constrained_crb(sym, spec, rank_tol_rel)
-        margins.append(bound.trace - base_trace)
-        cases.append(
-            (f"constraint-{idx}", {"j": sym.entries, "f_jac": spec.f_jac})
+    basis = as_ranked_svd(j, rank_tol_rel)
+    if not specs:
+        raise InvalidInput("certificate needs at least one case")
+    # full row rank and rank F + rank J = n fix a minimum constraint's shape
+    shape = (basis.dim - basis.rank, basis.dim)
+    failed = [idx for idx, spec in enumerate(specs) if spec.f_jac.shape != shape]
+    if not failed:
+        stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]), rank_tol_rel)
+        failed = np.flatnonzero(~stack.is_minimum).tolist()
+    if failed:
+        spec = specs[failed[0]]
+        report = check_minimum_constraint(basis, spec, rank_tol_rel)
+        raise NotMinimumConstraint(
+            f"constraint {failed[0]} ({spec.label or 'unlabeled'}) is not minimum: {report.details}"
         )
+    base_trace = basis.pinv.trace
+    margins = [trace - base_trace for trace in bound_traces(stack)]
+    cases = [
+        (f"constraint-{idx}", {"j": basis.matrix.entries, "f_jac": spec.f_jac})
+        for idx, spec in enumerate(specs)
+    ]
     return _certify("trace_bound", margins, cases, margin_tol)
 
 
@@ -193,20 +202,22 @@ def verify_eigen_dominance(
     """Check sorted-eigenvalue dominance of V (V'JV)^-1 V' over pinv J.
 
     V must have orthonormal columns, as many as rank(J). Raises
-    SingularRestriction when V'JV is numerically singular.
+    SingularRestriction when V'JV is numerically singular. j may be a
+    RankedSvd, whose pseudoinverse spectrum is then reused.
     """
-    sym = as_sym_matrix(j)
+    basis = as_ranked_svd(j, rank_tol_rel)
+    entries = basis.matrix.entries
     v_arr = np.asarray(v, dtype=float)
     _check_orthonormal(v_arr, "v")
-    restricted = v_arr.T @ sym.entries @ v_arr
+    restricted = v_arr.T @ entries @ v_arr
     if not is_nonsingular(restricted, rank_tol_rel):
         raise SingularRestriction("V'JV is numerically singular")
     lhs = v_arr @ np.linalg.inv(restricted) @ v_arr.T
     lam_lhs = eigvals_desc(lhs).values
-    lam_pinv = eigvals_desc(pinv_via_basis(sym, rank_tol_rel)).values
+    lam_pinv = basis.pinv_eigenvalues.values
     margins = [float(a - b) for a, b in zip(lam_lhs, lam_pinv)]
     cases = [
-        (f"eig-index-{i}", {"j": sym.entries, "v": v_arr})
+        (f"eig-index-{i}", {"j": entries, "v": v_arr})
         for i in range(len(margins))
     ]
     return _certify("eigen_dominance", margins, cases, margin_tol)
@@ -241,36 +252,37 @@ def verify_constraint_equivalence(
     Each alternative F must satisfy F @ U_r = 0 (up to roundoff) and have
     full row rank n - rank(J); it is recast as an affine constraint
     through theta0 and its bound compared with the pseudoinverse in
-    Frobenius norm. The margin is minus that distance.
+    Frobenius norm. The margin is minus that distance. All bounds come
+    from one stacked evaluation; j may be a RankedSvd.
     """
-    sym = as_sym_matrix(j)
+    basis = as_ranked_svd(j, rank_tol_rel)
+    n = basis.dim
     point = np.asarray(theta0, dtype=float).ravel()
-    if point.size != sym.dim:
-        raise InvalidInput(f"theta0 must have length {sym.dim}, got {point.size}")
-    basis = ranked_svd(sym, rank_tol_rel)
-    dag = pinv_via_basis(sym, rank_tol_rel)
-    margins: list[float] = []
+    if point.size != n:
+        raise InvalidInput(f"theta0 must have length {n}, got {point.size}")
+    specs: list[ConstraintSpec] = []
     cases: list[tuple[str, dict[str, np.ndarray]]] = []
     for idx, f_jac in enumerate(alt_jacobians):
         f_arr = np.asarray(f_jac, dtype=float)
-        if f_arr.ndim != 2 or f_arr.shape != (sym.dim - basis.rank, sym.dim):
+        if f_arr.ndim != 2 or f_arr.shape != (n - basis.rank, n):
             raise InvalidInput(
                 f"alternative {idx} has shape {f_arr.shape}, "
-                f"expected ({sym.dim - basis.rank}, {sym.dim})"
+                f"expected ({n - basis.rank}, {n})"
             )
         scale = float(np.linalg.norm(f_arr))
         if float(np.linalg.norm(f_arr @ basis.u_r)) > 1e-8 * max(scale, 1.0):
             raise InvalidInput(f"alternative {idx} does not annihilate the range basis")
-        spec = ConstraintSpec(
+        specs.append(ConstraintSpec(
             f_jac=f_arr,
             offset=-f_arr @ point,
             label=f"equivalent-{idx}",
             eval_point=point,
-        )
-        report = constrained_crb(sym, spec, rank_tol_rel)
-        distance = float(np.linalg.norm(report.bound.entries - dag.entries))
-        margins.append(-distance)
-        cases.append((f"alternative-{idx}", {"j": sym.entries, "f_jac": f_arr}))
+        ))
+        cases.append((f"alternative-{idx}", {"j": basis.matrix.entries, "f_jac": f_arr}))
+    reports = constrained_crbs(basis, specs, rank_tol_rel) if specs else []
+    margins = [
+        -float(np.linalg.norm(report.bound.entries - basis.pinv.entries)) for report in reports
+    ]
     return _certify("equivalence", margins, cases, margin_tol)
 
 
@@ -291,37 +303,34 @@ def verify_min_rank(
     """
     if trials < 1:
         raise InvalidInput(f"trials must be positive, got {trials}")
-    sym = as_sym_matrix(j)
-    basis = ranked_svd(sym, rank_tol_rel)
+    basis = as_ranked_svd(j, rank_tol_rel)
+    sym = basis.matrix
     n, rank = sym.dim, basis.rank
     if rank == n:
         raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
 
-    def eig_ratio(restricted: np.ndarray) -> float:
-        if restricted.shape[0] == 0:
+    def eig_ratio(f_jac: np.ndarray) -> float:
+        # smallest over largest eigenvalue of U'JU, clipped at 0
+        stack = evaluate_constraints(basis, f_jac[None], rank_tol_rel)
+        if not stack.full_rank_jacobian[0]:
+            raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
+        evals = stack.utju_eigs[0]
+        if evals.size == 0:
             return 1.0
-        evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
-        top = float(evals[-1])
-        if top <= 0.0:
-            return 0.0
-        return max(0.0, float(evals[0])) / top
+        return max(0.0, float(evals[0])) / float(evals[-1]) if evals[-1] > 0.0 else 0.0
 
     margins: list[float] = []
     cases: list[tuple[str, dict[str, np.ndarray]]] = []
     for t in range(trials):
         m = int(rng.integers(0, n - rank))
         f_jac = rng.standard_normal((m, n))
-        u = null_complement(f_jac, rank_tol_rel)
-        ratio = eig_ratio(u.T @ sym.entries @ u)
         # deficient constraint must leave U'JU singular: ratio below cutoff
-        margins.append(rank_tol_rel - ratio)
+        margins.append(rank_tol_rel - eig_ratio(f_jac))
         cases.append((f"deficient-{t}-rows-{m}", {"j": sym.entries, "f_jac": f_jac}))
 
-    spec = optimal_affine_constraint(sym, np.zeros(n), rank_tol_rel)
-    u = null_complement(spec.f_jac, rank_tol_rel)
-    ratio = eig_ratio(u.T @ sym.entries @ u)
-    margins.append(ratio - rank_tol_rel)
+    spec = optimal_affine_constraint(basis, np.zeros(n), rank_tol_rel)
+    margins.append(eig_ratio(spec.f_jac) - rank_tol_rel)
     cases.append(("achievable-at-min-rank", {"j": sym.entries, "f_jac": spec.f_jac}))
     return _certify("min_rank", margins, cases, margin_tol)
 

@@ -264,6 +264,37 @@ def test_indefinite_matrix_input_exits_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+ZERO_ANALYSIS = {
+    "2 2\n0 0\n0 0\n": "n,2\nrank,0\nnullity,2\nsingular_fim_warning,true\ntrace_pinv,0\n"
+    "eig_pinv_1,0\neig_pinv_2,0\nconstraint,optimal-affine\nconstraint_rows,2\n"
+    "constraint_exists,true\ntrace_constrained,0\neig_crb_1,0\neig_crb_2,0\n",
+    "1 1\n0\n": "n,1\nrank,0\nnullity,1\nsingular_fim_warning,true\ntrace_pinv,0\n"
+    "eig_pinv_1,0\nconstraint,optimal-affine\nconstraint_rows,1\n"
+    "constraint_exists,true\ntrace_constrained,0\neig_crb_1,0\n",
+}
+
+
+@pytest.mark.parametrize("matrix", sorted(ZERO_ANALYSIS))
+def test_zero_matrix_input(tmp_path, capsys, matrix):
+    # J = 0: analyze and experiment report zero bounds, certify rejects it
+    path = tmp_path / "zero.matx"
+    path.write_text(matrix)
+    assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "a")]) == 0
+    expected = "# crb-kit v1\nkey,value\ncommand,analyze\n" + ZERO_ANALYSIS[matrix]
+    assert (tmp_path / "a" / "analysis.csv").read_text() == expected
+    argv = ["experiment", "--input", str(path), "--count", "40", "--out", str(tmp_path / "e")]
+    assert main(argv) == 0
+    lines = (tmp_path / "e" / "traces.csv").read_text().splitlines()
+    assert lines[1] == "# baseline_trace = 0"
+    assert lines[3:] == [f"{i},0,0" for i in range(40)]
+    capsys.readouterr()
+    assert main(["certify", "--input", str(path), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: certify: input information matrix is zero;")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "c" / "certificates.csv").exists()
+
+
 def test_psd_tol_sets_the_negative_eigenvalue_slack(tmp_path):
     path = tmp_path / "slightly_negative.matx"
     path.write_text("3 3\n1 0 0\n0 -1e-12 0\n0 0 0\n")

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import crbkit.constraint as constraint_module
 from crbkit import (
     BlindChannelModel,
     ConstraintSpec,
     FullRankFim,
     InvalidInput,
+    SamplingExhausted,
     check_minimum_constraint,
     constrained_crb,
     fim_gaussian_mean,
@@ -17,7 +19,7 @@ from crbkit import (
     sample_minimum_constraints,
     save_constraint_spec,
 )
-from util import make_psd
+from util import make_psd, random_orthonormal
 
 DIAG = np.diag([2.0, 0.0])
 
@@ -190,3 +192,68 @@ def test_constraint_file_rejects_garbage(tmp_path):
         load_constraint_spec(path)
     with pytest.raises(InvalidInput):
         load_constraint_spec(tmp_path / "absent.constraint")
+
+
+def reference_sample(j, count, seed, tol):
+    """The draw-by-draw sampler in plain numpy: draw one frame, check it, repeat.
+
+    Returns the accepted (f_jac, label) pairs and the number of draws made;
+    raises SamplingExhausted after 100 * count consecutive rejections.
+    """
+    n = j.shape[0]
+    s = np.linalg.svd(j)[1]
+    rank = int(np.sum(s > s[0] * n * tol))
+    m = n - rank
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    accepted, rejects, draws = [], 0, 0
+    while len(accepted) < count:
+        q, r = np.linalg.qr(rng.standard_normal((n, m)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        f_jac = (q * signs).T
+        draws += 1
+        _, s_f, vh = np.linalg.svd(f_jac)
+        u = vh[m:].T
+        restricted = u.T @ j @ u
+        evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+        full_rank = int(np.sum(s_f > s_f[0] * n * tol)) == m
+        if full_rank and (evals.size == 0 or evals[0] > tol * evals[-1]):
+            accepted.append((f_jac, f"sampled-{len(accepted)} retries={rejects}"))
+            rejects = 0
+        else:
+            rejects += 1
+            if rejects >= 100 * count:
+                raise SamplingExhausted(f"after {draws} draws")
+    return accepted, draws
+
+
+def test_chunked_sampler_consumes_the_stream_draw_by_draw():
+    # a loose rank cutoff makes U'JU count as singular for about 40% of the
+    # draws; 70 constraints take three chunks, the last one partial
+    q = random_orthonormal(np.random.default_rng(5), 6, 6)
+    j = (q * np.array([1.0, 0.5, 0.2, 0.0, 0.0, 0.0])) @ q.T
+    j = 0.5 * (j + j.T)
+    tol = 0.02
+    expected, _ = reference_sample(j, 70, 9, tol)
+    specs = sample_minimum_constraints(j, 70, 9, tol)
+    assert [spec.label for spec in specs] == [label for _, label in expected]
+    assert sum(int(spec.label.split("retries=")[1]) for spec in specs) > 20
+    for spec, (f_jac, _) in zip(specs, expected):
+        assert spec.f_jac.tobytes() == f_jac.tobytes()
+
+
+def test_sampler_exhausts_after_exactly_the_rejection_budget(monkeypatch):
+    # rank_tol 0.6 on a 2 x 2 J puts every singular value of an orthonormal
+    # frame below the cutoff, so every draw is rejected
+    j = np.zeros((2, 2))
+    with pytest.raises(SamplingExhausted, match="after 7000 draws"):
+        reference_sample(j, 70, 3, 0.6)
+    drawn = []
+    real = constraint_module.orthonormal_columns
+    monkeypatch.setattr(
+        constraint_module, "orthonormal_columns", lambda a: drawn.append(len(a)) or real(a)
+    )
+    with pytest.raises(SamplingExhausted, match="7000 consecutive rejections"):
+        sample_minimum_constraints(j, 70, 3, 0.6)
+    assert sum(drawn) == 7000
+    assert max(drawn) == 32

@@ -7,12 +7,17 @@ from crbkit import (
     ConstraintSpec,
     InvalidInput,
     RankDeficientConstraint,
+    bound_traces,
+    check_minimum_constraint,
     constrained_crb,
+    constrained_crbs,
     crb_exists,
+    evaluate_constraints,
     is_psd,
     optimal_affine_constraint,
     pinv_via_basis,
     ranked_svd,
+    sample_minimum_constraints,
     unconstrained_crb,
 )
 from util import make_psd, random_orthonormal
@@ -152,3 +157,47 @@ def test_dimension_mismatch_rejected():
 def test_dependent_constraint_rows_rejected():
     with pytest.raises(RankDeficientConstraint):
         constrained_crb(np.eye(2), np.array([[1.0, 1.0], [2.0, 2.0]]))
+
+
+def test_stacked_bounds_match_single_calls_bit_for_bit():
+    # every n from 2 to 32 with every nullity from 1 to n - 1, and rank 0
+    rng = np.random.default_rng(32)
+    for n in range(2, 33):
+        for nullity in range(1, n + 1):
+            j = make_psd(rng, n, n - nullity)
+            basis = ranked_svd(j)
+            assert basis.rank == n - nullity
+            specs = sample_minimum_constraints(basis, 2, n * 100 + nullity)
+            stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
+            stacked = constrained_crbs(basis, specs)
+            traces = bound_traces(stack)
+            for i, spec in enumerate(specs):
+                single = constrained_crb(j, spec)
+                assert np.array_equal(stacked[i].bound.entries, single.bound.entries)
+                assert stacked[i].trace == single.trace == traces[i]
+                assert np.array_equal(stacked[i].eigenvalues.values, single.eigenvalues.values)
+                assert np.array_equal(stacked[i].u_projector.entries, single.u_projector.entries)
+                # one matrix at a time in plain numpy
+                u = np.linalg.svd(spec.f_jac)[2][nullity:].T
+                restricted = u.T @ basis.matrix.entries @ u
+                evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+                assert np.array_equal(stack.utju_eigs[i], evals)
+                bound = u @ np.linalg.inv(restricted) @ u.T
+                assert np.array_equal(single.bound.entries, 0.5 * (bound + bound.T))
+                expected = {"rank_jacobian": nullity, "rank_fim": n - nullity, "param_dim": n}
+                if evals.size:
+                    expected.update(utju_min_eig=float(evals[0]), utju_max_eig=float(evals[-1]))
+                assert check_minimum_constraint(j, spec).details == expected
+
+
+def test_stacked_bounds_report_missing_bounds_and_dependent_rows():
+    j = np.diag([2.0, 0.0])
+    pinned, useless = constrained_crbs(j, [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])])
+    assert pinned.exists and np.allclose(pinned.bound.entries, np.diag([0.5, 0.0]))
+    assert not useless.exists and useless.bound is None and useless.trace == math.inf
+    stack = evaluate_constraints(j, np.array([[[0.0, 1.0]], [[1.0, 0.0]]]))
+    assert bound_traces(stack) == [pinned.trace, math.inf]
+    with pytest.raises(InvalidInput):
+        constrained_crbs(j, [np.array([[0.0, 1.0]]), np.eye(2)])
+    with pytest.raises(RankDeficientConstraint):
+        constrained_crbs(np.eye(2), [np.eye(2), np.array([[1.0, 1.0], [2.0, 2.0]])])

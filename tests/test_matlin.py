@@ -8,11 +8,13 @@ from crbkit import (
     InvalidMatrix,
     RankDeficientConstraint,
     SymMatrix,
+    as_ranked_svd,
     eigvals_desc,
     is_nonsingular,
     is_psd,
     moore_penrose_residuals,
     null_complement,
+    null_complements,
     orthonormal_columns,
     pinv_via_basis,
     ranked_svd,
@@ -210,3 +212,28 @@ def test_pinv_satisfies_moore_penrose_property(n, rank, seed):
     m = make_psd(np.random.default_rng(seed), n, min(rank, n))
     p = pinv_via_basis(m).entries
     assert max(moore_penrose_residuals(m, p)) <= 1e-8
+
+
+def test_factored_value_passes_through_and_keeps_its_pseudoinverse():
+    j = make_psd(np.random.default_rng(11), 5, 3)
+    basis = ranked_svd(j)
+    assert as_ranked_svd(basis) is basis
+    assert pinv_via_basis(basis) is basis.pinv is pinv_via_basis(basis)
+    assert basis.pinv_eigenvalues is basis.pinv_eigenvalues
+    assert np.array_equal(basis.pinv.entries, pinv_via_basis(j).entries)
+    loose = as_ranked_svd(basis, 1e-3)
+    assert loose is not basis and loose.rank_tol_rel == 1e-3
+    assert np.array_equal(loose.matrix.entries, basis.matrix.entries)
+
+
+def test_stacked_calls_equal_single_calls_bit_for_bit():
+    rng = np.random.default_rng(12)
+    frames = rng.standard_normal((7, 6, 4))
+    stacked = orthonormal_columns(frames)
+    for frame, q in zip(frames, stacked):
+        assert np.array_equal(orthonormal_columns(frame), q)
+    f_jacs = stacked.transpose(0, 2, 1)
+    ranks, u = null_complements(f_jacs)
+    assert ranks.tolist() == [4] * 7
+    for f_jac, basis in zip(f_jacs, u):
+        assert np.array_equal(null_complement(f_jac), basis)

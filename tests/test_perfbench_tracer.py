@@ -1,0 +1,73 @@
+"""The benchmark's span tracer (perfbench/tracer.py) keeps working on crbkit.
+
+The tracer wraps crbkit functions by module and name, raises on a missing
+name, and reads some of their arguments by position, so renaming a traced
+function or reordering its arguments breaks the benchmark.
+"""
+
+import importlib.util
+import inspect
+import sys
+import time
+from pathlib import Path
+
+import crbkit.cli
+from crbkit import fim_monte_carlo, pinv_via_basis, ranked_svd, sample_minimum_constraints
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = load_tracer()
+    for name, (module, attr) in tracer.FUNCTIONS.items():
+        assert callable(getattr(sys.modules[module], attr, None)), name
+    for name, (module, cls, attr) in tracer.METHODS.items():
+        assert callable(vars(getattr(sys.modules[module], cls)).get(attr)), name
+
+
+def test_noted_arguments_keep_their_places():
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(ranked_svd)[0] == "m"
+    assert params(pinv_via_basis)[0] == "m"
+    assert params(sample_minimum_constraints)[:2] == ["j", "count"]
+    assert params(fim_monte_carlo)[2] == "n_samples"
+
+
+def test_traced_runs_factor_each_matrix_once(tmp_path):
+    path = tmp_path / "j.matx"
+    path.write_text("3 3\n2 0 0\n0 1 0\n0 0 0\n")
+    original = crbkit.cli.ranked_svd
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert tracer.binding_problems() == []
+        traces = []
+        for argv in (
+            ["experiment", "--input", str(path), "--count", "70"],
+            ["certify", "--count", "3", "--seed", "5"],
+        ):
+            tracer.start_job()
+            start = time.perf_counter()
+            # through the module, so the call opens the traced cli.main span
+            assert crbkit.cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+            traces.append(tracer.finish_job(time.perf_counter() - start, 10.0))
+    finally:
+        tracer.uninstall()
+    assert crbkit.cli.ranked_svd is original
+    experiment, certify = traces
+    assert experiment.problems == [] and certify.problems == []
+    assert experiment.calls["matlin.ranked_svd"] == 1
+    # one svd for J and one per chunk of 32 constraints
+    assert experiment.calls["linalg.svd"] == 1 + 3
+    # three suite matrices and the fixed counterexample, each factored once
+    assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 4

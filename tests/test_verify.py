@@ -263,3 +263,11 @@ def test_random_suite_trace_and_dominance():
         for spec in specs[:3]:
             v = null_complement(spec.f_jac)
             assert verify_eigen_dominance(j, v).passed
+
+
+def test_trace_bound_rejects_a_spec_of_the_wrong_shape():
+    good = ConstraintSpec(np.array([[0.0, 1.0]]))
+    with pytest.raises(NotMinimumConstraint, match="constraint 1"):
+        verify_trace_bound(DIAG, [good, ConstraintSpec(np.eye(2))])
+    with pytest.raises(InvalidInput):
+        verify_trace_bound(DIAG, [])
