@@ -61,6 +61,7 @@ from .matx import format_float, load_matrix, parse_matrix, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
 from .verify import (
     DEFAULT_MARGIN_TOL,
+    THEOREM_IDS,
     counterexample_check,
     certificates_to_csv,
     merge_certificates,
@@ -90,7 +91,11 @@ CERTIFY_CONSTRAINTS_PER_MATRIX = 20
 CERTIFY_EQUIVALENCE_ALTS = 3
 CERTIFY_MIN_RANK_TRIALS = 5
 
-MODEL_KINDS = ("blind_channel", "gaussian_location")
+# Built-in models: factory and default parameters, in manifest order.
+MODELS = {
+    "blind_channel": (BlindChannelModel, {"s_len": 3, "h_len": 3, "noise_var": 1.0}),
+    "gaussian_location": (gaussian_location, {"dim": 4, "noise_var": 1.0}),
+}
 
 CONFIG_KEYS = {
     "command",
@@ -253,17 +258,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         model_kind = args.model
         input_kind = "model"
 
-    if model_kind is not None and model_kind not in MODEL_KINDS:
-        raise InvalidInput(f"unknown model {model_kind!r}; choose from {MODEL_KINDS}")
-
     model_params: dict = {}
-    if model_kind == "blind_channel":
-        model_params["s_len"] = _pick(None, _parse(file_values, "s_len", int), 3)
-        model_params["h_len"] = _pick(None, _parse(file_values, "h_len", int), 3)
-        model_params["noise_var"] = _pick(None, _parse(file_values, "noise_var", float), 1.0)
-    elif model_kind == "gaussian_location":
-        model_params["dim"] = _pick(None, _parse(file_values, "dim", int), 4)
-        model_params["noise_var"] = _pick(None, _parse(file_values, "noise_var", float), 1.0)
+    if model_kind is not None:
+        if model_kind not in MODELS:
+            raise InvalidInput(f"unknown model {model_kind!r}; choose from {tuple(MODELS)}")
+        for key, default in MODELS[model_kind][1].items():
+            model_params[key] = _pick(None, _parse(file_values, key, type(default)), default)
 
     theta = None
     if "theta" in file_values:
@@ -293,10 +293,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def build_model(config: RunConfig):
-    factories = {"blind_channel": BlindChannelModel, "gaussian_location": gaussian_location}
-    if config.model_kind not in factories:
-        raise InvalidInput(f"unknown model {config.model_kind!r}")
-    return factories[config.model_kind](**config.model_params)
+    return MODELS[config.model_kind][0](**config.model_params)
 
 
 def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
@@ -356,10 +353,8 @@ def write_manifest(config: RunConfig, path: Path) -> None:
         lines.append("input = j.matx")
     elif config.input_kind == "model":
         lines.append(f"model = {config.model_kind}")
-        for key in ("s_len", "h_len", "dim"):
-            if key in config.model_params:
-                lines.append(f"{key} = {config.model_params[key]}")
-        lines.append(f"noise_var = {format_float(config.model_params['noise_var'])}")
+        for key, value in config.model_params.items():
+            lines.append(f"{key} = {format_float(value) if isinstance(value, float) else value}")
         lines.append(f"fim_method = {config.fim_method}")
         if config.theta is not None:
             lines.append("theta = " + " ".join(format_float(v) for v in config.theta))
@@ -439,7 +434,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
 
 def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count: int):
-    """All per-matrix certificates for one singular J, factored once as basis."""
+    """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order."""
     seed = config.seed
     tol = config.margin_tol
     rank_tol = config.rank_tol_rel
@@ -448,28 +443,25 @@ def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count:
     specs = sample_minimum_constraints(
         basis, constraints_count, derived_seed(seed, "certify-constraints", index), rank_tol
     )
-    trace_cert = verify_trace_bound(basis, specs, tol, rank_tol)
+    yield verify_trace_bound(basis, specs, tol, rank_tol)
     _, frames = null_complements(np.stack([spec.f_jac for spec in specs]), rank_tol)
-    dominance_cert = merge_certificates(
-        [verify_eigen_dominance(basis, v, tol, rank_tol) for v in frames], tol
-    )
+    yield verify_eigen_dominance(basis, frames, tol, rank_tol)
 
     v = orthonormal_columns(
         derived_rng(seed, "certify-poincare", index).standard_normal((n, rank))
     )
-    poincare_cert = verify_poincare(basis, v, tol)
+    yield verify_poincare(basis, v, tol)
 
     equiv_rng = derived_rng(seed, "certify-equivalence", index)
     alts = [
         equiv_rng.standard_normal((n - rank, n - rank)) @ basis.u_bar.T
         for _ in range(CERTIFY_EQUIVALENCE_ALTS)
     ]
-    equivalence_cert = verify_constraint_equivalence(basis, np.zeros(n), alts, tol, rank_tol)
+    yield verify_constraint_equivalence(basis, np.zeros(n), alts, tol, rank_tol)
 
-    min_rank_cert = verify_min_rank(
+    yield verify_min_rank(
         basis, CERTIFY_MIN_RANK_TRIALS, derived_seed(seed, "certify-minrank", index), tol, rank_tol
     )
-    return trace_cert, dominance_cert, poincare_cert, equivalence_cert, min_rank_cert
 
 
 def cmd_certify(config: RunConfig) -> int:
@@ -498,14 +490,14 @@ def cmd_certify(config: RunConfig) -> int:
         matrices.append(basis)
         constraints_count = config.count
 
-    per_theorem: dict[str, list] = {tid: [] for tid in ("trace_bound", "eigen_dominance", "poincare", "equivalence", "min_rank")}
-    try:
-        for index, basis in enumerate(matrices):
-            certs = _certify_one_matrix(basis, config, index, constraints_count)
-            for cert in certs:
-                per_theorem[cert.theorem_id].append(cert)
-    except (SamplingExhausted, NumericalFailure, np.linalg.LinAlgError) as exc:
-        raise CliError(EXIT_NUMERICAL, f"building certificates: {exc}") from exc
+    per_theorem: dict[str, list] = {tid: [] for tid in THEOREM_IDS if tid != "counterexample"}
+    for index, basis in enumerate(matrices):
+        certs = _certify_one_matrix(basis, config, index, constraints_count)
+        for theorem_id, parts in per_theorem.items():
+            try:
+                parts.append(next(certs))
+            except (CrbKitError, np.linalg.LinAlgError) as exc:
+                raise CliError(EXIT_NUMERICAL, f"certify matrix {index}, {theorem_id}: {exc}") from exc
 
     certificates = [
         merge_certificates(parts, config.margin_tol) for parts in per_theorem.values()
@@ -585,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", help="matx matrix file or key = value config file")
-        cmd.add_argument("--model", choices=MODEL_KINDS, help="built-in model with default sizes")
+        cmd.add_argument("--model", choices=tuple(MODELS), help="built-in model with default sizes")
         cmd.add_argument("--seed", type=int, help="top-level random seed")
         cmd.add_argument("--count", type=int, help="matrices (certify suite) or constraints to sample")
         cmd.add_argument("--samples", type=int, help="Monte-Carlo sample count")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraint import ConstraintSpec, ConstraintStack, evaluate_constraints
 from .errors import InvalidInput, RankDeficientConstraint
-from .matlin import DEFAULT_RANK_TOL_REL, SymMatrix, as_ranked_svd, eigvals_desc
+from .matlin import DEFAULT_RANK_TOL_REL, EigenSpectrum, SymMatrix, as_ranked_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,23 +67,22 @@ def _resolve_constraint(constraint) -> tuple[np.ndarray, str]:
     return np.asarray(constraint, dtype=float), "jacobian-only"
 
 
-def _bounds(stack: ConstraintStack) -> np.ndarray:
-    """U (U'JU)^-1 U' for each constraint of a stack, one inv call for all.
+def _bounds(u: np.ndarray, restricted: np.ndarray, exists: np.ndarray) -> np.ndarray:
+    """U (U'JU)^-1 U', symmetrized, for a (k, n, r) stack of bases U; one inv call for all.
 
-    Where U'JU is singular the identity stands in for it, and the entry is
-    no bound.
+    restricted is the (k, r, r) stack of U'JU. Where exists (k,) is False
+    the identity stands in for U'JU, and the entry is no bound.
     """
-    exists = stack.utju_nonsingular[:, None, None]
-    restricted = np.where(exists, stack.restricted, np.eye(stack.restricted.shape[1]))
-    return stack.u @ np.linalg.inv(restricted) @ stack.u.transpose(0, 2, 1)
+    restricted = np.where(exists[:, None, None], restricted, np.eye(restricted.shape[1]))
+    bounds = u @ np.linalg.inv(restricted) @ u.transpose(0, 2, 1)
+    return 0.5 * (bounds + bounds.transpose(0, 2, 1))
 
 
 def bound_traces(stack: ConstraintStack) -> list[float]:
     """Trace of each constrained bound of an evaluated stack; +inf where none exists."""
-    return [
-        float(np.trace(bound)) if exists else math.inf
-        for bound, exists in zip(_bounds(stack), stack.utju_nonsingular)
-    ]
+    exists = stack.utju_nonsingular
+    bounds = _bounds(stack.u, stack.restricted, exists)
+    return [float(np.trace(bound)) if ok else math.inf for bound, ok in zip(bounds, exists)]
 
 
 def constrained_crbs(
@@ -107,14 +106,16 @@ def constrained_crbs(
     stack = evaluate_constraints(basis, np.stack([f_jac for f_jac, _ in resolved]), rank_tol_rel)
     if not np.all(stack.full_rank_jacobian):
         raise RankDeficientConstraint(min(stack.row_rank), shapes[0][0])
+    exists = stack.utju_nonsingular
+    bounds = _bounds(stack.u, stack.restricted, exists)
+    spectra = np.linalg.eigvalsh(bounds)
     reports = []
-    for (_, used), u, bound, exists in zip(resolved, stack.u, _bounds(stack), stack.utju_nonsingular):
-        bound = SymMatrix(bound) if exists else None
+    for (_, used), u, bound, lam, ok in zip(resolved, stack.u, bounds, spectra, exists):
         reports.append(CrbReport(
-            bound=bound,
-            exists=bool(exists),
-            trace=bound.trace if exists else math.inf,
-            eigenvalues=eigvals_desc(bound) if exists else None,
+            bound=SymMatrix(bound) if ok else None,
+            exists=bool(ok),
+            trace=float(np.trace(bound)) if ok else math.inf,
+            eigenvalues=EigenSpectrum(lam) if ok else None,
             constraint_used=used,
             u_projector=SymMatrix(u @ u.T),
         ))

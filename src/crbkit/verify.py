@@ -30,7 +30,7 @@ from .constraint import (
     evaluate_constraints,
     optimal_affine_constraint,
 )
-from .crb import bound_traces, constrained_crbs
+from .crb import _bounds, bound_traces, constrained_crbs
 from .errors import (
     InvalidInput,
     NotMinimumConstraint,
@@ -43,9 +43,9 @@ from .matlin import (
     as_ranked_svd,
     as_sym_matrix,
     eigvals_desc,
-    is_nonsingular,
+    nonsingular,
     orthonormal_columns,
-    pinv_via_basis,
+    ranked_svd,
 )
 from .matx import dump_matrix, format_float
 
@@ -150,10 +150,11 @@ def merge_certificates(
 
 
 def _check_orthonormal(v: np.ndarray, name: str) -> None:
-    if v.ndim != 2 or v.shape[1] > v.shape[0]:
-        raise InvalidInput(f"{name} must be a tall matrix, got shape {v.shape}")
-    gram = v.T @ v
-    if not np.allclose(gram, np.eye(v.shape[1]), rtol=0.0, atol=ORTHONORMAL_TOL):
+    """v is a tall matrix or a (k, n, r) stack of them, with orthonormal columns."""
+    if v.ndim not in (2, 3) or v.shape[-1] > v.shape[-2]:
+        raise InvalidInput(f"{name} must be a tall matrix or a stack of them, got shape {v.shape}")
+    gram = v.swapaxes(-1, -2) @ v
+    if not np.allclose(gram, np.eye(v.shape[-1]), rtol=0.0, atol=ORTHONORMAL_TOL):
         raise InvalidInput(f"{name} columns are not orthonormal")
 
 
@@ -201,24 +202,29 @@ def verify_eigen_dominance(
 ) -> TheoremCertificate:
     """Check sorted-eigenvalue dominance of V (V'JV)^-1 V' over pinv J.
 
-    V must have orthonormal columns, as many as rank(J). Raises
-    SingularRestriction when V'JV is numerically singular. j may be a
-    RankedSvd, whose pseudoinverse spectrum is then reused.
+    v is one (n, r) frame or a (k, n, r) stack of frames, each with
+    orthonormal columns, as many as rank(J); all frames are checked in
+    stacked LAPACK calls, and margins and witnesses run frame by frame.
+    Raises SingularRestriction when some V'JV is numerically singular.
+    j may be a RankedSvd, whose pseudoinverse spectrum is then reused.
     """
     basis = as_ranked_svd(j, rank_tol_rel)
     entries = basis.matrix.entries
     v_arr = np.asarray(v, dtype=float)
     _check_orthonormal(v_arr, "v")
-    restricted = v_arr.T @ entries @ v_arr
-    if not is_nonsingular(restricted, rank_tol_rel):
-        raise SingularRestriction("V'JV is numerically singular")
-    lhs = v_arr @ np.linalg.inv(restricted) @ v_arr.T
-    lam_lhs = eigvals_desc(lhs).values
-    lam_pinv = basis.pinv_eigenvalues.values
-    margins = [float(a - b) for a, b in zip(lam_lhs, lam_pinv)]
+    frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
+    restricted = frames.transpose(0, 2, 1) @ entries @ frames
+    evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
+    exists = nonsingular(evals, rank_tol_rel)
+    if not np.all(exists):
+        raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
+    bounds = _bounds(frames, restricted, exists)
+    lam_lhs = np.linalg.eigvalsh(bounds)[:, ::-1]
+    margins = (lam_lhs - basis.pinv_eigenvalues.values).ravel().tolist()
     cases = [
-        (f"eig-index-{i}", {"j": entries, "v": v_arr})
-        for i in range(len(margins))
+        (f"eig-index-{i}", {"j": entries, "v": frame})
+        for frame in frames
+        for i in range(lam_lhs.shape[1])
     ]
     return _certify("eigen_dominance", margins, cases, margin_tol)
 
@@ -229,6 +235,8 @@ def verify_poincare(
     """Check lambda_i(V'JV) <= lambda_i(J) for i up to V's width."""
     sym = as_sym_matrix(j)
     v_arr = np.asarray(v, dtype=float)
+    if v_arr.ndim != 2:
+        raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, "v")
     k = v_arr.shape[1]
     lam_restricted = eigvals_desc(v_arr.T @ sym.entries @ v_arr).values
@@ -345,7 +353,8 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
     smallest eigenvalue sits below the -1e-6 indefiniteness threshold,
     tr(D), and the worst eigenvalue-dominance slack.
     """
-    j = SymMatrix(np.diag([1.0, 1.0, 0.0, 0.0]))
+    basis = ranked_svd(np.diag([1.0, 1.0, 0.0, 0.0]))
+    j = basis.matrix.entries
     v = 0.5 * np.array(
         [
             [-1.0, 1.0],
@@ -354,24 +363,19 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
             [-1.0, -1.0],
         ]
     )
-    restricted = v.T @ j.entries @ v
-    lhs = v @ np.linalg.inv(restricted) @ v.T
-    dag = pinv_via_basis(j)
-    diff = 0.5 * ((lhs - dag.entries) + (lhs - dag.entries).T)
-    evals_diff = np.linalg.eigvalsh(diff)
-    min_eig = float(evals_diff[0])
+    lhs = _bounds(v[None], (v.T @ j @ v)[None], np.ones(1, dtype=bool))[0]
+    diff = lhs - basis.pinv.entries  # both symmetric
+    min_eig = float(np.linalg.eigvalsh(diff)[0])
 
     margin_indefinite = -COUNTEREXAMPLE_NEG_EIG - min_eig
     margin_trace = float(np.trace(diff))
-    lam_lhs = eigvals_desc(lhs).values
-    lam_dag = eigvals_desc(dag).values
-    margin_dominance = float(np.min(lam_lhs - lam_dag))
+    margin_dominance = verify_eigen_dominance(basis, v, margin_tol).worst_margin
 
     margins = [margin_indefinite, margin_trace, margin_dominance]
     cases = [
-        ("difference-indefinite", {"j": j.entries, "v": v}),
-        ("trace-still-dominates", {"j": j.entries, "v": v}),
-        ("eigenvalues-still-dominate", {"j": j.entries, "v": v}),
+        ("difference-indefinite", {"j": j, "v": v}),
+        ("trace-still-dominates", {"j": j, "v": v}),
+        ("eigenvalues-still-dominate", {"j": j, "v": v}),
     ]
     return _certify(
         "counterexample",

@@ -128,6 +128,40 @@ def test_flags_override_config_values(tmp_path):
     assert (out1 / "j.matx").read_text() != (out2 / "j.matx").read_text()
 
 
+@pytest.mark.parametrize(
+    "config, params",
+    [
+        ("model = gaussian_location\ndim = 3\nnoise_var = 2\n", "dim = 3\nnoise_var = 2\n"),
+        ("model = gaussian_location\ns_len = 9\n", "dim = 4\nnoise_var = 1\n"),
+        ("model = blind_channel\nh_len = 2\n", "s_len = 3\nh_len = 2\nnoise_var = 1\n"),
+    ],
+)
+def test_model_manifest_lists_the_model_parameters(tmp_path, config, params):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(config)
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "manifest.cfg").read_text().splitlines(keepends=True)
+    assert lines[:9] == [
+        "# crb-kit v1 manifest\n", "command = analyze\n", f"version = {crbkit.__version__}\n",
+        "seed = 0\n", "count = 100\n", "samples = 10000\n", "rank_tol = 1e-10\n",
+        "psd_tol = 1.0000000000000001e-09\n", "margin_tol = 1.0000000000000001e-09\n",
+    ]
+    model = config.splitlines(keepends=True)[0]
+    assert "".join(lines[9:-1]) == model + params + "fim_method = analytic\n"
+    assert lines[-1].startswith("theta = ")
+
+
+def test_unknown_model_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("model = nosuch\n")
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: resolving configuration: unknown model 'nosuch'; "
+        "choose from ('blind_channel', 'gaussian_location')\n"
+    )
+
+
 def test_malformed_matrix_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.matx"
     bad.write_text("2 2\n1 2\n3 oops\n")
@@ -211,6 +245,20 @@ def test_certify_singular_matrix_input(tmp_path):
     lines = (out / "certificates.csv").read_text().splitlines()
     trace_row = next(line for line in lines if line.startswith("trace_bound,"))
     assert trace_row.split(",")[2] == "10"
+
+
+def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys):
+    # at a loose rank cutoff J has rank 1, and a random 5 x 5 mix drawn for
+    # the equivalence check fails the row-rank test
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
+    path = tmp_path / "ill.matx"
+    crbkit.save_matrix(path, (q * [1e3, 1.0, 1e-3, 0.0, 0.0, 0.0]) @ q.T)
+    argv = ["certify", "--input", str(path), "--rank-tol", "0.05", "--count", "70", "--seed", "5"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: certify matrix 0, equivalence: Jacobian row rank ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_certify_full_rank_input_exits_2(tmp_path, capsys):

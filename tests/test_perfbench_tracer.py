@@ -71,3 +71,8 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert experiment.calls["linalg.svd"] == 1 + 3
     # three suite matrices and the fixed counterexample, each factored once
     assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 4
+    # one stacked eigen-dominance check per suite matrix, one for the counterexample
+    assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
+    # 49 and 15 with stacked checks; checking one frame at a time made 168 and 71
+    assert certify.calls["linalg.eigvalsh"] <= 49
+    assert certify.calls["linalg.inv"] <= 15

@@ -14,6 +14,7 @@ from crbkit import (
     load_matrix,
     merge_certificates,
     null_complement,
+    null_complements,
     pinv_via_basis,
     random_rank_deficient_psd,
     ranked_svd,
@@ -98,6 +99,80 @@ def test_eigen_dominance_rejects_non_orthonormal_v():
         verify_eigen_dominance(DIAG, np.array([[2.0], [0.0]]))
     with pytest.raises(InvalidInput):
         verify_eigen_dominance(DIAG, np.array([[1.0, 0.0]]))
+
+
+def per_frame_dominance(basis, frames, margin_tol=1e-9):
+    """Plain-numpy reference: one frame at a time, as (margin, label, v) per witness.
+
+    Margins below -margin_tol are witnesses; margin_tol = -inf keeps every case.
+    """
+    witnesses = []
+    for v in frames:
+        lhs = v @ np.linalg.inv(v.T @ basis.matrix.entries @ v) @ v.T
+        lam = np.sort(np.linalg.eigvalsh(0.5 * (lhs + lhs.T)))[::-1]
+        for i, margin in enumerate(lam - basis.pinv_eigenvalues.values):
+            if margin < -margin_tol:
+                witnesses.append((float(margin), f"eig-index-{i}", v))
+    return witnesses
+
+
+def assert_matches_per_frame(basis, frames, margin_tol=1e-9):
+    cert = verify_eigen_dominance(basis, frames, margin_tol)
+    expected = per_frame_dominance(basis, frames, margin_tol)
+    assert cert.n_cases == len(frames) * basis.dim
+    assert [(w.margin, w.label) for w in cert.witnesses] == [(m, label) for m, label, _ in expected]
+    for witness, (_, _, v) in zip(cert.witnesses, expected):
+        mats = dict(witness.matrices)
+        assert np.array_equal(mats["j"], basis.matrix.entries) and np.array_equal(mats["v"], v)
+    return cert
+
+
+def test_stacked_eigen_dominance_equals_per_frame_reference():
+    # a margin_tol of -inf keeps every case as a witness, so every margin is compared
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
+            for k in (1, 5, 20):
+                specs = sample_minimum_constraints(basis, k, 100 * n + rank)
+                _, frames = null_complements(np.stack([spec.f_jac for spec in specs]))
+                cert = assert_matches_per_frame(basis, frames, -np.inf)
+                assert cert.n_cases == k * n
+                assert cert.worst_margin == min(w.margin for w in cert.witnesses)
+                if k == 1:  # a 2-d frame is the k = 1 stack
+                    flat = verify_eigen_dominance(basis, frames[0], -np.inf)
+                    assert [w.margin for w in flat.witnesses] == [w.margin for w in cert.witnesses]
+
+
+def test_stacked_eigen_dominance_keeps_the_known_false_fail():
+    # matrix index 62 of a 100-matrix suite: sampled frame 11 has a bound with
+    # eigenvalue about 2.3e8 and fails eigen dominance by roundoff
+    rng = np.random.default_rng(1)
+    for _ in range(63):
+        n = int(rng.integers(2, 9))
+        rank = int(rng.integers(1, n))
+        j = random_rank_deficient_psd(n, rank, rng)
+    basis = ranked_svd(j)
+    specs = sample_minimum_constraints(j, 20, 62)
+    _, frames = null_complements(np.stack([spec.f_jac for spec in specs]))
+    cert = assert_matches_per_frame(basis, frames)
+    assert not cert.passed
+    assert [w.label for w in cert.witnesses] == ["eig-index-3"]
+    assert np.array_equal(dict(cert.witnesses[0].matrices)["v"], frames[11])
+    assert cert.worst_margin == cert.witnesses[0].margin < -1e-9
+
+
+def test_eigen_dominance_stack_rejects_bad_frames():
+    good, singular = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    assert verify_eigen_dominance(DIAG, np.stack([good, good])).n_cases == 4
+    with pytest.raises(SingularRestriction, match="frame 1"):
+        verify_eigen_dominance(DIAG, np.stack([good, singular, good]))
+    with pytest.raises(InvalidInput, match="not orthonormal"):
+        verify_eigen_dominance(DIAG, np.stack([good, 2.0 * good]))
+    with pytest.raises(InvalidInput):
+        verify_eigen_dominance(DIAG, good[None, None])
+    with pytest.raises(InvalidInput):
+        verify_poincare(DIAG, good[None])
 
 
 def test_poincare_frozen_examples():
