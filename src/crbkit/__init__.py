@@ -68,6 +68,7 @@ from .constraint import (
     optimal_affine_constraint,
     sample_constraint_stacks,
     sample_minimum_constraints,
+    sample_minimum_stack,
     save_constraint_spec,
 )
 from .verify import (

@@ -33,7 +33,7 @@ from . import __version__
 from .constraint import (
     optimal_affine_constraint,
     sample_constraint_stacks,
-    sample_minimum_constraints,
+    sample_minimum_stack,
     save_constraint_spec,
 )
 from .crb import bound_traces, constrained_crb, unconstrained_crb
@@ -53,9 +53,9 @@ from .matlin import (
     DEFAULT_RANK_TOL_REL,
     as_sym_matrix,
     is_psd,
-    null_complements,
     orthonormal_columns,
     ranked_svd,
+    seed_sequence,
 )
 from .matx import format_float, load_matrix, parse_matrix, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
@@ -97,24 +97,11 @@ MODELS = {
     "gaussian_location": (gaussian_location, {"dim": 4, "noise_var": 1.0}),
 }
 
+# Keys a config file may set: the run's own keys and every built-in model's parameters.
 CONFIG_KEYS = {
-    "command",
-    "version",
-    "input",
-    "model",
-    "s_len",
-    "h_len",
-    "dim",
-    "noise_var",
-    "theta",
-    "seed",
-    "count",
-    "samples",
-    "rank_tol",
-    "psd_tol",
-    "margin_tol",
-    "fim_method",
-}
+    "command", "version", "input", "model", "theta", "seed", "count", "samples",
+    "rank_tol", "psd_tol", "margin_tol", "fim_method",
+} | {key for _, params in MODELS.values() for key in params}
 
 
 class CliError(Exception):
@@ -127,7 +114,7 @@ class CliError(Exception):
 
 def _derived_sequence(seed: int, label: str, index: int) -> np.random.SeedSequence:
     key = int.from_bytes(hashlib.sha256(label.encode("ascii")).digest()[:4], "big")
-    return np.random.SeedSequence(entropy=seed, spawn_key=(key, index))
+    return seed_sequence(seed, key, index)
 
 
 def derived_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
@@ -440,12 +427,11 @@ def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count:
     rank_tol = config.rank_tol_rel
     n, rank = basis.dim, basis.rank
 
-    specs = sample_minimum_constraints(
+    stack, _ = sample_minimum_stack(
         basis, constraints_count, derived_seed(seed, "certify-constraints", index), rank_tol
     )
-    yield verify_trace_bound(basis, specs, tol, rank_tol)
-    _, frames = null_complements(np.stack([spec.f_jac for spec in specs]), rank_tol)
-    yield verify_eigen_dominance(basis, frames, tol, rank_tol)
+    yield verify_trace_bound(basis, stack, tol, rank_tol)
+    yield verify_eigen_dominance(basis, stack, tol, rank_tol)
 
     v = orthonormal_columns(
         derived_rng(seed, "certify-poincare", index).standard_normal((n, rank))

@@ -20,11 +20,13 @@ import numpy as np
 from .errors import FullRankFim, InvalidInput, SamplingExhausted
 from .matlin import (
     DEFAULT_RANK_TOL_REL,
+    RankedSvd,
     _freeze,
     as_ranked_svd,
     nonsingular,
     null_complements,
     orthonormal_columns,
+    seed_sequence,
 )
 from .matx import _parse_block, dump_matrix, format_float
 
@@ -106,12 +108,14 @@ class MinConstraintReport:
 class ConstraintStack(NamedTuple):
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
-    One svd call gives row_rank (k,) and the null bases u (k, n, n - m);
+    basis is J, factored with the rank_tol_rel of the evaluation. One svd
+    call gives row_rank (k,) and the null bases u (k, n, n - m);
     restricted holds U'JU, and one eigvalsh call gives utju_eigs, the
     ascending eigenvalues of its symmetrized form. The last three fields
     are the requirement flags, each of shape (k,).
     """
 
+    basis: RankedSvd
     f_jacs: np.ndarray
     row_rank: np.ndarray
     u: np.ndarray
@@ -143,6 +147,7 @@ def evaluate_constraints(
     evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
     full_rank = row_rank == m
     return ConstraintStack(
+        basis=basis,
         f_jacs=f_jacs,
         row_rank=row_rank,
         u=u,
@@ -218,7 +223,7 @@ def sample_constraint_stacks(
     n, rank = basis.dim, basis.rank
     if rank == n:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
+    rng = np.random.default_rng(seed_sequence(rng_seed))
     budget = REJECTION_BUDGET_FACTOR * count
     accepted = 0
     consecutive_rejects = 0
@@ -241,6 +246,17 @@ def sample_constraint_stacks(
         yield stack, labels
 
 
+def sample_minimum_stack(
+    j, count: int, rng_seed: int, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
+) -> tuple[ConstraintStack, list[str]]:
+    """The accepted draws of sample_constraint_stacks as one evaluated stack, with their labels."""
+    chunks, labels = [], []
+    for stack, chunk_labels in sample_constraint_stacks(j, count, rng_seed, rank_tol_rel):
+        chunks.append([field[stack.is_minimum] for field in stack[1:]])
+        labels += chunk_labels
+    return ConstraintStack(stack.basis, *map(np.concatenate, zip(*chunks))), labels
+
+
 def sample_minimum_constraints(
     j, count: int, rng_seed: int, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
 ) -> list[ConstraintSpec]:
@@ -248,11 +264,8 @@ def sample_minimum_constraints(
 
     See sample_constraint_stacks.
     """
-    specs: list[ConstraintSpec] = []
-    for stack, labels in sample_constraint_stacks(j, count, rng_seed, rank_tol_rel):
-        accepted = (f_jac for f_jac, ok in zip(stack.f_jacs, stack.is_minimum) if ok)
-        specs += [ConstraintSpec(f_jac=f_jac, label=label) for f_jac, label in zip(accepted, labels)]
-    return specs
+    stack, labels = sample_minimum_stack(j, count, rng_seed, rank_tol_rel)
+    return [ConstraintSpec(f_jac=f_jac, label=label) for f_jac, label in zip(stack.f_jacs, labels)]
 
 
 def save_constraint_spec(path, spec: ConstraintSpec) -> None:

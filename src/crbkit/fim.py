@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .matlin import SymMatrix
+from .matlin import SymMatrix, seed_sequence
 from .statmodel import GaussianMeanModel, Model, finite_difference_score
 
 # Samples per derived stream; the stream for partition p is seeded from
@@ -53,32 +53,17 @@ def _isotropic_variance(cov: np.ndarray) -> float | None:
     return None
 
 
-def _as_gaussian_mean(model) -> GaussianMeanModel | None:
-    if hasattr(model, "as_gaussian_mean"):
-        return model.as_gaussian_mean()
-    return model if isinstance(model, GaussianMeanModel) else None
-
-
-def fim_gaussian_mean(model, theta) -> FimEstimate:
-    """Exact Fisher information G' Sigma^-1 G of a Gaussian-mean model.
-
-    Accepts a GaussianMeanModel or any object exposing as_gaussian_mean().
-    """
-    gaussian = _as_gaussian_mean(model) or model
-    jac = gaussian.jac_at(theta)
-    var = _isotropic_variance(gaussian.noise_cov)
+def fim_gaussian_mean(model: GaussianMeanModel, theta) -> FimEstimate:
+    """Exact Fisher information G' Sigma^-1 G of a Gaussian-mean model."""
+    jac = model.jac_at(theta)
+    var = _isotropic_variance(model.noise_cov)
     if var is not None:
         # iid noise keeps the closed form (1/var) G'G exact
         info = (jac.T @ jac) / var
     else:
-        whitened = np.linalg.solve(gaussian._chol, jac)
+        whitened = np.linalg.solve(model._chol, jac)
         info = whitened.T @ whitened
     return FimEstimate(matrix=SymMatrix(info), method="analytic")
-
-
-def _partition_rng(rng_seed: int, partition_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=rng_seed, spawn_key=(partition_index,))
-    return np.random.default_rng(seq)
 
 
 def fim_monte_carlo(
@@ -86,8 +71,7 @@ def fim_monte_carlo(
 ) -> FimEstimate:
     """Monte-Carlo Fisher information from score outer products.
 
-    A Gaussian-mean model (a GaussianMeanModel or any object exposing
-    as_gaussian_mean()) is sampled a partition at a time: its scores are
+    A GaussianMeanModel is sampled a partition at a time: its scores are
     the rows of Z @ solve(L, G) for a (k, obs_dim) standard-normal draw Z,
     with L the Cholesky factor of the noise covariance and G the mean
     Jacobian at theta. That draw consumes the partition's stream exactly
@@ -108,13 +92,12 @@ def fim_monte_carlo(
         raise InvalidInput(f"theta must have length {model.param_dim}, got {th.size}")
 
     dim = model.param_dim
-    gaussian = _as_gaussian_mean(model)
-    if gaussian is not None:
+    if isinstance(model, GaussianMeanModel):
         # score(mean + L z) = G' Sigma^-1 L z = (L^-1 G)' z
-        whitened_jac = np.linalg.solve(gaussian._chol, gaussian.jac_at(th))
+        whitened_jac = np.linalg.solve(model._chol, model.jac_at(th))
 
         def draw_scores(rng, count):
-            return rng.standard_normal((count, gaussian.obs_dim)) @ whitened_jac
+            return rng.standard_normal((count, model.obs_dim)) @ whitened_jac
     else:
         if hasattr(model, "score"):
             score_fn = model.score
@@ -136,7 +119,7 @@ def fim_monte_carlo(
     drawn = 0
     for part in range(n_partitions):
         count = min(PARTITION_SIZE, n_samples - drawn)
-        scores = draw_scores(_partition_rng(rng_seed, part), count)
+        scores = draw_scores(np.random.default_rng(seed_sequence(rng_seed, part)), count)
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
             index = drawn + int(np.argmin(finite))

@@ -77,6 +77,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
+    """The one seed derivation: the stream of spawn_key under a top-level seed."""
+    return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
+
+
 def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
     """Rank from descending singular values (last axis): those above s_max * size * rank_tol_rel."""
     if rank_tol_rel <= 0:

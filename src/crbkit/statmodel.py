@@ -172,8 +172,7 @@ def gaussian_location(dim: int, noise_var: float = 1.0) -> GaussianMeanModel:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BlindChannelModel:
+class BlindChannelModel(GaussianMeanModel):
     """Blind single-channel model y = s * h + w, w ~ N(0, noise_var I).
 
     theta stacks the source s (length s_len) and the channel h (length
@@ -183,31 +182,20 @@ class BlindChannelModel:
     generic theta.
     """
 
-    s_len: int
-    h_len: int
-    noise_var: float = 1.0
-
-    def __post_init__(self):
-        if self.s_len < 1 or self.h_len < 1:
-            raise InvalidModel(f"filter lengths must be positive, got ({self.s_len}, {self.h_len})")
-        if not self.noise_var > 0.0:
-            raise InvalidModel(f"noise_var must be positive, got {self.noise_var}")
-        gaussian = GaussianMeanModel(
-            mean_fn=self.mean_at,
-            mean_jac=self.jac_at,
-            noise_cov=self.noise_var * np.eye(self.obs_dim),
-            param_dim=self.param_dim,
-            obs_dim=self.obs_dim,
+    def __init__(self, s_len: int, h_len: int, noise_var: float = 1.0):
+        if s_len < 1 or h_len < 1:
+            raise InvalidModel(f"filter lengths must be positive, got ({s_len}, {h_len})")
+        if not noise_var > 0.0:
+            raise InvalidModel(f"noise_var must be positive, got {noise_var}")
+        for name, value in (("s_len", s_len), ("h_len", h_len), ("noise_var", noise_var)):
+            object.__setattr__(self, name, value)
+        super().__init__(
+            mean_fn=lambda th: convolve(*self.split(th)),
+            mean_jac=lambda th: blind_channel_mean_jac(th, self.dims),
+            noise_cov=noise_var * np.eye(s_len + h_len - 1),
+            param_dim=s_len + h_len,
+            obs_dim=s_len + h_len - 1,
         )
-        object.__setattr__(self, "_gaussian", gaussian)
-
-    @property
-    def param_dim(self) -> int:
-        return self.s_len + self.h_len
-
-    @property
-    def obs_dim(self) -> int:
-        return self.s_len + self.h_len - 1
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -217,27 +205,8 @@ class BlindChannelModel:
         th = _as_vector(theta, self.param_dim, "theta")
         return th[: self.s_len], th[self.s_len :]
 
-    def mean_at(self, theta) -> np.ndarray:
-        s, h = self.split(theta)
-        return convolve(s, h)
-
-    def jac_at(self, theta) -> np.ndarray:
-        return blind_channel_mean_jac(theta, self.dims)
-
     def ambiguity_direction(self, theta) -> np.ndarray:
         return scalar_ambiguity_direction(theta, self.dims)
-
-    def as_gaussian_mean(self) -> GaussianMeanModel:
-        return self._gaussian
-
-    def log_density(self, y, theta) -> float:
-        return self._gaussian.log_density(y, theta)
-
-    def sample(self, theta, rng: np.random.Generator) -> np.ndarray:
-        return self._gaussian.sample(theta, rng)
-
-    def score(self, y, theta) -> np.ndarray:
-        return self._gaussian.score(y, theta)
 
 
 def finite_difference_score(model: Model, y, theta) -> np.ndarray:

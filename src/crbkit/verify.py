@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .constraint import (
     ConstraintSpec,
+    ConstraintStack,
     check_minimum_constraint,
     evaluate_constraints,
     optimal_affine_constraint,
@@ -46,6 +48,7 @@ from .matlin import (
     nonsingular,
     orthonormal_columns,
     ranked_svd,
+    seed_sequence,
 )
 from .matx import dump_matrix, format_float
 
@@ -103,26 +106,27 @@ class TheoremCertificate:
 def _certify(
     theorem_id: str,
     margins: list[float],
-    cases: list[tuple[str, dict[str, np.ndarray]]],
+    case: Callable[[int], tuple[str, dict[str, np.ndarray]]],
     margin_tol: float,
     detail: str = "",
 ) -> TheoremCertificate:
+    """case(i) gives the label and input matrices of case i; it is called for failing margins only."""
     if theorem_id not in THEOREM_IDS:
         raise InvalidInput(f"unknown theorem id {theorem_id!r}")
     if not margins:
         raise InvalidInput("certificate needs at least one case")
-    witnesses = tuple(
-        FailingCase(label=label, margin=margin, matrices=tuple(mats.items()))
-        for margin, (label, mats) in zip(margins, cases)
-        if margin < -margin_tol
-    )
+    witnesses = []
+    for i, margin in enumerate(margins):
+        if margin < -margin_tol:
+            label, mats = case(i)
+            witnesses.append(FailingCase(label=label, margin=margin, matrices=tuple(mats.items())))
     worst = float(min(margins))
     return TheoremCertificate(
         theorem_id=theorem_id,
         passed=worst >= -margin_tol,
         n_cases=len(margins),
         worst_margin=worst,
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
         detail=detail,
     )
 
@@ -158,40 +162,55 @@ def _check_orthonormal(v: np.ndarray, name: str) -> None:
         raise InvalidInput(f"{name} columns are not orthonormal")
 
 
+def _evaluated_against(basis, stack: ConstraintStack) -> ConstraintStack:
+    """stack, if it was evaluated against the J of basis with its rank_tol_rel."""
+    other = stack.basis
+    if other.rank_tol_rel != basis.rank_tol_rel or not np.array_equal(other.matrix, basis.matrix):
+        raise InvalidInput("constraint stack was evaluated against another J or rank_tol_rel")
+    return stack
+
+
 def verify_trace_bound(
     j,
-    specs: list[ConstraintSpec],
+    specs: list[ConstraintSpec] | ConstraintStack,
     margin_tol: float = DEFAULT_MARGIN_TOL,
     rank_tol_rel: float = DEFAULT_RANK_TOL_REL,
 ) -> TheoremCertificate:
     """Check tr(constrained CRB) >= tr(pinv J) for minimum constraints.
 
-    All specs are checked and bounded in one stacked evaluation; j may be
-    a RankedSvd. Raises NotMinimumConstraint when some spec fails its
-    preconditions.
+    specs is a list of ConstraintSpecs, checked and bounded in one stacked
+    evaluation, or a ConstraintStack evaluated against J (as
+    sample_minimum_stack returns it), whose null bases and U'JU are used
+    as they are. j may be a RankedSvd. Raises NotMinimumConstraint when
+    some constraint fails its preconditions, and InvalidInput for a stack
+    evaluated against another J or rank_tol_rel.
     """
     basis = as_ranked_svd(j, rank_tol_rel)
-    if not specs:
-        raise InvalidInput("certificate needs at least one case")
-    # full row rank and rank F + rank J = n fix a minimum constraint's shape
-    shape = (basis.dim - basis.rank, basis.dim)
-    failed = [idx for idx, spec in enumerate(specs) if spec.f_jac.shape != shape]
-    if not failed:
-        stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]), rank_tol_rel)
+    if isinstance(specs, ConstraintStack):
+        stack = _evaluated_against(basis, specs)
         failed = np.flatnonzero(~stack.is_minimum).tolist()
+    elif not specs:
+        raise InvalidInput("certificate needs at least one case")
+    else:
+        # full row rank and rank F + rank J = n fix a minimum constraint's shape
+        shape = (basis.dim - basis.rank, basis.dim)
+        failed = [idx for idx, spec in enumerate(specs) if spec.f_jac.shape != shape]
+        if not failed:
+            stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]), rank_tol_rel)
+            failed = np.flatnonzero(~stack.is_minimum).tolist()
     if failed:
-        spec = specs[failed[0]]
+        idx = failed[0]
+        spec = ConstraintSpec(specs.f_jacs[idx]) if isinstance(specs, ConstraintStack) else specs[idx]
         report = check_minimum_constraint(basis, spec, rank_tol_rel)
         raise NotMinimumConstraint(
-            f"constraint {failed[0]} ({spec.label or 'unlabeled'}) is not minimum: {report.details}"
+            f"constraint {idx} ({spec.label or 'unlabeled'}) is not minimum: {report.details}"
         )
     base_trace = basis.pinv.trace
     margins = [trace - base_trace for trace in bound_traces(stack)]
-    cases = [
-        (f"constraint-{idx}", {"j": basis.matrix.entries, "f_jac": spec.f_jac})
-        for idx, spec in enumerate(specs)
-    ]
-    return _certify("trace_bound", margins, cases, margin_tol)
+    return _certify(
+        "trace_bound", margins,
+        lambda i: (f"constraint-{i}", {"j": basis.matrix.entries, "f_jac": stack.f_jacs[i]}), margin_tol,
+    )
 
 
 def verify_eigen_dominance(
@@ -203,30 +222,36 @@ def verify_eigen_dominance(
     """Check sorted-eigenvalue dominance of V (V'JV)^-1 V' over pinv J.
 
     v is one (n, r) frame or a (k, n, r) stack of frames, each with
-    orthonormal columns, as many as rank(J); all frames are checked in
-    stacked LAPACK calls, and margins and witnesses run frame by frame.
-    Raises SingularRestriction when some V'JV is numerically singular.
+    orthonormal columns, as many as rank(J), or a ConstraintStack
+    evaluated against J, whose null bases are the frames and whose U'JU
+    and flags are used as they are. All frames are checked in stacked
+    LAPACK calls, and margins and witnesses run frame by frame. Raises
+    SingularRestriction when some V'JV is numerically singular, and
+    InvalidInput for a stack evaluated against another J or rank_tol_rel.
     j may be a RankedSvd, whose pseudoinverse spectrum is then reused.
     """
     basis = as_ranked_svd(j, rank_tol_rel)
     entries = basis.matrix.entries
-    v_arr = np.asarray(v, dtype=float)
-    _check_orthonormal(v_arr, "v")
-    frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
-    restricted = frames.transpose(0, 2, 1) @ entries @ frames
-    evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
-    exists = nonsingular(evals, rank_tol_rel)
+    if isinstance(v, ConstraintStack):
+        stack = _evaluated_against(basis, v)
+        frames, restricted, exists = stack.u, stack.restricted, stack.utju_nonsingular
+    else:
+        v_arr = np.asarray(v, dtype=float)
+        _check_orthonormal(v_arr, "v")
+        frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
+        restricted = frames.transpose(0, 2, 1) @ entries @ frames
+        evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
+        exists = nonsingular(evals, rank_tol_rel)
     if not np.all(exists):
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
     bounds = _bounds(frames, restricted, exists)
     lam_lhs = np.linalg.eigvalsh(bounds)[:, ::-1]
     margins = (lam_lhs - basis.pinv_eigenvalues.values).ravel().tolist()
-    cases = [
-        (f"eig-index-{i}", {"j": entries, "v": frame})
-        for frame in frames
-        for i in range(lam_lhs.shape[1])
-    ]
-    return _certify("eigen_dominance", margins, cases, margin_tol)
+    n = basis.dim  # eigenvalues per frame
+    return _certify(
+        "eigen_dominance", margins,
+        lambda c: (f"eig-index-{c % n}", {"j": entries, "v": frames[c // n]}), margin_tol,
+    )
 
 
 def verify_poincare(
@@ -238,14 +263,11 @@ def verify_poincare(
     if v_arr.ndim != 2:
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, "v")
-    k = v_arr.shape[1]
     lam_restricted = eigvals_desc(v_arr.T @ sym.entries @ v_arr).values
-    lam_full = eigvals_desc(sym).values
-    margins = [float(lam_full[i] - lam_restricted[i]) for i in range(k)]
-    cases = [
-        (f"eig-index-{i}", {"j": sym.entries, "v": v_arr}) for i in range(k)
-    ]
-    return _certify("poincare", margins, cases, margin_tol)
+    margins = (eigvals_desc(sym).values[: lam_restricted.size] - lam_restricted).tolist()
+    return _certify(
+        "poincare", margins, lambda i: (f"eig-index-{i}", {"j": sym.entries, "v": v_arr}), margin_tol
+    )
 
 
 def verify_constraint_equivalence(
@@ -269,7 +291,6 @@ def verify_constraint_equivalence(
     if point.size != n:
         raise InvalidInput(f"theta0 must have length {n}, got {point.size}")
     specs: list[ConstraintSpec] = []
-    cases: list[tuple[str, dict[str, np.ndarray]]] = []
     for idx, f_jac in enumerate(alt_jacobians):
         f_arr = np.asarray(f_jac, dtype=float)
         if f_arr.ndim != 2 or f_arr.shape != (n - basis.rank, n):
@@ -286,12 +307,14 @@ def verify_constraint_equivalence(
             label=f"equivalent-{idx}",
             eval_point=point,
         ))
-        cases.append((f"alternative-{idx}", {"j": basis.matrix.entries, "f_jac": f_arr}))
     reports = constrained_crbs(basis, specs, rank_tol_rel) if specs else []
     margins = [
         -float(np.linalg.norm(report.bound.entries - basis.pinv.entries)) for report in reports
     ]
-    return _certify("equivalence", margins, cases, margin_tol)
+    return _certify(
+        "equivalence", margins,
+        lambda i: (f"alternative-{i}", {"j": basis.matrix.entries, "f_jac": specs[i].f_jac}), margin_tol,
+    )
 
 
 def verify_min_rank(
@@ -316,31 +339,31 @@ def verify_min_rank(
     n, rank = sym.dim, basis.rank
     if rank == n:
         raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
+    rng = np.random.default_rng(seed_sequence(rng_seed))
+    # each trial draws its row count, then its Jacobian
+    f_jacs = [rng.standard_normal((int(rng.integers(0, n - rank)), n)) for _ in range(trials)]
+    f_jacs.append(optimal_affine_constraint(basis, np.zeros(n), rank_tol_rel).f_jac)
 
-    def eig_ratio(f_jac: np.ndarray) -> float:
-        # smallest over largest eigenvalue of U'JU, clipped at 0
-        stack = evaluate_constraints(basis, f_jac[None], rank_tol_rel)
-        if not stack.full_rank_jacobian[0]:
-            raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
-        evals = stack.utju_eigs[0]
-        if evals.size == 0:
-            return 1.0
-        return max(0.0, float(evals[0])) / float(evals[-1]) if evals[-1] > 0.0 else 0.0
-
-    margins: list[float] = []
-    cases: list[tuple[str, dict[str, np.ndarray]]] = []
-    for t in range(trials):
-        m = int(rng.integers(0, n - rank))
-        f_jac = rng.standard_normal((m, n))
-        # deficient constraint must leave U'JU singular: ratio below cutoff
-        margins.append(rank_tol_rel - eig_ratio(f_jac))
-        cases.append((f"deficient-{t}-rows-{m}", {"j": sym.entries, "f_jac": f_jac}))
-
-    spec = optimal_affine_constraint(basis, np.zeros(n), rank_tol_rel)
-    margins.append(eig_ratio(spec.f_jac) - rank_tol_rel)
-    cases.append(("achievable-at-min-rank", {"j": sym.entries, "f_jac": spec.f_jac}))
-    return _certify("min_rank", margins, cases, margin_tol)
+    # one evaluation per row count; the achievable constraint's n - rank rows are a count of their own
+    rows = [f_jac.shape[0] for f_jac in f_jacs]
+    evaluated = {}
+    for m in dict.fromkeys(rows):
+        members = [i for i, rows_i in enumerate(rows) if rows_i == m]
+        stack = evaluate_constraints(basis, np.stack([f_jacs[i] for i in members]), rank_tol_rel)
+        evaluated.update(zip(members, zip(stack.row_rank, stack.utju_eigs)))
+    ratios = []  # smallest over largest eigenvalue of U'JU, clipped at 0; 1 when U'JU is 0 x 0
+    for i, m in enumerate(rows):
+        row_rank, evals = evaluated[i]
+        if row_rank < m:
+            raise RankDeficientConstraint(row_rank, m)
+        low, high = (float(evals[0]), float(evals[-1])) if evals.size else (1.0, 1.0)
+        ratios.append(max(0.0, low) / high if high > 0.0 else 0.0)
+    # deficient constraints must leave U'JU singular (ratio below the cutoff); the achievable must not
+    margins = [rank_tol_rel - ratio for ratio in ratios[:-1]] + [ratios[-1] - rank_tol_rel]
+    labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
+    return _certify(
+        "min_rank", margins, lambda i: (labels[i], {"j": sym.entries, "f_jac": f_jacs[i]}), margin_tol
+    )
 
 
 def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
@@ -372,15 +395,11 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
     margin_dominance = verify_eigen_dominance(basis, v, margin_tol).worst_margin
 
     margins = [margin_indefinite, margin_trace, margin_dominance]
-    cases = [
-        ("difference-indefinite", {"j": j, "v": v}),
-        ("trace-still-dominates", {"j": j, "v": v}),
-        ("eigenvalues-still-dominate", {"j": j, "v": v}),
-    ]
+    labels = ("difference-indefinite", "trace-still-dominates", "eigenvalues-still-dominate")
     return _certify(
         "counterexample",
         margins,
-        cases,
+        lambda i: (labels[i], {"j": j, "v": v}),
         margin_tol,
         detail=f"min_eigenvalue={format_float(min_eig)}",
     )

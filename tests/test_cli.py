@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import crbkit
 from crbkit import load_matrix
 from crbkit.cli import derived_rng, derived_seed, main
+from crbkit.matlin import seed_sequence
 
 
 def write_diag_matrix(tmp_path):
@@ -33,6 +35,30 @@ def test_derived_streams_are_stable_and_distinct():
     assert derived_seed(0, "fim-mc") == derived_seed(0, "fim-mc")
     assert derived_seed(0, "fim-mc") != derived_seed(1, "fim-mc")
     assert derived_seed(0, "fim-mc", 0) != derived_seed(0, "fim-mc", 1)
+
+
+def test_seed_derivation_keeps_every_stream(tmp_path):
+    # digests of the outputs before the seed derivations became one helper; they cover the
+    # labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank trials
+    config = tmp_path / "mc.cfg"
+    config.write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 9000\n")
+    assert main(["analyze", "--input", str(config), "--seed", "4", "--out", str(tmp_path / "a")]) == 0
+    j_path = str(tmp_path / "a" / "j.matx")
+    argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--out", str(tmp_path / "e")]
+    assert main(argv) == 0
+    assert main(["certify", "--count", "5", "--seed", "11", "--out", str(tmp_path / "c")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("a/j.matx", "e/traces.csv", "c/certificates.csv")
+    }
+    assert digests == {
+        "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
+        "e/traces.csv": "4ed815261e60eb74b61872ba7bdb00f60200769c3cdaa742efd0b1ee2d3326cb",
+        "c/certificates.csv": "65fea87414917cff16ae7d9060d631e2171e9e2fea1e07330fed9b3b73cd58e7",
+    }
+    for key in [(), (3,), (1234, 5)]:
+        old = np.random.SeedSequence(entropy=11, spawn_key=key).generate_state(4)
+        assert np.array_equal(seed_sequence(11, *key).generate_state(4), old)
 
 
 def test_analyze_singular_matrix(tmp_path):

@@ -6,10 +6,12 @@ from crbkit import (
     FailingCase,
     InvalidInput,
     NotMinimumConstraint,
+    RankDeficientConstraint,
     SingularRestriction,
     TheoremCertificate,
     certificates_to_csv,
     counterexample_check,
+    evaluate_constraints,
     is_psd,
     load_matrix,
     merge_certificates,
@@ -18,7 +20,9 @@ from crbkit import (
     pinv_via_basis,
     random_rank_deficient_psd,
     ranked_svd,
+    sample_constraint_stacks,
     sample_minimum_constraints,
+    sample_minimum_stack,
     verify_constraint_equivalence,
     verify_eigen_dominance,
     verify_min_rank,
@@ -346,3 +350,151 @@ def test_trace_bound_rejects_a_spec_of_the_wrong_shape():
         verify_trace_bound(DIAG, [good, ConstraintSpec(np.eye(2))])
     with pytest.raises(InvalidInput):
         verify_trace_bound(DIAG, [])
+
+
+def assert_same_certificate(a, b):
+    """Equal under ==: verdict, case count, worst margin and every witness with its arrays."""
+    def head(cert):
+        return cert.theorem_id, cert.passed, cert.n_cases, cert.worst_margin
+
+    assert head(a) == head(b)
+    assert [(w.label, w.margin) for w in a.witnesses] == [(w.label, w.margin) for w in b.witnesses]
+    for wa, wb in zip(a.witnesses, b.witnesses):
+        assert [name for name, _ in wa.matrices] == [name for name, _ in wb.matrices]
+        assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(wa.matrices, wb.matrices))
+
+
+def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
+    """The sampled stack gives the certificates of its specs and of its frames."""
+    tol = basis.rank_tol_rel
+    specs = [ConstraintSpec(f_jac) for f_jac in stack.f_jacs]
+    _, frames = null_complements(np.stack([spec.f_jac for spec in specs]), tol)
+    assert_same_certificate(
+        verify_trace_bound(basis, stack, margin_tol, tol), verify_trace_bound(basis, specs, margin_tol, tol)
+    )
+    dominance = verify_eigen_dominance(basis, stack, margin_tol, tol)
+    assert_same_certificate(dominance, verify_eigen_dominance(basis, frames, margin_tol, tol))
+    return dominance
+
+
+def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
+    # a margin_tol of -inf keeps every case as a witness, so every margin and array is compared
+    rng = np.random.default_rng(43)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
+            stack, labels = sample_minimum_stack(basis, 20, 100 * n + rank)
+            assert [spec.label for spec in sample_minimum_constraints(basis, 20, 100 * n + rank)] == labels
+            assert np.all(stack.is_minimum) and stack.u.shape == (20, n, rank)
+            cert = assert_stack_path_matches(basis, stack)
+            assert cert.n_cases == 20 * n and len(cert.witnesses) == cert.n_cases
+
+
+def test_sampled_stack_spans_several_chunks():
+    # at a loose cutoff draws are rejected, so 70 constraints take more than three chunks of 32
+    rng = np.random.default_rng(44)
+    basis = ranked_svd(random_rank_deficient_psd(6, 3, rng), 0.02)
+    chunks = list(sample_constraint_stacks(basis, 70, 5, 0.02))
+    assert len(chunks) > 3 and sum(len(labels) for _, labels in chunks) == 70
+    stack, labels = sample_minimum_stack(basis, 70, 5, 0.02)
+    assert len(stack.f_jacs) == 70 and labels == [label for _, chunk in chunks for label in chunk]
+    assert any(not label.endswith("retries=0") for label in labels)
+    accepted = np.concatenate([chunk.f_jacs[chunk.is_minimum] for chunk, _ in chunks])
+    assert np.array_equal(stack.f_jacs, accepted)
+    assert_stack_path_matches(basis, stack)
+
+
+def test_sampled_stack_keeps_the_known_false_fail():
+    rng = np.random.default_rng(1)
+    for _ in range(63):
+        n = int(rng.integers(2, 9))
+        rank = int(rng.integers(1, n))
+        j = random_rank_deficient_psd(n, rank, rng)
+    basis = ranked_svd(j)
+    stack, _ = sample_minimum_stack(basis, 20, 62)
+    cert = assert_stack_path_matches(basis, stack, 1e-9)
+    assert not cert.passed
+    assert [w.label for w in cert.witnesses] == ["eig-index-3"]
+    assert np.array_equal(dict(cert.witnesses[0].matrices)["v"], stack.u[11])
+
+
+def test_a_passed_stack_keeps_the_checks():
+    basis = ranked_svd(DIAG)
+    good = evaluate_constraints(basis, np.array([[[0.0, 1.0]], [[ROOT_HALF, ROOT_HALF]]]))
+    assert verify_trace_bound(basis, good).n_cases == 2
+    mixed = evaluate_constraints(basis, np.array([[[0.0, 1.0]], [[1.0, 0.0]]]))
+    with pytest.raises(NotMinimumConstraint, match="constraint 1 "):
+        verify_trace_bound(basis, mixed)
+    with pytest.raises(SingularRestriction, match="frame 1 "):
+        verify_eigen_dominance(basis, mixed)
+    stack, _ = sample_minimum_stack(basis, 5, 3)
+    for other_j, tol in ((np.diag([3.0, 0.0]), 1e-10), (DIAG, 1e-8)):
+        for verify in (verify_trace_bound, verify_eigen_dominance):
+            with pytest.raises(InvalidInput, match="another J"):
+                verify(other_j, stack, 1e-9, tol)
+    # the same J, given as an array, is refactored and accepted
+    assert_same_certificate(verify_trace_bound(DIAG, stack), verify_trace_bound(basis, stack))
+
+
+def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
+    """Plain reference: draw and evaluate one trial at a time, as (margin, label, f_jac) per case.
+
+    Raises RankDeficientConstraint at the first trial whose rows are dependent.
+    """
+    basis = ranked_svd(j, rank_tol_rel)
+    n, rank = basis.dim, basis.rank
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
+
+    def eig_ratio(f_jac):
+        stack = evaluate_constraints(basis, f_jac[None], rank_tol_rel)
+        if stack.row_rank[0] < f_jac.shape[0]:
+            raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
+        evals = stack.utju_eigs[0]
+        if evals.size == 0:
+            return 1.0
+        return max(0.0, float(evals[0])) / float(evals[-1]) if evals[-1] > 0.0 else 0.0
+
+    cases = []
+    for t in range(trials):
+        m = int(rng.integers(0, n - rank))
+        f_jac = rng.standard_normal((m, n))
+        cases.append((rank_tol_rel - eig_ratio(f_jac), f"deficient-{t}-rows-{m}", f_jac))
+    f_jac = basis.u_bar.T
+    cases.append((eig_ratio(f_jac) - rank_tol_rel, "achievable-at-min-rank", f_jac))
+    return cases
+
+
+def assert_min_rank_matches(j, trials, rng_seed, rank_tol_rel=1e-10):
+    cert = verify_min_rank(j, trials, rng_seed, -np.inf, rank_tol_rel)
+    expected = per_trial_min_rank(j, trials, rng_seed, rank_tol_rel)
+    assert cert.n_cases == trials + 1 and cert.worst_margin == min(m for m, _, _ in expected)
+    assert [(w.margin, w.label) for w in cert.witnesses] == [(m, label) for m, label, _ in expected]
+    for witness, (_, _, f_jac) in zip(cert.witnesses, expected):
+        mats = dict(witness.matrices)
+        assert np.array_equal(mats["j"], ranked_svd(j, rank_tol_rel).matrix.entries)
+        assert np.array_equal(mats["f_jac"], f_jac)
+
+
+def test_stacked_min_rank_equals_per_trial_reference():
+    rng = np.random.default_rng(45)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            assert_min_rank_matches(random_rank_deficient_psd(n, rank, rng), 12, 10 * n + rank)
+
+
+def test_stacked_min_rank_raises_at_the_first_deficient_trial():
+    # at a loose cutoff some Gaussian trials count as rank deficient
+    rng = np.random.default_rng(46)
+    raised = 0
+    for seed in range(40):
+        j = random_rank_deficient_psd(6, 2, rng)
+        try:
+            per_trial_min_rank(j, 5, seed, 0.1)
+        except RankDeficientConstraint as exc:
+            with pytest.raises(RankDeficientConstraint) as stacked:
+                verify_min_rank(j, 5, seed, rank_tol_rel=0.1)
+            assert str(stacked.value) == str(exc)
+            raised += 1
+        else:
+            assert_min_rank_matches(j, 5, seed, 0.1)
+    assert 0 < raised < 40
