@@ -203,11 +203,7 @@ def _parse(values: dict[str, str], key: str, kind: type):
 
 
 def _pick(flag, file_value, default):
-    if flag is not None:
-        return flag
-    if file_value is not None:
-        return file_value
-    return default
+    return next((value for value in (flag, file_value) if value is not None), default)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:

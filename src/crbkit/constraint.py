@@ -5,8 +5,8 @@ This module checks the three minimum-constraint requirements (full row
 rank, nonsingular restricted information U'JU, rank F + rank J = n),
 synthesizes the optimal affine constraint from the information null
 space, and samples random minimum constraints for experiments.
-Constraints are evaluated in stacks: one svd and one eigvalsh call per
-stack of Jacobians.
+Constraints are evaluated in stacks: one svd (one complete qr for a
+sampled chunk) and one eigvalsh call per stack of Jacobians.
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from .matlin import (
     DEFAULT_RANK_TOL_REL,
     RankedSvd,
     _freeze,
+    _rank_cutoff,
+    _sign_fixed_columns,
     as_ranked_svd,
     nonsingular,
     null_complements,
-    orthonormal_columns,
     seed_sequence,
 )
 from .matx import _parse_block, dump_matrix, format_float
@@ -109,7 +110,8 @@ class ConstraintStack(NamedTuple):
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
     basis is J, factored with the rank_tol_rel of the evaluation. One svd
-    call gives row_rank (k,) and the null bases u (k, n, n - m);
+    call gives row_rank (k,) and the null bases u (k, n, n - m); a sampled
+    chunk takes u from its qr and row_rank from unit singular values.
     restricted holds U'JU, and one eigvalsh call gives utju_eigs, the
     ascending eigenvalues of its symmetrized form. The last three fields
     are the requirement flags, each of shape (k,).
@@ -141,11 +143,14 @@ def evaluate_constraints(
     f_jacs = np.asarray(f_jacs, dtype=float)
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
-    m, n = f_jacs.shape[1:]
-    row_rank, u = null_complements(f_jacs, rank_tol_rel)
+    return _evaluated(basis, f_jacs, *null_complements(f_jacs, rank_tol_rel))
+
+
+def _evaluated(basis: RankedSvd, f_jacs, row_rank, u) -> ConstraintStack:
+    """The stack of f_jacs given their row ranks and null bases: U'JU, its spectrum and the flags."""
     restricted = u.transpose(0, 2, 1) @ basis.matrix.entries @ u
     evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
-    full_rank = row_rank == m
+    full_rank = row_rank == f_jacs.shape[1]
     return ConstraintStack(
         basis=basis,
         f_jacs=f_jacs,
@@ -154,8 +159,8 @@ def evaluate_constraints(
         restricted=restricted,
         utju_eigs=evals,
         full_rank_jacobian=full_rank,
-        utju_nonsingular=full_rank & nonsingular(evals, rank_tol_rel),
-        rank_sum_is_n=row_rank + basis.rank == n,
+        utju_nonsingular=full_rank & nonsingular(evals, basis.rank_tol_rel),
+        rank_sum_is_n=row_rank + basis.rank == basis.dim,
     )
 
 
@@ -169,13 +174,12 @@ def check_minimum_constraint(
             f"constraint has {spec.param_dim} columns but J is {basis.dim} x {basis.dim}"
         )
     stack = evaluate_constraints(basis, spec.f_jac[None], rank_tol_rel)
-    full_rank, nonsingular_utju, rank_sum = (bool(flag[0]) for flag in stack[-3:])  # the flags
+    flags = [bool(flag[0]) for flag in stack[-3:]]  # full rank, U'JU nonsingular, rank sum n
     details = {"rank_jacobian": int(stack.row_rank[0]), "rank_fim": basis.rank, "param_dim": basis.dim}
-    if full_rank and stack.utju_eigs.shape[1]:
+    if flags[0] and stack.utju_eigs.shape[1]:
         details["utju_min_eig"] = float(stack.utju_eigs[0, 0])
         details["utju_max_eig"] = float(stack.utju_eigs[0, -1])
-    is_minimum = full_rank and nonsingular_utju and rank_sum
-    return MinConstraintReport(full_rank, nonsingular_utju, rank_sum, is_minimum, details)
+    return MinConstraintReport(*flags, all(flags), details)
 
 
 def optimal_affine_constraint(
@@ -210,7 +214,8 @@ def sample_constraint_stacks(
 
     Each Jacobian is the transpose of an orthonormalized Gaussian
     (n, n - rank J) matrix, redrawn until it passes the minimum-constraint
-    check. Draws are made CONSTRAINT_CHUNK at a time, never more than a
+    check; one complete qr per chunk gives the Jacobians and their null
+    bases. Draws are made CONSTRAINT_CHUNK at a time, never more than a
     draw-by-draw loop would make, and accepted in draw order, so the
     random stream is consumed as by one draw at a time. Yields (stack,
     labels): stack.is_minimum marks the accepted draws, labels names them.
@@ -220,8 +225,8 @@ def sample_constraint_stacks(
     if count < 1:
         raise InvalidInput(f"count must be positive, got {count}")
     basis = as_ranked_svd(j, rank_tol_rel)
-    n, rank = basis.dim, basis.rank
-    if rank == n:
+    n, m = basis.dim, basis.dim - basis.rank
+    if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
     rng = np.random.default_rng(seed_sequence(rng_seed))
     budget = REJECTION_BUDGET_FACTOR * count
@@ -229,8 +234,12 @@ def sample_constraint_stacks(
     consecutive_rejects = 0
     while accepted < count:
         k = min(count - accepted, budget - consecutive_rejects, CONSTRAINT_CHUNK)
-        f_jacs = orthonormal_columns(rng.standard_normal((k, n, n - rank))).transpose(0, 2, 1)
-        stack = evaluate_constraints(basis, f_jacs, rank_tol_rel)
+        q, r = np.linalg.qr(rng.standard_normal((k, n, m)), mode="complete")
+        f_jacs = _sign_fixed_columns(q, r).transpose(0, 2, 1)
+        # F's rows are orthonormal, so the rank rule of null_complements sees singular values of one
+        row_rank = _rank_cutoff(np.ones((k, m)), n, rank_tol_rel)
+        # a contiguous U gives U'JU bit for bit as a stack of frames does
+        stack = _evaluated(basis, f_jacs, row_rank, np.ascontiguousarray(q[..., m:]))
         labels = []
         for ok in stack.is_minimum:
             if ok:

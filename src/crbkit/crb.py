@@ -78,11 +78,18 @@ def _bounds(u: np.ndarray, restricted: np.ndarray, exists: np.ndarray) -> np.nda
     return 0.5 * (bounds + bounds.transpose(0, 2, 1))
 
 
+def _bound_spectra(stack: ConstraintStack) -> np.ndarray:
+    """The nonzero eigenvalues 1/mu of each bound, descending, (k, n - m); nan where none exists.
+
+    mu is the spectrum of U'JU; as U has orthonormal columns, U (U'JU)^-1 U' has these and m zeros.
+    """
+    return 1.0 / np.where(stack.utju_nonsingular[:, None], stack.utju_eigs, np.nan)
+
+
 def bound_traces(stack: ConstraintStack) -> list[float]:
-    """Trace of each constrained bound of an evaluated stack; +inf where none exists."""
-    exists = stack.utju_nonsingular
-    bounds = _bounds(stack.u, stack.restricted, exists)
-    return [float(np.trace(bound)) if ok else math.inf for bound, ok in zip(bounds, exists)]
+    """Trace of each constrained bound of an evaluated stack, the sum of 1/mu; +inf where none exists."""
+    traces = _bound_spectra(stack).sum(axis=1)
+    return [float(trace) if ok else math.inf for trace, ok in zip(traces, stack.utju_nonsingular)]
 
 
 def constrained_crbs(
@@ -92,7 +99,8 @@ def constrained_crbs(
 
     Each constraint is a Jacobian or a ConstraintSpec; j may be a
     RankedSvd. Computes U (U'JU)^-1 U' over each constraint's null basis U
-    when the restricted information is nonsingular; otherwise reports a
+    when the restricted information is nonsingular, with its trace and
+    eigenvalues read from the spectrum of U'JU; otherwise reports a
     nonexistent (infinite) bound. Raises RankDeficientConstraint when a
     Jacobian's rows are dependent.
     """
@@ -108,14 +116,14 @@ def constrained_crbs(
         raise RankDeficientConstraint(min(stack.row_rank), shapes[0][0])
     exists = stack.utju_nonsingular
     bounds = _bounds(stack.u, stack.restricted, exists)
-    spectra = np.linalg.eigvalsh(bounds)
+    zeros = np.zeros(shapes[0][0])
     reports = []
-    for (_, used), u, bound, lam, ok in zip(resolved, stack.u, bounds, spectra, exists):
+    for (_, used), u, bound, lam, ok in zip(resolved, stack.u, bounds, _bound_spectra(stack), exists):
         reports.append(CrbReport(
             bound=SymMatrix(bound) if ok else None,
             exists=bool(ok),
-            trace=float(np.trace(bound)) if ok else math.inf,
-            eigenvalues=EigenSpectrum(lam) if ok else None,
+            trace=float(lam.sum()) if ok else math.inf,
+            eigenvalues=EigenSpectrum(np.concatenate([lam, zeros])) if ok else None,
             constraint_used=used,
             u_projector=SymMatrix(u @ u.T),
         ))

@@ -15,6 +15,7 @@ at a time. Both routes give sample i the same z.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,11 +100,7 @@ def fim_monte_carlo(
         def draw_scores(rng, count):
             return rng.standard_normal((count, model.obs_dim)) @ whitened_jac
     else:
-        if hasattr(model, "score"):
-            score_fn = model.score
-        else:
-            def score_fn(y, theta_):
-                return finite_difference_score(model, y, theta_)
+        score_fn = getattr(model, "score", None) or partial(finite_difference_score, model)
 
         def draw_scores(rng, count):
             scores = np.empty((count, dim))

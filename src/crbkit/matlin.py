@@ -132,8 +132,8 @@ class RankedSvd:
 
     @cached_property
     def pinv_eigenvalues(self) -> EigenSpectrum:
-        """Eigenvalues of pinv, descending."""
-        return eigvals_desc(self.pinv)
+        """Eigenvalues of pinv, descending: 1/sigma and n - r zeros, as J is positive semidefinite."""
+        return EigenSpectrum(np.concatenate([1.0 / self.sigma, np.zeros(self.dim - self.rank)]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +251,14 @@ def orthonormal_columns(a) -> np.ndarray:
         raise InvalidMatrix(f"matrix must be finite with at least 2 dimensions, got shape {arr.shape}")
     if arr.shape[-1] > arr.shape[-2]:
         raise InvalidInput(f"need at least as many rows as columns, got {arr.shape}")
-    q, r = np.linalg.qr(arr)
+    return _sign_fixed_columns(*np.linalg.qr(arr))
+
+
+def _sign_fixed_columns(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Leading columns of a QR's q, one per column of r, signed so that R's diagonal is nonnegative."""
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs[..., None, :]
+    return q[..., : r.shape[-1]] * signs[..., None, :]
 
 
 def moore_penrose_residuals(m, p) -> tuple[float, float, float, float]:

@@ -223,18 +223,18 @@ def verify_eigen_dominance(
 
     v is one (n, r) frame or a (k, n, r) stack of frames, each with
     orthonormal columns, as many as rank(J), or a ConstraintStack
-    evaluated against J, whose null bases are the frames and whose U'JU
-    and flags are used as they are. All frames are checked in stacked
-    LAPACK calls, and margins and witnesses run frame by frame. Raises
-    SingularRestriction when some V'JV is numerically singular, and
-    InvalidInput for a stack evaluated against another J or rank_tol_rel.
-    j may be a RankedSvd, whose pseudoinverse spectrum is then reused.
+    evaluated against J, whose null bases are the frames and whose
+    spectra of U'JU and flags are used as they are. Margins compare the
+    nonzero eigenvalues, 1/mu of V'JV with 1/sigma of J, frame by frame;
+    the zeros agree exactly and are not cases. Raises SingularRestriction
+    when some V'JV is numerically singular, and InvalidInput for a stack
+    evaluated against another J or rank_tol_rel. j may be a RankedSvd.
     """
     basis = as_ranked_svd(j, rank_tol_rel)
     entries = basis.matrix.entries
     if isinstance(v, ConstraintStack):
         stack = _evaluated_against(basis, v)
-        frames, restricted, exists = stack.u, stack.restricted, stack.utju_nonsingular
+        frames, evals, exists = stack.u, stack.utju_eigs, stack.utju_nonsingular
     else:
         v_arr = np.asarray(v, dtype=float)
         _check_orthonormal(v_arr, "v")
@@ -244,13 +244,13 @@ def verify_eigen_dominance(
         exists = nonsingular(evals, rank_tol_rel)
     if not np.all(exists):
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
-    bounds = _bounds(frames, restricted, exists)
-    lam_lhs = np.linalg.eigvalsh(bounds)[:, ::-1]
-    margins = (lam_lhs - basis.pinv_eigenvalues.values).ravel().tolist()
-    n = basis.dim  # eigenvalues per frame
+    # 1/mu descends as mu ascends; past the wider of V and rank(J) both spectra are zero
+    width = max(evals.shape[1], basis.rank)
+    lam_lhs = np.pad(1.0 / evals, ((0, 0), (0, width - evals.shape[1])))
+    margins = (lam_lhs - basis.pinv_eigenvalues.values[:width]).ravel().tolist()
     return _certify(
         "eigen_dominance", margins,
-        lambda c: (f"eig-index-{c % n}", {"j": entries, "v": frames[c // n]}), margin_tol,
+        lambda c: (f"eig-index-{c % width}", {"j": entries, "v": frames[c // width]}), margin_tol,
     )
 
 
@@ -378,14 +378,7 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
     """
     basis = ranked_svd(np.diag([1.0, 1.0, 0.0, 0.0]))
     j = basis.matrix.entries
-    v = 0.5 * np.array(
-        [
-            [-1.0, 1.0],
-            [-1.0, -1.0],
-            [-1.0, 1.0],
-            [-1.0, -1.0],
-        ]
-    )
+    v = 0.5 * np.array([[-1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     lhs = _bounds(v[None], (v.T @ j @ v)[None], np.ones(1, dtype=bool))[0]
     diff = lhs - basis.pinv.entries  # both symmetric
     min_eig = float(np.linalg.eigvalsh(diff)[0])
@@ -428,17 +421,8 @@ def certificates_to_csv(certs: list[TheoremCertificate]) -> str:
     """Render certificates as CSV with the crb-kit v1 header."""
     lines = ["# crb-kit v1", "theorem_id,passed,n_cases,worst_margin,detail"]
     for cert in certs:
-        lines.append(
-            ",".join(
-                [
-                    cert.theorem_id,
-                    "true" if cert.passed else "false",
-                    str(cert.n_cases),
-                    format_float(cert.worst_margin),
-                    cert.detail,
-                ]
-            )
-        )
+        passed = "true" if cert.passed else "false"
+        lines.append(f"{cert.theorem_id},{passed},{cert.n_cases},{format_float(cert.worst_margin)},{cert.detail}")
     return "\n".join(lines) + "\n"
 
 

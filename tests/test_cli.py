@@ -38,8 +38,10 @@ def test_derived_streams_are_stable_and_distinct():
 
 
 def test_seed_derivation_keeps_every_stream(tmp_path):
-    # digests of the outputs before the seed derivations became one helper; they cover the
-    # labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank trials
+    # digests of the outputs once the seed derivations became one helper, the sampled bounds
+    # were read from the spectrum of U'JU and the sampler took one complete qr per chunk; they
+    # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
+    # trials
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 9000\n")
     assert main(["analyze", "--input", str(config), "--seed", "4", "--out", str(tmp_path / "a")]) == 0
@@ -53,8 +55,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     }
     assert digests == {
         "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "e/traces.csv": "4ed815261e60eb74b61872ba7bdb00f60200769c3cdaa742efd0b1ee2d3326cb",
-        "c/certificates.csv": "65fea87414917cff16ae7d9060d631e2171e9e2fea1e07330fed9b3b73cd58e7",
+        "e/traces.csv": "4999e91c992a1a5697ed7e7ee8d0918ce050501e6051b5331f95213a998ff5ce",
+        "c/certificates.csv": "58e01bd1b62ff1decb92a91b24624f8cb0ee2259bf7195ba2ae41dd30390c701",
     }
     for key in [(), (3,), (1234, 5)]:
         old = np.random.SeedSequence(entropy=11, spawn_key=key).generate_state(4)

@@ -10,12 +10,14 @@ from crbkit import (
     SamplingExhausted,
     check_minimum_constraint,
     constrained_crb,
+    evaluate_constraints,
     fim_gaussian_mean,
     is_nonsingular,
     load_constraint_spec,
     null_complement,
     optimal_affine_constraint,
     pinv_via_basis,
+    sample_constraint_stacks,
     sample_minimum_constraints,
     save_constraint_spec,
 )
@@ -249,11 +251,23 @@ def test_sampler_exhausts_after_exactly_the_rejection_budget(monkeypatch):
     with pytest.raises(SamplingExhausted, match="after 7000 draws"):
         reference_sample(j, 70, 3, 0.6)
     drawn = []
-    real = constraint_module.orthonormal_columns
+    real = np.linalg.qr
     monkeypatch.setattr(
-        constraint_module, "orthonormal_columns", lambda a: drawn.append(len(a)) or real(a)
+        constraint_module.np.linalg, "qr", lambda a, mode: drawn.append(len(a)) or real(a, mode)
     )
     with pytest.raises(SamplingExhausted, match="7000 consecutive rejections"):
         sample_minimum_constraints(j, 70, 3, 0.6)
     assert sum(drawn) == 7000
     assert max(drawn) == 32
+
+
+def test_sampled_flags_follow_the_row_rank_rule():
+    # the sampled rows are orthonormal, so their singular values are 1 and the rule
+    # 1 > max(m, n) * rank_tol_rel accepts every row below 1 / max(m, n) and none above it
+    j = make_psd(np.random.default_rng(6), 4, 2)
+    for tol in (0.25 * (1 - 1e-6), 0.25 * (1 + 1e-6)):
+        stack, _ = next(sample_constraint_stacks(j, 10, 7, tol))
+        evaluated = evaluate_constraints(stack.basis, stack.f_jacs, tol)
+        for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
+            assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
+        assert np.all(stack.full_rank_jacobian) == np.any(stack.full_rank_jacobian) == (tol < 0.25)

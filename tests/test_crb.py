@@ -16,11 +16,16 @@ from crbkit import (
     is_psd,
     optimal_affine_constraint,
     pinv_via_basis,
+    random_rank_deficient_psd,
     ranked_svd,
     sample_minimum_constraints,
+    sample_minimum_stack,
     unconstrained_crb,
 )
+from crbkit.crb import _bounds
 from util import make_psd, random_orthonormal
+
+EPS = np.finfo(float).eps
 
 HOUSE = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -188,6 +193,34 @@ def test_stacked_bounds_match_single_calls_bit_for_bit():
                 if evals.size:
                     expected.update(utju_min_eig=float(evals[0]), utju_max_eig=float(evals[-1]))
                 assert check_minimum_constraint(j, spec).details == expected
+
+
+def test_spectral_traces_and_eigenvalues_agree_with_the_n_by_n_route():
+    # the n x n route forms B = U (U'JU)^-1 U' with crb._bounds and reads its trace and
+    # eigenvalues. Inverting U'JU moves B by about n eps cond(U'JU) ||B||_2, which bounds the
+    # trace gap and, by Weyl, each eigenvalue gap; B's n - r zeros need no inverse and stay
+    # within Weyl's n eps ||B||_2
+    rng = np.random.default_rng(45)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
+            stack, _ = sample_minimum_stack(basis, 40, 100 * n + rank)
+            bounds = _bounds(stack.u, stack.restricted, stack.utju_nonsingular)
+            mu = stack.utju_eigs
+            cond = mu[:, -1] / mu[:, 0]
+            traces = np.array(bound_traces(stack))
+            assert np.all(np.abs(traces - np.trace(bounds, axis1=1, axis2=2)) <= 10 * rank * EPS * cond * traces)
+
+            reports = constrained_crbs(basis, list(stack.f_jacs))
+            restricted = evaluate_constraints(basis, stack.f_jacs).utju_eigs
+            for report, evals in zip(reports, restricted):
+                lam = report.eigenvalues.values
+                assert report.trace == lam[:rank].sum() and np.all(lam[rank:] == 0.0)
+                reference = np.linalg.eigvalsh(report.bound.entries)[::-1]
+                weyl = 10 * n * EPS * lam[0]
+                assert np.all(np.abs(lam - reference) <= weyl * evals[-1] / evals[0])
+                assert np.all(np.abs(reference[rank:]) <= weyl)
+                assert abs(report.trace - report.bound.trace) <= 10 * rank * EPS * evals[-1] / evals[0] * report.trace
 
 
 def test_stacked_bounds_report_missing_bounds_and_dependent_rows():

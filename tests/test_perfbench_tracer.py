@@ -67,15 +67,17 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     experiment, certify = traces
     assert experiment.problems == [] and certify.problems == []
     assert experiment.calls["matlin.ranked_svd"] == 1
-    # one svd for J and one per chunk of 32 constraints
-    assert experiment.calls["linalg.svd"] == 1 + 3
+    # one svd for J and one complete qr per chunk of 32 constraints
+    assert experiment.calls["linalg.svd"] == 1
+    assert experiment.calls["linalg.qr"] == 3
     # three suite matrices and the fixed counterexample, each factored once
     assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 4
     # one stacked eigen-dominance check per suite matrix, one for the counterexample
     assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
-    # the sampled stack goes straight to the trace and dominance certificates and min_rank
-    # stacks its trials by row count: 19 svd and 34 eigvalsh (34 and 49 evaluating each
-    # sampled constraint three times; 168 eigvalsh and 71 inv checking one frame at a time)
-    assert certify.calls["linalg.svd"] <= 19
-    assert certify.calls["linalg.eigvalsh"] <= 34
-    assert certify.calls["linalg.inv"] <= 15
+    # the sampled stack goes straight to the trace and dominance certificates, which read
+    # the spectra of U'JU and J, and min_rank stacks its trials by row count: 16 svd, 23
+    # eigvalsh and 8 inv (19, 34 and 15 forming each sampled bound; 168 eigvalsh and 71 inv
+    # checking one frame at a time)
+    assert certify.calls["linalg.svd"] <= 16
+    assert certify.calls["linalg.eigvalsh"] <= 23
+    assert certify.calls["linalg.inv"] <= 8

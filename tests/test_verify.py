@@ -9,6 +9,7 @@ from crbkit import (
     RankDeficientConstraint,
     SingularRestriction,
     TheoremCertificate,
+    bound_traces,
     certificates_to_csv,
     counterexample_check,
     evaluate_constraints,
@@ -30,8 +31,10 @@ from crbkit import (
     verify_trace_bound,
     write_certificate_witnesses,
 )
+from crbkit.crb import _bounds
 from util import make_psd, random_orthonormal
 
+EPS = np.finfo(float).eps
 DIAG = np.diag([2.0, 0.0])
 ROOT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -75,12 +78,12 @@ def test_trace_bound_many_sampled_constraints():
 
 
 def test_eigen_dominance_frozen_examples():
-    # spectra (1, 0) versus (0.5, 0): margins 0.5 and 0
+    # spectra (1, 0) versus (0.5, 0): one nonzero pair, margin 0.5
     v = np.array([[ROOT_HALF], [-ROOT_HALF]])
     cert = verify_eigen_dominance(DIAG, v)
     assert cert.passed
-    assert cert.n_cases == 2
-    assert np.isclose(cert.worst_margin, 0.0, atol=1e-12)
+    assert cert.n_cases == 1
+    assert np.isclose(cert.worst_margin, 0.5, atol=1e-12)
 
     # V = range basis reproduces the pseudoinverse: all margins zero
     equal = verify_eigen_dominance(DIAG, np.array([[1.0], [0.0]]))
@@ -90,7 +93,7 @@ def test_eigen_dominance_frozen_examples():
 def test_eigen_dominance_on_incomparable_fixture():
     cert = verify_eigen_dominance(J4, V4)
     assert cert.passed
-    assert cert.n_cases == 4
+    assert cert.n_cases == 2
 
 
 def test_eigen_dominance_rejects_singular_restriction():
@@ -108,13 +111,15 @@ def test_eigen_dominance_rejects_non_orthonormal_v():
 def per_frame_dominance(basis, frames, margin_tol=1e-9):
     """Plain-numpy reference: one frame at a time, as (margin, label, v) per witness.
 
-    Margins below -margin_tol are witnesses; margin_tol = -inf keeps every case.
+    The margins are 1/mu, for the ascending spectrum mu of V'JV, minus the
+    descending 1/sigma of J. Margins below -margin_tol are witnesses;
+    margin_tol = -inf keeps every case.
     """
     witnesses = []
     for v in frames:
-        lhs = v @ np.linalg.inv(v.T @ basis.matrix.entries @ v) @ v.T
-        lam = np.sort(np.linalg.eigvalsh(0.5 * (lhs + lhs.T)))[::-1]
-        for i, margin in enumerate(lam - basis.pinv_eigenvalues.values):
+        restricted = v.T @ basis.matrix.entries @ v
+        lam = 1.0 / np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+        for i, margin in enumerate(lam - 1.0 / basis.sigma[::-1]):
             if margin < -margin_tol:
                 witnesses.append((float(margin), f"eig-index-{i}", v))
     return witnesses
@@ -123,7 +128,7 @@ def per_frame_dominance(basis, frames, margin_tol=1e-9):
 def assert_matches_per_frame(basis, frames, margin_tol=1e-9):
     cert = verify_eigen_dominance(basis, frames, margin_tol)
     expected = per_frame_dominance(basis, frames, margin_tol)
-    assert cert.n_cases == len(frames) * basis.dim
+    assert cert.n_cases == len(frames) * basis.rank
     assert [(w.margin, w.label) for w in cert.witnesses] == [(m, label) for m, label, _ in expected]
     for witness, (_, _, v) in zip(cert.witnesses, expected):
         mats = dict(witness.matrices)
@@ -141,34 +146,77 @@ def test_stacked_eigen_dominance_equals_per_frame_reference():
                 specs = sample_minimum_constraints(basis, k, 100 * n + rank)
                 _, frames = null_complements(np.stack([spec.f_jac for spec in specs]))
                 cert = assert_matches_per_frame(basis, frames, -np.inf)
-                assert cert.n_cases == k * n
+                assert cert.n_cases == k * rank
                 assert cert.worst_margin == min(w.margin for w in cert.witnesses)
                 if k == 1:  # a 2-d frame is the k = 1 stack
                     flat = verify_eigen_dominance(basis, frames[0], -np.inf)
                     assert [w.margin for w in flat.witnesses] == [w.margin for w in cert.witnesses]
 
 
-def test_stacked_eigen_dominance_keeps_the_known_false_fail():
-    # matrix index 62 of a 100-matrix suite: sampled frame 11 has a bound with
-    # eigenvalue about 2.3e8 and fails eigen dominance by roundoff
+def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
+    # the n x n route took the eigenvalues of B = V (V'JV)^-1 V' and of pinv J by eigvalsh.
+    # Each inverse moves its matrix by about n eps cond ||.||_2 and, by Weyl, each eigenvalue
+    # as much; the zeros past rank(J) need no inverse and stay within n eps ||.||_2
+    rng = np.random.default_rng(46)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
+            stack, _ = sample_minimum_stack(basis, 20, 100 * n + rank)
+            cert = verify_eigen_dominance(basis, stack, -np.inf)
+            margins = np.array([w.margin for w in cert.witnesses]).reshape(20, rank)
+            bounds = _bounds(stack.u, stack.restricted, stack.is_minimum)
+            pinv = np.linalg.eigvalsh(basis.pinv.entries)[::-1]
+            reference = np.linalg.eigvalsh(bounds)[:, ::-1] - pinv
+            mu, sigma = stack.utju_eigs, basis.sigma
+            norm = 1.0 / mu[:, :1] + 1.0 / sigma[-1]
+            cond = np.maximum(mu[:, -1] / mu[:, 0], sigma[0] / sigma[-1])[:, None]
+            assert np.all(np.abs(margins - reference[:, :rank]) <= 10 * n * EPS * cond * norm)
+            assert np.all(np.abs(reference[:, rank:]) <= 10 * n * EPS * norm)
+
+
+def matrix_62():
+    """Matrix index 62 of a 100-matrix suite drawn from default_rng(1): n = 4, rank 2."""
     rng = np.random.default_rng(1)
     for _ in range(63):
         n = int(rng.integers(2, 9))
         rank = int(rng.integers(1, n))
         j = random_rank_deficient_psd(n, rank, rng)
-    basis = ranked_svd(j)
-    specs = sample_minimum_constraints(j, 20, 62)
-    _, frames = null_complements(np.stack([spec.f_jac for spec in specs]))
-    cert = assert_matches_per_frame(basis, frames)
-    assert not cert.passed
-    assert [w.label for w in cert.witnesses] == ["eig-index-3"]
-    assert np.array_equal(dict(cert.witnesses[0].matrices)["v"], frames[11])
-    assert cert.worst_margin == cert.witnesses[0].margin < -1e-9
+    return j.entries
+
+
+def assert_clears_the_known_false_fail(basis, frames, cert):
+    """The spectral margins pass with relative slack 0.08. The n x n route failed frame 11 at
+    eig-index-3, a zero of its bound B, by roundoff inside Weyl's bound n eps ||B||_2; returns
+    that old margin."""
+    assert cert.passed and cert.n_cases == len(frames) * basis.rank == 40
+    everything = verify_eigen_dominance(basis, frames, -np.inf)
+    assert everything.worst_margin == cert.worst_margin
+    relative = [
+        w.margin / basis.pinv_eigenvalues.values[int(w.label.rsplit("-", 1)[1])] for w in everything.witnesses
+    ]
+    assert 0.0797 < min(relative) < 0.0798
+    v = frames[11]
+    lam = np.linalg.eigvalsh(_bounds(v[None], (v.T @ basis.matrix.entries @ v)[None], np.ones(1, bool))[0])
+    assert 0.0 > lam[0] >= -4 * EPS * lam[-1]
+    return lam[0]
+
+
+def test_stacked_eigen_dominance_clears_the_known_false_fail():
+    # sampled frame 11 has a bound with eigenvalue about 2.3e8, and the n x n route failed
+    # its zero eigenvalue at -4.2e-8; at every scale of J the spectral verdict is PASS
+    for scale in (1e-8, 1.0, 1e8):
+        basis = ranked_svd(scale * matrix_62())
+        specs = sample_minimum_constraints(basis, 20, 62)
+        _, frames = null_complements(np.stack([spec.f_jac for spec in specs]))
+        cert = assert_matches_per_frame(basis, frames)
+        old_margin = assert_clears_the_known_false_fail(basis, frames, cert)
+        if scale == 1.0:
+            assert -4.3e-8 < old_margin < -4.1e-8
 
 
 def test_eigen_dominance_stack_rejects_bad_frames():
     good, singular = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-    assert verify_eigen_dominance(DIAG, np.stack([good, good])).n_cases == 4
+    assert verify_eigen_dominance(DIAG, np.stack([good, good])).n_cases == 2
     with pytest.raises(SingularRestriction, match="frame 1"):
         verify_eigen_dominance(DIAG, np.stack([good, singular, good]))
     with pytest.raises(InvalidInput, match="not orthonormal"):
@@ -352,28 +400,44 @@ def test_trace_bound_rejects_a_spec_of_the_wrong_shape():
         verify_trace_bound(DIAG, [])
 
 
-def assert_same_certificate(a, b):
-    """Equal under ==: verdict, case count, worst margin and every witness with its arrays."""
+def assert_same_certificate(a, b, slack=None):
+    """Equal under ==: verdict, case count, worst margin and every witness with its arrays.
+
+    With slack, a (k,) array of forward-error bounds, the margins of case i
+    (the number that ends its witness label) need only agree within slack[i].
+    """
     def head(cert):
-        return cert.theorem_id, cert.passed, cert.n_cases, cert.worst_margin
+        return cert.theorem_id, cert.passed, cert.n_cases
 
     assert head(a) == head(b)
-    assert [(w.label, w.margin) for w in a.witnesses] == [(w.label, w.margin) for w in b.witnesses]
+    assert [w.label for w in a.witnesses] == [w.label for w in b.witnesses]
+    if slack is None:
+        assert a.worst_margin == b.worst_margin
+        assert [w.margin for w in a.witnesses] == [w.margin for w in b.witnesses]
+    else:
+        assert abs(a.worst_margin - b.worst_margin) <= slack.max()
+        for wa, wb in zip(a.witnesses, b.witnesses):
+            assert abs(wa.margin - wb.margin) <= slack[int(wa.label.rsplit("-", 1)[1])]
     for wa, wb in zip(a.witnesses, b.witnesses):
         assert [name for name, _ in wa.matrices] == [name for name, _ in wb.matrices]
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(wa.matrices, wb.matrices))
 
 
 def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
-    """The sampled stack gives the certificates of its specs and of its frames."""
+    """The sampled stack gives the dominance certificate of its frames under ==, and the trace
+    certificate of its specs within a forward-error bound.
+
+    A spec's svd null basis differs from the stack's qr one by roundoff, so U'JU moves by
+    about eps ||J||_2, and each trace by c r eps (sigma_1 / mu_min) trace.
+    """
     tol = basis.rank_tol_rel
     specs = [ConstraintSpec(f_jac) for f_jac in stack.f_jacs]
-    _, frames = null_complements(np.stack([spec.f_jac for spec in specs]), tol)
+    slack = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0] * np.array(bound_traces(stack))
     assert_same_certificate(
-        verify_trace_bound(basis, stack, margin_tol, tol), verify_trace_bound(basis, specs, margin_tol, tol)
+        verify_trace_bound(basis, stack, margin_tol, tol), verify_trace_bound(basis, specs, margin_tol, tol), slack
     )
     dominance = verify_eigen_dominance(basis, stack, margin_tol, tol)
-    assert_same_certificate(dominance, verify_eigen_dominance(basis, frames, margin_tol, tol))
+    assert_same_certificate(dominance, verify_eigen_dominance(basis, stack.u, margin_tol, tol))
     return dominance
 
 
@@ -387,7 +451,7 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
             assert [spec.label for spec in sample_minimum_constraints(basis, 20, 100 * n + rank)] == labels
             assert np.all(stack.is_minimum) and stack.u.shape == (20, n, rank)
             cert = assert_stack_path_matches(basis, stack)
-            assert cert.n_cases == 20 * n and len(cert.witnesses) == cert.n_cases
+            assert cert.n_cases == 20 * rank and len(cert.witnesses) == cert.n_cases
 
 
 def test_sampled_stack_spans_several_chunks():
@@ -404,18 +468,12 @@ def test_sampled_stack_spans_several_chunks():
     assert_stack_path_matches(basis, stack)
 
 
-def test_sampled_stack_keeps_the_known_false_fail():
-    rng = np.random.default_rng(1)
-    for _ in range(63):
-        n = int(rng.integers(2, 9))
-        rank = int(rng.integers(1, n))
-        j = random_rank_deficient_psd(n, rank, rng)
-    basis = ranked_svd(j)
-    stack, _ = sample_minimum_stack(basis, 20, 62)
-    cert = assert_stack_path_matches(basis, stack, 1e-9)
-    assert not cert.passed
-    assert [w.label for w in cert.witnesses] == ["eig-index-3"]
-    assert np.array_equal(dict(cert.witnesses[0].matrices)["v"], stack.u[11])
+def test_sampled_stack_clears_the_known_false_fail():
+    for scale in (1e-8, 1.0, 1e8):
+        basis = ranked_svd(scale * matrix_62())
+        stack, _ = sample_minimum_stack(basis, 20, 62)
+        cert = assert_stack_path_matches(basis, stack, 1e-9)
+        assert_clears_the_known_false_fail(basis, stack.u, cert)
 
 
 def test_a_passed_stack_keeps_the_checks():
