@@ -23,7 +23,7 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import compress
 from pathlib import Path
 
@@ -81,8 +81,6 @@ EXIT_CERTIFICATE = 4
 
 CSV_VERSION_LINE = "# crb-kit v1"
 
-DEFAULT_SEED = 0
-DEFAULT_COUNT = 100
 DEFAULT_SAMPLES = 10000
 DEFAULT_OUT = "crbkit_run"
 
@@ -96,12 +94,6 @@ MODELS = {
     "blind_channel": (BlindChannelModel, {"s_len": 3, "h_len": 3, "noise_var": 1.0}),
     "gaussian_location": (gaussian_location, {"dim": 4, "noise_var": 1.0}),
 }
-
-# Keys a config file may set: the run's own keys and every built-in model's parameters.
-CONFIG_KEYS = {
-    "command", "version", "input", "model", "theta", "seed", "count", "samples",
-    "rank_tol", "psd_tol", "margin_tol", "fim_method",
-} | {key for _, params in MODELS.values() for key in params}
 
 
 class CliError(Exception):
@@ -127,9 +119,14 @@ def derived_seed(seed: int, label: str, index: int = 0) -> int:
     return int(_derived_sequence(seed, label, index).generate_state(1, np.uint64)[0])
 
 
+def _setting(key: str, default, help_text: str, limit: str | None = None):
+    """A run setting's RunConfig field: config key, flag help, limit "positive" or "nonnegative"."""
+    return field(default=default, metadata={"key": key, "help": help_text, "limit": limit})
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters."""
+    """Fully resolved run parameters; the _setting fields are the run settings, in manifest order."""
 
     command: str
     input_kind: str  # "matrix" | "model" | "suite"
@@ -137,33 +134,33 @@ class RunConfig:
     model_kind: str | None = None
     model_params: dict = field(default_factory=dict)
     theta: np.ndarray | None = None
-    seed: int = DEFAULT_SEED
-    count: int = DEFAULT_COUNT
-    n_samples: int = DEFAULT_SAMPLES
     fim_method: str = "analytic"
-    rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-    psd_tol_rel: float = DEFAULT_PSD_TOL_REL
-    margin_tol: float = DEFAULT_MARGIN_TOL
     output_dir: Path = Path(DEFAULT_OUT)
+    seed: int = _setting("seed", 0, "top-level random seed", "nonnegative")
+    count: int = _setting("count", 100, "matrices (certify suite) or constraints to sample", "positive")
+    n_samples: int = _setting("samples", DEFAULT_SAMPLES, "Monte-Carlo sample count")
+    rank_tol_rel: float = _setting("rank_tol", DEFAULT_RANK_TOL_REL, "relative rank cutoff", "positive")
+    psd_tol_rel: float = _setting("psd_tol", DEFAULT_PSD_TOL_REL, "relative PSD slack", "positive")
+    margin_tol: float = _setting("margin_tol", DEFAULT_MARGIN_TOL, "certificate margin tolerance", "positive")
 
     def validate(self) -> None:
-        if self.command not in ("analyze", "certify", "experiment"):
-            raise InvalidInput(f"unknown command {self.command!r}")
-        if self.input_kind not in ("matrix", "model", "suite"):
-            raise InvalidInput(f"unknown input kind {self.input_kind!r}")
         if self.input_kind == "suite" and self.command != "certify":
             raise InvalidInput(f"{self.command} requires --input or --model")
-        for name, value in (
-            ("rank_tol", self.rank_tol_rel),
-            ("psd_tol", self.psd_tol_rel),
-            ("margin_tol", self.margin_tol),
-        ):
-            if not value > 0.0:
-                raise InvalidInput(f"{name} must be positive, got {value}")
-        if self.count < 1:
-            raise InvalidInput(f"count must be positive, got {self.count}")
+        for key, setting in SETTINGS.items():
+            value, limit = getattr(self, setting.name), setting.metadata["limit"]
+            if limit and not (value > 0 if limit == "positive" else value >= 0):
+                raise InvalidInput(f"{key} must be {limit}, got {value}")
         if self.fim_method not in ("analytic", "monte_carlo"):
             raise InvalidInput(f"fim_method must be analytic or monte_carlo, got {self.fim_method!r}")
+
+
+# Run settings by config key, in manifest order.
+SETTINGS = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
+
+# Keys a config file may set: the run's own keys, its settings and every built-in model's parameters.
+CONFIG_KEYS = {"command", "version", "input", "model", "theta", "fim_method", *SETTINGS} | {
+    key for _, params in MODELS.values() for key in params
+}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -192,18 +189,16 @@ def _sniff_is_config(text: str) -> bool:
     return False
 
 
-def _parse(values: dict[str, str], key: str, kind: type):
+def _parse(values: dict[str, str], key: str, default):
+    """The config-file value of key as the type of default; default when the key is absent."""
     if key not in values:
-        return None
+        return default
+    kind = type(default)
     try:
         return kind(values[key])
     except ValueError as exc:
         what = "an integer" if kind is int else "a number"
         raise InvalidInput(f"config key {key} is not {what}: {values[key]!r}") from exc
-
-
-def _pick(flag, file_value, default):
-    return next((value for value in (flag, file_value) if value is not None), default)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -246,7 +241,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if model_kind not in MODELS:
             raise InvalidInput(f"unknown model {model_kind!r}; choose from {tuple(MODELS)}")
         for key, default in MODELS[model_kind][1].items():
-            model_params[key] = _pick(None, _parse(file_values, key, type(default)), default)
+            model_params[key] = _parse(file_values, key, default)
 
     theta = None
     if "theta" in file_values:
@@ -255,6 +250,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise InvalidInput(f"config key theta is not a vector: {file_values['theta']!r}") from exc
 
+    settings = {}  # a file value is parsed even where a flag overrides it, so a malformed file is refused
+    for key, setting in SETTINGS.items():
+        value = _parse(file_values, key, setting.default)
+        settings[setting.name] = value if getattr(args, key) is None else getattr(args, key)
+
     config = RunConfig(
         command=args.command,
         input_kind=input_kind,
@@ -262,14 +262,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         model_kind=model_kind,
         model_params=model_params,
         theta=theta,
-        seed=_pick(args.seed, _parse(file_values, "seed", int), DEFAULT_SEED),
-        count=_pick(args.count, _parse(file_values, "count", int), DEFAULT_COUNT),
-        n_samples=_pick(args.samples, _parse(file_values, "samples", int), DEFAULT_SAMPLES),
-        fim_method=_pick(None, file_values.get("fim_method"), "analytic"),
-        rank_tol_rel=_pick(args.rank_tol, _parse(file_values, "rank_tol", float), DEFAULT_RANK_TOL_REL),
-        psd_tol_rel=_pick(args.psd_tol, _parse(file_values, "psd_tol", float), DEFAULT_PSD_TOL_REL),
-        margin_tol=_pick(args.margin_tol, _parse(file_values, "margin_tol", float), DEFAULT_MARGIN_TOL),
+        fim_method=file_values.get("fim_method", "analytic"),
         output_dir=Path(args.out),
+        **settings,
     )
     config.validate()
     return config
@@ -319,25 +314,19 @@ def information_matrix(config: RunConfig):
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
 
 
+def _config_value(value) -> str:
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 def write_manifest(config: RunConfig, path: Path) -> None:
     """Write the resolved run config in config-file form (17-digit floats)."""
-    lines = [
-        f"{CSV_VERSION_LINE} manifest",
-        f"command = {config.command}",
-        f"version = {__version__}",
-        f"seed = {config.seed}",
-        f"count = {config.count}",
-        f"samples = {config.n_samples}",
-        f"rank_tol = {format_float(config.rank_tol_rel)}",
-        f"psd_tol = {format_float(config.psd_tol_rel)}",
-        f"margin_tol = {format_float(config.margin_tol)}",
-    ]
+    lines = [f"{CSV_VERSION_LINE} manifest", f"command = {config.command}", f"version = {__version__}"]
+    lines += [f"{key} = {_config_value(getattr(config, s.name))}" for key, s in SETTINGS.items()]
     if config.input_kind == "matrix":
         lines.append("input = j.matx")
     elif config.input_kind == "model":
         lines.append(f"model = {config.model_kind}")
-        for key, value in config.model_params.items():
-            lines.append(f"{key} = {format_float(value) if isinstance(value, float) else value}")
+        lines += [f"{key} = {_config_value(value)}" for key, value in config.model_params.items()]
         lines.append(f"fim_method = {config.fim_method}")
         if config.theta is not None:
             lines.append("theta = " + " ".join(format_float(v) for v in config.theta))
@@ -353,7 +342,6 @@ def _kv_csv(rows: list[tuple[str, str]]) -> str:
 def cmd_analyze(config: RunConfig) -> int:
     """Rank, pseudoinverse, and optimal-constraint report for one matrix."""
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
 
     sym, estimate = information_matrix(config)
 
@@ -449,7 +437,6 @@ def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count:
 def cmd_certify(config: RunConfig) -> int:
     """Run the full certificate suite; exit 4 when any inequality fails."""
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
 
     matrices = []
     if config.input_kind == "suite":
@@ -509,7 +496,6 @@ def cmd_certify(config: RunConfig) -> int:
 def cmd_experiment(config: RunConfig) -> int:
     """Trace survey over sampled minimum constraints for a singular matrix."""
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
 
     sym, _ = information_matrix(config)
     basis = ranked_svd(sym, config.rank_tol_rel)
@@ -560,13 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", help="matx matrix file or key = value config file")
         cmd.add_argument("--model", choices=tuple(MODELS), help="built-in model with default sizes")
-        cmd.add_argument("--seed", type=int, help="top-level random seed")
-        cmd.add_argument("--count", type=int, help="matrices (certify suite) or constraints to sample")
-        cmd.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         cmd.add_argument("--out", default=DEFAULT_OUT, help="output directory")
-        cmd.add_argument("--rank-tol", dest="rank_tol", type=float, help="relative rank cutoff")
-        cmd.add_argument("--psd-tol", dest="psd_tol", type=float, help="relative PSD slack")
-        cmd.add_argument("--margin-tol", dest="margin_tol", type=float, help="certificate margin tolerance")
+        for key, setting in SETTINGS.items():
+            flag = "--" + key.replace("_", "-")
+            cmd.add_argument(flag, dest=key, type=type(setting.default), help=setting.metadata["help"])
     return parser
 
 
@@ -575,7 +558,9 @@ def main(argv=None) -> int:
     try:
         try:
             config = resolve_config(args)
-        except (InvalidInput, InvalidMatrix, InvalidModel, DegenerateParameter, OSError) as exc:
+            os.makedirs(config.output_dir, exist_ok=True)
+        except (InvalidInput, InvalidMatrix, InvalidModel, DegenerateParameter, OSError,
+                UnicodeDecodeError) as exc:
             raise CliError(EXIT_INVALID_INPUT, f"resolving configuration: {exc}") from exc
         if config.command == "analyze":
             return cmd_analyze(config)

@@ -27,6 +27,7 @@ from .matlin import (
     as_ranked_svd,
     nonsingular,
     null_complements,
+    restricted_information,
     seed_sequence,
 )
 from .matx import _parse_block, dump_matrix, format_float
@@ -148,8 +149,7 @@ def evaluate_constraints(
 
 def _evaluated(basis: RankedSvd, f_jacs, row_rank, u) -> ConstraintStack:
     """The stack of f_jacs given their row ranks and null bases: U'JU, its spectrum and the flags."""
-    restricted = u.transpose(0, 2, 1) @ basis.matrix.entries @ u
-    evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
+    restricted, evals = restricted_information(basis.matrix.entries, u)
     full_rank = row_rank == f_jacs.shape[1]
     return ConstraintStack(
         basis=basis,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraint import ConstraintSpec, ConstraintStack, evaluate_constraints
 from .errors import InvalidInput, RankDeficientConstraint
-from .matlin import DEFAULT_RANK_TOL_REL, EigenSpectrum, SymMatrix, as_ranked_svd
+from .matlin import DEFAULT_RANK_TOL_REL, EigenSpectrum, SymMatrix, _bounds, as_ranked_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,17 +65,6 @@ def _resolve_constraint(constraint) -> tuple[np.ndarray, str]:
         label = "affine" if constraint.offset is not None else "jacobian-only"
         return constraint.f_jac, label
     return np.asarray(constraint, dtype=float), "jacobian-only"
-
-
-def _bounds(u: np.ndarray, restricted: np.ndarray, exists: np.ndarray) -> np.ndarray:
-    """U (U'JU)^-1 U', symmetrized, for a (k, n, r) stack of bases U; one inv call for all.
-
-    restricted is the (k, r, r) stack of U'JU. Where exists (k,) is False
-    the identity stands in for U'JU, and the entry is no bound.
-    """
-    restricted = np.where(exists[:, None, None], restricted, np.eye(restricted.shape[1]))
-    bounds = u @ np.linalg.inv(restricted) @ u.transpose(0, 2, 1)
-    return 0.5 * (bounds + bounds.transpose(0, 2, 1))
 
 
 def _bound_spectra(stack: ConstraintStack) -> np.ndarray:

@@ -126,9 +126,9 @@ class RankedSvd:
 
     @cached_property
     def pinv(self) -> SymMatrix:
-        """Moore-Penrose pseudoinverse U_r (U_r' J U_r)^-1 U_r'; zero for rank 0."""
+        """Moore-Penrose pseudoinverse U_r (U_r' J U_r)^-1 U_r' by _bounds; zero for rank 0."""
         restricted = self.u_r.T @ self.matrix.entries @ self.u_r
-        return SymMatrix(self.u_r @ np.linalg.inv(restricted) @ self.u_r.T)
+        return SymMatrix(_bounds(self.u_r[None], restricted[None], np.ones(1, dtype=bool))[0])
 
     @cached_property
     def pinv_eigenvalues(self) -> EigenSpectrum:
@@ -148,6 +148,23 @@ class EigenSpectrum:
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+
+def restricted_information(j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U'JU for a (k, n, r) stack of bases U, and the ascending eigenvalues of its symmetrized form."""
+    restricted = u.transpose(0, 2, 1) @ j @ u
+    return restricted, np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
+
+
+def _bounds(u: np.ndarray, restricted: np.ndarray, exists: np.ndarray) -> np.ndarray:
+    """U (U'JU)^-1 U', symmetrized, for a (k, n, r) stack of bases U; one inv call for all.
+
+    restricted is the (k, r, r) stack of U'JU. Where exists (k,) is False
+    the identity stands in for U'JU, and the entry is no bound.
+    """
+    restricted = np.where(exists[:, None, None], restricted, np.eye(restricted.shape[1]))
+    bounds = u @ np.linalg.inv(restricted) @ u.transpose(0, 2, 1)
+    return 0.5 * (bounds + bounds.transpose(0, 2, 1))
 
 
 def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:

@@ -32,7 +32,7 @@ from .constraint import (
     evaluate_constraints,
     optimal_affine_constraint,
 )
-from .crb import _bounds, bound_traces, constrained_crbs
+from .crb import bound_traces
 from .errors import (
     InvalidInput,
     NotMinimumConstraint,
@@ -42,12 +42,14 @@ from .errors import (
 from .matlin import (
     DEFAULT_RANK_TOL_REL,
     SymMatrix,
+    _bounds,
     as_ranked_svd,
     as_sym_matrix,
     eigvals_desc,
     nonsingular,
     orthonormal_columns,
     ranked_svd,
+    restricted_information,
     seed_sequence,
 )
 from .matx import dump_matrix, format_float
@@ -239,8 +241,7 @@ def verify_eigen_dominance(
         v_arr = np.asarray(v, dtype=float)
         _check_orthonormal(v_arr, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
-        restricted = frames.transpose(0, 2, 1) @ entries @ frames
-        evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
+        evals = restricted_information(entries, frames)[1]
         exists = nonsingular(evals, rank_tol_rel)
     if not np.all(exists):
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
@@ -263,7 +264,7 @@ def verify_poincare(
     if v_arr.ndim != 2:
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, "v")
-    lam_restricted = eigvals_desc(v_arr.T @ sym.entries @ v_arr).values
+    lam_restricted = restricted_information(sym.entries, v_arr[None])[1][0, ::-1]
     margins = (eigvals_desc(sym).values[: lam_restricted.size] - lam_restricted).tolist()
     return _certify(
         "poincare", margins, lambda i: (f"eig-index-{i}", {"j": sym.entries, "v": v_arr}), margin_tol
@@ -279,41 +280,36 @@ def verify_constraint_equivalence(
 ) -> TheoremCertificate:
     """Check that every Jacobian annihilating the range basis gives pinv J.
 
-    Each alternative F must satisfy F @ U_r = 0 (up to roundoff) and have
-    full row rank n - rank(J); it is recast as an affine constraint
-    through theta0 and its bound compared with the pseudoinverse in
-    Frobenius norm. The margin is minus that distance. All bounds come
-    from one stacked evaluation; j may be a RankedSvd.
+    Each alternative F must satisfy ||F U_r|| <= 1e-8 ||F|| and have full
+    row rank n - rank(J); its bound U (U'JU)^-1 U', from one stacked
+    evaluation, is compared with the pseudoinverse in Frobenius norm. The
+    margin is minus that distance. The bound does not depend on theta0,
+    which is only checked for length; j may be a RankedSvd. Raises
+    SingularRestriction when some U'JU is numerically singular.
     """
     basis = as_ranked_svd(j, rank_tol_rel)
-    n = basis.dim
-    point = np.asarray(theta0, dtype=float).ravel()
-    if point.size != n:
-        raise InvalidInput(f"theta0 must have length {n}, got {point.size}")
-    specs: list[ConstraintSpec] = []
-    for idx, f_jac in enumerate(alt_jacobians):
-        f_arr = np.asarray(f_jac, dtype=float)
-        if f_arr.ndim != 2 or f_arr.shape != (n - basis.rank, n):
-            raise InvalidInput(
-                f"alternative {idx} has shape {f_arr.shape}, "
-                f"expected ({n - basis.rank}, {n})"
-            )
-        scale = float(np.linalg.norm(f_arr))
-        if float(np.linalg.norm(f_arr @ basis.u_r)) > 1e-8 * max(scale, 1.0):
+    n, m = basis.dim, basis.dim - basis.rank
+    size = np.asarray(theta0, dtype=float).size
+    if size != n:
+        raise InvalidInput(f"theta0 must have length {n}, got {size}")
+    if not alt_jacobians:
+        raise InvalidInput("certificate needs at least one case")
+    f_jacs = [np.asarray(f_jac, dtype=float) for f_jac in alt_jacobians]
+    for idx, f_arr in enumerate(f_jacs):
+        if f_arr.shape != (m, n):
+            raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
+        if float(np.linalg.norm(f_arr @ basis.u_r)) > 1e-8 * float(np.linalg.norm(f_arr)):
             raise InvalidInput(f"alternative {idx} does not annihilate the range basis")
-        specs.append(ConstraintSpec(
-            f_jac=f_arr,
-            offset=-f_arr @ point,
-            label=f"equivalent-{idx}",
-            eval_point=point,
-        ))
-    reports = constrained_crbs(basis, specs, rank_tol_rel) if specs else []
-    margins = [
-        -float(np.linalg.norm(report.bound.entries - basis.pinv.entries)) for report in reports
-    ]
+    stack = evaluate_constraints(basis, np.stack(f_jacs), rank_tol_rel)
+    if not np.all(stack.full_rank_jacobian):
+        raise RankDeficientConstraint(min(stack.row_rank), m)
+    if not np.all(stack.utju_nonsingular):
+        raise SingularRestriction(f"U'JU of alternative {np.argmin(stack.utju_nonsingular)} is singular")
+    bounds = _bounds(stack.u, stack.restricted, stack.utju_nonsingular)
+    margins = [-float(np.linalg.norm(bound - basis.pinv.entries)) for bound in bounds]
     return _certify(
         "equivalence", margins,
-        lambda i: (f"alternative-{i}", {"j": basis.matrix.entries, "f_jac": specs[i].f_jac}), margin_tol,
+        lambda i: (f"alternative-{i}", {"j": basis.matrix.entries, "f_jac": f_jacs[i]}), margin_tol,
     )
 
 

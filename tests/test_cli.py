@@ -145,6 +145,55 @@ def test_matrix_manifest_rerun_is_bit_identical(tmp_path):
     assert (out1 / "j.matx").read_bytes() == (out2 / "j.matx").read_bytes()
 
 
+def test_every_setting_flag_reaches_the_manifest_and_reruns(tmp_path):
+    j = write_diag_matrix(tmp_path)
+    flags = ["--seed", "7", "--count", "9", "--samples", "500", "--rank-tol", "1e-8",
+             "--psd-tol", "1e-6", "--margin-tol", "1e-7"]
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert main(["analyze", "--input", str(j), *flags, "--out", str(out1)]) == 0
+    manifest = (out1 / "manifest.cfg").read_text().splitlines()
+    assert manifest[3:] == [
+        "seed = 7", "count = 9", "samples = 500", "rank_tol = 1e-08",
+        "psd_tol = 9.9999999999999995e-07", "margin_tol = 9.9999999999999995e-08", "input = j.matx",
+    ]
+    assert main(["analyze", "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
+    outputs = ("analysis.csv", "j.matx", "j_pinv.matx", "constraint.matx", "crb_constrained.matx")
+    for name in ("manifest.cfg",) + outputs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["certify", "--seed", "-1"], None),
+        (["analyze", "--model", "blind_channel", "--seed", "-1"], None),
+        (["analyze"], "model = blind_channel\nseed = -2\n"),
+    ],
+)
+def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "neg.cfg"
+        path.write_text(config)
+        argv = argv + ["--input", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolving configuration: seed must be nonnegative, got -")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("input_name", ["utf8.matx", "binary.matx", "ref.cfg"])
+def test_non_ascii_input_exits_2(tmp_path, capsys, input_name):
+    (tmp_path / "utf8.matx").write_bytes("2 2\n# caf\u00e9\n2 0\n0 0\n".encode("utf-8"))
+    (tmp_path / "binary.matx").write_bytes(bytes(range(256)))
+    (tmp_path / "ref.cfg").write_text("input = utf8.matx\n")
+    argv = ["analyze", "--input", str(tmp_path / input_name), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: resolving configuration: 'ascii' codec can't decode byte ")
+    assert err.count("\n") == 1
+
+
 def test_flags_override_config_values(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("model = blind_channel\nseed = 3\n")

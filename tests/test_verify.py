@@ -11,6 +11,7 @@ from crbkit import (
     TheoremCertificate,
     bound_traces,
     certificates_to_csv,
+    constrained_crb,
     counterexample_check,
     evaluate_constraints,
     is_psd,
@@ -273,6 +274,29 @@ def test_equivalence_under_row_mixing():
     cert = verify_constraint_equivalence(j, rng.standard_normal(6), alts)
     assert cert.passed
     assert cert.n_cases == 6
+
+
+def test_equivalence_rejects_small_jacobians_that_do_not_annihilate_the_range():
+    # the annihilation test is relative to ||F||, so a small F is not waved through
+    for f_jac in (1e-9 * np.array([[1.0, 1.0]]), 1e-9 * np.array([[1.0, 0.0]])):
+        with pytest.raises(InvalidInput, match="alternative 0 does not annihilate the range basis"):
+            verify_constraint_equivalence(DIAG, np.zeros(2), [f_jac])
+
+
+def test_equivalence_margins_equal_one_constrained_bound_at_a_time():
+    # at margin_tol = -inf every case is a witness, so the certificate keeps every margin
+    rng = np.random.default_rng(27)
+    for n in range(2, 9):
+        for rank in range(n + 1):
+            basis = ranked_svd(make_psd(rng, n, rank))
+            m = n - rank
+            alts = [rng.standard_normal((m, m)) @ basis.u_bar.T for _ in range(3)]
+            cert = verify_constraint_equivalence(basis, np.zeros(n), alts, -np.inf)
+            expected = [
+                -float(np.linalg.norm(constrained_crb(basis, f_jac).bound.entries - basis.pinv.entries))
+                for f_jac in alts
+            ]
+            assert [w.margin for w in cert.witnesses] == expected
 
 
 def test_min_rank_certificate():
