@@ -293,11 +293,12 @@ def information_matrix(config: RunConfig):
     try:
         if config.input_kind == "matrix":
             sym = as_sym_matrix(config.matrix)
-            if not is_psd(sym, psd_tol_rel=config.psd_tol_rel):
+            if not is_psd(sym, config.psd_tol_rel):
                 raise InvalidInput(
                     "information matrix is not positive semidefinite: its smallest eigenvalue "
                     f"is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
                 )
+            config.matrix = sym.entries  # the symmetrized matrix, which the manifest writes as j.matx
             return sym, None
         model = build_model(config)
         theta = resolve_theta(config, model.param_dim)
@@ -318,11 +319,16 @@ def _config_value(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
-def write_manifest(config: RunConfig, path: Path) -> None:
-    """Write the resolved run config in config-file form (17-digit floats)."""
+def write_manifest(config: RunConfig) -> None:
+    """Write the resolved run config in config-file form (17-digit floats) as manifest.cfg.
+
+    A matrix input is written next to it as the j.matx its input line names.
+    """
+    out = config.output_dir
     lines = [f"{CSV_VERSION_LINE} manifest", f"command = {config.command}", f"version = {__version__}"]
     lines += [f"{key} = {_config_value(getattr(config, s.name))}" for key, s in SETTINGS.items()]
     if config.input_kind == "matrix":
+        save_matrix(out / "j.matx", config.matrix)
         lines.append("input = j.matx")
     elif config.input_kind == "model":
         lines.append(f"model = {config.model_kind}")
@@ -330,7 +336,7 @@ def write_manifest(config: RunConfig, path: Path) -> None:
         lines.append(f"fim_method = {config.fim_method}")
         if config.theta is not None:
             lines.append("theta = " + " ".join(format_float(v) for v in config.theta))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    (out / "manifest.cfg").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _kv_csv(rows: list[tuple[str, str]]) -> str:
@@ -347,12 +353,13 @@ def cmd_analyze(config: RunConfig) -> int:
 
     try:
         basis = ranked_svd(sym, config.rank_tol_rel)
-        report = unconstrained_crb(basis, config.rank_tol_rel)
+        report = unconstrained_crb(basis)
     except np.linalg.LinAlgError as exc:
         raise CliError(EXIT_NUMERICAL, f"decomposing information matrix: {exc}") from exc
 
     n, rank = sym.dim, basis.rank
-    save_matrix(out / "j.matx", sym.entries)
+    if config.input_kind != "matrix":  # a matrix input is written with the manifest
+        save_matrix(out / "j.matx", sym.entries)
     save_matrix(out / "j_pinv.matx", report.bound.entries)
 
     rows: list[tuple[str, str]] = [
@@ -381,8 +388,8 @@ def cmd_analyze(config: RunConfig) -> int:
         print(f"inverse written to {out / 'j_pinv.matx'}")
     else:
         try:
-            spec = optimal_affine_constraint(basis, np.zeros(n), config.rank_tol_rel)
-            bound = constrained_crb(basis, spec, config.rank_tol_rel)
+            spec = optimal_affine_constraint(basis, np.zeros(n))
+            bound = constrained_crb(basis, spec)
         except np.linalg.LinAlgError as exc:
             raise CliError(EXIT_NUMERICAL, f"synthesizing optimal constraint: {exc}") from exc
         save_constraint_spec(out / "constraint.matx", spec)
@@ -399,7 +406,7 @@ def cmd_analyze(config: RunConfig) -> int:
         )
 
     (out / "analysis.csv").write_text(_kv_csv(rows), encoding="ascii")
-    write_manifest(config, out / "manifest.cfg")
+    write_manifest(config)
     print(f"report written to {out / 'analysis.csv'}")
     return EXIT_OK
 
@@ -408,14 +415,11 @@ def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count:
     """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order."""
     seed = config.seed
     tol = config.margin_tol
-    rank_tol = config.rank_tol_rel
     n, rank = basis.dim, basis.rank
 
-    stack, _ = sample_minimum_stack(
-        basis, constraints_count, derived_seed(seed, "certify-constraints", index), rank_tol
-    )
-    yield verify_trace_bound(basis, stack, tol, rank_tol)
-    yield verify_eigen_dominance(basis, stack, tol, rank_tol)
+    stack, _ = sample_minimum_stack(basis, constraints_count, derived_seed(seed, "certify-constraints", index))
+    yield verify_trace_bound(basis, stack, tol)
+    yield verify_eigen_dominance(basis, stack, tol)
 
     v = orthonormal_columns(
         derived_rng(seed, "certify-poincare", index).standard_normal((n, rank))
@@ -427,11 +431,9 @@ def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count:
         equiv_rng.standard_normal((n - rank, n - rank)) @ basis.u_bar.T
         for _ in range(CERTIFY_EQUIVALENCE_ALTS)
     ]
-    yield verify_constraint_equivalence(basis, np.zeros(n), alts, tol, rank_tol)
+    yield verify_constraint_equivalence(basis, np.zeros(n), alts, tol)
 
-    yield verify_min_rank(
-        basis, CERTIFY_MIN_RANK_TRIALS, derived_seed(seed, "certify-minrank", index), tol, rank_tol
-    )
+    yield verify_min_rank(basis, CERTIFY_MIN_RANK_TRIALS, derived_seed(seed, "certify-minrank", index), tol)
 
 
 def cmd_certify(config: RunConfig) -> int:
@@ -474,7 +476,7 @@ def cmd_certify(config: RunConfig) -> int:
     certificates.append(counterexample_check(config.margin_tol))
 
     (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")
-    write_manifest(config, out / "manifest.cfg")
+    write_manifest(config)
 
     failed = [cert for cert in certificates if not cert.passed]
     for cert in certificates:
@@ -505,7 +507,7 @@ def cmd_experiment(config: RunConfig) -> int:
     sampled = 0
     seed = derived_seed(config.seed, "experiment-constraints")
     try:
-        for stack, _ in sample_constraint_stacks(basis, config.count, seed, config.rank_tol_rel):
+        for stack, _ in sample_constraint_stacks(basis, config.count, seed):
             for trace in compress(bound_traces(stack), stack.is_minimum):
                 margin = trace - baseline
                 worst = min(worst, margin)
@@ -516,7 +518,7 @@ def cmd_experiment(config: RunConfig) -> int:
     except SamplingExhausted as exc:
         raise CliError(EXIT_NUMERICAL, f"sampling constraints: {exc}") from exc
     (out / "traces.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    write_manifest(config, out / "manifest.cfg")
+    write_manifest(config)
 
     print(
         f"{sampled} constraints sampled; baseline trace {format_float(baseline)}; "
@@ -562,11 +564,16 @@ def main(argv=None) -> int:
         except (InvalidInput, InvalidMatrix, InvalidModel, DegenerateParameter, OSError,
                 UnicodeDecodeError) as exc:
             raise CliError(EXIT_INVALID_INPUT, f"resolving configuration: {exc}") from exc
-        if config.command == "analyze":
-            return cmd_analyze(config)
-        if config.command == "certify":
-            return cmd_certify(config)
-        return cmd_experiment(config)
+        # finite input too large for double precision would otherwise turn to inf part way
+        with np.errstate(over="raise"):
+            if config.command == "analyze":
+                return cmd_analyze(config)
+            if config.command == "certify":
+                return cmd_certify(config)
+            return cmd_experiment(config)
+    except FloatingPointError as exc:
+        print(f"error: input values too large for double precision: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import FullRankFim, InvalidInput, SamplingExhausted
 from .matlin import (
-    DEFAULT_RANK_TOL_REL,
     RankedSvd,
     _freeze,
     _rank_cutoff,
@@ -110,7 +109,7 @@ class MinConstraintReport:
 class ConstraintStack(NamedTuple):
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
-    basis is J, factored with the rank_tol_rel of the evaluation. One svd
+    basis is J as factored, with the rank rule of every flag. One svd
     call gives row_rank (k,) and the null bases u (k, n, n - m); a sampled
     chunk takes u from its qr and row_rank from unit singular values.
     restricted holds U'JU, and one eigvalsh call gives utju_eigs, the
@@ -133,18 +132,13 @@ class ConstraintStack(NamedTuple):
         return self.full_rank_jacobian & self.utju_nonsingular & self.rank_sum_is_n
 
 
-def evaluate_constraints(
-    j, f_jacs, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> ConstraintStack:
-    """Evaluate the three minimum-constraint requirements for a (k, m, n) stack.
-
-    j may be a RankedSvd, so one factorization serves every stack.
-    """
-    basis = as_ranked_svd(j, rank_tol_rel)
+def evaluate_constraints(j, f_jacs) -> ConstraintStack:
+    """Evaluate the three minimum-constraint requirements for a (k, m, n) stack."""
+    basis = as_ranked_svd(j)
     f_jacs = np.asarray(f_jacs, dtype=float)
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
-    return _evaluated(basis, f_jacs, *null_complements(f_jacs, rank_tol_rel))
+    return _evaluated(basis, f_jacs, *null_complements(f_jacs, basis.rank_tol_rel))
 
 
 def _evaluated(basis: RankedSvd, f_jacs, row_rank, u) -> ConstraintStack:
@@ -164,16 +158,14 @@ def _evaluated(basis: RankedSvd, f_jacs, row_rank, u) -> ConstraintStack:
     )
 
 
-def check_minimum_constraint(
-    j, spec: ConstraintSpec, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> MinConstraintReport:
+def check_minimum_constraint(j, spec: ConstraintSpec) -> MinConstraintReport:
     """Evaluate the three minimum-constraint requirements of F against J."""
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     if spec.param_dim != basis.dim:
         raise InvalidInput(
             f"constraint has {spec.param_dim} columns but J is {basis.dim} x {basis.dim}"
         )
-    stack = evaluate_constraints(basis, spec.f_jac[None], rank_tol_rel)
+    stack = evaluate_constraints(basis, spec.f_jac[None])
     flags = [bool(flag[0]) for flag in stack[-3:]]  # full rank, U'JU nonsingular, rank sum n
     details = {"rank_jacobian": int(stack.row_rank[0]), "rank_fim": basis.rank, "param_dim": basis.dim}
     if flags[0] and stack.utju_eigs.shape[1]:
@@ -182,17 +174,15 @@ def check_minimum_constraint(
     return MinConstraintReport(*flags, all(flags), details)
 
 
-def optimal_affine_constraint(
-    j, theta0, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> ConstraintSpec:
+def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     """Affine minimum constraint built from the null space of J.
 
     F is an orthonormal basis of the null space transposed and
     C = -F theta0, so f(theta) = F theta + C vanishes at theta0. The
     constrained bound under this constraint equals the pseudoinverse of
-    J. Raises FullRankFim when J is nonsingular. j may be a RankedSvd.
+    J. Raises FullRankFim when J is nonsingular.
     """
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     point = np.asarray(theta0, dtype=float).ravel()
     if point.size != basis.dim:
         raise InvalidInput(f"theta0 must have length {basis.dim}, got {point.size}")
@@ -207,9 +197,7 @@ def optimal_affine_constraint(
     )
 
 
-def sample_constraint_stacks(
-    j, count: int, rng_seed: int, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> Iterator[tuple[ConstraintStack, list[str]]]:
+def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[tuple[ConstraintStack, list[str]]]:
     """Draw random minimum constraints for a singular J, one evaluated chunk at a time.
 
     Each Jacobian is the transpose of an orthonormalized Gaussian
@@ -220,11 +208,11 @@ def sample_constraint_stacks(
     random stream is consumed as by one draw at a time. Yields (stack,
     labels): stack.is_minimum marks the accepted draws, labels names them.
     Raises SamplingExhausted after 100 * count consecutive rejections and
-    FullRankFim when J is nonsingular. j may be a RankedSvd.
+    FullRankFim when J is nonsingular.
     """
     if count < 1:
         raise InvalidInput(f"count must be positive, got {count}")
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
@@ -237,7 +225,7 @@ def sample_constraint_stacks(
         q, r = np.linalg.qr(rng.standard_normal((k, n, m)), mode="complete")
         f_jacs = _sign_fixed_columns(q, r).transpose(0, 2, 1)
         # F's rows are orthonormal, so the rank rule of null_complements sees singular values of one
-        row_rank = _rank_cutoff(np.ones((k, m)), n, rank_tol_rel)
+        row_rank = _rank_cutoff(np.ones((k, m)), n, basis.rank_tol_rel)
         # a contiguous U gives U'JU bit for bit as a stack of frames does
         stack = _evaluated(basis, f_jacs, row_rank, np.ascontiguousarray(q[..., m:]))
         labels = []
@@ -255,25 +243,21 @@ def sample_constraint_stacks(
         yield stack, labels
 
 
-def sample_minimum_stack(
-    j, count: int, rng_seed: int, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> tuple[ConstraintStack, list[str]]:
+def sample_minimum_stack(j, count: int, rng_seed: int) -> tuple[ConstraintStack, list[str]]:
     """The accepted draws of sample_constraint_stacks as one evaluated stack, with their labels."""
     chunks, labels = [], []
-    for stack, chunk_labels in sample_constraint_stacks(j, count, rng_seed, rank_tol_rel):
+    for stack, chunk_labels in sample_constraint_stacks(j, count, rng_seed):
         chunks.append([field[stack.is_minimum] for field in stack[1:]])
         labels += chunk_labels
     return ConstraintStack(stack.basis, *map(np.concatenate, zip(*chunks))), labels
 
 
-def sample_minimum_constraints(
-    j, count: int, rng_seed: int, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> list[ConstraintSpec]:
+def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:
     """Draw random minimum constraints for a singular J; deterministic for a given seed.
 
     See sample_constraint_stacks.
     """
-    stack, labels = sample_minimum_stack(j, count, rng_seed, rank_tol_rel)
+    stack, labels = sample_minimum_stack(j, count, rng_seed)
     return [ConstraintSpec(f_jac=f_jac, label=label) for f_jac, label in zip(stack.f_jacs, labels)]
 
 

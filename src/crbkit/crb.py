@@ -17,7 +17,7 @@ import numpy as np
 
 from .constraint import ConstraintSpec, ConstraintStack, evaluate_constraints
 from .errors import InvalidInput, RankDeficientConstraint
-from .matlin import DEFAULT_RANK_TOL_REL, EigenSpectrum, SymMatrix, _bounds, as_ranked_svd
+from .matlin import EigenSpectrum, SymMatrix, _bounds, as_ranked_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,12 +43,12 @@ class CrbReport:
     singular_fim_warning: bool = False
 
 
-def unconstrained_crb(j, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> CrbReport:
+def unconstrained_crb(j) -> CrbReport:
     """Pseudoinverse bound of J; flags singular J via singular_fim_warning.
 
-    j may be a RankedSvd, whose pseudoinverse is then reused.
+    A RankedSvd's pseudoinverse is reused.
     """
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     return CrbReport(
         bound=basis.pinv,
         exists=True,
@@ -81,26 +81,24 @@ def bound_traces(stack: ConstraintStack) -> list[float]:
     return [float(trace) if ok else math.inf for trace, ok in zip(traces, stack.utju_nonsingular)]
 
 
-def constrained_crbs(
-    j, constraints, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> list[CrbReport]:
+def constrained_crbs(j, constraints) -> list[CrbReport]:
     """Bounds under constraints of one shape, from stacked LAPACK calls.
 
-    Each constraint is a Jacobian or a ConstraintSpec; j may be a
-    RankedSvd. Computes U (U'JU)^-1 U' over each constraint's null basis U
-    when the restricted information is nonsingular, with its trace and
-    eigenvalues read from the spectrum of U'JU; otherwise reports a
-    nonexistent (infinite) bound. Raises RankDeficientConstraint when a
-    Jacobian's rows are dependent.
+    Each constraint is a Jacobian or a ConstraintSpec. Computes
+    U (U'JU)^-1 U' over each constraint's null basis U when the restricted
+    information is nonsingular, with its trace and eigenvalues read from
+    the spectrum of U'JU; otherwise reports a nonexistent (infinite)
+    bound. Raises RankDeficientConstraint when a Jacobian's rows are
+    dependent.
     """
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     resolved = [_resolve_constraint(c) for c in constraints]
     shapes = sorted({f_jac.shape for f_jac, _ in resolved})
     if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][1] != basis.dim:
         raise InvalidInput(
             f"constraint Jacobian shapes {shapes} are not one shape (m, {basis.dim}) matching J"
         )
-    stack = evaluate_constraints(basis, np.stack([f_jac for f_jac, _ in resolved]), rank_tol_rel)
+    stack = evaluate_constraints(basis, np.stack([f_jac for f_jac, _ in resolved]))
     if not np.all(stack.full_rank_jacobian):
         raise RankDeficientConstraint(min(stack.row_rank), shapes[0][0])
     exists = stack.utju_nonsingular
@@ -119,16 +117,14 @@ def constrained_crbs(
     return reports
 
 
-def constrained_crb(
-    j, constraint, rank_tol_rel: float = DEFAULT_RANK_TOL_REL
-) -> CrbReport:
+def constrained_crb(j, constraint) -> CrbReport:
     """Bound under one constraint, a Jacobian or a ConstraintSpec.
 
     The k = 1 call of constrained_crbs.
     """
-    return constrained_crbs(j, [constraint], rank_tol_rel)[0]
+    return constrained_crbs(j, [constraint])[0]
 
 
-def crb_exists(j, constraint, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> bool:
+def crb_exists(j, constraint) -> bool:
     """True iff the constrained bound is finite: U'JU numerically nonsingular."""
-    return constrained_crb(j, constraint, rank_tol_rel).exists
+    return constrained_crb(j, constraint).exists

@@ -179,20 +179,23 @@ def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
     return RankedSvd(sym, u[:, :rank], s[:rank], u[:, rank:], rank, rank_tol_rel)
 
 
-def as_ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
-    """Factor m with ranked_svd, or pass through a RankedSvd made with rank_tol_rel."""
-    if isinstance(m, RankedSvd) and m.rank_tol_rel == rank_tol_rel:
-        return m
-    return ranked_svd(m, rank_tol_rel)
+def as_ranked_svd(m) -> RankedSvd:
+    """m itself if it is a RankedSvd, else ranked_svd(m) under the default rank rule.
+
+    Every function that takes J factors it here, so a J factored as
+    ranked_svd(J, tol) carries tol into each rank decision made about it:
+    J's rank, a constraint's row rank, and whether U'JU is nonsingular.
+    """
+    return m if isinstance(m, RankedSvd) else ranked_svd(m)
 
 
-def pinv_via_basis(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> SymMatrix:
+def pinv_via_basis(m) -> SymMatrix:
     """Moore-Penrose pseudoinverse through the range-basis identity.
 
-    Computes U_r (U_r' M U_r)^-1 U_r' with U_r from ranked_svd. For the
-    zero matrix this is the zero matrix.
+    Computes U_r (U_r' M U_r)^-1 U_r' with U_r from as_ranked_svd(m).
+    For the zero matrix this is the zero matrix.
     """
-    return as_ranked_svd(m, rank_tol_rel).pinv
+    return as_ranked_svd(m).pinv
 
 
 def eigvals_desc(m) -> EigenSpectrum:
@@ -201,19 +204,10 @@ def eigvals_desc(m) -> EigenSpectrum:
     return EigenSpectrum(np.linalg.eigvalsh(sym.entries))
 
 
-def is_psd(m, psd_tol: float | None = None, psd_tol_rel: float = DEFAULT_PSD_TOL_REL) -> bool:
-    """True iff the smallest eigenvalue is >= -psd_tol.
-
-    psd_tol defaults to psd_tol_rel times the largest absolute
-    eigenvalue of m.
-    """
-    sym = as_sym_matrix(m)
-    evals = np.linalg.eigvalsh(sym.entries)
-    if psd_tol is None:
-        psd_tol = psd_tol_rel * float(np.max(np.abs(evals)))
-    if psd_tol < 0:
-        raise InvalidInput(f"psd_tol must be nonnegative, got {psd_tol}")
-    return bool(evals[0] >= -psd_tol)
+def is_psd(m, psd_tol_rel: float = DEFAULT_PSD_TOL_REL) -> bool:
+    """True iff the smallest eigenvalue is >= -psd_tol_rel times the largest absolute eigenvalue."""
+    evals = np.linalg.eigvalsh(as_sym_matrix(m).entries)
+    return bool(evals[0] >= -psd_tol_rel * float(np.max(np.abs(evals))))
 
 
 def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):

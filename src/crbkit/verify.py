@@ -40,7 +40,6 @@ from .errors import (
     SingularRestriction,
 )
 from .matlin import (
-    DEFAULT_RANK_TOL_REL,
     SymMatrix,
     _bounds,
     as_ranked_svd,
@@ -70,6 +69,9 @@ THEOREM_IDS = (
 )
 
 ORTHONORMAL_TOL = 1e-10
+
+# Range of the nonzero eigenvalues of random_rank_deficient_psd.
+RANDOM_PSD_EIG_RANGE = (0.5, 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +167,7 @@ def _check_orthonormal(v: np.ndarray, name: str) -> None:
 
 
 def _evaluated_against(basis, stack: ConstraintStack) -> ConstraintStack:
-    """stack, if it was evaluated against the J of basis with its rank_tol_rel."""
+    """stack, if it was evaluated against the J of basis under its rank rule."""
     other = stack.basis
     if other.rank_tol_rel != basis.rank_tol_rel or not np.array_equal(other.matrix, basis.matrix):
         raise InvalidInput("constraint stack was evaluated against another J or rank_tol_rel")
@@ -176,18 +178,17 @@ def verify_trace_bound(
     j,
     specs: list[ConstraintSpec] | ConstraintStack,
     margin_tol: float = DEFAULT_MARGIN_TOL,
-    rank_tol_rel: float = DEFAULT_RANK_TOL_REL,
 ) -> TheoremCertificate:
     """Check tr(constrained CRB) >= tr(pinv J) for minimum constraints.
 
     specs is a list of ConstraintSpecs, checked and bounded in one stacked
     evaluation, or a ConstraintStack evaluated against J (as
     sample_minimum_stack returns it), whose null bases and U'JU are used
-    as they are. j may be a RankedSvd. Raises NotMinimumConstraint when
-    some constraint fails its preconditions, and InvalidInput for a stack
-    evaluated against another J or rank_tol_rel.
+    as they are. Raises NotMinimumConstraint when some constraint fails
+    its preconditions, and InvalidInput for a stack evaluated against
+    another J or rank rule.
     """
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     if isinstance(specs, ConstraintStack):
         stack = _evaluated_against(basis, specs)
         failed = np.flatnonzero(~stack.is_minimum).tolist()
@@ -198,12 +199,12 @@ def verify_trace_bound(
         shape = (basis.dim - basis.rank, basis.dim)
         failed = [idx for idx, spec in enumerate(specs) if spec.f_jac.shape != shape]
         if not failed:
-            stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]), rank_tol_rel)
+            stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
             failed = np.flatnonzero(~stack.is_minimum).tolist()
     if failed:
         idx = failed[0]
         spec = ConstraintSpec(specs.f_jacs[idx]) if isinstance(specs, ConstraintStack) else specs[idx]
-        report = check_minimum_constraint(basis, spec, rank_tol_rel)
+        report = check_minimum_constraint(basis, spec)
         raise NotMinimumConstraint(
             f"constraint {idx} ({spec.label or 'unlabeled'}) is not minimum: {report.details}"
         )
@@ -219,7 +220,6 @@ def verify_eigen_dominance(
     j,
     v,
     margin_tol: float = DEFAULT_MARGIN_TOL,
-    rank_tol_rel: float = DEFAULT_RANK_TOL_REL,
 ) -> TheoremCertificate:
     """Check sorted-eigenvalue dominance of V (V'JV)^-1 V' over pinv J.
 
@@ -230,9 +230,9 @@ def verify_eigen_dominance(
     nonzero eigenvalues, 1/mu of V'JV with 1/sigma of J, frame by frame;
     the zeros agree exactly and are not cases. Raises SingularRestriction
     when some V'JV is numerically singular, and InvalidInput for a stack
-    evaluated against another J or rank_tol_rel. j may be a RankedSvd.
+    evaluated against another J or rank rule.
     """
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     entries = basis.matrix.entries
     if isinstance(v, ConstraintStack):
         stack = _evaluated_against(basis, v)
@@ -242,7 +242,7 @@ def verify_eigen_dominance(
         _check_orthonormal(v_arr, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
         evals = restricted_information(entries, frames)[1]
-        exists = nonsingular(evals, rank_tol_rel)
+        exists = nonsingular(evals, basis.rank_tol_rel)
     if not np.all(exists):
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
     # 1/mu descends as mu ascends; past the wider of V and rank(J) both spectra are zero
@@ -276,7 +276,6 @@ def verify_constraint_equivalence(
     theta0,
     alt_jacobians: list[np.ndarray],
     margin_tol: float = DEFAULT_MARGIN_TOL,
-    rank_tol_rel: float = DEFAULT_RANK_TOL_REL,
 ) -> TheoremCertificate:
     """Check that every Jacobian annihilating the range basis gives pinv J.
 
@@ -284,10 +283,10 @@ def verify_constraint_equivalence(
     row rank n - rank(J); its bound U (U'JU)^-1 U', from one stacked
     evaluation, is compared with the pseudoinverse in Frobenius norm. The
     margin is minus that distance. The bound does not depend on theta0,
-    which is only checked for length; j may be a RankedSvd. Raises
-    SingularRestriction when some U'JU is numerically singular.
+    which is only checked for length. Raises SingularRestriction when some
+    U'JU is numerically singular.
     """
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
     size = np.asarray(theta0, dtype=float).size
     if size != n:
@@ -300,7 +299,7 @@ def verify_constraint_equivalence(
             raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
         if float(np.linalg.norm(f_arr @ basis.u_r)) > 1e-8 * float(np.linalg.norm(f_arr)):
             raise InvalidInput(f"alternative {idx} does not annihilate the range basis")
-    stack = evaluate_constraints(basis, np.stack(f_jacs), rank_tol_rel)
+    stack = evaluate_constraints(basis, np.stack(f_jacs))
     if not np.all(stack.full_rank_jacobian):
         raise RankDeficientConstraint(min(stack.row_rank), m)
     if not np.all(stack.utju_nonsingular):
@@ -318,7 +317,6 @@ def verify_min_rank(
     trials: int,
     rng_seed: int,
     margin_tol: float = DEFAULT_MARGIN_TOL,
-    rank_tol_rel: float = DEFAULT_RANK_TOL_REL,
 ) -> TheoremCertificate:
     """Check that n - rank(J) constraint rows are necessary and sufficient.
 
@@ -326,11 +324,11 @@ def verify_min_rank(
     requires the restricted information to be numerically singular every
     time; then requires nonsingularity for the optimal affine constraint
     with exactly n - rank(J) rows. Margins are expressed through the
-    eigenvalue ratio of U'JU against the rank cutoff.
+    eigenvalue ratio of U'JU against the rank_tol_rel J was factored with.
     """
     if trials < 1:
         raise InvalidInput(f"trials must be positive, got {trials}")
-    basis = as_ranked_svd(j, rank_tol_rel)
+    basis = as_ranked_svd(j)
     sym = basis.matrix
     n, rank = sym.dim, basis.rank
     if rank == n:
@@ -338,14 +336,14 @@ def verify_min_rank(
     rng = np.random.default_rng(seed_sequence(rng_seed))
     # each trial draws its row count, then its Jacobian
     f_jacs = [rng.standard_normal((int(rng.integers(0, n - rank)), n)) for _ in range(trials)]
-    f_jacs.append(optimal_affine_constraint(basis, np.zeros(n), rank_tol_rel).f_jac)
+    f_jacs.append(optimal_affine_constraint(basis, np.zeros(n)).f_jac)
 
     # one evaluation per row count; the achievable constraint's n - rank rows are a count of their own
     rows = [f_jac.shape[0] for f_jac in f_jacs]
     evaluated = {}
     for m in dict.fromkeys(rows):
         members = [i for i, rows_i in enumerate(rows) if rows_i == m]
-        stack = evaluate_constraints(basis, np.stack([f_jacs[i] for i in members]), rank_tol_rel)
+        stack = evaluate_constraints(basis, np.stack([f_jacs[i] for i in members]))
         evaluated.update(zip(members, zip(stack.row_rank, stack.utju_eigs)))
     ratios = []  # smallest over largest eigenvalue of U'JU, clipped at 0; 1 when U'JU is 0 x 0
     for i, m in enumerate(rows):
@@ -355,7 +353,8 @@ def verify_min_rank(
         low, high = (float(evals[0]), float(evals[-1])) if evals.size else (1.0, 1.0)
         ratios.append(max(0.0, low) / high if high > 0.0 else 0.0)
     # deficient constraints must leave U'JU singular (ratio below the cutoff); the achievable must not
-    margins = [rank_tol_rel - ratio for ratio in ratios[:-1]] + [ratios[-1] - rank_tol_rel]
+    tol = basis.rank_tol_rel
+    margins = [tol - ratio for ratio in ratios[:-1]] + [ratios[-1] - tol]
     labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
     return _certify(
         "min_rank", margins, lambda i: (labels[i], {"j": sym.entries, "f_jac": f_jacs[i]}), margin_tol
@@ -394,22 +393,17 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
     )
 
 
-def random_rank_deficient_psd(
-    n: int, rank: int, rng: np.random.Generator, eig_range: tuple[float, float] = (0.5, 2.0)
-) -> SymMatrix:
+def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> SymMatrix:
     """Random PSD matrix with exactly n - rank zero eigenvalues.
 
     Built as Q diag(d) Q' with Q Haar orthogonal and the nonzero entries
-    of d drawn uniformly from eig_range.
+    of d drawn uniformly from RANDOM_PSD_EIG_RANGE.
     """
     if n < 1 or rank < 0 or rank > n:
         raise InvalidInput(f"need 0 <= rank <= n, got rank={rank}, n={n}")
-    lo, hi = eig_range
-    if not 0.0 < lo <= hi:
-        raise InvalidInput(f"eig_range must be positive and ordered, got {eig_range}")
     q = orthonormal_columns(rng.standard_normal((n, n)))
     d = np.zeros(n)
-    d[:rank] = rng.uniform(lo, hi, rank)
+    d[:rank] = rng.uniform(*RANDOM_PSD_EIG_RANGE, rank)
     return SymMatrix((q * d) @ q.T)
 
 

@@ -145,6 +145,19 @@ def test_matrix_manifest_rerun_is_bit_identical(tmp_path):
     assert (out1 / "j.matx").read_bytes() == (out2 / "j.matx").read_bytes()
 
 
+@pytest.mark.parametrize("command, output", [("certify", "certificates.csv"), ("experiment", "traces.csv")])
+def test_matrix_manifest_rerun_of_certify_and_experiment(tmp_path, command, output):
+    # the manifest's "input = j.matx" names a file written with it
+    path = tmp_path / "in.matx"
+    path.write_text("3 3\n2 0.5 0\n0.5 1 0\n0 0 0\n")
+    out1 = tmp_path / "a"
+    out2 = tmp_path / "b"
+    assert main([command, "--input", str(path), "--count", "12", "--seed", "5", "--out", str(out1)]) == 0
+    assert main([command, "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
+    for name in (output, "j.matx", "manifest.cfg"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 def test_every_setting_flag_reaches_the_manifest_and_reruns(tmp_path):
     j = write_diag_matrix(tmp_path)
     flags = ["--seed", "7", "--count", "9", "--samples", "500", "--rank-tol", "1e-8",
@@ -418,6 +431,18 @@ def test_zero_matrix_input(tmp_path, capsys, matrix):
     assert err.startswith("error: certify: input information matrix is zero;")
     assert err.count("\n") == 1
     assert not (tmp_path / "c" / "certificates.csv").exists()
+
+
+@pytest.mark.parametrize("matrix", ["2 2\n1e308 0\n0 1e308\n", "3 3\n1e308 0 0\n0 1e308 0\n0 0 0\n"])
+@pytest.mark.parametrize("command", ["analyze", "certify", "experiment"])
+def test_huge_matrix_input_exits_2(tmp_path, capsys, matrix, command):
+    # finite entries whose sums overflow; RuntimeWarnings are errors under the test settings
+    path = tmp_path / "huge.matx"
+    path.write_text(matrix)
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input values too large for double precision: overflow encountered")
+    assert err.count("\n") == 1
 
 
 def test_psd_tol_sets_the_negative_eigenvalue_slack(tmp_path):

@@ -17,6 +17,7 @@ from crbkit import (
     null_complement,
     optimal_affine_constraint,
     pinv_via_basis,
+    ranked_svd,
     sample_constraint_stacks,
     sample_minimum_constraints,
     save_constraint_spec,
@@ -237,7 +238,7 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
     j = 0.5 * (j + j.T)
     tol = 0.02
     expected, _ = reference_sample(j, 70, 9, tol)
-    specs = sample_minimum_constraints(j, 70, 9, tol)
+    specs = sample_minimum_constraints(ranked_svd(j, tol), 70, 9)
     assert [spec.label for spec in specs] == [label for _, label in expected]
     assert sum(int(spec.label.split("retries=")[1]) for spec in specs) > 20
     for spec, (f_jac, _) in zip(specs, expected):
@@ -256,7 +257,7 @@ def test_sampler_exhausts_after_exactly_the_rejection_budget(monkeypatch):
         constraint_module.np.linalg, "qr", lambda a, mode: drawn.append(len(a)) or real(a, mode)
     )
     with pytest.raises(SamplingExhausted, match="7000 consecutive rejections"):
-        sample_minimum_constraints(j, 70, 3, 0.6)
+        sample_minimum_constraints(ranked_svd(j, 0.6), 70, 3)
     assert sum(drawn) == 7000
     assert max(drawn) == 32
 
@@ -266,8 +267,8 @@ def test_sampled_flags_follow_the_row_rank_rule():
     # 1 > max(m, n) * rank_tol_rel accepts every row below 1 / max(m, n) and none above it
     j = make_psd(np.random.default_rng(6), 4, 2)
     for tol in (0.25 * (1 - 1e-6), 0.25 * (1 + 1e-6)):
-        stack, _ = next(sample_constraint_stacks(j, 10, 7, tol))
-        evaluated = evaluate_constraints(stack.basis, stack.f_jacs, tol)
+        stack, _ = next(sample_constraint_stacks(ranked_svd(j, tol), 10, 7))
+        evaluated = evaluate_constraints(stack.basis, stack.f_jacs)
         for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
             assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
         assert np.all(stack.full_rank_jacobian) == np.any(stack.full_rank_jacobian) == (tol < 0.25)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbkit import (
-    InvalidInput,
     InvalidMatrix,
     RankDeficientConstraint,
     SymMatrix,
@@ -143,8 +142,6 @@ def test_is_psd_examples():
     # tiny negative curvature within tolerance counts as PSD
     assert is_psd(np.diag([1.0, -1e-12]))
     assert not is_psd(np.diag([1.0, -1e-6]))
-    with pytest.raises(InvalidInput):
-        is_psd(np.eye(2), psd_tol=-1.0)
 
 
 def test_null_complement_frozen_examples():
@@ -221,9 +218,6 @@ def test_factored_value_passes_through_and_keeps_its_pseudoinverse():
     assert pinv_via_basis(basis) is basis.pinv is pinv_via_basis(basis)
     assert basis.pinv_eigenvalues is basis.pinv_eigenvalues
     assert np.array_equal(basis.pinv.entries, pinv_via_basis(j).entries)
-    loose = as_ranked_svd(basis, 1e-3)
-    assert loose is not basis and loose.rank_tol_rel == 1e-3
-    assert np.array_equal(loose.matrix.entries, basis.matrix.entries)
 
 
 def test_stacked_calls_equal_single_calls_bit_for_bit():

@@ -9,22 +9,28 @@ from crbkit import (
     RankDeficientConstraint,
     SingularRestriction,
     TheoremCertificate,
+    as_ranked_svd,
     bound_traces,
     certificates_to_csv,
+    check_minimum_constraint,
     constrained_crb,
+    constrained_crbs,
     counterexample_check,
+    crb_exists,
     evaluate_constraints,
     is_psd,
     load_matrix,
     merge_certificates,
     null_complement,
     null_complements,
+    optimal_affine_constraint,
     pinv_via_basis,
     random_rank_deficient_psd,
     ranked_svd,
     sample_constraint_stacks,
     sample_minimum_constraints,
     sample_minimum_stack,
+    unconstrained_crb,
     verify_constraint_equivalence,
     verify_eigen_dominance,
     verify_min_rank,
@@ -333,7 +339,7 @@ def test_counterexample_fixture_values():
     assert np.allclose(np.diag(lhs), 1.0, atol=1e-12)
     diff = lhs - pinv_via_basis(J4).entries
     # indefinite difference: matrix order fails even though trace passes
-    assert not is_psd(diff, psd_tol=1e-6)
+    assert np.linalg.eigvalsh(diff)[0] < -1e-6
     assert np.isclose(np.trace(diff), 2.0, atol=1e-12)
     evals = np.linalg.eigvalsh(0.5 * (diff + diff.T))
     assert abs(evals[0] - (1.0 - np.sqrt(5.0)) / 2.0) <= 1e-12
@@ -454,14 +460,13 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
     A spec's svd null basis differs from the stack's qr one by roundoff, so U'JU moves by
     about eps ||J||_2, and each trace by c r eps (sigma_1 / mu_min) trace.
     """
-    tol = basis.rank_tol_rel
     specs = [ConstraintSpec(f_jac) for f_jac in stack.f_jacs]
     slack = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0] * np.array(bound_traces(stack))
     assert_same_certificate(
-        verify_trace_bound(basis, stack, margin_tol, tol), verify_trace_bound(basis, specs, margin_tol, tol), slack
+        verify_trace_bound(basis, stack, margin_tol), verify_trace_bound(basis, specs, margin_tol), slack
     )
-    dominance = verify_eigen_dominance(basis, stack, margin_tol, tol)
-    assert_same_certificate(dominance, verify_eigen_dominance(basis, stack.u, margin_tol, tol))
+    dominance = verify_eigen_dominance(basis, stack, margin_tol)
+    assert_same_certificate(dominance, verify_eigen_dominance(basis, stack.u, margin_tol))
     return dominance
 
 
@@ -482,9 +487,9 @@ def test_sampled_stack_spans_several_chunks():
     # at a loose cutoff draws are rejected, so 70 constraints take more than three chunks of 32
     rng = np.random.default_rng(44)
     basis = ranked_svd(random_rank_deficient_psd(6, 3, rng), 0.02)
-    chunks = list(sample_constraint_stacks(basis, 70, 5, 0.02))
+    chunks = list(sample_constraint_stacks(basis, 70, 5))
     assert len(chunks) > 3 and sum(len(labels) for _, labels in chunks) == 70
-    stack, labels = sample_minimum_stack(basis, 70, 5, 0.02)
+    stack, labels = sample_minimum_stack(basis, 70, 5)
     assert len(stack.f_jacs) == 70 and labels == [label for _, chunk in chunks for label in chunk]
     assert any(not label.endswith("retries=0") for label in labels)
     accepted = np.concatenate([chunk.f_jacs[chunk.is_minimum] for chunk, _ in chunks])
@@ -513,9 +518,38 @@ def test_a_passed_stack_keeps_the_checks():
     for other_j, tol in ((np.diag([3.0, 0.0]), 1e-10), (DIAG, 1e-8)):
         for verify in (verify_trace_bound, verify_eigen_dominance):
             with pytest.raises(InvalidInput, match="another J"):
-                verify(other_j, stack, 1e-9, tol)
+                verify(ranked_svd(other_j, tol), stack, 1e-9)
     # the same J, given as an array, is refactored and accepted
     assert_same_certificate(verify_trace_bound(DIAG, stack), verify_trace_bound(basis, stack))
+
+
+def test_every_function_follows_the_rank_rule_of_a_factored_j():
+    # rank 2 under the default cutoff 3e-10, rank 1 under 3e-6; J+ at rank 1 is diag(1, 0, 0)
+    j = np.diag([1.0, 1e-8, 0.0])
+    basis = ranked_svd(j, 1e-6)
+    assert basis.rank == 1 and as_ranked_svd(basis) is basis
+    assert pinv_via_basis(basis).trace == unconstrained_crb(basis).trace == 1.0
+    spec = optimal_affine_constraint(basis, np.zeros(3))
+    assert spec.n_constraints == 2
+    assert check_minimum_constraint(basis, spec).is_minimum
+    assert evaluate_constraints(basis, spec.f_jac[None]).is_minimum.tolist() == [True]
+    assert crb_exists(basis, spec) and np.isclose(constrained_crb(basis, spec).trace, 1.0, rtol=1e-12)
+    # F's row rank and U'JU's nonsingularity are decided at 1e-6 too
+    weak_row = ConstraintSpec(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-6]]))
+    assert not check_minimum_constraint(basis, weak_row).full_rank_jacobian
+    assert not crb_exists(basis, np.array([[0.0, 0.0, 1.0]]))
+    stack, labels = sample_minimum_stack(basis, 5, 3)
+    assert stack.basis is basis and stack.f_jacs.shape == (5, 2, 3)
+    assert [chunk_labels for _, chunk_labels in sample_constraint_stacks(basis, 5, 3)] == [labels]
+    assert [spec.label for spec in sample_minimum_constraints(basis, 5, 3)] == labels
+    assert np.allclose([report.trace for report in constrained_crbs(basis, stack.f_jacs)], bound_traces(stack))
+    # the basis's own stack is accepted without repeating its tolerance
+    assert verify_trace_bound(basis, stack).passed and verify_eigen_dominance(basis, stack).passed
+    assert verify_constraint_equivalence(basis, np.zeros(3), [basis.u_bar.T]).n_cases == 1
+    cert = verify_min_rank(basis, 5, 7, -np.inf)
+    expected = per_trial_min_rank(j, 5, 7, 1e-6)
+    assert [w.margin for w in cert.witnesses] == [margin for margin, _, _ in expected]
+    assert cert.witnesses[-1].margin == 1.0 - 1e-6
 
 
 def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
@@ -528,7 +562,7 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
 
     def eig_ratio(f_jac):
-        stack = evaluate_constraints(basis, f_jac[None], rank_tol_rel)
+        stack = evaluate_constraints(basis, f_jac[None])
         if stack.row_rank[0] < f_jac.shape[0]:
             raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
         evals = stack.utju_eigs[0]
@@ -547,7 +581,7 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
 
 
 def assert_min_rank_matches(j, trials, rng_seed, rank_tol_rel=1e-10):
-    cert = verify_min_rank(j, trials, rng_seed, -np.inf, rank_tol_rel)
+    cert = verify_min_rank(ranked_svd(j, rank_tol_rel), trials, rng_seed, -np.inf)
     expected = per_trial_min_rank(j, trials, rng_seed, rank_tol_rel)
     assert cert.n_cases == trials + 1 and cert.worst_margin == min(m for m, _, _ in expected)
     assert [(w.margin, w.label) for w in cert.witnesses] == [(m, label) for m, label, _ in expected]
@@ -574,7 +608,7 @@ def test_stacked_min_rank_raises_at_the_first_deficient_trial():
             per_trial_min_rank(j, 5, seed, 0.1)
         except RankDeficientConstraint as exc:
             with pytest.raises(RankDeficientConstraint) as stacked:
-                verify_min_rank(j, 5, seed, rank_tol_rel=0.1)
+                verify_min_rank(ranked_svd(j, 0.1), 5, seed)
             assert str(stacked.value) == str(exc)
             raised += 1
         else:
