@@ -20,6 +20,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -104,9 +105,13 @@ class CliError(Exception):
         self.code = code
 
 
+@functools.cache
+def _label_key(label: str) -> int:
+    return int.from_bytes(hashlib.sha256(label.encode("ascii")).digest()[:4], "big")
+
+
 def _derived_sequence(seed: int, label: str, index: int) -> np.random.SeedSequence:
-    key = int.from_bytes(hashlib.sha256(label.encode("ascii")).digest()[:4], "big")
-    return seed_sequence(seed, key, index)
+    return seed_sequence(seed, _label_key(label), index)
 
 
 def derived_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:

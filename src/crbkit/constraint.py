@@ -131,6 +131,15 @@ class ConstraintStack(NamedTuple):
     def is_minimum(self) -> np.ndarray:
         return self.full_rank_jacobian & self.utju_nonsingular & self.rank_sum_is_n
 
+    def details(self, i: int) -> dict:
+        """The ranks behind constraint i's flags and, for a full-rank F, U'JU's extreme eigenvalues."""
+        basis, evals = self.basis, self.utju_eigs[i]
+        details = {"rank_jacobian": int(self.row_rank[i]), "rank_fim": basis.rank, "param_dim": basis.dim}
+        if self.full_rank_jacobian[i] and evals.size:
+            details["utju_min_eig"] = float(evals[0])
+            details["utju_max_eig"] = float(evals[-1])
+        return details
+
 
 def evaluate_constraints(j, f_jacs) -> ConstraintStack:
     """Evaluate the three minimum-constraint requirements for a (k, m, n) stack."""
@@ -167,11 +176,7 @@ def check_minimum_constraint(j, spec: ConstraintSpec) -> MinConstraintReport:
         )
     stack = evaluate_constraints(basis, spec.f_jac[None])
     flags = [bool(flag[0]) for flag in stack[-3:]]  # full rank, U'JU nonsingular, rank sum n
-    details = {"rank_jacobian": int(stack.row_rank[0]), "rank_fim": basis.rank, "param_dim": basis.dim}
-    if flags[0] and stack.utju_eigs.shape[1]:
-        details["utju_min_eig"] = float(stack.utju_eigs[0, 0])
-        details["utju_max_eig"] = float(stack.utju_eigs[0, -1])
-    return MinConstraintReport(*flags, all(flags), details)
+    return MinConstraintReport(*flags, all(flags), stack.details(0))
 
 
 def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
@@ -244,12 +249,18 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[tuple[Con
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> tuple[ConstraintStack, list[str]]:
-    """The accepted draws of sample_constraint_stacks as one evaluated stack, with their labels."""
+    """The accepted draws of sample_constraint_stacks as one evaluated stack, with their labels.
+
+    A single chunk with no rejections is returned as it is.
+    """
     chunks, labels = [], []
     for stack, chunk_labels in sample_constraint_stacks(j, count, rng_seed):
-        chunks.append([field[stack.is_minimum] for field in stack[1:]])
+        chunks.append(stack)
         labels += chunk_labels
-    return ConstraintStack(stack.basis, *map(np.concatenate, zip(*chunks))), labels
+    if len(chunks) == 1 and len(labels) == len(stack.f_jacs):
+        return stack, labels
+    kept = [[field[chunk.is_minimum] for field in chunk[1:]] for chunk in chunks]
+    return ConstraintStack(stack.basis, *map(np.concatenate, zip(*kept))), labels
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:

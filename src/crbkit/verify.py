@@ -30,7 +30,6 @@ from .constraint import (
     ConstraintStack,
     check_minimum_constraint,
     evaluate_constraints,
-    optimal_affine_constraint,
 )
 from .crb import bound_traces
 from .errors import (
@@ -161,17 +160,23 @@ def _check_orthonormal(v: np.ndarray, name: str) -> None:
     """v is a tall matrix or a (k, n, r) stack of them, with orthonormal columns."""
     if v.ndim not in (2, 3) or v.shape[-1] > v.shape[-2]:
         raise InvalidInput(f"{name} must be a tall matrix or a stack of them, got shape {v.shape}")
-    gram = v.swapaxes(-1, -2) @ v
-    if not np.allclose(gram, np.eye(v.shape[-1]), rtol=0.0, atol=ORTHONORMAL_TOL):
+    error = np.abs(v.swapaxes(-1, -2) @ v - np.eye(v.shape[-1])).max(initial=0.0)
+    if not error <= ORTHONORMAL_TOL:  # a NaN error fails too
         raise InvalidInput(f"{name} columns are not orthonormal")
 
 
 def _evaluated_against(basis, stack: ConstraintStack) -> ConstraintStack:
     """stack, if it was evaluated against the J of basis under its rank rule."""
     other = stack.basis
+    if other is basis:
+        return stack
     if other.rank_tol_rel != basis.rank_tol_rel or not np.array_equal(other.matrix, basis.matrix):
         raise InvalidInput("constraint stack was evaluated against another J or rank_tol_rel")
     return stack
+
+
+def _not_minimum(idx: int, label: str, details: dict) -> str:
+    return f"constraint {idx} ({label or 'unlabeled'}) is not minimum: {details}"
 
 
 def verify_trace_bound(
@@ -191,23 +196,21 @@ def verify_trace_bound(
     basis = as_ranked_svd(j)
     if isinstance(specs, ConstraintStack):
         stack = _evaluated_against(basis, specs)
-        failed = np.flatnonzero(~stack.is_minimum).tolist()
     elif not specs:
         raise InvalidInput("certificate needs at least one case")
     else:
         # full row rank and rank F + rank J = n fix a minimum constraint's shape
         shape = (basis.dim - basis.rank, basis.dim)
-        failed = [idx for idx, spec in enumerate(specs) if spec.f_jac.shape != shape]
-        if not failed:
-            stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
-            failed = np.flatnonzero(~stack.is_minimum).tolist()
-    if failed:
-        idx = failed[0]
-        spec = ConstraintSpec(specs.f_jacs[idx]) if isinstance(specs, ConstraintStack) else specs[idx]
-        report = check_minimum_constraint(basis, spec)
-        raise NotMinimumConstraint(
-            f"constraint {idx} ({spec.label or 'unlabeled'}) is not minimum: {report.details}"
-        )
+        wrong = next((idx for idx, spec in enumerate(specs) if spec.f_jac.shape != shape), None)
+        if wrong is not None:
+            details = check_minimum_constraint(basis, specs[wrong]).details
+            raise NotMinimumConstraint(_not_minimum(wrong, specs[wrong].label, details))
+        stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
+    failed = np.flatnonzero(~stack.is_minimum)
+    if failed.size:
+        idx = int(failed[0])
+        label = "" if isinstance(specs, ConstraintStack) else specs[idx].label
+        raise NotMinimumConstraint(_not_minimum(idx, label, stack.details(idx)))
     base_trace = basis.pinv.trace
     margins = [trace - base_trace for trace in bound_traces(stack)]
     return _certify(
@@ -247,7 +250,8 @@ def verify_eigen_dominance(
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
     # 1/mu descends as mu ascends; past the wider of V and rank(J) both spectra are zero
     width = max(evals.shape[1], basis.rank)
-    lam_lhs = np.pad(1.0 / evals, ((0, 0), (0, width - evals.shape[1])))
+    lam_lhs = np.zeros((len(evals), width))
+    lam_lhs[:, : evals.shape[1]] = 1.0 / evals
     margins = (lam_lhs - basis.pinv_eigenvalues.values[:width]).ravel().tolist()
     return _certify(
         "eigen_dominance", margins,
@@ -297,9 +301,11 @@ def verify_constraint_equivalence(
     for idx, f_arr in enumerate(f_jacs):
         if f_arr.shape != (m, n):
             raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
-        if float(np.linalg.norm(f_arr @ basis.u_r)) > 1e-8 * float(np.linalg.norm(f_arr)):
-            raise InvalidInput(f"alternative {idx} does not annihilate the range basis")
-    stack = evaluate_constraints(basis, np.stack(f_jacs))
+    f_stack = np.stack(f_jacs)
+    stray = np.linalg.norm(f_stack @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(f_stack, axis=(1, 2))
+    if stray.any():
+        raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
+    stack = evaluate_constraints(basis, f_stack)
     if not np.all(stack.full_rank_jacobian):
         raise RankDeficientConstraint(min(stack.row_rank), m)
     if not np.all(stack.utju_nonsingular):
@@ -336,7 +342,7 @@ def verify_min_rank(
     rng = np.random.default_rng(seed_sequence(rng_seed))
     # each trial draws its row count, then its Jacobian
     f_jacs = [rng.standard_normal((int(rng.integers(0, n - rank)), n)) for _ in range(trials)]
-    f_jacs.append(optimal_affine_constraint(basis, np.zeros(n)).f_jac)
+    f_jacs.append(basis.u_bar.T)  # the optimal affine constraint's Jacobian
 
     # one evaluation per row count; the achievable constraint's n - rank rows are a count of their own
     rows = [f_jac.shape[0] for f_jac in f_jacs]

@@ -49,14 +49,18 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--out", str(tmp_path / "e")]
     assert main(argv) == 0
     assert main(["certify", "--count", "5", "--seed", "11", "--out", str(tmp_path / "c")]) == 0
+    # 40 constraints take two sampler chunks, so this run goes through their concatenation
+    argv = ["certify", "--input", j_path, "--count", "40", "--seed", "2", "--out", str(tmp_path / "c2")]
+    assert main(argv) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("a/j.matx", "e/traces.csv", "c/certificates.csv")
+        for name in ("a/j.matx", "e/traces.csv", "c/certificates.csv", "c2/certificates.csv")
     }
     assert digests == {
         "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "e/traces.csv": "4999e91c992a1a5697ed7e7ee8d0918ce050501e6051b5331f95213a998ff5ce",
         "c/certificates.csv": "58e01bd1b62ff1decb92a91b24624f8cb0ee2259bf7195ba2ae41dd30390c701",
+        "c2/certificates.csv": "b062559b21f04970c182db75df8ac13510be90b4ab8c7e4dbbf4f1576bd1b006",
     }
     for key in [(), (3,), (1234, 5)]:
         old = np.random.SeedSequence(entropy=11, spawn_key=key).generate_state(4)

@@ -5,6 +5,7 @@ import crbkit.constraint as constraint_module
 from crbkit import (
     BlindChannelModel,
     ConstraintSpec,
+    ConstraintStack,
     FullRankFim,
     InvalidInput,
     SamplingExhausted,
@@ -20,6 +21,7 @@ from crbkit import (
     ranked_svd,
     sample_constraint_stacks,
     sample_minimum_constraints,
+    sample_minimum_stack,
     save_constraint_spec,
 )
 from util import make_psd, random_orthonormal
@@ -272,3 +274,24 @@ def test_sampled_flags_follow_the_row_rank_rule():
         for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
             assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
         assert np.all(stack.full_rank_jacobian) == np.any(stack.full_rank_jacobian) == (tol < 0.25)
+
+
+def test_sampled_stack_equals_its_filtered_chunks():
+    # a lone chunk with no rejections is returned as it is; rejections (here under a loose cutoff)
+    # and counts above CONSTRAINT_CHUNK take the filter and the concatenation
+    rng = np.random.default_rng(8)
+    cases = [  # basis, count, one chunk, some draw rejected
+        (ranked_svd(make_psd(rng, 5, 2)), 20, True, False),
+        (ranked_svd(make_psd(rng, 6, 3), 0.05), 20, False, True),
+        (ranked_svd(make_psd(rng, 5, 2)), 40, False, False),
+    ]
+    for basis, count, one_chunk, rejected in cases:
+        chunks = list(sample_constraint_stacks(basis, count, 11))
+        assert len(chunks) == 1 if one_chunk else len(chunks) > 1
+        assert any(not np.all(chunk.is_minimum) for chunk, _ in chunks) == rejected
+        stack, labels = sample_minimum_stack(basis, count, 11)
+        assert stack.basis is basis
+        assert labels == [label for _, chunk_labels in chunks for label in chunk_labels]
+        for name in ConstraintStack._fields[1:]:
+            reference = np.concatenate([getattr(chunk, name)[chunk.is_minimum] for chunk, _ in chunks])
+            assert len(reference) == count and np.array_equal(getattr(stack, name), reference), name

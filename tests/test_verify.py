@@ -39,6 +39,7 @@ from crbkit import (
     write_certificate_witnesses,
 )
 from crbkit.crb import _bounds
+from crbkit.verify import ORTHONORMAL_TOL, _check_orthonormal
 from util import make_psd, random_orthonormal
 
 EPS = np.finfo(float).eps
@@ -113,6 +114,29 @@ def test_eigen_dominance_rejects_non_orthonormal_v():
         verify_eigen_dominance(DIAG, np.array([[2.0], [0.0]]))
     with pytest.raises(InvalidInput):
         verify_eigen_dominance(DIAG, np.array([[1.0, 0.0]]))
+
+
+def test_orthonormality_guard_edges():
+    # an off-diagonal Gram entry of exactly t: tilted[0, 1] = t gives (V'V)[0, 1] = t and (V'V)[1, 1] = 1
+    frame = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    _check_orthonormal(frame, "v")
+    _check_orthonormal(np.zeros((3, 0)), "v")
+    _check_orthonormal(np.zeros((2, 3, 0)), "v")
+    tilted = frame.copy()
+    tilted[0, 1] = np.nextafter(ORTHONORMAL_TOL, 0.0)
+    _check_orthonormal(tilted, "v")
+    _check_orthonormal(np.stack([frame, tilted]), "v")
+    tilted[0, 1] = np.nextafter(ORTHONORMAL_TOL, 1.0)
+    with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
+        _check_orthonormal(tilted, "v")
+    with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
+        _check_orthonormal(np.stack([frame, tilted]), "v")
+    broken = frame.copy()
+    broken[2, 0] = np.nan
+    with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
+        _check_orthonormal(broken, "v")
+    with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
+        verify_eigen_dominance(DIAG, np.array([[np.nan], [0.0]]))
 
 
 def per_frame_dominance(basis, frames, margin_tol=1e-9):
@@ -287,6 +311,14 @@ def test_equivalence_rejects_small_jacobians_that_do_not_annihilate_the_range():
     for f_jac in (1e-9 * np.array([[1.0, 1.0]]), 1e-9 * np.array([[1.0, 0.0]])):
         with pytest.raises(InvalidInput, match="alternative 0 does not annihilate the range basis"):
             verify_constraint_equivalence(DIAG, np.zeros(2), [f_jac])
+
+
+def test_equivalence_names_the_first_alternative_that_does_not_annihilate():
+    good, bad = np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])
+    with pytest.raises(InvalidInput, match="alternative 1 does not annihilate the range basis"):
+        verify_constraint_equivalence(DIAG, np.zeros(2), [good, bad, bad])
+    with pytest.raises(InvalidInput, match="alternative 2 has shape"):
+        verify_constraint_equivalence(DIAG, np.zeros(2), [good, good, np.eye(2)])
 
 
 def test_equivalence_margins_equal_one_constrained_bound_at_a_time():
@@ -521,6 +553,51 @@ def test_a_passed_stack_keeps_the_checks():
                 verify(ranked_svd(other_j, tol), stack, 1e-9)
     # the same J, given as an array, is refactored and accepted
     assert_same_certificate(verify_trace_bound(DIAG, stack), verify_trace_bound(basis, stack))
+
+
+def test_a_stack_is_checked_against_the_values_of_j():
+    basis = ranked_svd(DIAG)
+    stack, _ = sample_minimum_stack(basis, 5, 3)
+    twin = ranked_svd(DIAG)
+    assert twin is not basis
+    for verify in (verify_trace_bound, verify_eigen_dominance):
+        assert_same_certificate(verify(twin, stack, -np.inf), verify(basis, stack, -np.inf))
+        for other in (ranked_svd(np.diag([3.0, 0.0])), ranked_svd(DIAG, 1e-8)):
+            with pytest.raises(InvalidInput, match="another J"):
+                verify(other, stack)
+
+
+def test_a_rejected_draw_is_reported_from_its_own_chunk():
+    # under a loose cutoff some draws leave U'JU singular; the error carries the row rank and
+    # U'JU extremes of the chunk's own qr-route evaluation
+    basis = ranked_svd(random_rank_deficient_psd(6, 3, np.random.default_rng(48)), 0.05)
+    chunk = next(chunk for chunk, _ in sample_constraint_stacks(basis, 20, 9) if not np.all(chunk.is_minimum))
+    idx = int(np.argmin(chunk.is_minimum))
+    evals = chunk.utju_eigs[idx]
+    details = {
+        "rank_jacobian": int(chunk.row_rank[idx]), "rank_fim": 3, "param_dim": 6,
+        "utju_min_eig": float(evals[0]), "utju_max_eig": float(evals[-1]),
+    }
+    assert details["rank_jacobian"] == 3 and not chunk.utju_nonsingular[idx]
+    with pytest.raises(NotMinimumConstraint) as raised:
+        verify_trace_bound(basis, chunk)
+    assert str(raised.value) == f"constraint {idx} (unlabeled) is not minimum: {details}"
+
+
+def test_a_non_minimum_spec_is_reported_with_the_details_of_check_minimum_constraint():
+    # F's null space holds a range direction and a null direction of J, so U'JU is singular
+    basis = ranked_svd(make_psd(np.random.default_rng(49), 5, 2))
+    bad = np.vstack([basis.u_r[:, :1].T, basis.u_bar[:, :2].T])
+    specs = [ConstraintSpec(basis.u_bar.T), ConstraintSpec(bad, label="mixed")]
+    report = check_minimum_constraint(basis, specs[1])
+    assert not report.utju_nonsingular and "utju_min_eig" in report.details
+    with pytest.raises(NotMinimumConstraint) as raised:
+        verify_trace_bound(basis, specs)
+    assert str(raised.value) == f"constraint 1 (mixed) is not minimum: {report.details}"
+    stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
+    with pytest.raises(NotMinimumConstraint) as raised:
+        verify_trace_bound(basis, stack)
+    assert str(raised.value) == f"constraint 1 (unlabeled) is not minimum: {report.details}"
 
 
 def test_every_function_follows_the_rank_rule_of_a_factored_j():
