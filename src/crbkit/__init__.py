@@ -49,15 +49,13 @@ from .matx import dump_matrix, load_matrix, parse_matrix, save_matrix
 from .statmodel import (
     BlindChannelModel,
     GaussianMeanModel,
-    Model,
     blind_channel_mean_jac,
     convolve,
-    finite_difference_score,
     gaussian_location,
     scalar_ambiguity_direction,
 )
 from .fim import FimEstimate, fim_gaussian_mean, fim_monte_carlo
-from .crb import CrbReport, bound_traces, constrained_crb, constrained_crbs, crb_exists, unconstrained_crb
+from .crb import CrbReport, bound_traces, constrained_crb, unconstrained_crb
 from .constraint import (
     ConstraintSpec,
     ConstraintStack,

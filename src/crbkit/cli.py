@@ -254,6 +254,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             theta = np.array([float(v) for v in file_values["theta"].split()])
         except ValueError as exc:
             raise InvalidInput(f"config key theta is not a vector: {file_values['theta']!r}") from exc
+        if not np.all(np.isfinite(theta)):
+            raise InvalidInput(f"config key theta has non-finite entries: {file_values['theta']!r}")
 
     settings = {}  # a file value is parsed even where a flag overrides it, so a malformed file is refused
     for key, setting in SETTINGS.items():

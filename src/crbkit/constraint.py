@@ -31,9 +31,6 @@ from .matlin import (
 )
 from .matx import _parse_block, dump_matrix, format_float
 
-# Consistency tolerance for f(theta0) = 0 of an affine constraint.
-AFFINE_CONSISTENCY_TOL = 1e-9
-
 # Rejection budget: sampling gives up after 100 * count consecutive misses.
 REJECTION_BUDGET_FACTOR = 100
 
@@ -48,15 +45,12 @@ class ConstraintSpec:
     """Constraint identified by its Jacobian, with optional affine data.
 
     f_jac is (m, n) with m <= n. offset, when present, makes the
-    constraint globally affine: f(theta) = f_jac @ theta + offset. If an
-    evaluation point is also declared, f(eval_point) = 0 is checked at
-    construction.
+    constraint globally affine: f(theta) = f_jac @ theta + offset.
     """
 
     f_jac: np.ndarray
     offset: np.ndarray | None = None
     label: str = ""
-    eval_point: np.ndarray | None = None
 
     def __post_init__(self):
         jac = np.asarray(self.f_jac, dtype=float)
@@ -68,19 +62,11 @@ class ConstraintSpec:
         if n == 0 or m > n:
             raise InvalidInput(f"f_jac shape {jac.shape} must satisfy 0 <= m <= n, n >= 1")
         object.__setattr__(self, "f_jac", _freeze(jac))
-        for name, size in (("offset", m), ("eval_point", n)):
-            value = getattr(self, name)
-            if value is not None:
-                value = np.asarray(value, dtype=float).ravel()
-                if value.size != size:
-                    raise InvalidInput(f"{name} must have length {size}, got {value.size}")
-                object.__setattr__(self, name, _freeze(value))
-        if self.offset is not None and self.eval_point is not None and m:
-            resid = float(np.max(np.abs(self.f_jac @ self.eval_point + self.offset)))
-            if resid > AFFINE_CONSISTENCY_TOL:
-                raise InvalidInput(
-                    f"affine constraint violated at eval_point: |f(theta0)| = {resid:.3e}"
-                )
+        if self.offset is not None:
+            offset = np.asarray(self.offset, dtype=float).ravel()
+            if offset.size != m:
+                raise InvalidInput(f"offset must have length {m}, got {offset.size}")
+            object.__setattr__(self, "offset", _freeze(offset))
 
     @property
     def n_constraints(self) -> int:
@@ -194,12 +180,7 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     if basis.rank == basis.dim:
         raise FullRankFim("J is numerically nonsingular; no constraint is needed")
     f_jac = basis.u_bar.T
-    return ConstraintSpec(
-        f_jac=f_jac,
-        offset=-f_jac @ point,
-        label="optimal-affine",
-        eval_point=point,
-    )
+    return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
 
 def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[tuple[ConstraintStack, list[str]]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraint import ConstraintSpec, ConstraintStack, evaluate_constraints
-from .errors import InvalidInput, RankDeficientConstraint
+from .errors import RankDeficientConstraint
 from .matlin import EigenSpectrum, SymMatrix, _bounds, as_ranked_svd
 
 
@@ -60,13 +60,6 @@ def unconstrained_crb(j) -> CrbReport:
     )
 
 
-def _resolve_constraint(constraint) -> tuple[np.ndarray, str]:
-    if isinstance(constraint, ConstraintSpec):
-        label = "affine" if constraint.offset is not None else "jacobian-only"
-        return constraint.f_jac, label
-    return np.asarray(constraint, dtype=float), "jacobian-only"
-
-
 def _bound_spectra(stack: ConstraintStack) -> np.ndarray:
     """The nonzero eigenvalues 1/mu of each bound, descending, (k, n - m); nan where none exists.
 
@@ -81,50 +74,31 @@ def bound_traces(stack: ConstraintStack) -> list[float]:
     return [float(trace) if ok else math.inf for trace, ok in zip(traces, stack.utju_nonsingular)]
 
 
-def constrained_crbs(j, constraints) -> list[CrbReport]:
-    """Bounds under constraints of one shape, from stacked LAPACK calls.
-
-    Each constraint is a Jacobian or a ConstraintSpec. Computes
-    U (U'JU)^-1 U' over each constraint's null basis U when the restricted
-    information is nonsingular, with its trace and eigenvalues read from
-    the spectrum of U'JU; otherwise reports a nonexistent (infinite)
-    bound. Raises RankDeficientConstraint when a Jacobian's rows are
-    dependent.
-    """
-    basis = as_ranked_svd(j)
-    resolved = [_resolve_constraint(c) for c in constraints]
-    shapes = sorted({f_jac.shape for f_jac, _ in resolved})
-    if len(shapes) != 1 or len(shapes[0]) != 2 or shapes[0][1] != basis.dim:
-        raise InvalidInput(
-            f"constraint Jacobian shapes {shapes} are not one shape (m, {basis.dim}) matching J"
-        )
-    stack = evaluate_constraints(basis, np.stack([f_jac for f_jac, _ in resolved]))
-    if not np.all(stack.full_rank_jacobian):
-        raise RankDeficientConstraint(min(stack.row_rank), shapes[0][0])
-    exists = stack.utju_nonsingular
-    bounds = _bounds(stack.u, stack.restricted, exists)
-    zeros = np.zeros(shapes[0][0])
-    reports = []
-    for (_, used), u, bound, lam, ok in zip(resolved, stack.u, bounds, _bound_spectra(stack), exists):
-        reports.append(CrbReport(
-            bound=SymMatrix(bound) if ok else None,
-            exists=bool(ok),
-            trace=float(lam.sum()) if ok else math.inf,
-            eigenvalues=EigenSpectrum(np.concatenate([lam, zeros])) if ok else None,
-            constraint_used=used,
-            u_projector=SymMatrix(u @ u.T),
-        ))
-    return reports
-
-
 def constrained_crb(j, constraint) -> CrbReport:
     """Bound under one constraint, a Jacobian or a ConstraintSpec.
 
-    The k = 1 call of constrained_crbs.
+    Computes U (U'JU)^-1 U' over the constraint's null basis U when the
+    restricted information is nonsingular, with its trace and eigenvalues
+    read from the spectrum of U'JU; otherwise reports a nonexistent
+    (infinite) bound. Raises RankDeficientConstraint when the Jacobian's
+    rows are dependent.
     """
-    return constrained_crbs(j, [constraint])[0]
-
-
-def crb_exists(j, constraint) -> bool:
-    """True iff the constrained bound is finite: U'JU numerically nonsingular."""
-    return constrained_crb(j, constraint).exists
+    if isinstance(constraint, ConstraintSpec):
+        f_jac, used = constraint.f_jac, "affine" if constraint.offset is not None else "jacobian-only"
+    else:
+        f_jac, used = np.asarray(constraint, dtype=float), "jacobian-only"
+    stack = evaluate_constraints(j, f_jac[None])
+    if not stack.full_rank_jacobian[0]:
+        raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
+    ok = bool(stack.utju_nonsingular[0])
+    bound = _bounds(stack.u, stack.restricted, stack.utju_nonsingular)[0]
+    lam = _bound_spectra(stack)[0]
+    u = stack.u[0]
+    return CrbReport(
+        bound=SymMatrix(bound) if ok else None,
+        exists=ok,
+        trace=float(lam.sum()) if ok else math.inf,
+        eigenvalues=EigenSpectrum(np.concatenate([lam, np.zeros(f_jac.shape[0])])) if ok else None,
+        constraint_used=used,
+        u_projector=SymMatrix(u @ u.T),
+    )

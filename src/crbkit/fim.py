@@ -1,27 +1,23 @@
-"""Fisher information matrices: analytic Gaussian-mean form and Monte Carlo.
+"""Fisher information of Gaussian-mean models: analytic and Monte Carlo.
 
 The analytic route computes G' Sigma^-1 G from the mean Jacobian. The
 Monte-Carlo route averages score outer products over simulated
 observations with a deterministic, partition-derived random stream, so
 the result is reproducible for a given seed regardless of how the work
-would be split across workers.
-
-For a Gaussian-mean model the score of y = mu + L z is (L^-1 G)' z, so
-a partition of k draws is one (k, obs_dim) normal draw times L^-1 G and
-two matrix products; every other model is sampled and scored one draw
-at a time. Both routes give sample i the same z.
+would be split across workers. The score of y = mu + L z is (L^-1 G)' z,
+so a partition of k draws is one (k, obs_dim) normal draw times L^-1 G
+and two matrix products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
 from .matlin import SymMatrix, seed_sequence
-from .statmodel import GaussianMeanModel, Model, finite_difference_score
+from .statmodel import GaussianMeanModel
 
 # Samples per derived stream; the stream for partition p is seeded from
 # (rng_seed, p), and partitions are reduced in index order.
@@ -68,18 +64,16 @@ def fim_gaussian_mean(model: GaussianMeanModel, theta) -> FimEstimate:
 
 
 def fim_monte_carlo(
-    model: Model, theta, n_samples: int, rng_seed: int
+    model: GaussianMeanModel, theta, n_samples: int, rng_seed: int
 ) -> FimEstimate:
     """Monte-Carlo Fisher information from score outer products.
 
-    A GaussianMeanModel is sampled a partition at a time: its scores are
-    the rows of Z @ solve(L, G) for a (k, obs_dim) standard-normal draw Z,
-    with L the Cholesky factor of the noise covariance and G the mean
-    Jacobian at theta. That draw consumes the partition's stream exactly
-    as k sequential standard_normal(obs_dim) draws, so sample i sees the
-    same z as under model.sample. Other models are sampled one draw at a
-    time with the model's analytic score when available and a central
-    finite-difference score otherwise.
+    The model is sampled a partition at a time: its scores are the rows
+    of Z @ solve(L, G) for a (k, obs_dim) standard-normal draw Z, with L
+    the Cholesky factor of the noise covariance and G the mean Jacobian
+    at theta. That draw consumes the partition's stream exactly as k
+    sequential standard_normal(obs_dim) draws, so sample i sees the same
+    z as under model.sample.
 
     The sample mean is symmetrized and its negative eigenvalues are
     clipped to zero so downstream positive-semidefinite preconditions
@@ -88,35 +82,18 @@ def fim_monte_carlo(
     """
     if n_samples < MIN_MC_SAMPLES:
         raise InvalidInput(f"n_samples must be at least {MIN_MC_SAMPLES}, got {n_samples}")
-    th = np.asarray(theta, dtype=float).ravel()
-    if th.size != model.param_dim:
-        raise InvalidInput(f"theta must have length {model.param_dim}, got {th.size}")
+    # score(mean + L z) = G' Sigma^-1 L z = (L^-1 G)' z
+    whitened_jac = np.linalg.solve(model._chol, model.jac_at(theta))
 
     dim = model.param_dim
-    if isinstance(model, GaussianMeanModel):
-        # score(mean + L z) = G' Sigma^-1 L z = (L^-1 G)' z
-        whitened_jac = np.linalg.solve(model._chol, model.jac_at(th))
-
-        def draw_scores(rng, count):
-            return rng.standard_normal((count, model.obs_dim)) @ whitened_jac
-    else:
-        score_fn = getattr(model, "score", None) or partial(finite_difference_score, model)
-
-        def draw_scores(rng, count):
-            scores = np.empty((count, dim))
-            for i in range(count):
-                scores[i] = np.asarray(score_fn(model.sample(th, rng), th), dtype=float).ravel()
-                if not np.all(np.isfinite(scores[i])):
-                    return scores[: i + 1]  # the caller reports this sample
-            return scores
-
     total = np.zeros((dim, dim))
     total_sq = np.zeros((dim, dim))
     n_partitions = (n_samples + PARTITION_SIZE - 1) // PARTITION_SIZE
     drawn = 0
     for part in range(n_partitions):
         count = min(PARTITION_SIZE, n_samples - drawn)
-        scores = draw_scores(np.random.default_rng(seed_sequence(rng_seed, part)), count)
+        rng = np.random.default_rng(seed_sequence(rng_seed, part))
+        scores = rng.standard_normal((count, model.obs_dim)) @ whitened_jac
         finite = np.isfinite(scores).all(axis=1)
         if not finite.all():
             index = drawn + int(np.argmin(finite))

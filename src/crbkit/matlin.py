@@ -120,10 +120,6 @@ class RankedSvd:
         """Orthogonal projector U_r U_r' onto the numerical range."""
         return self.u_r @ self.u_r.T
 
-    def null_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the numerical null space."""
-        return self.u_bar @ self.u_bar.T
-
     @cached_property
     def pinv(self) -> SymMatrix:
         """Moore-Penrose pseudoinverse U_r (U_r' J U_r)^-1 U_r' by _bounds; zero for rank 0."""

@@ -1,38 +1,20 @@
 """Statistical observation models.
 
 Two concrete families: Gaussian models whose mean depends on the
-parameter through a differentiable map, and the blind single-channel
-model y = s * h + noise whose scalar exchange (a*s, h/a) makes the
-Fisher information singular with a one-dimensional null space.
+parameter through a differentiable map, each with its mean Jacobian,
+samples and analytic score, and the blind single-channel model
+y = s * h + noise whose scalar exchange (a*s, h/a) makes the Fisher
+information singular with a one-dimensional null space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidInput, InvalidModel
-
-# Step scale for finite-difference scores: h_i = FD_STEP * (1 + |theta_i|).
-FD_STEP = 1e-5
-
-
-@runtime_checkable
-class Model(Protocol):
-    """Sampling model with a differentiable log density.
-
-    score is optional; callers fall back to finite differences of
-    log_density when it is absent.
-    """
-
-    param_dim: int
-    obs_dim: int
-
-    def log_density(self, y, theta) -> float: ...
-
-    def sample(self, theta, rng: np.random.Generator) -> np.ndarray: ...
 
 
 def _as_vector(values, size: int | None, name: str) -> np.ndarray:
@@ -120,8 +102,6 @@ class GaussianMeanModel:
         cov.flags.writeable = False
         object.__setattr__(self, "noise_cov", cov)
         object.__setattr__(self, "_chol", chol)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        object.__setattr__(self, "_log_norm", -0.5 * (self.obs_dim * np.log(2.0 * np.pi) + log_det))
 
     def mean_at(self, theta) -> np.ndarray:
         th = _as_vector(theta, self.param_dim, "theta")
@@ -136,24 +116,15 @@ class GaussianMeanModel:
             )
         return jac
 
-    def _solve_noise(self, resid: np.ndarray) -> np.ndarray:
-        # noise_cov^-1 resid via the stored Cholesky factor
-        z = np.linalg.solve(self._chol, resid)
-        return np.linalg.solve(self._chol.T, z)
-
-    def log_density(self, y, theta) -> float:
-        obs = _as_vector(y, self.obs_dim, "y")
-        resid = obs - self.mean_at(theta)
-        z = np.linalg.solve(self._chol, resid)
-        return float(self._log_norm - 0.5 * z @ z)
-
     def sample(self, theta, rng: np.random.Generator) -> np.ndarray:
         return self.mean_at(theta) + self._chol @ rng.standard_normal(self.obs_dim)
 
     def score(self, y, theta) -> np.ndarray:
         obs = _as_vector(y, self.obs_dim, "y")
         resid = obs - self.mean_at(theta)
-        return self.jac_at(theta).T @ self._solve_noise(resid)
+        # noise_cov^-1 resid via the stored Cholesky factor
+        z = np.linalg.solve(self._chol, resid)
+        return self.jac_at(theta).T @ np.linalg.solve(self._chol.T, z)
 
 
 def gaussian_location(dim: int, noise_var: float = 1.0) -> GaussianMeanModel:
@@ -208,16 +179,3 @@ class BlindChannelModel(GaussianMeanModel):
     def ambiguity_direction(self, theta) -> np.ndarray:
         return scalar_ambiguity_direction(theta, self.dims)
 
-
-def finite_difference_score(model: Model, y, theta) -> np.ndarray:
-    """Central finite-difference gradient of log_density in theta."""
-    th = np.asarray(theta, dtype=float).ravel()
-    grad = np.empty(th.size)
-    for i in range(th.size):
-        step = FD_STEP * (1.0 + abs(th[i]))
-        up = th.copy()
-        up[i] += step
-        down = th.copy()
-        down[i] -= step
-        grad[i] = (model.log_density(y, up) - model.log_density(y, down)) / (2.0 * step)
-    return grad

@@ -25,12 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import (
-    ConstraintSpec,
-    ConstraintStack,
-    check_minimum_constraint,
-    evaluate_constraints,
-)
+from .constraint import ConstraintStack, evaluate_constraints
 from .crb import bound_traces
 from .errors import (
     InvalidInput,
@@ -175,42 +170,25 @@ def _evaluated_against(basis, stack: ConstraintStack) -> ConstraintStack:
     return stack
 
 
-def _not_minimum(idx: int, label: str, details: dict) -> str:
-    return f"constraint {idx} ({label or 'unlabeled'}) is not minimum: {details}"
-
-
 def verify_trace_bound(
     j,
-    specs: list[ConstraintSpec] | ConstraintStack,
+    stack: ConstraintStack,
     margin_tol: float = DEFAULT_MARGIN_TOL,
 ) -> TheoremCertificate:
     """Check tr(constrained CRB) >= tr(pinv J) for minimum constraints.
 
-    specs is a list of ConstraintSpecs, checked and bounded in one stacked
-    evaluation, or a ConstraintStack evaluated against J (as
-    sample_minimum_stack returns it), whose null bases and U'JU are used
-    as they are. Raises NotMinimumConstraint when some constraint fails
-    its preconditions, and InvalidInput for a stack evaluated against
-    another J or rank rule.
+    stack is a ConstraintStack evaluated against J (as
+    evaluate_constraints or sample_minimum_stack returns it), whose null
+    bases and U'JU are used as they are. Raises NotMinimumConstraint when
+    some constraint fails its preconditions, and InvalidInput for a stack
+    evaluated against another J or rank rule.
     """
     basis = as_ranked_svd(j)
-    if isinstance(specs, ConstraintStack):
-        stack = _evaluated_against(basis, specs)
-    elif not specs:
-        raise InvalidInput("certificate needs at least one case")
-    else:
-        # full row rank and rank F + rank J = n fix a minimum constraint's shape
-        shape = (basis.dim - basis.rank, basis.dim)
-        wrong = next((idx for idx, spec in enumerate(specs) if spec.f_jac.shape != shape), None)
-        if wrong is not None:
-            details = check_minimum_constraint(basis, specs[wrong]).details
-            raise NotMinimumConstraint(_not_minimum(wrong, specs[wrong].label, details))
-        stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
+    stack = _evaluated_against(basis, stack)
     failed = np.flatnonzero(~stack.is_minimum)
     if failed.size:
         idx = int(failed[0])
-        label = "" if isinstance(specs, ConstraintStack) else specs[idx].label
-        raise NotMinimumConstraint(_not_minimum(idx, label, stack.details(idx)))
+        raise NotMinimumConstraint(f"constraint {idx} (unlabeled) is not minimum: {stack.details(idx)}")
     base_trace = basis.pinv.trace
     margins = [trace - base_trace for trace in bound_traces(stack)]
     return _certify(

@@ -211,6 +211,16 @@ def test_non_ascii_input_exits_2(tmp_path, capsys, input_name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fim_method", ["analytic", "monte_carlo"])
+@pytest.mark.parametrize("theta", ["nan 1 1 1 1 1", "1 1 inf 1 1 1", "1 1 1 1 1 -inf"])
+def test_non_finite_theta_exits_2(tmp_path, capsys, theta, fim_method):
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text(f"model = blind_channel\nfim_method = {fim_method}\ntheta = {theta}\n")
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: resolving configuration: config key theta has non-finite entries: {theta!r}\n"
+
+
 def test_flags_override_config_values(tmp_path):
     cfg = tmp_path / "model.cfg"
     cfg.write_text("model = blind_channel\nseed = 3\n")

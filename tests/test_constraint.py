@@ -162,19 +162,10 @@ def test_constraint_spec_validation():
         ConstraintSpec(np.array([[1.0, np.nan]]))
     with pytest.raises(InvalidInput):
         ConstraintSpec(np.array([[1.0, 0.0]]), offset=np.array([1.0, 2.0]))
-    with pytest.raises(InvalidInput):
-        ConstraintSpec(
-            np.array([[1.0, 0.0]]),
-            offset=np.array([0.0]),
-            eval_point=np.array([3.0, 0.0]),
-        )
-    consistent = ConstraintSpec(
-        np.array([[1.0, 0.0]]),
-        offset=np.array([-3.0]),
-        eval_point=np.array([3.0, 0.0]),
-    )
-    assert consistent.n_constraints == 1
-    assert consistent.param_dim == 2
+    affine = ConstraintSpec(np.array([[1.0, 0.0]]), offset=np.array([[-3.0]]))
+    assert affine.offset.shape == (1,)
+    assert affine.n_constraints == 1
+    assert affine.param_dim == 2
 
 
 def test_constraint_file_roundtrip(tmp_path):

@@ -10,8 +10,6 @@ from crbkit import (
     bound_traces,
     check_minimum_constraint,
     constrained_crb,
-    constrained_crbs,
-    crb_exists,
     evaluate_constraints,
     is_psd,
     optimal_affine_constraint,
@@ -74,9 +72,9 @@ def test_constrained_frozen_examples():
 
 def test_crb_exists_examples():
     j = np.diag([2.0, 0.0])
-    assert crb_exists(j, np.array([[0.0, 1.0]]))
-    assert not crb_exists(j, np.array([[1.0, 0.0]]))
-    assert crb_exists(np.eye(2), np.array([[1.0, 0.0]]))
+    assert constrained_crb(j, np.array([[0.0, 1.0]])).exists
+    assert not constrained_crb(j, np.array([[1.0, 0.0]])).exists
+    assert constrained_crb(np.eye(2), np.array([[1.0, 0.0]])).exists
 
 
 def test_constraint_used_provenance():
@@ -156,7 +154,9 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(InvalidInput):
         constrained_crb(np.eye(3), np.array([[1.0, 0.0]]))
     with pytest.raises(InvalidInput):
-        crb_exists(np.eye(3), np.array([[1.0, 0.0]]))
+        constrained_crb(np.eye(3), ConstraintSpec(np.array([[1.0, 0.0]])))
+    with pytest.raises(InvalidInput):
+        constrained_crb(np.eye(2), np.array([1.0, 0.0]))
 
 
 def test_dependent_constraint_rows_rejected():
@@ -174,14 +174,16 @@ def test_stacked_bounds_match_single_calls_bit_for_bit():
             assert basis.rank == n - nullity
             specs = sample_minimum_constraints(basis, 2, n * 100 + nullity)
             stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
-            stacked = constrained_crbs(basis, specs)
+            bounds = _bounds(stack.u, stack.restricted, stack.utju_nonsingular)
             traces = bound_traces(stack)
             for i, spec in enumerate(specs):
                 single = constrained_crb(j, spec)
-                assert np.array_equal(stacked[i].bound.entries, single.bound.entries)
-                assert stacked[i].trace == single.trace == traces[i]
-                assert np.array_equal(stacked[i].eigenvalues.values, single.eigenvalues.values)
-                assert np.array_equal(stacked[i].u_projector.entries, single.u_projector.entries)
+                assert np.array_equal(single.bound.entries, bounds[i])
+                assert single.trace == traces[i]
+                lam = single.eigenvalues.values
+                assert np.array_equal(lam[: n - nullity], 1.0 / stack.utju_eigs[i])
+                assert np.all(lam[n - nullity :] == 0.0)
+                assert np.array_equal(single.u_projector.entries, stack.u[i] @ stack.u[i].T)
                 # one matrix at a time in plain numpy
                 u = np.linalg.svd(spec.f_jac)[2][nullity:].T
                 restricted = u.T @ basis.matrix.entries @ u
@@ -211,7 +213,7 @@ def test_spectral_traces_and_eigenvalues_agree_with_the_n_by_n_route():
             traces = np.array(bound_traces(stack))
             assert np.all(np.abs(traces - np.trace(bounds, axis1=1, axis2=2)) <= 10 * rank * EPS * cond * traces)
 
-            reports = constrained_crbs(basis, list(stack.f_jacs))
+            reports = [constrained_crb(basis, f_jac) for f_jac in stack.f_jacs]
             restricted = evaluate_constraints(basis, stack.f_jacs).utju_eigs
             for report, evals in zip(reports, restricted):
                 lam = report.eigenvalues.values
@@ -225,12 +227,14 @@ def test_spectral_traces_and_eigenvalues_agree_with_the_n_by_n_route():
 
 def test_stacked_bounds_report_missing_bounds_and_dependent_rows():
     j = np.diag([2.0, 0.0])
-    pinned, useless = constrained_crbs(j, [np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])])
+    f_jacs = np.array([[[0.0, 1.0]], [[1.0, 0.0]]])
+    pinned, useless = (constrained_crb(j, f_jac) for f_jac in f_jacs)
     assert pinned.exists and np.allclose(pinned.bound.entries, np.diag([0.5, 0.0]))
     assert not useless.exists and useless.bound is None and useless.trace == math.inf
-    stack = evaluate_constraints(j, np.array([[[0.0, 1.0]], [[1.0, 0.0]]]))
+    stack = evaluate_constraints(j, f_jacs)
     assert bound_traces(stack) == [pinned.trace, math.inf]
-    with pytest.raises(InvalidInput):
-        constrained_crbs(j, [np.array([[0.0, 1.0]]), np.eye(2)])
+    assert stack.utju_nonsingular.tolist() == [True, False]
+    stack = evaluate_constraints(np.eye(2), np.array([np.eye(2), [[1.0, 1.0], [2.0, 2.0]]]))
+    assert stack.full_rank_jacobian.tolist() == [True, False]
     with pytest.raises(RankDeficientConstraint):
-        constrained_crbs(np.eye(2), [np.eye(2), np.array([[1.0, 1.0], [2.0, 2.0]])])
+        constrained_crb(np.eye(2), stack.f_jacs[1])

@@ -13,6 +13,8 @@ from crbkit import (
     is_psd,
     ranked_svd,
 )
+from crbkit.fim import PARTITION_SIZE
+from crbkit.matlin import seed_sequence
 
 
 def test_identity_location_fim():
@@ -114,61 +116,34 @@ def test_monte_carlo_rejects_tiny_sample_budget():
         fim_monte_carlo(gaussian_location(2), [0.0], 1_000, 0)
 
 
-class _NanScoreModel:
-    """Stub whose score turns non-finite at one chosen sample index."""
-
-    param_dim = 1
-    obs_dim = 1
-
-    def __init__(self, bad_index):
-        self.bad_index = bad_index
-        self.calls = 0
-
-    def log_density(self, y, theta):
-        return 0.0
-
-    def sample(self, theta, rng):
-        rng.standard_normal(1)
-        return np.zeros(1)
-
-    def score(self, y, theta):
-        value = np.full(1, np.nan) if self.calls == self.bad_index else np.zeros(1)
-        self.calls += 1
-        return value
+def first_overflow(scale, n_samples, seed):
+    """Index of the first draw whose z * scale overflows, from the partition streams."""
+    for part in range(-(-n_samples // PARTITION_SIZE)):
+        count = min(PARTITION_SIZE, n_samples - part * PARTITION_SIZE)
+        z = np.random.default_rng(seed_sequence(seed, part)).standard_normal(count)
+        with np.errstate(over="ignore"):
+            overflow = np.flatnonzero(np.isinf(z * scale))
+        if overflow.size:
+            return part * PARTITION_SIZE + int(overflow[0])
+    return None
 
 
 def test_non_finite_score_reports_global_sample_index():
-    with pytest.raises(NumericalFailure) as err:
-        fim_monte_carlo(_NanScoreModel(bad_index=123), [0.0], 200, 0)
-    assert err.value.sample_index == 123
-    assert "123" in str(err.value)
-    # index 5000 sits in the second partition; the global index must survive
-    with pytest.raises(NumericalFailure) as err2:
-        fim_monte_carlo(_NanScoreModel(bad_index=5_000), [0.0], 6_000, 0)
-    assert err2.value.sample_index == 5_000
-
-
-class _NoScoreModel:
-    """Wrapper hiding the analytic score to force the fallback path."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.param_dim = inner.param_dim
-        self.obs_dim = inner.obs_dim
-
-    def log_density(self, y, theta):
-        return self._inner.log_density(y, theta)
-
-    def sample(self, theta, rng):
-        return self._inner.sample(theta, rng)
-
-
-def test_finite_difference_fallback_tracks_analytic_score_route():
-    inner = gaussian_location(2, 1.0)
-    theta = [0.5, -0.25]
-    with_score = fim_monte_carlo(inner, theta, 500, 77)
-    without = fim_monte_carlo(_NoScoreModel(inner), theta, 500, 77)
-    assert np.allclose(with_score.matrix.entries, without.matrix.entries, atol=1e-6)
+    # under mean t * scale the score is scale * z, which overflows for large |z|; the second
+    # case first overflows in partition 1, and the global index must survive
+    for scale, n_samples, seed, expected in ((1e308, 6_000, 0, 37), (4e307, 12_000, 6, 6_808)):
+        model = GaussianMeanModel(
+            mean_fn=lambda t: scale * t,
+            mean_jac=lambda t: np.array([[scale]]),
+            noise_cov=np.eye(1),
+            param_dim=1,
+            obs_dim=1,
+        )
+        assert first_overflow(scale, n_samples, seed) == expected
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure) as err:
+            fim_monte_carlo(model, [0.0], n_samples, seed)
+        assert err.value.sample_index == expected
+        assert str(err.value) == f"non-finite score at sample {expected}"
 
 
 def test_estimate_fields_default_for_analytic():
@@ -178,11 +153,18 @@ def test_estimate_fields_default_for_analytic():
     assert est.clip_magnitude == 0.0
 
 
-class _ProtocolOnly(_NoScoreModel):
-    """Wrapper exposing only the generic Model protocol, forcing the per-sample loop."""
-
-    def score(self, y, theta):
-        return self._inner.score(y, theta)
+def per_sample_fim(model, theta, n_samples, seed):
+    """Reference mean and std_err_bound: sample and score one draw at a time from the partition streams."""
+    scores = []
+    for part in range(-(-n_samples // PARTITION_SIZE)):
+        rng = np.random.default_rng(seed_sequence(seed, part))
+        count = min(PARTITION_SIZE, n_samples - part * PARTITION_SIZE)
+        scores += [model.score(model.sample(theta, rng), theta) for _ in range(count)]
+    scores = np.array(scores)
+    squares = scores * scores
+    mean = scores.T @ scores / n_samples
+    var = (squares.T @ squares - n_samples * mean * mean) / (n_samples - 1)
+    return mean, float(np.linalg.norm(np.sqrt(np.maximum(var, 0.0) / n_samples)))
 
 
 def _correlated_noise_model():
@@ -210,11 +192,11 @@ def _correlated_noise_model():
 def test_batched_gaussian_mean_path_matches_per_sample_loop(model, theta):
     # 9000 samples span three partitions, the last one partial
     batched = fim_monte_carlo(model, theta, 9_000, 31)
-    looped = fim_monte_carlo(_ProtocolOnly(model), theta, 9_000, 31)
-    scale = np.abs(looped.matrix.entries).max()
-    assert np.abs(batched.matrix.entries - looped.matrix.entries).max() <= 1e-12 * scale
-    assert batched.std_err_bound == pytest.approx(looped.std_err_bound, rel=1e-12, abs=0.0)
-    assert batched.n_samples == looped.n_samples == 9_000
+    looped, std_err_bound = per_sample_fim(model, theta, 9_000, 31)
+    scale = np.abs(looped).max()
+    assert np.abs(batched.matrix.entries - looped).max() <= 1e-12 * scale
+    assert batched.std_err_bound == pytest.approx(std_err_bound, rel=1e-12, abs=0.0)
+    assert batched.n_samples == 9_000
 
 
 def test_gaussian_mean_path_evaluates_the_jacobian_once():

@@ -9,10 +9,8 @@ from crbkit import (
     GaussianMeanModel,
     InvalidInput,
     InvalidModel,
-    Model,
     blind_channel_mean_jac,
     convolve,
-    finite_difference_score,
     fim_gaussian_mean,
     gaussian_location,
     ranked_svd,
@@ -108,33 +106,60 @@ def test_fim_nullity_is_one_at_generic_parameters():
                 assert ranked_svd(j).rank == model.param_dim - 1
 
 
-def test_gaussian_log_density_matches_closed_form():
-    model = gaussian_location(2, noise_var=0.5)
-    y = np.array([0.3, -0.2])
-    theta = np.array([0.1, 0.1])
-    resid = y - theta
-    expected = -0.5 * (resid @ resid / 0.5 + 2.0 * np.log(2.0 * np.pi * 0.5))
-    assert np.isclose(model.log_density(y, theta), expected, rtol=1e-12)
+def gaussian_log_density(model, y, theta):
+    """log N(y; mean_at(theta), noise_cov), written out for reference."""
+    resid = y - model.mean_at(theta)
+    _, log_det = np.linalg.slogdet(model.noise_cov)
+    quad = resid @ np.linalg.solve(model.noise_cov, resid)
+    return -0.5 * (model.obs_dim * np.log(2.0 * np.pi) + log_det + quad)
+
+
+def _correlated_noise_model():
+    rng = np.random.default_rng(16)
+    a = rng.standard_normal((4, 4))
+    cov = a @ a.T + 2.0 * np.eye(4)
+    jac = rng.standard_normal((4, 3))
+    # a nonlinear mean and correlated noise
+    return GaussianMeanModel(
+        mean_fn=lambda t: np.tanh(jac @ t),
+        mean_jac=lambda t: (1.0 - np.tanh(jac @ t) ** 2)[:, None] * jac,
+        noise_cov=cov,
+        param_dim=3,
+        obs_dim=4,
+    )
 
 
 def test_log_density_finite_on_samples():
+    # samples of y ~ N(mu, Sigma) have mean log density -(d log 2 pi + log det Sigma + d) / 2,
+    # and the log density has variance d / 2
     model = BlindChannelModel(2, 3, 1.3)
     rng = np.random.default_rng(15)
     theta = rng.uniform(0.5, 1.5, model.param_dim)
-    for _ in range(50):
+    logs = []
+    for _ in range(2000):
         y = model.sample(theta, rng)
         assert y.shape == (model.obs_dim,)
-        assert np.isfinite(model.log_density(y, theta))
+        logs.append(gaussian_log_density(model, y, theta))
+    assert np.all(np.isfinite(logs))
+    d = model.obs_dim
+    expected = -0.5 * (d * np.log(2.0 * np.pi * 1.3) + d)
+    assert abs(np.mean(logs) - expected) <= 5.0 * np.sqrt(d / 2.0 / len(logs))
 
 
 def test_score_matches_finite_differences():
+    # central differences of the log density, with steps 1e-5 (1 + |theta_i|)
     rng = np.random.default_rng(14)
-    model = BlindChannelModel(3, 2, 0.8)
-    theta = rng.uniform(0.5, 1.5, model.param_dim)
-    y = model.sample(theta, rng)
-    exact = model.score(y, theta)
-    approx = finite_difference_score(model, y, theta)
-    assert np.all(np.abs(exact - approx) <= 1e-4 * (1.0 + np.abs(approx)))
+    for model in (BlindChannelModel(3, 2, 0.8), _correlated_noise_model()):
+        theta = rng.uniform(0.5, 1.5, model.param_dim)
+        y = model.sample(theta, rng)
+        approx = np.empty(model.param_dim)
+        for i in range(model.param_dim):
+            step = np.zeros(model.param_dim)
+            step[i] = 1e-5 * (1.0 + abs(theta[i]))
+            up, down = (gaussian_log_density(model, y, theta + sign * step) for sign in (1, -1))
+            approx[i] = (up - down) / (2.0 * step[i])
+        exact = model.score(y, theta)
+        assert np.all(np.abs(exact - approx) <= 1e-4 * (1.0 + np.abs(approx)))
 
 
 def test_score_has_zero_mean_at_true_parameter():
@@ -173,11 +198,6 @@ def test_blind_channel_rejects_bad_dims():
         BlindChannelModel(0, 3)
     with pytest.raises(InvalidModel):
         BlindChannelModel(3, 2, noise_var=-1.0)
-
-
-def test_models_satisfy_protocol():
-    assert isinstance(BlindChannelModel(2, 2), Model)
-    assert isinstance(gaussian_location(3), Model)
 
 
 def test_blind_channel_split_roundtrip():

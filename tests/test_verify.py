@@ -14,9 +14,7 @@ from crbkit import (
     certificates_to_csv,
     check_minimum_constraint,
     constrained_crb,
-    constrained_crbs,
     counterexample_check,
-    crb_exists,
     evaluate_constraints,
     is_psd,
     load_matrix,
@@ -60,27 +58,26 @@ V4 = 0.5 * np.array(
 
 
 def test_trace_bound_frozen_margins():
-    spec_diagonal = ConstraintSpec(np.array([[ROOT_HALF, ROOT_HALF]]))
-    spec_axis = ConstraintSpec(np.array([[0.0, 1.0]]))
-    cert = verify_trace_bound(DIAG, [spec_diagonal, spec_axis])
+    diagonal, axis = [[ROOT_HALF, ROOT_HALF]], [[0.0, 1.0]]
+    cert = verify_trace_bound(DIAG, evaluate_constraints(DIAG, np.array([diagonal, axis])))
     assert cert.theorem_id == "trace_bound"
     assert cert.passed
     assert cert.n_cases == 2
     assert cert.witnesses == ()
     # the axis constraint attains the pseudoinverse trace exactly
     assert np.isclose(cert.worst_margin, 0.0, atol=1e-12)
-    solo = verify_trace_bound(DIAG, [spec_diagonal])
+    solo = verify_trace_bound(DIAG, evaluate_constraints(DIAG, np.array([diagonal])))
     assert np.isclose(solo.worst_margin, 0.5, atol=1e-12)
 
 
 def test_trace_bound_rejects_non_minimum_spec():
     with pytest.raises(NotMinimumConstraint):
-        verify_trace_bound(DIAG, [ConstraintSpec(np.array([[1.0, 0.0]]))])
+        verify_trace_bound(DIAG, evaluate_constraints(DIAG, np.array([[[1.0, 0.0]]])))
 
 
 def test_trace_bound_many_sampled_constraints():
     specs = sample_minimum_constraints(DIAG, 200, 8)
-    cert = verify_trace_bound(DIAG, specs)
+    cert = verify_trace_bound(DIAG, evaluate_constraints(DIAG, np.stack([spec.f_jac for spec in specs])))
     assert cert.passed
     assert cert.n_cases == 200
 
@@ -448,55 +445,47 @@ def test_random_suite_trace_and_dominance():
         rank = int(rng.integers(1, n))
         j = random_rank_deficient_psd(n, rank, rng)
         specs = sample_minimum_constraints(j, 10, 1000 + i)
-        assert verify_trace_bound(j, specs).passed
+        assert verify_trace_bound(j, evaluate_constraints(j, np.stack([spec.f_jac for spec in specs]))).passed
         for spec in specs[:3]:
             v = null_complement(spec.f_jac)
             assert verify_eigen_dominance(j, v).passed
 
 
 def test_trace_bound_rejects_a_spec_of_the_wrong_shape():
-    good = ConstraintSpec(np.array([[0.0, 1.0]]))
-    with pytest.raises(NotMinimumConstraint, match="constraint 1"):
-        verify_trace_bound(DIAG, [good, ConstraintSpec(np.eye(2))])
+    # two rows for a nullity of one: rank F + rank J = 3 != 2
+    with pytest.raises(NotMinimumConstraint, match="constraint 0 "):
+        verify_trace_bound(DIAG, evaluate_constraints(DIAG, np.eye(2)[None]))
     with pytest.raises(InvalidInput):
-        verify_trace_bound(DIAG, [])
+        verify_trace_bound(DIAG, evaluate_constraints(DIAG, np.zeros((0, 1, 2))))
 
 
-def assert_same_certificate(a, b, slack=None):
-    """Equal under ==: verdict, case count, worst margin and every witness with its arrays.
-
-    With slack, a (k,) array of forward-error bounds, the margins of case i
-    (the number that ends its witness label) need only agree within slack[i].
-    """
-    def head(cert):
-        return cert.theorem_id, cert.passed, cert.n_cases
-
-    assert head(a) == head(b)
-    assert [w.label for w in a.witnesses] == [w.label for w in b.witnesses]
-    if slack is None:
-        assert a.worst_margin == b.worst_margin
-        assert [w.margin for w in a.witnesses] == [w.margin for w in b.witnesses]
-    else:
-        assert abs(a.worst_margin - b.worst_margin) <= slack.max()
-        for wa, wb in zip(a.witnesses, b.witnesses):
-            assert abs(wa.margin - wb.margin) <= slack[int(wa.label.rsplit("-", 1)[1])]
+def assert_same_certificate(a, b):
+    """Equal under ==: verdict, case count, worst margin and every witness with its arrays."""
+    assert (a.theorem_id, a.passed, a.n_cases, a.worst_margin) == (b.theorem_id, b.passed, b.n_cases, b.worst_margin)
+    assert [(w.label, w.margin) for w in a.witnesses] == [(w.label, w.margin) for w in b.witnesses]
     for wa, wb in zip(a.witnesses, b.witnesses):
         assert [name for name, _ in wa.matrices] == [name for name, _ in wb.matrices]
         assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(wa.matrices, wb.matrices))
 
 
 def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
-    """The sampled stack gives the dominance certificate of its frames under ==, and the trace
-    certificate of its specs within a forward-error bound.
+    """The sampled stack gives the dominance certificate of its frames under ==, and trace
+    margins within a forward-error bound of the per-constraint constrained_crb traces.
 
-    A spec's svd null basis differs from the stack's qr one by roundoff, so U'JU moves by
-    about eps ||J||_2, and each trace by c r eps (sigma_1 / mu_min) trace.
+    constrained_crb's svd null basis differs from the stack's qr one by roundoff, so U'JU moves
+    by about eps ||J||_2, and each trace by c r eps (sigma_1 / mu_min) trace.
     """
-    specs = [ConstraintSpec(f_jac) for f_jac in stack.f_jacs]
     slack = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0] * np.array(bound_traces(stack))
-    assert_same_certificate(
-        verify_trace_bound(basis, stack, margin_tol), verify_trace_bound(basis, specs, margin_tol), slack
-    )
+    margins = np.array([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs]) - basis.pinv.trace
+    trace = verify_trace_bound(basis, stack, margin_tol)
+    assert (trace.passed, trace.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
+    assert abs(trace.worst_margin - margins.min()) <= slack.max()
+    failing = np.flatnonzero(margins < -margin_tol)
+    assert [w.label for w in trace.witnesses] == [f"constraint-{i}" for i in failing]
+    for witness, i in zip(trace.witnesses, failing):
+        assert abs(witness.margin - margins[i]) <= slack[i]
+        assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
+        assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[i])
     dominance = verify_eigen_dominance(basis, stack, margin_tol)
     assert_same_certificate(dominance, verify_eigen_dominance(basis, stack.u, margin_tol))
     return dominance
@@ -588,13 +577,9 @@ def test_a_non_minimum_spec_is_reported_with_the_details_of_check_minimum_constr
     # F's null space holds a range direction and a null direction of J, so U'JU is singular
     basis = ranked_svd(make_psd(np.random.default_rng(49), 5, 2))
     bad = np.vstack([basis.u_r[:, :1].T, basis.u_bar[:, :2].T])
-    specs = [ConstraintSpec(basis.u_bar.T), ConstraintSpec(bad, label="mixed")]
-    report = check_minimum_constraint(basis, specs[1])
+    report = check_minimum_constraint(basis, ConstraintSpec(bad))
     assert not report.utju_nonsingular and "utju_min_eig" in report.details
-    with pytest.raises(NotMinimumConstraint) as raised:
-        verify_trace_bound(basis, specs)
-    assert str(raised.value) == f"constraint 1 (mixed) is not minimum: {report.details}"
-    stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
+    stack = evaluate_constraints(basis, np.stack([basis.u_bar.T, bad]))
     with pytest.raises(NotMinimumConstraint) as raised:
         verify_trace_bound(basis, stack)
     assert str(raised.value) == f"constraint 1 (unlabeled) is not minimum: {report.details}"
@@ -610,16 +595,17 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     assert spec.n_constraints == 2
     assert check_minimum_constraint(basis, spec).is_minimum
     assert evaluate_constraints(basis, spec.f_jac[None]).is_minimum.tolist() == [True]
-    assert crb_exists(basis, spec) and np.isclose(constrained_crb(basis, spec).trace, 1.0, rtol=1e-12)
+    bound = constrained_crb(basis, spec)
+    assert bound.exists and np.isclose(bound.trace, 1.0, rtol=1e-12)
     # F's row rank and U'JU's nonsingularity are decided at 1e-6 too
     weak_row = ConstraintSpec(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-6]]))
     assert not check_minimum_constraint(basis, weak_row).full_rank_jacobian
-    assert not crb_exists(basis, np.array([[0.0, 0.0, 1.0]]))
+    assert not constrained_crb(basis, np.array([[0.0, 0.0, 1.0]])).exists
     stack, labels = sample_minimum_stack(basis, 5, 3)
     assert stack.basis is basis and stack.f_jacs.shape == (5, 2, 3)
     assert [chunk_labels for _, chunk_labels in sample_constraint_stacks(basis, 5, 3)] == [labels]
     assert [spec.label for spec in sample_minimum_constraints(basis, 5, 3)] == labels
-    assert np.allclose([report.trace for report in constrained_crbs(basis, stack.f_jacs)], bound_traces(stack))
+    assert np.allclose([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs], bound_traces(stack))
     # the basis's own stack is accepted without repeating its tolerance
     assert verify_trace_bound(basis, stack).passed and verify_eigen_dominance(basis, stack).passed
     assert verify_constraint_equivalence(basis, np.zeros(3), [basis.u_bar.T]).n_cases == 1
