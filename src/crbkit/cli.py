@@ -155,6 +155,8 @@ class RunConfig:
             value, limit = getattr(self, setting.name), setting.metadata["limit"]
             if limit and not (value > 0 if limit == "positive" else value >= 0):
                 raise InvalidInput(f"{key} must be {limit}, got {value}")
+            if isinstance(value, float) and not np.isfinite(value):
+                raise InvalidInput(f"{key} must be finite, got {value}")
         if self.fim_method not in ("analytic", "monte_carlo"):
             raise InvalidInput(f"fim_method must be analytic or monte_carlo, got {self.fim_method!r}")
 
@@ -540,7 +542,9 @@ def cmd_experiment(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The crbkit argument parser, built on first use and shared by every main call in the process."""
     parser = argparse.ArgumentParser(
         prog="crbkit",
         description="Cramer-Rao bounds under singular Fisher information",

@@ -66,6 +66,8 @@ class ConstraintSpec:
             offset = np.asarray(self.offset, dtype=float).ravel()
             if offset.size != m:
                 raise InvalidInput(f"offset must have length {m}, got {offset.size}")
+            if not np.all(np.isfinite(offset)):
+                raise InvalidInput("offset contains non-finite entries")
             object.__setattr__(self, "offset", _freeze(offset))
 
     @property

@@ -94,9 +94,9 @@ def fim_monte_carlo(
         count = min(PARTITION_SIZE, n_samples - drawn)
         rng = np.random.default_rng(seed_sequence(rng_seed, part))
         scores = rng.standard_normal((count, model.obs_dim)) @ whitened_jac
-        finite = np.isfinite(scores).all(axis=1)
-        if not finite.all():
-            index = drawn + int(np.argmin(finite))
+        if not np.isfinite(scores).all():
+            # the row-wise scan runs only on failure, to name the first bad sample
+            index = drawn + int(np.argmin(np.isfinite(scores).all(axis=1)))
             raise NumericalFailure(f"non-finite score at sample {index}", sample_index=index)
         squares = scores * scores
         # fixed reduction order: partitions fold in by index

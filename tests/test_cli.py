@@ -10,7 +10,7 @@ import pytest
 
 import crbkit
 from crbkit import load_matrix
-from crbkit.cli import derived_rng, derived_seed, main
+from crbkit.cli import build_parser, derived_rng, derived_seed, main
 from crbkit.matlin import seed_sequence
 
 
@@ -197,6 +197,40 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
     err = capsys.readouterr().err
     assert err.startswith("error: resolving configuration: seed must be nonnegative, got -")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("key", ["rank_tol", "psd_tol", "margin_tol"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_non_finite_tolerance_exits_2(tmp_path, capsys, source, key, value):
+    # an infinite margin_tol would pass every certificate and an infinite rank_tol rank J 0
+    j = write_diag_matrix(tmp_path)
+    if source == "flag":
+        argv = ["certify", "--input", str(j), "--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"input = j.matx\n{key} = {value}\n")
+        argv = ["certify", "--input", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: resolving configuration: {key} must be finite, got inf\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_main_calls_are_independent(tmp_path, capsys):
+    # every main call in a process shares one parser; no call may leave a value for the next
+    build_parser.cache_clear()
+    j = write_diag_matrix(tmp_path)
+    assert main(["analyze", "--input", str(j), "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert main(["analyze", "--input", str(j), "--out", str(tmp_path / "b")]) == 0
+    assert "seed = 5" in (tmp_path / "a" / "manifest.cfg").read_text().splitlines()
+    assert "seed = 0" in (tmp_path / "b" / "manifest.cfg").read_text().splitlines()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(j), "--seed", "five"])
+    assert exc.value.code == 2
+    assert main(["analyze", "--input", str(j), "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "c" / "manifest.cfg").read_bytes() == (tmp_path / "b" / "manifest.cfg").read_bytes()
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 @pytest.mark.parametrize("input_name", ["utf8.matx", "binary.matx", "ref.cfg"])
@@ -454,6 +488,16 @@ def test_huge_matrix_input_exits_2(tmp_path, capsys, matrix, command):
     path = tmp_path / "huge.matx"
     path.write_text(matrix)
     assert main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input values too large for double precision: overflow encountered")
+    assert err.count("\n") == 1
+
+
+def test_monte_carlo_overflow_exits_2(tmp_path, capsys):
+    # scores 1e308 * z overflow in the first partition's product, before the finiteness check
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("model = blind_channel\ns_len = 1\nh_len = 1\ntheta = 1e308 1e308\nfim_method = monte_carlo\n")
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: input values too large for double precision: overflow encountered")
     assert err.count("\n") == 1

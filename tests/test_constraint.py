@@ -188,6 +188,10 @@ def test_constraint_file_rejects_garbage(tmp_path):
         load_constraint_spec(path)
     with pytest.raises(InvalidInput):
         load_constraint_spec(tmp_path / "absent.constraint")
+    for value in ("nan", "inf", "-1e400"):
+        path.write_text(f"1 2\n1 0\noffset {value}\n")
+        with pytest.raises(InvalidInput, match="offset contains non-finite entries"):
+            load_constraint_spec(path)
 
 
 def reference_sample(j, count, seed, tol):

@@ -130,8 +130,10 @@ def first_overflow(scale, n_samples, seed):
 
 def test_non_finite_score_reports_global_sample_index():
     # under mean t * scale the score is scale * z, which overflows for large |z|; the second
-    # case first overflows in partition 1, and the global index must survive
-    for scale, n_samples, seed, expected in ((1e308, 6_000, 0, 37), (4e307, 12_000, 6, 6_808)):
+    # case first overflows in partition 1 and the third in the last, partial partition (808 of
+    # 9000 samples), and the global index must survive
+    cases = ((1e308, 6_000, 0, 37), (4e307, 12_000, 6, 6_808), (5e307, 9_000, 16, 8_263))
+    for scale, n_samples, seed, expected in cases:
         model = GaussianMeanModel(
             mean_fn=lambda t: scale * t,
             mean_jac=lambda t: np.array([[scale]]),

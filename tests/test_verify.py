@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -416,7 +418,7 @@ def test_witness_files_roundtrip(tmp_path):
     assert len(paths) == 2
     notes = [p for p in paths if p.endswith(".txt")]
     assert len(notes) == 1
-    note_text = open(notes[0]).read()
+    note_text = Path(notes[0]).read_text()
     assert "demo" in note_text and "margin" in note_text
     mats = [p for p in paths if p.endswith(".matx")]
     assert np.array_equal(load_matrix(mats[0]), np.eye(2))
