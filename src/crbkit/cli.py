@@ -125,7 +125,10 @@ def derived_seed(seed: int, label: str, index: int = 0) -> int:
 
 
 def _setting(key: str, default, help_text: str, limit: str | None = None):
-    """A run setting's RunConfig field: config key, flag help, limit "positive" or "nonnegative"."""
+    """A run setting's RunConfig field: config key, flag help, limit "positive" or "nonnegative".
+
+    A setting with a limit must also be finite.
+    """
     return field(default=default, metadata={"key": key, "help": help_text, "limit": limit})
 
 
@@ -155,7 +158,7 @@ class RunConfig:
             value, limit = getattr(self, setting.name), setting.metadata["limit"]
             if limit and not (value > 0 if limit == "positive" else value >= 0):
                 raise InvalidInput(f"{key} must be {limit}, got {value}")
-            if isinstance(value, float) and not np.isfinite(value):
+            if limit and value == np.inf:
                 raise InvalidInput(f"{key} must be finite, got {value}")
         if self.fim_method not in ("analytic", "monte_carlo"):
             raise InvalidInput(f"fim_method must be analytic or monte_carlo, got {self.fim_method!r}")
