@@ -49,10 +49,7 @@ from .matx import dump_matrix, load_matrix, parse_matrix, save_matrix
 from .statmodel import (
     BlindChannelModel,
     GaussianMeanModel,
-    blind_channel_mean_jac,
-    convolve,
     gaussian_location,
-    scalar_ambiguity_direction,
 )
 from .fim import FimEstimate, fim_gaussian_mean, fim_monte_carlo
 from .crb import CrbReport, bound_traces, constrained_crb, unconstrained_crb

@@ -40,7 +40,6 @@ from .constraint import (
 from .crb import bound_traces, constrained_crb, unconstrained_crb
 from .errors import (
     CrbKitError,
-    DegenerateParameter,
     FullRankFim,
     InvalidInput,
     InvalidMatrix,
@@ -61,6 +60,7 @@ from .matlin import (
 from .matx import format_float, load_matrix, parse_matrix, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
 from .verify import (
+    CSV_VERSION_LINE,
     DEFAULT_MARGIN_TOL,
     THEOREM_IDS,
     counterexample_check,
@@ -79,8 +79,6 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CERTIFICATE = 4
-
-CSV_VERSION_LINE = "# crb-kit v1"
 
 DEFAULT_SAMPLES = 10000
 DEFAULT_OUT = "crbkit_run"
@@ -146,7 +144,7 @@ class RunConfig:
     output_dir: Path = Path(DEFAULT_OUT)
     seed: int = _setting("seed", 0, "top-level random seed", "nonnegative")
     count: int = _setting("count", 100, "matrices (certify suite) or constraints to sample", "positive")
-    n_samples: int = _setting("samples", DEFAULT_SAMPLES, "Monte-Carlo sample count")
+    n_samples: int = _setting("samples", DEFAULT_SAMPLES, "Monte-Carlo sample count", "positive")
     rank_tol_rel: float = _setting("rank_tol", DEFAULT_RANK_TOL_REL, "relative rank cutoff", "positive")
     psd_tol_rel: float = _setting("psd_tol", DEFAULT_PSD_TOL_REL, "relative PSD slack", "positive")
     margin_tol: float = _setting("margin_tol", DEFAULT_MARGIN_TOL, "certificate margin tolerance", "positive")
@@ -282,10 +280,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
-def build_model(config: RunConfig):
-    return MODELS[config.model_kind][0](**config.model_params)
-
-
 def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
     """Explicit theta from the config, else generic values from the seed."""
     if config.theta is not None:
@@ -312,7 +306,7 @@ def information_matrix(config: RunConfig):
                 )
             config.matrix = sym.entries  # the symmetrized matrix, which the manifest writes as j.matx
             return sym, None
-        model = build_model(config)
+        model = MODELS[config.model_kind][0](**config.model_params)
         theta = resolve_theta(config, model.param_dim)
         config.theta = theta  # record the resolved point for the manifest
         if config.fim_method == "monte_carlo":
@@ -575,8 +569,7 @@ def main(argv=None) -> int:
         try:
             config = resolve_config(args)
             os.makedirs(config.output_dir, exist_ok=True)
-        except (InvalidInput, InvalidMatrix, InvalidModel, DegenerateParameter, OSError,
-                UnicodeDecodeError) as exc:
+        except (InvalidInput, InvalidMatrix, InvalidModel, OSError, UnicodeDecodeError) as exc:
             raise CliError(EXIT_INVALID_INPUT, f"resolving configuration: {exc}") from exc
         # finite input too large for double precision would otherwise turn to inf part way
         with np.errstate(over="raise"):

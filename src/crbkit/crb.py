@@ -22,24 +22,18 @@ from .matlin import EigenSpectrum, SymMatrix, _bounds, as_ranked_svd
 
 @dataclass(frozen=True, eq=False)
 class CrbReport:
-    """Covariance lower bound with provenance.
+    """Covariance lower bound.
 
     When exists is False (restricted information singular) the bound and
-    its eigenvalues are absent and trace is +inf. constraint_used is
-    "none" for the unconstrained bound, "affine" when the constraint
-    carried an offset, and "jacobian-only" otherwise. u_projector is the
-    orthogonal projector onto the tangent space the bound lives on; it is
-    basis invariant. singular_fim_warning marks a singular J on the
-    unconstrained route, where no finite-variance unbiased estimator
-    exists.
+    its eigenvalues are absent and trace is +inf. singular_fim_warning
+    marks a singular J on the unconstrained route, where no
+    finite-variance unbiased estimator exists.
     """
 
     bound: SymMatrix | None
     exists: bool
     trace: float
     eigenvalues: EigenSpectrum | None
-    constraint_used: str
-    u_projector: SymMatrix
     singular_fim_warning: bool = False
 
 
@@ -54,8 +48,6 @@ def unconstrained_crb(j) -> CrbReport:
         exists=True,
         trace=basis.pinv.trace,
         eigenvalues=basis.pinv_eigenvalues,
-        constraint_used="none",
-        u_projector=SymMatrix(basis.range_projector()),
         singular_fim_warning=basis.rank < basis.dim,
     )
 
@@ -83,22 +75,16 @@ def constrained_crb(j, constraint) -> CrbReport:
     (infinite) bound. Raises RankDeficientConstraint when the Jacobian's
     rows are dependent.
     """
-    if isinstance(constraint, ConstraintSpec):
-        f_jac, used = constraint.f_jac, "affine" if constraint.offset is not None else "jacobian-only"
-    else:
-        f_jac, used = np.asarray(constraint, dtype=float), "jacobian-only"
+    f_jac = constraint.f_jac if isinstance(constraint, ConstraintSpec) else np.asarray(constraint, dtype=float)
     stack = evaluate_constraints(j, f_jac[None])
     if not stack.full_rank_jacobian[0]:
         raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
     ok = bool(stack.utju_nonsingular[0])
     bound = _bounds(stack.u, stack.restricted, stack.utju_nonsingular)[0]
     lam = _bound_spectra(stack)[0]
-    u = stack.u[0]
     return CrbReport(
         bound=SymMatrix(bound) if ok else None,
         exists=ok,
         trace=float(lam.sum()) if ok else math.inf,
         eigenvalues=EigenSpectrum(np.concatenate([lam, np.zeros(f_jac.shape[0])])) if ok else None,
-        constraint_used=used,
-        u_projector=SymMatrix(u @ u.T),
     )

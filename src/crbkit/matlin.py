@@ -116,10 +116,6 @@ class RankedSvd:
     def dim(self) -> int:
         return self.u_r.shape[0]
 
-    def range_projector(self) -> np.ndarray:
-        """Orthogonal projector U_r U_r' onto the numerical range."""
-        return self.u_r @ self.u_r.T
-
     @cached_property
     def pinv(self) -> SymMatrix:
         """Moore-Penrose pseudoinverse U_r (U_r' J U_r)^-1 U_r' by _bounds; zero for rank 0."""
@@ -141,9 +137,6 @@ class EigenSpectrum:
     def __post_init__(self):
         vals = np.sort(np.asarray(self.values, dtype=float))[::-1]
         object.__setattr__(self, "values", _freeze(vals))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def restricted_information(j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
 """Statistical observation models.
 
-Two concrete families: Gaussian models whose mean depends on the
-parameter through a differentiable map, each with its mean Jacobian,
-samples and analytic score, and the blind single-channel model
-y = s * h + noise whose scalar exchange (a*s, h/a) makes the Fisher
-information singular with a one-dimensional null space.
+GaussianMeanModel is y ~ N(mean(theta), noise_cov) for a differentiable
+mean map, with its mean Jacobian, samples and analytic score.
+gaussian_location is its identity-mean case. BlindChannelModel is the
+blind single-channel model y = s * h + noise: it owns its convolution
+mean, the Jacobian of that mean and the direction of the scalar exchange
+(a*s, h/a), which makes the Fisher information singular with a
+one-dimensional null space.
 """
 
 from __future__ import annotations
@@ -17,56 +19,11 @@ import numpy as np
 from .errors import DegenerateParameter, InvalidInput, InvalidModel
 
 
-def _as_vector(values, size: int | None, name: str) -> np.ndarray:
+def _as_vector(values, size: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float).ravel()
-    if size is not None and arr.size != size:
+    if arr.size != size:
         raise InvalidInput(f"{name} must have length {size}, got {arr.size}")
     return arr
-
-
-def convolve(s, h) -> np.ndarray:
-    """Full linear convolution of two nonempty 1-d sequences."""
-    s_arr = np.asarray(s, dtype=float).ravel()
-    h_arr = np.asarray(h, dtype=float).ravel()
-    if s_arr.size == 0 or h_arr.size == 0:
-        raise InvalidInput("convolve requires nonempty inputs")
-    return np.convolve(s_arr, h_arr)
-
-
-def blind_channel_mean_jac(theta, dims: tuple[int, int]) -> np.ndarray:
-    """Jacobian of theta = (s, h) -> s * h (full convolution).
-
-    Shape is (s_len + h_len - 1, s_len + h_len). The column for s_i is a
-    copy of h shifted down by i; the column for h_j is a copy of s
-    shifted down by j.
-    """
-    s_len, h_len = int(dims[0]), int(dims[1])
-    if s_len < 1 or h_len < 1:
-        raise InvalidInput(f"dims must be positive, got {dims}")
-    th = _as_vector(theta, s_len + h_len, "theta")
-    s, h = th[:s_len], th[s_len:]
-    obs = s_len + h_len - 1
-    jac = np.zeros((obs, s_len + h_len))
-    for i in range(s_len):
-        jac[i : i + h_len, i] = h
-    for j in range(h_len):
-        jac[j : j + s_len, s_len + j] = s
-    return jac
-
-
-def scalar_ambiguity_direction(theta, dims: tuple[int, int]) -> np.ndarray:
-    """Unit tangent of the scalar exchange (a*s, h/a) at a = 1.
-
-    Returns (s, -h) normalized; this direction lies in the null space of
-    the blind-channel Fisher information at generic theta.
-    """
-    s_len, h_len = int(dims[0]), int(dims[1])
-    th = _as_vector(theta, s_len + h_len, "theta")
-    norm = float(np.linalg.norm(th))
-    if norm == 0.0:
-        raise DegenerateParameter("ambiguity direction undefined at theta = 0")
-    direction = np.concatenate([th[:s_len], -th[s_len:]])
-    return direction / norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,21 +118,40 @@ class BlindChannelModel(GaussianMeanModel):
         for name, value in (("s_len", s_len), ("h_len", h_len), ("noise_var", noise_var)):
             object.__setattr__(self, name, value)
         super().__init__(
-            mean_fn=lambda th: convolve(*self.split(th)),
-            mean_jac=lambda th: blind_channel_mean_jac(th, self.dims),
+            mean_fn=lambda th: np.convolve(*self.split(th)),
+            mean_jac=self._convolution_jac,
             noise_cov=noise_var * np.eye(s_len + h_len - 1),
             param_dim=s_len + h_len,
             obs_dim=s_len + h_len - 1,
         )
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.s_len, self.h_len)
-
     def split(self, theta) -> tuple[np.ndarray, np.ndarray]:
         th = _as_vector(theta, self.param_dim, "theta")
         return th[: self.s_len], th[self.s_len :]
 
-    def ambiguity_direction(self, theta) -> np.ndarray:
-        return scalar_ambiguity_direction(theta, self.dims)
+    def _convolution_jac(self, th: np.ndarray) -> np.ndarray:
+        """Jacobian of s * h at a theta that jac_at has checked.
 
+        The column for s_i is a copy of h shifted down by i; the column
+        for h_j is a copy of s shifted down by j.
+        """
+        s_len, h_len = self.s_len, self.h_len
+        s, h = th[:s_len], th[s_len:]
+        jac = np.zeros((self.obs_dim, self.param_dim))
+        for i in range(s_len):
+            jac[i : i + h_len, i] = h
+        for j in range(h_len):
+            jac[j : j + s_len, s_len + j] = s
+        return jac
+
+    def ambiguity_direction(self, theta) -> np.ndarray:
+        """Unit tangent (s, -h) / |theta| of the scalar exchange (a*s, h/a) at a = 1.
+
+        It lies in the null space of the Fisher information at generic theta.
+        """
+        s, h = self.split(theta)
+        direction = np.concatenate([s, -h])
+        norm = float(np.linalg.norm(direction))
+        if norm == 0.0:
+            raise DegenerateParameter("ambiguity direction undefined at theta = 0")
+        return direction / norm

@@ -41,7 +41,7 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # digests of the outputs once the seed derivations became one helper, the sampled bounds
     # were read from the spectrum of U'JU and the sampler took one complete qr per chunk; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
-    # trials
+    # trials, and the analyze run's pseudoinverse, constrained bound, constraint and report
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 9000\n")
     assert main(["analyze", "--input", str(config), "--seed", "4", "--out", str(tmp_path / "a")]) == 0
@@ -54,10 +54,15 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     assert main(argv) == 0
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("a/j.matx", "e/traces.csv", "c/certificates.csv", "c2/certificates.csv")
+        for name in ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx",
+                     "a/constraint.matx", "e/traces.csv", "c/certificates.csv", "c2/certificates.csv")
     }
     assert digests == {
         "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
+        "a/analysis.csv": "881c05c71fa9535891a48d28671cdf4ff88417939dfef61bb3aa1c1b53274d4b",
+        "a/j_pinv.matx": "1432fdb27998a480a0d7d4ce0784d6500afd03c08300cf515b914cc3d472282a",
+        "a/crb_constrained.matx": "2ef0448cbe35262ae5c3efc14016bec4c8d393fdf32e3d609dfa550f850cb3cf",
+        "a/constraint.matx": "b0be0b82e5d76ecb8117156d8b8c986d59ae24e635861c77e2d112f9c5bea565",
         "e/traces.csv": "4999e91c992a1a5697ed7e7ee8d0918ce050501e6051b5331f95213a998ff5ce",
         "c/certificates.csv": "58e01bd1b62ff1decb92a91b24624f8cb0ee2259bf7195ba2ae41dd30390c701",
         "c2/certificates.csv": "b062559b21f04970c182db75df8ac13510be90b4ab8c7e4dbbf4f1576bd1b006",
@@ -186,17 +191,21 @@ def test_every_setting_flag_reaches_the_manifest_and_reruns(tmp_path):
         (["certify", "--seed", "-1"], None),
         (["analyze", "--model", "blind_channel", "--seed", "-1"], None),
         (["analyze"], "model = blind_channel\nseed = -2\n"),
+        (["certify", "--count", "1", "--samples", "0"], None),
+        (["analyze", "--model", "blind_channel", "--samples", "-5"], None),
+        (["analyze"], "model = blind_channel\nsamples = 0\n"),
     ],
 )
 def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
+    # a seed below 0 or a sample count below 1, from a flag or a config file; the value comes last
+    value = config.split()[-1] if config else argv[-1]
+    rule = "samples must be positive" if "samples" in f"{argv} {config}" else "seed must be nonnegative"
     if config is not None:
         path = tmp_path / "neg.cfg"
         path.write_text(config)
         argv = argv + ["--input", str(path)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: resolving configuration: seed must be nonnegative, got -")
-    assert err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: resolving configuration: {rule}, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400"])

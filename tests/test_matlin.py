@@ -53,7 +53,7 @@ def test_ranked_svd_diag_rank_one():
     svd = ranked_svd(np.diag([2.0, 0.0]))
     assert svd.rank == 1
     assert np.allclose(svd.sigma, [2.0])
-    assert np.allclose(svd.range_projector(), np.diag([1.0, 0.0]), atol=1e-14)
+    assert np.allclose(svd.u_r @ svd.u_r.T, np.diag([1.0, 0.0]), atol=1e-14)
     assert np.allclose(svd.u_bar @ svd.u_bar.T, np.diag([0.0, 1.0]), atol=1e-14)
 
 
@@ -61,7 +61,7 @@ def test_ranked_svd_ones_matrix():
     svd = ranked_svd(ONES)
     assert svd.rank == 1
     assert np.allclose(svd.sigma, [2.0])
-    assert np.allclose(svd.range_projector(), 0.5 * ONES, atol=1e-12)
+    assert np.allclose(svd.u_r @ svd.u_r.T, 0.5 * ONES, atol=1e-12)
 
 
 def test_ranked_svd_full_rank_identity():
