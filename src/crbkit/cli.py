@@ -47,7 +47,7 @@ from .errors import (
     NumericalFailure,
     SamplingExhausted,
 )
-from .fim import fim_gaussian_mean, fim_monte_carlo
+from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
     DEFAULT_PSD_TOL_REL,
     DEFAULT_RANK_TOL_REL,
@@ -160,6 +160,9 @@ class RunConfig:
                 raise InvalidInput(f"{key} must be finite, got {value}")
         if self.fim_method not in ("analytic", "monte_carlo"):
             raise InvalidInput(f"fim_method must be analytic or monte_carlo, got {self.fim_method!r}")
+        if self.input_kind == "model" and self.fim_method == "monte_carlo" and self.n_samples < MIN_MC_SAMPLES:
+            floor = f"at least {MIN_MC_SAMPLES} for fim_method = monte_carlo"
+            raise InvalidInput(f"samples must be {floor}, got {self.n_samples}")
 
 
 # Run settings by config key, in manifest order.

@@ -1,12 +1,12 @@
 """Fisher information of Gaussian-mean models: analytic and Monte Carlo.
 
-The analytic route computes G' Sigma^-1 G from the mean Jacobian. The
-Monte-Carlo route averages score outer products over simulated
-observations with a deterministic, partition-derived random stream, so
-the result is reproducible for a given seed regardless of how the work
-would be split across workers. The score of y = mu + L z is (L^-1 G)' z,
-so a partition of k draws is one (k, obs_dim) normal draw times L^-1 G
-and two matrix products.
+The analytic route computes G'G / sigma^2 from the mean Jacobian G and
+the noise variance sigma^2. The Monte-Carlo route averages score outer
+products over simulated observations with a deterministic,
+partition-derived random stream, so the result is reproducible for a
+given seed regardless of how the work would be split across workers.
+The score of y = mu + sigma z is G'z / sigma, so a partition of k draws
+is one (k, obs_dim) normal draw times G / sigma and two matrix products.
 """
 
 from __future__ import annotations
@@ -43,24 +43,10 @@ class FimEstimate:
     clip_magnitude: float = 0.0
 
 
-def _isotropic_variance(cov: np.ndarray) -> float | None:
-    var = cov[0, 0]
-    if np.array_equal(cov, var * np.eye(cov.shape[0])):
-        return float(var)
-    return None
-
-
 def fim_gaussian_mean(model: GaussianMeanModel, theta) -> FimEstimate:
-    """Exact Fisher information G' Sigma^-1 G of a Gaussian-mean model."""
+    """Exact Fisher information G'G / noise_var of a Gaussian-mean model."""
     jac = model.jac_at(theta)
-    var = _isotropic_variance(model.noise_cov)
-    if var is not None:
-        # iid noise keeps the closed form (1/var) G'G exact
-        info = (jac.T @ jac) / var
-    else:
-        whitened = np.linalg.solve(model._chol, jac)
-        info = whitened.T @ whitened
-    return FimEstimate(matrix=SymMatrix(info), method="analytic")
+    return FimEstimate(matrix=SymMatrix((jac.T @ jac) / model.noise_var), method="analytic")
 
 
 def fim_monte_carlo(
@@ -69,11 +55,11 @@ def fim_monte_carlo(
     """Monte-Carlo Fisher information from score outer products.
 
     The model is sampled a partition at a time: its scores are the rows
-    of Z @ solve(L, G) for a (k, obs_dim) standard-normal draw Z, with L
-    the Cholesky factor of the noise covariance and G the mean Jacobian
-    at theta. That draw consumes the partition's stream exactly as k
-    sequential standard_normal(obs_dim) draws, so sample i sees the same
-    z as under model.sample.
+    of Z @ (G / sigma) for a (k, obs_dim) standard-normal draw Z, with
+    sigma^2 the noise variance and G the mean Jacobian at theta. That
+    draw consumes the partition's stream exactly as k sequential
+    standard_normal(obs_dim) draws, so sample i sees the same z as under
+    model.sample.
 
     The sample mean is symmetrized and its negative eigenvalues are
     clipped to zero so downstream positive-semidefinite preconditions
@@ -82,8 +68,8 @@ def fim_monte_carlo(
     """
     if n_samples < MIN_MC_SAMPLES:
         raise InvalidInput(f"n_samples must be at least {MIN_MC_SAMPLES}, got {n_samples}")
-    # score(mean + L z) = G' Sigma^-1 L z = (L^-1 G)' z
-    whitened_jac = np.linalg.solve(model._chol, model.jac_at(theta))
+    # score(mean + sigma z) = (G / sigma)' z; G times 1/sigma rounds as a solve against sigma I
+    whitened_jac = model.jac_at(theta) * (1.0 / np.sqrt(model.noise_var))
 
     dim = model.param_dim
     total = np.zeros((dim, dim))

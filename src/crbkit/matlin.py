@@ -149,10 +149,14 @@ def _bounds(u: np.ndarray, restricted: np.ndarray, exists: np.ndarray) -> np.nda
     """U (U'JU)^-1 U', symmetrized, for a (k, n, r) stack of bases U; one inv call for all.
 
     restricted is the (k, r, r) stack of U'JU. Where exists (k,) is False
-    the identity stands in for U'JU, and the entry is no bound.
+    the identity stands in for U'JU, and the entry is no bound. An
+    inverse that overflows raises FloatingPointError.
     """
     restricted = np.where(exists[:, None, None], restricted, np.eye(restricted.shape[1]))
-    bounds = u @ np.linalg.inv(restricted) @ u.transpose(0, 2, 1)
+    inverse = np.linalg.inv(restricted)
+    if not np.isfinite(inverse).all():
+        raise FloatingPointError("overflow encountered in the inverse of U'JU")
+    bounds = u @ inverse @ u.transpose(0, 2, 1)
     return 0.5 * (bounds + bounds.transpose(0, 2, 1))
 
 

@@ -1,6 +1,6 @@
 """Statistical observation models.
 
-GaussianMeanModel is y ~ N(mean(theta), noise_cov) for a differentiable
+GaussianMeanModel is y ~ N(mean(theta), noise_var I) for a differentiable
 mean map, with its mean Jacobian, samples and analytic score.
 gaussian_location is its identity-mean case. BlindChannelModel is the
 blind single-channel model y = s * h + noise: it owns its convolution
@@ -28,37 +28,24 @@ def _as_vector(values, size: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianMeanModel:
-    """y ~ N(mean_fn(theta), noise_cov) with a differentiable mean map.
+    """y ~ N(mean_fn(theta), noise_var I) with a differentiable mean map.
 
-    noise_cov must be symmetric positive definite. mean_fn maps a
-    param_dim vector to an obs_dim vector and mean_jac returns the
-    (obs_dim, param_dim) Jacobian of that map.
+    noise_var is the variance of every noise entry; it must be positive
+    and finite. mean_fn maps a param_dim vector to an obs_dim vector and
+    mean_jac returns the (obs_dim, param_dim) Jacobian of that map.
     """
 
     mean_fn: Callable[[np.ndarray], np.ndarray]
     mean_jac: Callable[[np.ndarray], np.ndarray]
-    noise_cov: np.ndarray
+    noise_var: float
     param_dim: int
     obs_dim: int
 
     def __post_init__(self):
         if self.param_dim < 1 or self.obs_dim < 1:
             raise InvalidModel(f"dimensions must be positive, got ({self.param_dim}, {self.obs_dim})")
-        cov = np.asarray(self.noise_cov, dtype=float)
-        if cov.shape != (self.obs_dim, self.obs_dim):
-            raise InvalidModel(f"noise_cov shape {cov.shape} does not match obs_dim {self.obs_dim}")
-        if not np.all(np.isfinite(cov)):
-            raise InvalidModel("noise_cov contains non-finite entries")
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
-            raise InvalidModel("noise_cov must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        try:
-            chol = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidModel("noise_cov must be positive definite") from exc
-        cov.flags.writeable = False
-        object.__setattr__(self, "noise_cov", cov)
-        object.__setattr__(self, "_chol", chol)
+        if not 0.0 < self.noise_var < np.inf:
+            raise InvalidModel(f"noise_var must be positive and finite, got {self.noise_var}")
 
     def mean_at(self, theta) -> np.ndarray:
         th = _as_vector(theta, self.param_dim, "theta")
@@ -74,27 +61,22 @@ class GaussianMeanModel:
         return jac
 
     def sample(self, theta, rng: np.random.Generator) -> np.ndarray:
-        return self.mean_at(theta) + self._chol @ rng.standard_normal(self.obs_dim)
+        return self.mean_at(theta) + np.sqrt(self.noise_var) * rng.standard_normal(self.obs_dim)
 
     def score(self, y, theta) -> np.ndarray:
-        obs = _as_vector(y, self.obs_dim, "y")
-        resid = obs - self.mean_at(theta)
-        # noise_cov^-1 resid via the stored Cholesky factor
-        z = np.linalg.solve(self._chol, resid)
-        return self.jac_at(theta).T @ np.linalg.solve(self._chol.T, z)
+        resid = _as_vector(y, self.obs_dim, "y") - self.mean_at(theta)
+        return self.jac_at(theta).T @ resid / self.noise_var
 
 
 def gaussian_location(dim: int, noise_var: float = 1.0) -> GaussianMeanModel:
     """Gaussian model with identity mean map and isotropic noise."""
     if dim < 1:
         raise InvalidModel(f"dim must be positive, got {dim}")
-    if not noise_var > 0.0:
-        raise InvalidModel(f"noise_var must be positive, got {noise_var}")
     eye = np.eye(dim)
     return GaussianMeanModel(
         mean_fn=lambda th: np.asarray(th, dtype=float),
         mean_jac=lambda th: eye,
-        noise_cov=noise_var * eye,
+        noise_var=noise_var,
         param_dim=dim,
         obs_dim=dim,
     )
@@ -113,14 +95,12 @@ class BlindChannelModel(GaussianMeanModel):
     def __init__(self, s_len: int, h_len: int, noise_var: float = 1.0):
         if s_len < 1 or h_len < 1:
             raise InvalidModel(f"filter lengths must be positive, got ({s_len}, {h_len})")
-        if not noise_var > 0.0:
-            raise InvalidModel(f"noise_var must be positive, got {noise_var}")
-        for name, value in (("s_len", s_len), ("h_len", h_len), ("noise_var", noise_var)):
+        for name, value in (("s_len", s_len), ("h_len", h_len)):
             object.__setattr__(self, name, value)
         super().__init__(
             mean_fn=lambda th: np.convolve(*self.split(th)),
             mean_jac=self._convolution_jac,
-            noise_cov=noise_var * np.eye(s_len + h_len - 1),
+            noise_var=noise_var,
             param_dim=s_len + h_len,
             obs_dim=s_len + h_len - 1,
         )

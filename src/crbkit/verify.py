@@ -45,7 +45,7 @@ from .matlin import (
     restricted_information,
     seed_sequence,
 )
-from .matx import dump_matrix, format_float
+from .matx import dump_matrix, format_float, save_matrix
 
 DEFAULT_MARGIN_TOL = 1e-9
 
@@ -416,7 +416,6 @@ def write_certificate_witnesses(cert: TheoremCertificate, directory) -> list[str
         written.append(note_path)
         for name, arr in witness.matrices:
             mat_path = os.path.join(directory, f"{stem}_{name}.matx")
-            with open(mat_path, "w", encoding="ascii") as fh:
-                fh.write(dump_matrix(arr))
+            save_matrix(mat_path, arr)
             written.append(mat_path)
     return written

@@ -72,6 +72,27 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         assert np.array_equal(seed_sequence(11, *key).generate_state(4), old)
 
 
+def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
+    # the benchmark's Monte-Carlo config; at noise_var = 0.5 whitening G by sigma rounds, and
+    # these digests, taken when G was whitened by a solve against the Cholesky factor of the
+    # noise covariance, pin that rounding; at seed 2, G / sigma differs from G * (1 / sigma)
+    # in 9 of the Jacobian's 30 entries
+    config = tmp_path / "mc.cfg"
+    config.write_text(
+        "model = blind_channel\ns_len = 3\nh_len = 3\nnoise_var = 0.5\n"
+        "fim_method = monte_carlo\nsamples = 10000\n"
+    )
+    assert main(["analyze", "--input", str(config), "--seed", "2", "--out", str(tmp_path / "a")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+        for name in ("j.matx", "analysis.csv")
+    }
+    assert digests == {
+        "j.matx": "93ebfc3ad49e36d94c8669274e56ebe8a961f89c0c4c8c23e4db603b1a210fed",
+        "analysis.csv": "21e4eb6dcd6f766f843290d14674698202ccdc2d28dd261c612b23783a3723e7",
+    }
+
+
 def test_analyze_singular_matrix(tmp_path):
     j = write_diag_matrix(tmp_path)
     out = tmp_path / "run"
@@ -185,21 +206,31 @@ def test_every_setting_flag_reaches_the_manifest_and_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+BAD_SETTING_CASES = [
+    (["certify", "--seed", "-1"], None, "seed must be nonnegative"),
+    (["analyze", "--model", "blind_channel", "--seed", "-1"], None, "seed must be nonnegative"),
+    (["analyze"], "model = blind_channel\nseed = -2\n", "seed must be nonnegative"),
+    (["certify", "--count", "1", "--samples", "0"], None, "samples must be positive"),
+    (["analyze", "--model", "blind_channel", "--samples", "-5"], None, "samples must be positive"),
+    (["analyze"], "model = blind_channel\nsamples = 0\n", "samples must be positive"),
+    (
+        ["analyze"],
+        "model = blind_channel\nfim_method = monte_carlo\nsamples = 50\n",
+        "samples must be at least 100 for fim_method = monte_carlo",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, config",
-    [
-        (["certify", "--seed", "-1"], None),
-        (["analyze", "--model", "blind_channel", "--seed", "-1"], None),
-        (["analyze"], "model = blind_channel\nseed = -2\n"),
-        (["certify", "--count", "1", "--samples", "0"], None),
-        (["analyze", "--model", "blind_channel", "--samples", "-5"], None),
-        (["analyze"], "model = blind_channel\nsamples = 0\n"),
-    ],
+    "argv, config, rule",
+    BAD_SETTING_CASES,
+    # ids name the argv and config columns only, as pytest would name a two-column case
+    ids=[f"argv{i}-{config}" for i, (_, config, _) in enumerate(BAD_SETTING_CASES)],
 )
-def test_negative_seed_exits_2(tmp_path, capsys, argv, config):
-    # a seed below 0 or a sample count below 1, from a flag or a config file; the value comes last
+def test_negative_seed_exits_2(tmp_path, capsys, argv, config, rule):
+    # a seed below 0 or a sample count below 1, or below 100 for Monte Carlo, from a flag or a
+    # config file; the value comes last
     value = config.split()[-1] if config else argv[-1]
-    rule = "samples must be positive" if "samples" in f"{argv} {config}" else "seed must be nonnegative"
     if config is not None:
         path = tmp_path / "neg.cfg"
         path.write_text(config)
@@ -262,6 +293,15 @@ def test_non_finite_theta_exits_2(tmp_path, capsys, theta, fim_method):
     assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: resolving configuration: config key theta has non-finite entries: {theta!r}\n"
+
+
+@pytest.mark.parametrize("noise_var", ["inf", "nan", "-1"])
+def test_non_finite_or_negative_noise_var_exits_2(tmp_path, capsys, noise_var):
+    cfg = tmp_path / "noise.cfg"
+    cfg.write_text(f"model = blind_channel\nnoise_var = {noise_var}\n")
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: reading input: noise_var must be positive and finite, got {float(noise_var)}\n"
 
 
 def test_flags_override_config_values(tmp_path):
@@ -490,10 +530,21 @@ def test_zero_matrix_input(tmp_path, capsys, matrix):
     assert not (tmp_path / "c" / "certificates.csv").exists()
 
 
-@pytest.mark.parametrize("matrix", ["2 2\n1e308 0\n0 1e308\n", "3 3\n1e308 0 0\n0 1e308 0\n0 0 0\n"])
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        "2 2\n1e308 0\n0 1e308\n",
+        "3 3\n1e308 0 0\n0 1e308 0\n0 0 0\n",
+        "2 2\n3e-309 0\n0 0\n",
+        "3 3\n4e-309 0 0\n0 2e-309 0\n0 0 0\n",
+        "model = blind_channel\nnoise_var = 1e308\n",
+    ],
+)
 @pytest.mark.parametrize("command", ["analyze", "certify", "experiment"])
 def test_huge_matrix_input_exits_2(tmp_path, capsys, matrix, command):
-    # finite entries whose sums overflow; RuntimeWarnings are errors under the test settings
+    # finite entries whose sums overflow, or a singular J whose nonzero singular values all lie
+    # below 1/DBL_MAX, so its pseudoinverse overflows; the last input is a config whose J is
+    # G'G / 1e308; RuntimeWarnings are errors under the test settings
     path = tmp_path / "huge.matx"
     path.write_text(matrix)
     assert main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
