@@ -30,7 +30,6 @@ from .errors import (
 from .matlin import (
     DEFAULT_PSD_TOL_REL,
     DEFAULT_RANK_TOL_REL,
-    EigenSpectrum,
     RankedSvd,
     SymMatrix,
     as_ranked_svd,
@@ -56,7 +55,6 @@ from .crb import CrbReport, bound_traces, constrained_crb, unconstrained_crb
 from .constraint import (
     ConstraintSpec,
     ConstraintStack,
-    MinConstraintReport,
     check_minimum_constraint,
     evaluate_constraints,
     load_constraint_spec,

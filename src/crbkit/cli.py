@@ -108,18 +108,14 @@ def _label_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("ascii")).digest()[:4], "big")
 
 
-def _derived_sequence(seed: int, label: str, index: int) -> np.random.SeedSequence:
-    return seed_sequence(seed, _label_key(label), index)
-
-
 def derived_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Random stream derived from (seed, component label, index)."""
-    return np.random.default_rng(_derived_sequence(seed, label, index))
+    return np.random.default_rng(seed_sequence(seed, _label_key(label), index))
 
 
 def derived_seed(seed: int, label: str, index: int = 0) -> int:
     """Integer sub-seed derived from (seed, component label, index)."""
-    return int(_derived_sequence(seed, label, index).generate_state(1, np.uint64)[0])
+    return int(seed_sequence(seed, _label_key(label), index).generate_state(1, np.uint64)[0])
 
 
 def _setting(key: str, default, help_text: str, limit: str | None = None):
@@ -135,8 +131,7 @@ class RunConfig:
     """Fully resolved run parameters; the _setting fields are the run settings, in manifest order."""
 
     command: str
-    input_kind: str  # "matrix" | "model" | "suite"
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray | None = None  # the input is matrix or model_kind; certify with neither runs its suite
     model_kind: str | None = None
     model_params: dict = field(default_factory=dict)
     theta: np.ndarray | None = None
@@ -150,7 +145,7 @@ class RunConfig:
     margin_tol: float = _setting("margin_tol", DEFAULT_MARGIN_TOL, "certificate margin tolerance", "positive")
 
     def validate(self) -> None:
-        if self.input_kind == "suite" and self.command != "certify":
+        if self.matrix is None and self.model_kind is None and self.command != "certify":
             raise InvalidInput(f"{self.command} requires --input or --model")
         for key, setting in SETTINGS.items():
             value, limit = getattr(self, setting.name), setting.metadata["limit"]
@@ -160,7 +155,7 @@ class RunConfig:
                 raise InvalidInput(f"{key} must be finite, got {value}")
         if self.fim_method not in ("analytic", "monte_carlo"):
             raise InvalidInput(f"fim_method must be analytic or monte_carlo, got {self.fim_method!r}")
-        if self.input_kind == "model" and self.fim_method == "monte_carlo" and self.n_samples < MIN_MC_SAMPLES:
+        if self.model_kind is not None and self.fim_method == "monte_carlo" and self.n_samples < MIN_MC_SAMPLES:
             floor = f"at least {MIN_MC_SAMPLES} for fim_method = monte_carlo"
             raise InvalidInput(f"samples must be {floor}, got {self.n_samples}")
 
@@ -175,8 +170,9 @@ CONFIG_KEYS = {"command", "version", "input", "model", "theta", "fim_method", *S
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat key = value lines; # starts a comment."""
+    """Parse flat key = value lines; a line starting with # is a comment. A key may appear once."""
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -187,6 +183,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key not in CONFIG_KEYS:
             raise InvalidInput(f"unknown config key {key!r} on line {number}")
+        if key in line_of:
+            raise InvalidInput(f"config key {key!r} is given twice, on lines {line_of[key]} and {number}")
+        line_of[key] = number
         values[key] = value.strip()
     return values
 
@@ -216,7 +215,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values into a RunConfig."""
     file_values: dict[str, str] = {}
     matrix: np.ndarray | None = None
-    input_kind = "suite"
     model_kind: str | None = None
 
     if args.input is not None and args.model is not None:
@@ -233,19 +231,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise InvalidInput("config names both a model and an input matrix")
             if "model" in file_values:
                 model_kind = file_values["model"]
-                input_kind = "model"
             elif "input" in file_values:
                 ref = (path.parent / file_values["input"]).resolve()
                 matrix = load_matrix(ref)
-                input_kind = "matrix"
             else:
                 raise InvalidInput("config names neither a model nor an input matrix")
         else:
             matrix = parse_matrix(text)
-            input_kind = "matrix"
     elif args.model is not None:
         model_kind = args.model
-        input_kind = "model"
 
     model_params: dict = {}
     if model_kind is not None:
@@ -270,7 +264,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     config = RunConfig(
         command=args.command,
-        input_kind=input_kind,
         matrix=matrix,
         model_kind=model_kind,
         model_params=model_params,
@@ -295,33 +288,34 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
 
 
 def information_matrix(config: RunConfig):
-    """Resolve the run's information matrix; returns (SymMatrix, FimEstimate | None).
+    """The run's information matrix factored under its rank rule; returns (RankedSvd, FimEstimate | None).
 
     Invalid input raises CliError with exit 2, a failed estimate exit 3.
     """
     try:
-        if config.input_kind == "matrix":
-            sym = as_sym_matrix(config.matrix)
+        if config.matrix is not None:
+            sym, estimate = as_sym_matrix(config.matrix), None
             if not is_psd(sym, config.psd_tol_rel):
                 raise InvalidInput(
                     "information matrix is not positive semidefinite: its smallest eigenvalue "
                     f"is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
                 )
             config.matrix = sym.entries  # the symmetrized matrix, which the manifest writes as j.matx
-            return sym, None
-        model = MODELS[config.model_kind][0](**config.model_params)
-        theta = resolve_theta(config, model.param_dim)
-        config.theta = theta  # record the resolved point for the manifest
-        if config.fim_method == "monte_carlo":
-            seed = derived_seed(config.seed, "fim-mc")
-            estimate = fim_monte_carlo(model, theta, config.n_samples, seed)
         else:
-            estimate = fim_gaussian_mean(model, theta)
-        return estimate.matrix, estimate
+            model = MODELS[config.model_kind][0](**config.model_params)
+            theta = resolve_theta(config, model.param_dim)
+            config.theta = theta  # record the resolved point for the manifest
+            if config.fim_method == "monte_carlo":
+                seed = derived_seed(config.seed, "fim-mc")
+                estimate = fim_monte_carlo(model, theta, config.n_samples, seed)
+            else:
+                estimate = fim_gaussian_mean(model, theta)
+            sym = estimate.matrix
     except (InvalidInput, InvalidMatrix, InvalidModel) as exc:
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
+    return ranked_svd(sym, config.rank_tol_rel), estimate
 
 
 def _config_value(value) -> str:
@@ -336,10 +330,10 @@ def write_manifest(config: RunConfig) -> None:
     out = config.output_dir
     lines = [f"{CSV_VERSION_LINE} manifest", f"command = {config.command}", f"version = {__version__}"]
     lines += [f"{key} = {_config_value(getattr(config, s.name))}" for key, s in SETTINGS.items()]
-    if config.input_kind == "matrix":
+    if config.matrix is not None:
         save_matrix(out / "j.matx", config.matrix)
         lines.append("input = j.matx")
-    elif config.input_kind == "model":
+    elif config.model_kind is not None:
         lines.append(f"model = {config.model_kind}")
         lines += [f"{key} = {_config_value(value)}" for key, value in config.model_params.items()]
         lines.append(f"fim_method = {config.fim_method}")
@@ -358,17 +352,11 @@ def cmd_analyze(config: RunConfig) -> int:
     """Rank, pseudoinverse, and optimal-constraint report for one matrix."""
     out = config.output_dir
 
-    sym, estimate = information_matrix(config)
-
-    try:
-        basis = ranked_svd(sym, config.rank_tol_rel)
-        report = unconstrained_crb(basis)
-    except np.linalg.LinAlgError as exc:
-        raise CliError(EXIT_NUMERICAL, f"decomposing information matrix: {exc}") from exc
-
-    n, rank = sym.dim, basis.rank
-    if config.input_kind != "matrix":  # a matrix input is written with the manifest
-        save_matrix(out / "j.matx", sym.entries)
+    basis, estimate = information_matrix(config)
+    report = unconstrained_crb(basis)
+    n, rank = basis.dim, basis.rank
+    if config.matrix is None:  # a matrix input is written with the manifest
+        save_matrix(out / "j.matx", basis.matrix.entries)
     save_matrix(out / "j_pinv.matx", report.bound.entries)
 
     rows: list[tuple[str, str]] = [
@@ -387,7 +375,7 @@ def cmd_analyze(config: RunConfig) -> int:
             rows.append(("fim_clip_magnitude", format_float(estimate.clip_magnitude)))
     for i, value in enumerate(basis.sigma, 1):
         rows.append((f"sigma_{i}", format_float(value)))
-    for i, value in enumerate(report.eigenvalues.values, 1):
+    for i, value in enumerate(report.eigenvalues, 1):
         rows.append((f"eig_pinv_{i}", format_float(value)))
 
     if rank == n:
@@ -396,18 +384,15 @@ def cmd_analyze(config: RunConfig) -> int:
         print(f"information matrix is nonsingular (rank {rank}); no constraint needed")
         print(f"inverse written to {out / 'j_pinv.matx'}")
     else:
-        try:
-            spec = optimal_affine_constraint(basis, np.zeros(n))
-            bound = constrained_crb(basis, spec)
-        except np.linalg.LinAlgError as exc:
-            raise CliError(EXIT_NUMERICAL, f"synthesizing optimal constraint: {exc}") from exc
+        spec = optimal_affine_constraint(basis, np.zeros(n))
+        bound = constrained_crb(basis, spec)
         save_constraint_spec(out / "constraint.matx", spec)
         save_matrix(out / "crb_constrained.matx", bound.bound.entries)
         rows.append(("constraint", spec.label))
         rows.append(("constraint_rows", str(spec.n_constraints)))
         rows.append(("constraint_exists", "true" if bound.exists else "false"))
         rows.append(("trace_constrained", format_float(bound.trace)))
-        for i, value in enumerate(bound.eigenvalues.values, 1):
+        for i, value in enumerate(bound.eigenvalues, 1):
             rows.append((f"eig_crb_{i}", format_float(value)))
         print(
             f"information matrix is singular (rank {rank} of {n}); "
@@ -450,7 +435,7 @@ def cmd_certify(config: RunConfig) -> int:
     out = config.output_dir
 
     matrices = []
-    if config.input_kind == "suite":
+    if config.matrix is None and config.model_kind is None:
         shape_rng = derived_rng(config.seed, "certify-shapes")
         for i in range(config.count):
             n = int(shape_rng.integers(2, 9))
@@ -459,9 +444,8 @@ def cmd_certify(config: RunConfig) -> int:
             matrices.append(ranked_svd(sym, config.rank_tol_rel))
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
-        sym, _ = information_matrix(config)
-        basis = ranked_svd(sym, config.rank_tol_rel)
-        if basis.rank in (0, sym.dim):
+        basis, _ = information_matrix(config)
+        if basis.rank in (0, basis.dim):
             raise CliError(
                 EXIT_INVALID_INPUT,
                 f"certify: input information matrix is {'nonsingular' if basis.rank else 'zero'}; "
@@ -508,8 +492,7 @@ def cmd_experiment(config: RunConfig) -> int:
     """Trace survey over sampled minimum constraints for a singular matrix."""
     out = config.output_dir
 
-    sym, _ = information_matrix(config)
-    basis = ranked_svd(sym, config.rank_tol_rel)
+    basis, _ = information_matrix(config)
     baseline = basis.pinv.trace
     lines = [CSV_VERSION_LINE, f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
     worst = np.inf
@@ -584,6 +567,12 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: input values too large for double precision: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except OSError as exc:  # input is read while resolving, so a command's OSError is a failed write
+        print(f"error: writing outputs: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except np.linalg.LinAlgError as exc:
+        print(f"error: linear algebra failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

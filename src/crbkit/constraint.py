@@ -12,7 +12,7 @@ sampled chunk) and one eigvalsh call per stack of Jacobians.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -79,21 +79,6 @@ class ConstraintSpec:
         return self.f_jac.shape[1]
 
 
-@dataclass(frozen=True)
-class MinConstraintReport:
-    """Outcome of the three minimum-constraint requirements.
-
-    is_minimum is the conjunction of the three flags. details carries the
-    numeric ranks and the extreme eigenvalues of U'JU.
-    """
-
-    full_rank_jacobian: bool
-    utju_nonsingular: bool
-    rank_sum_is_n: bool
-    is_minimum: bool
-    details: dict = field(default_factory=dict)
-
-
 class ConstraintStack(NamedTuple):
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
@@ -155,16 +140,14 @@ def _evaluated(basis: RankedSvd, f_jacs, row_rank, u) -> ConstraintStack:
     )
 
 
-def check_minimum_constraint(j, spec: ConstraintSpec) -> MinConstraintReport:
-    """Evaluate the three minimum-constraint requirements of F against J."""
+def check_minimum_constraint(j, spec: ConstraintSpec) -> ConstraintStack:
+    """The three minimum-constraint requirements of F against J: the one-row stack of spec.f_jac."""
     basis = as_ranked_svd(j)
     if spec.param_dim != basis.dim:
         raise InvalidInput(
             f"constraint has {spec.param_dim} columns but J is {basis.dim} x {basis.dim}"
         )
-    stack = evaluate_constraints(basis, spec.f_jac[None])
-    flags = [bool(flag[0]) for flag in stack[-3:]]  # full rank, U'JU nonsingular, rank sum n
-    return MinConstraintReport(*flags, all(flags), stack.details(0))
+    return evaluate_constraints(basis, spec.f_jac[None])
 
 
 def optimal_affine_constraint(j, theta0) -> ConstraintSpec:

@@ -17,13 +17,14 @@ import numpy as np
 
 from .constraint import ConstraintSpec, ConstraintStack, evaluate_constraints
 from .errors import RankDeficientConstraint
-from .matlin import EigenSpectrum, SymMatrix, _bounds, as_ranked_svd
+from .matlin import SymMatrix, _bounds, _freeze, as_ranked_svd
 
 
 @dataclass(frozen=True, eq=False)
 class CrbReport:
     """Covariance lower bound.
 
+    eigenvalues is the bound's spectrum, a read-only descending array.
     When exists is False (restricted information singular) the bound and
     its eigenvalues are absent and trace is +inf. singular_fim_warning
     marks a singular J on the unconstrained route, where no
@@ -33,7 +34,7 @@ class CrbReport:
     bound: SymMatrix | None
     exists: bool
     trace: float
-    eigenvalues: EigenSpectrum | None
+    eigenvalues: np.ndarray | None
     singular_fim_warning: bool = False
 
 
@@ -79,12 +80,13 @@ def constrained_crb(j, constraint) -> CrbReport:
     stack = evaluate_constraints(j, f_jac[None])
     if not stack.full_rank_jacobian[0]:
         raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
-    ok = bool(stack.utju_nonsingular[0])
-    bound = _bounds(stack.u, stack.restricted, stack.utju_nonsingular)[0]
+    if not stack.utju_nonsingular[0]:
+        return CrbReport(bound=None, exists=False, trace=math.inf, eigenvalues=None)
+    bound = _bounds(stack.u, stack.restricted)[0]
     lam = _bound_spectra(stack)[0]
     return CrbReport(
-        bound=SymMatrix(bound) if ok else None,
-        exists=ok,
-        trace=float(lam.sum()) if ok else math.inf,
-        eigenvalues=EigenSpectrum(np.concatenate([lam, np.zeros(f_jac.shape[0])])) if ok else None,
+        bound=SymMatrix(bound),
+        exists=True,
+        trace=float(lam.sum()),
+        eigenvalues=_freeze(np.concatenate([lam, np.zeros(f_jac.shape[0])])),
     )

@@ -120,23 +120,12 @@ class RankedSvd:
     def pinv(self) -> SymMatrix:
         """Moore-Penrose pseudoinverse U_r (U_r' J U_r)^-1 U_r' by _bounds; zero for rank 0."""
         restricted = self.u_r.T @ self.matrix.entries @ self.u_r
-        return SymMatrix(_bounds(self.u_r[None], restricted[None], np.ones(1, dtype=bool))[0])
+        return SymMatrix(_bounds(self.u_r[None], restricted[None])[0])
 
     @cached_property
-    def pinv_eigenvalues(self) -> EigenSpectrum:
-        """Eigenvalues of pinv, descending: 1/sigma and n - r zeros, as J is positive semidefinite."""
-        return EigenSpectrum(np.concatenate([1.0 / self.sigma, np.zeros(self.dim - self.rank)]))
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSpectrum:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.sort(np.asarray(self.values, dtype=float))[::-1]
-        object.__setattr__(self, "values", _freeze(vals))
+    def pinv_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of pinv, descending: 1/sigma reversed and n - r zeros, as J is positive semidefinite."""
+        return _freeze(np.concatenate([1.0 / self.sigma[::-1], np.zeros(self.dim - self.rank)]))
 
 
 def restricted_information(j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -145,14 +134,12 @@ def restricted_information(j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np
     return restricted, np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
 
 
-def _bounds(u: np.ndarray, restricted: np.ndarray, exists: np.ndarray) -> np.ndarray:
+def _bounds(u: np.ndarray, restricted: np.ndarray) -> np.ndarray:
     """U (U'JU)^-1 U', symmetrized, for a (k, n, r) stack of bases U; one inv call for all.
 
-    restricted is the (k, r, r) stack of U'JU. Where exists (k,) is False
-    the identity stands in for U'JU, and the entry is no bound. An
+    restricted is the (k, r, r) stack of U'JU, each nonsingular. An
     inverse that overflows raises FloatingPointError.
     """
-    restricted = np.where(exists[:, None, None], restricted, np.eye(restricted.shape[1]))
     inverse = np.linalg.inv(restricted)
     if not np.isfinite(inverse).all():
         raise FloatingPointError("overflow encountered in the inverse of U'JU")
@@ -191,10 +178,9 @@ def pinv_via_basis(m) -> SymMatrix:
     return as_ranked_svd(m).pinv
 
 
-def eigvals_desc(m) -> EigenSpectrum:
-    """Eigenvalues of a symmetric matrix in descending order."""
-    sym = as_sym_matrix(m)
-    return EigenSpectrum(np.linalg.eigvalsh(sym.entries))
+def eigvals_desc(m) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix in descending order, read-only."""
+    return _freeze(np.linalg.eigvalsh(as_sym_matrix(m).entries)[::-1])
 
 
 def is_psd(m, psd_tol_rel: float = DEFAULT_PSD_TOL_REL) -> bool:

@@ -231,7 +231,7 @@ def verify_eigen_dominance(
     width = max(evals.shape[1], basis.rank)
     lam_lhs = np.zeros((len(evals), width))
     lam_lhs[:, : evals.shape[1]] = 1.0 / evals
-    margins = (lam_lhs - basis.pinv_eigenvalues.values[:width]).ravel().tolist()
+    margins = (lam_lhs - basis.pinv_eigenvalues[:width]).ravel().tolist()
     return _certify(
         "eigen_dominance", margins,
         lambda c: (f"eig-index-{c % width}", {"j": entries, "v": frames[c // width]}), margin_tol,
@@ -248,7 +248,7 @@ def verify_poincare(
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, "v")
     lam_restricted = restricted_information(sym.entries, v_arr[None])[1][0, ::-1]
-    margins = (eigvals_desc(sym).values[: lam_restricted.size] - lam_restricted).tolist()
+    margins = (eigvals_desc(sym)[: lam_restricted.size] - lam_restricted).tolist()
     return _certify(
         "poincare", margins, lambda i: (f"eig-index-{i}", {"j": sym.entries, "v": v_arr}), margin_tol
     )
@@ -289,7 +289,7 @@ def verify_constraint_equivalence(
         raise RankDeficientConstraint(min(stack.row_rank), m)
     if not np.all(stack.utju_nonsingular):
         raise SingularRestriction(f"U'JU of alternative {np.argmin(stack.utju_nonsingular)} is singular")
-    bounds = _bounds(stack.u, stack.restricted, stack.utju_nonsingular)
+    bounds = _bounds(stack.u, stack.restricted)
     margins = [-float(np.linalg.norm(bound - basis.pinv.entries)) for bound in bounds]
     return _certify(
         "equivalence", margins,
@@ -359,7 +359,7 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
     basis = ranked_svd(np.diag([1.0, 1.0, 0.0, 0.0]))
     j = basis.matrix.entries
     v = 0.5 * np.array([[-1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    lhs = _bounds(v[None], (v.T @ j @ v)[None], np.ones(1, dtype=bool))[0]
+    lhs = _bounds(v[None], (v.T @ j @ v)[None])[0]
     diff = lhs - basis.pinv.entries  # both symmetric
     min_eig = float(np.linalg.eigvalsh(diff)[0])
 

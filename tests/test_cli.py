@@ -41,7 +41,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # digests of the outputs once the seed derivations became one helper, the sampled bounds
     # were read from the spectrum of U'JU and the sampler took one complete qr per chunk; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
-    # trials, and the analyze run's pseudoinverse, constrained bound, constraint and report
+    # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
+    # each run's manifest, whose input or model branch follows the kind of input
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 9000\n")
     assert main(["analyze", "--input", str(config), "--seed", "4", "--out", str(tmp_path / "a")]) == 0
@@ -52,11 +53,13 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # 40 constraints take two sampler chunks, so this run goes through their concatenation
     argv = ["certify", "--input", j_path, "--count", "40", "--seed", "2", "--out", str(tmp_path / "c2")]
     assert main(argv) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx",
-                     "a/constraint.matx", "e/traces.csv", "c/certificates.csv", "c2/certificates.csv")
-    }
+    # a matrix input takes the manifest's input branch and writes j.matx with the manifest
+    assert main(["analyze", "--input", j_path, "--out", str(tmp_path / "m")]) == 0
+    outputs = ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx", "a/constraint.matx",
+               "e/traces.csv", "c/certificates.csv", "c2/certificates.csv")
+    outputs += ("m/j.matx", "m/analysis.csv", "m/j_pinv.matx", "m/crb_constrained.matx", "m/constraint.matx")
+    outputs += ("e/j.matx", "c2/j.matx") + tuple(f"{run}/manifest.cfg" for run in ("a", "e", "c", "c2", "m"))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert digests == {
         "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "a/analysis.csv": "881c05c71fa9535891a48d28671cdf4ff88417939dfef61bb3aa1c1b53274d4b",
@@ -66,6 +69,18 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "e/traces.csv": "4999e91c992a1a5697ed7e7ee8d0918ce050501e6051b5331f95213a998ff5ce",
         "c/certificates.csv": "58e01bd1b62ff1decb92a91b24624f8cb0ee2259bf7195ba2ae41dd30390c701",
         "c2/certificates.csv": "b062559b21f04970c182db75df8ac13510be90b4ab8c7e4dbbf4f1576bd1b006",
+        "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
+        "m/analysis.csv": "822d49fa7ca7a23d60135ddac8486cf28c1cc76fdd45ea395a732814fd717598",
+        "m/j_pinv.matx": "1432fdb27998a480a0d7d4ce0784d6500afd03c08300cf515b914cc3d472282a",
+        "m/crb_constrained.matx": "2ef0448cbe35262ae5c3efc14016bec4c8d393fdf32e3d609dfa550f850cb3cf",
+        "m/constraint.matx": "b0be0b82e5d76ecb8117156d8b8c986d59ae24e635861c77e2d112f9c5bea565",
+        "e/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
+        "c2/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
+        "a/manifest.cfg": "7d07193740c88a59492078d814f1885eee85602be986b1ff5eff792f30ab3bb3",
+        "e/manifest.cfg": "87c5c0f9c8aca7c67c64078fd56867ee7abb2983a74c4885d3f71b749453ca66",
+        "c/manifest.cfg": "d53b6f9476e13b98845a3e04553b8ed7a8ec98a522e4715bee0c023ca4bf0f78",
+        "c2/manifest.cfg": "06c82113bdc4a2a6e743b059e89e45ea7a7629795a836dd6f7894d8033e4cd18",
+        "m/manifest.cfg": "24d217cce8b133e65e2ccc23a1f4fd045679cd9609291e35044911824b604efa",
     }
     for key in [(), (3,), (1234, 5)]:
         old = np.random.SeedSequence(entropy=11, spawn_key=key).generate_state(4)
@@ -381,6 +396,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_config_key_given_twice_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("model = blind_channel\n# a comment\nseed = 3\nseed = 4\n")
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: resolving configuration: config key 'seed' is given twice, on lines 3 and 4\n"
+    assert not (tmp_path / "o" / "analysis.csv").exists()
+
+
 def test_config_with_model_and_input_exits_2(tmp_path):
     cfg = tmp_path / "both.cfg"
     cfg.write_text("model = blind_channel\ninput = j.matx\n")
@@ -561,6 +585,40 @@ def test_monte_carlo_overflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: input values too large for double precision: overflow encountered")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["analyze"], "analysis.csv"),
+        (["certify", "--count", "2"], "certificates.csv"),
+        (["experiment", "--count", "5"], "traces.csv"),
+    ],
+)
+def test_failed_output_write_exits_2(tmp_path, capsys, argv, csv):
+    out = tmp_path / "o"
+    (out / csv).mkdir(parents=True)
+    if argv[0] != "certify":
+        argv = argv + ["--input", str(write_diag_matrix(tmp_path))]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: writing outputs: ") and str(out / csv) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--input"], ["certify", "--count", "2"], ["certify", "--input"], ["experiment", "--input"]],
+)
+def test_failed_factorization_exits_3(tmp_path, capsys, monkeypatch, argv):
+    def fail(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(crbkit.cli, "ranked_svd", fail)
+    if argv[-1] == "--input":
+        argv = argv + [str(write_diag_matrix(tmp_path))]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: linear algebra failure: SVD did not converge\n"
 
 
 def test_psd_tol_sets_the_negative_eigenvalue_slack(tmp_path):

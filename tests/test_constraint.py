@@ -49,15 +49,15 @@ def test_check_minimum_frozen_examples():
     assert overdone.utju_nonsingular
     assert not overdone.rank_sum_is_n
     assert not overdone.is_minimum
-    assert overdone.details["rank_jacobian"] == 2
-    assert overdone.details["rank_fim"] == 1
-    assert overdone.details["param_dim"] == 2
+    assert overdone.details(0)["rank_jacobian"] == 2
+    assert overdone.details(0)["rank_fim"] == 1
+    assert overdone.details(0)["param_dim"] == 2
 
 
 def test_check_minimum_details_carry_restricted_eigenvalues():
     report = check_minimum_constraint(DIAG, ConstraintSpec(np.array([[0.0, 1.0]])))
-    assert np.isclose(report.details["utju_min_eig"], 2.0)
-    assert np.isclose(report.details["utju_max_eig"], 2.0)
+    assert np.isclose(report.details(0)["utju_min_eig"], 2.0)
+    assert np.isclose(report.details(0)["utju_max_eig"], 2.0)
 
 
 def test_check_minimum_dimension_mismatch():

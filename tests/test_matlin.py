@@ -128,10 +128,10 @@ def test_pinv_accepts_sym_matrix_input():
 
 
 def test_eigvals_desc_frozen_examples():
-    assert np.allclose(eigvals_desc(np.diag([0.0, 0.5])).values, [0.5, 0.0])
-    assert np.allclose(eigvals_desc(HOUSE).values, [1.0, 0.0], atol=1e-14)
+    assert np.allclose(eigvals_desc(np.diag([0.0, 0.5])), [0.5, 0.0])
+    assert np.allclose(eigvals_desc(HOUSE), [1.0, 0.0], atol=1e-14)
     golden = (1.0 + np.sqrt(5.0)) / 2.0
-    vals = eigvals_desc(np.array([[0.0, 1.0], [1.0, 1.0]])).values
+    vals = eigvals_desc(np.array([[0.0, 1.0], [1.0, 1.0]]))
     assert np.allclose(vals, [golden, 1.0 - golden], atol=1e-12)
 
 
