@@ -10,8 +10,9 @@ Three commands over a shared flag set:
               and record the trace of each constrained bound
 
 Input is either a matx matrix file or a flat key = value model config;
-command-line flags override file values. Every run writes a manifest
-that can be fed back through --input to reproduce the run bit for bit.
+command-line flags override file values. Every run, a certify suite
+included, writes a manifest that can be fed back through --input to
+reproduce the run bit for bit.
 All randomness fans out from one seed through labeled streams. Exit
 codes: 0 success, 2 invalid input, 3 numerical failure, 4 certificate
 failure.
@@ -51,6 +52,7 @@ from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
     DEFAULT_PSD_TOL_REL,
     DEFAULT_RANK_TOL_REL,
+    _rank_cutoff,
     as_sym_matrix,
     is_psd,
     orthonormal_columns,
@@ -146,7 +148,7 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.matrix is None and self.model_kind is None and self.command != "certify":
-            raise InvalidInput(f"{self.command} requires --input or --model")
+            raise InvalidInput(f"{self.command} requires --input or --model naming a matrix or a model")
         for key, setting in SETTINGS.items():
             value, limit = getattr(self, setting.name), setting.metadata["limit"]
             if limit and not (value > 0 if limit == "positive" else value >= 0):
@@ -231,11 +233,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise InvalidInput("config names both a model and an input matrix")
             if "model" in file_values:
                 model_kind = file_values["model"]
-            elif "input" in file_values:
+            elif "input" in file_values:  # naming neither makes a certify suite config
                 ref = (path.parent / file_values["input"]).resolve()
                 matrix = load_matrix(ref)
-            else:
-                raise InvalidInput("config names neither a model nor an input matrix")
         else:
             matrix = parse_matrix(text)
     elif args.model is not None:
@@ -290,16 +290,12 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
 def information_matrix(config: RunConfig):
     """The run's information matrix factored under its rank rule; returns (RankedSvd, FimEstimate | None).
 
-    Invalid input raises CliError with exit 2, a failed estimate exit 3.
+    Invalid input, a matrix that is not PSD or a rank_tol refused by check_rank_tol
+    raise CliError with exit 2, a failed estimate exit 3.
     """
     try:
         if config.matrix is not None:
             sym, estimate = as_sym_matrix(config.matrix), None
-            if not is_psd(sym, config.psd_tol_rel):
-                raise InvalidInput(
-                    "information matrix is not positive semidefinite: its smallest eigenvalue "
-                    f"is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
-                )
             config.matrix = sym.entries  # the symmetrized matrix, which the manifest writes as j.matx
         else:
             model = MODELS[config.model_kind][0](**config.model_params)
@@ -315,7 +311,19 @@ def information_matrix(config: RunConfig):
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
-    return ranked_svd(sym, config.rank_tol_rel), estimate
+    basis = ranked_svd(sym, config.rank_tol_rel)
+    if estimate is None and not is_psd(basis, config.psd_tol_rel):
+        below = f"its smallest eigenvalue is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
+        raise CliError(EXIT_INVALID_INPUT, f"reading input: information matrix is not positive semidefinite: {below}")
+    check_rank_tol(basis.dim, config.rank_tol_rel)
+    return basis, estimate
+
+
+def check_rank_tol(n: int, rank_tol: float) -> None:
+    """Refuse, with exit 2, a rank_tol under which the rank rule gives every n x n matrix rank 0."""
+    if not _rank_cutoff(np.ones(1), n, rank_tol):
+        zero = f"rank_tol {format_float(rank_tol)} gives every {n} x {n} matrix rank 0"
+        raise CliError(EXIT_INVALID_INPUT, f"{zero}; {n} * rank_tol must be below 1")
 
 
 def _config_value(value) -> str:
@@ -420,12 +428,10 @@ def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count:
     )
     yield verify_poincare(basis, v, tol)
 
+    # orthonormal (m, m) mixes keep the rows of U_bar' orthonormal, so no ill-conditioned mix fails the row-rank test
     equiv_rng = derived_rng(seed, "certify-equivalence", index)
-    alts = [
-        equiv_rng.standard_normal((n - rank, n - rank)) @ basis.u_bar.T
-        for _ in range(CERTIFY_EQUIVALENCE_ALTS)
-    ]
-    yield verify_constraint_equivalence(basis, np.zeros(n), alts, tol)
+    mixes = orthonormal_columns(equiv_rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, n - rank, n - rank)))
+    yield verify_constraint_equivalence(basis, np.zeros(n), list(mixes @ basis.u_bar.T), tol)
 
     yield verify_min_rank(basis, CERTIFY_MIN_RANK_TRIALS, derived_seed(seed, "certify-minrank", index), tol)
 
@@ -440,6 +446,7 @@ def cmd_certify(config: RunConfig) -> int:
         for i in range(config.count):
             n = int(shape_rng.integers(2, 9))
             rank = int(shape_rng.integers(1, n))
+            check_rank_tol(n, config.rank_tol_rel)
             sym = random_rank_deficient_psd(n, rank, derived_rng(config.seed, "certify-matrix", i))
             matrices.append(ranked_svd(sym, config.rank_tol_rel))
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX

@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra for information-matrix work.
 
-Provides the rank-revealing decomposition, the basis-form pseudoinverse
-U_r (U_r' M U_r)^-1 U_r', null-space complements of constraint Jacobians,
-and small eigenvalue utilities. Everything is real, dense, and double
-precision; all rank and definiteness decisions go through explicit
-tolerances with stated defaults.
+Provides the rank-revealing decomposition, one eigh of J that also gives
+its spectrum and pseudoinverse U_r diag(1/lambda_r) U_r', null-space
+complements of constraint Jacobians, and small eigenvalue utilities.
+Everything is real, dense, and double precision; all rank and definiteness
+decisions go through explicit tolerances with stated defaults.
 """
 
 from __future__ import annotations
@@ -91,16 +91,18 @@ def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RankedSvd:
-    """Symmetric matrix J (matrix) factored once by its rank-revealing decomposition.
+    """Symmetric matrix J (matrix) factored once by one eigendecomposition, ordered by |lambda| descending.
 
+    eigenvalues: (n,) J's signed eigenvalues, in the column order of [u_r, u_bar].
     u_r:   (n, r) orthonormal basis of the numerical range.
-    sigma: (r,) singular values above the rank cutoff, descending.
+    sigma: (r,) singular values |lambda| above the rank cutoff, descending.
     u_bar: (n, n - r) orthonormal basis of the numerical null space.
     rank:  r, decided with rank_tol_rel. The pseudoinverse and its
     eigenvalues are computed on first use and kept.
     """
 
     matrix: SymMatrix
+    eigenvalues: np.ndarray
     u_r: np.ndarray
     sigma: np.ndarray
     u_bar: np.ndarray
@@ -108,9 +110,8 @@ class RankedSvd:
     rank_tol_rel: float
 
     def __post_init__(self):
-        object.__setattr__(self, "u_r", _freeze(self.u_r))
-        object.__setattr__(self, "sigma", _freeze(self.sigma))
-        object.__setattr__(self, "u_bar", _freeze(self.u_bar))
+        for name in ("eigenvalues", "u_r", "sigma", "u_bar"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     @property
     def dim(self) -> int:
@@ -118,9 +119,8 @@ class RankedSvd:
 
     @cached_property
     def pinv(self) -> SymMatrix:
-        """Moore-Penrose pseudoinverse U_r (U_r' J U_r)^-1 U_r' by _bounds; zero for rank 0."""
-        restricted = self.u_r.T @ self.matrix.entries @ self.u_r
-        return SymMatrix(_bounds(self.u_r[None], restricted[None])[0])
+        """Moore-Penrose pseudoinverse U_r diag(1/lambda_r) U_r'; zero for rank 0."""
+        return SymMatrix((self.u_r / self.eigenvalues[: self.rank]) @ self.u_r.T)
 
     @cached_property
     def pinv_eigenvalues(self) -> np.ndarray:
@@ -148,15 +148,17 @@ def _bounds(u: np.ndarray, restricted: np.ndarray) -> np.ndarray:
 
 
 def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
-    """Decompose a symmetric matrix into range and null bases.
+    """Decompose a symmetric matrix into range and null bases with one eigh call.
 
-    Singular values below or at sigma_max * n * rank_tol_rel count as zero.
-    The zero matrix yields rank 0 with u_bar spanning the whole space.
+    Its singular values are sigma = |lambda|; those below or at sigma_max * n * rank_tol_rel count
+    as zero. The zero matrix yields rank 0 with u_bar spanning the whole space.
     """
     sym = as_sym_matrix(m)
-    u, s, _ = np.linalg.svd(sym.entries)
+    lam, u = np.linalg.eigh(sym.entries)
+    order = np.argsort(-np.abs(lam), kind="stable")
+    lam, u, s = lam[order], u[:, order], np.abs(lam[order])
     rank = int(_rank_cutoff(s, sym.dim, rank_tol_rel))
-    return RankedSvd(sym, u[:, :rank], s[:rank], u[:, rank:], rank, rank_tol_rel)
+    return RankedSvd(sym, lam, u[:, :rank], s[:rank], u[:, rank:], rank, rank_tol_rel)
 
 
 def as_ranked_svd(m) -> RankedSvd:
@@ -170,10 +172,10 @@ def as_ranked_svd(m) -> RankedSvd:
 
 
 def pinv_via_basis(m) -> SymMatrix:
-    """Moore-Penrose pseudoinverse through the range-basis identity.
+    """Moore-Penrose pseudoinverse through the range basis.
 
-    Computes U_r (U_r' M U_r)^-1 U_r' with U_r from as_ranked_svd(m).
-    For the zero matrix this is the zero matrix.
+    Computes U_r diag(1/lambda_r) U_r' with U_r and lambda_r from
+    as_ranked_svd(m). For the zero matrix this is the zero matrix.
     """
     return as_ranked_svd(m).pinv
 
@@ -184,9 +186,9 @@ def eigvals_desc(m) -> np.ndarray:
 
 
 def is_psd(m, psd_tol_rel: float = DEFAULT_PSD_TOL_REL) -> bool:
-    """True iff the smallest eigenvalue is >= -psd_tol_rel times the largest absolute eigenvalue."""
-    evals = np.linalg.eigvalsh(as_sym_matrix(m).entries)
-    return bool(evals[0] >= -psd_tol_rel * float(np.max(np.abs(evals))))
+    """True iff as_ranked_svd(m)'s smallest eigenvalue is >= -psd_tol_rel times the largest absolute one."""
+    evals = as_ranked_svd(m).eigenvalues  # ordered by |lambda| descending
+    return bool(evals.min() >= -psd_tol_rel * abs(float(evals[0])))
 
 
 def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):

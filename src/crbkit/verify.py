@@ -37,8 +37,6 @@ from .matlin import (
     SymMatrix,
     _bounds,
     as_ranked_svd,
-    as_sym_matrix,
-    eigvals_desc,
     nonsingular,
     orthonormal_columns,
     ranked_svd,
@@ -241,16 +239,18 @@ def verify_eigen_dominance(
 def verify_poincare(
     j, v, margin_tol: float = DEFAULT_MARGIN_TOL
 ) -> TheoremCertificate:
-    """Check lambda_i(V'JV) <= lambda_i(J) for i up to V's width."""
-    sym = as_sym_matrix(j)
+    """Check lambda_i(V'JV) <= lambda_i(J) for i up to V's width; J's eigenvalues come from as_ranked_svd(j)."""
+    basis = as_ranked_svd(j)
+    entries = basis.matrix.entries
     v_arr = np.asarray(v, dtype=float)
     if v_arr.ndim != 2:
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, "v")
-    lam_restricted = restricted_information(sym.entries, v_arr[None])[1][0, ::-1]
-    margins = (eigvals_desc(sym)[: lam_restricted.size] - lam_restricted).tolist()
+    lam_restricted = restricted_information(entries, v_arr[None])[1][0, ::-1]
+    lam = np.sort(basis.eigenvalues)[::-1]
+    margins = (lam[: lam_restricted.size] - lam_restricted).tolist()
     return _certify(
-        "poincare", margins, lambda i: (f"eig-index-{i}", {"j": sym.entries, "v": v_arr}), margin_tol
+        "poincare", margins, lambda i: (f"eig-index-{i}", {"j": entries, "v": v_arr}), margin_tol
     )
 
 

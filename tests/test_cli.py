@@ -39,7 +39,8 @@ def test_derived_streams_are_stable_and_distinct():
 
 def test_seed_derivation_keeps_every_stream(tmp_path):
     # digests of the outputs once the seed derivations became one helper, the sampled bounds
-    # were read from the spectrum of U'JU and the sampler took one complete qr per chunk; they
+    # were read from the spectrum of U'JU, the sampler took one complete qr per chunk, J was
+    # factored by one eigh and the equivalence mixes were orthonormalized; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
     # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
     # each run's manifest, whose input or model branch follows the kind of input
@@ -62,18 +63,18 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert digests == {
         "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "a/analysis.csv": "881c05c71fa9535891a48d28671cdf4ff88417939dfef61bb3aa1c1b53274d4b",
-        "a/j_pinv.matx": "1432fdb27998a480a0d7d4ce0784d6500afd03c08300cf515b914cc3d472282a",
-        "a/crb_constrained.matx": "2ef0448cbe35262ae5c3efc14016bec4c8d393fdf32e3d609dfa550f850cb3cf",
-        "a/constraint.matx": "b0be0b82e5d76ecb8117156d8b8c986d59ae24e635861c77e2d112f9c5bea565",
-        "e/traces.csv": "4999e91c992a1a5697ed7e7ee8d0918ce050501e6051b5331f95213a998ff5ce",
-        "c/certificates.csv": "58e01bd1b62ff1decb92a91b24624f8cb0ee2259bf7195ba2ae41dd30390c701",
-        "c2/certificates.csv": "b062559b21f04970c182db75df8ac13510be90b4ab8c7e4dbbf4f1576bd1b006",
+        "a/analysis.csv": "110cddc7c125b495d262ae47c4950d5258319bdfd55a53565da2c7ac6a6950ba",
+        "a/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
+        "a/crb_constrained.matx": "1788a0d855b52fa451226e590abb39f8371f08a043a025f5130342f8750c8fc7",
+        "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
+        "e/traces.csv": "d02e8c9a910c3b65125a69d258f24c8be886eec4dd476471e909d9587d38fa24",
+        "c/certificates.csv": "89f1d4390fadd680d67b995839cd5fb046c467e73b7d1a4b0354c096b4cb8fce",
+        "c2/certificates.csv": "e6094e04f7f29d7dc1c62e1bad283ae0e5d146d6a6d5e3d9fe2fa24fd9eed259",
         "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "m/analysis.csv": "822d49fa7ca7a23d60135ddac8486cf28c1cc76fdd45ea395a732814fd717598",
-        "m/j_pinv.matx": "1432fdb27998a480a0d7d4ce0784d6500afd03c08300cf515b914cc3d472282a",
-        "m/crb_constrained.matx": "2ef0448cbe35262ae5c3efc14016bec4c8d393fdf32e3d609dfa550f850cb3cf",
-        "m/constraint.matx": "b0be0b82e5d76ecb8117156d8b8c986d59ae24e635861c77e2d112f9c5bea565",
+        "m/analysis.csv": "56a378c0700e21533d0cea237b06aebae69e3717e1eb0e34d2db3dead437fc86",
+        "m/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
+        "m/crb_constrained.matx": "1788a0d855b52fa451226e590abb39f8371f08a043a025f5130342f8750c8fc7",
+        "m/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
         "e/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "c2/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "a/manifest.cfg": "7d07193740c88a59492078d814f1885eee85602be986b1ff5eff792f30ab3bb3",
@@ -91,7 +92,8 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
     # the benchmark's Monte-Carlo config; at noise_var = 0.5 whitening G by sigma rounds, and
     # these digests, taken when G was whitened by a solve against the Cholesky factor of the
     # noise covariance, pin that rounding; at seed 2, G / sigma differs from G * (1 / sigma)
-    # in 9 of the Jacobian's 30 entries
+    # in 9 of the Jacobian's 30 entries; analysis.csv's digest was retaken when J came to be
+    # factored by one eigh, which moves its singular values and bounds by roundoff
     config = tmp_path / "mc.cfg"
     config.write_text(
         "model = blind_channel\ns_len = 3\nh_len = 3\nnoise_var = 0.5\n"
@@ -104,7 +106,7 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
     }
     assert digests == {
         "j.matx": "93ebfc3ad49e36d94c8669274e56ebe8a961f89c0c4c8c23e4db603b1a210fed",
-        "analysis.csv": "21e4eb6dcd6f766f843290d14674698202ccdc2d28dd261c612b23783a3723e7",
+        "analysis.csv": "f0447c5a337f53176eb2a0e0e1741a2326f22973afada3fe0c1ebb9d096c09c7",
     }
 
 
@@ -449,6 +451,61 @@ def test_certify_rerun_is_byte_identical(tmp_path):
     assert (out1 / "certificates.csv").read_bytes() != (out3 / "certificates.csv").read_bytes()
 
 
+def test_certify_suite_reruns_from_its_manifest(tmp_path, capsys):
+    # a suite run's manifest names neither a model nor an input matrix; such a config reruns
+    # the suite, and analyze or experiment refuse it
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["certify", "--count", "2", "--seed", "4", "--rank-tol", "1e-9", "--out", str(out1)]) == 0
+    assert main(["certify", "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
+    for name in ("certificates.csv", "manifest.cfg"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    capsys.readouterr()
+    for command in ("analyze", "experiment"):
+        assert main([command, "--input", str(out1 / "manifest.cfg"), "--out", str(tmp_path / "o")]) == 2
+        rule = f"{command} requires --input or --model naming a matrix or a model"
+        assert capsys.readouterr().err == f"error: resolving configuration: {rule}\n"
+
+
+def test_certify_at_a_loose_rank_tol_builds_its_equivalence_mixes(tmp_path):
+    # orthonormal mixes of U_bar' keep its orthonormal rows, so no mix fails the row-rank test
+    assert main(["certify", "--count", "5", "--seed", "2", "--rank-tol", "0.01", "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["experiment", "--count", "30"], ["certify", "--count", "20"]])
+def test_rank_tol_that_ranks_every_matrix_zero_exits_2(tmp_path, capsys, command):
+    # the rank rule keeps |lambda| > |lambda|_max * n * rank_tol, so from 1/n on it keeps none
+    path = tmp_path / "j.matx"
+    path.write_text("3 3\n1 0 0\n0 0 0\n0 0 0\n")
+    below, above = (repr(float(np.nextafter(1 / 3, to))) for to in (0, 1))
+    assert main(command + ["--input", str(path), "--rank-tol", below, "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert main(command + ["--input", str(path), "--rank-tol", above, "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: rank_tol {above} gives every 3 x 3 matrix rank 0; 3 * rank_tol must be below 1\n"
+    assert not (tmp_path / "b" / "manifest.cfg").exists()
+
+
+def test_certify_suite_checks_rank_tol_against_each_matrix(tmp_path, capsys):
+    # seed 41 draws matrices of sizes 3, 2 and 2, so a rank_tol up to just below 1/3 passes,
+    # where one check against the largest size a suite can draw, 8, would refuse 0.2
+    argv = ["certify", "--count", "3", "--seed", "41", "--rank-tol"]
+    for tol in ("0.2", repr(float(np.nextafter(1 / 3, 0)))):
+        assert main(argv + [tol, "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    above = repr(float(np.nextafter(1 / 3, 1)))
+    assert main(argv + [above, "--out", str(tmp_path / "b")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: rank_tol {above} gives every 3 x 3 matrix rank 0; 3 * rank_tol must be below 1\n"
+    assert not (tmp_path / "b" / "certificates.csv").exists()
+
+
+def test_psd_refusal_comes_before_the_rank_tol_refusal(tmp_path, capsys):
+    path = tmp_path / "indefinite.matx"
+    path.write_text("2 2\n1 0\n0 -1\n")
+    assert main(["analyze", "--input", str(path), "--rank-tol", "0.9", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: reading input: information matrix is not positive semidefinite")
+
+
 def test_certify_singular_matrix_input(tmp_path):
     j = write_diag_matrix(tmp_path)
     out = tmp_path / "run"
@@ -459,15 +516,15 @@ def test_certify_singular_matrix_input(tmp_path):
 
 
 def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys):
-    # at a loose rank cutoff J has rank 1, and a random 5 x 5 mix drawn for
-    # the equivalence check fails the row-rank test
+    # at a loose rank cutoff J has rank 1, and a random Jacobian with four rows drawn for
+    # the min_rank check fails the row-rank test
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
     path = tmp_path / "ill.matx"
     crbkit.save_matrix(path, (q * [1e3, 1.0, 1e-3, 0.0, 0.0, 0.0]) @ q.T)
     argv = ["certify", "--input", str(path), "--rank-tol", "0.05", "--count", "70", "--seed", "5"]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: certify matrix 0, equivalence: Jacobian row rank ")
+    assert err.startswith("error: certify matrix 0, min_rank: Jacobian row rank 3 below row count 4")
     assert err.count("\n") == 1
     assert "Traceback" not in err
 

@@ -54,6 +54,7 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
         traces = []
         for argv in (
             ["experiment", "--input", str(path), "--count", "70"],
+            ["analyze", "--input", str(path)],
             ["certify", "--count", "3", "--seed", "5"],
         ):
             tracer.start_job()
@@ -64,20 +65,28 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     finally:
         tracer.uninstall()
     assert crbkit.cli.ranked_svd is original
-    experiment, certify = traces
-    assert experiment.problems == [] and certify.problems == []
+    experiment, analyze, certify = traces
+    assert experiment.problems == [] and analyze.problems == [] and certify.problems == []
     assert experiment.calls["matlin.ranked_svd"] == 1
-    # one svd for J and one complete qr per chunk of 32 constraints
-    assert experiment.calls["linalg.svd"] == 1
+    # one eigh gives J's rank, PSD check and J+, and one complete qr per chunk of 32 constraints
+    assert experiment.calls["linalg.eigh"] == 1
+    assert experiment.calls["linalg.svd"] == 0
+    assert experiment.calls["linalg.inv"] == 0
     assert experiment.calls["linalg.qr"] == 3
+    # J's one eigh; the svd, eigvalsh and inv belong to the optimal constraint's bound
+    assert analyze.calls["matlin.ranked_svd"] == 1
+    assert analyze.calls["linalg.eigh"] == 1
+    assert analyze.calls["linalg.svd"] == analyze.calls["linalg.eigvalsh"] == analyze.calls["linalg.inv"] == 1
     # three suite matrices and the fixed counterexample, each factored once
     assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 4
+    assert certify.calls["linalg.eigh"] == 4
     # one stacked eigen-dominance check per suite matrix, one for the counterexample
     assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
     # the sampled stack goes straight to the trace and dominance certificates, which read
-    # the spectra of U'JU and J, and min_rank stacks its trials by row count: 16 svd, 23
-    # eigvalsh and 8 inv (19, 34 and 15 forming each sampled bound; 168 eigvalsh and 71 inv
-    # checking one frame at a time)
-    assert certify.calls["linalg.svd"] <= 16
-    assert certify.calls["linalg.eigvalsh"] <= 23
-    assert certify.calls["linalg.inv"] <= 8
+    # the spectra of U'JU and J, min_rank stacks its trials by row count, and J's eigh gives
+    # J+ and the Poincare spectrum: 12 svd, 20 eigvalsh and 4 inv (16, 23 and 8 with an svd,
+    # an eigvalsh and an inv of U_r'JU_r per J; 19, 34 and 15 forming each sampled bound;
+    # 168 eigvalsh and 71 inv checking one frame at a time)
+    assert certify.calls["linalg.svd"] <= 12
+    assert certify.calls["linalg.eigvalsh"] <= 20
+    assert certify.calls["linalg.inv"] <= 4
