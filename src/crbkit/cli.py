@@ -419,7 +419,7 @@ def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count:
     tol = config.margin_tol
     n, rank = basis.dim, basis.rank
 
-    stack, _ = sample_minimum_stack(basis, constraints_count, derived_seed(seed, "certify-constraints", index))
+    stack = sample_minimum_stack(basis, constraints_count, derived_seed(seed, "certify-constraints", index))
     yield verify_trace_bound(basis, stack, tol)
     yield verify_eigen_dominance(basis, stack, tol)
 
@@ -506,7 +506,7 @@ def cmd_experiment(config: RunConfig) -> int:
     sampled = 0
     seed = derived_seed(config.seed, "experiment-constraints")
     try:
-        for stack, _ in sample_constraint_stacks(basis, config.count, seed):
+        for stack in sample_constraint_stacks(basis, config.count, seed):
             for trace in compress(bound_traces(stack), stack.is_minimum):
                 margin = trace - baseline
                 worst = min(worst, margin)

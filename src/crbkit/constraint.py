@@ -4,7 +4,8 @@ A constraint f(theta) = 0 enters the bound only through its Jacobian F.
 This module checks the three minimum-constraint requirements (full row
 rank, nonsingular restricted information U'JU, rank F + rank J = n),
 synthesizes the optimal affine constraint from the information null
-space, and samples random minimum constraints for experiments.
+space, and samples random minimum constraints for experiments: bare
+stacks whose is_minimum marks the accepted draws, or labeled specs.
 Constraints are evaluated in stacks: one svd (one complete qr for a
 sampled chunk) and one eigvalsh call per stack of Jacobians.
 """
@@ -168,7 +169,7 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
 
-def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[tuple[ConstraintStack, list[str]]]:
+def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[ConstraintStack]:
     """Draw random minimum constraints for a singular J, one evaluated chunk at a time.
 
     Each Jacobian is the transpose of an orthonormalized Gaussian
@@ -176,8 +177,8 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[tuple[Con
     check; one complete qr per chunk gives the Jacobians and their null
     bases. Draws are made CONSTRAINT_CHUNK at a time, never more than a
     draw-by-draw loop would make, and accepted in draw order, so the
-    random stream is consumed as by one draw at a time. Yields (stack,
-    labels): stack.is_minimum marks the accepted draws, labels names them.
+    random stream is consumed as by one draw at a time. Yields each
+    chunk's stack; its is_minimum marks the accepted draws.
     Raises SamplingExhausted after 100 * count consecutive rejections and
     FullRankFim when J is nonsingular.
     """
@@ -199,43 +200,37 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[tuple[Con
         row_rank = _rank_cutoff(np.ones((k, m)), n, basis.rank_tol_rel)
         # a contiguous U gives U'JU bit for bit as a stack of frames does
         stack = _evaluated(basis, f_jacs, row_rank, np.ascontiguousarray(q[..., m:]))
-        labels = []
-        for ok in stack.is_minimum:
-            if ok:
-                labels.append(f"sampled-{accepted} retries={consecutive_rejects}")
-                accepted += 1
-                consecutive_rejects = 0
-            else:
-                consecutive_rejects += 1
-                if consecutive_rejects >= budget:
-                    raise SamplingExhausted(
-                        f"{budget} consecutive rejections while sampling minimum constraints"
-                    )
-        yield stack, labels
+        hits = np.flatnonzero(stack.is_minimum)
+        if hits.size:
+            accepted += hits.size
+            consecutive_rejects = k - 1 - int(hits[-1])
+        else:  # k never overdraws the budget, so only a chunk that accepts nothing can exhaust it
+            consecutive_rejects += k
+            if consecutive_rejects >= budget:
+                raise SamplingExhausted(f"{budget} consecutive rejections while sampling minimum constraints")
+        yield stack
 
 
-def sample_minimum_stack(j, count: int, rng_seed: int) -> tuple[ConstraintStack, list[str]]:
-    """The accepted draws of sample_constraint_stacks as one evaluated stack, with their labels.
-
-    A single chunk with no rejections is returned as it is.
-    """
-    chunks, labels = [], []
-    for stack, chunk_labels in sample_constraint_stacks(j, count, rng_seed):
-        chunks.append(stack)
-        labels += chunk_labels
-    if len(chunks) == 1 and len(labels) == len(stack.f_jacs):
-        return stack, labels
+def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
+    """The accepted draws of sample_constraint_stacks, filtered and concatenated into one evaluated stack."""
+    basis = as_ranked_svd(j)
+    chunks = sample_constraint_stacks(basis, count, rng_seed)
     kept = [[field[chunk.is_minimum] for field in chunk[1:]] for chunk in chunks]
-    return ConstraintStack(stack.basis, *map(np.concatenate, zip(*kept))), labels
+    return ConstraintStack(basis, *map(np.concatenate, zip(*kept)))
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:
     """Draw random minimum constraints for a singular J; deterministic for a given seed.
 
-    See sample_constraint_stacks.
+    The i-th accepted draw is labeled "sampled-i retries=d", d the draws
+    rejected since the one before it. See sample_constraint_stacks.
     """
-    stack, labels = sample_minimum_stack(j, count, rng_seed)
-    return [ConstraintSpec(f_jac=f_jac, label=label) for f_jac, label in zip(stack.f_jacs, labels)]
+    chunks = list(sample_constraint_stacks(j, count, rng_seed))
+    accepted = np.concatenate([chunk.is_minimum for chunk in chunks])
+    retries = np.diff(np.flatnonzero(accepted), prepend=-1) - 1
+    f_jacs = np.concatenate([chunk.f_jacs for chunk in chunks])[accepted]
+    labels = [f"sampled-{i} retries={d}" for i, d in enumerate(retries)]
+    return [ConstraintSpec(f_jac=f_jac, label=label) for f_jac, label in zip(f_jacs, labels)]
 
 
 def save_constraint_spec(path, spec: ConstraintSpec) -> None:

@@ -84,8 +84,8 @@ def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
 
 def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
     """Rank from descending singular values (last axis): those above s_max * size * rank_tol_rel."""
-    if rank_tol_rel <= 0:
-        raise InvalidInput(f"rank_tol_rel must be positive, got {rank_tol_rel}")
+    if not 0 < rank_tol_rel < np.inf:
+        raise InvalidInput(f"rank_tol_rel must be positive and finite, got {rank_tol_rel}")
     return np.sum(s > s[..., :1] * size * rank_tol_rel, axis=-1)
 
 

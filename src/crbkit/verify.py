@@ -209,8 +209,8 @@ def verify_eigen_dominance(
     spectra of U'JU and flags are used as they are. Margins compare the
     nonzero eigenvalues, 1/mu of V'JV with 1/sigma of J, frame by frame;
     the zeros agree exactly and are not cases. Raises SingularRestriction
-    when some V'JV is numerically singular, and InvalidInput for a stack
-    evaluated against another J or rank rule.
+    when some V'JV is numerically singular, and InvalidInput for frames
+    of another width or a stack evaluated against another J or rank rule.
     """
     basis = as_ranked_svd(j)
     entries = basis.matrix.entries
@@ -223,16 +223,16 @@ def verify_eigen_dominance(
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
         evals = restricted_information(entries, frames)[1]
         exists = nonsingular(evals, basis.rank_tol_rel)
+    rank = basis.rank
+    if frames.shape[2] != rank:
+        raise InvalidInput(f"frames need rank(J) = {rank} columns, got {frames.shape[2]}")
     if not np.all(exists):
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
-    # 1/mu descends as mu ascends; past the wider of V and rank(J) both spectra are zero
-    width = max(evals.shape[1], basis.rank)
-    lam_lhs = np.zeros((len(evals), width))
-    lam_lhs[:, : evals.shape[1]] = 1.0 / evals
-    margins = (lam_lhs - basis.pinv_eigenvalues[:width]).ravel().tolist()
+    # 1/mu descends as mu ascends, as 1/sigma does
+    margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel().tolist()
     return _certify(
         "eigen_dominance", margins,
-        lambda c: (f"eig-index-{c % width}", {"j": entries, "v": frames[c // width]}), margin_tol,
+        lambda c: (f"eig-index-{c % rank}", {"j": entries, "v": frames[c // rank]}), margin_tol,
     )
 
 

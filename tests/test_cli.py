@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import crbkit
-from crbkit import load_matrix
+from crbkit import load_matrix, ranked_svd, sample_constraint_stacks
 from crbkit.cli import build_parser, derived_rng, derived_seed, main
 from crbkit.matlin import seed_sequence
 
@@ -56,10 +56,17 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     assert main(argv) == 0
     # a matrix input takes the manifest's input branch and writes j.matx with the manifest
     assert main(["analyze", "--input", j_path, "--out", str(tmp_path / "m")]) == 0
+    # at rank_tol 0.02 J has rank 3 and the sampler rejects draws in both of its first two chunks
+    argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--rank-tol", "0.02"]
+    assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
+    basis = ranked_svd(load_matrix(j_path), 0.02)
+    chunks = sample_constraint_stacks(basis, 40, derived_seed(3, "experiment-constraints"))
+    assert [not np.all(chunk.is_minimum) for chunk in chunks] == [True, True, False]
     outputs = ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx", "a/constraint.matx",
-               "e/traces.csv", "c/certificates.csv", "c2/certificates.csv")
+               "e/traces.csv", "e2/traces.csv", "c/certificates.csv", "c2/certificates.csv")
     outputs += ("m/j.matx", "m/analysis.csv", "m/j_pinv.matx", "m/crb_constrained.matx", "m/constraint.matx")
-    outputs += ("e/j.matx", "c2/j.matx") + tuple(f"{run}/manifest.cfg" for run in ("a", "e", "c", "c2", "m"))
+    outputs += ("e/j.matx", "c2/j.matx")
+    outputs += tuple(f"{run}/manifest.cfg" for run in ("a", "e", "e2", "c", "c2", "m"))
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert digests == {
         "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
@@ -68,6 +75,7 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "a/crb_constrained.matx": "1788a0d855b52fa451226e590abb39f8371f08a043a025f5130342f8750c8fc7",
         "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
         "e/traces.csv": "d02e8c9a910c3b65125a69d258f24c8be886eec4dd476471e909d9587d38fa24",
+        "e2/traces.csv": "1ab0cf725797b2626c3d7a0a5d9fe9e5f991a3819c9939d333388d625146f102",
         "c/certificates.csv": "89f1d4390fadd680d67b995839cd5fb046c467e73b7d1a4b0354c096b4cb8fce",
         "c2/certificates.csv": "e6094e04f7f29d7dc1c62e1bad283ae0e5d146d6a6d5e3d9fe2fa24fd9eed259",
         "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
@@ -79,6 +87,7 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "c2/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "a/manifest.cfg": "7d07193740c88a59492078d814f1885eee85602be986b1ff5eff792f30ab3bb3",
         "e/manifest.cfg": "87c5c0f9c8aca7c67c64078fd56867ee7abb2983a74c4885d3f71b749453ca66",
+        "e2/manifest.cfg": "dc38622712462491124a1af98c69aaf9009458402d2e22b93cebb4336939d36e",
         "c/manifest.cfg": "d53b6f9476e13b98845a3e04553b8ed7a8ec98a522e4715bee0c023ca4bf0f78",
         "c2/manifest.cfg": "06c82113bdc4a2a6e743b059e89e45ea7a7629795a836dd6f7894d8033e4cd18",
         "m/manifest.cfg": "24d217cce8b133e65e2ccc23a1f4fd045679cd9609291e35044911824b604efa",

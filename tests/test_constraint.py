@@ -259,12 +259,56 @@ def test_sampler_exhausts_after_exactly_the_rejection_budget(monkeypatch):
     assert max(drawn) == 32
 
 
+def test_sampler_exhausts_after_accepts_across_a_chunk_boundary(monkeypatch):
+    # a scripted U'JU test accepts draws 0, 5, 31, 32 and 50, then rejects every draw: draws 31
+    # and 32 straddle the first chunk boundary, and the budget of 4000 runs out at draw 4050
+    count, accepts = 40, [0, 5, 31, 32, 50]
+    budget = 100 * count
+    # the draw-by-draw count; each chunk starts with as many draws as can still be made
+    chunks, accepted, rejects, draw, left = [], 0, 0, 0, 0
+    while True:
+        if not left:
+            left = min(count - accepted, budget - rejects, 32)
+            chunks.append(left)
+        left -= 1
+        if draw in accepts:
+            accepted, rejects = accepted + 1, 0
+        else:
+            rejects += 1
+            if rejects >= budget:
+                break
+        draw += 1
+    assert (accepted, draw, chunks[:2], chunks[-1]) == (5, 4050, [32, 32], 19)
+
+    seen = [0]
+
+    def scripted(evals, rank_tol_rel):
+        first = seen[0]
+        seen[0] += len(evals)
+        return np.isin(np.arange(first, seen[0]), accepts)
+
+    j = make_psd(np.random.default_rng(9), 4, 2)
+    drawn = []
+    real = np.linalg.qr
+    monkeypatch.setattr(constraint_module, "nonsingular", scripted)
+    monkeypatch.setattr(
+        constraint_module.np.linalg, "qr", lambda a, mode: drawn.append(len(a)) or real(a, mode)
+    )
+    sampled = 0
+    with pytest.raises(SamplingExhausted, match=f"{budget} consecutive rejections"):
+        for stack in sample_constraint_stacks(j, count, 3):
+            sampled += int(np.sum(stack.is_minimum))
+    assert drawn == chunks
+    assert sampled == accepted
+    assert seen[0] == draw + 1
+
+
 def test_sampled_flags_follow_the_row_rank_rule():
     # the sampled rows are orthonormal, so their singular values are 1 and the rule
     # 1 > max(m, n) * rank_tol_rel accepts every row below 1 / max(m, n) and none above it
     j = make_psd(np.random.default_rng(6), 4, 2)
     for tol in (0.25 * (1 - 1e-6), 0.25 * (1 + 1e-6)):
-        stack, _ = next(sample_constraint_stacks(ranked_svd(j, tol), 10, 7))
+        stack = next(sample_constraint_stacks(ranked_svd(j, tol), 10, 7))
         evaluated = evaluate_constraints(stack.basis, stack.f_jacs)
         for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
             assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
@@ -272,8 +316,8 @@ def test_sampled_flags_follow_the_row_rank_rule():
 
 
 def test_sampled_stack_equals_its_filtered_chunks():
-    # a lone chunk with no rejections is returned as it is; rejections (here under a loose cutoff)
-    # and counts above CONSTRAINT_CHUNK take the filter and the concatenation
+    # every sample is filtered and concatenated: a lone chunk with no rejections, rejections
+    # (here under a loose cutoff) and counts above CONSTRAINT_CHUNK; the specs carry the labels
     rng = np.random.default_rng(8)
     cases = [  # basis, count, one chunk, some draw rejected
         (ranked_svd(make_psd(rng, 5, 2)), 20, True, False),
@@ -283,10 +327,13 @@ def test_sampled_stack_equals_its_filtered_chunks():
     for basis, count, one_chunk, rejected in cases:
         chunks = list(sample_constraint_stacks(basis, count, 11))
         assert len(chunks) == 1 if one_chunk else len(chunks) > 1
-        assert any(not np.all(chunk.is_minimum) for chunk, _ in chunks) == rejected
-        stack, labels = sample_minimum_stack(basis, count, 11)
+        assert any(not np.all(chunk.is_minimum) for chunk in chunks) == rejected
+        stack = sample_minimum_stack(basis, count, 11)
         assert stack.basis is basis
-        assert labels == [label for _, chunk_labels in chunks for label in chunk_labels]
         for name in ConstraintStack._fields[1:]:
-            reference = np.concatenate([getattr(chunk, name)[chunk.is_minimum] for chunk, _ in chunks])
+            reference = np.concatenate([getattr(chunk, name)[chunk.is_minimum] for chunk in chunks])
             assert len(reference) == count and np.array_equal(getattr(stack, name), reference), name
+        expected, _ = reference_sample(basis.matrix.entries, count, 11, basis.rank_tol_rel)
+        specs = sample_minimum_constraints(basis, count, 11)
+        assert [spec.label for spec in specs] == [label for _, label in expected]
+        assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)

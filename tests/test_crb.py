@@ -191,7 +191,7 @@ def test_spectral_traces_and_eigenvalues_agree_with_the_n_by_n_route():
     for n in range(2, 9):
         for rank in range(1, n):
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
-            stack, _ = sample_minimum_stack(basis, 40, 100 * n + rank)
+            stack = sample_minimum_stack(basis, 40, 100 * n + rank)
             bounds = _bounds(stack.u, stack.restricted)
             mu = stack.utju_eigs
             cond = mu[:, -1] / mu[:, 0]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbkit import (
+    InvalidInput,
     InvalidMatrix,
     RankDeficientConstraint,
     SymMatrix,
@@ -173,6 +174,15 @@ def test_null_complement_rejects_dependent_rows():
         null_complement(np.array([[1.0, 1.0], [2.0, 2.0]]))
     with pytest.raises(RankDeficientConstraint):
         null_complement(np.zeros((3, 2)))
+
+
+def test_rank_rule_refuses_a_tolerance_that_is_not_positive_and_finite():
+    # under a NaN or infinite tolerance no singular value is above the cutoff, so every rank would be 0
+    for tol in (0.0, -1e-10, np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="rank_tol_rel must be positive and finite"):
+            ranked_svd(np.diag([2.0, 1.0, 0.0]), tol)
+        with pytest.raises(InvalidInput, match="rank_tol_rel must be positive and finite"):
+            null_complements(np.eye(2)[None], tol)
 
 
 def test_is_nonsingular_examples():

@@ -115,6 +115,19 @@ def test_eigen_dominance_rejects_non_orthonormal_v():
         verify_eigen_dominance(DIAG, np.array([[1.0, 0.0]]))
 
 
+def test_eigen_dominance_refuses_frames_narrower_than_the_rank():
+    # a frame narrower than rank(J) has no 1/mu to set against the last 1/sigma, so it is no case at all
+    j = np.diag([2.0, 1.0, 0.0])
+    with pytest.raises(InvalidInput, match=r"frames need rank\(J\) = 2 columns, got 1"):
+        verify_eigen_dominance(j, np.eye(3)[:, :1])
+    basis = ranked_svd(j)
+    stack = evaluate_constraints(basis, [[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
+    assert stack.u.shape == (1, 3, 1) and not stack.is_minimum[0]
+    with pytest.raises(InvalidInput, match=r"frames need rank\(J\) = 2 columns, got 1"):
+        verify_eigen_dominance(basis, stack)
+    assert verify_eigen_dominance(j, np.eye(3)[:, :2]).worst_margin == 0.0
+
+
 def test_orthonormality_guard_edges():
     # an off-diagonal Gram entry of exactly t: tilted[0, 1] = t gives (V'V)[0, 1] = t and (V'V)[1, 1] = 1
     frame = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -191,7 +204,7 @@ def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
     for n in range(2, 9):
         for rank in range(1, n):
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
-            stack, _ = sample_minimum_stack(basis, 20, 100 * n + rank)
+            stack = sample_minimum_stack(basis, 20, 100 * n + rank)
             cert = verify_eigen_dominance(basis, stack, -np.inf)
             margins = np.array([w.margin for w in cert.witnesses]).reshape(20, rank)
             bounds = _bounds(stack.u, stack.restricted)
@@ -499,8 +512,9 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
     for n in range(2, 9):
         for rank in range(1, n):
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
-            stack, labels = sample_minimum_stack(basis, 20, 100 * n + rank)
-            assert [spec.label for spec in sample_minimum_constraints(basis, 20, 100 * n + rank)] == labels
+            stack = sample_minimum_stack(basis, 20, 100 * n + rank)
+            specs = sample_minimum_constraints(basis, 20, 100 * n + rank)
+            assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
             assert np.all(stack.is_minimum) and stack.u.shape == (20, n, rank)
             cert = assert_stack_path_matches(basis, stack)
             assert cert.n_cases == 20 * rank and len(cert.witnesses) == cert.n_cases
@@ -511,11 +525,11 @@ def test_sampled_stack_spans_several_chunks():
     rng = np.random.default_rng(44)
     basis = ranked_svd(random_rank_deficient_psd(6, 3, rng), 0.02)
     chunks = list(sample_constraint_stacks(basis, 70, 5))
-    assert len(chunks) > 3 and sum(len(labels) for _, labels in chunks) == 70
-    stack, labels = sample_minimum_stack(basis, 70, 5)
-    assert len(stack.f_jacs) == 70 and labels == [label for _, chunk in chunks for label in chunk]
-    assert any(not label.endswith("retries=0") for label in labels)
-    accepted = np.concatenate([chunk.f_jacs[chunk.is_minimum] for chunk, _ in chunks])
+    assert len(chunks) > 3 and sum(int(np.sum(chunk.is_minimum)) for chunk in chunks) == 70
+    assert not np.all(np.concatenate([chunk.is_minimum for chunk in chunks]))
+    stack = sample_minimum_stack(basis, 70, 5)
+    assert len(stack.f_jacs) == 70
+    accepted = np.concatenate([chunk.f_jacs[chunk.is_minimum] for chunk in chunks])
     assert np.array_equal(stack.f_jacs, accepted)
     assert_stack_path_matches(basis, stack)
 
@@ -523,7 +537,7 @@ def test_sampled_stack_spans_several_chunks():
 def test_sampled_stack_clears_the_known_false_fail():
     for scale in (1e-8, 1.0, 1e8):
         basis = ranked_svd(scale * matrix_62())
-        stack, _ = sample_minimum_stack(basis, 20, 62)
+        stack = sample_minimum_stack(basis, 20, 62)
         cert = assert_stack_path_matches(basis, stack, 1e-9)
         assert_clears_the_known_false_fail(basis, stack.u, cert)
 
@@ -537,7 +551,7 @@ def test_a_passed_stack_keeps_the_checks():
         verify_trace_bound(basis, mixed)
     with pytest.raises(SingularRestriction, match="frame 1 "):
         verify_eigen_dominance(basis, mixed)
-    stack, _ = sample_minimum_stack(basis, 5, 3)
+    stack = sample_minimum_stack(basis, 5, 3)
     for other_j, tol in ((np.diag([3.0, 0.0]), 1e-10), (DIAG, 1e-8)):
         for verify in (verify_trace_bound, verify_eigen_dominance):
             with pytest.raises(InvalidInput, match="another J"):
@@ -548,7 +562,7 @@ def test_a_passed_stack_keeps_the_checks():
 
 def test_a_stack_is_checked_against_the_values_of_j():
     basis = ranked_svd(DIAG)
-    stack, _ = sample_minimum_stack(basis, 5, 3)
+    stack = sample_minimum_stack(basis, 5, 3)
     twin = ranked_svd(DIAG)
     assert twin is not basis
     for verify in (verify_trace_bound, verify_eigen_dominance):
@@ -562,7 +576,7 @@ def test_a_rejected_draw_is_reported_from_its_own_chunk():
     # under a loose cutoff some draws leave U'JU singular; the error carries the row rank and
     # U'JU extremes of the chunk's own qr-route evaluation
     basis = ranked_svd(random_rank_deficient_psd(6, 3, np.random.default_rng(48)), 0.05)
-    chunk = next(chunk for chunk, _ in sample_constraint_stacks(basis, 20, 9) if not np.all(chunk.is_minimum))
+    chunk = next(chunk for chunk in sample_constraint_stacks(basis, 20, 9) if not np.all(chunk.is_minimum))
     idx = int(np.argmin(chunk.is_minimum))
     evals = chunk.utju_eigs[idx]
     details = {
@@ -603,10 +617,11 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     weak_row = ConstraintSpec(np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1e-6]]))
     assert not check_minimum_constraint(basis, weak_row).full_rank_jacobian
     assert not constrained_crb(basis, np.array([[0.0, 0.0, 1.0]])).exists
-    stack, labels = sample_minimum_stack(basis, 5, 3)
+    stack = sample_minimum_stack(basis, 5, 3)
     assert stack.basis is basis and stack.f_jacs.shape == (5, 2, 3)
-    assert [chunk_labels for _, chunk_labels in sample_constraint_stacks(basis, 5, 3)] == [labels]
-    assert [spec.label for spec in sample_minimum_constraints(basis, 5, 3)] == labels
+    specs = sample_minimum_constraints(basis, 5, 3)
+    assert [spec.label for spec in specs] == [f"sampled-{i} retries=0" for i in range(5)]
+    assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
     assert np.allclose([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs], bound_traces(stack))
     # the basis's own stack is accepted without repeating its tolerance
     assert verify_trace_bound(basis, stack).passed and verify_eigen_dominance(basis, stack).passed
