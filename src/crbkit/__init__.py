@@ -28,7 +28,6 @@ from .errors import (
     SingularRestriction,
 )
 from .matlin import (
-    DEFAULT_PSD_TOL_REL,
     DEFAULT_RANK_TOL_REL,
     RankedSvd,
     SymMatrix,

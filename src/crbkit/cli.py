@@ -50,7 +50,6 @@ from .errors import (
 )
 from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
-    DEFAULT_PSD_TOL_REL,
     DEFAULT_RANK_TOL_REL,
     _rank_cutoff,
     as_sym_matrix,
@@ -143,7 +142,6 @@ class RunConfig:
     count: int = _setting("count", 100, "matrices (certify suite) or constraints to sample", "positive")
     n_samples: int = _setting("samples", DEFAULT_SAMPLES, "Monte-Carlo sample count", "positive")
     rank_tol_rel: float = _setting("rank_tol", DEFAULT_RANK_TOL_REL, "relative rank cutoff", "positive")
-    psd_tol_rel: float = _setting("psd_tol", DEFAULT_PSD_TOL_REL, "relative PSD slack", "positive")
     margin_tol: float = _setting("margin_tol", DEFAULT_MARGIN_TOL, "certificate margin tolerance", "positive")
 
     def validate(self) -> None:
@@ -290,7 +288,7 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
 def information_matrix(config: RunConfig):
     """The run's information matrix factored under its rank rule; returns (RankedSvd, FimEstimate | None).
 
-    Invalid input, a matrix that is not PSD or a rank_tol refused by check_rank_tol
+    Invalid input, a rank_tol refused by check_rank_tol or a J that is_psd refuses
     raise CliError with exit 2, a failed estimate exit 3.
     """
     try:
@@ -311,17 +309,22 @@ def information_matrix(config: RunConfig):
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
+    check_rank_tol(sym.dim, config.rank_tol_rel)  # a rule that calls every eigenvalue zero cannot judge definiteness
     basis = ranked_svd(sym, config.rank_tol_rel)
-    if estimate is None and not is_psd(basis, config.psd_tol_rel):
-        below = f"its smallest eigenvalue is below -{config.psd_tol_rel:g} times its largest absolute eigenvalue"
-        raise CliError(EXIT_INVALID_INPUT, f"reading input: information matrix is not positive semidefinite: {below}")
-    check_rank_tol(basis.dim, config.rank_tol_rel)
+    if not is_psd(basis):  # a model's J is PSD up to roundoff that the rank rule calls zero
+        lam, cutoff = basis.eigenvalues, abs(basis.eigenvalues[0]) * basis.dim * config.rank_tol_rel
+        kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
+        raise CliError(EXIT_INVALID_INPUT, f"reading input: information matrix is not positive semidefinite: {kept}")
     return basis, estimate
 
 
 def check_rank_tol(n: int, rank_tol: float) -> None:
-    """Refuse, with exit 2, a rank_tol under which the rank rule gives every n x n matrix rank 0."""
-    if not _rank_cutoff(np.ones(1), n, rank_tol):
+    """Refuse, with exit 2, a rank_tol that the rank rule refuses or under which it gives every n x n matrix rank 0."""
+    try:
+        ranked = _rank_cutoff(np.ones(1), n, rank_tol)
+    except InvalidInput as exc:  # below machine epsilon; validate refuses the rest
+        raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
+    if not ranked:
         zero = f"rank_tol {format_float(rank_tol)} gives every {n} x {n} matrix rank 0"
         raise CliError(EXIT_INVALID_INPUT, f"{zero}; {n} * rank_tol must be below 1")
 

@@ -20,9 +20,6 @@ from .errors import InvalidInput, InvalidMatrix, RankDeficientConstraint
 # are treated as zero.
 DEFAULT_RANK_TOL_REL = 1e-10
 
-# Relative slack for positive semidefiniteness checks.
-DEFAULT_PSD_TOL_REL = 1e-9
-
 
 def _as_2d(values, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -84,8 +81,8 @@ def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
 
 def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
     """Rank from descending singular values (last axis): those above s_max * size * rank_tol_rel."""
-    if not 0 < rank_tol_rel < np.inf:
-        raise InvalidInput(f"rank_tol_rel must be positive and finite, got {rank_tol_rel}")
+    if not np.finfo(float).eps <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
+        raise InvalidInput(f"rank_tol_rel must be positive and finite, at least machine epsilon, got {rank_tol_rel}")
     return np.sum(s > s[..., :1] * size * rank_tol_rel, axis=-1)
 
 
@@ -124,7 +121,7 @@ class RankedSvd:
 
     @cached_property
     def pinv_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of pinv, descending: 1/sigma reversed and n - r zeros, as J is positive semidefinite."""
+        """Descending eigenvalues of pinv: 1/sigma reversed and n - r zeros, for J that pass is_psd, as the CLI's do."""
         return _freeze(np.concatenate([1.0 / self.sigma[::-1], np.zeros(self.dim - self.rank)]))
 
 
@@ -185,10 +182,10 @@ def eigvals_desc(m) -> np.ndarray:
     return _freeze(np.linalg.eigvalsh(as_sym_matrix(m).entries)[::-1])
 
 
-def is_psd(m, psd_tol_rel: float = DEFAULT_PSD_TOL_REL) -> bool:
-    """True iff as_ranked_svd(m)'s smallest eigenvalue is >= -psd_tol_rel times the largest absolute one."""
-    evals = as_ranked_svd(m).eigenvalues  # ordered by |lambda| descending
-    return bool(evals.min() >= -psd_tol_rel * abs(float(evals[0])))
+def is_psd(m) -> bool:
+    """True iff every eigenvalue that as_ranked_svd(m)'s rank rule keeps is positive; the rest may have any sign."""
+    basis = as_ranked_svd(m)
+    return bool(np.all(basis.eigenvalues[: basis.rank] > 0))
 
 
 def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):

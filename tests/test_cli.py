@@ -11,7 +11,8 @@ import pytest
 import crbkit
 from crbkit import load_matrix, ranked_svd, sample_constraint_stacks
 from crbkit.cli import build_parser, derived_rng, derived_seed, main
-from crbkit.matlin import seed_sequence
+from crbkit.matlin import DEFAULT_RANK_TOL_REL, seed_sequence
+from crbkit.matx import format_float
 
 
 def write_diag_matrix(tmp_path):
@@ -40,7 +41,8 @@ def test_derived_streams_are_stable_and_distinct():
 def test_seed_derivation_keeps_every_stream(tmp_path):
     # digests of the outputs once the seed derivations became one helper, the sampled bounds
     # were read from the spectrum of U'JU, the sampler took one complete qr per chunk, J was
-    # factored by one eigh and the equivalence mixes were orthonormalized; they
+    # factored by one eigh and the equivalence mixes were orthonormalized, with the manifests'
+    # digests retaken when their psd_tol line went; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
     # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
     # each run's manifest, whose input or model branch follows the kind of input
@@ -85,12 +87,12 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "m/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
         "e/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "c2/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "a/manifest.cfg": "7d07193740c88a59492078d814f1885eee85602be986b1ff5eff792f30ab3bb3",
-        "e/manifest.cfg": "87c5c0f9c8aca7c67c64078fd56867ee7abb2983a74c4885d3f71b749453ca66",
-        "e2/manifest.cfg": "dc38622712462491124a1af98c69aaf9009458402d2e22b93cebb4336939d36e",
-        "c/manifest.cfg": "d53b6f9476e13b98845a3e04553b8ed7a8ec98a522e4715bee0c023ca4bf0f78",
-        "c2/manifest.cfg": "06c82113bdc4a2a6e743b059e89e45ea7a7629795a836dd6f7894d8033e4cd18",
-        "m/manifest.cfg": "24d217cce8b133e65e2ccc23a1f4fd045679cd9609291e35044911824b604efa",
+        "a/manifest.cfg": "d4976e05f9d5ed44e5f2dbfaaf30c874ed34248d653d2247abcafc298106bd55",
+        "e/manifest.cfg": "c25b4625ddd4ee340cb21b0a6a2276018d1782ec7655922738782bb63337a79d",
+        "e2/manifest.cfg": "eba451e13f98b2f196a4966ea6045baab78152d1b1464683fa70653b14154d83",
+        "c/manifest.cfg": "893a5a51a220abfbf1823bd3791fb5eddaba6ff21e674f272db524d23b38cf91",
+        "c2/manifest.cfg": "ee1f422e7a6bcdb467e77235cfc408a2db906f81e75931809e6b2c8f71fc8f2e",
+        "m/manifest.cfg": "2cd01d6c5e05961ebe1300ab62be386ceaa8ad2d867e6dbbf4018be038cdb827",
     }
     for key in [(), (3,), (1234, 5)]:
         old = np.random.SeedSequence(entropy=11, spawn_key=key).generate_state(4)
@@ -216,15 +218,14 @@ def test_matrix_manifest_rerun_of_certify_and_experiment(tmp_path, command, outp
 
 def test_every_setting_flag_reaches_the_manifest_and_reruns(tmp_path):
     j = write_diag_matrix(tmp_path)
-    flags = ["--seed", "7", "--count", "9", "--samples", "500", "--rank-tol", "1e-8",
-             "--psd-tol", "1e-6", "--margin-tol", "1e-7"]
+    flags = ["--seed", "7", "--count", "9", "--samples", "500", "--rank-tol", "1e-8", "--margin-tol", "1e-7"]
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     assert main(["analyze", "--input", str(j), *flags, "--out", str(out1)]) == 0
     manifest = (out1 / "manifest.cfg").read_text().splitlines()
     assert manifest[3:] == [
-        "seed = 7", "count = 9", "samples = 500", "rank_tol = 1e-08",
-        "psd_tol = 9.9999999999999995e-07", "margin_tol = 9.9999999999999995e-08", "input = j.matx",
+        "seed = 7", "count = 9", "samples = 500", "rank_tol = 1e-08", "margin_tol = 9.9999999999999995e-08",
+        "input = j.matx",
     ]
     assert main(["analyze", "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
     outputs = ("analysis.csv", "j.matx", "j_pinv.matx", "constraint.matx", "crb_constrained.matx")
@@ -266,7 +267,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config, rule):
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400"])
-@pytest.mark.parametrize("key", ["rank_tol", "psd_tol", "margin_tol"])
+@pytest.mark.parametrize("key", ["rank_tol", "margin_tol"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_non_finite_tolerance_exits_2(tmp_path, capsys, source, key, value):
     # an infinite margin_tol would pass every certificate and an infinite rank_tol rank J 0
@@ -354,13 +355,13 @@ def test_model_manifest_lists_the_model_parameters(tmp_path, config, params):
     cfg.write_text(config)
     assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 0
     lines = (tmp_path / "o" / "manifest.cfg").read_text().splitlines(keepends=True)
-    assert lines[:9] == [
+    assert lines[:8] == [
         "# crb-kit v1 manifest\n", "command = analyze\n", f"version = {crbkit.__version__}\n",
         "seed = 0\n", "count = 100\n", "samples = 10000\n", "rank_tol = 1e-10\n",
-        "psd_tol = 1.0000000000000001e-09\n", "margin_tol = 1.0000000000000001e-09\n",
+        "margin_tol = 1.0000000000000001e-09\n",
     ]
     model = config.splitlines(keepends=True)[0]
-    assert "".join(lines[9:-1]) == model + params + "fim_method = analytic\n"
+    assert "".join(lines[8:-1]) == model + params + "fim_method = analytic\n"
     assert lines[-1].startswith("theta = ")
 
 
@@ -508,11 +509,13 @@ def test_certify_suite_checks_rank_tol_against_each_matrix(tmp_path, capsys):
     assert not (tmp_path / "b" / "certificates.csv").exists()
 
 
-def test_psd_refusal_comes_before_the_rank_tol_refusal(tmp_path, capsys):
+def test_rank_tol_refusal_comes_before_the_psd_refusal(tmp_path, capsys):
+    # a rank rule that calls every eigenvalue zero cannot judge definiteness
     path = tmp_path / "indefinite.matx"
     path.write_text("2 2\n1 0\n0 -1\n")
     assert main(["analyze", "--input", str(path), "--rank-tol", "0.9", "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err.startswith("error: reading input: information matrix is not positive semidefinite")
+    err = capsys.readouterr().err
+    assert err == "error: rank_tol 0.90000000000000002 gives every 2 x 2 matrix rank 0; 2 * rank_tol must be below 1\n"
 
 
 def test_certify_singular_matrix_input(tmp_path):
@@ -687,12 +690,80 @@ def test_failed_factorization_exits_3(tmp_path, capsys, monkeypatch, argv):
     assert capsys.readouterr().err == "error: linear algebra failure: SVD did not converge\n"
 
 
-def test_psd_tol_sets_the_negative_eigenvalue_slack(tmp_path):
-    path = tmp_path / "slightly_negative.matx"
-    path.write_text("3 3\n1 0 0\n0 -1e-12 0\n0 0 0\n")
-    assert main(["analyze", "--input", str(path), "--out", str(tmp_path / "a")]) == 0
-    tight = ["analyze", "--input", str(path), "--psd-tol", "1e-13", "--out", str(tmp_path / "b")]
-    assert main(tight) == 2
+@pytest.mark.parametrize("rank_tol", [None, "1e-3"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["certify", "--count", "10"], ["experiment", "--count", "10"]], ids=lambda argv: argv[0]
+)
+def test_one_rule_decides_rank_and_definiteness(tmp_path, capsys, command, n, rank_tol):
+    # J = diag(1, lam) or diag(1, lam, 0); the rank rule keeps |lam| > 1 * n * rank_tol, and J is PSD when
+    # every eigenvalue it keeps is positive: lam at minus the cutoff is zero, one ulp beyond it is refused
+    cutoff = 1.0 * n * float(rank_tol or DEFAULT_RANK_TOL_REL)
+    beyond = float(np.nextafter(-cutoff, -np.inf))
+    flags = ["--rank-tol", rank_tol] if rank_tol else []
+    codes, errs = {}, {}
+    for name, lam in (("zero", 0.0), ("inside", -cutoff), ("beyond", beyond)):
+        path = tmp_path / f"{name}.matx"
+        crbkit.save_matrix(path, np.diag([1.0, lam, 0.0][:n]))
+        codes[name] = main(command + ["--input", str(path), *flags, "--out", str(tmp_path / name)])
+        errs[name] = capsys.readouterr().err
+    assert codes == {"zero": 0, "inside": 0, "beyond": 2}
+    assert errs["beyond"] == (
+        "error: reading input: information matrix is not positive semidefinite: "
+        f"eigenvalue {format_float(beyond)} is negative and kept by the rank cutoff {format_float(cutoff)}\n"
+    )
+    assert not (tmp_path / "beyond" / "manifest.cfg").exists()
+    # inside the cutoff lam is zero: the run reports what it reports for lam = 0, and no negative trace
+    if command[0] == "analyze":
+        for name in ("zero", "inside"):
+            rows = dict(line.split(",") for line in (tmp_path / name / "analysis.csv").read_text().splitlines()[2:])
+            assert (rows["rank"], rows["trace_pinv"]) == ("1", "1")
+    if command[0] == "experiment":
+        for name in ("zero", "inside"):
+            assert (tmp_path / name / "traces.csv").read_text().splitlines()[1] == "# baseline_trace = 1"
+
+
+def test_psd_tol_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
+    j = write_diag_matrix(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", str(j), "--psd-tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --psd-tol 1e-9" in capsys.readouterr().err
+    # a manifest written while the setting existed names it on line 8; without that line it reruns
+    out = tmp_path / "a"
+    assert main(["analyze", "--input", str(j), "--out", str(out)]) == 0
+    lines = (out / "manifest.cfg").read_text().splitlines(keepends=True)
+    assert lines[6:8] == ["rank_tol = 1e-10\n", "margin_tol = 1.0000000000000001e-09\n"]
+    (out / "old.cfg").write_text("".join(lines[:7] + ["psd_tol = 1.0000000000000001e-09\n"] + lines[7:]))
+    capsys.readouterr()
+    assert main(["analyze", "--input", str(out / "old.cfg"), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == "error: resolving configuration: unknown config key 'psd_tol' on line 8\n"
+    assert main(["analyze", "--input", str(out / "manifest.cfg"), "--out", str(tmp_path / "c")]) == 0
+    for name in ("manifest.cfg", "analysis.csv", "j.matx", "j_pinv.matx", "constraint.matx", "crb_constrained.matx"):
+        assert (out / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["1e-20", repr(float(np.nextafter(np.finfo(float).eps, 0)))])
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["experiment", "--count", "3"], ["certify", "--count", "3"], ["certify"]]
+)
+def test_rank_tol_below_machine_epsilon_exits_2_before_factoring(tmp_path, capsys, monkeypatch, argv, tol):
+    # at 1e-20 the blind channel's J at seed 0 came out rank 6 of 6, with a trace_pinv of -6.6e15;
+    # ranked_svd is no function here, so a run that factored J would fail with a traceback
+    if argv != ["certify"]:  # a bare certify runs its suite
+        argv = argv + ["--model", "blind_channel"]
+    monkeypatch.setattr(crbkit.cli, "ranked_svd", None)
+    assert main(argv + ["--rank-tol", tol, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: checking rank_tol: rank_tol_rel must be positive and finite, at least machine epsilon, got {tol}\n"
+    )
+    assert not (tmp_path / "o" / "manifest.cfg").exists()
+
+
+def test_rank_tol_at_machine_epsilon_keeps_the_blind_channel_ambiguity(tmp_path):
+    eps = repr(float(np.finfo(float).eps))
+    assert main(["analyze", "--model", "blind_channel", "--rank-tol", eps, "--out", str(tmp_path / "o")]) == 0
+    assert "\nrank,5\n" in (tmp_path / "o" / "analysis.csv").read_text()
 
 
 def test_console_entry_point_reports_version(tmp_path):

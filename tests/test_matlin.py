@@ -140,9 +140,13 @@ def test_is_psd_examples():
     assert is_psd(np.diag([1.0, 0.0]))
     assert is_psd(np.zeros((2, 2)))
     assert not is_psd(np.array([[0.0, 1.0], [1.0, 1.0]]))
-    # tiny negative curvature within tolerance counts as PSD
+    # a negative eigenvalue that the rank rule calls zero counts as zero; one it keeps does not
     assert is_psd(np.diag([1.0, -1e-12]))
     assert not is_psd(np.diag([1.0, -1e-6]))
+    assert is_psd(ranked_svd(np.diag([1.0, -1e-6]), 1e-6))
+    cutoff = 2 * 1e-10  # |lambda|_max * n * rank_tol at the default rank_tol
+    assert is_psd(np.diag([1.0, -cutoff]))
+    assert not is_psd(np.diag([1.0, np.nextafter(-cutoff, -1.0)]))
 
 
 def test_null_complement_frozen_examples():
@@ -177,12 +181,16 @@ def test_null_complement_rejects_dependent_rows():
 
 
 def test_rank_rule_refuses_a_tolerance_that_is_not_positive_and_finite():
-    # under a NaN or infinite tolerance no singular value is above the cutoff, so every rank would be 0
-    for tol in (0.0, -1e-10, np.nan, np.inf):
+    # under a NaN or infinite tolerance no singular value is above the cutoff, so every rank would be 0;
+    # below machine epsilon the cutoff lies under the roundoff of an eigendecomposition
+    eps = np.finfo(float).eps
+    for tol in (0.0, -1e-10, np.nan, np.inf, 1e-20, np.nextafter(eps, 0.0)):
         with pytest.raises(InvalidInput, match="rank_tol_rel must be positive and finite"):
             ranked_svd(np.diag([2.0, 1.0, 0.0]), tol)
         with pytest.raises(InvalidInput, match="rank_tol_rel must be positive and finite"):
             null_complements(np.eye(2)[None], tol)
+    assert ranked_svd(np.diag([2.0, 1.0, 0.0]), eps).rank == 2
+    assert null_complements(np.eye(2)[None], eps)[0].tolist() == [2]
 
 
 def test_is_nonsingular_examples():
