@@ -53,7 +53,7 @@ from .matlin import (
     DEFAULT_RANK_TOL_REL,
     _rank_cutoff,
     as_sym_matrix,
-    is_psd,
+    check_psd,
     orthonormal_columns,
     ranked_svd,
     seed_sequence,
@@ -288,7 +288,7 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
 def information_matrix(config: RunConfig):
     """The run's information matrix factored under its rank rule; returns (RankedSvd, FimEstimate | None).
 
-    Invalid input, a rank_tol refused by check_rank_tol or a J that is_psd refuses
+    Invalid input, a rank_tol refused by check_rank_tol or a J that check_psd refuses
     raise CliError with exit 2, a failed estimate exit 3.
     """
     try:
@@ -310,12 +310,10 @@ def information_matrix(config: RunConfig):
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
     check_rank_tol(sym.dim, config.rank_tol_rel)  # a rule that calls every eigenvalue zero cannot judge definiteness
-    basis = ranked_svd(sym, config.rank_tol_rel)
-    if not is_psd(basis):  # a model's J is PSD up to roundoff that the rank rule calls zero
-        lam, cutoff = basis.eigenvalues, abs(basis.eigenvalues[0]) * basis.dim * config.rank_tol_rel
-        kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
-        raise CliError(EXIT_INVALID_INPUT, f"reading input: information matrix is not positive semidefinite: {kept}")
-    return basis, estimate
+    try:  # a model's J is PSD up to roundoff that the rank rule calls zero
+        return check_psd(ranked_svd(sym, config.rank_tol_rel)), estimate
+    except InvalidMatrix as exc:
+        raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
 
 
 def check_rank_tol(n: int, rank_tol: float) -> None:

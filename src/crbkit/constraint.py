@@ -6,8 +6,9 @@ rank, nonsingular restricted information U'JU, rank F + rank J = n),
 synthesizes the optimal affine constraint from the information null
 space, and samples random minimum constraints for experiments: bare
 stacks whose is_minimum marks the accepted draws, or labeled specs.
-Constraints are evaluated in stacks: one svd (one complete qr for a
-sampled chunk) and one eigvalsh call per stack of Jacobians.
+Constraints are evaluated in stacks: one svd and one eigvalsh call per
+stack of Jacobians. A sampled chunk takes one reduced qr and one
+eigvalsh, in the range coordinates of J's one factorization.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .matlin import (
     _rank_cutoff,
     _sign_fixed_columns,
     as_ranked_svd,
+    check_psd,
     nonsingular,
     null_complements,
     restricted_information,
@@ -37,7 +39,7 @@ REJECTION_BUDGET_FACTOR = 100
 
 # Constraints drawn, checked and bounded per stacked LAPACK call. Larger
 # chunks are no faster and cost memory: for 1000 constraints of a 32 x 32 J,
-# peak RSS was 79 MB in one stack, 45 MB in chunks of 128 and 41 in chunks of 32.
+# peak RSS was 53 MB in one stack, 42 MB in chunks of 128 and 40 in chunks of 32.
 CONSTRAINT_CHUNK = 32
 
 
@@ -83,19 +85,21 @@ class ConstraintSpec:
 class ConstraintStack(NamedTuple):
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
-    basis is J as factored, with the rank rule of every flag. One svd
-    call gives row_rank (k,) and the null bases u (k, n, n - m); a sampled
-    chunk takes u from its qr and row_rank from unit singular values.
-    restricted holds U'JU, and one eigvalsh call gives utju_eigs, the
-    ascending eigenvalues of its symmetrized form. The last three fields
-    are the requirement flags, each of shape (k,).
+    basis is J as factored, with the rank rule of every flag. From
+    evaluate_constraints, one svd call gives row_rank (k,) and the null
+    bases u (k, n, n - m), restricted holds U'JU, and one eigvalsh call
+    gives utju_eigs, the ascending eigenvalues of its symmetrized form.
+    A sampled stack has u and restricted None: its row_rank comes from
+    unit singular values and its utju_eigs from J's range coordinates
+    (see sample_constraint_stacks). The last three fields are the
+    requirement flags, each of shape (k,).
     """
 
     basis: RankedSvd
     f_jacs: np.ndarray
     row_rank: np.ndarray
-    u: np.ndarray
-    restricted: np.ndarray
+    u: np.ndarray | None
+    restricted: np.ndarray | None
     utju_eigs: np.ndarray
     full_rank_jacobian: np.ndarray
     utju_nonsingular: np.ndarray
@@ -121,12 +125,12 @@ def evaluate_constraints(j, f_jacs) -> ConstraintStack:
     f_jacs = np.asarray(f_jacs, dtype=float)
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
-    return _evaluated(basis, f_jacs, *null_complements(f_jacs, basis.rank_tol_rel))
+    row_rank, u = null_complements(f_jacs, basis.rank_tol_rel)
+    return _evaluated(basis, f_jacs, row_rank, u, *restricted_information(basis.matrix.entries, u))
 
 
-def _evaluated(basis: RankedSvd, f_jacs, row_rank, u) -> ConstraintStack:
-    """The stack of f_jacs given their row ranks and null bases: U'JU, its spectrum and the flags."""
-    restricted, evals = restricted_information(basis.matrix.entries, u)
+def _evaluated(basis: RankedSvd, f_jacs, row_rank, u, restricted, evals) -> ConstraintStack:
+    """The stack of f_jacs given their row ranks, null bases, U'JU and its ascending spectrum: adds the flags."""
     full_rank = row_rank == f_jacs.shape[1]
     return ConstraintStack(
         basis=basis,
@@ -174,32 +178,38 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[Constrain
 
     Each Jacobian is the transpose of an orthonormalized Gaussian
     (n, n - rank J) matrix, redrawn until it passes the minimum-constraint
-    check; one complete qr per chunk gives the Jacobians and their null
-    bases. Draws are made CONSTRAINT_CHUNK at a time, never more than a
-    draw-by-draw loop would make, and accepted in draw order, so the
+    check; one reduced qr per chunk gives the Jacobians F. Their spectra
+    mu are those of U'J_rU, J_r = U_r diag(lambda_r) U_r' the J that the
+    rank rule reads, without forming a null basis U: as [F' U] is
+    orthogonal, U_r'UU'U_r = I - XX' with X = U_r'F', so one eigvalsh of
+    Lambda^1/2 (I - XX') Lambda^1/2 = Lambda - YY', Y = Lambda^1/2 X,
+    gives mu. Draws are made CONSTRAINT_CHUNK at a time, never more than
+    a draw-by-draw loop would make, and accepted in draw order, so the
     random stream is consumed as by one draw at a time. Yields each
-    chunk's stack; its is_minimum marks the accepted draws.
-    Raises SamplingExhausted after 100 * count consecutive rejections and
-    FullRankFim when J is nonsingular.
+    chunk's stack, with u and restricted None; its is_minimum marks the
+    accepted draws. Raises SamplingExhausted after 100 * count
+    consecutive rejections, FullRankFim when J is nonsingular and
+    InvalidMatrix when check_psd refuses J.
     """
     if count < 1:
         raise InvalidInput(f"count must be positive, got {count}")
-    basis = as_ranked_svd(j)
+    basis = check_psd(j)  # the range coordinates take sqrt(lambda_r)
     n, m = basis.dim, basis.dim - basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
+    # F's rows are orthonormal, so the rank rule of null_complements sees singular values of one
+    row_rank = np.full(CONSTRAINT_CHUNK, _rank_cutoff(np.ones(m), n, basis.rank_tol_rel))
+    scaled_range, lam = np.sqrt(basis.sigma)[:, None] * basis.u_r.T, np.diag(basis.sigma)
     rng = np.random.default_rng(seed_sequence(rng_seed))
     budget = REJECTION_BUDGET_FACTOR * count
     accepted = 0
     consecutive_rejects = 0
     while accepted < count:
         k = min(count - accepted, budget - consecutive_rejects, CONSTRAINT_CHUNK)
-        q, r = np.linalg.qr(rng.standard_normal((k, n, m)), mode="complete")
-        f_jacs = _sign_fixed_columns(q, r).transpose(0, 2, 1)
-        # F's rows are orthonormal, so the rank rule of null_complements sees singular values of one
-        row_rank = _rank_cutoff(np.ones((k, m)), n, basis.rank_tol_rel)
-        # a contiguous U gives U'JU bit for bit as a stack of frames does
-        stack = _evaluated(basis, f_jacs, row_rank, np.ascontiguousarray(q[..., m:]))
+        f_t = _sign_fixed_columns(*np.linalg.qr(rng.standard_normal((k, n, m)), mode="reduced"))
+        y = scaled_range @ f_t
+        evals = np.linalg.eigvalsh(lam - y @ y.transpose(0, 2, 1))
+        stack = _evaluated(basis, f_t.transpose(0, 2, 1), row_rank[:k], None, None, evals)
         hits = np.flatnonzero(stack.is_minimum)
         if hits.size:
             accepted += hits.size
@@ -215,8 +225,8 @@ def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
     """The accepted draws of sample_constraint_stacks, filtered and concatenated into one evaluated stack."""
     basis = as_ranked_svd(j)
     chunks = sample_constraint_stacks(basis, count, rng_seed)
-    kept = [[field[chunk.is_minimum] for field in chunk[1:]] for chunk in chunks]
-    return ConstraintStack(basis, *map(np.concatenate, zip(*kept)))
+    kept = [[None if field is None else field[chunk.is_minimum] for field in chunk[1:]] for chunk in chunks]
+    return ConstraintStack(basis, *(None if parts[0] is None else np.concatenate(parts) for parts in zip(*kept)))
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInput, InvalidMatrix, RankDeficientConstraint
+from .matx import format_float
 
 # Relative rank cutoff: singular values <= sigma_max * n * DEFAULT_RANK_TOL_REL
 # are treated as zero.
@@ -79,11 +80,16 @@ def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
 
-def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
-    """Rank from descending singular values (last axis): those above s_max * size * rank_tol_rel."""
+def _cutoff(s_max, size: int, rank_tol_rel: float):
+    """The rank rule's threshold s_max * size * rank_tol_rel; singular values at or below it count as zero."""
     if not np.finfo(float).eps <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
         raise InvalidInput(f"rank_tol_rel must be positive and finite, at least machine epsilon, got {rank_tol_rel}")
-    return np.sum(s > s[..., :1] * size * rank_tol_rel, axis=-1)
+    return s_max * size * rank_tol_rel
+
+
+def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
+    """Rank from descending singular values (last axis): those above _cutoff(s_max, size, rank_tol_rel)."""
+    return np.sum(s > _cutoff(s[..., :1], size, rank_tol_rel), axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +192,16 @@ def is_psd(m) -> bool:
     """True iff every eigenvalue that as_ranked_svd(m)'s rank rule keeps is positive; the rest may have any sign."""
     basis = as_ranked_svd(m)
     return bool(np.all(basis.eigenvalues[: basis.rank] > 0))
+
+
+def check_psd(m) -> RankedSvd:
+    """as_ranked_svd(m), refused with InvalidMatrix unless is_psd: the message names the negative eigenvalue and the cutoff."""
+    basis = as_ranked_svd(m)
+    if not is_psd(basis):
+        lam, cutoff = basis.eigenvalues, _cutoff(abs(basis.eigenvalues[0]), basis.dim, basis.rank_tol_rel)
+        kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
+        raise InvalidMatrix(f"information matrix is not positive semidefinite: {kept}")
+    return basis
 
 
 def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):

@@ -177,8 +177,8 @@ def verify_trace_bound(
     """Check tr(constrained CRB) >= tr(pinv J) for minimum constraints.
 
     stack is a ConstraintStack evaluated against J (as
-    evaluate_constraints or sample_minimum_stack returns it), whose null
-    bases and U'JU are used as they are. Raises NotMinimumConstraint when
+    evaluate_constraints or sample_minimum_stack returns it), whose
+    spectra of U'JU are used as they are. Raises NotMinimumConstraint when
     some constraint fails its preconditions, and InvalidInput for a stack
     evaluated against another J or rank rule.
     """
@@ -205,8 +205,9 @@ def verify_eigen_dominance(
 
     v is one (n, r) frame or a (k, n, r) stack of frames, each with
     orthonormal columns, as many as rank(J), or a ConstraintStack
-    evaluated against J, whose null bases are the frames and whose
-    spectra of U'JU and flags are used as they are. Margins compare the
+    evaluated against J, whose spectra of U'JU and flags are used as
+    they are; its frames are the null bases of its f_jacs, n - m wide,
+    and its witnesses hold f_jac in place of v. Margins compare the
     nonzero eigenvalues, 1/mu of V'JV with 1/sigma of J, frame by frame;
     the zeros agree exactly and are not cases. Raises SingularRestriction
     when some V'JV is numerically singular, and InvalidInput for frames
@@ -216,23 +217,25 @@ def verify_eigen_dominance(
     entries = basis.matrix.entries
     if isinstance(v, ConstraintStack):
         stack = _evaluated_against(basis, v)
-        frames, evals, exists = stack.u, stack.utju_eigs, stack.utju_nonsingular
+        evals, exists = stack.utju_eigs, stack.utju_nonsingular
+        width, name, cases = stack.f_jacs.shape[2] - stack.f_jacs.shape[1], "f_jac", stack.f_jacs
     else:
         v_arr = np.asarray(v, dtype=float)
         _check_orthonormal(v_arr, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
         evals = restricted_information(entries, frames)[1]
         exists = nonsingular(evals, basis.rank_tol_rel)
+        width, name, cases = frames.shape[2], "v", frames
     rank = basis.rank
-    if frames.shape[2] != rank:
-        raise InvalidInput(f"frames need rank(J) = {rank} columns, got {frames.shape[2]}")
+    if width != rank:
+        raise InvalidInput(f"frames need rank(J) = {rank} columns, got {width}")
     if not np.all(exists):
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
     # 1/mu descends as mu ascends, as 1/sigma does
     margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel().tolist()
     return _certify(
         "eigen_dominance", margins,
-        lambda c: (f"eig-index-{c % rank}", {"j": entries, "v": frames[c // rank]}), margin_tol,
+        lambda c: (f"eig-index-{c % rank}", {"j": entries, name: cases[c // rank]}), margin_tol,
     )
 
 

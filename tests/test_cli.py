@@ -42,7 +42,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # digests of the outputs once the seed derivations became one helper, the sampled bounds
     # were read from the spectrum of U'JU, the sampler took one complete qr per chunk, J was
     # factored by one eigh and the equivalence mixes were orthonormalized, with the manifests'
-    # digests retaken when their psd_tol line went; they
+    # digests retaken when their psd_tol line went and the sampled runs' when the sampler came
+    # to read U'JU in J's range coordinates, as the rank rule reads J; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
     # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
     # each run's manifest, whose input or model branch follows the kind of input
@@ -58,12 +59,12 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     assert main(argv) == 0
     # a matrix input takes the manifest's input branch and writes j.matx with the manifest
     assert main(["analyze", "--input", j_path, "--out", str(tmp_path / "m")]) == 0
-    # at rank_tol 0.02 J has rank 3 and the sampler rejects draws in both of its first two chunks
+    # at rank_tol 0.02 J has rank 3 and the sampler rejects draws in each of its first four chunks
     argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--rank-tol", "0.02"]
     assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
     basis = ranked_svd(load_matrix(j_path), 0.02)
     chunks = sample_constraint_stacks(basis, 40, derived_seed(3, "experiment-constraints"))
-    assert [not np.all(chunk.is_minimum) for chunk in chunks] == [True, True, False]
+    assert [not np.all(chunk.is_minimum) for chunk in chunks] == [True, True, True, True, False]
     outputs = ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx", "a/constraint.matx",
                "e/traces.csv", "e2/traces.csv", "c/certificates.csv", "c2/certificates.csv")
     outputs += ("m/j.matx", "m/analysis.csv", "m/j_pinv.matx", "m/crb_constrained.matx", "m/constraint.matx")
@@ -76,10 +77,10 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "a/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
         "a/crb_constrained.matx": "1788a0d855b52fa451226e590abb39f8371f08a043a025f5130342f8750c8fc7",
         "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
-        "e/traces.csv": "d02e8c9a910c3b65125a69d258f24c8be886eec4dd476471e909d9587d38fa24",
-        "e2/traces.csv": "1ab0cf725797b2626c3d7a0a5d9fe9e5f991a3819c9939d333388d625146f102",
-        "c/certificates.csv": "89f1d4390fadd680d67b995839cd5fb046c467e73b7d1a4b0354c096b4cb8fce",
-        "c2/certificates.csv": "e6094e04f7f29d7dc1c62e1bad283ae0e5d146d6a6d5e3d9fe2fa24fd9eed259",
+        "e/traces.csv": "e723e0afdd2713a543ad26e0adb390b5dc0f2feba1aafd7afb5f45d2031b15a6",
+        "e2/traces.csv": "662203e36f4ed44fd1907266e03a97b01d4fbb752e3115b32ae96b1b964bb61a",
+        "c/certificates.csv": "9b302ecbf6e0891e97c684bbcc74d68331cd919968a666c147ef0fead1dc2639",
+        "c2/certificates.csv": "25db23694d0bc4fe2369c437d7a4c140ed906b41bc57762346141b784cfcb95d",
         "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "m/analysis.csv": "56a378c0700e21533d0cea237b06aebae69e3717e1eb0e34d2db3dead437fc86",
         "m/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",

@@ -8,7 +8,9 @@ from crbkit import (
     ConstraintStack,
     FullRankFim,
     InvalidInput,
+    InvalidMatrix,
     SamplingExhausted,
+    bound_traces,
     check_minimum_constraint,
     constrained_crb,
     evaluate_constraints,
@@ -24,7 +26,10 @@ from crbkit import (
     sample_minimum_stack,
     save_constraint_spec,
 )
+from crbkit.matlin import _sign_fixed_columns, check_psd, seed_sequence
 from util import make_psd, random_orthonormal
+
+EPS = np.finfo(float).eps
 
 DIAG = np.diag([2.0, 0.0])
 
@@ -331,9 +336,87 @@ def test_sampled_stack_equals_its_filtered_chunks():
         stack = sample_minimum_stack(basis, count, 11)
         assert stack.basis is basis
         for name in ConstraintStack._fields[1:]:
+            if name in ("u", "restricted"):  # a sampled stack carries no null bases and no U'JU
+                assert getattr(stack, name) is None and all(getattr(chunk, name) is None for chunk in chunks)
+                continue
             reference = np.concatenate([getattr(chunk, name)[chunk.is_minimum] for chunk in chunks])
             assert len(reference) == count and np.array_equal(getattr(stack, name), reference), name
         expected, _ = reference_sample(basis.matrix.entries, count, 11, basis.rank_tol_rel)
         specs = sample_minimum_constraints(basis, count, 11)
         assert [spec.label for spec in specs] == [label for _, label in expected]
         assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
+
+
+def complete_qr_chunk(seed, k, n, m):
+    """The first k draws of the sampler's stream through one complete qr: Jacobians F (k, m, n)
+    from its sign-fixed leading columns and null bases U (k, n, n - m) from its trailing ones."""
+    draws = np.random.default_rng(seed_sequence(seed)).standard_normal((k, n, m))
+    q, r = np.linalg.qr(draws, mode="complete")
+    return _sign_fixed_columns(q, r).transpose(0, 2, 1), q[..., m:]
+
+
+def spread_psd(rng, n, rank, scale):
+    """Random PSD J of the given rank, its nonzero eigenvalues spread over six decades below scale."""
+    d = np.zeros(n)
+    d[:rank] = scale * 10.0 ** rng.uniform(-6.0, 0.0, rank)
+    q = random_orthonormal(rng, n, n)
+    j = (q * d) @ q.T
+    return 0.5 * (j + j.T)
+
+
+def test_sampled_jacobians_are_the_complete_qr_leading_columns():
+    # the reduced qr gives the Jacobians that the complete one gave bit for bit up to n = 7; from
+    # n = 8 the two can round an entry differently (by up to 1.5 eps at n = 8 and 2 eps at n = 32
+    # on an OpenBLAS 0.3.31 build), so there the gap is bounded by n eps
+    rng = np.random.default_rng(11)
+    for n in [*range(2, 9), 32]:
+        for rank in range(1, n) if n < 32 else (16,):
+            chunk = next(sample_constraint_stacks(ranked_svd(make_psd(rng, n, rank)), 20, 100 * n + rank))
+            f_jacs, _ = complete_qr_chunk(100 * n + rank, 20, n, n - rank)
+            if n < 8:
+                assert chunk.f_jacs.tobytes() == f_jacs.tobytes(), (n, rank)
+            assert np.abs(chunk.f_jacs - f_jacs).max() <= n * EPS, (n, rank)
+
+
+def test_sampled_spectra_are_those_of_j_as_its_rank_rule_reads_it():
+    # mu is the spectrum of U'J_rU, J_r = U_r diag(lambda_r) U_r', with U from the complete qr; at
+    # rank_tol 1e-3 part of J's spectrum falls below the cutoff, and J_r drops it
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            for tol, scale in ((1e-10, 1e-8), (1e-10, 1.0), (1e-3, 1e8)):
+                basis = ranked_svd(spread_psd(rng, n, rank, scale), tol)
+                chunk = next(sample_constraint_stacks(basis, 20, 100 * n + rank))
+                _, u = complete_qr_chunk(100 * n + rank, 20, n, n - basis.rank)
+                j_r = (basis.u_r * basis.sigma) @ basis.u_r.T
+                reference = np.linalg.eigvalsh(u.transpose(0, 2, 1) @ j_r @ u)
+                assert np.all(np.abs(chunk.utju_eigs - reference) <= 10 * basis.rank * EPS * basis.sigma[0])
+
+
+def test_every_sampled_trace_is_at_least_the_pseudoinverse_trace():
+    # the paper's inequality on the sampler's own output: tr U (U'J_rU)^-1 U' >= tr J+, less the
+    # forward error c r eps (sigma_1 / mu_min) of the trace read from mu
+    rng = np.random.default_rng(13)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            for scale in (1e-8, 1.0, 1e8):
+                basis = ranked_svd(spread_psd(rng, n, rank, scale))
+                stack = sample_minimum_stack(basis, 20, 100 * n + rank)
+                traces = np.array(bound_traces(stack))
+                slack = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0] * traces
+                assert np.all(traces >= basis.pinv.trace - slack), (n, rank, scale)
+
+
+def test_the_sampler_refuses_an_indefinite_j_before_drawing():
+    # -1 is kept by the rank rule, so sqrt(lambda_r) would be taken of it; the sampler refuses J
+    # with check_psd's one message, not with SamplingExhausted once its budget of draws is spent
+    basis = ranked_svd(np.diag([1.0, -1.0, 0.0]))
+    message = "information matrix is not positive semidefinite: eigenvalue -1 is negative and kept by the rank cutoff 3e-10"
+    for sample in (sample_minimum_stack, sample_minimum_constraints, lambda *a: next(sample_constraint_stacks(*a))):
+        with pytest.raises(InvalidMatrix) as info:
+            sample(basis, 5, 1)
+        assert str(info.value) == message
+    # a negative eigenvalue that the rule calls zero is J's null space, as the CLI reads it
+    inside = ranked_svd(np.diag([1.0, -3e-10, 0.0]))
+    assert check_psd(inside) is inside
+    assert sample_minimum_stack(inside, 5, 1).f_jacs.shape == (5, 2, 3)

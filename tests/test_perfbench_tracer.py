@@ -68,11 +68,13 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     experiment, analyze, certify = traces
     assert experiment.problems == [] and analyze.problems == [] and certify.problems == []
     assert experiment.calls["matlin.ranked_svd"] == 1
-    # one eigh gives J's rank, PSD check and J+, and one complete qr per chunk of 32 constraints
+    # one eigh gives J's rank, PSD check and J+, and one reduced qr and one eigvalsh per chunk of
+    # 32 constraints
     assert experiment.calls["linalg.eigh"] == 1
     assert experiment.calls["linalg.svd"] == 0
     assert experiment.calls["linalg.inv"] == 0
     assert experiment.calls["linalg.qr"] == 3
+    assert experiment.calls["linalg.eigvalsh"] == 3
     # J's one eigh; the svd, eigvalsh and inv belong to the optimal constraint's bound
     assert analyze.calls["matlin.ranked_svd"] == 1
     assert analyze.calls["linalg.eigh"] == 1

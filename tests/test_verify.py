@@ -204,7 +204,8 @@ def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
     for n in range(2, 9):
         for rank in range(1, n):
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
-            stack = sample_minimum_stack(basis, 20, 100 * n + rank)
+            # a sampled stack has no frames: both routes read the svd null bases of its constraints
+            stack = evaluate_constraints(basis, sample_minimum_stack(basis, 20, 100 * n + rank).f_jacs)
             cert = verify_eigen_dominance(basis, stack, -np.inf)
             margins = np.array([w.margin for w in cert.witnesses]).reshape(20, rank)
             bounds = _bounds(stack.u, stack.restricted)
@@ -484,13 +485,15 @@ def assert_same_certificate(a, b):
 
 
 def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
-    """The sampled stack gives the dominance certificate of its frames under ==, and trace
-    margins within a forward-error bound of the per-constraint constrained_crb traces.
+    """The sampled stack gives trace and dominance margins within a forward-error bound of the
+    per-constraint constrained_crb traces and of the dominance margins of its svd null bases.
 
-    constrained_crb's svd null basis differs from the stack's qr one by roundoff, so U'JU moves
-    by about eps ||J||_2, and each trace by c r eps (sigma_1 / mu_min) trace.
+    The stack reads mu in J's range coordinates and the svd route forms U'JU from a null basis;
+    each moves U'JU by about eps ||J||_2, so each 1/mu, and each trace, by c r eps (sigma_1 / mu_min)
+    of itself.
     """
-    slack = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0] * np.array(bound_traces(stack))
+    relative = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0]
+    slack = relative * np.array(bound_traces(stack))
     margins = np.array([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs]) - basis.pinv.trace
     trace = verify_trace_bound(basis, stack, margin_tol)
     assert (trace.passed, trace.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
@@ -502,7 +505,17 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
         assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
         assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[i])
     dominance = verify_eigen_dominance(basis, stack, margin_tol)
-    assert_same_certificate(dominance, verify_eigen_dominance(basis, stack.u, margin_tol))
+    frames = evaluate_constraints(basis, stack.f_jacs).u
+    margins = np.array([w.margin for w in verify_eigen_dominance(basis, frames, -np.inf).witnesses])
+    assert (dominance.passed, dominance.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
+    everything = verify_eigen_dominance(basis, stack, -np.inf)
+    case_slack = (relative[:, None] / stack.utju_eigs).ravel()
+    assert np.all(np.abs([w.margin for w in everything.witnesses] - margins) <= case_slack)
+    failing = np.flatnonzero(margins < -margin_tol)
+    assert [w.label for w in dominance.witnesses] == [f"eig-index-{c % basis.rank}" for c in failing]
+    for witness, c in zip(dominance.witnesses, failing):
+        assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
+        assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[c // basis.rank])
     return dominance
 
 
@@ -515,7 +528,7 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
             stack = sample_minimum_stack(basis, 20, 100 * n + rank)
             specs = sample_minimum_constraints(basis, 20, 100 * n + rank)
             assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
-            assert np.all(stack.is_minimum) and stack.u.shape == (20, n, rank)
+            assert np.all(stack.is_minimum) and stack.u is None and stack.restricted is None
             cert = assert_stack_path_matches(basis, stack)
             assert cert.n_cases == 20 * rank and len(cert.witnesses) == cert.n_cases
 
@@ -538,8 +551,9 @@ def test_sampled_stack_clears_the_known_false_fail():
     for scale in (1e-8, 1.0, 1e8):
         basis = ranked_svd(scale * matrix_62())
         stack = sample_minimum_stack(basis, 20, 62)
-        cert = assert_stack_path_matches(basis, stack, 1e-9)
-        assert_clears_the_known_false_fail(basis, stack.u, cert)
+        assert assert_stack_path_matches(basis, stack, 1e-9).passed
+        frames = evaluate_constraints(basis, stack.f_jacs).u
+        assert_clears_the_known_false_fail(basis, frames, verify_eigen_dominance(basis, frames, 1e-9))
 
 
 def test_a_passed_stack_keeps_the_checks():
