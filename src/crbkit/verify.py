@@ -36,6 +36,7 @@ from .errors import (
 from .matlin import (
     SymMatrix,
     _bounds,
+    _rank_cutoff,
     as_ranked_svd,
     nonsingular,
     orthonormal_columns,
@@ -308,11 +309,15 @@ def verify_min_rank(
 ) -> TheoremCertificate:
     """Check that n - rank(J) constraint rows are necessary and sufficient.
 
-    Draws random full-row-rank Jacobians with m < n - rank(J) rows and
-    requires the restricted information to be numerically singular every
-    time; then requires nonsingularity for the optimal affine constraint
-    with exactly n - rank(J) rows. Margins are expressed through the
-    eigenvalue ratio of U'JU against the rank_tol_rel J was factored with.
+    Each trial draws a Gaussian (m, n) matrix, m < n - rank(J), and
+    requires U'JU to be numerically singular for the constraint F whose
+    orthonormal rows span its row space; the optimal affine constraint,
+    with n - rank(J) rows, must leave U'JU nonsingular. One complete qr of
+    the draws, transposed into zero (n, n - rank) slots, and of U_bar gives
+    each F (Q's leading m columns) and its null basis U (the rest; a zero
+    column adds no reflector). Margins are the eigenvalue ratio of U'JU
+    against the rank_tol_rel J was factored with; witnesses hold the F
+    evaluated.
     """
     if trials < 1:
         raise InvalidInput(f"trials must be positive, got {trials}")
@@ -322,22 +327,26 @@ def verify_min_rank(
     if rank == n:
         raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
     rng = np.random.default_rng(seed_sequence(rng_seed))
-    # each trial draws its row count, then its Jacobian
-    f_jacs = [rng.standard_normal((int(rng.integers(0, n - rank)), n)) for _ in range(trials)]
-    f_jacs.append(basis.u_bar.T)  # the optimal affine constraint's Jacobian
+    # each trial draws its row count, then its Jacobian; the optimal affine constraint's comes last
+    draws = [rng.standard_normal((int(rng.integers(0, n - rank)), n)) for _ in range(trials)]
+    draws.append(basis.u_bar.T)
+    rows = [draw.shape[0] for draw in draws]
+    slots = np.zeros((trials + 1, n, n - rank))
+    for slot, draw in zip(slots, draws):
+        slot[:, : draw.shape[0]] = draw.T
+    # F's rows are orthonormal, so the rank rule sees singular values of one and keeps all or none
+    if not _rank_cutoff(np.ones(1), n, basis.rank_tol_rel):
+        raise RankDeficientConstraint(0, next(m for m in rows if m))
+    q = np.linalg.qr(slots, mode="complete")[0]
 
-    # one evaluation per row count; the achievable constraint's n - rank rows are a count of their own
-    rows = [f_jac.shape[0] for f_jac in f_jacs]
+    # one U'JU per row count; the achievable constraint's n - rank rows are a count of their own
     evaluated = {}
     for m in dict.fromkeys(rows):
         members = [i for i, rows_i in enumerate(rows) if rows_i == m]
-        stack = evaluate_constraints(basis, np.stack([f_jacs[i] for i in members]))
-        evaluated.update(zip(members, zip(stack.row_rank, stack.utju_eigs)))
+        evaluated.update(zip(members, restricted_information(sym.entries, q[members, :, m:])[1]))
     ratios = []  # smallest over largest eigenvalue of U'JU, clipped at 0; 1 when U'JU is 0 x 0
-    for i, m in enumerate(rows):
-        row_rank, evals = evaluated[i]
-        if row_rank < m:
-            raise RankDeficientConstraint(row_rank, m)
+    for i in range(len(rows)):
+        evals = evaluated[i]
         low, high = (float(evals[0]), float(evals[-1])) if evals.size else (1.0, 1.0)
         ratios.append(max(0.0, low) / high if high > 0.0 else 0.0)
     # deficient constraints must leave U'JU singular (ratio below the cutoff); the achievable must not
@@ -345,7 +354,8 @@ def verify_min_rank(
     margins = [tol - ratio for ratio in ratios[:-1]] + [ratios[-1] - tol]
     labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
     return _certify(
-        "min_rank", margins, lambda i: (labels[i], {"j": sym.entries, "f_jac": f_jacs[i]}), margin_tol
+        "min_rank", margins,
+        lambda i: (labels[i], {"j": sym.entries, "f_jac": q[i, :, : rows[i]].T}), margin_tol,
     )
 
 

@@ -43,7 +43,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # were read from the spectrum of U'JU, the sampler took one complete qr per chunk, J was
     # factored by one eigh and the equivalence mixes were orthonormalized, with the manifests'
     # digests retaken when their psd_tol line went and the sampled runs' when the sampler came
-    # to read U'JU in J's range coordinates, as the rank rule reads J; they
+    # to read U'JU in J's range coordinates, as the rank rule reads J, and the suite run's
+    # when min_rank came to evaluate its trials' orthonormalized rows; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
     # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
     # each run's manifest, whose input or model branch follows the kind of input
@@ -79,7 +80,7 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
         "e/traces.csv": "e723e0afdd2713a543ad26e0adb390b5dc0f2feba1aafd7afb5f45d2031b15a6",
         "e2/traces.csv": "662203e36f4ed44fd1907266e03a97b01d4fbb752e3115b32ae96b1b964bb61a",
-        "c/certificates.csv": "9b302ecbf6e0891e97c684bbcc74d68331cd919968a666c147ef0fead1dc2639",
+        "c/certificates.csv": "942b4b0582d17427d1ddd73a835ec5e36349c7673a68e6904715415f33a4fdb4",
         "c2/certificates.csv": "25db23694d0bc4fe2369c437d7a4c140ed906b41bc57762346141b784cfcb95d",
         "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "m/analysis.csv": "56a378c0700e21533d0cea237b06aebae69e3717e1eb0e34d2db3dead437fc86",
@@ -528,17 +529,28 @@ def test_certify_singular_matrix_input(tmp_path):
     assert trace_row.split(",")[2] == "10"
 
 
-def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys):
-    # at a loose rank cutoff J has rank 1, and a random Jacobian with four rows drawn for
-    # the min_rank check fails the row-rank test
+def test_certify_completes_where_a_gaussian_min_rank_trial_was_rank_deficient(tmp_path):
+    # at a loose rank cutoff J has rank 1, and a Gaussian Jacobian with four rows drawn for the
+    # min_rank check failed the row-rank test (exit 3); its orthonormalized rows have singular
+    # values of one, which a cutoff below 1/n keeps
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 6)))
     path = tmp_path / "ill.matx"
     crbkit.save_matrix(path, (q * [1e3, 1.0, 1e-3, 0.0, 0.0, 0.0]) @ q.T)
     argv = ["certify", "--input", str(path), "--rank-tol", "0.05", "--count", "70", "--seed", "5"]
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "o" / "certificates.csv").read_text().splitlines()[2:]]
+    min_rank = next(row for row in rows if row[0] == "min_rank")
+    assert min_rank[1:3] == ["true", "6"] and float(min_rank[3]) > 0.04
+
+
+def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys, monkeypatch):
+    def cannot_build(*args):
+        raise crbkit.SingularRestriction("V'JV of frame 0 is numerically singular")
+
+    monkeypatch.setattr(crbkit.cli, "verify_poincare", cannot_build)
+    assert main(["certify", "--count", "2", "--seed", "5", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: certify matrix 0, min_rank: Jacobian row rank 3 below row count 4")
-    assert err.count("\n") == 1
+    assert err == "error: certify matrix 0, poincare: V'JV of frame 0 is numerically singular\n"
     assert "Traceback" not in err
 
 

@@ -85,10 +85,13 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     # one stacked eigen-dominance check per suite matrix, one for the counterexample
     assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
     # the sampled stack goes straight to the trace and dominance certificates, which read
-    # the spectra of U'JU and J, min_rank stacks its trials by row count, and J's eigh gives
-    # J+ and the Poincare spectrum: 12 svd, 20 eigvalsh and 4 inv (16, 23 and 8 with an svd,
-    # an eigvalsh and an inv of U_r'JU_r per J; 19, 34 and 15 forming each sampled bound;
-    # 168 eigvalsh and 71 inv checking one frame at a time)
-    assert certify.calls["linalg.svd"] <= 12
+    # the spectra of U'JU and J; min_rank takes its trials' rows and null bases from one
+    # complete qr per J and one eigvalsh per row count; the one svd per J is the equivalence
+    # check's; and J's eigh gives J+ and the Poincare spectrum: 3 svd, 15 qr, 20 eigvalsh and
+    # 4 inv (12 svd and 12 qr with an svd per row count of the min_rank trials; 16, 23 and 8
+    # svd, eigvalsh and inv with an svd, an eigvalsh and an inv of U_r'JU_r per J; 19, 34 and
+    # 15 forming each sampled bound; 168 eigvalsh and 71 inv checking one frame at a time)
+    assert certify.calls["linalg.svd"] <= 3
+    assert certify.calls["linalg.qr"] <= 15
     assert certify.calls["linalg.eigvalsh"] <= 20
     assert certify.calls["linalg.inv"] <= 4

@@ -640,49 +640,53 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     # the basis's own stack is accepted without repeating its tolerance
     assert verify_trace_bound(basis, stack).passed and verify_eigen_dominance(basis, stack).passed
     assert verify_constraint_equivalence(basis, np.zeros(3), [basis.u_bar.T]).n_cases == 1
-    cert = verify_min_rank(basis, 5, 7, -np.inf)
-    expected = per_trial_min_rank(j, 5, 7, 1e-6)
-    assert [w.margin for w in cert.witnesses] == [margin for margin, _, _ in expected]
-    assert cert.witnesses[-1].margin == 1.0 - 1e-6
+    assert_min_rank_matches(j, 5, 7, 1e-6)
+    assert verify_min_rank(basis, 5, 7, -np.inf).witnesses[-1].margin == 1.0 - 1e-6
 
 
 def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
-    """Plain reference: draw and evaluate one trial at a time, as (margin, label, f_jac) per case.
+    """Plain reference: draw, orthonormalize and evaluate one trial at a time.
 
-    Raises RankDeficientConstraint at the first trial whose rows are dependent.
+    Each draw's rows are orthonormalized by a reduced qr of its transpose and
+    evaluated alone through evaluate_constraints, whose svd gives another null
+    basis than the verifier's qr. Returns (margin, label, f_jac, mu_max) per case.
     """
     basis = ranked_svd(j, rank_tol_rel)
     n, rank = basis.dim, basis.rank
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
 
-    def eig_ratio(f_jac):
+    def case(draw, label, sign):
+        f_jac = np.linalg.qr(draw.T)[0].T
         stack = evaluate_constraints(basis, f_jac[None])
-        if stack.row_rank[0] < f_jac.shape[0]:
-            raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
-        evals = stack.utju_eigs[0]
-        if evals.size == 0:
-            return 1.0
-        return max(0.0, float(evals[0])) / float(evals[-1]) if evals[-1] > 0.0 else 0.0
+        assert stack.full_rank_jacobian[0]
+        low, high = float(stack.utju_eigs[0][0]), float(stack.utju_eigs[0][-1])
+        ratio = max(0.0, low) / high if high > 0.0 else 0.0
+        return sign * (ratio - rank_tol_rel), label, f_jac, high
 
     cases = []
     for t in range(trials):
         m = int(rng.integers(0, n - rank))
-        f_jac = rng.standard_normal((m, n))
-        cases.append((rank_tol_rel - eig_ratio(f_jac), f"deficient-{t}-rows-{m}", f_jac))
-    f_jac = basis.u_bar.T
-    cases.append((eig_ratio(f_jac) - rank_tol_rel, "achievable-at-min-rank", f_jac))
+        cases.append(case(rng.standard_normal((m, n)), f"deficient-{t}-rows-{m}", -1.0))
+    cases.append(case(basis.u_bar.T, "achievable-at-min-rank", 1.0))
     return cases
 
 
 def assert_min_rank_matches(j, trials, rng_seed, rank_tol_rel=1e-10):
-    cert = verify_min_rank(ranked_svd(j, rank_tol_rel), trials, rng_seed, -np.inf)
+    """Labels and row counts match exactly, F is the reference's orthonormal rows, and each
+    margin agrees within 10 n eps sigma_1 / mu_max, mu_max the largest eigenvalue of that U'JU."""
+    basis = ranked_svd(j, rank_tol_rel)
+    cert = verify_min_rank(basis, trials, rng_seed, -np.inf)
     expected = per_trial_min_rank(j, trials, rng_seed, rank_tol_rel)
-    assert cert.n_cases == trials + 1 and cert.worst_margin == min(m for m, _, _ in expected)
-    assert [(w.margin, w.label) for w in cert.witnesses] == [(m, label) for m, label, _ in expected]
-    for witness, (_, _, f_jac) in zip(cert.witnesses, expected):
+    assert cert.n_cases == trials + 1
+    assert [w.label for w in cert.witnesses] == [label for _, label, _, _ in expected]
+    gaps = []
+    for witness, (margin, _, f_jac, mu_max) in zip(cert.witnesses, expected):
         mats = dict(witness.matrices)
-        assert np.array_equal(mats["j"], ranked_svd(j, rank_tol_rel).matrix.entries)
-        assert np.array_equal(mats["f_jac"], f_jac)
+        assert np.array_equal(mats["j"], basis.matrix.entries)
+        assert mats["f_jac"].shape == f_jac.shape and np.allclose(mats["f_jac"], f_jac, rtol=0.0, atol=1e-13)
+        gaps.append(abs(witness.margin - margin) / (10 * basis.dim * EPS * basis.sigma[0] / mu_max))
+    assert max(gaps) <= 1.0
+    assert cert.worst_margin == min(w.margin for w in cert.witnesses)
 
 
 def test_stacked_min_rank_equals_per_trial_reference():
@@ -692,19 +696,17 @@ def test_stacked_min_rank_equals_per_trial_reference():
             assert_min_rank_matches(random_rank_deficient_psd(n, rank, rng), 12, 10 * n + rank)
 
 
-def test_stacked_min_rank_raises_at_the_first_deficient_trial():
-    # at a loose cutoff some Gaussian trials count as rank deficient
+def test_min_rank_completes_at_a_loose_cutoff():
+    # orthonormal trial rows have singular values of one, so a cutoff below 1/n never calls them
+    # rank deficient; Gaussian rows judged by their own singular values failed the row-rank test
+    # at some of these seeds
     rng = np.random.default_rng(46)
-    raised = 0
     for seed in range(40):
-        j = random_rank_deficient_psd(6, 2, rng)
-        try:
-            per_trial_min_rank(j, 5, seed, 0.1)
-        except RankDeficientConstraint as exc:
-            with pytest.raises(RankDeficientConstraint) as stacked:
-                verify_min_rank(ranked_svd(j, 0.1), 5, seed)
-            assert str(stacked.value) == str(exc)
-            raised += 1
-        else:
-            assert_min_rank_matches(j, 5, seed, 0.1)
-    assert 0 < raised < 40
+        assert_min_rank_matches(random_rank_deficient_psd(6, 2, rng), 5, seed, 0.1)
+
+
+def test_min_rank_refuses_a_cutoff_that_calls_unit_rows_dependent():
+    # at rank_tol_rel >= 1/n the rank rule drops singular values of one (and gives every J rank 0)
+    basis = ranked_svd(np.diag([1.0, 0.5, 0.0, 0.0]), 0.25)
+    with pytest.raises(RankDeficientConstraint, match="^Jacobian row rank 0 below row count"):
+        verify_min_rank(basis, 5, 0)
