@@ -2,7 +2,7 @@
 
 A constraint f(theta) = 0 enters the bound only through its Jacobian F.
 This module checks the three minimum-constraint requirements (full row
-rank, nonsingular restricted information U'JU, rank F + rank J = n),
+rank, nonsingular restricted information U'J_rU, rank F + rank J = n),
 synthesizes the optimal affine constraint from the information null
 space, and samples random minimum constraints for experiments: bare
 stacks whose is_minimum marks the accepted draws, or labeled specs.
@@ -27,9 +27,9 @@ from .matlin import (
     _sign_fixed_columns,
     as_ranked_svd,
     check_psd,
-    nonsingular,
     null_complements,
     restricted_information,
+    restricted_nonsingular,
     seed_sequence,
 )
 from .matx import _parse_block, dump_matrix, format_float
@@ -87,8 +87,8 @@ class ConstraintStack(NamedTuple):
 
     basis is J as factored, with the rank rule of every flag. From
     evaluate_constraints, one svd call gives row_rank (k,) and the null
-    bases u (k, n, n - m), restricted holds U'JU, and one eigvalsh call
-    gives utju_eigs, the ascending eigenvalues of its symmetrized form.
+    bases u (k, n, n - m), restricted holds U'J_rU, and one eigvalsh call
+    gives utju_eigs, its ascending eigenvalues.
     A sampled stack has u and restricted None: its row_rank comes from
     unit singular values and its utju_eigs from J's range coordinates
     (see sample_constraint_stacks). The last three fields are the
@@ -126,11 +126,11 @@ def evaluate_constraints(j, f_jacs) -> ConstraintStack:
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
     row_rank, u = null_complements(f_jacs, basis.rank_tol_rel)
-    return _evaluated(basis, f_jacs, row_rank, u, *restricted_information(basis.matrix.entries, u))
+    return _evaluated(basis, f_jacs, row_rank, u, *restricted_information(basis, u))
 
 
 def _evaluated(basis: RankedSvd, f_jacs, row_rank, u, restricted, evals) -> ConstraintStack:
-    """The stack of f_jacs given their row ranks, null bases, U'JU and its ascending spectrum: adds the flags."""
+    """The stack of f_jacs given their row ranks, null bases, U'J_rU and its ascending spectrum: adds the flags."""
     full_rank = row_rank == f_jacs.shape[1]
     return ConstraintStack(
         basis=basis,
@@ -140,7 +140,7 @@ def _evaluated(basis: RankedSvd, f_jacs, row_rank, u, restricted, evals) -> Cons
         restricted=restricted,
         utju_eigs=evals,
         full_rank_jacobian=full_rank,
-        utju_nonsingular=full_rank & nonsingular(evals, basis.rank_tol_rel),
+        utju_nonsingular=full_rank & restricted_nonsingular(basis, evals),
         rank_sum_is_n=row_rank + basis.rank == basis.dim,
     )
 
@@ -225,7 +225,7 @@ def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
     """The accepted draws of sample_constraint_stacks, filtered and concatenated into one evaluated stack."""
     basis = as_ranked_svd(j)
     chunks = sample_constraint_stacks(basis, count, rng_seed)
-    kept = [[None if field is None else field[chunk.is_minimum] for field in chunk[1:]] for chunk in chunks]
+    kept = [[None if f is None else f[ok] for f in chunk[1:]] for chunk in chunks for ok in [chunk.is_minimum]]
     return ConstraintStack(basis, *(None if parts[0] is None else np.concatenate(parts) for parts in zip(*kept)))
 
 

@@ -120,6 +120,10 @@ class RankedSvd:
     def dim(self) -> int:
         return self.u_r.shape[0]
 
+    def cutoff(self, size: int) -> float:
+        """The rank rule's threshold at J's scale, _cutoff(sigma_max, size, rank_tol_rel): J's own at size n."""
+        return _cutoff(abs(self.eigenvalues[0]), size, self.rank_tol_rel)
+
     @cached_property
     def pinv(self) -> SymMatrix:
         """Moore-Penrose pseudoinverse U_r diag(1/lambda_r) U_r'; zero for rank 0."""
@@ -131,10 +135,21 @@ class RankedSvd:
         return _freeze(np.concatenate([1.0 / self.sigma[::-1], np.zeros(self.dim - self.rank)]))
 
 
-def restricted_information(j: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """U'JU for a (k, n, r) stack of bases U, and the ascending eigenvalues of its symmetrized form."""
-    restricted = u.transpose(0, 2, 1) @ j @ u
-    return restricted, np.linalg.eigvalsh(0.5 * (restricted + restricted.transpose(0, 2, 1)))
+def restricted_information(basis: RankedSvd, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U'J_rU = Y' diag(lambda_r) Y, Y = U_r'U, symmetrized, for a (k, n, p) stack of bases U, and its
+    ascending eigenvalues; J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+."""
+    y = basis.u_r.T @ u
+    restricted = y.transpose(0, 2, 1) @ (basis.eigenvalues[: basis.rank, None] * y)
+    restricted = 0.5 * (restricted + restricted.transpose(0, 2, 1))
+    return restricted, np.linalg.eigvalsh(restricted)
+
+
+def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
+    """The one rule for p x p U'J_rU with ascending spectra mu (last axis): J's rank rule at J's scale keeps
+    all p eigenvalues, mu_min > basis.cutoff(p); a 0 x 0 U'J_rU counts as nonsingular."""
+    if mu.shape[-1] == 0:
+        return np.ones(mu.shape[:-1], dtype=bool)
+    return mu[..., 0] > basis.cutoff(mu.shape[-1])
 
 
 def _bounds(u: np.ndarray, restricted: np.ndarray) -> np.ndarray:
@@ -198,7 +213,7 @@ def check_psd(m) -> RankedSvd:
     """as_ranked_svd(m), refused with InvalidMatrix unless is_psd: the message names the negative eigenvalue and the cutoff."""
     basis = as_ranked_svd(m)
     if not is_psd(basis):
-        lam, cutoff = basis.eigenvalues, _cutoff(abs(basis.eigenvalues[0]), basis.dim, basis.rank_tol_rel)
+        lam, cutoff = basis.eigenvalues, basis.cutoff(basis.dim)
         kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
         raise InvalidMatrix(f"information matrix is not positive semidefinite: {kept}")
     return basis
@@ -229,20 +244,10 @@ def null_complement(f_jac, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.nda
     return u[0]
 
 
-def nonsingular(evals: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.ndarray:
-    """True where the smallest ascending eigenvalue (last axis) exceeds rank_tol_rel
-    times the largest; a 0 x 0 matrix, with no eigenvalues, counts as nonsingular."""
-    if evals.shape[-1] == 0:
-        return np.ones(evals.shape[:-1], dtype=bool)
-    return evals[..., 0] > rank_tol_rel * evals[..., -1]
-
-
 def is_nonsingular(a, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> bool:
-    """Relative nonsingularity test for a symmetric matrix (see nonsingular)."""
+    """True iff the rank rule keeps every singular value of symmetric a; a 0 x 0 matrix counts as nonsingular."""
     arr = _as_2d(a, "matrix")
-    if arr.shape[0] != arr.shape[1]:
-        raise InvalidMatrix(f"expected square input, got shape {arr.shape}")
-    return bool(nonsingular(np.linalg.eigvalsh(0.5 * (arr + arr.T)), rank_tol_rel))
+    return arr.shape == (0, 0) or ranked_svd(arr, rank_tol_rel).rank == arr.shape[0]
 
 
 def orthonormal_columns(a) -> np.ndarray:

@@ -8,10 +8,10 @@ kept as replayable witnesses holding the input matrices.
 Checks covered:
   trace_bound      tr(constrained CRB) >= tr(pinv J) for minimum constraints
   eigen_dominance  sorted eigenvalues of V (V'JV)^-1 V' dominate those of pinv J
-  poincare         sorted eigenvalues of V'JV are dominated by those of J
+  poincare         sorted eigenvalues of V'J_rV are dominated by those of J_r
   equivalence      every full-row-rank F annihilating the range basis
                    reproduces the pseudoinverse bound
-  min_rank         fewer than n - rank(J) constraints always leave U'JU
+  min_rank         fewer than n - rank(J) constraints always leave U'J_rU
                    singular; n - rank(J) suffice via the optimal constraint
   counterexample   a fixed 4x4 case where the matrix-order comparison with
                    pinv J fails even though trace and eigenvalue dominance hold
@@ -38,10 +38,10 @@ from .matlin import (
     _bounds,
     _rank_cutoff,
     as_ranked_svd,
-    nonsingular,
     orthonormal_columns,
     ranked_svd,
     restricted_information,
+    restricted_nonsingular,
     seed_sequence,
 )
 from .matx import dump_matrix, format_float, save_matrix
@@ -209,13 +209,12 @@ def verify_eigen_dominance(
     evaluated against J, whose spectra of U'JU and flags are used as
     they are; its frames are the null bases of its f_jacs, n - m wide,
     and its witnesses hold f_jac in place of v. Margins compare the
-    nonzero eigenvalues, 1/mu of V'JV with 1/sigma of J, frame by frame;
+    nonzero eigenvalues, 1/mu of V'J_rV with 1/sigma of J, frame by frame;
     the zeros agree exactly and are not cases. Raises SingularRestriction
-    when some V'JV is numerically singular, and InvalidInput for frames
+    when restricted_nonsingular calls some V'J_rV singular, InvalidInput for frames
     of another width or a stack evaluated against another J or rank rule.
     """
     basis = as_ranked_svd(j)
-    entries = basis.matrix.entries
     if isinstance(v, ConstraintStack):
         stack = _evaluated_against(basis, v)
         evals, exists = stack.utju_eigs, stack.utju_nonsingular
@@ -224,8 +223,8 @@ def verify_eigen_dominance(
         v_arr = np.asarray(v, dtype=float)
         _check_orthonormal(v_arr, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
-        evals = restricted_information(entries, frames)[1]
-        exists = nonsingular(evals, basis.rank_tol_rel)
+        evals = restricted_information(basis, frames)[1]
+        exists = restricted_nonsingular(basis, evals)
         width, name, cases = frames.shape[2], "v", frames
     rank = basis.rank
     if width != rank:
@@ -236,25 +235,24 @@ def verify_eigen_dominance(
     margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel().tolist()
     return _certify(
         "eigen_dominance", margins,
-        lambda c: (f"eig-index-{c % rank}", {"j": entries, name: cases[c // rank]}), margin_tol,
+        lambda c: (f"eig-index-{c % rank}", {"j": basis.matrix.entries, name: cases[c // rank]}), margin_tol,
     )
 
 
 def verify_poincare(
     j, v, margin_tol: float = DEFAULT_MARGIN_TOL
 ) -> TheoremCertificate:
-    """Check lambda_i(V'JV) <= lambda_i(J) for i up to V's width; J's eigenvalues come from as_ranked_svd(j)."""
+    """Check lambda_i(V'J_rV) <= lambda_i(J_r) for i up to V's width; J_r's eigenvalues come from as_ranked_svd(j)."""
     basis = as_ranked_svd(j)
-    entries = basis.matrix.entries
     v_arr = np.asarray(v, dtype=float)
     if v_arr.ndim != 2:
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, "v")
-    lam_restricted = restricted_information(entries, v_arr[None])[1][0, ::-1]
-    lam = np.sort(basis.eigenvalues)[::-1]
+    lam_restricted = restricted_information(basis, v_arr[None])[1][0, ::-1]
+    lam = np.sort(np.append(basis.eigenvalues[: basis.rank], np.zeros(basis.dim - basis.rank)))[::-1]
     margins = (lam[: lam_restricted.size] - lam_restricted).tolist()
     return _certify(
-        "poincare", margins, lambda i: (f"eig-index-{i}", {"j": entries, "v": v_arr}), margin_tol
+        "poincare", margins, lambda i: (f"eig-index-{i}", {"j": basis.matrix.entries, "v": v_arr}), margin_tol
     )
 
 
@@ -310,20 +308,20 @@ def verify_min_rank(
     """Check that n - rank(J) constraint rows are necessary and sufficient.
 
     Each trial draws a Gaussian (m, n) matrix, m < n - rank(J), and
-    requires U'JU to be numerically singular for the constraint F whose
+    requires U'J_rU to be numerically singular for the constraint F whose
     orthonormal rows span its row space; the optimal affine constraint,
-    with n - rank(J) rows, must leave U'JU nonsingular. One complete qr of
+    with n - rank(J) rows, must leave U'J_rU nonsingular. One complete qr of
     the draws, transposed into zero (n, n - rank) slots, and of U_bar gives
     each F (Q's leading m columns) and its null basis U (the rest; a zero
-    column adds no reflector). Margins are the eigenvalue ratio of U'JU
-    against the rank_tol_rel J was factored with; witnesses hold the F
-    evaluated.
+    column adds no reflector). Margins, 1 - mu_min / c for a deficient
+    trial and mu_min / c - 1 for the achievable one, are in units of the
+    cutoff c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
+    witnesses hold the F evaluated. Refuses a nonsingular or a zero J.
     """
     if trials < 1:
         raise InvalidInput(f"trials must be positive, got {trials}")
     basis = as_ranked_svd(j)
-    sym = basis.matrix
-    n, rank = sym.dim, basis.rank
+    n, rank = basis.dim, basis.rank
     if rank == n:
         raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
     rng = np.random.default_rng(seed_sequence(rng_seed))
@@ -337,25 +335,21 @@ def verify_min_rank(
     # F's rows are orthonormal, so the rank rule sees singular values of one and keeps all or none
     if not _rank_cutoff(np.ones(1), n, basis.rank_tol_rel):
         raise RankDeficientConstraint(0, next(m for m in rows if m))
+    if rank == 0:
+        raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
     q = np.linalg.qr(slots, mode="complete")[0]
 
-    # one U'JU per row count; the achievable constraint's n - rank rows are a count of their own
-    evaluated = {}
+    # one U'J_rU per row count; the achievable constraint's n - rank rows are a count of their own
+    scaled = np.empty(len(rows))  # mu_min / c
     for m in dict.fromkeys(rows):
         members = [i for i, rows_i in enumerate(rows) if rows_i == m]
-        evaluated.update(zip(members, restricted_information(sym.entries, q[members, :, m:])[1]))
-    ratios = []  # smallest over largest eigenvalue of U'JU, clipped at 0; 1 when U'JU is 0 x 0
-    for i in range(len(rows)):
-        evals = evaluated[i]
-        low, high = (float(evals[0]), float(evals[-1])) if evals.size else (1.0, 1.0)
-        ratios.append(max(0.0, low) / high if high > 0.0 else 0.0)
-    # deficient constraints must leave U'JU singular (ratio below the cutoff); the achievable must not
-    tol = basis.rank_tol_rel
-    margins = [tol - ratio for ratio in ratios[:-1]] + [ratios[-1] - tol]
+        scaled[members] = restricted_information(basis, q[members, :, m:])[1][:, 0] / basis.cutoff(n - m)
+    # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
+    margins = (1.0 - scaled[:-1]).tolist() + [float(scaled[-1]) - 1.0]
     labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
     return _certify(
         "min_rank", margins,
-        lambda i: (labels[i], {"j": sym.entries, "f_jac": q[i, :, : rows[i]].T}), margin_tol,
+        lambda i: (labels[i], {"j": basis.matrix.entries, "f_jac": q[i, :, : rows[i]].T}), margin_tol,
     )
 
 

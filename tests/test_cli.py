@@ -44,7 +44,10 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # factored by one eigh and the equivalence mixes were orthonormalized, with the manifests'
     # digests retaken when their psd_tol line went and the sampled runs' when the sampler came
     # to read U'JU in J's range coordinates, as the rank rule reads J, and the suite run's
-    # when min_rank came to evaluate its trials' orthonormalized rows; they
+    # when min_rank came to evaluate its trials' orthonormalized rows; the analyze runs' bound
+    # and report and the suite runs' certificates were retaken, and e2's traces, when every
+    # route came to judge U'J_rU by J's rank rule at J's scale, with min_rank's margins in
+    # units of that cutoff; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
     # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
     # each run's manifest, whose input or model branch follows the kind of input
@@ -60,12 +63,12 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     assert main(argv) == 0
     # a matrix input takes the manifest's input branch and writes j.matx with the manifest
     assert main(["analyze", "--input", j_path, "--out", str(tmp_path / "m")]) == 0
-    # at rank_tol 0.02 J has rank 3 and the sampler rejects draws in each of its first four chunks
+    # at rank_tol 0.02 J has rank 3 and the sampler rejects draws in each of its first 26 chunks
     argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--rank-tol", "0.02"]
     assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
     basis = ranked_svd(load_matrix(j_path), 0.02)
     chunks = sample_constraint_stacks(basis, 40, derived_seed(3, "experiment-constraints"))
-    assert [not np.all(chunk.is_minimum) for chunk in chunks] == [True, True, True, True, False]
+    assert [not np.all(chunk.is_minimum) for chunk in chunks] == [True] * 26 + [False]
     outputs = ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx", "a/constraint.matx",
                "e/traces.csv", "e2/traces.csv", "c/certificates.csv", "c2/certificates.csv")
     outputs += ("m/j.matx", "m/analysis.csv", "m/j_pinv.matx", "m/crb_constrained.matx", "m/constraint.matx")
@@ -74,18 +77,18 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert digests == {
         "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "a/analysis.csv": "110cddc7c125b495d262ae47c4950d5258319bdfd55a53565da2c7ac6a6950ba",
+        "a/analysis.csv": "4b76529086526d97468620c6bc3134c57084a65c4f5cd323534fced029bc6cc3",
         "a/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
-        "a/crb_constrained.matx": "1788a0d855b52fa451226e590abb39f8371f08a043a025f5130342f8750c8fc7",
+        "a/crb_constrained.matx": "ba29609c59aca466f2fd34030d3f40e99242e996024be93dd8f872eb02b87549",
         "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
         "e/traces.csv": "e723e0afdd2713a543ad26e0adb390b5dc0f2feba1aafd7afb5f45d2031b15a6",
-        "e2/traces.csv": "662203e36f4ed44fd1907266e03a97b01d4fbb752e3115b32ae96b1b964bb61a",
-        "c/certificates.csv": "942b4b0582d17427d1ddd73a835ec5e36349c7673a68e6904715415f33a4fdb4",
-        "c2/certificates.csv": "25db23694d0bc4fe2369c437d7a4c140ed906b41bc57762346141b784cfcb95d",
+        "e2/traces.csv": "80bcf245ac0bc326f70b81a92d5603d9290a5475c819bf68258f76bb71673ee6",
+        "c/certificates.csv": "9d98debafd0055ba1ad4d242861d6c4b971c60ca2af511940b908975e12cc986",
+        "c2/certificates.csv": "0dce1895b97f915f550f6ca6fc5bf97399f4de5646953af9cd9fc02ddf843b6f",
         "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "m/analysis.csv": "56a378c0700e21533d0cea237b06aebae69e3717e1eb0e34d2db3dead437fc86",
+        "m/analysis.csv": "ffe97c66bbaa2db9c1436d27aee992d6120ce56cd15b79c62abeb1dd546ea894",
         "m/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
-        "m/crb_constrained.matx": "1788a0d855b52fa451226e590abb39f8371f08a043a025f5130342f8750c8fc7",
+        "m/crb_constrained.matx": "ba29609c59aca466f2fd34030d3f40e99242e996024be93dd8f872eb02b87549",
         "m/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
         "e/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "c2/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
@@ -106,7 +109,8 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
     # these digests, taken when G was whitened by a solve against the Cholesky factor of the
     # noise covariance, pin that rounding; at seed 2, G / sigma differs from G * (1 / sigma)
     # in 9 of the Jacobian's 30 entries; analysis.csv's digest was retaken when J came to be
-    # factored by one eigh, which moves its singular values and bounds by roundoff
+    # factored by one eigh, which moves its singular values and bounds by roundoff, and when
+    # the constrained bound came to be formed from U'J_rU, which moves it by 8e-15 relative
     config = tmp_path / "mc.cfg"
     config.write_text(
         "model = blind_channel\ns_len = 3\nh_len = 3\nnoise_var = 0.5\n"
@@ -119,7 +123,7 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
     }
     assert digests == {
         "j.matx": "93ebfc3ad49e36d94c8669274e56ebe8a961f89c0c4c8c23e4db603b1a210fed",
-        "analysis.csv": "f0447c5a337f53176eb2a0e0e1741a2326f22973afada3fe0c1ebb9d096c09c7",
+        "analysis.csv": "de4a40b4cdb99e38b63dd000e63491005c3a870b9b78d4bd5143c7e9d8e36f5a",
     }
 
 
@@ -527,6 +531,19 @@ def test_certify_singular_matrix_input(tmp_path):
     lines = (out / "certificates.csv").read_text().splitlines()
     trace_row = next(line for line in lines if line.startswith("trace_bound,"))
     assert trace_row.split(",")[2] == "10"
+
+
+def test_min_rank_passes_at_a_loose_cutoff_that_its_own_ratio_rule_failed(tmp_path):
+    # at rank_tol 0.05 the rank rule's cutoff 0.728 calls 0.589 zero; min_rank judged U'JU by
+    # mu_min / mu_max against rank_tol instead, called deficient trials nonsingular and exited 4 at
+    # these seeds; now it judges U'J_rU by the one rule, the sampler's
+    path = tmp_path / "j.matx"
+    crbkit.save_matrix(path, np.diag([1.82, 1.8, 1.72, 1.36, 0.91, 0.82, 0.589, 0.0]))
+    for seed in ("1", "2", "7"):
+        argv = ["certify", "--input", str(path), "--count", "5", "--rank-tol", "0.05", "--seed", seed]
+        assert main(argv + ["--out", str(tmp_path / seed)]) == 0
+        rows = [line.split(",") for line in (tmp_path / seed / "certificates.csv").read_text().splitlines()[2:]]
+        assert next(row for row in rows if row[0] == "min_rank")[1:3] == ["true", "6"]
 
 
 def test_certify_completes_where_a_gaussian_min_rank_trial_was_rank_deficient(tmp_path):

@@ -20,6 +20,7 @@ from crbkit import (
     null_complement,
     optimal_affine_constraint,
     pinv_via_basis,
+    random_rank_deficient_psd,
     ranked_svd,
     sample_constraint_stacks,
     sample_minimum_constraints,
@@ -206,9 +207,10 @@ def reference_sample(j, count, seed, tol):
     raises SamplingExhausted after 100 * count consecutive rejections.
     """
     n = j.shape[0]
-    s = np.linalg.svd(j)[1]
+    u_j, s, vh_j = np.linalg.svd(j)
     rank = int(np.sum(s > s[0] * n * tol))
     m = n - rank
+    j_r = (u_j[:, :rank] * s[:rank]) @ vh_j[:rank]  # J as its rank rule reads it
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     accepted, rejects, draws = [], 0, 0
     while len(accepted) < count:
@@ -219,10 +221,11 @@ def reference_sample(j, count, seed, tol):
         draws += 1
         _, s_f, vh = np.linalg.svd(f_jac)
         u = vh[m:].T
-        restricted = u.T @ j @ u
+        restricted = u.T @ j_r @ u
         evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
         full_rank = int(np.sum(s_f > s_f[0] * n * tol)) == m
-        if full_rank and (evals.size == 0 or evals[0] > tol * evals[-1]):
+        # the rank rule at J's scale keeps every eigenvalue of the (n - m) x (n - m) U'J_rU
+        if full_rank and (evals.size == 0 or evals[0] > s[0] * evals.size * tol):
             accepted.append((f_jac, f"sampled-{len(accepted)} retries={rejects}"))
             rejects = 0
         else:
@@ -233,8 +236,8 @@ def reference_sample(j, count, seed, tol):
 
 
 def test_chunked_sampler_consumes_the_stream_draw_by_draw():
-    # a loose rank cutoff makes U'JU count as singular for about 40% of the
-    # draws; 70 constraints take three chunks, the last one partial
+    # a loose rank cutoff makes U'J_rU count as singular for about 80% of the
+    # draws; 70 constraints take 23 chunks, the last one partial
     q = random_orthonormal(np.random.default_rng(5), 6, 6)
     j = (q * np.array([1.0, 0.5, 0.2, 0.0, 0.0, 0.0])) @ q.T
     j = 0.5 * (j + j.T)
@@ -287,7 +290,7 @@ def test_sampler_exhausts_after_accepts_across_a_chunk_boundary(monkeypatch):
 
     seen = [0]
 
-    def scripted(evals, rank_tol_rel):
+    def scripted(basis, evals):
         first = seen[0]
         seen[0] += len(evals)
         return np.isin(np.arange(first, seen[0]), accepts)
@@ -295,7 +298,7 @@ def test_sampler_exhausts_after_accepts_across_a_chunk_boundary(monkeypatch):
     j = make_psd(np.random.default_rng(9), 4, 2)
     drawn = []
     real = np.linalg.qr
-    monkeypatch.setattr(constraint_module, "nonsingular", scripted)
+    monkeypatch.setattr(constraint_module, "restricted_nonsingular", scripted)
     monkeypatch.setattr(
         constraint_module.np.linalg, "qr", lambda a, mode: drawn.append(len(a)) or real(a, mode)
     )
@@ -420,3 +423,33 @@ def test_the_sampler_refuses_an_indefinite_j_before_drawing():
     inside = ranked_svd(np.diag([1.0, -3e-10, 0.0]))
     assert check_psd(inside) is inside
     assert sample_minimum_stack(inside, 5, 1).f_jacs.shape == (5, 2, 3)
+
+
+def test_a_rank_one_j_accepts_no_draw_that_its_rank_rule_calls_singular():
+    # a rank-one J leaves U'J_rU 1 x 1; judged against its own largest eigenvalue every mu > 0
+    # passed, and these 2,000 random 5 x 5 J accepted draws with ||J|| / mu up to 6.3e12; the rank
+    # rule at J's scale calls mu <= sigma_1 * 1 * rank_tol_rel zero
+    for seed in range(2000):
+        basis = ranked_svd(random_rank_deficient_psd(5, 1, np.random.default_rng(seed)))
+        mu = sample_minimum_stack(basis, 20, seed).utju_eigs
+        assert np.all(mu[:, 0] > basis.sigma[0] * mu.shape[1] * basis.rank_tol_rel), seed
+
+
+def test_sampled_and_evaluated_stacks_read_one_j_under_one_rule():
+    # at rank_tol 0.02 the rank rule keeps 16.8, 5 and 3 and calls 0.29 and 0.15 zero; while the
+    # sampler read J_r and evaluate_constraints the stored J, 129 of the 551 draws made for 300
+    # constraints got another is_minimum, and accepted traces differed by up to 59%
+    j = np.diag([16.8, 5.0, 3.0, 0.29, 0.15, 0.0])
+    for tol in (1e-10, 0.02):
+        basis = ranked_svd(j, tol)
+        flags = []
+        for chunk in sample_constraint_stacks(basis, 300, 3):
+            evaluated = evaluate_constraints(basis, chunk.f_jacs)
+            assert np.array_equal(evaluated.is_minimum, chunk.is_minimum)
+            ok = chunk.is_minimum
+            traces, reference = np.array(bound_traces(chunk))[ok], np.array(bound_traces(evaluated))[ok]
+            slack = 10 * basis.rank * EPS * basis.sigma[0] / chunk.utju_eigs[ok, 0]
+            assert np.all(np.abs(traces - reference) <= slack * reference)
+            flags.append(chunk.is_minimum)
+        accepted = np.concatenate(flags)  # at 0.02 most draws are rejected, on both routes alike
+        assert accepted.sum() == 300 and (tol == 1e-10 or accepted.mean() < 0.5)

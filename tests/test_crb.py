@@ -169,10 +169,12 @@ def test_stacked_bounds_match_single_calls_bit_for_bit():
                 lam = single.eigenvalues
                 assert np.array_equal(lam[: n - nullity], 1.0 / stack.utju_eigs[i])
                 assert np.all(lam[n - nullity :] == 0.0)
-                # one matrix at a time in plain numpy
+                # one matrix at a time in plain numpy, U'J_rU = Y' diag(lambda_r) Y with Y = U_r'U
                 u = np.linalg.svd(spec.f_jac)[2][nullity:].T
-                restricted = u.T @ basis.matrix.entries @ u
-                evals = np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
+                y = basis.u_r.T @ u
+                restricted = y.T @ (basis.eigenvalues[: n - nullity, None] * y)
+                restricted = 0.5 * (restricted + restricted.T)
+                evals = np.linalg.eigvalsh(restricted)
                 assert np.array_equal(stack.utju_eigs[i], evals)
                 bound = u @ np.linalg.inv(restricted) @ u.T
                 assert np.array_equal(single.bound.entries, 0.5 * (bound + bound.T))

@@ -6,7 +6,8 @@ theory says. Each tolerance is TOL_FACTOR * n * eps * kappa * |B|, with
 kappa = |J| / mu_min read from the spectrum mu of U'JU, times cond(A) or
 cond(M) where the transform has one. kappa and not cond(U'JU) sets the
 roundoff of B: for a rank-one J, U'JU is 1 x 1, and its condition number
-is 1 however small mu is next to |J|.
+is 1 however small mu is next to |J|. The last test scales J alone and
+checks that no decision made about it moves.
 """
 
 import numpy as np
@@ -18,8 +19,10 @@ from crbkit import (
     evaluate_constraints,
     pinv_via_basis,
     ranked_svd,
+    sample_constraint_stacks,
     sample_minimum_constraints,
     verify_eigen_dominance,
+    verify_min_rank,
     verify_poincare,
     verify_trace_bound,
 )
@@ -112,3 +115,32 @@ def test_the_pseudoinverse_does_not_follow_a_non_orthogonal_reparametrization(ca
     tol = TOL_FACTOR * j.shape[0] * EPS * kappa * np.linalg.cond(m) * np.linalg.norm(mapped, 2)
     # the two differ by six orders of magnitude more than roundoff could make them
     assert np.abs(pinv_via_basis(m_inv.T @ j @ m_inv).entries - mapped).max() > 1e6 * tol
+
+
+def minimum_flags(basis, stacks, seed):
+    """The three flags of each evaluated stack and of each chunk the sampler draws, 10 constraints' worth."""
+    evaluated = [evaluate_constraints(basis, f_jacs) for f_jacs in stacks]
+    sampled = list(sample_constraint_stacks(basis, 10, seed))
+    return [[s.full_rank_jacobian, s.utju_nonsingular, s.rank_sum_is_n] for s in evaluated + sampled]
+
+
+@METAMORPHIC
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([1e-10, 0.02]))
+def test_scaling_j_keeps_every_flag_and_the_min_rank_verdict(n, seed, tol):
+    # J -> cJ scales J's cutoff, and the cutoff of every U'J_rU, with J, so no minimum-constraint
+    # flag moves, evaluated or sampled (at 0.02 many draws are rejected); min_rank's margins, in
+    # units of that cutoff, move by roundoff: mu by about n eps sigma_1, so each margin by n eps / tol
+    rng = np.random.default_rng(seed)
+    j = make_psd(rng, n, int(rng.integers(1, n)))
+    stacks = [rng.standard_normal((5, m, n)) for m in range(1, n)]
+    reference = ranked_svd(j, tol)
+    flags = minimum_flags(reference, stacks, seed)
+    margins = [w.margin for w in verify_min_rank(reference, 10, seed, -np.inf).witnesses]
+    for c in (1e-8, 1e-4, 1e4, 1e8):
+        basis = ranked_svd(c * j, tol)
+        assert basis.rank == reference.rank
+        for scaled, original in zip(minimum_flags(basis, stacks, seed), flags, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(scaled, original))
+        scaled = [w.margin for w in verify_min_rank(basis, 10, seed, -np.inf).witnesses]
+        assert np.all(np.abs(np.subtract(scaled, margins)) <= TOL_FACTOR * n * EPS / tol)
+        assert verify_min_rank(basis, 10, seed).passed == verify_min_rank(reference, 10, seed).passed

@@ -38,7 +38,9 @@ from crbkit import (
     verify_trace_bound,
     write_certificate_witnesses,
 )
+import crbkit.verify as verify_module
 from crbkit.crb import _bounds
+from crbkit.matlin import restricted_nonsingular
 from crbkit.verify import ORTHONORMAL_TOL, _check_orthonormal
 from util import make_psd, random_orthonormal
 
@@ -154,13 +156,14 @@ def test_orthonormality_guard_edges():
 def per_frame_dominance(basis, frames, margin_tol=1e-9):
     """Plain-numpy reference: one frame at a time, as (margin, label, v) per witness.
 
-    The margins are 1/mu, for the ascending spectrum mu of V'JV, minus the
-    descending 1/sigma of J. Margins below -margin_tol are witnesses;
-    margin_tol = -inf keeps every case.
+    The margins are 1/mu, for the ascending spectrum mu of V'J_rV =
+    Y' diag(lambda_r) Y with Y = U_r'V, minus the descending 1/sigma of J.
+    Margins below -margin_tol are witnesses; margin_tol = -inf keeps every case.
     """
     witnesses = []
     for v in frames:
-        restricted = v.T @ basis.matrix.entries @ v
+        y = basis.u_r.T @ v
+        restricted = y.T @ (basis.eigenvalues[: basis.rank, None] * y)
         lam = 1.0 / np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
         for i, margin in enumerate(lam - 1.0 / basis.sigma[::-1]):
             if margin < -margin_tol:
@@ -641,7 +644,8 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     assert verify_trace_bound(basis, stack).passed and verify_eigen_dominance(basis, stack).passed
     assert verify_constraint_equivalence(basis, np.zeros(3), [basis.u_bar.T]).n_cases == 1
     assert_min_rank_matches(j, 5, 7, 1e-6)
-    assert verify_min_rank(basis, 5, 7, -np.inf).witnesses[-1].margin == 1.0 - 1e-6
+    # J_r = diag(1, 0, 0): the achievable U'J_rU is 1 x 1, mu = 1 against the cutoff 1 * 1 * 1e-6
+    assert verify_min_rank(basis, 5, 7, -np.inf).witnesses[-1].margin == 1.0 / 1e-6 - 1.0
 
 
 def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
@@ -649,7 +653,9 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
 
     Each draw's rows are orthonormalized by a reduced qr of its transpose and
     evaluated alone through evaluate_constraints, whose svd gives another null
-    basis than the verifier's qr. Returns (margin, label, f_jac, mu_max) per case.
+    basis than the verifier's qr. The margin is -(mu_min / c - 1) for a
+    deficient trial and mu_min / c - 1 for the achievable one, c = sigma_1 p
+    rank_tol_rel the cutoff of a p x p U'J_rU. Returns (margin, label, f_jac, c) per case.
     """
     basis = ranked_svd(j, rank_tol_rel)
     n, rank = basis.dim, basis.rank
@@ -659,9 +665,9 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
         f_jac = np.linalg.qr(draw.T)[0].T
         stack = evaluate_constraints(basis, f_jac[None])
         assert stack.full_rank_jacobian[0]
-        low, high = float(stack.utju_eigs[0][0]), float(stack.utju_eigs[0][-1])
-        ratio = max(0.0, low) / high if high > 0.0 else 0.0
-        return sign * (ratio - rank_tol_rel), label, f_jac, high
+        mu = stack.utju_eigs[0]
+        cutoff = basis.sigma[0] * mu.size * rank_tol_rel
+        return sign * (mu[0] / cutoff - 1.0), label, f_jac, cutoff
 
     cases = []
     for t in range(trials):
@@ -673,18 +679,18 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
 
 def assert_min_rank_matches(j, trials, rng_seed, rank_tol_rel=1e-10):
     """Labels and row counts match exactly, F is the reference's orthonormal rows, and each
-    margin agrees within 10 n eps sigma_1 / mu_max, mu_max the largest eigenvalue of that U'JU."""
+    margin agrees within 10 n eps sigma_1 / c: the two null bases move mu_min by about eps sigma_1."""
     basis = ranked_svd(j, rank_tol_rel)
     cert = verify_min_rank(basis, trials, rng_seed, -np.inf)
     expected = per_trial_min_rank(j, trials, rng_seed, rank_tol_rel)
     assert cert.n_cases == trials + 1
     assert [w.label for w in cert.witnesses] == [label for _, label, _, _ in expected]
     gaps = []
-    for witness, (margin, _, f_jac, mu_max) in zip(cert.witnesses, expected):
+    for witness, (margin, _, f_jac, cutoff) in zip(cert.witnesses, expected):
         mats = dict(witness.matrices)
         assert np.array_equal(mats["j"], basis.matrix.entries)
         assert mats["f_jac"].shape == f_jac.shape and np.allclose(mats["f_jac"], f_jac, rtol=0.0, atol=1e-13)
-        gaps.append(abs(witness.margin - margin) / (10 * basis.dim * EPS * basis.sigma[0] / mu_max))
+        gaps.append(abs(witness.margin - margin) / (10 * basis.dim * EPS * basis.sigma[0] / cutoff))
     assert max(gaps) <= 1.0
     assert cert.worst_margin == min(w.margin for w in cert.witnesses)
 
@@ -703,6 +709,36 @@ def test_min_rank_completes_at_a_loose_cutoff():
     rng = np.random.default_rng(46)
     for seed in range(40):
         assert_min_rank_matches(random_rank_deficient_psd(6, 2, rng), 5, seed, 0.1)
+
+
+def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
+    # every trial's mu_min pinned one step above, then one step below, the cutoff c = basis.cutoff(p)
+    # of its p x p U'J_rU: at margin_tol 0 exactly the trials whose claim restricted_nonsingular
+    # contradicts fail, by one rounding of mu_min / c
+    basis = ranked_svd(np.diag([2.0, 1.0, 0.0, 0.0]))
+    real = verify_module.restricted_information
+    for step, nonsingular, failing in ((np.inf, True, "deficient-"), (-np.inf, False, "achievable-")):
+
+        def pinned(basis, u):
+            restricted, mu = real(basis, u)
+            mu = mu.copy()
+            mu[:, 0] = np.nextafter(basis.cutoff(mu.shape[1]), step)
+            assert restricted_nonsingular(basis, mu).tolist() == [nonsingular] * len(mu)
+            return restricted, mu
+
+        monkeypatch.setattr(verify_module, "restricted_information", pinned)
+        cert = verify_min_rank(basis, 6, 3, 0.0)
+        everything = verify_min_rank(basis, 6, 3, -np.inf).witnesses
+        assert cert.witnesses and all(w.label.startswith(failing) for w in cert.witnesses)
+        assert [w.label for w in cert.witnesses] == [w.label for w in everything if w.label.startswith(failing)]
+        assert all(-EPS <= w.margin < 0.0 for w in cert.witnesses)
+        assert all(0.0 <= w.margin <= EPS for w in everything if not w.label.startswith(failing))
+
+
+def test_min_rank_refuses_a_zero_j():
+    # the cutoff of a zero J is zero, so margins in its units do not exist
+    with pytest.raises(InvalidInput, match="J is zero"):
+        verify_min_rank(np.zeros((3, 3)), 5, 0)
 
 
 def test_min_rank_refuses_a_cutoff_that_calls_unit_rows_dependent():
