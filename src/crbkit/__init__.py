@@ -59,6 +59,7 @@ from .constraint import (
     load_constraint_spec,
     optimal_affine_constraint,
     sample_constraint_stacks,
+    sample_constraint_traces,
     sample_minimum_constraints,
     sample_minimum_stack,
     save_constraint_spec,

@@ -26,7 +26,6 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +33,11 @@ import numpy as np
 from . import __version__
 from .constraint import (
     optimal_affine_constraint,
-    sample_constraint_stacks,
+    sample_constraint_traces,
     sample_minimum_stack,
     save_constraint_spec,
 )
-from .crb import bound_traces, constrained_crb, unconstrained_crb
+from .crb import constrained_crb, unconstrained_crb
 from .errors import (
     CrbKitError,
     FullRankFim,
@@ -507,12 +506,11 @@ def cmd_experiment(config: RunConfig) -> int:
     sampled = 0
     seed = derived_seed(config.seed, "experiment-constraints")
     try:
-        for stack in sample_constraint_stacks(basis, config.count, seed):
-            for trace in compress(bound_traces(stack), stack.is_minimum):
-                margin = trace - baseline
-                worst = min(worst, margin)
-                lines.append(f"{sampled},{format_float(trace)},{format_float(margin)}")
-                sampled += 1
+        for trace in sample_constraint_traces(basis, config.count, seed):
+            margin = trace - baseline
+            worst = min(worst, margin)
+            lines.append(f"{sampled},{format_float(trace)},{format_float(margin)}")
+            sampled += 1
     except FullRankFim as exc:
         raise CliError(EXIT_INVALID_INPUT, f"sampling constraints: {exc}") from exc
     except SamplingExhausted as exc:

@@ -8,7 +8,11 @@ space, and samples random minimum constraints for experiments: bare
 stacks whose is_minimum marks the accepted draws, or labeled specs.
 Constraints are evaluated in stacks: one svd and one eigvalsh call per
 stack of Jacobians. A sampled chunk takes one reduced qr and one
-eigvalsh, in the range coordinates of J's one factorization.
+eigvalsh, in the range coordinates of J's one factorization. The trace
+sampler reads each accepted draw's trace in closed form instead, from
+one solve per chunk in J's eigenbasis; a bracket on the smallest
+eigenvalue of U'J_rU decides the draws, and the qr and eigvalsh route
+decides the few that the bracket leaves open.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ REJECTION_BUDGET_FACTOR = 100
 # chunks are no faster and cost memory: for 1000 constraints of a 32 x 32 J,
 # peak RSS was 53 MB in one stack, 42 MB in chunks of 128 and 40 in chunks of 32.
 CONSTRAINT_CHUNK = 32
+
+# The trace sampler's bracket on 1/mu_min decides a draw only when it clears the cutoff by this
+# factor; every draw nearer the cutoff goes to the spectral route.
+BRACKET_SAFETY = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,21 +181,14 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
 
-def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[ConstraintStack]:
-    """Draw random minimum constraints for a singular J, one evaluated chunk at a time.
+def _sampled_chunks(j, count: int, rng_seed: int, judge) -> Iterator:
+    """The samplers' one draw-and-budget loop, over chunks of Gaussian (k, n, n - rank J) draws.
 
-    Each Jacobian is the transpose of an orthonormalized Gaussian
-    (n, n - rank J) matrix, redrawn until it passes the minimum-constraint
-    check; one reduced qr per chunk gives the Jacobians F. Their spectra
-    mu are those of U'J_rU, J_r = U_r diag(lambda_r) U_r' the J that the
-    rank rule reads, without forming a null basis U: as [F' U] is
-    orthogonal, U_r'UU'U_r = I - XX' with X = U_r'F', so one eigvalsh of
-    Lambda^1/2 (I - XX') Lambda^1/2 = Lambda - YY', Y = Lambda^1/2 X,
-    gives mu. Draws are made CONSTRAINT_CHUNK at a time, never more than
-    a draw-by-draw loop would make, and accepted in draw order, so the
-    random stream is consumed as by one draw at a time. Yields each
-    chunk's stack, with u and restricted None; its is_minimum marks the
-    accepted draws. Raises SamplingExhausted after 100 * count
+    judge(basis) gives the chunk rule, which maps a chunk to (is_minimum,
+    item); the loop yields each chunk's item. Draws are made
+    CONSTRAINT_CHUNK at a time, never more than a draw-by-draw loop would
+    make, and accepted in draw order, so the random stream is consumed as
+    by one draw at a time. Raises SamplingExhausted after 100 * count
     consecutive rejections, FullRankFim when J is nonsingular and
     InvalidMatrix when check_psd refuses J.
     """
@@ -197,20 +198,15 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[Constrain
     n, m = basis.dim, basis.dim - basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
-    # F's rows are orthonormal, so the rank rule of null_complements sees singular values of one
-    row_rank = np.full(CONSTRAINT_CHUNK, _rank_cutoff(np.ones(m), n, basis.rank_tol_rel))
-    scaled_range, lam = np.sqrt(basis.sigma)[:, None] * basis.u_r.T, np.diag(basis.sigma)
+    judge_chunk = judge(basis)
     rng = np.random.default_rng(seed_sequence(rng_seed))
     budget = REJECTION_BUDGET_FACTOR * count
     accepted = 0
     consecutive_rejects = 0
     while accepted < count:
         k = min(count - accepted, budget - consecutive_rejects, CONSTRAINT_CHUNK)
-        f_t = _sign_fixed_columns(*np.linalg.qr(rng.standard_normal((k, n, m)), mode="reduced"))
-        y = scaled_range @ f_t
-        evals = np.linalg.eigvalsh(lam - y @ y.transpose(0, 2, 1))
-        stack = _evaluated(basis, f_t.transpose(0, 2, 1), row_rank[:k], None, None, evals)
-        hits = np.flatnonzero(stack.is_minimum)
+        is_minimum, item = judge_chunk(rng.standard_normal((k, n, m)))
+        hits = np.flatnonzero(is_minimum)
         if hits.size:
             accepted += hits.size
             consecutive_rejects = k - 1 - int(hits[-1])
@@ -218,7 +214,103 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[Constrain
             consecutive_rejects += k
             if consecutive_rejects >= budget:
                 raise SamplingExhausted(f"{budget} consecutive rejections while sampling minimum constraints")
-        yield stack
+        yield item
+
+
+def _spectral_chunks(basis: RankedSvd):
+    """The chunk rule of sample_constraint_stacks: a chunk's evaluated stack, from F and the spectrum mu.
+
+    One reduced qr per chunk gives the Jacobians F. Their spectra mu are
+    those of U'J_rU, J_r = U_r diag(lambda_r) U_r' the J that the rank
+    rule reads, without forming a null basis U: as [F' U] is orthogonal,
+    U_r'UU'U_r = I - XX' with X = U_r'F', so one eigvalsh of
+    Lambda^1/2 (I - XX') Lambda^1/2 = Lambda - YY', Y = Lambda^1/2 X,
+    gives mu.
+    """
+    n, m = basis.dim, basis.dim - basis.rank
+    # F's rows are orthonormal, so the rank rule of null_complements sees singular values of one
+    row_rank = _rank_cutoff(np.ones(m), n, basis.rank_tol_rel)
+    scaled_range, lam = np.sqrt(basis.sigma)[:, None] * basis.u_r.T, np.diag(basis.sigma)
+
+    def judge(draws):
+        f_t = _sign_fixed_columns(*np.linalg.qr(draws, mode="reduced"))
+        y = scaled_range @ f_t
+        evals = np.linalg.eigvalsh(lam - y @ y.transpose(0, 2, 1))
+        stack = _evaluated(basis, f_t.transpose(0, 2, 1), np.full(len(draws), row_rank), None, None, evals)
+        return stack.is_minimum, stack
+
+    return judge
+
+
+def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[ConstraintStack]:
+    """Draw random minimum constraints for a singular J, one evaluated chunk at a time.
+
+    Each Jacobian is the transpose of an orthonormalized Gaussian
+    (n, n - rank J) matrix, redrawn until it passes the minimum-constraint
+    check (see _spectral_chunks). Yields each chunk's stack, with u and
+    restricted None; its is_minimum marks the accepted draws. See
+    _sampled_chunks for the draws, the budget and the errors.
+    """
+    yield from _sampled_chunks(j, count, rng_seed, _spectral_chunks)
+
+
+def _trace_chunks(basis: RankedSvd):
+    """The chunk rule of sample_constraint_traces: a chunk's accepted traces, in closed form.
+
+    In J's eigenbasis a draw G has A = U_r'G and B = U_bar'G, and the
+    null space of F is spanned by W = U_r - U_bar L, L = B^-T A'. As
+    W'J_rW = Lambda, the bound is W Lambda^-1 W' and its trace is
+    sum 1/lambda_i + ||M||_F^2, M = L Lambda^-1/2: one solve per chunk.
+    1/mu_min = lambda_max(Lambda^-1 + M'M) lies between
+    max_i (1/lambda_i + ||M e_i||^2) and 1/lambda_r + ||M||_F^2, and this
+    bracket decides a draw when it clears the cutoff c = basis.cutoff(r)
+    by BRACKET_SAFETY. _spectral_chunks decides every other draw: those
+    the bracket leaves open, those whose M is not finite, a chunk whose
+    solve fails, and rows of F that the rank rule calls dependent. So the
+    accepted draws are those of sample_constraint_stacks; a trace comes
+    from the spectrum only where M is not finite.
+    """
+    n, r = basis.dim, basis.rank
+    eigenvectors_t = np.concatenate([basis.u_r, basis.u_bar], axis=1).T
+    inv_lam, cutoff = 1.0 / basis.sigma, basis.cutoff(r)
+    spectral = _spectral_chunks(basis)
+    rows_independent = _rank_cutoff(np.ones(n - r), n, basis.rank_tol_rel) == n - r
+
+    def judge(draws):
+        ab = eigenvectors_t @ draws
+        with np.errstate(all="ignore"):  # an overflowing or failed solve leaves M non-finite, for the fallback
+            try:
+                l_mat = np.linalg.solve(ab[:, r:].transpose(0, 2, 1), ab[:, :r].transpose(0, 2, 1))
+            except np.linalg.LinAlgError:
+                l_mat = np.full((len(draws), n - r, r), np.nan)
+            columns = np.sum(np.square(l_mat), axis=1) * inv_lam  # ||M e_i||^2
+            frobenius = columns.sum(axis=1)
+            lower = np.max(inv_lam + columns, axis=1, initial=0.0)
+            upper = inv_lam.max(initial=0.0) + frobenius
+            accept = BRACKET_SAFETY * cutoff * upper < 1.0
+            reject = lower * cutoff > BRACKET_SAFETY
+            traces = inv_lam.sum() + frobenius
+        undecided = np.flatnonzero(~(rows_independent & np.isfinite(traces) & (accept | reject)))
+        if undecided.size:
+            is_minimum, stack = spectral(draws[undecided])
+            accept[undecided] = is_minimum
+            spectral_traces = np.sum(1.0 / stack.utju_eigs[is_minimum], axis=1)
+            kept = undecided[is_minimum]
+            traces[kept] = np.where(np.isfinite(traces[kept]), traces[kept], spectral_traces)
+        return accept, traces[accept].tolist()
+
+    return judge
+
+
+def sample_constraint_traces(j, count: int, rng_seed: int) -> Iterator[float]:
+    """The trace of each accepted draw of sample_constraint_stacks(j, count, rng_seed), in draw order.
+
+    The same draws, budget and errors; each trace is read in closed form
+    (see _trace_chunks). No qr, eigvalsh or F is made but for the draws
+    that the bracket leaves open.
+    """
+    for traces in _sampled_chunks(j, count, rng_seed, _trace_chunks):
+        yield from traces
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:

@@ -9,10 +9,24 @@ import numpy as np
 import pytest
 
 import crbkit
-from crbkit import load_matrix, ranked_svd, sample_constraint_stacks
+from crbkit import (
+    BlindChannelModel,
+    constrained_crb,
+    fim_gaussian_mean,
+    load_matrix,
+    ranked_svd,
+    sample_constraint_stacks,
+    sample_minimum_constraints,
+    sample_minimum_stack,
+    save_matrix,
+)
 from crbkit.cli import build_parser, derived_rng, derived_seed, main
 from crbkit.matlin import DEFAULT_RANK_TOL_REL, seed_sequence
 from crbkit.matx import format_float
+from util import make_psd
+
+
+EPS = np.finfo(float).eps
 
 
 def write_diag_matrix(tmp_path):
@@ -47,7 +61,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # when min_rank came to evaluate its trials' orthonormalized rows; the analyze runs' bound
     # and report and the suite runs' certificates were retaken, and e2's traces, when every
     # route came to judge U'J_rU by J's rank rule at J's scale, with min_rank's margins in
-    # units of that cutoff; they
+    # units of that cutoff; e's and e2's traces were retaken when experiment came to read each
+    # trace in closed form, which moves them by at most 7.6e-11 and 5.6e-15 relative; they
     # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
     # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
     # each run's manifest, whose input or model branch follows the kind of input
@@ -81,8 +96,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "a/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
         "a/crb_constrained.matx": "ba29609c59aca466f2fd34030d3f40e99242e996024be93dd8f872eb02b87549",
         "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
-        "e/traces.csv": "e723e0afdd2713a543ad26e0adb390b5dc0f2feba1aafd7afb5f45d2031b15a6",
-        "e2/traces.csv": "80bcf245ac0bc326f70b81a92d5603d9290a5475c819bf68258f76bb71673ee6",
+        "e/traces.csv": "8433772216f4287be8071563abe02692376b3e51cfe6dcf535293a9230fb835e",
+        "e2/traces.csv": "ce2a9bec4dc072ae58e3bf61354612d55226e5d623bb3c5ea453c4a73855b2a3",
         "c/certificates.csv": "9d98debafd0055ba1ad4d242861d6c4b971c60ca2af511940b908975e12cc986",
         "c2/certificates.csv": "0dce1895b97f915f550f6ca6fc5bf97399f4de5646953af9cd9fc02ddf843b6f",
         "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
@@ -609,6 +624,68 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
 def test_experiment_full_rank_exits_2(tmp_path):
     path = write_identity_matrix(tmp_path)
     assert main(["experiment", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def experiment_traces(out):
+    """The sample indices and traces of an experiment run's traces.csv."""
+    rows = [line.split(",") for line in (out / "traces.csv").read_text().splitlines()[3:]]
+    return [int(row[0]) for row in rows], np.array([float(row[1]) for row in rows])
+
+
+def test_experiment_rows_are_the_constrained_bounds_of_the_sampled_specs(tmp_path):
+    # a third route to each row: sample_minimum_constraints gives the i-th accepted draw's F, and
+    # constrained_crb bounds it through an svd null basis and the spectrum of U'J_rU; a row agrees
+    # with its bound within that route's forward error 10 n eps sigma_1 / mu_min; at rank_tol 0.02
+    # the blind channel's J rejects most draws, and the bracket leaves 100 of its 275 to the spectral route
+    rng = np.random.default_rng(41)
+    blind = fim_gaussian_mean(BlindChannelModel(3, 3), rng.uniform(0.5, 1.5, 6)).matrix.entries
+    for j, count, tol in ((make_psd(rng, 6, 3), 40, "1e-10"), (make_psd(rng, 32, 16), 64, "1e-10"),
+                          (blind, 100, "0.02")):
+        path = tmp_path / "j.matx"
+        save_matrix(path, j)
+        out = tmp_path / f"{j.shape[0]}-{tol}"
+        assert main(["experiment", "--input", str(path), "--count", str(count), "--seed", "8",
+                     "--rank-tol", tol, "--out", str(out)]) == 0
+        indices, traces = experiment_traces(out)
+        basis = ranked_svd(load_matrix(path), float(tol))
+        specs = sample_minimum_constraints(basis, count, derived_seed(8, "experiment-constraints"))
+        reports = [constrained_crb(basis, spec) for spec in specs]
+        expected = np.array([report.trace for report in reports])
+        slack = 10 * basis.dim * EPS * basis.sigma[0] * np.array([report.eigenvalues[0] for report in reports])
+        assert indices == list(range(count))
+        assert np.all(np.abs(traces - expected) <= slack * expected)
+    # the zero J still writes zero traces and margins, and a full-rank J is still refused
+    path = tmp_path / "zero.matx"
+    path.write_text("3 3\n0 0 0\n0 0 0\n0 0 0\n")
+    assert main(["experiment", "--input", str(path), "--count", "40", "--out", str(tmp_path / "z")]) == 0
+    assert (tmp_path / "z" / "traces.csv").read_text().splitlines()[3:] == [f"{i},0,0" for i in range(40)]
+    path = write_identity_matrix(tmp_path)
+    assert main(["experiment", "--input", str(path), "--out", str(tmp_path / "f")]) == 2
+
+
+@pytest.mark.parametrize("solve", ["raises", "inf", "overflows"])
+def test_a_failed_or_overflowing_solve_leaves_the_draws_to_the_spectral_route(tmp_path, monkeypatch, solve):
+    # main runs under np.errstate(over="raise"); a solve that fails, or whose M is inf or squares
+    # past DBL_MAX, sends its draws to the spectral route, which accepts the same draws, and the run
+    # still exits 0 with the same rows, their traces within that route's forward error
+    path = tmp_path / "j.matx"
+    save_matrix(path, make_psd(np.random.default_rng(42), 6, 3))
+    argv = ["experiment", "--input", str(path), "--count", "40", "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "closed")]) == 0
+
+    def broken(a, b):
+        if solve == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(b.shape, np.inf if solve == "inf" else 1e300)
+
+    monkeypatch.setattr(np.linalg, "solve", broken)
+    assert main(argv + ["--out", str(tmp_path / "spectral")]) == 0
+    indices, traces = experiment_traces(tmp_path / "spectral")
+    expected_indices, expected = experiment_traces(tmp_path / "closed")
+    basis = ranked_svd(load_matrix(path))
+    mu_min = sample_minimum_stack(basis, 40, derived_seed(4, "experiment-constraints")).utju_eigs[:, 0]
+    assert indices == expected_indices == list(range(40))
+    assert np.all(np.abs(traces - expected) <= 10 * basis.dim * EPS * basis.sigma[0] / mu_min * expected)
 
 
 @pytest.mark.parametrize("command", ["analyze", "certify", "experiment"])

@@ -23,6 +23,7 @@ from crbkit import (
     random_rank_deficient_psd,
     ranked_svd,
     sample_constraint_stacks,
+    sample_constraint_traces,
     sample_minimum_constraints,
     sample_minimum_stack,
     save_constraint_spec,
@@ -453,3 +454,98 @@ def test_sampled_and_evaluated_stacks_read_one_j_under_one_rule():
             flags.append(chunk.is_minimum)
         accepted = np.concatenate(flags)  # at 0.02 most draws are rejected, on both routes alike
         assert accepted.sum() == 300 and (tol == 1e-10 or accepted.mean() < 0.5)
+
+
+def traced_sample(monkeypatch, basis, count, seed):
+    """sample_constraint_traces(basis, count, seed) with its chunks' accept masks and its fallback's draw count.
+
+    Returns (traces or the SamplingExhausted message, masks, fallback draws).
+    """
+    masks, fallback = [], [0]
+    trace_chunks, spectral_chunks = constraint_module._trace_chunks, constraint_module._spectral_chunks
+
+    def recorded(basis):
+        judge = trace_chunks(basis)
+
+        def record(draws):
+            accepted, traces = judge(draws)
+            masks.append(accepted.copy())
+            return accepted, traces
+
+        return record
+
+    def counted(basis):
+        judge = spectral_chunks(basis)
+
+        def count(draws):
+            fallback[0] += len(draws)
+            return judge(draws)
+
+        return count
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constraint_module, "_trace_chunks", recorded)
+        patch.setattr(constraint_module, "_spectral_chunks", counted)
+        try:
+            result = list(sample_constraint_traces(basis, count, seed))
+        except SamplingExhausted as exc:
+            result = str(exc)
+    return result, masks, fallback[0]
+
+
+def assert_traces_match_the_spectral_route(monkeypatch, basis, count, seed):
+    """The trace sampler accepts the draws of sample_constraint_stacks, with traces within the spectral
+    route's forward error 10 n eps sigma_1 / mu_min of bound_traces; returns its fallback's draw count.
+
+    The gap reached 16 eps sigma_1 / mu_min (n = 8, rank 1); against a 50-digit reference the closed
+    form erred by at most 3e-12 where the spectral route erred by up to 7e-8 (32 x 32, rank 16).
+    """
+    masks, reference, slack = [], [], []
+    try:
+        for chunk in sample_constraint_stacks(basis, count, seed):
+            ok = chunk.is_minimum
+            masks.append(ok)
+            reference += list(np.array(bound_traces(chunk))[ok])
+            mu_min = chunk.utju_eigs[ok, 0] if basis.rank else np.ones(ok.sum())
+            slack += list(10 * basis.dim * EPS * basis.sigma[:1].sum() / mu_min)
+        expected = np.array(reference)
+    except SamplingExhausted as exc:
+        expected = str(exc)
+    traces, trace_masks, fallback = traced_sample(monkeypatch, basis, count, seed)
+    if isinstance(expected, str):  # the exhausting chunk is judged, and the stacks route yields none of it
+        assert traces == expected and len(trace_masks) == len(masks) + 1
+    else:
+        assert len(traces) == count and len(trace_masks) == len(masks)
+        assert np.all(np.abs(np.array(traces) - expected) <= np.array(slack) * expected)
+    assert all(np.array_equal(a, b) for a, b in zip(trace_masks, masks))
+    return fallback
+
+
+def test_the_trace_sampler_accepts_the_spectral_draws_with_their_traces(monkeypatch):
+    # the closed form decides a draw when its bracket on 1/mu_min clears the cutoff by a factor of
+    # two and leaves the rest to the spectral route, so both accept the same draws; the spectral
+    # route's own forward error bounds the gap between their traces
+    rng = np.random.default_rng(31)
+    tols = (1e-10, 0.02, 0.05, 0.1)
+    for n in range(2, 9):
+        for trial in range(3):
+            j = spread_psd(rng, n, int(rng.integers(1, n)), 10.0 ** rng.uniform(-8, 8))
+            for tol in tols:
+                basis = ranked_svd(j, tol)
+                if basis.rank < n and n * tol < 1:
+                    assert_traces_match_the_spectral_route(monkeypatch, basis, 40, 10 * n + trial)
+    wide = make_psd(np.random.default_rng([7, 1]), 32, 16)
+    assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(wide), 100, 5)
+    # at 0.02 the wide J keeps rank 8 and the bracket rejects all but 2 of the 2,000 draws that
+    # exhaust the budget, with the message of the spectral route
+    assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
+    traces, _, _ = traced_sample(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
+    assert traces == "2000 consecutive rejections while sampling minimum constraints"
+    model = BlindChannelModel(3, 3, 1.0)
+    blind = fim_gaussian_mean(model, np.random.default_rng(32).uniform(0.5, 1.5, model.param_dim)).matrix
+    fallbacks = {tol: assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(blind, tol), 200, 6)
+                 for tol in tols}
+    # at 0.02 the bracket leaves about 40% of the blind channel's draws to the spectral route
+    assert fallbacks[0.02] > 0
+    # rows that the rank rule calls dependent are rejected on both routes until the budget runs out
+    assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(np.zeros((2, 2)), 0.6), 70, 3)

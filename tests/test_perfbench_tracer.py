@@ -68,13 +68,16 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     experiment, analyze, certify = traces
     assert experiment.problems == [] and analyze.problems == [] and certify.problems == []
     assert experiment.calls["matlin.ranked_svd"] == 1
-    # one eigh gives J's rank, PSD check and J+, and one reduced qr and one eigvalsh per chunk of
-    # 32 constraints
+    # one eigh gives J's rank, PSD check and J+, and one solve per chunk of 32 constraints gives
+    # their traces in closed form; on this J the bracket decides every draw, so the spectral
+    # route's qr and eigvalsh never run (3 qr, 3 eigvalsh and 0 solve when each chunk was
+    # factored to read its traces from the spectrum of U'JU)
     assert experiment.calls["linalg.eigh"] == 1
     assert experiment.calls["linalg.svd"] == 0
     assert experiment.calls["linalg.inv"] == 0
-    assert experiment.calls["linalg.qr"] == 3
-    assert experiment.calls["linalg.eigvalsh"] == 3
+    assert experiment.calls["linalg.solve"] == 3
+    assert experiment.calls["linalg.qr"] == 0
+    assert experiment.calls["linalg.eigvalsh"] == 0
     # J's one eigh; the svd, eigvalsh and inv belong to the optimal constraint's bound
     assert analyze.calls["matlin.ranked_svd"] == 1
     assert analyze.calls["linalg.eigh"] == 1
