@@ -13,9 +13,10 @@ Input is either a matx matrix file or a flat key = value model config;
 command-line flags override file values. Every run, a certify suite
 included, writes a manifest that can be fed back through --input to
 reproduce the run bit for bit.
-All randomness fans out from one seed through labeled streams. Exit
-codes: 0 success, 2 invalid input, 3 numerical failure, 4 certificate
-failure.
+All randomness fans out from one seed through labeled streams; one per
+certify matrix draws its J, Poincare frame, equivalence mixes and min_rank
+trials in turn. Exit codes: 0 success, 2 invalid input, 3 numerical
+failure, 4 certificate failure.
 """
 
 from __future__ import annotations
@@ -413,27 +414,17 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _certify_one_matrix(basis, config: RunConfig, index: int, constraints_count: int):
-    """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order."""
-    seed = config.seed
-    tol = config.margin_tol
-    n, rank = basis.dim, basis.rank
-
-    stack = sample_minimum_stack(basis, constraints_count, derived_seed(seed, "certify-constraints", index))
+def _certify_one_matrix(basis, rng: np.random.Generator, config: RunConfig, index: int, constraints_count: int):
+    """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order; rng is J's stream."""
+    tol, n, rank = config.margin_tol, basis.dim, basis.rank
+    stack = sample_minimum_stack(basis, constraints_count, derived_seed(config.seed, "certify-constraints", index))
     yield verify_trace_bound(basis, stack, tol)
     yield verify_eigen_dominance(basis, stack, tol)
-
-    v = orthonormal_columns(
-        derived_rng(seed, "certify-poincare", index).standard_normal((n, rank))
-    )
-    yield verify_poincare(basis, v, tol)
-
+    yield verify_poincare(basis, orthonormal_columns(rng.standard_normal((n, rank))), tol)
     # orthonormal (m, m) mixes keep the rows of U_bar' orthonormal, so no ill-conditioned mix fails the row-rank test
-    equiv_rng = derived_rng(seed, "certify-equivalence", index)
-    mixes = orthonormal_columns(equiv_rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, n - rank, n - rank)))
+    mixes = orthonormal_columns(rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, n - rank, n - rank)))
     yield verify_constraint_equivalence(basis, np.zeros(n), list(mixes @ basis.u_bar.T), tol)
-
-    yield verify_min_rank(basis, CERTIFY_MIN_RANK_TRIALS, derived_seed(seed, "certify-minrank", index), tol)
+    yield verify_min_rank(basis, CERTIFY_MIN_RANK_TRIALS, rng, tol)
 
 
 def cmd_certify(config: RunConfig) -> int:
@@ -447,8 +438,8 @@ def cmd_certify(config: RunConfig) -> int:
             n = int(shape_rng.integers(2, 9))
             rank = int(shape_rng.integers(1, n))
             check_rank_tol(n, config.rank_tol_rel)
-            sym = random_rank_deficient_psd(n, rank, derived_rng(config.seed, "certify-matrix", i))
-            matrices.append(ranked_svd(sym, config.rank_tol_rel))
+            rng = derived_rng(config.seed, "certify-matrix", i)
+            matrices.append((ranked_svd(random_rank_deficient_psd(n, rank, rng), config.rank_tol_rel), rng))
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
         basis, _ = information_matrix(config)
@@ -458,21 +449,19 @@ def cmd_certify(config: RunConfig) -> int:
                 f"certify: input information matrix is {'nonsingular' if basis.rank else 'zero'}; "
                 "the bound inequalities are only at stake for singular nonzero input",
             )
-        matrices.append(basis)
+        matrices.append((basis, derived_rng(config.seed, "certify-matrix", 0)))
         constraints_count = config.count
 
     per_theorem: dict[str, list] = {tid: [] for tid in THEOREM_IDS if tid != "counterexample"}
-    for index, basis in enumerate(matrices):
-        certs = _certify_one_matrix(basis, config, index, constraints_count)
+    for index, (basis, rng) in enumerate(matrices):
+        certs = _certify_one_matrix(basis, rng, config, index, constraints_count)
         for theorem_id, parts in per_theorem.items():
             try:
                 parts.append(next(certs))
             except (CrbKitError, np.linalg.LinAlgError) as exc:
                 raise CliError(EXIT_NUMERICAL, f"certify matrix {index}, {theorem_id}: {exc}") from exc
 
-    certificates = [
-        merge_certificates(parts, config.margin_tol) for parts in per_theorem.values()
-    ]
+    certificates = [merge_certificates(parts, config.margin_tol) for parts in per_theorem.values()]
     certificates.append(counterexample_check(config.margin_tol))
 
     (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")

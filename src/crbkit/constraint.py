@@ -32,9 +32,9 @@ from .matlin import (
     as_ranked_svd,
     check_psd,
     null_complements,
+    random_stream,
     restricted_information,
     restricted_nonsingular,
-    seed_sequence,
 )
 from .matx import _parse_block, dump_matrix, format_float
 
@@ -181,16 +181,17 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
 
-def _sampled_chunks(j, count: int, rng_seed: int, judge) -> Iterator:
+def _sampled_chunks(j, count: int, rng_seed, judge) -> Iterator:
     """The samplers' one draw-and-budget loop, over chunks of Gaussian (k, n, n - rank J) draws.
 
     judge(basis) gives the chunk rule, which maps a chunk to (is_minimum,
-    item); the loop yields each chunk's item. Draws are made
-    CONSTRAINT_CHUNK at a time, never more than a draw-by-draw loop would
-    make, and accepted in draw order, so the random stream is consumed as
-    by one draw at a time. Raises SamplingExhausted after 100 * count
-    consecutive rejections, FullRankFim when J is nonsingular and
-    InvalidMatrix when check_psd refuses J.
+    item); the loop yields each chunk's item. Draws from
+    random_stream(rng_seed) are made CONSTRAINT_CHUNK at a time, never
+    more than a draw-by-draw loop would make, and accepted in draw order,
+    so the stream is consumed as by one draw at a time. Raises
+    SamplingExhausted after 100 * count consecutive rejections,
+    FullRankFim when J is nonsingular and InvalidMatrix when check_psd
+    refuses J.
     """
     if count < 1:
         raise InvalidInput(f"count must be positive, got {count}")
@@ -199,7 +200,7 @@ def _sampled_chunks(j, count: int, rng_seed: int, judge) -> Iterator:
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
     judge_chunk = judge(basis)
-    rng = np.random.default_rng(seed_sequence(rng_seed))
+    rng = random_stream(rng_seed)
     budget = REJECTION_BUDGET_FACTOR * count
     accepted = 0
     consecutive_rejects = 0

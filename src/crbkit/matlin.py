@@ -80,6 +80,11 @@ def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
 
+def random_stream(rng_seed) -> np.random.Generator:
+    """A Generator rng_seed, drawn from in place, or the stream of an integer seed under seed_sequence."""
+    return np.random.default_rng(rng_seed if isinstance(rng_seed, np.random.Generator) else seed_sequence(rng_seed))
+
+
 def _cutoff(s_max, size: int, rank_tol_rel: float):
     """The rank rule's threshold s_max * size * rank_tol_rel; singular values at or below it count as zero."""
     if not np.finfo(float).eps <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal

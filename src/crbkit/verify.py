@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import ConstraintStack, evaluate_constraints
+from .constraint import ConstraintStack, _evaluated, evaluate_constraints
 from .crb import bound_traces
 from .errors import (
     InvalidInput,
@@ -39,10 +39,10 @@ from .matlin import (
     _rank_cutoff,
     as_ranked_svd,
     orthonormal_columns,
+    random_stream,
     ranked_svd,
     restricted_information,
     restricted_nonsingular,
-    seed_sequence,
 )
 from .matx import dump_matrix, format_float, save_matrix
 
@@ -265,11 +265,12 @@ def verify_constraint_equivalence(
     """Check that every Jacobian annihilating the range basis gives pinv J.
 
     Each alternative F must satisfy ||F U_r|| <= 1e-8 ||F|| and have full
-    row rank n - rank(J); its bound U (U'JU)^-1 U', from one stacked
-    evaluation, is compared with the pseudoinverse in Frobenius norm. The
-    margin is minus that distance. The bound does not depend on theta0,
-    which is only checked for length. Raises SingularRestriction when some
-    U'JU is numerically singular.
+    row rank n - rank(J), read from singular values of one where F's rows
+    are orthonormal within ORTHONORMAL_TOL, else from its svd. Its bound
+    U (U'JU)^-1 U', from one stacked evaluation, is compared with the
+    pseudoinverse in Frobenius norm; the margin is minus that distance,
+    and theta0 is only checked for length. Raises SingularRestriction
+    when some U'JU is numerically singular.
     """
     basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
@@ -287,6 +288,11 @@ def verify_constraint_equivalence(
     if stray.any():
         raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
     stack = evaluate_constraints(basis, f_stack)
+    if not np.all(stack.full_rank_jacobian):  # read at one, no row rank falls below the svd's, so a full one stands
+        # orthonormal rows have singular values of one, which the svd gives as 1 +- a few ulp
+        unit = np.abs(f_stack @ f_stack.transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2), initial=0.0) <= ORTHONORMAL_TOL
+        row_rank = np.where(unit, _rank_cutoff(np.ones(m), n, basis.rank_tol_rel), stack.row_rank)
+        stack = _evaluated(basis, f_stack, row_rank, stack.u, stack.restricted, stack.utju_eigs)
     if not np.all(stack.full_rank_jacobian):
         raise RankDeficientConstraint(min(stack.row_rank), m)
     if not np.all(stack.utju_nonsingular):
@@ -302,7 +308,7 @@ def verify_constraint_equivalence(
 def verify_min_rank(
     j,
     trials: int,
-    rng_seed: int,
+    rng_seed,
     margin_tol: float = DEFAULT_MARGIN_TOL,
 ) -> TheoremCertificate:
     """Check that n - rank(J) constraint rows are necessary and sufficient.
@@ -310,12 +316,14 @@ def verify_min_rank(
     Each trial draws a Gaussian (m, n) matrix, m < n - rank(J), and
     requires U'J_rU to be numerically singular for the constraint F whose
     orthonormal rows span its row space; the optimal affine constraint,
-    with n - rank(J) rows, must leave U'J_rU nonsingular. One complete qr of
-    the draws, transposed into zero (n, n - rank) slots, and of U_bar gives
-    each F (Q's leading m columns) and its null basis U (the rest; a zero
-    column adds no reflector). Margins, 1 - mu_min / c for a deficient
-    trial and mu_min / c - 1 for the achievable one, are in units of the
-    cutoff c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
+    with n - rank(J) rows, must leave U'J_rU nonsingular. From rng_seed
+    (see random_stream) one call draws every row count m, and one a
+    Gaussian (n, n - rank) slot per trial, its columns past m zeroed. One
+    complete qr of the slots and of U_bar gives each F (Q's leading m
+    columns) and its null basis U (the rest; a zero column adds no
+    reflector). Margins, 1 - mu_min / c for a deficient trial and
+    mu_min / c - 1 for the achievable one, are in units of the cutoff
+    c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
     witnesses hold the F evaluated. Refuses a nonsingular or a zero J.
     """
     if trials < 1:
@@ -324,14 +332,11 @@ def verify_min_rank(
     n, rank = basis.dim, basis.rank
     if rank == n:
         raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
-    rng = np.random.default_rng(seed_sequence(rng_seed))
-    # each trial draws its row count, then its Jacobian; the optimal affine constraint's comes last
-    draws = [rng.standard_normal((int(rng.integers(0, n - rank)), n)) for _ in range(trials)]
-    draws.append(basis.u_bar.T)
-    rows = [draw.shape[0] for draw in draws]
-    slots = np.zeros((trials + 1, n, n - rank))
-    for slot, draw in zip(slots, draws):
-        slot[:, : draw.shape[0]] = draw.T
+    rng = random_stream(rng_seed)
+    # every trial's row count, then every trial's slot; the optimal affine constraint's comes last
+    counts = rng.integers(0, n - rank, size=trials)
+    draws = np.where(np.arange(n - rank) < counts[:, None, None], rng.standard_normal((trials, n, n - rank)), 0.0)
+    slots, rows = np.concatenate([draws, basis.u_bar[None]]), counts.tolist() + [n - rank]
     # F's rows are orthonormal, so the rank rule sees singular values of one and keeps all or none
     if not _rank_cutoff(np.ones(1), n, basis.rank_tol_rel):
         raise RankDeficientConstraint(0, next(m for m in rows if m))

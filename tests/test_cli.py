@@ -21,9 +21,19 @@ from crbkit import (
     save_matrix,
 )
 from crbkit.cli import build_parser, derived_rng, derived_seed, main
-from crbkit.matlin import DEFAULT_RANK_TOL_REL, seed_sequence
+from crbkit.matlin import DEFAULT_RANK_TOL_REL, orthonormal_columns, seed_sequence
 from crbkit.matx import format_float
-from util import make_psd
+from crbkit.verify import (
+    certificates_to_csv,
+    counterexample_check,
+    merge_certificates,
+    verify_constraint_equivalence,
+    verify_eigen_dominance,
+    verify_min_rank,
+    verify_poincare,
+    verify_trace_bound,
+)
+from util import make_psd, suite_streams
 
 
 EPS = np.finfo(float).eps
@@ -62,8 +72,9 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # and report and the suite runs' certificates were retaken, and e2's traces, when every
     # route came to judge U'J_rU by J's rank rule at J's scale, with min_rank's margins in
     # units of that cutoff; e's and e2's traces were retaken when experiment came to read each
-    # trace in closed form, which moves them by at most 7.6e-11 and 5.6e-15 relative; they
-    # cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
+    # trace in closed form, which moves them by at most 7.6e-11 and 5.6e-15 relative; c's and
+    # c2's certificates were retaken when each suite matrix's one stream came to draw its
+    # Poincare frame, equivalence mixes and min_rank trials after J; they cover the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank
     # trials, the analyze runs' pseudoinverse, constrained bound, constraint and report, and
     # each run's manifest, whose input or model branch follows the kind of input
     config = tmp_path / "mc.cfg"
@@ -98,8 +109,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
         "e/traces.csv": "8433772216f4287be8071563abe02692376b3e51cfe6dcf535293a9230fb835e",
         "e2/traces.csv": "ce2a9bec4dc072ae58e3bf61354612d55226e5d623bb3c5ea453c4a73855b2a3",
-        "c/certificates.csv": "9d98debafd0055ba1ad4d242861d6c4b971c60ca2af511940b908975e12cc986",
-        "c2/certificates.csv": "0dce1895b97f915f550f6ca6fc5bf97399f4de5646953af9cd9fc02ddf843b6f",
+        "c/certificates.csv": "c683c4b4a300f5713574c60402d9f2fb3cd793143ca356f0dafa9db1ba8e5088",
+        "c2/certificates.csv": "3ca8b3cf8b3cfa19b7cc39ce5e127567a75da9f421746012cfeb011edf1f345c",
         "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
         "m/analysis.csv": "ffe97c66bbaa2db9c1436d27aee992d6120ce56cd15b79c62abeb1dd546ea894",
         "m/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
@@ -117,6 +128,53 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     for key in [(), (3,), (1234, 5)]:
         old = np.random.SeedSequence(entropy=11, spawn_key=key).generate_state(4)
         assert np.array_equal(seed_sequence(11, *key).generate_state(4), old)
+
+
+def certificates_from_streams(seed, matrices, constraints_count):
+    """certificates.csv of certify, from the verifiers called on inputs drawn as documented: matrix i's stream
+    draws the Poincare frame, the equivalence mixes and the min_rank trials, in that order, and its sampler
+    has the stream ("certify-constraints", i)."""
+    parts = []
+    for i, (basis, rng) in enumerate(matrices):
+        n, rank = basis.dim, basis.rank
+        stack = sample_minimum_stack(basis, constraints_count, derived_seed(seed, "certify-constraints", i))
+        frame = orthonormal_columns(rng.standard_normal((n, rank)))
+        mixes = orthonormal_columns(rng.standard_normal((3, n - rank, n - rank)))
+        parts.append([
+            verify_trace_bound(basis, stack),
+            verify_eigen_dominance(basis, stack),
+            verify_poincare(basis, frame),
+            verify_constraint_equivalence(basis, np.zeros(n), list(mixes @ basis.u_bar.T)),
+            verify_min_rank(basis, 5, rng),
+        ])
+    certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)] + [counterexample_check()]
+    return certificates_to_csv(certificates)
+
+
+def test_each_certify_matrix_draws_its_inputs_from_one_stream(tmp_path):
+    # a suite matrix's stream ("certify-matrix", i) draws J first; certify --input draws from index 0
+    assert main(["certify", "--count", "4", "--seed", "11", "--out", str(tmp_path / "s")]) == 0
+    matrices = [(ranked_svd(j), rng) for j, _, rng in suite_streams(11, 4)]
+    assert (tmp_path / "s" / "certificates.csv").read_text() == certificates_from_streams(11, matrices, 20)
+    path = tmp_path / "j.matx"
+    save_matrix(path, make_psd(np.random.default_rng(5), 6, 3))
+    assert main(["certify", "--input", str(path), "--count", "40", "--seed", "3", "--out", str(tmp_path / "i")]) == 0
+    matrices = [(ranked_svd(load_matrix(tmp_path / "i" / "j.matx")), derived_rng(3, "certify-matrix", 0))]
+    assert (tmp_path / "i" / "certificates.csv").read_text() == certificates_from_streams(3, matrices, 40)
+
+
+def test_a_certify_suite_derives_three_seeds_per_matrix(tmp_path, monkeypatch):
+    # the shapes' stream, then per matrix its own stream, its sampler's sub-seed and the sampler's
+    # stream from that sub-seed: 61 derivations for 20 matrices, where seven per matrix made 141
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crbkit") and hasattr(module, "seed_sequence"):
+            real = module.seed_sequence
+            monkeypatch.setattr(module, "seed_sequence", lambda *a, real=real: calls.append(a) or real(*a))
+    for seed in (0, 6):
+        calls.clear()
+        assert main(["certify", "--count", "20", "--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0
+        assert len(calls) == 61
 
 
 def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
@@ -500,6 +558,14 @@ def test_certify_suite_reruns_from_its_manifest(tmp_path, capsys):
 def test_certify_at_a_loose_rank_tol_builds_its_equivalence_mixes(tmp_path):
     # orthonormal mixes of U_bar' keep its orthonormal rows, so no mix fails the row-rank test
     assert main(["certify", "--count", "5", "--seed", "2", "--rank-tol", "0.01", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_certify_reads_the_equivalence_mixes_row_rank_from_unit_singular_values(tmp_path, capsys):
+    # a few ulp below 1/8 the svd gave some mixes' unit singular values as 1 - a few ulp, at or below
+    # the cutoff, and certify exited 3 at 7 of these seeds (14, 16, 25, 28, 30, 33 and 34)
+    argv = ["certify", "--count", "2", "--rank-tol", "0.12499999999999999"]
+    for seed in range(40):
+        assert main(argv + ["--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["experiment", "--count", "30"], ["certify", "--count", "20"]])

@@ -353,6 +353,25 @@ def test_equivalence_margins_equal_one_constrained_bound_at_a_time():
             assert [w.margin for w in cert.witnesses] == expected
 
 
+def test_equivalence_reads_orthonormal_rows_at_unit_singular_values(monkeypatch):
+    # an svd that gives all but the first unit singular value 2 ulp low puts them below the cutoff
+    # 4 * rank_tol = 1 - 1 ulp; orthonormal rows keep their full row rank regardless, and rows that a
+    # mix leaves non-orthonormal keep the svd rule
+    basis = ranked_svd(np.diag([1.0, 1.0, 0.0, 0.0]), np.nextafter(0.25, 0.0))
+    real = np.linalg.svd
+
+    def ulp_low(a, *args, **kwargs):
+        u, s, vh = real(a, *args, **kwargs)
+        s[..., 1:] = np.nextafter(np.nextafter(s[..., 1:], 0.0), 0.0)
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", ulp_low)
+    mixes = [np.eye(2), np.array([[0.6, 0.8], [-0.8, 0.6]])]
+    assert verify_constraint_equivalence(basis, np.zeros(4), [mix @ basis.u_bar.T for mix in mixes]).passed
+    with pytest.raises(RankDeficientConstraint, match="^Jacobian row rank 1 below row count 2"):
+        verify_constraint_equivalence(basis, np.zeros(4), [np.diag([1.0, 0.5]) @ basis.u_bar.T])
+
+
 def test_min_rank_certificate():
     cert = verify_min_rank(J4, trials=10, rng_seed=3)
     assert cert.theorem_id == "min_rank"
@@ -651,7 +670,9 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
 def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
     """Plain reference: draw, orthonormalize and evaluate one trial at a time.
 
-    Each draw's rows are orthonormalized by a reduced qr of its transpose and
+    One call draws every trial's row count m and a second one Gaussian
+    (n, n - rank) block per trial; trial t's draw is the transpose of block
+    t's leading m columns. Each draw's rows are orthonormalized by a reduced qr of its transpose and
     evaluated alone through evaluate_constraints, whose svd gives another null
     basis than the verifier's qr. The margin is -(mu_min / c - 1) for a
     deficient trial and mu_min / c - 1 for the achievable one, c = sigma_1 p
@@ -669,10 +690,11 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
         cutoff = basis.sigma[0] * mu.size * rank_tol_rel
         return sign * (mu[0] / cutoff - 1.0), label, f_jac, cutoff
 
+    counts = rng.integers(0, n - rank, size=trials)
+    blocks = rng.standard_normal((trials, n, n - rank))
     cases = []
-    for t in range(trials):
-        m = int(rng.integers(0, n - rank))
-        cases.append(case(rng.standard_normal((m, n)), f"deficient-{t}-rows-{m}", -1.0))
+    for t, m in enumerate(counts.tolist()):
+        cases.append(case(blocks[t, :, :m].T, f"deficient-{t}-rows-{m}", -1.0))
     cases.append(case(basis.u_bar.T, "achievable-at-min-rank", 1.0))
     return cases
 

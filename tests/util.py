@@ -6,6 +6,9 @@ route so library results are checked against an independent construction.
 
 import numpy as np
 
+from crbkit.cli import derived_rng
+from crbkit.verify import random_rank_deficient_psd
+
 
 def make_psd(rng, n, rank, lo=0.5, hi=2.0):
     """Random symmetric PSD matrix with exact rank via Q diag(d) Q^T."""
@@ -30,3 +33,14 @@ def svd_pinv_oracle(a):
     cutoff = s[0] * max(a.shape) * 1e-10 if s.size else 0.0
     keep = s > cutoff
     return (vh[keep].T / s[keep]) @ u[:, keep].T
+
+
+def suite_streams(seed, count):
+    """Each certify suite matrix's J and rank and its stream past J, rebuilt from the documented streams:
+    the shapes from ("certify-shapes"), then J from matrix i's own stream ("certify-matrix", i)."""
+    shapes = derived_rng(seed, "certify-shapes")
+    for i in range(count):
+        n = int(shapes.integers(2, 9))
+        rank = int(shapes.integers(1, n))
+        rng = derived_rng(seed, "certify-matrix", i)
+        yield random_rank_deficient_psd(n, rank, rng), rank, rng
