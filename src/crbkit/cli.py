@@ -51,7 +51,7 @@ from .errors import (
 from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
     DEFAULT_RANK_TOL_REL,
-    _rank_cutoff,
+    _cutoff,
     as_sym_matrix,
     check_psd,
     orthonormal_columns,
@@ -317,14 +317,11 @@ def information_matrix(config: RunConfig):
 
 
 def check_rank_tol(n: int, rank_tol: float) -> None:
-    """Refuse, with exit 2, a rank_tol that the rank rule refuses or under which it gives every n x n matrix rank 0."""
+    """Refuse, with exit 2, a rank_tol that the rank rule refuses for n x n matrices, before any is factored."""
     try:
-        ranked = _rank_cutoff(np.ones(1), n, rank_tol)
-    except InvalidInput as exc:  # below machine epsilon; validate refuses the rest
+        _cutoff(1.0, n, rank_tol)
+    except InvalidInput as exc:  # below machine epsilon or from 1/n on; validate refuses the rest
         raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
-    if not ranked:
-        zero = f"rank_tol {format_float(rank_tol)} gives every {n} x {n} matrix rank 0"
-        raise CliError(EXIT_INVALID_INPUT, f"{zero}; {n} * rank_tol must be below 1")
 
 
 def _config_value(value) -> str:

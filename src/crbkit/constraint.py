@@ -27,7 +27,6 @@ from .errors import FullRankFim, InvalidInput, SamplingExhausted
 from .matlin import (
     RankedSvd,
     _freeze,
-    _rank_cutoff,
     _sign_fixed_columns,
     as_ranked_svd,
     check_psd,
@@ -93,21 +92,19 @@ class ConstraintSpec:
 class ConstraintStack(NamedTuple):
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
-    basis is J as factored, with the rank rule of every flag. From
-    evaluate_constraints, one svd call gives row_rank (k,) and the null
-    bases u (k, n, n - m), restricted holds U'J_rU, and one eigvalsh call
-    gives utju_eigs, its ascending eigenvalues.
-    A sampled stack has u and restricted None: its row_rank comes from
-    unit singular values and its utju_eigs from J's range coordinates
-    (see sample_constraint_stacks). The last three fields are the
-    requirement flags, each of shape (k,).
+    basis is J as factored, with the rank rule of every flag. row_rank
+    (k,) comes from null_complements and utju_eigs holds the ascending
+    eigenvalues of each U'J_rU: from evaluate_constraints, one svd call
+    gives the row ranks and null bases U and one eigvalsh call the
+    spectra; a sampled stack reads its spectra in J's range coordinates
+    (see sample_constraint_stacks). The stack keeps no U or U'J_rU:
+    null_complements and restricted_information give them. The last
+    three fields are the requirement flags, each of shape (k,).
     """
 
     basis: RankedSvd
     f_jacs: np.ndarray
     row_rank: np.ndarray
-    u: np.ndarray | None
-    restricted: np.ndarray | None
     utju_eigs: np.ndarray
     full_rank_jacobian: np.ndarray
     utju_nonsingular: np.ndarray
@@ -130,22 +127,26 @@ class ConstraintStack(NamedTuple):
 def evaluate_constraints(j, f_jacs) -> ConstraintStack:
     """Evaluate the three minimum-constraint requirements for a (k, m, n) stack."""
     basis = as_ranked_svd(j)
+    f_jacs = _jacobian_stack(basis, f_jacs)
+    row_rank, u = null_complements(f_jacs, basis.rank_tol_rel)
+    return _evaluated(basis, f_jacs, row_rank, restricted_information(basis, u)[1])
+
+
+def _jacobian_stack(basis: RankedSvd, f_jacs) -> np.ndarray:
+    """f_jacs as a float (k, m, n) array of Jacobians for the n x n J of basis; InvalidInput otherwise."""
     f_jacs = np.asarray(f_jacs, dtype=float)
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
-    row_rank, u = null_complements(f_jacs, basis.rank_tol_rel)
-    return _evaluated(basis, f_jacs, row_rank, u, *restricted_information(basis, u))
+    return f_jacs
 
 
-def _evaluated(basis: RankedSvd, f_jacs, row_rank, u, restricted, evals) -> ConstraintStack:
-    """The stack of f_jacs given their row ranks, null bases, U'J_rU and its ascending spectrum: adds the flags."""
+def _evaluated(basis: RankedSvd, f_jacs, row_rank, evals) -> ConstraintStack:
+    """The stack of f_jacs given their row ranks and the ascending spectra of U'J_rU: adds the flags."""
     full_rank = row_rank == f_jacs.shape[1]
     return ConstraintStack(
         basis=basis,
         f_jacs=f_jacs,
         row_rank=row_rank,
-        u=u,
-        restricted=restricted,
         utju_eigs=evals,
         full_rank_jacobian=full_rank,
         utju_nonsingular=full_rank & restricted_nonsingular(basis, evals),
@@ -221,23 +222,21 @@ def _sampled_chunks(j, count: int, rng_seed, judge) -> Iterator:
 def _spectral_chunks(basis: RankedSvd):
     """The chunk rule of sample_constraint_stacks: a chunk's evaluated stack, from F and the spectrum mu.
 
-    One reduced qr per chunk gives the Jacobians F. Their spectra mu are
+    One reduced qr per chunk gives the Jacobians F, whose orthonormal rows
+    have row rank m, as null_complements reads them. Their spectra mu are
     those of U'J_rU, J_r = U_r diag(lambda_r) U_r' the J that the rank
     rule reads, without forming a null basis U: as [F' U] is orthogonal,
     U_r'UU'U_r = I - XX' with X = U_r'F', so one eigvalsh of
     Lambda^1/2 (I - XX') Lambda^1/2 = Lambda - YY', Y = Lambda^1/2 X,
     gives mu.
     """
-    n, m = basis.dim, basis.dim - basis.rank
-    # F's rows are orthonormal, so the rank rule of null_complements sees singular values of one
-    row_rank = _rank_cutoff(np.ones(m), n, basis.rank_tol_rel)
     scaled_range, lam = np.sqrt(basis.sigma)[:, None] * basis.u_r.T, np.diag(basis.sigma)
 
     def judge(draws):
         f_t = _sign_fixed_columns(*np.linalg.qr(draws, mode="reduced"))
         y = scaled_range @ f_t
         evals = np.linalg.eigvalsh(lam - y @ y.transpose(0, 2, 1))
-        stack = _evaluated(basis, f_t.transpose(0, 2, 1), np.full(len(draws), row_rank), None, None, evals)
+        stack = _evaluated(basis, f_t.transpose(0, 2, 1), np.full(len(draws), f_t.shape[2]), evals)
         return stack.is_minimum, stack
 
     return judge
@@ -248,9 +247,9 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[Constrain
 
     Each Jacobian is the transpose of an orthonormalized Gaussian
     (n, n - rank J) matrix, redrawn until it passes the minimum-constraint
-    check (see _spectral_chunks). Yields each chunk's stack, with u and
-    restricted None; its is_minimum marks the accepted draws. See
-    _sampled_chunks for the draws, the budget and the errors.
+    check (see _spectral_chunks). Yields each chunk's stack; its
+    is_minimum marks the accepted draws. See _sampled_chunks for the
+    draws, the budget and the errors.
     """
     yield from _sampled_chunks(j, count, rng_seed, _spectral_chunks)
 
@@ -266,16 +265,15 @@ def _trace_chunks(basis: RankedSvd):
     max_i (1/lambda_i + ||M e_i||^2) and 1/lambda_r + ||M||_F^2, and this
     bracket decides a draw when it clears the cutoff c = basis.cutoff(r)
     by BRACKET_SAFETY. _spectral_chunks decides every other draw: those
-    the bracket leaves open, those whose M is not finite, a chunk whose
-    solve fails, and rows of F that the rank rule calls dependent. So the
-    accepted draws are those of sample_constraint_stacks; a trace comes
-    from the spectrum only where M is not finite.
+    the bracket leaves open, those whose M is not finite and a chunk
+    whose solve fails. So the accepted draws are those of
+    sample_constraint_stacks; a trace comes from the spectrum only where
+    M is not finite.
     """
     n, r = basis.dim, basis.rank
     eigenvectors_t = np.concatenate([basis.u_r, basis.u_bar], axis=1).T
     inv_lam, cutoff = 1.0 / basis.sigma, basis.cutoff(r)
     spectral = _spectral_chunks(basis)
-    rows_independent = _rank_cutoff(np.ones(n - r), n, basis.rank_tol_rel) == n - r
 
     def judge(draws):
         ab = eigenvectors_t @ draws
@@ -291,7 +289,7 @@ def _trace_chunks(basis: RankedSvd):
             accept = BRACKET_SAFETY * cutoff * upper < 1.0
             reject = lower * cutoff > BRACKET_SAFETY
             traces = inv_lam.sum() + frobenius
-        undecided = np.flatnonzero(~(rows_independent & np.isfinite(traces) & (accept | reject)))
+        undecided = np.flatnonzero(~(np.isfinite(traces) & (accept | reject)))
         if undecided.size:
             is_minimum, stack = spectral(draws[undecided])
             accept[undecided] = is_minimum
@@ -318,8 +316,8 @@ def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
     """The accepted draws of sample_constraint_stacks, filtered and concatenated into one evaluated stack."""
     basis = as_ranked_svd(j)
     chunks = sample_constraint_stacks(basis, count, rng_seed)
-    kept = [[None if f is None else f[ok] for f in chunk[1:]] for chunk in chunks for ok in [chunk.is_minimum]]
-    return ConstraintStack(basis, *(None if parts[0] is None else np.concatenate(parts) for parts in zip(*kept)))
+    kept = [[f[ok] for f in chunk[1:]] for chunk in chunks for ok in [chunk.is_minimum]]
+    return ConstraintStack(basis, *(np.concatenate(parts) for parts in zip(*kept)))
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:

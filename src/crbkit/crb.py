@@ -15,9 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintSpec, ConstraintStack, evaluate_constraints
+from .constraint import ConstraintSpec, ConstraintStack, _jacobian_stack
 from .errors import RankDeficientConstraint
-from .matlin import SymMatrix, _bounds, _freeze, as_ranked_svd
+from .matlin import (
+    SymMatrix,
+    _bounds,
+    _freeze,
+    as_ranked_svd,
+    null_complements,
+    restricted_information,
+    restricted_nonsingular,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,37 +61,32 @@ def unconstrained_crb(j) -> CrbReport:
     )
 
 
-def _bound_spectra(stack: ConstraintStack) -> np.ndarray:
-    """The nonzero eigenvalues 1/mu of each bound, descending, (k, n - m); nan where none exists.
-
-    mu is the spectrum of U'JU; as U has orthonormal columns, U (U'JU)^-1 U' has these and m zeros.
-    """
-    return 1.0 / np.where(stack.utju_nonsingular[:, None], stack.utju_eigs, np.nan)
-
-
 def bound_traces(stack: ConstraintStack) -> list[float]:
-    """Trace of each constrained bound of an evaluated stack, the sum of 1/mu; +inf where none exists."""
-    traces = _bound_spectra(stack).sum(axis=1)
+    """Trace of each constrained bound of an evaluated stack, the sum of 1/mu; +inf where none exists.
+    mu is the spectrum of U'JU; as U has orthonormal columns, U (U'JU)^-1 U' has the eigenvalues 1/mu and m zeros."""
+    traces = (1.0 / np.where(stack.utju_nonsingular[:, None], stack.utju_eigs, np.nan)).sum(axis=1)
     return [float(trace) if ok else math.inf for trace, ok in zip(traces, stack.utju_nonsingular)]
 
 
 def constrained_crb(j, constraint) -> CrbReport:
     """Bound under one constraint, a Jacobian or a ConstraintSpec.
 
-    Computes U (U'JU)^-1 U' over the constraint's null basis U when the
-    restricted information is nonsingular, with its trace and eigenvalues
-    read from the spectrum of U'JU; otherwise reports a nonexistent
-    (infinite) bound. Raises RankDeficientConstraint when the Jacobian's
-    rows are dependent.
+    Computes U (U'J_rU)^-1 U' over the constraint's null basis U when
+    restricted_nonsingular calls U'J_rU nonsingular, with its trace and
+    eigenvalues 1/mu read from the spectrum mu of U'J_rU; otherwise
+    reports a nonexistent (infinite) bound. Raises
+    RankDeficientConstraint when the Jacobian's rows are dependent.
     """
+    basis = as_ranked_svd(j)
     f_jac = constraint.f_jac if isinstance(constraint, ConstraintSpec) else np.asarray(constraint, dtype=float)
-    stack = evaluate_constraints(j, f_jac[None])
-    if not stack.full_rank_jacobian[0]:
-        raise RankDeficientConstraint(stack.row_rank[0], f_jac.shape[0])
-    if not stack.utju_nonsingular[0]:
+    row_rank, u = null_complements(_jacobian_stack(basis, f_jac[None]), basis.rank_tol_rel)
+    if row_rank[0] < f_jac.shape[0]:
+        raise RankDeficientConstraint(row_rank[0], f_jac.shape[0])
+    restricted, mu = restricted_information(basis, u)
+    if not restricted_nonsingular(basis, mu)[0]:
         return CrbReport(bound=None, exists=False, trace=math.inf, eigenvalues=None)
-    bound = _bounds(stack.u, stack.restricted)[0]
-    lam = _bound_spectra(stack)[0]
+    bound = _bounds(u, restricted)[0]
+    lam = 1.0 / mu[0]
     return CrbReport(
         bound=SymMatrix(bound),
         exists=True,

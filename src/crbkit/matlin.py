@@ -21,6 +21,10 @@ from .matx import format_float
 # are treated as zero.
 DEFAULT_RANK_TOL_REL = 1e-10
 
+# Rows or columns whose Gram matrix is within this (max-abs) of the identity are orthonormal.
+ORTHONORMAL_TOL = 1e-10
+_EPS = np.finfo(float).eps
+
 
 def _as_2d(values, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -86,9 +90,13 @@ def random_stream(rng_seed) -> np.random.Generator:
 
 
 def _cutoff(s_max, size: int, rank_tol_rel: float):
-    """The rank rule's threshold s_max * size * rank_tol_rel; singular values at or below it count as zero."""
-    if not np.finfo(float).eps <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
+    """The rank rule's threshold s_max * size * rank_tol_rel; singular values at or below it count as zero.
+    Refused from size * rank_tol_rel = 1 on, where it would rank every matrix 0, orthonormal rows too."""
+    if not _EPS <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
         raise InvalidInput(f"rank_tol_rel must be positive and finite, at least machine epsilon, got {rank_tol_rel}")
+    if size * rank_tol_rel >= 1:
+        zero = f"rank_tol_rel {format_float(rank_tol_rel)} gives every {size} x {size} matrix rank 0"
+        raise InvalidInput(f"{zero}; {size} * rank_tol_rel must be below 1")
     return s_max * size * rank_tol_rel
 
 
@@ -150,11 +158,9 @@ def restricted_information(basis: RankedSvd, u: np.ndarray) -> tuple[np.ndarray,
 
 
 def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
-    """The one rule for p x p U'J_rU with ascending spectra mu (last axis): J's rank rule at J's scale keeps
-    all p eigenvalues, mu_min > basis.cutoff(p); a 0 x 0 U'J_rU counts as nonsingular."""
-    if mu.shape[-1] == 0:
-        return np.ones(mu.shape[:-1], dtype=bool)
-    return mu[..., 0] > basis.cutoff(mu.shape[-1])
+    """The one rule for p x p U'J_rU with spectra mu (last axis): J's rank rule at J's scale keeps
+    all p eigenvalues, mu > basis.cutoff(p); a 0 x 0 U'J_rU counts as nonsingular."""
+    return np.all(mu > basis.cutoff(mu.shape[-1]), axis=-1)
 
 
 def _bounds(u: np.ndarray, restricted: np.ndarray) -> np.ndarray:
@@ -227,11 +233,13 @@ def check_psd(m) -> RankedSvd:
 def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):
     """Row ranks (k,) and orthonormal null bases (k, n, n - m) of (k, m, n) Jacobians.
 
-    One svd call gives both; where ranks[i] == m, f_jacs[i] @ u[i] = 0.
+    One svd call gives both; where ranks[i] == m, f_jacs[i] @ u[i] = 0. Rows orthonormal within ORTHONORMAL_TOL
+    have rank m: their singular values are one (1 +- a few ulp from the svd), which every rule _cutoff admits keeps.
     """
     m, n = f_jacs.shape[1:]
     _, s, vh = np.linalg.svd(f_jacs)
-    return _rank_cutoff(s, max(m, n), rank_tol_rel), vh[:, m:].transpose(0, 2, 1)
+    unit = np.abs(f_jacs @ f_jacs.transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2), initial=0.0) <= ORTHONORMAL_TOL
+    return np.where(unit, m, _rank_cutoff(s, max(m, n), rank_tol_rel)), vh[:, m:].transpose(0, 2, 1)
 
 
 def null_complement(f_jac, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.ndarray:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import ConstraintStack, _evaluated, evaluate_constraints
+from .constraint import ConstraintStack, _jacobian_stack
 from .crb import bound_traces
 from .errors import (
     InvalidInput,
@@ -34,10 +34,11 @@ from .errors import (
     SingularRestriction,
 )
 from .matlin import (
+    ORTHONORMAL_TOL,
     SymMatrix,
     _bounds,
-    _rank_cutoff,
     as_ranked_svd,
+    null_complements,
     orthonormal_columns,
     random_stream,
     ranked_svd,
@@ -63,8 +64,6 @@ THEOREM_IDS = (
     "min_rank",
     "counterexample",
 )
-
-ORTHONORMAL_TOL = 1e-10
 
 # Range of the nonzero eigenvalues of random_rank_deficient_psd.
 RANDOM_PSD_EIG_RANGE = (0.5, 2.0)
@@ -265,12 +264,12 @@ def verify_constraint_equivalence(
     """Check that every Jacobian annihilating the range basis gives pinv J.
 
     Each alternative F must satisfy ||F U_r|| <= 1e-8 ||F|| and have full
-    row rank n - rank(J), read from singular values of one where F's rows
-    are orthonormal within ORTHONORMAL_TOL, else from its svd. Its bound
-    U (U'JU)^-1 U', from one stacked evaluation, is compared with the
-    pseudoinverse in Frobenius norm; the margin is minus that distance,
-    and theta0 is only checked for length. Raises SingularRestriction
-    when some U'JU is numerically singular.
+    row rank n - rank(J) as null_complements reads it. One
+    null_complements call gives every null basis U, and the bound
+    U (U'J_rU)^-1 U' is compared with the pseudoinverse in Frobenius norm;
+    the margin is minus that distance, and theta0 is only checked for
+    length. Raises SingularRestriction when restricted_nonsingular calls
+    some U'J_rU singular.
     """
     basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
@@ -283,21 +282,18 @@ def verify_constraint_equivalence(
     for idx, f_arr in enumerate(f_jacs):
         if f_arr.shape != (m, n):
             raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
-    f_stack = np.stack(f_jacs)
+    f_stack = _jacobian_stack(basis, np.stack(f_jacs))
     stray = np.linalg.norm(f_stack @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(f_stack, axis=(1, 2))
     if stray.any():
         raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
-    stack = evaluate_constraints(basis, f_stack)
-    if not np.all(stack.full_rank_jacobian):  # read at one, no row rank falls below the svd's, so a full one stands
-        # orthonormal rows have singular values of one, which the svd gives as 1 +- a few ulp
-        unit = np.abs(f_stack @ f_stack.transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2), initial=0.0) <= ORTHONORMAL_TOL
-        row_rank = np.where(unit, _rank_cutoff(np.ones(m), n, basis.rank_tol_rel), stack.row_rank)
-        stack = _evaluated(basis, f_stack, row_rank, stack.u, stack.restricted, stack.utju_eigs)
-    if not np.all(stack.full_rank_jacobian):
-        raise RankDeficientConstraint(min(stack.row_rank), m)
-    if not np.all(stack.utju_nonsingular):
-        raise SingularRestriction(f"U'JU of alternative {np.argmin(stack.utju_nonsingular)} is singular")
-    bounds = _bounds(stack.u, stack.restricted)
+    row_rank, u = null_complements(f_stack, basis.rank_tol_rel)
+    if np.any(row_rank < m):
+        raise RankDeficientConstraint(min(row_rank), m)
+    restricted, mu = restricted_information(basis, u)
+    exists = restricted_nonsingular(basis, mu)
+    if not np.all(exists):
+        raise SingularRestriction(f"U'JU of alternative {np.argmin(exists)} is singular")
+    bounds = _bounds(u, restricted)
     margins = [-float(np.linalg.norm(bound - basis.pinv.entries)) for bound in bounds]
     return _certify(
         "equivalence", margins,
@@ -337,9 +333,6 @@ def verify_min_rank(
     counts = rng.integers(0, n - rank, size=trials)
     draws = np.where(np.arange(n - rank) < counts[:, None, None], rng.standard_normal((trials, n, n - rank)), 0.0)
     slots, rows = np.concatenate([draws, basis.u_bar[None]]), counts.tolist() + [n - rank]
-    # F's rows are orthonormal, so the rank rule sees singular values of one and keeps all or none
-    if not _rank_cutoff(np.ones(1), n, basis.rank_tol_rel):
-        raise RankDeficientConstraint(0, next(m for m in rows if m))
     if rank == 0:
         raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
     q = np.linalg.qr(slots, mode="complete")[0]

@@ -568,6 +568,11 @@ def test_certify_reads_the_equivalence_mixes_row_rank_from_unit_singular_values(
         assert main(argv + ["--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0, capsys.readouterr().err
 
 
+def refusal(tol: str, n: int) -> str:
+    """The rank rule's refusal of a rank_tol_rel of 1/n or more, as matlin words it."""
+    return f"rank_tol_rel {tol} gives every {n} x {n} matrix rank 0; {n} * rank_tol_rel must be below 1"
+
+
 @pytest.mark.parametrize("command", [["analyze"], ["experiment", "--count", "30"], ["certify", "--count", "20"]])
 def test_rank_tol_that_ranks_every_matrix_zero_exits_2(tmp_path, capsys, command):
     # the rank rule keeps |lambda| > |lambda|_max * n * rank_tol, so from 1/n on it keeps none
@@ -578,8 +583,24 @@ def test_rank_tol_that_ranks_every_matrix_zero_exits_2(tmp_path, capsys, command
     capsys.readouterr()
     assert main(command + ["--input", str(path), "--rank-tol", above, "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: rank_tol {above} gives every 3 x 3 matrix rank 0; 3 * rank_tol must be below 1\n"
+    assert err == f"error: checking rank_tol: {refusal(above, 3)}\n"
     assert not (tmp_path / "b" / "manifest.cfg").exists()
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_analyze_keeps_the_optimal_constraint_one_ulp_below_one_over_n(tmp_path, capsys, n):
+    # the optimal constraint's rows are orthonormal, but the svd gave some of their unit singular values
+    # as 1 - a few ulp, at or below the cutoff, and analyze exited 3 on 118 of 120 such random J; the rows
+    # of diag(1, 0, 0)'s null basis are exact, so it needs a rotated J to show
+    tol = repr(float(np.nextafter(1 / n, 0)))
+    rng = np.random.default_rng(n)
+    for i in range(10):
+        path = tmp_path / f"j{i}.matx"
+        crbkit.save_matrix(path, make_psd(rng, n, int(rng.integers(1, n))))
+        out = tmp_path / f"o{i}"
+        argv = ["analyze", "--input", str(path), "--rank-tol", tol, "--out", str(out)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert "\nconstraint_exists,true\n" in (out / "analysis.csv").read_text()
 
 
 def test_certify_suite_checks_rank_tol_against_each_matrix(tmp_path, capsys):
@@ -592,7 +613,7 @@ def test_certify_suite_checks_rank_tol_against_each_matrix(tmp_path, capsys):
     above = repr(float(np.nextafter(1 / 3, 1)))
     assert main(argv + [above, "--out", str(tmp_path / "b")]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: rank_tol {above} gives every 3 x 3 matrix rank 0; 3 * rank_tol must be below 1\n"
+    assert err == f"error: checking rank_tol: {refusal(above, 3)}\n"
     assert not (tmp_path / "b" / "certificates.csv").exists()
 
 
@@ -602,7 +623,7 @@ def test_rank_tol_refusal_comes_before_the_psd_refusal(tmp_path, capsys):
     path.write_text("2 2\n1 0\n0 -1\n")
     assert main(["analyze", "--input", str(path), "--rank-tol", "0.9", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err == "error: rank_tol 0.90000000000000002 gives every 2 x 2 matrix rank 0; 2 * rank_tol must be below 1\n"
+    assert err == f"error: checking rank_tol: {refusal('0.90000000000000002', 2)}\n"
 
 
 def test_certify_singular_matrix_input(tmp_path):

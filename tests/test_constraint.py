@@ -252,18 +252,16 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
 
 
 def test_sampler_exhausts_after_exactly_the_rejection_budget(monkeypatch):
-    # rank_tol 0.6 on a 2 x 2 J puts every singular value of an orthonormal
-    # frame below the cutoff, so every draw is rejected
-    j = np.zeros((2, 2))
-    with pytest.raises(SamplingExhausted, match="after 7000 draws"):
-        reference_sample(j, 70, 3, 0.6)
+    # a scripted U'JU test rejects every draw, so 70 constraints run out after 7000 draws
+    j = make_psd(np.random.default_rng(9), 4, 2)
     drawn = []
     real = np.linalg.qr
+    monkeypatch.setattr(constraint_module, "restricted_nonsingular", lambda basis, evals: np.zeros(len(evals), bool))
     monkeypatch.setattr(
         constraint_module.np.linalg, "qr", lambda a, mode: drawn.append(len(a)) or real(a, mode)
     )
     with pytest.raises(SamplingExhausted, match="7000 consecutive rejections"):
-        sample_minimum_constraints(ranked_svd(j, 0.6), 70, 3)
+        sample_minimum_constraints(ranked_svd(j), 70, 3)
     assert sum(drawn) == 7000
     assert max(drawn) == 32
 
@@ -313,15 +311,17 @@ def test_sampler_exhausts_after_accepts_across_a_chunk_boundary(monkeypatch):
 
 
 def test_sampled_flags_follow_the_row_rank_rule():
-    # the sampled rows are orthonormal, so their singular values are 1 and the rule
-    # 1 > max(m, n) * rank_tol_rel accepts every row below 1 / max(m, n) and none above it
+    # the sampled rows are orthonormal, so every rank rule that the library admits (n * rank_tol_rel
+    # below 1) gives them full row rank, up to one ulp below 1/n; from 1/n on ranked_svd refuses
     j = make_psd(np.random.default_rng(6), 4, 2)
-    for tol in (0.25 * (1 - 1e-6), 0.25 * (1 + 1e-6)):
+    for tol in (1e-10, 0.02, np.nextafter(0.25, 0.0)):
         stack = next(sample_constraint_stacks(ranked_svd(j, tol), 10, 7))
         evaluated = evaluate_constraints(stack.basis, stack.f_jacs)
         for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
             assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
-        assert np.all(stack.full_rank_jacobian) == np.any(stack.full_rank_jacobian) == (tol < 0.25)
+        assert np.all(stack.full_rank_jacobian)
+    with pytest.raises(InvalidInput, match=r"^rank_tol_rel 0.25000000000000006 gives every 4 x 4 matrix rank 0"):
+        ranked_svd(j, np.nextafter(0.25, 1.0))
 
 
 def test_sampled_stack_equals_its_filtered_chunks():
@@ -340,9 +340,6 @@ def test_sampled_stack_equals_its_filtered_chunks():
         stack = sample_minimum_stack(basis, count, 11)
         assert stack.basis is basis
         for name in ConstraintStack._fields[1:]:
-            if name in ("u", "restricted"):  # a sampled stack carries no null bases and no U'JU
-                assert getattr(stack, name) is None and all(getattr(chunk, name) is None for chunk in chunks)
-                continue
             reference = np.concatenate([getattr(chunk, name)[chunk.is_minimum] for chunk in chunks])
             assert len(reference) == count and np.array_equal(getattr(stack, name), reference), name
         expected, _ = reference_sample(basis.matrix.entries, count, 11, basis.rank_tol_rel)
@@ -531,8 +528,7 @@ def test_the_trace_sampler_accepts_the_spectral_draws_with_their_traces(monkeypa
         for trial in range(3):
             j = spread_psd(rng, n, int(rng.integers(1, n)), 10.0 ** rng.uniform(-8, 8))
             for tol in tols:
-                basis = ranked_svd(j, tol)
-                if basis.rank < n and n * tol < 1:
+                if n * tol < 1 and (basis := ranked_svd(j, tol)).rank < n:
                     assert_traces_match_the_spectral_route(monkeypatch, basis, 40, 10 * n + trial)
     wide = make_psd(np.random.default_rng([7, 1]), 32, 16)
     assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(wide), 100, 5)
@@ -547,5 +543,3 @@ def test_the_trace_sampler_accepts_the_spectral_draws_with_their_traces(monkeypa
                  for tol in tols}
     # at 0.02 the bracket leaves about 40% of the blind channel's draws to the spectral route
     assert fallbacks[0.02] > 0
-    # rows that the rank rule calls dependent are rejected on both routes until the budget runs out
-    assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(np.zeros((2, 2)), 0.6), 70, 3)

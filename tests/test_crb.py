@@ -12,6 +12,7 @@ from crbkit import (
     constrained_crb,
     evaluate_constraints,
     is_psd,
+    null_complements,
     pinv_via_basis,
     random_rank_deficient_psd,
     ranked_svd,
@@ -20,6 +21,7 @@ from crbkit import (
     unconstrained_crb,
 )
 from crbkit.crb import _bounds
+from crbkit.matlin import restricted_information
 from util import make_psd, random_orthonormal
 
 EPS = np.finfo(float).eps
@@ -160,7 +162,8 @@ def test_stacked_bounds_match_single_calls_bit_for_bit():
             assert basis.rank == n - nullity
             specs = sample_minimum_constraints(basis, 2, n * 100 + nullity)
             stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
-            bounds = _bounds(stack.u, stack.restricted)
+            u = null_complements(stack.f_jacs)[1]
+            bounds = _bounds(u, restricted_information(basis, u)[0])
             traces = bound_traces(stack)
             for i, spec in enumerate(specs):
                 single = constrained_crb(j, spec)
@@ -195,7 +198,8 @@ def test_spectral_traces_and_eigenvalues_agree_with_the_n_by_n_route():
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
             # a sampled stack has no frames: both routes read the svd null bases of its constraints
             stack = evaluate_constraints(basis, sample_minimum_stack(basis, 40, 100 * n + rank).f_jacs)
-            bounds = _bounds(stack.u, stack.restricted)
+            u = null_complements(stack.f_jacs)[1]
+            bounds = _bounds(u, restricted_information(basis, u)[0])
             mu = stack.utju_eigs
             cond = mu[:, -1] / mu[:, 0]
             traces = np.array(bound_traces(stack))

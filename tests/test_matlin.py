@@ -10,6 +10,7 @@ from crbkit import (
     SymMatrix,
     as_ranked_svd,
     eigvals_desc,
+    evaluate_constraints,
     is_nonsingular,
     is_psd,
     moore_penrose_residuals,
@@ -191,6 +192,24 @@ def test_rank_rule_refuses_a_tolerance_that_is_not_positive_and_finite():
             null_complements(np.eye(2)[None], tol)
     assert ranked_svd(np.diag([2.0, 1.0, 0.0]), eps).rank == 2
     assert null_complements(np.eye(2)[None], eps)[0].tolist() == [2]
+
+
+def test_rank_rule_at_one_ulp_either_side_of_one_over_the_size():
+    # the rule keeps s > s_max * size * rank_tol_rel, so it keeps the unit singular values of orthonormal
+    # rows exactly while size * rank_tol_rel < 1: one ulp above 1/size is refused, and one ulp below, rows
+    # orthonormal within roundoff keep full row rank even where the svd gives their ones as 1 - a few ulp
+    rng = np.random.default_rng(24)
+    for n in range(2, 9):
+        below, above = (float(np.nextafter(1 / n, to)) for to in (0.0, 1.0))
+        j = make_psd(rng, n, int(rng.integers(1, n)))
+        rows = random_orthonormal(rng, n, n - 1).T[None]
+        for call in (lambda tol: ranked_svd(j, tol), lambda tol: null_complements(rows, tol)):
+            with pytest.raises(InvalidInput, match=rf"gives every {n} x {n} matrix rank 0; {n} \* rank_tol_rel"):
+                call(above)
+        assert null_complements(rows, below)[0].tolist() == [n - 1]
+        basis = ranked_svd(j, below)
+        stack = evaluate_constraints(basis, basis.u_bar.T[None])
+        assert stack.row_rank.tolist() == [n - basis.rank] and stack.full_rank_jacobian.tolist() == [True]
 
 
 def test_is_nonsingular_examples():

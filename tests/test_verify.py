@@ -40,8 +40,8 @@ from crbkit import (
 )
 import crbkit.verify as verify_module
 from crbkit.crb import _bounds
-from crbkit.matlin import restricted_nonsingular
-from crbkit.verify import ORTHONORMAL_TOL, _check_orthonormal
+from crbkit.matlin import ORTHONORMAL_TOL, restricted_information, restricted_nonsingular
+from crbkit.verify import _check_orthonormal
 from util import make_psd, random_orthonormal
 
 EPS = np.finfo(float).eps
@@ -124,7 +124,7 @@ def test_eigen_dominance_refuses_frames_narrower_than_the_rank():
         verify_eigen_dominance(j, np.eye(3)[:, :1])
     basis = ranked_svd(j)
     stack = evaluate_constraints(basis, [[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
-    assert stack.u.shape == (1, 3, 1) and not stack.is_minimum[0]
+    assert null_complements(stack.f_jacs)[1].shape == (1, 3, 1) and not stack.is_minimum[0]
     with pytest.raises(InvalidInput, match=r"frames need rank\(J\) = 2 columns, got 1"):
         verify_eigen_dominance(basis, stack)
     assert verify_eigen_dominance(j, np.eye(3)[:, :2]).worst_margin == 0.0
@@ -211,7 +211,8 @@ def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
             stack = evaluate_constraints(basis, sample_minimum_stack(basis, 20, 100 * n + rank).f_jacs)
             cert = verify_eigen_dominance(basis, stack, -np.inf)
             margins = np.array([w.margin for w in cert.witnesses]).reshape(20, rank)
-            bounds = _bounds(stack.u, stack.restricted)
+            u = null_complements(stack.f_jacs)[1]
+            bounds = _bounds(u, restricted_information(basis, u)[0])
             pinv = np.linalg.eigvalsh(basis.pinv.entries)[::-1]
             reference = np.linalg.eigvalsh(bounds)[:, ::-1] - pinv
             mu, sigma = stack.utju_eigs, basis.sigma
@@ -527,7 +528,7 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
         assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
         assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[i])
     dominance = verify_eigen_dominance(basis, stack, margin_tol)
-    frames = evaluate_constraints(basis, stack.f_jacs).u
+    frames = null_complements(stack.f_jacs)[1]
     margins = np.array([w.margin for w in verify_eigen_dominance(basis, frames, -np.inf).witnesses])
     assert (dominance.passed, dominance.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
     everything = verify_eigen_dominance(basis, stack, -np.inf)
@@ -550,7 +551,7 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
             stack = sample_minimum_stack(basis, 20, 100 * n + rank)
             specs = sample_minimum_constraints(basis, 20, 100 * n + rank)
             assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
-            assert np.all(stack.is_minimum) and stack.u is None and stack.restricted is None
+            assert np.all(stack.is_minimum)
             cert = assert_stack_path_matches(basis, stack)
             assert cert.n_cases == 20 * rank and len(cert.witnesses) == cert.n_cases
 
@@ -574,7 +575,7 @@ def test_sampled_stack_clears_the_known_false_fail():
         basis = ranked_svd(scale * matrix_62())
         stack = sample_minimum_stack(basis, 20, 62)
         assert assert_stack_path_matches(basis, stack, 1e-9).passed
-        frames = evaluate_constraints(basis, stack.f_jacs).u
+        frames = null_complements(stack.f_jacs)[1]
         assert_clears_the_known_false_fail(basis, frames, verify_eigen_dominance(basis, frames, 1e-9))
 
 
@@ -745,6 +746,7 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
             restricted, mu = real(basis, u)
             mu = mu.copy()
             mu[:, 0] = np.nextafter(basis.cutoff(mu.shape[1]), step)
+            mu = np.maximum(mu, mu[:, :1])  # still ascending: mu_min alone decides
             assert restricted_nonsingular(basis, mu).tolist() == [nonsingular] * len(mu)
             return restricted, mu
 
@@ -763,8 +765,9 @@ def test_min_rank_refuses_a_zero_j():
         verify_min_rank(np.zeros((3, 3)), 5, 0)
 
 
-def test_min_rank_refuses_a_cutoff_that_calls_unit_rows_dependent():
-    # at rank_tol_rel >= 1/n the rank rule drops singular values of one (and gives every J rank 0)
-    basis = ranked_svd(np.diag([1.0, 0.5, 0.0, 0.0]), 0.25)
-    with pytest.raises(RankDeficientConstraint, match="^Jacobian row rank 0 below row count"):
-        verify_min_rank(basis, 5, 0)
+def test_ranked_svd_refuses_a_cutoff_that_calls_unit_rows_dependent():
+    # at rank_tol_rel >= 1/n the rank rule would drop singular values of one (and give every J rank 0),
+    # so min_rank and the samplers never meet a J factored under it
+    refusal = r"^rank_tol_rel 0.25 gives every 4 x 4 matrix rank 0; 4 \* rank_tol_rel must be below 1$"
+    with pytest.raises(InvalidInput, match=refusal):
+        ranked_svd(np.diag([1.0, 0.5, 0.0, 0.0]), 0.25)
