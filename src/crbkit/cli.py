@@ -58,7 +58,7 @@ from .matlin import (
     ranked_svd,
     seed_sequence,
 )
-from .matx import format_float, load_matrix, parse_matrix, save_matrix
+from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
 from .verify import (
     CSV_VERSION_LINE,
@@ -344,7 +344,7 @@ def write_manifest(config: RunConfig) -> None:
         lines += [f"{key} = {_config_value(value)}" for key, value in config.model_params.items()]
         lines.append(f"fim_method = {config.fim_method}")
         if config.theta is not None:
-            lines.append("theta = " + " ".join(format_float(v) for v in config.theta))
+            lines.append("theta = " + format_row(config.theta.tolist()))
     (out / "manifest.cfg").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -487,20 +487,18 @@ def cmd_experiment(config: RunConfig) -> int:
 
     basis, _ = information_matrix(config)
     baseline = basis.pinv.trace
-    lines = [CSV_VERSION_LINE, f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
-    worst = np.inf
-    sampled = 0
     seed = derived_seed(config.seed, "experiment-constraints")
     try:
-        for trace in sample_constraint_traces(basis, config.count, seed):
-            margin = trace - baseline
-            worst = min(worst, margin)
-            lines.append(f"{sampled},{format_float(trace)},{format_float(margin)}")
-            sampled += 1
+        traces = sample_constraint_traces(basis, config.count, seed)
     except FullRankFim as exc:
         raise CliError(EXIT_INVALID_INPUT, f"sampling constraints: {exc}") from exc
     except SamplingExhausted as exc:
         raise CliError(EXIT_NUMERICAL, f"sampling constraints: {exc}") from exc
+    margins = traces - baseline
+    worst, sampled = margins.min(), len(traces)
+    row = f"%d,{FLOAT_FMT},{FLOAT_FMT}"
+    lines = [CSV_VERSION_LINE, f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
+    lines += [row % values for values in zip(range(sampled), traces.tolist(), margins.tolist())]
     (out / "traces.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     write_manifest(config)
 

@@ -9,10 +9,10 @@ stacks whose is_minimum marks the accepted draws, or labeled specs.
 Constraints are evaluated in stacks: one svd and one eigvalsh call per
 stack of Jacobians. A sampled chunk takes one reduced qr and one
 eigvalsh, in the range coordinates of J's one factorization. The trace
-sampler reads each accepted draw's trace in closed form instead, from
-one solve per chunk in J's eigenbasis; a bracket on the smallest
-eigenvalue of U'J_rU decides the draws, and the qr and eigvalsh route
-decides the few that the bracket leaves open.
+sampler returns one array of each accepted draw's trace, read in closed
+form from one solve per chunk in J's eigenbasis; a bracket on the
+smallest eigenvalue of U'J_rU decides the draws, and the qr and
+eigvalsh route decides the few that the bracket leaves open.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .matlin import (
     restricted_information,
     restricted_nonsingular,
 )
-from .matx import _parse_block, dump_matrix, format_float
+from .matx import _parse_block, dump_matrix, format_row
 
 # Rejection budget: sampling gives up after 100 * count consecutive misses.
 REJECTION_BUDGET_FACTOR = 100
@@ -273,6 +273,7 @@ def _trace_chunks(basis: RankedSvd):
     n, r = basis.dim, basis.rank
     eigenvectors_t = np.concatenate([basis.u_r, basis.u_bar], axis=1).T
     inv_lam, cutoff = 1.0 / basis.sigma, basis.cutoff(r)
+    inv_lam_sum, inv_lam_max, safe_cutoff = inv_lam.sum(), inv_lam.max(initial=0.0), BRACKET_SAFETY * cutoff
     spectral = _spectral_chunks(basis)
 
     def judge(draws):
@@ -285,10 +286,10 @@ def _trace_chunks(basis: RankedSvd):
             columns = np.sum(np.square(l_mat), axis=1) * inv_lam  # ||M e_i||^2
             frobenius = columns.sum(axis=1)
             lower = np.max(inv_lam + columns, axis=1, initial=0.0)
-            upper = inv_lam.max(initial=0.0) + frobenius
-            accept = BRACKET_SAFETY * cutoff * upper < 1.0
+            upper = inv_lam_max + frobenius
+            accept = safe_cutoff * upper < 1.0
             reject = lower * cutoff > BRACKET_SAFETY
-            traces = inv_lam.sum() + frobenius
+            traces = inv_lam_sum + frobenius
         undecided = np.flatnonzero(~(np.isfinite(traces) & (accept | reject)))
         if undecided.size:
             is_minimum, stack = spectral(draws[undecided])
@@ -296,20 +297,19 @@ def _trace_chunks(basis: RankedSvd):
             spectral_traces = np.sum(1.0 / stack.utju_eigs[is_minimum], axis=1)
             kept = undecided[is_minimum]
             traces[kept] = np.where(np.isfinite(traces[kept]), traces[kept], spectral_traces)
-        return accept, traces[accept].tolist()
+        return accept, traces[accept]
 
     return judge
 
 
-def sample_constraint_traces(j, count: int, rng_seed: int) -> Iterator[float]:
-    """The trace of each accepted draw of sample_constraint_stacks(j, count, rng_seed), in draw order.
+def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
+    """The (count,) traces of the accepted draws of sample_constraint_stacks(j, count, rng_seed), in draw order.
 
     The same draws, budget and errors; each trace is read in closed form
     (see _trace_chunks). No qr, eigvalsh or F is made but for the draws
     that the bracket leaves open.
     """
-    for traces in _sampled_chunks(j, count, rng_seed, _trace_chunks):
-        yield from traces
+    return np.concatenate(list(_sampled_chunks(j, count, rng_seed, _trace_chunks)))
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
@@ -338,7 +338,7 @@ def save_constraint_spec(path, spec: ConstraintSpec) -> None:
     """Write a constraint as a matx block plus an optional offset line."""
     text = dump_matrix(spec.f_jac)
     if spec.offset is not None:
-        text += "offset " + " ".join(format_float(v) for v in spec.offset) + "\n"
+        text += "offset " + format_row(spec.offset.tolist()) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 

@@ -13,12 +13,17 @@ import numpy as np
 
 from .errors import InvalidInput
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
 
 
 def format_float(value: float) -> str:
     """Render one double with enough digits to round-trip."""
-    return FLOAT_FMT.format(float(value))
+    return FLOAT_FMT % float(value)
+
+
+def format_row(values: list[float]) -> str:
+    """format_float of each value, space-separated, in one % call."""
+    return " ".join([FLOAT_FMT] * len(values)) % tuple(values)
 
 
 def dump_matrix(a) -> str:
@@ -27,10 +32,7 @@ def dump_matrix(a) -> str:
     if arr.ndim != 2:
         raise InvalidInput(f"matx supports 2-d matrices, got ndim={arr.ndim}")
     n, m = arr.shape
-    lines = [f"{n} {m}"]
-    for row in arr:
-        lines.append(" ".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{n} {m}", *map(format_row, arr.tolist())]) + "\n"
 
 
 def _parse_block(lines: list[str], pos: int) -> tuple[np.ndarray, int]:
@@ -57,7 +59,7 @@ def _parse_block(lines: list[str], pos: int) -> tuple[np.ndarray, int]:
         if len(fields) != m:
             raise InvalidInput(f"matx: row {i} has {len(fields)} values, expected {m}")
         try:
-            rows.append([float(f) for f in fields])
+            rows.append(list(map(float, fields)))
         except ValueError as exc:
             raise InvalidInput(f"matx: non-numeric value in row {i}") from exc
         pos += 1

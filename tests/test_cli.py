@@ -200,6 +200,24 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
     }
 
 
+def test_experiment_keeps_its_bytes_at_the_benchmark_shape(tmp_path):
+    # a 32 x 32 rank-16 J, the experiment_wide shape: 100 rows of 17-digit traces and margins,
+    # a 32-column j.matx and its manifest; digests taken before the CSV rows and the matx rows
+    # came to be formatted with one % call each
+    save_matrix(tmp_path / "wide.matx", make_psd(np.random.default_rng(32), 32, 16))
+    argv = ["experiment", "--input", str(tmp_path / "wide.matx"), "--count", "100", "--seed", "7"]
+    assert main(argv + ["--out", str(tmp_path / "e")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "e" / name).read_bytes()).hexdigest()
+        for name in ("traces.csv", "j.matx", "manifest.cfg")
+    }
+    assert digests == {
+        "traces.csv": "6bac82cc6ca0e6fa6aaaf6d528e768a5ace0e17e0e8009b548fb3efa908cef57",
+        "j.matx": "acbecc7739d845219311320dce136a816bbdbc3496433ff92810a096a5d98f1b",
+        "manifest.cfg": "1e5e25f85510744b87cfe4a5981a5fe78933cd0f35b4d3d0ce5fb489c00c8564",
+    }
+
+
 def test_analyze_singular_matrix(tmp_path):
     j = write_diag_matrix(tmp_path)
     out = tmp_path / "run"

@@ -456,7 +456,7 @@ def test_sampled_and_evaluated_stacks_read_one_j_under_one_rule():
 def traced_sample(monkeypatch, basis, count, seed):
     """sample_constraint_traces(basis, count, seed) with its chunks' accept masks and its fallback's draw count.
 
-    Returns (traces or the SamplingExhausted message, masks, fallback draws).
+    Returns (the traces array or the SamplingExhausted message, masks, fallback draws).
     """
     masks, fallback = [], [0]
     trace_chunks, spectral_chunks = constraint_module._trace_chunks, constraint_module._spectral_chunks
@@ -484,7 +484,7 @@ def traced_sample(monkeypatch, basis, count, seed):
         patch.setattr(constraint_module, "_trace_chunks", recorded)
         patch.setattr(constraint_module, "_spectral_chunks", counted)
         try:
-            result = list(sample_constraint_traces(basis, count, seed))
+            result = sample_constraint_traces(basis, count, seed)
         except SamplingExhausted as exc:
             result = str(exc)
     return result, masks, fallback[0]
@@ -516,6 +516,21 @@ def assert_traces_match_the_spectral_route(monkeypatch, basis, count, seed):
         assert np.all(np.abs(np.array(traces) - expected) <= np.array(slack) * expected)
     assert all(np.array_equal(a, b) for a, b in zip(trace_masks, masks))
     return fallback
+
+
+def test_the_trace_sampler_returns_the_accepted_traces_as_one_float64_array(monkeypatch):
+    # counts inside one chunk, at its boundary and past it, and the blind channel at rank_tol 0.02,
+    # whose rejections leave chunks with fewer traces than draws; each array holds bound_traces of
+    # the accepted draws of sample_constraint_stacks, within the spectral route's forward error
+    model = BlindChannelModel(3, 3, 1.0)
+    blind = fim_gaussian_mean(model, np.random.default_rng(32).uniform(0.5, 1.5, model.param_dim)).matrix
+    loose = ranked_svd(blind, 0.02)
+    assert not all(chunk.is_minimum.all() for chunk in sample_constraint_stacks(loose, 40, 9))
+    half = ranked_svd(make_psd(np.random.default_rng(33), 6, 3))
+    for basis, count in [(half, 1), (half, 32), (half, 33), (half, 64), (loose, 40)]:
+        traces = sample_constraint_traces(basis, count, 9)
+        assert type(traces) is np.ndarray and traces.dtype == np.float64 and traces.shape == (count,)
+        assert_traces_match_the_spectral_route(monkeypatch, basis, count, 9)
 
 
 def test_the_trace_sampler_accepts_the_spectral_draws_with_their_traces(monkeypatch):

@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from crbkit import InvalidInput, dump_matrix, load_matrix, parse_matrix, save_matrix
+from crbkit.matx import format_float, format_row
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf]
+
+
+def random_doubles(seed, size):
+    """Doubles from uniformly random bit patterns: every exponent, subnormals, infinities and nans of either sign."""
+    return np.random.default_rng(seed).integers(0, 2**64, size=size, dtype=np.uint64).view(float)
 
 
 def test_header_then_rows():
@@ -52,3 +60,17 @@ def test_malformed_text_rejected(text):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(InvalidInput):
         load_matrix(tmp_path / "absent.matx")
+
+
+def test_format_float_and_format_row_give_the_bytes_of_the_17_digit_format_spec():
+    values = random_doubles(4, 20_000).tolist() + EDGE_VALUES + [np.nan, -np.nan]
+    expected = ["{:.17g}".format(v) for v in values]
+    assert [format_float(v) for v in values] == expected
+    assert format_row(values) == " ".join(expected)
+    assert format_row([]) == ""
+
+
+def test_32_column_matrix_round_trips_bit_for_bit():
+    values = random_doubles(5, 32 * 31)
+    a = np.concatenate([np.where(np.isnan(values), 1.0, values), EDGE_VALUES * 4]).reshape(32, 32)
+    assert np.array_equal(parse_matrix(dump_matrix(a)).view(np.uint64), a.view(np.uint64))
