@@ -7,12 +7,8 @@ synthesizes the optimal affine constraint from the information null
 space, and samples random minimum constraints for experiments: bare
 stacks whose is_minimum marks the accepted draws, or labeled specs.
 Constraints are evaluated in stacks: one svd and one eigvalsh call per
-stack of Jacobians. A sampled chunk takes one reduced qr and one
-eigvalsh, in the range coordinates of J's one factorization. The trace
-sampler returns one array of each accepted draw's trace, read in closed
-form from one solve per chunk in J's eigenbasis; a bracket on the
-smallest eigenvalue of U'J_rU decides the draws, and the qr and
-eigvalsh route decides the few that the bracket leaves open.
+stack of Jacobians. Both samplers read a chunk of draws in J's chart,
+one solve in J's eigenbasis, and judge each draw by the one rule.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ REJECTION_BUDGET_FACTOR = 100
 CONSTRAINT_CHUNK = 32
 
 # The trace sampler's bracket on 1/mu_min decides a draw only when it clears the cutoff by this
-# factor; every draw nearer the cutoff goes to the spectral route.
+# factor; the rule reads mu itself for every draw nearer the cutoff.
 BRACKET_SAFETY = 2.0
 
 
@@ -93,11 +89,9 @@ class ConstraintStack(NamedTuple):
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
     basis is J as factored, with the rank rule of every flag. row_rank
-    (k,) comes from null_complements and utju_eigs holds the ascending
-    eigenvalues of each U'J_rU: from evaluate_constraints, one svd call
-    gives the row ranks and null bases U and one eigvalsh call the
-    spectra; a sampled stack reads its spectra in J's range coordinates
-    (see sample_constraint_stacks). The stack keeps no U or U'J_rU:
+    (k,) and utju_eigs, the ascending eigenvalues of each U'J_rU, come from
+    one svd and one eigvalsh in evaluate_constraints, or from J's chart in
+    a sampled stack (see _chart). The stack keeps no U or U'J_rU:
     null_complements and restricted_information give them. The last
     three fields are the requirement flags, each of shape (k,).
     """
@@ -196,7 +190,7 @@ def _sampled_chunks(j, count: int, rng_seed, judge) -> Iterator:
     """
     if count < 1:
         raise InvalidInput(f"count must be positive, got {count}")
-    basis = check_psd(j)  # the range coordinates take sqrt(lambda_r)
+    basis = check_psd(j)  # the chart takes Lambda^-1/2
     n, m = basis.dim, basis.dim - basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
@@ -219,24 +213,50 @@ def _sampled_chunks(j, count: int, rng_seed, judge) -> Iterator:
         yield item
 
 
-def _spectral_chunks(basis: RankedSvd):
-    """The chunk rule of sample_constraint_stacks: a chunk's evaluated stack, from F and the spectrum mu.
+def _chart(basis: RankedSvd):
+    """J's chart of a chunk of Gaussian (k, n, m) draws G: chart(draws) gives each draw's L, spectra(L) its mu.
 
-    One reduced qr per chunk gives the Jacobians F, whose orthonormal rows
-    have row rank m, as null_complements reads them. Their spectra mu are
-    those of U'J_rU, J_r = U_r diag(lambda_r) U_r' the J that the rank
-    rule reads, without forming a null basis U: as [F' U] is orthogonal,
-    U_r'UU'U_r = I - XX' with X = U_r'F', so one eigvalsh of
-    Lambda^1/2 (I - XX') Lambda^1/2 = Lambda - YY', Y = Lambda^1/2 X,
-    gives mu.
+    In J's eigenbasis A = U_r'G and B = U_bar'G. Where B is nonsingular, F
+    has row rank m and null(F) is spanned by W = U_r - U_bar L, L = B^-T A'
+    (one batched solve). As W'J_rW = Lambda, the bound U (U'J_rU)^-1 U' is
+    W Lambda^-1 W', and its nonzero eigenvalues 1/mu are those of the r x r
+    X = Lambda^-1 + M'M, M = L Lambda^-1/2. An exactly singular B, whose
+    null(F) meets null(J), makes solve refuse the chunk, which is solved
+    again draw by draw; that draw reads as an infinite L. A non-finite X
+    reads mu = 0. The rule rejects both.
     """
-    scaled_range, lam = np.sqrt(basis.sigma)[:, None] * basis.u_r.T, np.diag(basis.sigma)
+    n, r = basis.dim, basis.rank
+    eigenvectors_t = np.concatenate([basis.u_r, basis.u_bar], axis=1).T
+    root, diagonal = np.sqrt(1.0 / basis.sigma), np.diag(1.0 / basis.sigma)
+
+    def chart(draws):
+        ab = eigenvectors_t @ draws
+        try:
+            return np.linalg.solve(ab[:, r:].transpose(0, 2, 1), ab[:, :r].transpose(0, 2, 1))
+        except np.linalg.LinAlgError:  # some B is exactly singular: each draw alone, that one as an infinite L
+            return np.concatenate([chart(g[None]) for g in draws]) if len(draws) > 1 else np.full((1, n - r, r), np.inf)
+
+    def spectra(l_mat):
+        with np.errstate(all="ignore"):  # cli.main raises on overflow; an X that overflows is a rejection
+            m_mat = l_mat * root
+            x = diagonal + m_mat.transpose(0, 2, 1) @ m_mat
+            broken = ~np.isfinite(x).all(axis=(1, 2))
+            x[broken] = diagonal
+            mu = 1.0 / np.linalg.eigvalsh(x)[:, ::-1]
+        mu[broken] = 0.0
+        return mu
+
+    return chart, spectra
+
+
+def _stack_chunks(basis: RankedSvd):
+    """The chunk rule of sample_constraint_stacks: a chunk's evaluated stack, its mu read in J's chart.
+    F holds the orthonormal rows of one sign-fixed reduced qr, whose row rank m a nonsingular B implies."""
+    chart, spectra = _chart(basis)
 
     def judge(draws):
         f_t = _sign_fixed_columns(*np.linalg.qr(draws, mode="reduced"))
-        y = scaled_range @ f_t
-        evals = np.linalg.eigvalsh(lam - y @ y.transpose(0, 2, 1))
-        stack = _evaluated(basis, f_t.transpose(0, 2, 1), np.full(len(draws), f_t.shape[2]), evals)
+        stack = _evaluated(basis, f_t.transpose(0, 2, 1), np.full(len(draws), f_t.shape[2]), spectra(chart(draws)))
         return stack.is_minimum, stack
 
     return judge
@@ -247,57 +267,36 @@ def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[Constrain
 
     Each Jacobian is the transpose of an orthonormalized Gaussian
     (n, n - rank J) matrix, redrawn until it passes the minimum-constraint
-    check (see _spectral_chunks). Yields each chunk's stack; its
+    check (see _stack_chunks). Yields each chunk's stack; its
     is_minimum marks the accepted draws. See _sampled_chunks for the
     draws, the budget and the errors.
     """
-    yield from _sampled_chunks(j, count, rng_seed, _spectral_chunks)
+    yield from _sampled_chunks(j, count, rng_seed, _stack_chunks)
 
 
 def _trace_chunks(basis: RankedSvd):
-    """The chunk rule of sample_constraint_traces: a chunk's accepted traces, in closed form.
+    """The chunk rule of sample_constraint_traces: a chunk's accepted traces tr X = sum 1/lambda_i + ||M||_F^2.
 
-    In J's eigenbasis a draw G has A = U_r'G and B = U_bar'G, and the
-    null space of F is spanned by W = U_r - U_bar L, L = B^-T A'. As
-    W'J_rW = Lambda, the bound is W Lambda^-1 W' and its trace is
-    sum 1/lambda_i + ||M||_F^2, M = L Lambda^-1/2: one solve per chunk.
-    1/mu_min = lambda_max(Lambda^-1 + M'M) lies between
-    max_i (1/lambda_i + ||M e_i||^2) and 1/lambda_r + ||M||_F^2, and this
-    bracket decides a draw when it clears the cutoff c = basis.cutoff(r)
-    by BRACKET_SAFETY. _spectral_chunks decides every other draw: those
-    the bracket leaves open, those whose M is not finite and a chunk
-    whose solve fails. So the accepted draws are those of
-    sample_constraint_stacks; a trace comes from the spectrum only where
-    M is not finite.
+    1/mu_min = lambda_max(X) lies between max_i (1/lambda_i + ||M e_i||^2)
+    and 1/lambda_r + ||M||_F^2 (see _chart). This bracket decides a draw
+    when it clears the cutoff c = basis.cutoff(r) by BRACKET_SAFETY, and
+    the rule reads the mu of the rest, so both samplers accept the same
+    draws. An M that overflows reads as an infinite trace, a rejection.
     """
-    n, r = basis.dim, basis.rank
-    eigenvectors_t = np.concatenate([basis.u_r, basis.u_bar], axis=1).T
-    inv_lam, cutoff = 1.0 / basis.sigma, basis.cutoff(r)
+    chart, spectra = _chart(basis)
+    inv_lam, cutoff = 1.0 / basis.sigma, basis.cutoff(basis.rank)
     inv_lam_sum, inv_lam_max, safe_cutoff = inv_lam.sum(), inv_lam.max(initial=0.0), BRACKET_SAFETY * cutoff
-    spectral = _spectral_chunks(basis)
 
     def judge(draws):
-        ab = eigenvectors_t @ draws
-        with np.errstate(all="ignore"):  # an overflowing or failed solve leaves M non-finite, for the fallback
-            try:
-                l_mat = np.linalg.solve(ab[:, r:].transpose(0, 2, 1), ab[:, :r].transpose(0, 2, 1))
-            except np.linalg.LinAlgError:
-                l_mat = np.full((len(draws), n - r, r), np.nan)
+        l_mat = chart(draws)
+        with np.errstate(all="ignore"):
             columns = np.sum(np.square(l_mat), axis=1) * inv_lam  # ||M e_i||^2
             frobenius = columns.sum(axis=1)
-            lower = np.max(inv_lam + columns, axis=1, initial=0.0)
-            upper = inv_lam_max + frobenius
-            accept = safe_cutoff * upper < 1.0
-            reject = lower * cutoff > BRACKET_SAFETY
-            traces = inv_lam_sum + frobenius
-        undecided = np.flatnonzero(~(np.isfinite(traces) & (accept | reject)))
-        if undecided.size:
-            is_minimum, stack = spectral(draws[undecided])
-            accept[undecided] = is_minimum
-            spectral_traces = np.sum(1.0 / stack.utju_eigs[is_minimum], axis=1)
-            kept = undecided[is_minimum]
-            traces[kept] = np.where(np.isfinite(traces[kept]), traces[kept], spectral_traces)
-        return accept, traces[accept]
+            accept = safe_cutoff * (inv_lam_max + frobenius) < 1.0
+            undecided = ~(accept | (np.max(inv_lam + columns, axis=1, initial=0.0) * cutoff > BRACKET_SAFETY))
+        if undecided.any():
+            accept[undecided] = restricted_nonsingular(basis, spectra(l_mat[undecided]))
+        return accept, inv_lam_sum + frobenius[accept]
 
     return judge
 
@@ -306,8 +305,8 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
     """The (count,) traces of the accepted draws of sample_constraint_stacks(j, count, rng_seed), in draw order.
 
     The same draws, budget and errors; each trace is read in closed form
-    (see _trace_chunks). No qr, eigvalsh or F is made but for the draws
-    that the bracket leaves open.
+    (see _trace_chunks), with no qr or F, and no eigvalsh but for the
+    draws that the bracket leaves open.
     """
     return np.concatenate(list(_sampled_chunks(j, count, rng_seed, _trace_chunks)))
 

@@ -317,9 +317,10 @@ def verify_min_rank(
     Gaussian (n, n - rank) slot per trial, its columns past m zeroed. One
     complete qr of the slots and of U_bar gives each F (Q's leading m
     columns) and its null basis U (the rest; a zero column adds no
-    reflector). Margins, 1 - mu_min / c for a deficient trial and
-    mu_min / c - 1 for the achievable one, are in units of the cutoff
-    c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
+    reflector); one restricted_information call reads every U'J_rU, with
+    Q's leading m columns zeroed. Margins, 1 - mu_min / c for a deficient
+    trial and mu_min / c - 1 for the achievable one, are in units of the
+    cutoff c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
     witnesses hold the F evaluated. Refuses a nonsingular or a zero J.
     """
     if trials < 1:
@@ -337,11 +338,10 @@ def verify_min_rank(
         raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
     q = np.linalg.qr(slots, mode="complete")[0]
 
-    # one U'J_rU per row count; the achievable constraint's n - rank rows are a count of their own
-    scaled = np.empty(len(rows))  # mu_min / c
-    for m in dict.fromkeys(rows):
-        members = [i for i, rows_i in enumerate(rows) if rows_i == m]
-        scaled[members] = restricted_information(basis, q[members, :, m:])[1][:, 0] / basis.cutoff(n - m)
+    # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
+    padded = np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0)
+    mu_min = restricted_information(basis, padded)[1][np.arange(len(rows)), rows]
+    scaled = mu_min / np.array([basis.cutoff(n - m) for m in rows])  # mu_min / c
     # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
     margins = (1.0 - scaled[:-1]).tolist() + [float(scaled[-1]) - 1.0]
     labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from crbkit import (
     save_constraint_spec,
 )
 from crbkit.matlin import _sign_fixed_columns, check_psd, seed_sequence
+import exact
 from util import make_psd, random_orthonormal
 
 EPS = np.finfo(float).eps
@@ -381,7 +384,10 @@ def test_sampled_jacobians_are_the_complete_qr_leading_columns():
 
 def test_sampled_spectra_are_those_of_j_as_its_rank_rule_reads_it():
     # mu is the spectrum of U'J_rU, J_r = U_r diag(lambda_r) U_r', with U from the complete qr; at
-    # rank_tol 1e-3 part of J's spectrum falls below the cutoff, and J_r drops it
+    # rank_tol 1e-3 part of J's spectrum falls below the cutoff, and J_r drops it. 1/mu is compared
+    # in units of the largest 1/mu, which the trace and the rule read, within the reference's own
+    # forward error 10 r eps sigma_1 / mu_min; the chart's large mu of an ill-conditioned U'J_rU do
+    # not meet an absolute bound of r eps sigma_1
     rng = np.random.default_rng(12)
     for n in range(2, 9):
         for rank in range(1, n):
@@ -390,8 +396,9 @@ def test_sampled_spectra_are_those_of_j_as_its_rank_rule_reads_it():
                 chunk = next(sample_constraint_stacks(basis, 20, 100 * n + rank))
                 _, u = complete_qr_chunk(100 * n + rank, 20, n, n - basis.rank)
                 j_r = (basis.u_r * basis.sigma) @ basis.u_r.T
-                reference = np.linalg.eigvalsh(u.transpose(0, 2, 1) @ j_r @ u)
-                assert np.all(np.abs(chunk.utju_eigs - reference) <= 10 * basis.rank * EPS * basis.sigma[0])
+                mu = np.linalg.eigvalsh(u.transpose(0, 2, 1) @ j_r @ u)
+                slack = 10 * basis.rank * EPS * basis.sigma[0] / mu[:, :1] ** 2
+                assert np.all(np.abs(1.0 / chunk.utju_eigs - 1.0 / mu) <= slack)
 
 
 def test_every_sampled_trace_is_at_least_the_pseudoinverse_trace():
@@ -453,13 +460,14 @@ def test_sampled_and_evaluated_stacks_read_one_j_under_one_rule():
         assert accepted.sum() == 300 and (tol == 1e-10 or accepted.mean() < 0.5)
 
 
-def traced_sample(monkeypatch, basis, count, seed):
-    """sample_constraint_traces(basis, count, seed) with its chunks' accept masks and its fallback's draw count.
+def recorded_trace_sample(monkeypatch, basis, count, seed):
+    """sample_constraint_traces(basis, count, seed) with its chunks' accept masks and the number of draws
+    whose mu it read, those that the bracket left open.
 
-    Returns (the traces array or the SamplingExhausted message, masks, fallback draws).
+    Returns (the traces array or the SamplingExhausted message, masks, open draws).
     """
-    masks, fallback = [], [0]
-    trace_chunks, spectral_chunks = constraint_module._trace_chunks, constraint_module._spectral_chunks
+    masks, opened = [], [0]
+    trace_chunks, rule = constraint_module._trace_chunks, constraint_module.restricted_nonsingular
 
     def recorded(basis):
         judge = trace_chunks(basis)
@@ -471,57 +479,50 @@ def traced_sample(monkeypatch, basis, count, seed):
 
         return record
 
-    def counted(basis):
-        judge = spectral_chunks(basis)
-
-        def count(draws):
-            fallback[0] += len(draws)
-            return judge(draws)
-
-        return count
+    def counted(basis, mu):
+        opened[0] += len(mu)
+        return rule(basis, mu)
 
     with monkeypatch.context() as patch:
         patch.setattr(constraint_module, "_trace_chunks", recorded)
-        patch.setattr(constraint_module, "_spectral_chunks", counted)
+        patch.setattr(constraint_module, "restricted_nonsingular", counted)
         try:
             result = sample_constraint_traces(basis, count, seed)
         except SamplingExhausted as exc:
             result = str(exc)
-    return result, masks, fallback[0]
+    return result, masks, opened[0]
 
 
-def assert_traces_match_the_spectral_route(monkeypatch, basis, count, seed):
-    """The trace sampler accepts the draws of sample_constraint_stacks, with traces within the spectral
-    route's forward error 10 n eps sigma_1 / mu_min of bound_traces; returns its fallback's draw count.
-
-    The gap reached 16 eps sigma_1 / mu_min (n = 8, rank 1); against a 50-digit reference the closed
-    form erred by at most 3e-12 where the spectral route erred by up to 7e-8 (32 x 32, rank 16).
+def assert_the_samplers_agree(monkeypatch, basis, count, seed):
+    """Both samplers accept the same draws, chunk for chunk, and each trace is bound_traces of its draw,
+    sum 1/mu, within 10 r eps; each chunk's flags are those that evaluate_constraints, the svd route,
+    gives its orthonormal F. Returns the number of draws whose mu the trace sampler read.
     """
-    masks, reference, slack = [], [], []
+    masks, reference = [], []
     try:
         for chunk in sample_constraint_stacks(basis, count, seed):
-            ok = chunk.is_minimum
-            masks.append(ok)
-            reference += list(np.array(bound_traces(chunk))[ok])
-            mu_min = chunk.utju_eigs[ok, 0] if basis.rank else np.ones(ok.sum())
-            slack += list(10 * basis.dim * EPS * basis.sigma[:1].sum() / mu_min)
+            evaluated = evaluate_constraints(basis, chunk.f_jacs)
+            for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
+                assert np.array_equal(getattr(chunk, flag), getattr(evaluated, flag)), flag
+            masks.append(chunk.is_minimum)
+            reference += list(np.array(bound_traces(chunk))[chunk.is_minimum])
         expected = np.array(reference)
     except SamplingExhausted as exc:
         expected = str(exc)
-    traces, trace_masks, fallback = traced_sample(monkeypatch, basis, count, seed)
+    traces, trace_masks, opened = recorded_trace_sample(monkeypatch, basis, count, seed)
     if isinstance(expected, str):  # the exhausting chunk is judged, and the stacks route yields none of it
         assert traces == expected and len(trace_masks) == len(masks) + 1
     else:
         assert len(traces) == count and len(trace_masks) == len(masks)
-        assert np.all(np.abs(np.array(traces) - expected) <= np.array(slack) * expected)
+        assert np.all(np.abs(traces - expected) <= 10 * basis.rank * EPS * expected)
     assert all(np.array_equal(a, b) for a, b in zip(trace_masks, masks))
-    return fallback
+    return opened
 
 
 def test_the_trace_sampler_returns_the_accepted_traces_as_one_float64_array(monkeypatch):
     # counts inside one chunk, at its boundary and past it, and the blind channel at rank_tol 0.02,
-    # whose rejections leave chunks with fewer traces than draws; each array holds bound_traces of
-    # the accepted draws of sample_constraint_stacks, within the spectral route's forward error
+    # whose rejections leave chunks with fewer traces than draws; each array holds the traces of
+    # the accepted draws of sample_constraint_stacks
     model = BlindChannelModel(3, 3, 1.0)
     blind = fim_gaussian_mean(model, np.random.default_rng(32).uniform(0.5, 1.5, model.param_dim)).matrix
     loose = ranked_svd(blind, 0.02)
@@ -530,13 +531,13 @@ def test_the_trace_sampler_returns_the_accepted_traces_as_one_float64_array(monk
     for basis, count in [(half, 1), (half, 32), (half, 33), (half, 64), (loose, 40)]:
         traces = sample_constraint_traces(basis, count, 9)
         assert type(traces) is np.ndarray and traces.dtype == np.float64 and traces.shape == (count,)
-        assert_traces_match_the_spectral_route(monkeypatch, basis, count, 9)
+        assert_the_samplers_agree(monkeypatch, basis, count, 9)
 
 
 def test_the_trace_sampler_accepts_the_spectral_draws_with_their_traces(monkeypatch):
-    # the closed form decides a draw when its bracket on 1/mu_min clears the cutoff by a factor of
-    # two and leaves the rest to the spectral route, so both accept the same draws; the spectral
-    # route's own forward error bounds the gap between their traces
+    # both samplers read each draw in J's chart and judge it by one rule, the trace sampler through
+    # a bracket on 1/mu_min that decides a draw when it clears the cutoff by a factor of two, and
+    # through mu itself for the rest; the flags are those of the svd route, over cutoffs and scales
     rng = np.random.default_rng(31)
     tols = (1e-10, 0.02, 0.05, 0.1)
     for n in range(2, 9):
@@ -544,17 +545,76 @@ def test_the_trace_sampler_accepts_the_spectral_draws_with_their_traces(monkeypa
             j = spread_psd(rng, n, int(rng.integers(1, n)), 10.0 ** rng.uniform(-8, 8))
             for tol in tols:
                 if n * tol < 1 and (basis := ranked_svd(j, tol)).rank < n:
-                    assert_traces_match_the_spectral_route(monkeypatch, basis, 40, 10 * n + trial)
+                    assert_the_samplers_agree(monkeypatch, basis, 40, 10 * n + trial)
     wide = make_psd(np.random.default_rng([7, 1]), 32, 16)
-    assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(wide), 100, 5)
+    assert_the_samplers_agree(monkeypatch, ranked_svd(wide), 100, 5)
     # at 0.02 the wide J keeps rank 8 and the bracket rejects all but 2 of the 2,000 draws that
-    # exhaust the budget, with the message of the spectral route
-    assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
-    traces, _, _ = traced_sample(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
+    # exhaust the budget
+    assert_the_samplers_agree(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
+    traces, _, _ = recorded_trace_sample(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
     assert traces == "2000 consecutive rejections while sampling minimum constraints"
     model = BlindChannelModel(3, 3, 1.0)
     blind = fim_gaussian_mean(model, np.random.default_rng(32).uniform(0.5, 1.5, model.param_dim)).matrix
-    fallbacks = {tol: assert_traces_match_the_spectral_route(monkeypatch, ranked_svd(blind, tol), 200, 6)
-                 for tol in tols}
-    # at 0.02 the bracket leaves about 40% of the blind channel's draws to the spectral route
-    assert fallbacks[0.02] > 0
+    opened = {tol: assert_the_samplers_agree(monkeypatch, ranked_svd(blind, tol), 200, 6) for tol in tols}
+    # at 0.02 the bracket leaves about 40% of the blind channel's draws to the rule on mu
+    assert opened[0.02] > 0
+
+
+def scripted_stream(monkeypatch, draws):
+    """Make the samplers draw the given (k, n, m) chunk, once, in place of their Gaussian stream."""
+    chunks = [np.array(draws, dtype=float)]
+
+    class Scripted:
+        def standard_normal(self, shape):
+            assert chunks and shape == chunks[0].shape, shape
+            return chunks.pop()
+
+    monkeypatch.setattr(constraint_module, "random_stream", lambda seed: Scripted())
+
+
+def test_sampled_spectra_and_traces_against_exact_rationals(monkeypatch):
+    # J = diag(1, 1/4, 2^-12, 0, 0) has unit eigenvectors and a rational Lambda^-1/2, so for each draw
+    # X = Lambda^-1 + M'M is rational, and its power sums tr X = sum 1/mu and tr X^2 = sum 1/mu^2 are
+    # exact; the first draw's B = [[1, 1], [1, 1 + 2^-8]] leaves U'J_rU a condition number of about
+    # 1e8. Both samplers read them within 10 r eps; the qr and eigvalsh of Lambda - YY' that the
+    # sampler once took erred by 2.5e-10 (1.1e6 eps) on that draw and 77 eps on the third
+    basis = ranked_svd(np.diag([1.0, 0.25, 2.0 ** -12, 0.0, 0.0]))
+    assert set(np.abs(np.concatenate([basis.u_r, basis.u_bar], axis=1)).ravel()) == {0.0, 1.0}
+    a_blocks = [[[1, -1], [0.5, 2], [0.25, 1]], [[3, 1], [-2, 0.5], [1, -1]],
+                [[0.5, 0.5], [1, -1], [0.125, 2]]]
+    b_blocks = [[[1, 1], [1, 1 + 2.0 ** -8]], [[2, -1], [1, 3]], [[1, 2], [3, 4]]]
+    draws = [basis.u_r @ np.array(a) + basis.u_bar @ np.array(b) for a, b in zip(a_blocks, b_blocks)]
+    scripted_stream(monkeypatch, draws)
+    mu = sample_minimum_stack(basis, 3, 0).utju_eigs
+    scripted_stream(monkeypatch, draws)
+    traces = sample_constraint_traces(basis, 3, 0)
+    assert mu[0, 2] / mu[0, 0] > 1e8
+    root = [Fraction(1), Fraction(2), Fraction(64)]  # Lambda^-1/2
+    for i, (a, b) in enumerate(zip(a_blocks, b_blocks)):
+        l_mat = exact.solve(exact.transpose(exact.rational(b)), exact.transpose(exact.rational(a)))
+        m_mat = [[v * root[c] for c, v in enumerate(row)] for row in l_mat]
+        x = exact.matmul(exact.transpose(m_mat), m_mat)
+        for c, scale in enumerate(root):
+            x[c][c] += scale ** 2
+        tr_x, tr_x2 = exact.trace(x), exact.trace(exact.matmul(x, x))
+        for computed, power in ((np.sum(1.0 / mu[i]), tr_x), (np.sum(1.0 / mu[i] ** 2), tr_x2), (traces[i], tr_x)):
+            assert abs(Fraction(float(computed)) - power) <= 10 * 3 * EPS * power, i
+
+
+def test_a_draw_whose_b_is_singular_is_rejected_on_its_own():
+    # the middle draw's last row is zero, so its B = U_bar'G is exactly singular and its null(F) meets
+    # null(J): solve refuses the chunk, and both chunk rules judge it one draw at a time, rejecting
+    # that draw and judging the other two as they judge them alone
+    basis = ranked_svd(np.diag([2.0, 1.0, 0.0]))
+    draws = np.random.default_rng(14).standard_normal((3, 3, 1))
+    draws[1, 2] = 0.0
+    stacks, traces = constraint_module._stack_chunks(basis), constraint_module._trace_chunks(basis)
+    flags, stack = stacks(draws)
+    accepted, kept = traces(draws)
+    assert flags.tolist() == accepted.tolist() == [True, False, True]
+    assert stack.utju_eigs[1].tolist() == [0.0, 0.0]
+    for i in (0, 2):
+        alone, alone_stack = stacks(draws[i : i + 1])
+        assert alone.tolist() == [True] and np.array_equal(alone_stack.utju_eigs[0], stack.utju_eigs[i])
+        assert np.array_equal(alone_stack.f_jacs[0], stack.f_jacs[i])
+        assert traces(draws[i : i + 1])[1].tolist() == [kept[i // 2]]

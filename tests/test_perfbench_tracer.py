@@ -13,7 +13,6 @@ from pathlib import Path
 
 import crbkit.cli
 from crbkit import fim_monte_carlo, pinv_via_basis, ranked_svd, sample_minimum_constraints
-from util import suite_streams
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -70,9 +69,9 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert experiment.problems == [] and analyze.problems == [] and certify.problems == []
     assert experiment.calls["matlin.ranked_svd"] == 1
     # one eigh gives J's rank, PSD check and J+, and one solve per chunk of 32 constraints gives
-    # their traces in closed form; on this J the bracket decides every draw, so the spectral
-    # route's qr and eigvalsh never run (3 qr, 3 eigvalsh and 0 solve when each chunk was
-    # factored to read its traces from the spectrum of U'JU)
+    # their traces in closed form; on this J the bracket decides every draw, so no eigvalsh of
+    # X runs, and no qr is made (3 qr, 3 eigvalsh and 0 solve when each chunk was factored to
+    # read its traces from the spectrum of U'JU)
     assert experiment.calls["linalg.eigh"] == 1
     assert experiment.calls["linalg.svd"] == 0
     assert experiment.calls["linalg.inv"] == 0
@@ -90,7 +89,7 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
     # the sampled stack goes straight to the trace and dominance certificates, which read
     # the spectra of U'JU and J; min_rank takes its trials' rows and null bases from one
-    # complete qr per J and one eigvalsh per row count; the one svd per J is the equivalence
+    # complete qr per J and one eigvalsh for all trials; the one svd per J is the equivalence
     # check's; and J's eigh gives J+ and the Poincare spectrum: 3 svd, 15 qr and 4 inv (12 svd
     # and 12 qr with an svd per row count of the min_rank trials; 16, 23 and 8 svd, eigvalsh and
     # inv with an svd, an eigvalsh and an inv of U_r'JU_r per J; 19, 34 and 15 forming each
@@ -98,15 +97,9 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert certify.calls["linalg.svd"] <= 3
     assert certify.calls["linalg.qr"] <= 15
     assert certify.calls["linalg.inv"] <= 4
-    # eigvalsh: one per J for its sampler chunk, its Poincare frame and its equivalence mixes, two
-    # for the counterexample, and one per distinct min_rank row count, the achievable n - rank
-    # included; these draws give 3, 3 and 4 counts, 21 in all (3, 3 and 3, 20 in all, when each
-    # trial drew its row count and then its rows)
-    row_counts = 0
-    for j, rank, rng in suite_streams(5, 3):
-        n = j.dim
-        rng.standard_normal((n, rank))  # the Poincare frame
-        rng.standard_normal((3, n - rank, n - rank))  # the equivalence mixes
-        row_counts += len({*rng.integers(0, n - rank, size=5).tolist(), n - rank})
-    assert row_counts == 10
-    assert certify.calls["linalg.eigvalsh"] == 3 * 3 + 2 + row_counts
+    # eigvalsh: one per J for its sampler chunk, its Poincare frame, its equivalence mixes and its
+    # min_rank trials, and two for the counterexample (21 in all when min_rank took one per
+    # distinct row count, and 20 when each trial drew its row count and then its rows); the
+    # sampler reads each chunk in J's chart with one solve
+    assert certify.calls["linalg.eigvalsh"] == 3 * 4 + 2
+    assert certify.calls["linalg.solve"] == 3

@@ -511,9 +511,9 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
     """The sampled stack gives trace and dominance margins within a forward-error bound of the
     per-constraint constrained_crb traces and of the dominance margins of its svd null bases.
 
-    The stack reads mu in J's range coordinates and the svd route forms U'JU from a null basis;
-    each moves U'JU by about eps ||J||_2, so each 1/mu, and each trace, by c r eps (sigma_1 / mu_min)
-    of itself.
+    The stack reads mu in J's chart, to about eps of the largest 1/mu; the svd route forms U'JU from
+    a null basis, which moves it by about eps ||J||_2, so each 1/mu, and each trace, by
+    c r eps (sigma_1 / mu_min) of itself.
     """
     relative = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0]
     slack = relative * np.array(bound_traces(stack))
@@ -737,7 +737,8 @@ def test_min_rank_completes_at_a_loose_cutoff():
 def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
     # every trial's mu_min pinned one step above, then one step below, the cutoff c = basis.cutoff(p)
     # of its p x p U'J_rU: at margin_tol 0 exactly the trials whose claim restricted_nonsingular
-    # contradicts fail, by one rounding of mu_min / c
+    # contradicts fail, by one rounding of mu_min / c; each null basis comes padded to n columns by
+    # its m zeroed ones, so its own spectrum starts at index m
     basis = ranked_svd(np.diag([2.0, 1.0, 0.0, 0.0]))
     real = verify_module.restricted_information
     for step, nonsingular, failing in ((np.inf, True, "deficient-"), (-np.inf, False, "achievable-")):
@@ -745,9 +746,10 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
         def pinned(basis, u):
             restricted, mu = real(basis, u)
             mu = mu.copy()
-            mu[:, 0] = np.nextafter(basis.cutoff(mu.shape[1]), step)
-            mu = np.maximum(mu, mu[:, :1])  # still ascending: mu_min alone decides
-            assert restricted_nonsingular(basis, mu).tolist() == [nonsingular] * len(mu)
+            for i, m in enumerate(np.sum(~u.any(axis=1), axis=1)):
+                mu[i, m] = np.nextafter(basis.cutoff(mu.shape[1] - m), step)
+                mu[i, m:] = np.maximum(mu[i, m:], mu[i, m])  # still ascending: mu_min alone decides
+                assert restricted_nonsingular(basis, mu[i, m:]) == nonsingular
             return restricted, mu
 
         monkeypatch.setattr(verify_module, "restricted_information", pinned)
