@@ -458,7 +458,7 @@ def cmd_certify(config: RunConfig) -> int:
             except (CrbKitError, np.linalg.LinAlgError) as exc:
                 raise CliError(EXIT_NUMERICAL, f"certify matrix {index}, {theorem_id}: {exc}") from exc
 
-    certificates = [merge_certificates(parts, config.margin_tol) for parts in per_theorem.values()]
+    certificates = [merge_certificates(parts) for parts in per_theorem.values()]
     certificates.append(counterexample_check(config.margin_tol))
 
     (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")

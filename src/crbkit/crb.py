@@ -61,11 +61,11 @@ def unconstrained_crb(j) -> CrbReport:
     )
 
 
-def bound_traces(stack: ConstraintStack) -> list[float]:
+def bound_traces(stack: ConstraintStack) -> np.ndarray:
     """Trace of each constrained bound of an evaluated stack, the sum of 1/mu; +inf where none exists.
     mu is the spectrum of U'JU; as U has orthonormal columns, U (U'JU)^-1 U' has the eigenvalues 1/mu and m zeros."""
     traces = (1.0 / np.where(stack.utju_nonsingular[:, None], stack.utju_eigs, np.nan)).sum(axis=1)
-    return [float(trace) if ok else math.inf for trace, ok in zip(traces, stack.utju_nonsingular)]
+    return np.where(stack.utju_nonsingular, traces, np.inf)
 
 
 def constrained_crb(j, constraint) -> CrbReport:

@@ -1,9 +1,10 @@
 """Certified numerical checks of the bound inequalities.
 
-Each verifier returns a TheoremCertificate whose worst_margin is the
-most-violated signed slack across the cases it examined: the certificate
-passes exactly when worst_margin >= -margin_tol, and failing cases are
-kept as replayable witnesses holding the input matrices.
+Each verifier returns a TheoremCertificate that keeps every case's signed
+slack, in case order, as margins. A case fails unless its margin >=
+-margin_tol and is then kept as a replayable witness holding the input
+matrices; a certificate passes when it has no witness. merge_certificates
+concatenates margins and witnesses and judges nothing again.
 
 Checks covered:
   trace_bound      tr(constrained CRB) >= tr(pinv J) for minimum constraints
@@ -37,6 +38,7 @@ from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
     _bounds,
+    _freeze,
     as_ranked_svd,
     null_complements,
     orthonormal_columns,
@@ -87,67 +89,62 @@ class FailingCase:
 
 @dataclass(frozen=True, eq=False)
 class TheoremCertificate:
-    """Aggregated outcome of one inequality over n_cases cases.
+    """Outcome of one inequality: every case's margin, in case order, and the failing cases.
 
-    passed iff worst_margin >= -margin_tol iff witnesses is empty. detail
-    is free text for a headline number, e.g. the counterexample's most
-    negative eigenvalue.
+    margins is a read-only float64 array; witnesses are the cases that
+    _certify judged failing, in case order. detail is free text for a
+    headline number, e.g. the counterexample's most negative eigenvalue.
     """
 
     theorem_id: str
-    passed: bool
-    n_cases: int
-    worst_margin: float
+    margins: np.ndarray
     witnesses: tuple[FailingCase, ...] = ()
     detail: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "margins", _freeze(self.margins))
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
+
+    @property
+    def n_cases(self) -> int:
+        return self.margins.size
+
+    @property
+    def worst_margin(self) -> float:
+        return float(self.margins.min())
 
 
 def _certify(
     theorem_id: str,
-    margins: list[float],
+    margins: np.ndarray,
     case: Callable[[int], tuple[str, dict[str, np.ndarray]]],
     margin_tol: float,
     detail: str = "",
 ) -> TheoremCertificate:
-    """case(i) gives the label and input matrices of case i; it is called for failing margins only."""
-    if not margins:
+    """The one pass rule: case i fails unless margins[i] >= -margin_tol; case(i) gives a failing case's inputs."""
+    if not margins.size:
         raise InvalidInput("certificate needs at least one case")
     witnesses = []
-    for i, margin in enumerate(margins):
-        if margin < -margin_tol:
+    for i, margin in enumerate(margins.tolist()):
+        if not margin >= -margin_tol:
             label, mats = case(i)
             witnesses.append(FailingCase(label=label, margin=margin, matrices=tuple(mats.items())))
-    worst = float(min(margins))
-    return TheoremCertificate(
-        theorem_id=theorem_id,
-        passed=worst >= -margin_tol,
-        n_cases=len(margins),
-        worst_margin=worst,
-        witnesses=tuple(witnesses),
-        detail=detail,
-    )
+    return TheoremCertificate(theorem_id, margins, tuple(witnesses), detail)
 
 
-def merge_certificates(
-    certs: list[TheoremCertificate], margin_tol: float = DEFAULT_MARGIN_TOL
-) -> TheoremCertificate:
-    """Fold same-theorem certificates into one, keeping all witnesses."""
+def merge_certificates(certs: list[TheoremCertificate]) -> TheoremCertificate:
+    """Fold same-theorem certificates into one by concatenating their margins and witnesses."""
     if not certs:
         raise InvalidInput("nothing to merge")
     theorem_id = certs[0].theorem_id
     if any(c.theorem_id != theorem_id for c in certs):
         raise InvalidInput("cannot merge certificates of different theorems")
-    worst = min(c.worst_margin for c in certs)
     witnesses = tuple(w for c in certs for w in c.witnesses)
     detail = next((c.detail for c in certs if c.detail), "")
-    return TheoremCertificate(
-        theorem_id=theorem_id,
-        passed=worst >= -margin_tol,
-        n_cases=sum(c.n_cases for c in certs),
-        worst_margin=worst,
-        witnesses=witnesses,
-        detail=detail,
-    )
+    return TheoremCertificate(theorem_id, np.concatenate([c.margins for c in certs]), witnesses, detail)
 
 
 def _check_orthonormal(v: np.ndarray, name: str) -> None:
@@ -188,8 +185,7 @@ def verify_trace_bound(
     if failed.size:
         idx = int(failed[0])
         raise NotMinimumConstraint(f"constraint {idx} (unlabeled) is not minimum: {stack.details(idx)}")
-    base_trace = basis.pinv.trace
-    margins = [trace - base_trace for trace in bound_traces(stack)]
+    margins = bound_traces(stack) - basis.pinv.trace
     return _certify(
         "trace_bound", margins,
         lambda i: (f"constraint-{i}", {"j": basis.matrix.entries, "f_jac": stack.f_jacs[i]}), margin_tol,
@@ -231,7 +227,7 @@ def verify_eigen_dominance(
     if not np.all(exists):
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
     # 1/mu descends as mu ascends, as 1/sigma does
-    margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel().tolist()
+    margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel()
     return _certify(
         "eigen_dominance", margins,
         lambda c: (f"eig-index-{c % rank}", {"j": basis.matrix.entries, name: cases[c // rank]}), margin_tol,
@@ -249,7 +245,7 @@ def verify_poincare(
     _check_orthonormal(v_arr, "v")
     lam_restricted = restricted_information(basis, v_arr[None])[1][0, ::-1]
     lam = np.sort(np.append(basis.eigenvalues[: basis.rank], np.zeros(basis.dim - basis.rank)))[::-1]
-    margins = (lam[: lam_restricted.size] - lam_restricted).tolist()
+    margins = lam[: lam_restricted.size] - lam_restricted
     return _certify(
         "poincare", margins, lambda i: (f"eig-index-{i}", {"j": basis.matrix.entries, "v": v_arr}), margin_tol
     )
@@ -294,7 +290,8 @@ def verify_constraint_equivalence(
     if not np.all(exists):
         raise SingularRestriction(f"U'JU of alternative {np.argmin(exists)} is singular")
     bounds = _bounds(u, restricted)
-    margins = [-float(np.linalg.norm(bound - basis.pinv.entries)) for bound in bounds]
+    # one norm per matrix: a norm over axes (1, 2) sums in another order
+    margins = -np.array([np.linalg.norm(diff) for diff in bounds - basis.pinv.entries])
     return _certify(
         "equivalence", margins,
         lambda i: (f"alternative-{i}", {"j": basis.matrix.entries, "f_jac": f_jacs[i]}), margin_tol,
@@ -329,13 +326,13 @@ def verify_min_rank(
     n, rank = basis.dim, basis.rank
     if rank == n:
         raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
+    if rank == 0:
+        raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
     rng = random_stream(rng_seed)
     # every trial's row count, then every trial's slot; the optimal affine constraint's comes last
     counts = rng.integers(0, n - rank, size=trials)
     draws = np.where(np.arange(n - rank) < counts[:, None, None], rng.standard_normal((trials, n, n - rank)), 0.0)
     slots, rows = np.concatenate([draws, basis.u_bar[None]]), counts.tolist() + [n - rank]
-    if rank == 0:
-        raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
     q = np.linalg.qr(slots, mode="complete")[0]
 
     # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
@@ -343,7 +340,7 @@ def verify_min_rank(
     mu_min = restricted_information(basis, padded)[1][np.arange(len(rows)), rows]
     scaled = mu_min / np.array([basis.cutoff(n - m) for m in rows])  # mu_min / c
     # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
-    margins = (1.0 - scaled[:-1]).tolist() + [float(scaled[-1]) - 1.0]
+    margins = np.append(1.0 - scaled[:-1], scaled[-1] - 1.0)
     labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
     return _certify(
         "min_rank", margins,
@@ -370,9 +367,9 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
 
     margin_indefinite = -COUNTEREXAMPLE_NEG_EIG - min_eig
     margin_trace = float(np.trace(diff))
-    margin_dominance = verify_eigen_dominance(basis, v, margin_tol).worst_margin
+    margin_dominance = verify_eigen_dominance(basis, v).worst_margin
 
-    margins = [margin_indefinite, margin_trace, margin_dominance]
+    margins = np.array([margin_indefinite, margin_trace, margin_dominance])
     labels = ("difference-indefinite", "trace-still-dominates", "eigenvalues-still-dominate")
     return _certify(
         "counterexample",

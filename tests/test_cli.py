@@ -551,6 +551,30 @@ def test_certify_suite_passes_and_prints_per_theorem(tmp_path, capsys):
         assert f"{name}: passed" in stdout
 
 
+def test_certify_passes_at_minus_its_worst_margin_and_fails_one_ulp_below(tmp_path):
+    # certify --count 3 --seed 0 has equivalence worst margin w = -2.86e-15; the pass rule keeps a margin
+    # equal to -margin_tol, so the run passes at margin_tol = -w and fails at the next double toward zero
+    argv = ["certify", "--count", "3", "--seed", "0"]
+
+    def passed_column(out):
+        return {row.split(",")[0]: row.split(",")[1] for row in (out / "certificates.csv").read_text().splitlines()[2:]}
+
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    rows = [row.split(",") for row in (tmp_path / "a" / "certificates.csv").read_text().splitlines()[2:]]
+    worst = float(dict((row[0], row[3]) for row in rows)["equivalence"])
+    assert -2.87e-15 < worst < -2.85e-15
+    out = tmp_path / "at"
+    assert main(argv + ["--margin-tol", repr(-worst), "--out", str(out)]) == 0
+    assert set(passed_column(out).values()) == {"true"} and not (out / "witnesses").exists()
+    out = tmp_path / "below"
+    assert main(argv + ["--margin-tol", repr(float(np.nextafter(-worst, 0.0))), "--out", str(out)]) == 4
+    column = passed_column(out)
+    assert column.pop("equivalence") == "false" and set(column.values()) == {"true"}
+    notes = sorted((out / "witnesses").glob("*.txt"))
+    assert notes and all(note.name.startswith("equivalence_") for note in notes)
+    assert all(f"margin: {format_float(worst)}\n" in note.read_text() for note in notes)
+
+
 def test_certify_rerun_is_byte_identical(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"

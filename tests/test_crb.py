@@ -223,7 +223,7 @@ def test_stacked_bounds_report_missing_bounds_and_dependent_rows():
     assert pinned.exists and np.allclose(pinned.bound.entries, np.diag([0.5, 0.0]))
     assert not useless.exists and useless.bound is None and useless.trace == math.inf
     stack = evaluate_constraints(j, f_jacs)
-    assert bound_traces(stack) == [pinned.trace, math.inf]
+    assert bound_traces(stack).tolist() == [pinned.trace, math.inf]
     assert stack.utju_nonsingular.tolist() == [True, False]
     stack = evaluate_constraints(np.eye(2), np.array([np.eye(2), [[1.0, 1.0], [2.0, 2.0]]]))
     assert stack.full_rank_jacobian.tolist() == [True, False]

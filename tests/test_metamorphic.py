@@ -135,12 +135,12 @@ def test_scaling_j_keeps_every_flag_and_the_min_rank_verdict(n, seed, tol):
     stacks = [rng.standard_normal((5, m, n)) for m in range(1, n)]
     reference = ranked_svd(j, tol)
     flags = minimum_flags(reference, stacks, seed)
-    margins = [w.margin for w in verify_min_rank(reference, 10, seed, -np.inf).witnesses]
+    margins = verify_min_rank(reference, 10, seed).margins
     for c in (1e-8, 1e-4, 1e4, 1e8):
         basis = ranked_svd(c * j, tol)
         assert basis.rank == reference.rank
         for scaled, original in zip(minimum_flags(basis, stacks, seed), flags, strict=True):
             assert all(np.array_equal(a, b) for a, b in zip(scaled, original))
-        scaled = [w.margin for w in verify_min_rank(basis, 10, seed, -np.inf).witnesses]
-        assert np.all(np.abs(np.subtract(scaled, margins)) <= TOL_FACTOR * n * EPS / tol)
+        scaled = verify_min_rank(basis, 10, seed).margins
+        assert np.all(np.abs(scaled - margins) <= TOL_FACTOR * n * EPS / tol)
         assert verify_min_rank(basis, 10, seed).passed == verify_min_rank(reference, 10, seed).passed

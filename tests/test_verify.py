@@ -153,28 +153,29 @@ def test_orthonormality_guard_edges():
         verify_eigen_dominance(DIAG, np.array([[np.nan], [0.0]]))
 
 
-def per_frame_dominance(basis, frames, margin_tol=1e-9):
-    """Plain-numpy reference: one frame at a time, as (margin, label, v) per witness.
+def per_frame_dominance(basis, frames):
+    """Plain-numpy reference: one frame at a time, as (margin, label, v) per case.
 
     The margins are 1/mu, for the ascending spectrum mu of V'J_rV =
     Y' diag(lambda_r) Y with Y = U_r'V, minus the descending 1/sigma of J.
-    Margins below -margin_tol are witnesses; margin_tol = -inf keeps every case.
     """
-    witnesses = []
+    cases = []
     for v in frames:
         y = basis.u_r.T @ v
         restricted = y.T @ (basis.eigenvalues[: basis.rank, None] * y)
         lam = 1.0 / np.linalg.eigvalsh(0.5 * (restricted + restricted.T))
         for i, margin in enumerate(lam - 1.0 / basis.sigma[::-1]):
-            if margin < -margin_tol:
-                witnesses.append((float(margin), f"eig-index-{i}", v))
-    return witnesses
+            cases.append((float(margin), f"eig-index-{i}", v))
+    return cases
 
 
 def assert_matches_per_frame(basis, frames, margin_tol=1e-9):
+    """Every margin equals the reference's, and the witnesses are its cases below -margin_tol."""
     cert = verify_eigen_dominance(basis, frames, margin_tol)
-    expected = per_frame_dominance(basis, frames, margin_tol)
+    expected = per_frame_dominance(basis, frames)
     assert cert.n_cases == len(frames) * basis.rank
+    assert cert.margins.tolist() == [m for m, _, _ in expected]
+    expected = [case for case in expected if case[0] < -margin_tol]
     assert [(w.margin, w.label) for w in cert.witnesses] == [(m, label) for m, label, _ in expected]
     for witness, (_, _, v) in zip(cert.witnesses, expected):
         mats = dict(witness.matrices)
@@ -183,7 +184,7 @@ def assert_matches_per_frame(basis, frames, margin_tol=1e-9):
 
 
 def test_stacked_eigen_dominance_equals_per_frame_reference():
-    # a margin_tol of -inf keeps every case as a witness, so every margin is compared
+    # every margin is compared; at margin_tol = -inf every case is a witness, so every witness's inputs are too
     rng = np.random.default_rng(41)
     for n in range(2, 9):
         for rank in range(1, n):
@@ -191,12 +192,13 @@ def test_stacked_eigen_dominance_equals_per_frame_reference():
             for k in (1, 5, 20):
                 specs = sample_minimum_constraints(basis, k, 100 * n + rank)
                 _, frames = null_complements(np.stack([spec.f_jac for spec in specs]))
-                cert = assert_matches_per_frame(basis, frames, -np.inf)
+                cert = assert_matches_per_frame(basis, frames)
                 assert cert.n_cases == k * rank
-                assert cert.worst_margin == min(w.margin for w in cert.witnesses)
+                assert cert.worst_margin == min(cert.margins.tolist())
+                assert_matches_per_frame(basis, frames, -np.inf)
                 if k == 1:  # a 2-d frame is the k = 1 stack
-                    flat = verify_eigen_dominance(basis, frames[0], -np.inf)
-                    assert [w.margin for w in flat.witnesses] == [w.margin for w in cert.witnesses]
+                    flat = verify_eigen_dominance(basis, frames[0])
+                    assert flat.margins.tolist() == cert.margins.tolist()
 
 
 def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
@@ -209,8 +211,7 @@ def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
             # a sampled stack has no frames: both routes read the svd null bases of its constraints
             stack = evaluate_constraints(basis, sample_minimum_stack(basis, 20, 100 * n + rank).f_jacs)
-            cert = verify_eigen_dominance(basis, stack, -np.inf)
-            margins = np.array([w.margin for w in cert.witnesses]).reshape(20, rank)
+            margins = verify_eigen_dominance(basis, stack).margins.reshape(20, rank)
             u = null_complements(stack.f_jacs)[1]
             bounds = _bounds(u, restricted_information(basis, u)[0])
             pinv = np.linalg.eigvalsh(basis.pinv.entries)[::-1]
@@ -237,11 +238,9 @@ def assert_clears_the_known_false_fail(basis, frames, cert):
     eig-index-3, a zero of its bound B, by roundoff inside Weyl's bound n eps ||B||_2; returns
     that old margin."""
     assert cert.passed and cert.n_cases == len(frames) * basis.rank == 40
-    everything = verify_eigen_dominance(basis, frames, -np.inf)
-    assert everything.worst_margin == cert.worst_margin
-    relative = [
-        w.margin / basis.pinv_eigenvalues[int(w.label.rsplit("-", 1)[1])] for w in everything.witnesses
-    ]
+    assert cert.worst_margin == min(cert.margins.tolist())
+    # case c sets 1/mu against the 1/sigma at eig-index c % rank
+    relative = cert.margins / np.tile(basis.pinv_eigenvalues[: basis.rank], len(frames))
     assert 0.0797 < min(relative) < 0.0798
     v = frames[11]
     lam = np.linalg.eigvalsh(_bounds(v[None], (v.T @ basis.matrix.entries @ v)[None])[0])
@@ -339,19 +338,18 @@ def test_equivalence_names_the_first_alternative_that_does_not_annihilate():
 
 
 def test_equivalence_margins_equal_one_constrained_bound_at_a_time():
-    # at margin_tol = -inf every case is a witness, so the certificate keeps every margin
     rng = np.random.default_rng(27)
     for n in range(2, 9):
         for rank in range(n + 1):
             basis = ranked_svd(make_psd(rng, n, rank))
             m = n - rank
             alts = [rng.standard_normal((m, m)) @ basis.u_bar.T for _ in range(3)]
-            cert = verify_constraint_equivalence(basis, np.zeros(n), alts, -np.inf)
+            cert = verify_constraint_equivalence(basis, np.zeros(n), alts)
             expected = [
                 -float(np.linalg.norm(constrained_crb(basis, f_jac).bound.entries - basis.pinv.entries))
                 for f_jac in alts
             ]
-            assert [w.margin for w in cert.witnesses] == expected
+            assert cert.margins.tolist() == expected
 
 
 def test_equivalence_reads_orthonormal_rows_at_unit_singular_values(monkeypatch):
@@ -420,6 +418,15 @@ def test_merge_certificates_accumulates_cases():
     assert merged.n_cases == a.n_cases + b.n_cases
     assert merged.worst_margin == min(a.worst_margin, b.worst_margin)
     assert merged.passed
+    # merging concatenates margins and witnesses in order and judges nothing again
+    parts = [
+        verify_module._certify("poincare", np.array(margins), lambda i: (f"case-{i}", {}), 1e-9)
+        for margins in ([0.5, -1.0], [0.25], [-2.0, 3.0])
+    ]
+    merged = merge_certificates(parts)
+    assert merged.margins.tolist() == [0.5, -1.0, 0.25, -2.0, 3.0]
+    assert [w.margin for w in merged.witnesses] == [-1.0, -2.0]
+    assert (merged.passed, merged.n_cases, merged.worst_margin) == (False, 5, -2.0)
     with pytest.raises(InvalidInput):
         merge_certificates([])
     with pytest.raises(InvalidInput):
@@ -444,13 +451,8 @@ def test_certificates_csv_format():
 
 def test_witness_files_roundtrip(tmp_path):
     case = FailingCase(label="demo", margin=-0.5, matrices=(("j", np.eye(2)),))
-    cert = TheoremCertificate(
-        theorem_id="poincare",
-        passed=False,
-        n_cases=1,
-        worst_margin=-0.5,
-        witnesses=(case,),
-    )
+    cert = TheoremCertificate(theorem_id="poincare", margins=np.array([-0.5]), witnesses=(case,))
+    assert (cert.passed, cert.n_cases, cert.worst_margin) == (False, 1, -0.5)
     paths = write_certificate_witnesses(cert, tmp_path)
     assert len(paths) == 2
     notes = [p for p in paths if p.endswith(".txt")]
@@ -499,8 +501,8 @@ def test_trace_bound_rejects_a_spec_of_the_wrong_shape():
 
 
 def assert_same_certificate(a, b):
-    """Equal under ==: verdict, case count, worst margin and every witness with its arrays."""
-    assert (a.theorem_id, a.passed, a.n_cases, a.worst_margin) == (b.theorem_id, b.passed, b.n_cases, b.worst_margin)
+    """Equal under ==: verdict, every margin and every witness with its arrays."""
+    assert (a.theorem_id, a.passed, a.margins.tolist()) == (b.theorem_id, b.passed, b.margins.tolist())
     assert [(w.label, w.margin) for w in a.witnesses] == [(w.label, w.margin) for w in b.witnesses]
     for wa, wb in zip(a.witnesses, b.witnesses):
         assert [name for name, _ in wa.matrices] == [name for name, _ in wb.matrices]
@@ -520,30 +522,31 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
     margins = np.array([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs]) - basis.pinv.trace
     trace = verify_trace_bound(basis, stack, margin_tol)
     assert (trace.passed, trace.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
+    assert np.all(np.abs(trace.margins - margins) <= slack)
     assert abs(trace.worst_margin - margins.min()) <= slack.max()
     failing = np.flatnonzero(margins < -margin_tol)
     assert [w.label for w in trace.witnesses] == [f"constraint-{i}" for i in failing]
     for witness, i in zip(trace.witnesses, failing):
-        assert abs(witness.margin - margins[i]) <= slack[i]
+        assert witness.margin == trace.margins[i]
         assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
         assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[i])
     dominance = verify_eigen_dominance(basis, stack, margin_tol)
     frames = null_complements(stack.f_jacs)[1]
-    margins = np.array([w.margin for w in verify_eigen_dominance(basis, frames, -np.inf).witnesses])
+    margins = verify_eigen_dominance(basis, frames).margins
     assert (dominance.passed, dominance.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
-    everything = verify_eigen_dominance(basis, stack, -np.inf)
     case_slack = (relative[:, None] / stack.utju_eigs).ravel()
-    assert np.all(np.abs([w.margin for w in everything.witnesses] - margins) <= case_slack)
+    assert np.all(np.abs(dominance.margins - margins) <= case_slack)
     failing = np.flatnonzero(margins < -margin_tol)
     assert [w.label for w in dominance.witnesses] == [f"eig-index-{c % basis.rank}" for c in failing]
     for witness, c in zip(dominance.witnesses, failing):
+        assert witness.margin == dominance.margins[c]
         assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
         assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[c // basis.rank])
     return dominance
 
 
 def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
-    # a margin_tol of -inf keeps every case as a witness, so every margin and array is compared
+    # every margin is compared; a margin_tol of -inf keeps every case as a witness, so every array is too
     rng = np.random.default_rng(43)
     for n in range(2, 9):
         for rank in range(1, n):
@@ -665,7 +668,7 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     assert verify_constraint_equivalence(basis, np.zeros(3), [basis.u_bar.T]).n_cases == 1
     assert_min_rank_matches(j, 5, 7, 1e-6)
     # J_r = diag(1, 0, 0): the achievable U'J_rU is 1 x 1, mu = 1 against the cutoff 1 * 1 * 1e-6
-    assert verify_min_rank(basis, 5, 7, -np.inf).witnesses[-1].margin == 1.0 / 1e-6 - 1.0
+    assert verify_min_rank(basis, 5, 7).margins[-1] == 1.0 / 1e-6 - 1.0
 
 
 def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
@@ -702,20 +705,22 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
 
 def assert_min_rank_matches(j, trials, rng_seed, rank_tol_rel=1e-10):
     """Labels and row counts match exactly, F is the reference's orthonormal rows, and each
-    margin agrees within 10 n eps sigma_1 / c: the two null bases move mu_min by about eps sigma_1."""
+    margin agrees within 10 n eps sigma_1 / c: the two null bases move mu_min by about eps sigma_1.
+    At margin_tol = -inf every case is a witness, so every label and F is compared."""
     basis = ranked_svd(j, rank_tol_rel)
     cert = verify_min_rank(basis, trials, rng_seed, -np.inf)
     expected = per_trial_min_rank(j, trials, rng_seed, rank_tol_rel)
     assert cert.n_cases == trials + 1
     assert [w.label for w in cert.witnesses] == [label for _, label, _, _ in expected]
+    assert [w.margin for w in cert.witnesses] == cert.margins.tolist()
     gaps = []
-    for witness, (margin, _, f_jac, cutoff) in zip(cert.witnesses, expected):
+    for witness, got, (margin, _, f_jac, cutoff) in zip(cert.witnesses, cert.margins, expected):
         mats = dict(witness.matrices)
         assert np.array_equal(mats["j"], basis.matrix.entries)
         assert mats["f_jac"].shape == f_jac.shape and np.allclose(mats["f_jac"], f_jac, rtol=0.0, atol=1e-13)
-        gaps.append(abs(witness.margin - margin) / (10 * basis.dim * EPS * basis.sigma[0] / cutoff))
+        gaps.append(abs(got - margin) / (10 * basis.dim * EPS * basis.sigma[0] / cutoff))
     assert max(gaps) <= 1.0
-    assert cert.worst_margin == min(w.margin for w in cert.witnesses)
+    assert cert.worst_margin == min(cert.margins.tolist())
 
 
 def test_stacked_min_rank_equals_per_trial_reference():
@@ -742,6 +747,8 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
     basis = ranked_svd(np.diag([2.0, 1.0, 0.0, 0.0]))
     real = verify_module.restricted_information
     for step, nonsingular, failing in ((np.inf, True, "deficient-"), (-np.inf, False, "achievable-")):
+        # the six deficient trials come first, the achievable case last
+        claimed = np.arange(7) < 6 if failing == "deficient-" else np.arange(7) == 6
 
         def pinned(basis, u):
             restricted, mu = real(basis, u)
@@ -754,17 +761,35 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
 
         monkeypatch.setattr(verify_module, "restricted_information", pinned)
         cert = verify_min_rank(basis, 6, 3, 0.0)
-        everything = verify_min_rank(basis, 6, 3, -np.inf).witnesses
         assert cert.witnesses and all(w.label.startswith(failing) for w in cert.witnesses)
-        assert [w.label for w in cert.witnesses] == [w.label for w in everything if w.label.startswith(failing)]
-        assert all(-EPS <= w.margin < 0.0 for w in cert.witnesses)
-        assert all(0.0 <= w.margin <= EPS for w in everything if not w.label.startswith(failing))
+        assert [w.margin for w in cert.witnesses] == cert.margins[claimed].tolist()
+        assert all(-EPS <= margin < 0.0 for margin in cert.margins[claimed])
+        assert all(0.0 <= margin <= EPS for margin in cert.margins[~claimed])
 
 
 def test_min_rank_refuses_a_zero_j():
-    # the cutoff of a zero J is zero, so margins in its units do not exist
+    # the cutoff of a zero J is zero, so margins in its units do not exist; both refusals come before
+    # any draw, so a Generator handed to a refused call keeps its state
     with pytest.raises(InvalidInput, match="J is zero"):
         verify_min_rank(np.zeros((3, 3)), 5, 0)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for j, refusal in ((np.zeros((3, 3)), "J is zero"), (np.eye(3), "J is numerically nonsingular")):
+        with pytest.raises(InvalidInput, match=refusal):
+            verify_min_rank(j, 5, rng)
+        assert rng.bit_generator.state == state
+
+
+def test_the_pass_rule_keeps_a_margin_equal_to_minus_margin_tol():
+    # a case fails unless its margin >= -margin_tol: the boundary passes, the next double below fails
+    tol = 1e-9
+    below = float(np.nextafter(-tol, -np.inf))
+    margins = np.array([1.0, -tol, below, 0.0])
+    cert = verify_module._certify("poincare", margins, lambda i: (f"case-{i}", {"j": np.eye(2)}), tol)
+    assert [(w.label, w.margin) for w in cert.witnesses] == [("case-2", below)]
+    assert (cert.passed, cert.n_cases, cert.worst_margin) == (False, 4, below)
+    assert cert.margins.tolist() == margins.tolist() and not cert.margins.flags.writeable
+    assert verify_module._certify("poincare", np.array([-tol]), lambda i: ("unused", {}), tol).passed
 
 
 def test_ranked_svd_refuses_a_cutoff_that_calls_unit_rows_dependent():
