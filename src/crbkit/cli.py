@@ -420,7 +420,7 @@ def _certify_one_matrix(basis, rng: np.random.Generator, config: RunConfig, inde
     yield verify_poincare(basis, orthonormal_columns(rng.standard_normal((n, rank))), tol)
     # orthonormal (m, m) mixes keep the rows of U_bar' orthonormal, so no ill-conditioned mix fails the row-rank test
     mixes = orthonormal_columns(rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, n - rank, n - rank)))
-    yield verify_constraint_equivalence(basis, np.zeros(n), list(mixes @ basis.u_bar.T), tol)
+    yield verify_constraint_equivalence(basis, mixes @ basis.u_bar.T, tol)
     yield verify_min_rank(basis, CERTIFY_MIN_RANK_TRIALS, rng, tol)
 
 

@@ -6,9 +6,9 @@ rank, nonsingular restricted information U'J_rU, rank F + rank J = n),
 synthesizes the optimal affine constraint from the information null
 space, and samples random minimum constraints for experiments: bare
 stacks whose is_minimum marks the accepted draws, or labeled specs.
-Constraints are evaluated in stacks: one svd and one eigvalsh call per
-stack of Jacobians. Both samplers read a chunk of draws in J's chart,
-one solve in J's eigenbasis, and judge each draw by the one rule.
+One evaluator, _evaluate, makes one svd and one eigvalsh call per stack
+of Jacobians for evaluate_constraints, constrained_crb and the
+equivalence certificate. Both samplers read draws in J's chart instead.
 """
 
 from __future__ import annotations
@@ -90,10 +90,9 @@ class ConstraintStack(NamedTuple):
 
     basis is J as factored, with the rank rule of every flag. row_rank
     (k,) and utju_eigs, the ascending eigenvalues of each U'J_rU, come from
-    one svd and one eigvalsh in evaluate_constraints, or from J's chart in
-    a sampled stack (see _chart). The stack keeps no U or U'J_rU:
-    null_complements and restricted_information give them. The last
-    three fields are the requirement flags, each of shape (k,).
+    one svd and one eigvalsh in _evaluate, or from J's chart in a sampled
+    stack (see _chart). The stack keeps no U or U'J_rU; _evaluate gives
+    them. The last three fields are the requirement flags, each (k,).
     """
 
     basis: RankedSvd
@@ -120,15 +119,26 @@ class ConstraintStack(NamedTuple):
 
 def evaluate_constraints(j, f_jacs) -> ConstraintStack:
     """Evaluate the three minimum-constraint requirements for a (k, m, n) stack."""
+    return _evaluate(j, f_jacs)[0]
+
+
+def _evaluate(j, f_jacs) -> tuple[ConstraintStack, np.ndarray, np.ndarray]:
+    """The one evaluator of Jacobian stacks: the evaluated stack, each null basis U and each U'J_rU.
+    f_jacs is validated once; one null_complements (svd) call gives each row rank and U, and one
+    restricted_information (eigvalsh) call each U'J_rU and its spectrum, as _bounds takes them."""
     basis = as_ranked_svd(j)
     f_jacs = _jacobian_stack(basis, f_jacs)
     row_rank, u = null_complements(f_jacs, basis.rank_tol_rel)
-    return _evaluated(basis, f_jacs, row_rank, restricted_information(basis, u)[1])
+    restricted, mu = restricted_information(basis, u)
+    return _evaluated(basis, f_jacs, row_rank, mu), u, restricted
 
 
 def _jacobian_stack(basis: RankedSvd, f_jacs) -> np.ndarray:
     """f_jacs as a float (k, m, n) array of Jacobians for the n x n J of basis; InvalidInput otherwise."""
-    f_jacs = np.asarray(f_jacs, dtype=float)
+    try:
+        f_jacs = np.asarray(f_jacs, dtype=float)
+    except ValueError:  # a ragged list of Jacobians, or entries that are not numbers
+        raise InvalidInput(f"constraints are not finite (k, m, {basis.dim}) Jacobians of one shape") from None
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
     return f_jacs

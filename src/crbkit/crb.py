@@ -4,8 +4,8 @@ The unconstrained bound is the Moore-Penrose pseudoinverse of J, valid
 for unbiased estimators whose bias stays flat across the null space; a
 singular J is flagged because no finite-variance unbiased estimator
 exists in that case. With a constraint f(theta) = 0 whose Jacobian has
-null basis U, the bound becomes U (U'JU)^-1 U' and is finite exactly
-when the restricted information U'JU is nonsingular.
+null basis U, the bound becomes U (U'JU)^-1 U', finite exactly when the
+evaluated stack of the Jacobian (constraint._evaluate) calls U'JU nonsingular.
 """
 
 from __future__ import annotations
@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraint import ConstraintSpec, ConstraintStack, _jacobian_stack
+from .constraint import ConstraintSpec, ConstraintStack, _evaluate
 from .errors import RankDeficientConstraint
-from .matlin import (
-    SymMatrix,
-    _bounds,
-    _freeze,
-    as_ranked_svd,
-    null_complements,
-    restricted_information,
-    restricted_nonsingular,
-)
+from .matlin import SymMatrix, _bounds, _freeze, as_ranked_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,25 +63,25 @@ def bound_traces(stack: ConstraintStack) -> np.ndarray:
 def constrained_crb(j, constraint) -> CrbReport:
     """Bound under one constraint, a Jacobian or a ConstraintSpec.
 
-    Computes U (U'J_rU)^-1 U' over the constraint's null basis U when
-    restricted_nonsingular calls U'J_rU nonsingular, with its trace and
-    eigenvalues 1/mu read from the spectrum mu of U'J_rU; otherwise
-    reports a nonexistent (infinite) bound. Raises
-    RankDeficientConstraint when the Jacobian's rows are dependent.
+    Evaluates the stack [F] as evaluate_constraints does and forms
+    U (U'J_rU)^-1 U' from its U and U'J_rU where its flags call U'J_rU
+    nonsingular, with trace and eigenvalues 1/mu read from the spectrum mu
+    of U'J_rU; otherwise reports a nonexistent (infinite) bound. Raises
+    RankDeficientConstraint for dependent rows and InvalidInput for an F
+    that is not a finite (m, n) matrix.
     """
-    basis = as_ranked_svd(j)
-    f_jac = constraint.f_jac if isinstance(constraint, ConstraintSpec) else np.asarray(constraint, dtype=float)
-    row_rank, u = null_complements(_jacobian_stack(basis, f_jac[None]), basis.rank_tol_rel)
-    if row_rank[0] < f_jac.shape[0]:
-        raise RankDeficientConstraint(row_rank[0], f_jac.shape[0])
-    restricted, mu = restricted_information(basis, u)
-    if not restricted_nonsingular(basis, mu)[0]:
+    f_jac = constraint.f_jac if isinstance(constraint, ConstraintSpec) else constraint
+    stack, u, restricted = _evaluate(j, [f_jac])
+    m = stack.f_jacs.shape[1]
+    if not stack.full_rank_jacobian[0]:
+        raise RankDeficientConstraint(stack.row_rank[0], m)
+    if not stack.utju_nonsingular[0]:
         return CrbReport(bound=None, exists=False, trace=math.inf, eigenvalues=None)
     bound = _bounds(u, restricted)[0]
-    lam = 1.0 / mu[0]
+    lam = 1.0 / stack.utju_eigs[0]
     return CrbReport(
         bound=SymMatrix(bound),
         exists=True,
         trace=float(lam.sum()),
-        eigenvalues=_freeze(np.concatenate([lam, np.zeros(f_jac.shape[0])])),
+        eigenvalues=_freeze(np.concatenate([lam, np.zeros(m)])),
     )

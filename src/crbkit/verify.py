@@ -10,8 +10,8 @@ Checks covered:
   trace_bound      tr(constrained CRB) >= tr(pinv J) for minimum constraints
   eigen_dominance  sorted eigenvalues of V (V'JV)^-1 V' dominate those of pinv J
   poincare         sorted eigenvalues of V'J_rV are dominated by those of J_r
-  equivalence      every full-row-rank F annihilating the range basis
-                   reproduces the pseudoinverse bound
+  equivalence      every full-row-rank F annihilating the range basis,
+                   evaluated as constrained_crb evaluates it, reproduces pinv J
   min_rank         fewer than n - rank(J) constraints always leave U'J_rU
                    singular; n - rank(J) suffice via the optimal constraint
   counterexample   a fixed 4x4 case where the matrix-order comparison with
@@ -26,21 +26,15 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import ConstraintStack, _jacobian_stack
+from .constraint import ConstraintStack, _evaluate
 from .crb import bound_traces
-from .errors import (
-    InvalidInput,
-    NotMinimumConstraint,
-    RankDeficientConstraint,
-    SingularRestriction,
-)
+from .errors import InvalidInput, NotMinimumConstraint, RankDeficientConstraint, SingularRestriction
 from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
     _bounds,
     _freeze,
     as_ranked_svd,
-    null_complements,
     orthonormal_columns,
     random_stream,
     ranked_svd,
@@ -253,48 +247,40 @@ def verify_poincare(
 
 def verify_constraint_equivalence(
     j,
-    theta0,
-    alt_jacobians: list[np.ndarray],
+    alt_jacobians,
     margin_tol: float = DEFAULT_MARGIN_TOL,
 ) -> TheoremCertificate:
     """Check that every Jacobian annihilating the range basis gives pinv J.
 
-    Each alternative F must satisfy ||F U_r|| <= 1e-8 ||F|| and have full
-    row rank n - rank(J) as null_complements reads it. One
-    null_complements call gives every null basis U, and the bound
-    U (U'J_rU)^-1 U' is compared with the pseudoinverse in Frobenius norm;
-    the margin is minus that distance, and theta0 is only checked for
-    length. Raises SingularRestriction when restricted_nonsingular calls
-    some U'J_rU singular.
+    alt_jacobians, a list of (m, n) alternatives F, m = n - rank(J), or a
+    (k, m, n) array, is evaluated as one stack, as constrained_crb
+    evaluates [F]. Each F must satisfy ||F U_r|| <= 1e-8 ||F|| and have
+    full row rank; the margin is minus the Frobenius distance of its bound
+    U (U'J_rU)^-1 U' from pinv J. Raises SingularRestriction where the
+    stack calls some U'J_rU singular.
     """
     basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
-    size = np.asarray(theta0, dtype=float).size
-    if size != n:
-        raise InvalidInput(f"theta0 must have length {n}, got {size}")
-    if not alt_jacobians:
-        raise InvalidInput("certificate needs at least one case")
     f_jacs = [np.asarray(f_jac, dtype=float) for f_jac in alt_jacobians]
+    if not f_jacs:
+        raise InvalidInput("certificate needs at least one case")
     for idx, f_arr in enumerate(f_jacs):
         if f_arr.shape != (m, n):
             raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
-    f_stack = _jacobian_stack(basis, np.stack(f_jacs))
-    stray = np.linalg.norm(f_stack @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(f_stack, axis=(1, 2))
+    stack, u, restricted = _evaluate(basis, f_jacs)
+    stray = np.linalg.norm(stack.f_jacs @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(stack.f_jacs, axis=(1, 2))
     if stray.any():
         raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
-    row_rank, u = null_complements(f_stack, basis.rank_tol_rel)
-    if np.any(row_rank < m):
-        raise RankDeficientConstraint(min(row_rank), m)
-    restricted, mu = restricted_information(basis, u)
-    exists = restricted_nonsingular(basis, mu)
-    if not np.all(exists):
-        raise SingularRestriction(f"U'JU of alternative {np.argmin(exists)} is singular")
+    if not stack.full_rank_jacobian.all():
+        raise RankDeficientConstraint(min(stack.row_rank), m)
+    if not stack.utju_nonsingular.all():
+        raise SingularRestriction(f"U'JU of alternative {np.argmin(stack.utju_nonsingular)} is singular")
     bounds = _bounds(u, restricted)
     # one norm per matrix: a norm over axes (1, 2) sums in another order
     margins = -np.array([np.linalg.norm(diff) for diff in bounds - basis.pinv.entries])
     return _certify(
         "equivalence", margins,
-        lambda i: (f"alternative-{i}", {"j": basis.matrix.entries, "f_jac": f_jacs[i]}), margin_tol,
+        lambda i: (f"alternative-{i}", {"j": basis.matrix.entries, "f_jac": stack.f_jacs[i]}), margin_tol,
     )
 
 

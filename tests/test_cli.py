@@ -148,7 +148,7 @@ def certificates_from_streams(seed, matrices, constraints_count):
             verify_trace_bound(basis, stack),
             verify_eigen_dominance(basis, stack),
             verify_poincare(basis, frame),
-            verify_constraint_equivalence(basis, np.zeros(n), list(mixes @ basis.u_bar.T)),
+            verify_constraint_equivalence(basis, mixes @ basis.u_bar.T),
             verify_min_rank(basis, 5, rng),
         ])
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)] + [counterexample_check()]
@@ -573,6 +573,21 @@ def test_certify_passes_at_minus_its_worst_margin_and_fails_one_ulp_below(tmp_pa
     notes = sorted((out / "witnesses").glob("*.txt"))
     assert notes and all(note.name.startswith("equivalence_") for note in notes)
     assert all(f"margin: {format_float(worst)}\n" in note.read_text() for note in notes)
+
+
+def test_equivalence_witnesses_replay_their_margins(tmp_path):
+    # at margin_tol 1e-320 every equivalence case of 3 matrices is a witness; each one's J and F, read back,
+    # give exactly the margin its note records
+    out = tmp_path / "w"
+    assert main(["certify", "--count", "3", "--seed", "0", "--margin-tol", "1e-320", "--out", str(out)]) == 4
+    notes = sorted((out / "witnesses").glob("equivalence_*.txt"))
+    assert len(notes) == 9
+    for note in notes:
+        stem = str(note)[: -len(".txt")]
+        j, f_jac = load_matrix(stem + "_j.matx"), load_matrix(stem + "_f_jac.matx")
+        cert = verify_constraint_equivalence(j, [f_jac], -np.inf)
+        assert f"margin: {format_float(cert.margins[0])}\n" in note.read_text()
+        assert cert.margins[0] == cert.witnesses[0].margin
 
 
 def test_certify_rerun_is_byte_identical(tmp_path):

@@ -147,6 +147,16 @@ def test_dimension_mismatch_rejected():
         constrained_crb(np.eye(2), np.array([1.0, 0.0]))
 
 
+def test_a_ragged_list_of_jacobians_is_invalid_input():
+    # numpy refuses to stack rows or Jacobians of unequal length; both routes refuse them as malformed input
+    j = np.diag([1.0, 1.0, 0.0, 0.0])
+    refusal = r"^constraints are not finite \(k, m, 4\) Jacobians of one shape$"
+    with pytest.raises(InvalidInput, match=refusal):
+        evaluate_constraints(j, [np.zeros((1, 4)), np.zeros((2, 4))])
+    with pytest.raises(InvalidInput, match=refusal):
+        constrained_crb(j, [[0, 0, 1, 0], [0, 0, 1]])
+
+
 def test_dependent_constraint_rows_rejected():
     with pytest.raises(RankDeficientConstraint):
         constrained_crb(np.eye(2), np.array([[1.0, 1.0], [2.0, 2.0]]))

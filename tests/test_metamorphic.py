@@ -33,7 +33,7 @@ TOL_FACTOR = 64
 
 EPS = np.finfo(float).eps
 
-METAMORPHIC = settings(derandomize=True, deadline=None, max_examples=25)
+METAMORPHIC = settings(deadline=None, max_examples=25)
 
 
 @st.composite

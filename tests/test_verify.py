@@ -40,7 +40,7 @@ from crbkit import (
 )
 import crbkit.verify as verify_module
 from crbkit.crb import _bounds
-from crbkit.matlin import ORTHONORMAL_TOL, restricted_information, restricted_nonsingular
+from crbkit.matlin import ORTHONORMAL_TOL, orthonormal_columns, restricted_information, restricted_nonsingular
 from crbkit.verify import _check_orthonormal
 from util import make_psd, random_orthonormal
 
@@ -298,16 +298,16 @@ def test_poincare_random_suite():
 
 def test_equivalence_frozen_examples():
     alts = [np.array([[0.0, 1.0]]), np.array([[0.0, -3.0]])]
-    cert = verify_constraint_equivalence(DIAG, np.zeros(2), alts)
+    cert = verify_constraint_equivalence(DIAG, alts)
     assert cert.theorem_id == "equivalence"
     assert cert.passed
     assert cert.n_cases == 2
     with pytest.raises(InvalidInput):
         # does not annihilate the range basis
-        verify_constraint_equivalence(DIAG, np.zeros(2), [np.array([[1.0, 0.0]])])
+        verify_constraint_equivalence(DIAG, [np.array([[1.0, 0.0]])])
     with pytest.raises(InvalidInput):
         # wrong row count
-        verify_constraint_equivalence(DIAG, np.zeros(2), [np.eye(2)])
+        verify_constraint_equivalence(DIAG, [np.eye(2)])
 
 
 def test_equivalence_under_row_mixing():
@@ -317,7 +317,7 @@ def test_equivalence_under_row_mixing():
     alts = [u_bar_t]
     for _ in range(5):
         alts.append((rng.standard_normal((2, 2)) + 3.0 * np.eye(2)) @ u_bar_t)
-    cert = verify_constraint_equivalence(j, rng.standard_normal(6), alts)
+    cert = verify_constraint_equivalence(j, alts)
     assert cert.passed
     assert cert.n_cases == 6
 
@@ -326,15 +326,15 @@ def test_equivalence_rejects_small_jacobians_that_do_not_annihilate_the_range():
     # the annihilation test is relative to ||F||, so a small F is not waved through
     for f_jac in (1e-9 * np.array([[1.0, 1.0]]), 1e-9 * np.array([[1.0, 0.0]])):
         with pytest.raises(InvalidInput, match="alternative 0 does not annihilate the range basis"):
-            verify_constraint_equivalence(DIAG, np.zeros(2), [f_jac])
+            verify_constraint_equivalence(DIAG, [f_jac])
 
 
 def test_equivalence_names_the_first_alternative_that_does_not_annihilate():
     good, bad = np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])
     with pytest.raises(InvalidInput, match="alternative 1 does not annihilate the range basis"):
-        verify_constraint_equivalence(DIAG, np.zeros(2), [good, bad, bad])
+        verify_constraint_equivalence(DIAG, [good, bad, bad])
     with pytest.raises(InvalidInput, match="alternative 2 has shape"):
-        verify_constraint_equivalence(DIAG, np.zeros(2), [good, good, np.eye(2)])
+        verify_constraint_equivalence(DIAG, [good, good, np.eye(2)])
 
 
 def test_equivalence_margins_equal_one_constrained_bound_at_a_time():
@@ -344,12 +344,25 @@ def test_equivalence_margins_equal_one_constrained_bound_at_a_time():
             basis = ranked_svd(make_psd(rng, n, rank))
             m = n - rank
             alts = [rng.standard_normal((m, m)) @ basis.u_bar.T for _ in range(3)]
-            cert = verify_constraint_equivalence(basis, np.zeros(n), alts)
+            cert = verify_constraint_equivalence(basis, alts)
             expected = [
                 -float(np.linalg.norm(constrained_crb(basis, f_jac).bound.entries - basis.pinv.entries))
                 for f_jac in alts
             ]
             assert cert.margins.tolist() == expected
+
+
+def test_equivalence_takes_one_array_of_alternatives_or_a_list():
+    # the (k, m, n) array that evaluate_constraints takes gives the margins of the list of its alternatives
+    rng = np.random.default_rng(28)
+    basis = ranked_svd(make_psd(rng, 5, 2))
+    alts = orthonormal_columns(rng.standard_normal((4, 3, 3))) @ basis.u_bar.T
+    for stacked in (alts, np.stack([basis.u_bar.T, basis.u_bar.T]), basis.u_bar.T[None]):
+        cert = verify_constraint_equivalence(basis, stacked)
+        assert cert.n_cases == len(stacked)
+        assert cert.margins.tolist() == verify_constraint_equivalence(basis, list(stacked)).margins.tolist()
+    with pytest.raises(InvalidInput, match="^certificate needs at least one case$"):
+        verify_constraint_equivalence(basis, alts[:0])
 
 
 def test_equivalence_reads_orthonormal_rows_at_unit_singular_values(monkeypatch):
@@ -366,9 +379,9 @@ def test_equivalence_reads_orthonormal_rows_at_unit_singular_values(monkeypatch)
 
     monkeypatch.setattr(np.linalg, "svd", ulp_low)
     mixes = [np.eye(2), np.array([[0.6, 0.8], [-0.8, 0.6]])]
-    assert verify_constraint_equivalence(basis, np.zeros(4), [mix @ basis.u_bar.T for mix in mixes]).passed
+    assert verify_constraint_equivalence(basis, [mix @ basis.u_bar.T for mix in mixes]).passed
     with pytest.raises(RankDeficientConstraint, match="^Jacobian row rank 1 below row count 2"):
-        verify_constraint_equivalence(basis, np.zeros(4), [np.diag([1.0, 0.5]) @ basis.u_bar.T])
+        verify_constraint_equivalence(basis, [np.diag([1.0, 0.5]) @ basis.u_bar.T])
 
 
 def test_min_rank_certificate():
@@ -665,7 +678,7 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     assert np.allclose([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs], bound_traces(stack))
     # the basis's own stack is accepted without repeating its tolerance
     assert verify_trace_bound(basis, stack).passed and verify_eigen_dominance(basis, stack).passed
-    assert verify_constraint_equivalence(basis, np.zeros(3), [basis.u_bar.T]).n_cases == 1
+    assert verify_constraint_equivalence(basis, [basis.u_bar.T]).n_cases == 1
     assert_min_rank_matches(j, 5, 7, 1e-6)
     # J_r = diag(1, 0, 0): the achievable U'J_rU is 1 x 1, mu = 1 against the cutoff 1 * 1 * 1e-6
     assert verify_min_rank(basis, 5, 7).margins[-1] == 1.0 / 1e-6 - 1.0
