@@ -23,10 +23,10 @@ from .errors import FullRankFim, InvalidInput, SamplingExhausted
 from .matlin import (
     RankedSvd,
     _freeze,
-    _sign_fixed_columns,
     as_ranked_svd,
     check_psd,
     null_complements,
+    orthonormal_columns,
     random_stream,
     restricted_information,
     restricted_nonsingular,
@@ -91,8 +91,8 @@ class ConstraintStack(NamedTuple):
     basis is J as factored, with the rank rule of every flag. row_rank
     (k,) and utju_eigs, the ascending eigenvalues of each U'J_rU, come from
     one svd and one eigvalsh in _evaluate, or from J's chart in a sampled
-    stack (see _chart). The stack keeps no U or U'J_rU; _evaluate gives
-    them. The last three fields are the requirement flags, each (k,).
+    stack, whose f_jacs are its Gaussian draws G' (see _chart). The stack
+    keeps no U or U'J_rU; _evaluate gives them. The flags are each (k,).
     """
 
     basis: RankedSvd
@@ -261,12 +261,11 @@ def _chart(basis: RankedSvd):
 
 def _stack_chunks(basis: RankedSvd):
     """The chunk rule of sample_constraint_stacks: a chunk's evaluated stack, its mu read in J's chart.
-    F holds the orthonormal rows of one sign-fixed reduced qr, whose row rank m a nonsingular B implies."""
+    F is the draw G' itself, whose row rank m a nonsingular B implies; no qr orthonormalizes it."""
     chart, spectra = _chart(basis)
 
     def judge(draws):
-        f_t = _sign_fixed_columns(*np.linalg.qr(draws, mode="reduced"))
-        stack = _evaluated(basis, f_t.transpose(0, 2, 1), np.full(len(draws), f_t.shape[2]), spectra(chart(draws)))
+        stack = _evaluated(basis, draws.transpose(0, 2, 1), np.full(len(draws), draws.shape[2]), spectra(chart(draws)))
         return stack.is_minimum, stack
 
     return judge
@@ -275,11 +274,10 @@ def _stack_chunks(basis: RankedSvd):
 def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[ConstraintStack]:
     """Draw random minimum constraints for a singular J, one evaluated chunk at a time.
 
-    Each Jacobian is the transpose of an orthonormalized Gaussian
-    (n, n - rank J) matrix, redrawn until it passes the minimum-constraint
-    check (see _stack_chunks). Yields each chunk's stack; its
-    is_minimum marks the accepted draws. See _sampled_chunks for the
-    draws, the budget and the errors.
+    Each Jacobian is the transpose G' of a Gaussian (n, n - rank J) matrix, redrawn until it passes the
+    minimum-constraint check (see _stack_chunks). G' has the null space, so the flags and bound, of its
+    qr's orthonormal rows, the F of sample_minimum_constraints. Yields each chunk's stack; its is_minimum
+    marks the accepted draws. See _sampled_chunks for the draws, the budget and the errors.
     """
     yield from _sampled_chunks(j, count, rng_seed, _stack_chunks)
 
@@ -322,9 +320,11 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
-    """The accepted draws of sample_constraint_stacks, filtered and concatenated into one evaluated stack."""
+    """The accepted draws of sample_constraint_stacks in one stack: a lone all-accepted chunk, or concatenated."""
     basis = as_ranked_svd(j)
-    chunks = sample_constraint_stacks(basis, count, rng_seed)
+    chunks = list(sample_constraint_stacks(basis, count, rng_seed))
+    if len(chunks) == 1 and chunks[0].is_minimum.all():
+        return chunks[0]
     kept = [[f[ok] for f in chunk[1:]] for chunk in chunks for ok in [chunk.is_minimum]]
     return ConstraintStack(basis, *(np.concatenate(parts) for parts in zip(*kept)))
 
@@ -332,15 +332,15 @@ def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:
     """Draw random minimum constraints for a singular J; deterministic for a given seed.
 
-    The i-th accepted draw is labeled "sampled-i retries=d", d the draws
-    rejected since the one before it. See sample_constraint_stacks.
+    Each F holds the orthonormal rows of an accepted draw G' (one sign-fixed qr for all); the i-th is
+    labeled "sampled-i retries=d", d the draws rejected since the one before. See sample_constraint_stacks.
     """
     chunks = list(sample_constraint_stacks(j, count, rng_seed))
     accepted = np.concatenate([chunk.is_minimum for chunk in chunks])
     retries = np.diff(np.flatnonzero(accepted), prepend=-1) - 1
-    f_jacs = np.concatenate([chunk.f_jacs for chunk in chunks])[accepted]
+    draws = np.concatenate([chunk.f_jacs for chunk in chunks])[accepted].transpose(0, 2, 1)
     labels = [f"sampled-{i} retries={d}" for i, d in enumerate(retries)]
-    return [ConstraintSpec(f_jac=f_jac, label=label) for f_jac, label in zip(f_jacs, labels)]
+    return [ConstraintSpec(f_jac=f_t.T, label=label) for f_t, label in zip(orthonormal_columns(draws), labels)]
 
 
 def save_constraint_spec(path, spec: ConstraintSpec) -> None:

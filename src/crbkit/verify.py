@@ -160,6 +160,11 @@ def _evaluated_against(basis, stack: ConstraintStack) -> ConstraintStack:
     return stack
 
 
+def _stack_witness(basis, stack: ConstraintStack, i: int) -> dict[str, np.ndarray]:
+    """Constraint i of a stack as a witness: J and the orthonormal rows of one sign-fixed qr of its f_jac."""
+    return {"j": basis.matrix.entries, "f_jac": orthonormal_columns(stack.f_jacs[i].T).T}
+
+
 def verify_trace_bound(
     j,
     stack: ConstraintStack,
@@ -169,9 +174,10 @@ def verify_trace_bound(
 
     stack is a ConstraintStack evaluated against J (as
     evaluate_constraints or sample_minimum_stack returns it), whose
-    spectra of U'JU are used as they are. Raises NotMinimumConstraint when
-    some constraint fails its preconditions, and InvalidInput for a stack
-    evaluated against another J or rank rule.
+    spectra of U'JU are used as they are; witnesses hold the orthonormal
+    rows of each f_jac's sign-fixed qr, a sampled draw's F. Raises
+    NotMinimumConstraint when some constraint fails its preconditions, and
+    InvalidInput for a stack evaluated against another J or rank rule.
     """
     basis = as_ranked_svd(j)
     stack = _evaluated_against(basis, stack)
@@ -180,10 +186,7 @@ def verify_trace_bound(
         idx = int(failed[0])
         raise NotMinimumConstraint(f"constraint {idx} (unlabeled) is not minimum: {stack.details(idx)}")
     margins = bound_traces(stack) - basis.pinv.trace
-    return _certify(
-        "trace_bound", margins,
-        lambda i: (f"constraint-{i}", {"j": basis.matrix.entries, "f_jac": stack.f_jacs[i]}), margin_tol,
-    )
+    return _certify("trace_bound", margins, lambda i: (f"constraint-{i}", _stack_witness(basis, stack, i)), margin_tol)
 
 
 def verify_eigen_dominance(
@@ -196,25 +199,26 @@ def verify_eigen_dominance(
     v is one (n, r) frame or a (k, n, r) stack of frames, each with
     orthonormal columns, as many as rank(J), or a ConstraintStack
     evaluated against J, whose spectra of U'JU and flags are used as
-    they are; its frames are the null bases of its f_jacs, n - m wide,
-    and its witnesses hold f_jac in place of v. Margins compare the
-    nonzero eigenvalues, 1/mu of V'J_rV with 1/sigma of J, frame by frame;
-    the zeros agree exactly and are not cases. Raises SingularRestriction
-    when restricted_nonsingular calls some V'J_rV singular, InvalidInput for frames
-    of another width or a stack evaluated against another J or rank rule.
+    they are; its frames are the null bases of its f_jacs, n - m wide, and
+    its witnesses hold f_jac as verify_trace_bound's do, in place of v.
+    Margins compare the nonzero eigenvalues, 1/mu of V'J_rV with 1/sigma of
+    J, frame by frame; the zeros agree exactly and are not cases. Raises
+    SingularRestriction when restricted_nonsingular calls some V'J_rV
+    singular, InvalidInput for frames of another width or a stack evaluated
+    against another J or rank rule.
     """
     basis = as_ranked_svd(j)
     if isinstance(v, ConstraintStack):
         stack = _evaluated_against(basis, v)
         evals, exists = stack.utju_eigs, stack.utju_nonsingular
-        width, name, cases = stack.f_jacs.shape[2] - stack.f_jacs.shape[1], "f_jac", stack.f_jacs
+        width, witness = stack.f_jacs.shape[2] - stack.f_jacs.shape[1], lambda i: _stack_witness(basis, stack, i)
     else:
         v_arr = np.asarray(v, dtype=float)
         _check_orthonormal(v_arr, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
         evals = restricted_information(basis, frames)[1]
         exists = restricted_nonsingular(basis, evals)
-        width, name, cases = frames.shape[2], "v", frames
+        width, witness = frames.shape[2], lambda i: {"j": basis.matrix.entries, "v": frames[i]}
     rank = basis.rank
     if width != rank:
         raise InvalidInput(f"frames need rank(J) = {rank} columns, got {width}")
@@ -222,10 +226,7 @@ def verify_eigen_dominance(
         raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
     # 1/mu descends as mu ascends, as 1/sigma does
     margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel()
-    return _certify(
-        "eigen_dominance", margins,
-        lambda c: (f"eig-index-{c % rank}", {"j": basis.matrix.entries, name: cases[c // rank]}), margin_tol,
-    )
+    return _certify("eigen_dominance", margins, lambda c: (f"eig-index-{c % rank}", witness(c // rank)), margin_tol)
 
 
 def verify_poincare(
@@ -324,14 +325,15 @@ def verify_min_rank(
     # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
     padded = np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0)
     mu_min = restricted_information(basis, padded)[1][np.arange(len(rows)), rows]
-    scaled = mu_min / np.array([basis.cutoff(n - m) for m in rows])  # mu_min / c
+    scaled = mu_min / basis.cutoff(n - np.array(rows))  # mu_min / c
     # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
     margins = np.append(1.0 - scaled[:-1], scaled[-1] - 1.0)
-    labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
-    return _certify(
-        "min_rank", margins,
-        lambda i: (labels[i], {"j": basis.matrix.entries, "f_jac": q[i, :, : rows[i]].T}), margin_tol,
-    )
+
+    def case(i):
+        label = f"deficient-{i}-rows-{rows[i]}" if i < trials else "achievable-at-min-rank"
+        return label, {"j": basis.matrix.entries, "f_jac": q[i, :, : rows[i]].T}
+
+    return _certify("min_rank", margins, case, margin_tol)
 
 
 def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:

@@ -37,3 +37,34 @@ def solve(a, b):
                 factor = rows[i][col]
                 rows[i] = [v - factor * p for v, p in zip(rows[i], rows[col])]
     return [row[n:] for row in rows]
+
+
+def null_space(a):
+    """A basis of the null space of the p x n matrix a, as the columns of an n x (n - rank a) matrix.
+
+    Gauss-Jordan elimination brings a to reduced row echelon form; each
+    free column gives one basis vector, 1 there and minus its column's
+    entries at the pivots.
+    """
+    rows, n = [list(row) for row in a], len(a[0])
+    pivots = []
+    for col in range(n):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        rows[top] = [v / rows[top][col] for v in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [v - factor * p for v, p in zip(rows[i], rows[top])]
+        pivots.append(col)
+    columns = []
+    for free in (col for col in range(n) if col not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, col in enumerate(pivots):
+            v[col] = -rows[i][free]
+        columns.append(v)
+    return [list(row) for row in zip(*columns)] if columns else [[] for _ in range(n)]

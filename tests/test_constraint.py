@@ -29,10 +29,12 @@ from crbkit import (
     sample_minimum_constraints,
     sample_minimum_stack,
     save_constraint_spec,
+    verify_eigen_dominance,
+    verify_trace_bound,
 )
 from crbkit.matlin import _sign_fixed_columns, check_psd, seed_sequence
 import exact
-from util import make_psd, random_orthonormal
+from util import make_psd, orthonormal_rows, random_orthonormal
 
 EPS = np.finfo(float).eps
 
@@ -255,13 +257,14 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
 
 
 def test_sampler_exhausts_after_exactly_the_rejection_budget(monkeypatch):
-    # a scripted U'JU test rejects every draw, so 70 constraints run out after 7000 draws
+    # a scripted U'JU test rejects every draw, so 70 constraints run out after 7000 draws; the
+    # chart makes one solve per chunk
     j = make_psd(np.random.default_rng(9), 4, 2)
     drawn = []
-    real = np.linalg.qr
+    real = np.linalg.solve
     monkeypatch.setattr(constraint_module, "restricted_nonsingular", lambda basis, evals: np.zeros(len(evals), bool))
     monkeypatch.setattr(
-        constraint_module.np.linalg, "qr", lambda a, mode: drawn.append(len(a)) or real(a, mode)
+        constraint_module.np.linalg, "solve", lambda a, b: drawn.append(len(a)) or real(a, b)
     )
     with pytest.raises(SamplingExhausted, match="7000 consecutive rejections"):
         sample_minimum_constraints(ranked_svd(j), 70, 3)
@@ -299,10 +302,10 @@ def test_sampler_exhausts_after_accepts_across_a_chunk_boundary(monkeypatch):
 
     j = make_psd(np.random.default_rng(9), 4, 2)
     drawn = []
-    real = np.linalg.qr
+    real = np.linalg.solve
     monkeypatch.setattr(constraint_module, "restricted_nonsingular", scripted)
     monkeypatch.setattr(
-        constraint_module.np.linalg, "qr", lambda a, mode: drawn.append(len(a)) or real(a, mode)
+        constraint_module.np.linalg, "solve", lambda a, b: drawn.append(len(a)) or real(a, b)
     )
     sampled = 0
     with pytest.raises(SamplingExhausted, match=f"{budget} consecutive rejections"):
@@ -314,12 +317,13 @@ def test_sampler_exhausts_after_accepts_across_a_chunk_boundary(monkeypatch):
 
 
 def test_sampled_flags_follow_the_row_rank_rule():
-    # the sampled rows are orthonormal, so every rank rule that the library admits (n * rank_tol_rel
-    # below 1) gives them full row rank, up to one ulp below 1/n; from 1/n on ranked_svd refuses
+    # the sampled draws' orthonormal rows are orthonormal, so every rank rule that the library admits
+    # (n * rank_tol_rel below 1) gives them full row rank, up to one ulp below 1/n; from 1/n on
+    # ranked_svd refuses
     j = make_psd(np.random.default_rng(6), 4, 2)
     for tol in (1e-10, 0.02, np.nextafter(0.25, 0.0)):
         stack = next(sample_constraint_stacks(ranked_svd(j, tol), 10, 7))
-        evaluated = evaluate_constraints(stack.basis, stack.f_jacs)
+        evaluated = evaluate_constraints(stack.basis, orthonormal_rows(stack.f_jacs))
         for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
             assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
         assert np.all(stack.full_rank_jacobian)
@@ -328,8 +332,9 @@ def test_sampled_flags_follow_the_row_rank_rule():
 
 
 def test_sampled_stack_equals_its_filtered_chunks():
-    # every sample is filtered and concatenated: a lone chunk with no rejections, rejections
-    # (here under a loose cutoff) and counts above CONSTRAINT_CHUNK; the specs carry the labels
+    # every sample equals its filtered and concatenated chunks: a lone chunk with no rejections (the
+    # chunk itself), rejections (here under a loose cutoff) and counts above CONSTRAINT_CHUNK; the
+    # specs carry the labels and the orthonormal rows of the draws
     rng = np.random.default_rng(8)
     cases = [  # basis, count, one chunk, some draw rejected
         (ranked_svd(make_psd(rng, 5, 2)), 20, True, False),
@@ -348,7 +353,7 @@ def test_sampled_stack_equals_its_filtered_chunks():
         expected, _ = reference_sample(basis.matrix.entries, count, 11, basis.rank_tol_rel)
         specs = sample_minimum_constraints(basis, count, 11)
         assert [spec.label for spec in specs] == [label for _, label in expected]
-        assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
+        assert np.array_equal([spec.f_jac for spec in specs], orthonormal_rows(stack.f_jacs))
 
 
 def complete_qr_chunk(seed, k, n, m):
@@ -369,17 +374,78 @@ def spread_psd(rng, n, rank, scale):
 
 
 def test_sampled_jacobians_are_the_complete_qr_leading_columns():
-    # the reduced qr gives the Jacobians that the complete one gave bit for bit up to n = 7; from
-    # n = 8 the two can round an entry differently (by up to 1.5 eps at n = 8 and 2 eps at n = 32
-    # on an OpenBLAS 0.3.31 build), so there the gap is bounded by n eps
+    # a chunk holds its draws G'; their reduced qr gives the Jacobians that the complete one gave
+    # bit for bit up to n = 7; from n = 8 the two can round an entry differently (by up to 1.5 eps
+    # at n = 8 and 2 eps at n = 32 on an OpenBLAS 0.3.31 build), so there the gap is bounded by n eps
     rng = np.random.default_rng(11)
     for n in [*range(2, 9), 32]:
         for rank in range(1, n) if n < 32 else (16,):
             chunk = next(sample_constraint_stacks(ranked_svd(make_psd(rng, n, rank)), 20, 100 * n + rank))
+            draws = np.random.default_rng(seed_sequence(100 * n + rank)).standard_normal((20, n, n - rank))
+            assert np.array_equal(chunk.f_jacs, draws.transpose(0, 2, 1))
+            rows = orthonormal_rows(chunk.f_jacs)
             f_jacs, _ = complete_qr_chunk(100 * n + rank, 20, n, n - rank)
             if n < 8:
-                assert chunk.f_jacs.tobytes() == f_jacs.tobytes(), (n, rank)
-            assert np.abs(chunk.f_jacs - f_jacs).max() <= n * EPS, (n, rank)
+                assert rows.tobytes() == f_jacs.tobytes(), (n, rank)
+            assert np.abs(rows - f_jacs).max() <= n * EPS, (n, rank)
+
+
+def test_specs_and_witnesses_hold_the_rows_of_each_chunks_reduced_qr():
+    # the stack holds its draws G', and F is formed only where it leaves the program: the specs of
+    # sample_minimum_constraints and the witnesses of the stack's trace and dominance certificates
+    # (margin_tol -inf keeps every case) hold, bit for bit, the sign-fixed reduced qr rows of each
+    # chunk of draws that the stack once held, with the margins and labels of the certificates;
+    # at 0.02 draws are rejected and some samples span several chunks. Below n = 8 they are the
+    # complete qr's leading columns too (see the test above)
+    rng = np.random.default_rng(15)
+    spans = 0
+    for tol in (1e-10, 0.02):
+        for n in range(2, 9):
+            for rank in range(1, n):
+                basis, seed = ranked_svd(random_rank_deficient_psd(n, rank, rng), tol), 100 * n + rank
+                chunks = list(sample_constraint_stacks(basis, 20, seed))
+                stream = np.random.default_rng(seed_sequence(seed))
+                draws = [stream.standard_normal((len(chunk.f_jacs), n, n - rank)) for chunk in chunks]
+                held = [orthonormal_rows(chunk_draws.transpose(0, 2, 1)) for chunk_draws in draws]
+                accepted = np.concatenate([chunk.is_minimum for chunk in chunks])
+                reference = np.concatenate(held)[accepted]
+                if n < 8:
+                    complete, _ = complete_qr_chunk(seed, len(accepted), n, n - rank)
+                    assert reference.tobytes() == complete[accepted].tobytes()
+                stack = sample_minimum_stack(basis, 20, seed)
+                specs = sample_minimum_constraints(basis, 20, seed)
+                assert all(spec.f_jac.tobytes() == f_jac.tobytes() for spec, f_jac in zip(specs, reference))
+                trace = verify_trace_bound(basis, stack, -np.inf)
+                dominance = verify_eigen_dominance(basis, stack, -np.inf)
+                for cert, label, rows in ((trace, "constraint-{}", 1), (dominance, "eig-index-{}", rank)):
+                    assert len(cert.witnesses) == 20 * rows
+                    for c, witness in enumerate(cert.witnesses):
+                        assert witness.label == label.format(c if cert is trace else c % rank)
+                        assert witness.margin == cert.margins[c]
+                        matrices = dict(witness.matrices)
+                        assert matrices["j"] is basis.matrix.entries
+                        assert matrices["f_jac"].tobytes() == reference[c // rows].tobytes(), (tol, n, rank, c)
+                spans += len(chunks) > 1
+    assert spans > 0
+
+
+def test_only_sample_minimum_constraints_orthonormalizes_and_with_one_qr(monkeypatch):
+    # at the default cutoff 40 constraints take two chunks; at 0.02 draws are rejected across
+    # several; the stack makes no qr, and the specs one for all accepted draws
+    calls = []
+    real = np.linalg.qr
+    monkeypatch.setattr(constraint_module.np.linalg, "qr", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+    basis = ranked_svd(random_rank_deficient_psd(6, 3, np.random.default_rng(16)))
+    loose = ranked_svd(basis.matrix.entries, 0.02)
+    for j, count in ((basis, 20), (basis, 40), (loose, 40)):
+        chunks = list(sample_constraint_stacks(j, count, 5))
+        assert len(chunks) > 1 or count == 20
+        assert (j is loose) == (not all(chunk.is_minimum.all() for chunk in chunks))
+        calls.clear()
+        sample_minimum_stack(j, count, 5)
+        assert calls == []
+        sample_minimum_constraints(j, count, 5)
+        assert calls == [(count, 6, 3)]
 
 
 def test_sampled_spectra_are_those_of_j_as_its_rank_rule_reads_it():
@@ -449,7 +515,7 @@ def test_sampled_and_evaluated_stacks_read_one_j_under_one_rule():
         basis = ranked_svd(j, tol)
         flags = []
         for chunk in sample_constraint_stacks(basis, 300, 3):
-            evaluated = evaluate_constraints(basis, chunk.f_jacs)
+            evaluated = evaluate_constraints(basis, orthonormal_rows(chunk.f_jacs))
             assert np.array_equal(evaluated.is_minimum, chunk.is_minimum)
             ok = chunk.is_minimum
             traces, reference = np.array(bound_traces(chunk))[ok], np.array(bound_traces(evaluated))[ok]
@@ -501,7 +567,7 @@ def assert_the_samplers_agree(monkeypatch, basis, count, seed):
     masks, reference = [], []
     try:
         for chunk in sample_constraint_stacks(basis, count, seed):
-            evaluated = evaluate_constraints(basis, chunk.f_jacs)
+            evaluated = evaluate_constraints(basis, orthonormal_rows(chunk.f_jacs))
             for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
                 assert np.array_equal(getattr(chunk, flag), getattr(evaluated, flag)), flag
             masks.append(chunk.is_minimum)

@@ -87,15 +87,18 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert certify.calls["linalg.eigh"] == 4
     # one stacked eigen-dominance check per suite matrix, one for the counterexample
     assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
-    # the sampled stack goes straight to the trace and dominance certificates, which read
-    # the spectra of U'JU and J; min_rank takes its trials' rows and null bases from one
-    # complete qr per J and one eigvalsh for all trials; the one svd per J is the equivalence
-    # check's; and J's eigh gives J+ and the Poincare spectrum: 3 svd, 15 qr and 4 inv (12 svd
-    # and 12 qr with an svd per row count of the min_rank trials; 16, 23 and 8 svd, eigvalsh and
-    # inv with an svd, an eigvalsh and an inv of U_r'JU_r per J; 19, 34 and 15 forming each
-    # sampled bound; 168 eigvalsh and 71 inv checking one frame at a time)
+    # the sampled stack holds its Gaussian draws and goes straight to the trace and dominance
+    # certificates, which read the spectra of U'JU and J and orthonormalize no draw while every
+    # case passes; min_rank takes its trials' rows and null bases from one complete qr per J and
+    # one eigvalsh for all trials; the one svd per J is the equivalence check's; and J's eigh gives
+    # J+ and the Poincare spectrum. So each J makes 4 qr: one each for J itself, the Poincare
+    # frame, the equivalence mixes and min_rank (15 qr when each sampler chunk took one more for
+    # its orthonormal rows); 3 svd and 4 inv (12 svd and 12 qr with an svd per row count of the
+    # min_rank trials; 16, 23 and 8 svd, eigvalsh and inv with an svd, an eigvalsh and an inv of
+    # U_r'JU_r per J; 19, 34 and 15 forming each sampled bound; 168 eigvalsh and 71 inv checking
+    # one frame at a time)
     assert certify.calls["linalg.svd"] <= 3
-    assert certify.calls["linalg.qr"] <= 15
+    assert certify.calls["linalg.qr"] == 12
     assert certify.calls["linalg.inv"] <= 4
     # eigvalsh: one per J for its sampler chunk, its Poincare frame, its equivalence mixes and its
     # min_rank trials, and two for the counterexample (21 in all when min_rank took one per

@@ -42,7 +42,7 @@ import crbkit.verify as verify_module
 from crbkit.crb import _bounds
 from crbkit.matlin import ORTHONORMAL_TOL, orthonormal_columns, restricted_information, restricted_nonsingular
 from crbkit.verify import _check_orthonormal
-from util import make_psd, random_orthonormal
+from util import make_psd, orthonormal_rows, random_orthonormal
 
 EPS = np.finfo(float).eps
 DIAG = np.diag([2.0, 0.0])
@@ -210,7 +210,8 @@ def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
         for rank in range(1, n):
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
             # a sampled stack has no frames: both routes read the svd null bases of its constraints
-            stack = evaluate_constraints(basis, sample_minimum_stack(basis, 20, 100 * n + rank).f_jacs)
+            f_jacs = orthonormal_rows(sample_minimum_stack(basis, 20, 100 * n + rank).f_jacs)
+            stack = evaluate_constraints(basis, f_jacs)
             margins = verify_eigen_dominance(basis, stack).margins.reshape(20, rank)
             u = null_complements(stack.f_jacs)[1]
             bounds = _bounds(u, restricted_information(basis, u)[0])
@@ -524,7 +525,8 @@ def assert_same_certificate(a, b):
 
 def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
     """The sampled stack gives trace and dominance margins within a forward-error bound of the
-    per-constraint constrained_crb traces and of the dominance margins of its svd null bases.
+    per-constraint constrained_crb traces and of the dominance margins of the svd null bases of
+    its draws' orthonormal rows F, which its witnesses hold.
 
     The stack reads mu in J's chart, to about eps of the largest 1/mu; the svd route forms U'JU from
     a null basis, which moves it by about eps ||J||_2, so each 1/mu, and each trace, by
@@ -532,7 +534,8 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
     """
     relative = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0]
     slack = relative * np.array(bound_traces(stack))
-    margins = np.array([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs]) - basis.pinv.trace
+    f_jacs = orthonormal_rows(stack.f_jacs)
+    margins = np.array([constrained_crb(basis, f_jac).trace for f_jac in f_jacs]) - basis.pinv.trace
     trace = verify_trace_bound(basis, stack, margin_tol)
     assert (trace.passed, trace.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
     assert np.all(np.abs(trace.margins - margins) <= slack)
@@ -542,9 +545,9 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
     for witness, i in zip(trace.witnesses, failing):
         assert witness.margin == trace.margins[i]
         assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
-        assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[i])
+        assert np.array_equal(dict(witness.matrices)["f_jac"], f_jacs[i])
     dominance = verify_eigen_dominance(basis, stack, margin_tol)
-    frames = null_complements(stack.f_jacs)[1]
+    frames = null_complements(f_jacs)[1]
     margins = verify_eigen_dominance(basis, frames).margins
     assert (dominance.passed, dominance.n_cases) == (bool(margins.min() >= -margin_tol), len(margins))
     case_slack = (relative[:, None] / stack.utju_eigs).ravel()
@@ -554,7 +557,7 @@ def assert_stack_path_matches(basis, stack, margin_tol=-np.inf):
     for witness, c in zip(dominance.witnesses, failing):
         assert witness.margin == dominance.margins[c]
         assert [name for name, _ in witness.matrices] == ["j", "f_jac"]
-        assert np.array_equal(dict(witness.matrices)["f_jac"], stack.f_jacs[c // basis.rank])
+        assert np.array_equal(dict(witness.matrices)["f_jac"], f_jacs[c // basis.rank])
     return dominance
 
 
@@ -566,7 +569,7 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
             basis = ranked_svd(random_rank_deficient_psd(n, rank, rng))
             stack = sample_minimum_stack(basis, 20, 100 * n + rank)
             specs = sample_minimum_constraints(basis, 20, 100 * n + rank)
-            assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
+            assert np.array_equal([spec.f_jac for spec in specs], orthonormal_rows(stack.f_jacs))
             assert np.all(stack.is_minimum)
             cert = assert_stack_path_matches(basis, stack)
             assert cert.n_cases == 20 * rank and len(cert.witnesses) == cert.n_cases
@@ -591,7 +594,7 @@ def test_sampled_stack_clears_the_known_false_fail():
         basis = ranked_svd(scale * matrix_62())
         stack = sample_minimum_stack(basis, 20, 62)
         assert assert_stack_path_matches(basis, stack, 1e-9).passed
-        frames = null_complements(stack.f_jacs)[1]
+        frames = null_complements(orthonormal_rows(stack.f_jacs))[1]
         assert_clears_the_known_false_fail(basis, frames, verify_eigen_dominance(basis, frames, 1e-9))
 
 
@@ -674,8 +677,8 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     assert stack.basis is basis and stack.f_jacs.shape == (5, 2, 3)
     specs = sample_minimum_constraints(basis, 5, 3)
     assert [spec.label for spec in specs] == [f"sampled-{i} retries=0" for i in range(5)]
-    assert np.array_equal([spec.f_jac for spec in specs], stack.f_jacs)
-    assert np.allclose([constrained_crb(basis, f_jac).trace for f_jac in stack.f_jacs], bound_traces(stack))
+    assert np.array_equal([spec.f_jac for spec in specs], orthonormal_rows(stack.f_jacs))
+    assert np.allclose([constrained_crb(basis, spec).trace for spec in specs], bound_traces(stack))
     # the basis's own stack is accepted without repeating its tolerance
     assert verify_trace_bound(basis, stack).passed and verify_eigen_dominance(basis, stack).passed
     assert verify_constraint_equivalence(basis, [basis.u_bar.T]).n_cases == 1

@@ -26,6 +26,13 @@ def random_orthonormal(rng, n, k):
     return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
+def orthonormal_rows(f_jacs):
+    """The orthonormal rows of each (m, n) Jacobian from one reduced qr, signed so that R's diagonal is
+    positive: for a sampled stack's draws G', the F that its specs and witnesses give, the rows it once held."""
+    q, r = np.linalg.qr(np.asarray(f_jacs).transpose(0, 2, 1))
+    return (q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]).transpose(0, 2, 1)
+
+
 def svd_pinv_oracle(a):
     """Pseudoinverse by inverting singular values above a relative cutoff."""
     a = np.asarray(a, dtype=float)
