@@ -93,6 +93,8 @@ class ConstraintStack(NamedTuple):
     one svd and one eigvalsh in _evaluate, or from J's chart in a sampled
     stack, whose f_jacs are its Gaussian draws G' (see _chart). The stack
     keeps no U or U'J_rU; _evaluate gives them. The flags are each (k,).
+    A sampled stack's flags are those of its draws' orthonormal rows, not of
+    G': near 1/n the svd rule calls full-rank-flagged draws rank deficient.
     """
 
     basis: RankedSvd
@@ -320,11 +322,10 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
-    """The accepted draws of sample_constraint_stacks in one stack: a lone all-accepted chunk, or concatenated."""
+    """The accepted draws of sample_constraint_stacks, filtered and concatenated into one evaluated stack:
+    f_jacs G', flags those of their orthonormal rows (see ConstraintStack)."""
     basis = as_ranked_svd(j)
-    chunks = list(sample_constraint_stacks(basis, count, rng_seed))
-    if len(chunks) == 1 and chunks[0].is_minimum.all():
-        return chunks[0]
+    chunks = sample_constraint_stacks(basis, count, rng_seed)
     kept = [[f[ok] for f in chunk[1:]] for chunk in chunks for ok in [chunk.is_minimum]]
     return ConstraintStack(basis, *(np.concatenate(parts) for parts in zip(*kept)))
 

@@ -89,16 +89,14 @@ def random_stream(rng_seed) -> np.random.Generator:
     return np.random.default_rng(rng_seed if isinstance(rng_seed, np.random.Generator) else seed_sequence(rng_seed))
 
 
-def _cutoff(s_max, size, rank_tol_rel: float):
-    """The rank rule's threshold s_max * size * rank_tol_rel, for a size or an array of sizes; singular values
-    at or below it count as zero. Refused from size * rank_tol_rel = 1 on, where it would rank every matrix 0,
-    orthonormal rows too."""
+def _cutoff(s_max, size: int, rank_tol_rel: float):
+    """The rank rule's threshold s_max * size * rank_tol_rel; singular values at or below it count as zero.
+    Refused from size * rank_tol_rel = 1 on, where it would rank every matrix 0, orthonormal rows too."""
     if not _EPS <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
         raise InvalidInput(f"rank_tol_rel must be positive and finite, at least machine epsilon, got {rank_tol_rel}")
-    largest = size.max() if isinstance(size, np.ndarray) else size
-    if largest * rank_tol_rel >= 1:
-        zero = f"rank_tol_rel {format_float(rank_tol_rel)} gives every {largest} x {largest} matrix rank 0"
-        raise InvalidInput(f"{zero}; {largest} * rank_tol_rel must be below 1")
+    if size * rank_tol_rel >= 1:
+        zero = f"rank_tol_rel {format_float(rank_tol_rel)} gives every {size} x {size} matrix rank 0"
+        raise InvalidInput(f"{zero}; {size} * rank_tol_rel must be below 1")
     return s_max * size * rank_tol_rel
 
 
@@ -135,7 +133,7 @@ class RankedSvd:
     def dim(self) -> int:
         return self.u_r.shape[0]
 
-    def cutoff(self, size):
+    def cutoff(self, size: int) -> float:
         """The rank rule's threshold at J's scale, _cutoff(sigma_max, size, rank_tol_rel): J's own at size n."""
         return _cutoff(abs(self.eigenvalues[0]), size, self.rank_tol_rel)
 

@@ -174,10 +174,12 @@ def verify_trace_bound(
 
     stack is a ConstraintStack evaluated against J (as
     evaluate_constraints or sample_minimum_stack returns it), whose
-    spectra of U'JU are used as they are; witnesses hold the orthonormal
-    rows of each f_jac's sign-fixed qr, a sampled draw's F. Raises
-    NotMinimumConstraint when some constraint fails its preconditions, and
-    InvalidInput for a stack evaluated against another J or rank rule.
+    spectra of U'JU are used as they are. Witnesses hold the orthonormal
+    rows of each f_jac's sign-fixed qr, a sampled draw's F; for an f_jac
+    that is not orthonormal a replayed witness meets its margin only within
+    eps cond(f_jac) ||J||_2 ||B(f_jac)||_2^2. Raises NotMinimumConstraint
+    when some constraint fails its preconditions, and InvalidInput for a
+    stack evaluated against another J or rank rule.
     """
     basis = as_ranked_svd(j)
     stack = _evaluated_against(basis, stack)
@@ -200,12 +202,12 @@ def verify_eigen_dominance(
     orthonormal columns, as many as rank(J), or a ConstraintStack
     evaluated against J, whose spectra of U'JU and flags are used as
     they are; its frames are the null bases of its f_jacs, n - m wide, and
-    its witnesses hold f_jac as verify_trace_bound's do, in place of v.
-    Margins compare the nonzero eigenvalues, 1/mu of V'J_rV with 1/sigma of
-    J, frame by frame; the zeros agree exactly and are not cases. Raises
-    SingularRestriction when restricted_nonsingular calls some V'J_rV
-    singular, InvalidInput for frames of another width or a stack evaluated
-    against another J or rank rule.
+    its witnesses hold and replay f_jac as verify_trace_bound's do, in
+    place of v. Margins compare the nonzero eigenvalues, 1/mu of V'J_rV
+    with 1/sigma of J, frame by frame; the zeros agree exactly and are not
+    cases. Raises SingularRestriction when restricted_nonsingular calls some
+    V'J_rV singular, InvalidInput for frames of another width or a stack
+    evaluated against another J or rank rule.
     """
     basis = as_ranked_svd(j)
     if isinstance(v, ConstraintStack):
@@ -325,15 +327,14 @@ def verify_min_rank(
     # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
     padded = np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0)
     mu_min = restricted_information(basis, padded)[1][np.arange(len(rows)), rows]
-    scaled = mu_min / basis.cutoff(n - np.array(rows))  # mu_min / c
+    scaled = mu_min / np.array([basis.cutoff(n - m) for m in rows])  # mu_min / c
     # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
     margins = np.append(1.0 - scaled[:-1], scaled[-1] - 1.0)
-
-    def case(i):
-        label = f"deficient-{i}-rows-{rows[i]}" if i < trials else "achievable-at-min-rank"
-        return label, {"j": basis.matrix.entries, "f_jac": q[i, :, : rows[i]].T}
-
-    return _certify("min_rank", margins, case, margin_tol)
+    labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
+    return _certify(
+        "min_rank", margins,
+        lambda i: (labels[i], {"j": basis.matrix.entries, "f_jac": q[i, :, : rows[i]].T}), margin_tol,
+    )
 
 
 def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:

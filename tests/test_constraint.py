@@ -327,13 +327,17 @@ def test_sampled_flags_follow_the_row_rank_rule():
         for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
             assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
         assert np.all(stack.full_rank_jacobian)
+    # the flags are not those of the stack's f_jacs, its draws G', which are not orthonormal: one ulp
+    # below 1/n the svd rule cuts just under sigma_max(G') and calls every draw here rank deficient
+    assert np.any(stack.is_minimum)
+    assert not np.any(evaluate_constraints(stack.basis, stack.f_jacs).full_rank_jacobian)
     with pytest.raises(InvalidInput, match=r"^rank_tol_rel 0.25000000000000006 gives every 4 x 4 matrix rank 0"):
         ranked_svd(j, np.nextafter(0.25, 1.0))
 
 
 def test_sampled_stack_equals_its_filtered_chunks():
-    # every sample equals its filtered and concatenated chunks: a lone chunk with no rejections (the
-    # chunk itself), rejections (here under a loose cutoff) and counts above CONSTRAINT_CHUNK; the
+    # every sample equals its filtered and concatenated chunks: a lone chunk with no rejections,
+    # rejections (here under a loose cutoff) and counts above CONSTRAINT_CHUNK; the
     # specs carry the labels and the orthonormal rows of the draws
     rng = np.random.default_rng(8)
     cases = [  # basis, count, one chunk, some draw rejected

@@ -598,6 +598,31 @@ def test_sampled_stack_clears_the_known_false_fail():
         assert_clears_the_known_false_fail(basis, frames, verify_eigen_dominance(basis, frames, 1e-9))
 
 
+def test_a_witness_of_an_evaluated_stack_replays_within_its_bound():
+    # a witness holds the orthonormal rows of F, not F: for F = A G with cond(A) = 1e6 the two null
+    # spaces differ by about eps cond(F), so a replayed witness meets its margin only within the unit
+    # eps cond(F) ||J||_2 ||B(F)||_2^2 (at most 0.11 of it here and 0.32 over 800 such F; never exact)
+    rng = np.random.default_rng(45)
+    replayed = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        rank = int(rng.integers(1, n - 1))
+        basis, m = ranked_svd(random_rank_deficient_psd(n, rank, rng)), n - rank
+        mix = random_orthonormal(rng, m, m) * np.logspace(0.0, -6.0, m) @ random_orthonormal(rng, m, m)
+        f_jac = mix @ rng.standard_normal((m, n))
+        stack = evaluate_constraints(basis, f_jac[None])
+        unit = EPS * np.linalg.cond(f_jac) * np.linalg.norm(basis.matrix.entries, 2)
+        unit *= np.linalg.norm(constrained_crb(basis, f_jac).bound, 2) ** 2
+        for verify in (verify_trace_bound, verify_eigen_dominance):
+            cert = verify(basis, stack, -np.inf)
+            witness = dict(cert.witnesses[0].matrices)["f_jac"]
+            assert np.array_equal(witness, orthonormal_rows(f_jac[None])[0])
+            again = verify(basis, evaluate_constraints(basis, witness[None]), -np.inf)
+            assert np.abs(again.margins - cert.margins).max() <= unit
+            replayed += not np.array_equal(again.margins, cert.margins)
+    assert replayed > 0
+
+
 def test_a_passed_stack_keeps_the_checks():
     basis = ranked_svd(DIAG)
     good = evaluate_constraints(basis, np.array([[[0.0, 1.0]], [[ROOT_HALF, ROOT_HALF]]]))
