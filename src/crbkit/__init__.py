@@ -58,7 +58,6 @@ from .constraint import (
     evaluate_constraints,
     load_constraint_spec,
     optimal_affine_constraint,
-    sample_constraint_stacks,
     sample_constraint_traces,
     sample_minimum_constraints,
     sample_minimum_stack,

@@ -245,6 +245,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidInput(f"unknown model {model_kind!r}; choose from {tuple(MODELS)}")
         for key, default in MODELS[model_kind][1].items():
             model_params[key] = _parse(file_values, key, default)
+    allowed = {"command", "version", "input", "model", *SETTINGS}
+    allowed |= {"theta", "fim_method", *model_params} if model_kind is not None else set()
+    if stray := sorted(file_values.keys() - allowed):
+        where = f"to model {model_kind}" if model_kind is not None else "without a model"
+        raise InvalidInput(f"config key {stray[0]!r} does not apply {where}")
 
     theta = None
     if "theta" in file_values:

@@ -4,8 +4,8 @@ A constraint f(theta) = 0 enters the bound only through its Jacobian F.
 This module checks the three minimum-constraint requirements (full row
 rank, nonsingular restricted information U'J_rU, rank F + rank J = n),
 synthesizes the optimal affine constraint from the information null
-space, and samples random minimum constraints for experiments: bare
-stacks whose is_minimum marks the accepted draws, or labeled specs.
+space, and samples random minimum constraints for experiments: one
+evaluated stack, its traces, or labeled specs.
 One evaluator, _evaluate, makes one svd and one eigvalsh call per stack
 of Jacobians for evaluate_constraints, constrained_crb and the
 equivalence certificate. Both samplers read draws in J's chart instead.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,17 +188,15 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
 
-def _sampled_chunks(j, count: int, rng_seed, judge) -> Iterator:
+def _sampled(j, count: int, rng_seed, rule) -> tuple:
     """The samplers' one draw-and-budget loop, over chunks of Gaussian (k, n, n - rank J) draws.
 
-    judge(basis) gives the chunk rule, which maps a chunk to (is_minimum,
-    item); the loop yields each chunk's item. Draws from
-    random_stream(rng_seed) are made CONSTRAINT_CHUNK at a time, never
-    more than a draw-by-draw loop would make, and accepted in draw order,
-    so the stream is consumed as by one draw at a time. Raises
-    SamplingExhausted after 100 * count consecutive rejections,
-    FullRankFim when J is nonsingular and InvalidMatrix when check_psd
-    refuses J.
+    rule(basis) gives the chunk rule, which maps a chunk to its accept mask and then its arrays over
+    the accepted draws. Returns each accepted draw's index among all draws, then each of the rule's
+    arrays concatenated, in draw order. Draws from random_stream(rng_seed) are made CONSTRAINT_CHUNK
+    at a time, never more than a draw-by-draw loop would make, and accepted in draw order, so the
+    stream is consumed as by one draw at a time. Raises SamplingExhausted after 100 * count
+    consecutive rejections, FullRankFim when J is nonsingular and InvalidMatrix when check_psd refuses J.
     """
     if count < 1:
         raise InvalidInput(f"count must be positive, got {count}")
@@ -206,23 +204,26 @@ def _sampled_chunks(j, count: int, rng_seed, judge) -> Iterator:
     n, m = basis.dim, basis.dim - basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
-    judge_chunk = judge(basis)
+    judge = rule(basis)
     rng = random_stream(rng_seed)
     budget = REJECTION_BUDGET_FACTOR * count
-    accepted = 0
-    consecutive_rejects = 0
+    hits, parts = [], []
+    accepted = drawn = consecutive_rejects = 0
     while accepted < count:
         k = min(count - accepted, budget - consecutive_rejects, CONSTRAINT_CHUNK)
-        is_minimum, item = judge_chunk(rng.standard_normal((k, n, m)))
-        hits = np.flatnonzero(is_minimum)
-        if hits.size:
-            accepted += hits.size
-            consecutive_rejects = k - 1 - int(hits[-1])
+        is_minimum, *arrays = judge(rng.standard_normal((k, n, m)))
+        chunk_hits = np.flatnonzero(is_minimum)
+        if chunk_hits.size:
+            accepted += chunk_hits.size
+            consecutive_rejects = k - 1 - int(chunk_hits[-1])
         else:  # k never overdraws the budget, so only a chunk that accepts nothing can exhaust it
             consecutive_rejects += k
             if consecutive_rejects >= budget:
                 raise SamplingExhausted(f"{budget} consecutive rejections while sampling minimum constraints")
-        yield item
+        hits.append(drawn + chunk_hits)
+        parts.append(arrays)
+        drawn += k
+    return np.concatenate(hits), *(np.concatenate(part) for part in zip(*parts))
 
 
 def _chart(basis: RankedSvd):
@@ -262,30 +263,22 @@ def _chart(basis: RankedSvd):
 
 
 def _stack_chunks(basis: RankedSvd):
-    """The chunk rule of sample_constraint_stacks: a chunk's evaluated stack, its mu read in J's chart.
-    F is the draw G' itself, whose row rank m a nonsingular B implies; no qr orthonormalizes it."""
+    """The chunk rule of sample_minimum_stack and sample_minimum_constraints: a chunk's accept mask, then
+    its accepted draws G' and their mu, read in J's chart. A nonsingular B gives G' row rank m = n - rank J,
+    so restricted_nonsingular alone decides is_minimum; no qr orthonormalizes G'."""
     chart, spectra = _chart(basis)
 
     def judge(draws):
-        stack = _evaluated(basis, draws.transpose(0, 2, 1), np.full(len(draws), draws.shape[2]), spectra(chart(draws)))
-        return stack.is_minimum, stack
+        mu = spectra(chart(draws))
+        accept = restricted_nonsingular(basis, mu)
+        return accept, draws.transpose(0, 2, 1)[accept], mu[accept]
 
     return judge
 
 
-def sample_constraint_stacks(j, count: int, rng_seed: int) -> Iterator[ConstraintStack]:
-    """Draw random minimum constraints for a singular J, one evaluated chunk at a time.
-
-    Each Jacobian is the transpose G' of a Gaussian (n, n - rank J) matrix, redrawn until it passes the
-    minimum-constraint check (see _stack_chunks). G' has the null space, so the flags and bound, of its
-    qr's orthonormal rows, the F of sample_minimum_constraints. Yields each chunk's stack; its is_minimum
-    marks the accepted draws. See _sampled_chunks for the draws, the budget and the errors.
-    """
-    yield from _sampled_chunks(j, count, rng_seed, _stack_chunks)
-
-
 def _trace_chunks(basis: RankedSvd):
-    """The chunk rule of sample_constraint_traces: a chunk's accepted traces tr X = sum 1/lambda_i + ||M||_F^2.
+    """The chunk rule of sample_constraint_traces: a chunk's accept mask, then the accepted draws' traces
+    tr X = sum 1/lambda_i + ||M||_F^2.
 
     1/mu_min = lambda_max(X) lies between max_i (1/lambda_i + ||M e_i||^2)
     and 1/lambda_r + ||M||_F^2 (see _chart). This bracket decides a draw
@@ -312,36 +305,38 @@ def _trace_chunks(basis: RankedSvd):
 
 
 def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
-    """The (count,) traces of the accepted draws of sample_constraint_stacks(j, count, rng_seed), in draw order.
+    """The (count,) traces of the draws that sample_minimum_stack(j, count, rng_seed) accepts, in draw order.
 
-    The same draws, budget and errors; each trace is read in closed form
-    (see _trace_chunks), with no qr or F, and no eigvalsh but for the
-    draws that the bracket leaves open.
+    The same draws, budget and errors (see _sampled); each trace is read
+    in closed form (see _trace_chunks), with no qr or F, and no eigvalsh
+    but for the draws that the bracket leaves open.
     """
-    return np.concatenate(list(_sampled_chunks(j, count, rng_seed, _trace_chunks)))
+    return _sampled(j, count, rng_seed, _trace_chunks)[1]
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
-    """The accepted draws of sample_constraint_stacks, filtered and concatenated into one evaluated stack:
-    f_jacs G', flags those of their orthonormal rows (see ConstraintStack)."""
+    """Draw count random minimum constraints for a singular J as one evaluated stack, in draw order.
+
+    Each Jacobian is the transpose G' of a Gaussian (n, n - rank J) draw that passed the
+    minimum-constraint check (see _stack_chunks, and _sampled for the draws, the budget and the
+    errors); its flags are those of its orthonormal rows (see ConstraintStack).
+    """
     basis = as_ranked_svd(j)
-    chunks = sample_constraint_stacks(basis, count, rng_seed)
-    kept = [[f[ok] for f in chunk[1:]] for chunk in chunks for ok in [chunk.is_minimum]]
-    return ConstraintStack(basis, *(np.concatenate(parts) for parts in zip(*kept)))
+    _, f_jacs, mu = _sampled(basis, count, rng_seed, _stack_chunks)
+    return _evaluated(basis, f_jacs, np.full(count, f_jacs.shape[1]), mu)
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:
     """Draw random minimum constraints for a singular J; deterministic for a given seed.
 
-    Each F holds the orthonormal rows of an accepted draw G' (one sign-fixed qr for all); the i-th is
-    labeled "sampled-i retries=d", d the draws rejected since the one before. See sample_constraint_stacks.
+    The draws of sample_minimum_stack; each F holds the orthonormal rows of an accepted draw G' (one
+    sign-fixed qr for all), and the i-th is labeled "sampled-i retries=d", d the draws rejected since
+    the one before.
     """
-    chunks = list(sample_constraint_stacks(j, count, rng_seed))
-    accepted = np.concatenate([chunk.is_minimum for chunk in chunks])
-    retries = np.diff(np.flatnonzero(accepted), prepend=-1) - 1
-    draws = np.concatenate([chunk.f_jacs for chunk in chunks])[accepted].transpose(0, 2, 1)
-    labels = [f"sampled-{i} retries={d}" for i, d in enumerate(retries)]
-    return [ConstraintSpec(f_jac=f_t.T, label=label) for f_t, label in zip(orthonormal_columns(draws), labels)]
+    hits, f_jacs, _ = _sampled(j, count, rng_seed, _stack_chunks)
+    labels = [f"sampled-{i} retries={d}" for i, d in enumerate(np.diff(hits, prepend=-1) - 1)]
+    rows = orthonormal_columns(f_jacs.transpose(0, 2, 1))
+    return [ConstraintSpec(f_jac=f_t.T, label=label) for f_t, label in zip(rows, labels)]
 
 
 def save_constraint_spec(path, spec: ConstraintSpec) -> None:

@@ -141,10 +141,10 @@ def merge_certificates(certs: list[TheoremCertificate]) -> TheoremCertificate:
     return TheoremCertificate(theorem_id, np.concatenate([c.margins for c in certs]), witnesses, detail)
 
 
-def _check_orthonormal(v: np.ndarray, name: str) -> None:
-    """v is a tall matrix or a (k, n, r) stack of them, with orthonormal columns."""
-    if v.ndim not in (2, 3) or v.shape[-1] > v.shape[-2]:
-        raise InvalidInput(f"{name} must be a tall matrix or a stack of them, got shape {v.shape}")
+def _check_orthonormal(v: np.ndarray, n: int, name: str) -> None:
+    """v is a tall (n, r) matrix or a (k, n, r) stack of them, with orthonormal columns."""
+    if v.ndim not in (2, 3) or v.shape[-2] != n or v.shape[-1] > n:
+        raise InvalidInput(f"{name} must be a tall matrix of {n} rows or a stack of them, got shape {v.shape}")
     error = np.abs(v.swapaxes(-1, -2) @ v - np.eye(v.shape[-1])).max(initial=0.0)
     if not error <= ORTHONORMAL_TOL:  # a NaN error fails too
         raise InvalidInput(f"{name} columns are not orthonormal")
@@ -216,7 +216,7 @@ def verify_eigen_dominance(
         width, witness = stack.f_jacs.shape[2] - stack.f_jacs.shape[1], lambda i: _stack_witness(basis, stack, i)
     else:
         v_arr = np.asarray(v, dtype=float)
-        _check_orthonormal(v_arr, "v")
+        _check_orthonormal(v_arr, basis.dim, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
         evals = restricted_information(basis, frames)[1]
         exists = restricted_nonsingular(basis, evals)
@@ -239,7 +239,7 @@ def verify_poincare(
     v_arr = np.asarray(v, dtype=float)
     if v_arr.ndim != 2:
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
-    _check_orthonormal(v_arr, "v")
+    _check_orthonormal(v_arr, basis.dim, "v")
     lam_restricted = restricted_information(basis, v_arr[None])[1][0, ::-1]
     lam = np.sort(np.append(basis.eigenvalues[: basis.rank], np.zeros(basis.dim - basis.rank)))[::-1]
     margins = lam[: lam_restricted.size] - lam_restricted

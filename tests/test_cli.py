@@ -15,7 +15,6 @@ from crbkit import (
     fim_gaussian_mean,
     load_matrix,
     ranked_svd,
-    sample_constraint_stacks,
     sample_minimum_constraints,
     sample_minimum_stack,
     save_matrix,
@@ -33,7 +32,7 @@ from crbkit.verify import (
     verify_poincare,
     verify_trace_bound,
 )
-from util import make_psd, suite_streams
+from util import make_psd, sampled_draws, sampler_chunks, suite_streams
 
 
 EPS = np.finfo(float).eps
@@ -97,8 +96,10 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--rank-tol", "0.02"]
     assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
     basis = ranked_svd(load_matrix(j_path), 0.02)
-    chunks = sample_constraint_stacks(basis, 40, derived_seed(3, "experiment-constraints"))
-    assert [not np.all(chunk.is_minimum) for chunk in chunks] == [True] * 26 + [False]
+    _, hits = sampled_draws(basis, 40, derived_seed(3, "experiment-constraints"))
+    ends = np.cumsum(sampler_chunks(hits, 40))
+    rejected = np.diff(ends, prepend=0) - np.diff(np.searchsorted(hits, ends), prepend=0)
+    assert (rejected > 0).tolist() == [True] * 26 + [False]
     outputs = ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx", "a/constraint.matx",
                "e/traces.csv", "e2/traces.csv", "c/certificates.csv", "c2/certificates.csv")
     outputs += ("m/j.matx", "m/analysis.csv", "m/j_pinv.matx", "m/crb_constrained.matx", "m/constraint.matx")
@@ -447,7 +448,6 @@ def test_flags_override_config_values(tmp_path):
     "config, params",
     [
         ("model = gaussian_location\ndim = 3\nnoise_var = 2\n", "dim = 3\nnoise_var = 2\n"),
-        ("model = gaussian_location\ns_len = 9\n", "dim = 4\nnoise_var = 1\n"),
         ("model = blind_channel\nh_len = 2\n", "s_len = 3\nh_len = 2\nnoise_var = 1\n"),
     ],
 )
@@ -464,6 +464,26 @@ def test_model_manifest_lists_the_model_parameters(tmp_path, config, params):
     model = config.splitlines(keepends=True)[0]
     assert "".join(lines[8:-1]) == model + params + "fim_method = analytic\n"
     assert lines[-1].startswith("theta = ")
+
+
+@pytest.mark.parametrize(
+    "config, key, where",
+    [
+        ("model = gaussian_location\ns_len = 9\n", "s_len", "to model gaussian_location"),
+        ("model = blind_channel\ndim = 9\n", "dim", "to model blind_channel"),
+        ("input = j.matx\ns_len = 5\n", "s_len", "without a model"),
+        ("input = j.matx\nfim_method = monte_carlo\ntheta = 1 2\n", "fim_method", "without a model"),
+        ("count = 3\ntheta = 1 2\n", "theta", "without a model"),
+    ],
+)
+def test_config_key_that_does_not_apply_exits_2(tmp_path, capsys, config, key, where):
+    # a key that the run would drop, and so leave out of its manifest, is refused
+    save_matrix(tmp_path / "j.matx", np.diag([2.0, 1.0, 0.0]))
+    cfg = tmp_path / "stray.cfg"
+    cfg.write_text(config)
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: resolving configuration: config key {key!r} does not apply {where}\n"
+    assert not (tmp_path / "o" / "manifest.cfg").exists()
 
 
 def test_unknown_model_in_config_exits_2(tmp_path, capsys):

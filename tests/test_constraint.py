@@ -7,7 +7,6 @@ import crbkit.constraint as constraint_module
 from crbkit import (
     BlindChannelModel,
     ConstraintSpec,
-    ConstraintStack,
     FullRankFim,
     InvalidInput,
     InvalidMatrix,
@@ -24,7 +23,6 @@ from crbkit import (
     pinv_via_basis,
     random_rank_deficient_psd,
     ranked_svd,
-    sample_constraint_stacks,
     sample_constraint_traces,
     sample_minimum_constraints,
     sample_minimum_stack,
@@ -34,7 +32,7 @@ from crbkit import (
 )
 from crbkit.matlin import _sign_fixed_columns, check_psd, seed_sequence
 import exact
-from util import make_psd, orthonormal_rows, random_orthonormal
+from util import make_psd, orthonormal_rows, random_orthonormal, sampled_draws, sampler_chunks
 
 EPS = np.finfo(float).eps
 
@@ -307,12 +305,18 @@ def test_sampler_exhausts_after_accepts_across_a_chunk_boundary(monkeypatch):
     monkeypatch.setattr(
         constraint_module.np.linalg, "solve", lambda a, b: drawn.append(len(a)) or real(a, b)
     )
-    sampled = 0
+    # the chunk rule hands the loop only its accepted draws
+    stack_chunks, kept = constraint_module._stack_chunks, []
+
+    def keeping(basis):
+        judge = stack_chunks(basis)
+        return lambda draws: kept.append(judge(draws)) or kept[-1]
+
+    monkeypatch.setattr(constraint_module, "_stack_chunks", keeping)
     with pytest.raises(SamplingExhausted, match=f"{budget} consecutive rejections"):
-        for stack in sample_constraint_stacks(j, count, 3):
-            sampled += int(np.sum(stack.is_minimum))
+        sample_minimum_constraints(j, count, 3)
     assert drawn == chunks
-    assert sampled == accepted
+    assert sum(len(f_jacs) for _, f_jacs, _ in kept) == accepted
     assert seen[0] == draw + 1
 
 
@@ -322,23 +326,23 @@ def test_sampled_flags_follow_the_row_rank_rule():
     # ranked_svd refuses
     j = make_psd(np.random.default_rng(6), 4, 2)
     for tol in (1e-10, 0.02, np.nextafter(0.25, 0.0)):
-        stack = next(sample_constraint_stacks(ranked_svd(j, tol), 10, 7))
+        stack = sample_minimum_stack(ranked_svd(j, tol), 10, 7)
         evaluated = evaluate_constraints(stack.basis, orthonormal_rows(stack.f_jacs))
         for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
             assert np.array_equal(getattr(stack, flag), getattr(evaluated, flag))
-        assert np.all(stack.full_rank_jacobian)
+        assert np.all(stack.is_minimum)
     # the flags are not those of the stack's f_jacs, its draws G', which are not orthonormal: one ulp
     # below 1/n the svd rule cuts just under sigma_max(G') and calls every draw here rank deficient
-    assert np.any(stack.is_minimum)
     assert not np.any(evaluate_constraints(stack.basis, stack.f_jacs).full_rank_jacobian)
     with pytest.raises(InvalidInput, match=r"^rank_tol_rel 0.25000000000000006 gives every 4 x 4 matrix rank 0"):
         ranked_svd(j, np.nextafter(0.25, 1.0))
 
 
-def test_sampled_stack_equals_its_filtered_chunks():
-    # every sample equals its filtered and concatenated chunks: a lone chunk with no rejections,
-    # rejections (here under a loose cutoff) and counts above CONSTRAINT_CHUNK; the
-    # specs carry the labels and the orthonormal rows of the draws
+def test_sampled_stack_holds_the_draws_its_specs_label():
+    # a lone chunk with no rejections, rejections (here under a loose cutoff) and counts above
+    # CONSTRAINT_CHUNK: the stack holds, in draw order, the stream's draws at the indices that the
+    # specs' retries= labels give, and the specs carry the labels of the draw-by-draw reference and
+    # the orthonormal rows of the stack's draws
     rng = np.random.default_rng(8)
     cases = [  # basis, count, one chunk, some draw rejected
         (ranked_svd(make_psd(rng, 5, 2)), 20, True, False),
@@ -346,14 +350,11 @@ def test_sampled_stack_equals_its_filtered_chunks():
         (ranked_svd(make_psd(rng, 5, 2)), 40, False, False),
     ]
     for basis, count, one_chunk, rejected in cases:
-        chunks = list(sample_constraint_stacks(basis, count, 11))
-        assert len(chunks) == 1 if one_chunk else len(chunks) > 1
-        assert any(not np.all(chunk.is_minimum) for chunk in chunks) == rejected
+        draws, hits = sampled_draws(basis, count, 11)
+        assert (len(sampler_chunks(hits, count)) == 1) == one_chunk and (len(draws) > count) == rejected
         stack = sample_minimum_stack(basis, count, 11)
-        assert stack.basis is basis
-        for name in ConstraintStack._fields[1:]:
-            reference = np.concatenate([getattr(chunk, name)[chunk.is_minimum] for chunk in chunks])
-            assert len(reference) == count and np.array_equal(getattr(stack, name), reference), name
+        assert stack.basis is basis and np.array_equal(stack.f_jacs, draws[hits])
+        assert np.all(stack.row_rank == basis.dim - basis.rank) and np.all(stack.is_minimum)
         expected, _ = reference_sample(basis.matrix.entries, count, 11, basis.rank_tol_rel)
         specs = sample_minimum_constraints(basis, count, 11)
         assert [spec.label for spec in specs] == [label for _, label in expected]
@@ -378,16 +379,17 @@ def spread_psd(rng, n, rank, scale):
 
 
 def test_sampled_jacobians_are_the_complete_qr_leading_columns():
-    # a chunk holds its draws G'; their reduced qr gives the Jacobians that the complete one gave
+    # a sampled stack holds its draws G' (at the default cutoff none of these is rejected); their
+    # reduced qr gives the Jacobians that the complete one gave
     # bit for bit up to n = 7; from n = 8 the two can round an entry differently (by up to 1.5 eps
     # at n = 8 and 2 eps at n = 32 on an OpenBLAS 0.3.31 build), so there the gap is bounded by n eps
     rng = np.random.default_rng(11)
     for n in [*range(2, 9), 32]:
         for rank in range(1, n) if n < 32 else (16,):
-            chunk = next(sample_constraint_stacks(ranked_svd(make_psd(rng, n, rank)), 20, 100 * n + rank))
+            stack = sample_minimum_stack(ranked_svd(make_psd(rng, n, rank)), 20, 100 * n + rank)
             draws = np.random.default_rng(seed_sequence(100 * n + rank)).standard_normal((20, n, n - rank))
-            assert np.array_equal(chunk.f_jacs, draws.transpose(0, 2, 1))
-            rows = orthonormal_rows(chunk.f_jacs)
+            assert np.array_equal(stack.f_jacs, draws.transpose(0, 2, 1))
+            rows = orthonormal_rows(stack.f_jacs)
             f_jacs, _ = complete_qr_chunk(100 * n + rank, 20, n, n - rank)
             if n < 8:
                 assert rows.tobytes() == f_jacs.tobytes(), (n, rank)
@@ -407,15 +409,12 @@ def test_specs_and_witnesses_hold_the_rows_of_each_chunks_reduced_qr():
         for n in range(2, 9):
             for rank in range(1, n):
                 basis, seed = ranked_svd(random_rank_deficient_psd(n, rank, rng), tol), 100 * n + rank
-                chunks = list(sample_constraint_stacks(basis, 20, seed))
-                stream = np.random.default_rng(seed_sequence(seed))
-                draws = [stream.standard_normal((len(chunk.f_jacs), n, n - rank)) for chunk in chunks]
-                held = [orthonormal_rows(chunk_draws.transpose(0, 2, 1)) for chunk_draws in draws]
-                accepted = np.concatenate([chunk.is_minimum for chunk in chunks])
-                reference = np.concatenate(held)[accepted]
+                draws, hits = sampled_draws(basis, 20, seed)
+                ends = np.cumsum(sampler_chunks(hits, 20))
+                reference = np.concatenate([orthonormal_rows(chunk) for chunk in np.split(draws, ends[:-1])])[hits]
                 if n < 8:
-                    complete, _ = complete_qr_chunk(seed, len(accepted), n, n - rank)
-                    assert reference.tobytes() == complete[accepted].tobytes()
+                    complete, _ = complete_qr_chunk(seed, len(draws), n, n - rank)
+                    assert reference.tobytes() == complete[hits].tobytes()
                 stack = sample_minimum_stack(basis, 20, seed)
                 specs = sample_minimum_constraints(basis, 20, seed)
                 assert all(spec.f_jac.tobytes() == f_jac.tobytes() for spec, f_jac in zip(specs, reference))
@@ -429,7 +428,7 @@ def test_specs_and_witnesses_hold_the_rows_of_each_chunks_reduced_qr():
                         matrices = dict(witness.matrices)
                         assert matrices["j"] is basis.matrix.entries
                         assert matrices["f_jac"].tobytes() == reference[c // rows].tobytes(), (tol, n, rank, c)
-                spans += len(chunks) > 1
+                spans += len(ends) > 1
     assert spans > 0
 
 
@@ -442,9 +441,9 @@ def test_only_sample_minimum_constraints_orthonormalizes_and_with_one_qr(monkeyp
     basis = ranked_svd(random_rank_deficient_psd(6, 3, np.random.default_rng(16)))
     loose = ranked_svd(basis.matrix.entries, 0.02)
     for j, count in ((basis, 20), (basis, 40), (loose, 40)):
-        chunks = list(sample_constraint_stacks(j, count, 5))
-        assert len(chunks) > 1 or count == 20
-        assert (j is loose) == (not all(chunk.is_minimum.all() for chunk in chunks))
+        draws, hits = sampled_draws(j, count, 5)
+        assert len(sampler_chunks(hits, count)) > 1 or count == 20
+        assert (j is loose) == (len(draws) > count)
         calls.clear()
         sample_minimum_stack(j, count, 5)
         assert calls == []
@@ -463,12 +462,13 @@ def test_sampled_spectra_are_those_of_j_as_its_rank_rule_reads_it():
         for rank in range(1, n):
             for tol, scale in ((1e-10, 1e-8), (1e-10, 1.0), (1e-3, 1e8)):
                 basis = ranked_svd(spread_psd(rng, n, rank, scale), tol)
-                chunk = next(sample_constraint_stacks(basis, 20, 100 * n + rank))
-                _, u = complete_qr_chunk(100 * n + rank, 20, n, n - basis.rank)
+                stack = sample_minimum_stack(basis, 20, 100 * n + rank)
+                draws, hits = sampled_draws(basis, 20, 100 * n + rank)
+                u = complete_qr_chunk(100 * n + rank, len(draws), n, n - basis.rank)[1][hits]
                 j_r = (basis.u_r * basis.sigma) @ basis.u_r.T
                 mu = np.linalg.eigvalsh(u.transpose(0, 2, 1) @ j_r @ u)
                 slack = 10 * basis.rank * EPS * basis.sigma[0] / mu[:, :1] ** 2
-                assert np.all(np.abs(1.0 / chunk.utju_eigs - 1.0 / mu) <= slack)
+                assert np.all(np.abs(1.0 / stack.utju_eigs - 1.0 / mu) <= slack)
 
 
 def test_every_sampled_trace_is_at_least_the_pseudoinverse_trace():
@@ -490,7 +490,7 @@ def test_the_sampler_refuses_an_indefinite_j_before_drawing():
     # with check_psd's one message, not with SamplingExhausted once its budget of draws is spent
     basis = ranked_svd(np.diag([1.0, -1.0, 0.0]))
     message = "information matrix is not positive semidefinite: eigenvalue -1 is negative and kept by the rank cutoff 3e-10"
-    for sample in (sample_minimum_stack, sample_minimum_constraints, lambda *a: next(sample_constraint_stacks(*a))):
+    for sample in (sample_minimum_stack, sample_minimum_constraints, sample_constraint_traces):
         with pytest.raises(InvalidMatrix) as info:
             sample(basis, 5, 1)
         assert str(info.value) == message
@@ -517,47 +517,49 @@ def test_sampled_and_evaluated_stacks_read_one_j_under_one_rule():
     j = np.diag([16.8, 5.0, 3.0, 0.29, 0.15, 0.0])
     for tol in (1e-10, 0.02):
         basis = ranked_svd(j, tol)
-        flags = []
-        for chunk in sample_constraint_stacks(basis, 300, 3):
-            evaluated = evaluate_constraints(basis, orthonormal_rows(chunk.f_jacs))
-            assert np.array_equal(evaluated.is_minimum, chunk.is_minimum)
-            ok = chunk.is_minimum
-            traces, reference = np.array(bound_traces(chunk))[ok], np.array(bound_traces(evaluated))[ok]
-            slack = 10 * basis.rank * EPS * basis.sigma[0] / chunk.utju_eigs[ok, 0]
-            assert np.all(np.abs(traces - reference) <= slack * reference)
-            flags.append(chunk.is_minimum)
-        accepted = np.concatenate(flags)  # at 0.02 most draws are rejected, on both routes alike
-        assert accepted.sum() == 300 and (tol == 1e-10 or accepted.mean() < 0.5)
+        draws, hits = sampled_draws(basis, 300, 3)
+        evaluated = evaluate_constraints(basis, orthonormal_rows(draws))
+        assert np.array_equal(np.flatnonzero(evaluated.is_minimum), hits)
+        stack = sample_minimum_stack(basis, 300, 3)
+        traces, reference = np.array(bound_traces(stack)), np.array(bound_traces(evaluated))[hits]
+        slack = 10 * basis.rank * EPS * basis.sigma[0] / stack.utju_eigs[:, 0]
+        assert np.all(np.abs(traces - reference) <= slack * reference)
+        assert tol == 1e-10 or len(draws) > 600  # at 0.02 most draws are rejected, on both routes alike
 
 
-def recorded_trace_sample(monkeypatch, basis, count, seed):
-    """sample_constraint_traces(basis, count, seed) with its chunks' accept masks and the number of draws
-    whose mu it read, those that the bracket left open.
+def recorded_sample(monkeypatch, sample, basis, count, seed):
+    """sample(basis, count, seed) with the accept mask of each chunk that its chunk rule judged and the
+    number of draws that restricted_nonsingular judged, for the trace sampler those that the bracket
+    left open.
 
-    Returns (the traces array or the SamplingExhausted message, masks, open draws).
+    Returns (the sample or the SamplingExhausted message, masks, judged draws).
     """
     masks, opened = [], [0]
-    trace_chunks, rule = constraint_module._trace_chunks, constraint_module.restricted_nonsingular
+    rule = constraint_module.restricted_nonsingular
 
-    def recorded(basis):
-        judge = trace_chunks(basis)
+    def recorded(chunk_rule):
+        def rule_of(basis):
+            judge = chunk_rule(basis)
 
-        def record(draws):
-            accepted, traces = judge(draws)
-            masks.append(accepted.copy())
-            return accepted, traces
+            def record(draws):
+                accepted, *arrays = judge(draws)
+                masks.append(accepted.copy())
+                return accepted, *arrays
 
-        return record
+            return record
+
+        return rule_of
 
     def counted(basis, mu):
         opened[0] += len(mu)
         return rule(basis, mu)
 
     with monkeypatch.context() as patch:
-        patch.setattr(constraint_module, "_trace_chunks", recorded)
+        for name in ("_stack_chunks", "_trace_chunks"):
+            patch.setattr(constraint_module, name, recorded(getattr(constraint_module, name)))
         patch.setattr(constraint_module, "restricted_nonsingular", counted)
         try:
-            result = sample_constraint_traces(basis, count, seed)
+            result = sample(basis, count, seed)
         except SamplingExhausted as exc:
             result = str(exc)
     return result, masks, opened[0]
@@ -565,38 +567,35 @@ def recorded_trace_sample(monkeypatch, basis, count, seed):
 
 def assert_the_samplers_agree(monkeypatch, basis, count, seed):
     """Both samplers accept the same draws, chunk for chunk, and each trace is bound_traces of its draw,
-    sum 1/mu, within 10 r eps; each chunk's flags are those that evaluate_constraints, the svd route,
+    sum 1/mu, within 10 r eps; each draw's flags are those that evaluate_constraints, the svd route,
     gives its orthonormal F. Returns the number of draws whose mu the trace sampler read.
     """
-    masks, reference = [], []
-    try:
-        for chunk in sample_constraint_stacks(basis, count, seed):
-            evaluated = evaluate_constraints(basis, orthonormal_rows(chunk.f_jacs))
-            for flag in ("full_rank_jacobian", "utju_nonsingular", "rank_sum_is_n"):
-                assert np.array_equal(getattr(chunk, flag), getattr(evaluated, flag)), flag
-            masks.append(chunk.is_minimum)
-            reference += list(np.array(bound_traces(chunk))[chunk.is_minimum])
-        expected = np.array(reference)
-    except SamplingExhausted as exc:
-        expected = str(exc)
-    traces, trace_masks, opened = recorded_trace_sample(monkeypatch, basis, count, seed)
-    if isinstance(expected, str):  # the exhausting chunk is judged, and the stacks route yields none of it
-        assert traces == expected and len(trace_masks) == len(masks) + 1
+    stack, masks, _ = recorded_sample(monkeypatch, sample_minimum_stack, basis, count, seed)
+    traces, trace_masks, opened = recorded_sample(monkeypatch, sample_constraint_traces, basis, count, seed)
+    assert len(trace_masks) == len(masks) and all(np.array_equal(a, b) for a, b in zip(trace_masks, masks))
+    accepted = np.concatenate(masks)
+    shape = (len(accepted), basis.dim, basis.dim - basis.rank)
+    draws = np.random.default_rng(seed_sequence(seed)).standard_normal(shape)
+    evaluated = evaluate_constraints(basis, orthonormal_rows(draws.transpose(0, 2, 1)))
+    assert np.all(evaluated.full_rank_jacobian) and np.all(evaluated.rank_sum_is_n)
+    assert np.array_equal(evaluated.utju_nonsingular, accepted)
+    if isinstance(stack, str):  # both samplers judge the exhausting chunk, then raise
+        assert traces == stack
     else:
-        assert len(traces) == count and len(trace_masks) == len(masks)
+        expected = np.array(bound_traces(stack))
+        assert len(traces) == count
         assert np.all(np.abs(traces - expected) <= 10 * basis.rank * EPS * expected)
-    assert all(np.array_equal(a, b) for a, b in zip(trace_masks, masks))
     return opened
 
 
 def test_the_trace_sampler_returns_the_accepted_traces_as_one_float64_array(monkeypatch):
     # counts inside one chunk, at its boundary and past it, and the blind channel at rank_tol 0.02,
     # whose rejections leave chunks with fewer traces than draws; each array holds the traces of
-    # the accepted draws of sample_constraint_stacks
+    # the draws that sample_minimum_stack accepts
     model = BlindChannelModel(3, 3, 1.0)
     blind = fim_gaussian_mean(model, np.random.default_rng(32).uniform(0.5, 1.5, model.param_dim)).matrix
     loose = ranked_svd(blind, 0.02)
-    assert not all(chunk.is_minimum.all() for chunk in sample_constraint_stacks(loose, 40, 9))
+    assert len(sampled_draws(loose, 40, 9)[0]) > 40
     half = ranked_svd(make_psd(np.random.default_rng(33), 6, 3))
     for basis, count in [(half, 1), (half, 32), (half, 33), (half, 64), (loose, 40)]:
         traces = sample_constraint_traces(basis, count, 9)
@@ -621,7 +620,7 @@ def test_the_trace_sampler_accepts_the_spectral_draws_with_their_traces(monkeypa
     # at 0.02 the wide J keeps rank 8 and the bracket rejects all but 2 of the 2,000 draws that
     # exhaust the budget
     assert_the_samplers_agree(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
-    traces, _, _ = recorded_trace_sample(monkeypatch, ranked_svd(wide, 0.02), 20, 5)
+    traces, _, _ = recorded_sample(monkeypatch, sample_constraint_traces, ranked_svd(wide, 0.02), 20, 5)
     assert traces == "2000 consecutive rejections while sampling minimum constraints"
     model = BlindChannelModel(3, 3, 1.0)
     blind = fim_gaussian_mean(model, np.random.default_rng(32).uniform(0.5, 1.5, model.param_dim)).matrix
@@ -679,12 +678,13 @@ def test_a_draw_whose_b_is_singular_is_rejected_on_its_own():
     draws = np.random.default_rng(14).standard_normal((3, 3, 1))
     draws[1, 2] = 0.0
     stacks, traces = constraint_module._stack_chunks(basis), constraint_module._trace_chunks(basis)
-    flags, stack = stacks(draws)
+    flags, f_jacs, mu = stacks(draws)
     accepted, kept = traces(draws)
     assert flags.tolist() == accepted.tolist() == [True, False, True]
-    assert stack.utju_eigs[1].tolist() == [0.0, 0.0]
+    chart, spectra = constraint_module._chart(basis)
+    assert spectra(chart(draws))[1].tolist() == [0.0, 0.0]
     for i in (0, 2):
-        alone, alone_stack = stacks(draws[i : i + 1])
-        assert alone.tolist() == [True] and np.array_equal(alone_stack.utju_eigs[0], stack.utju_eigs[i])
-        assert np.array_equal(alone_stack.f_jacs[0], stack.f_jacs[i])
+        alone, alone_f_jacs, alone_mu = stacks(draws[i : i + 1])
+        assert alone.tolist() == [True] and np.array_equal(alone_mu[0], mu[i // 2])
+        assert np.array_equal(alone_f_jacs[0], f_jacs[i // 2])
         assert traces(draws[i : i + 1])[1].tolist() == [kept[i // 2]]

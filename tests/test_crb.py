@@ -20,6 +20,7 @@ from crbkit import (
     sample_minimum_constraints,
     sample_minimum_stack,
     unconstrained_crb,
+    verify_constraint_equivalence,
 )
 from crbkit.crb import _bounds
 from crbkit.matlin import restricted_information
@@ -282,6 +283,34 @@ def test_constrained_bounds_against_exact_rationals():
                 assert error <= 2 * 1.25 * unit * norm, (n, rank)
                 assert abs(Fraction(report.trace - basis.pinv.trace) - gap) <= 2 * 1.97 * unit * report.trace, (n, rank)
                 assert gap > 0
+
+
+def test_equivalence_distance_against_an_exact_annihilator():
+    # J = BB' with integer B; P, an integer basis of null(B') (exact, denominators cleared), and an
+    # integer nonsingular Q give F = QP', which annihilates range(J) exactly, so its bound is J+ and the
+    # exact distance 0. The computed one is roundoff, in units of n eps kappa(J) ||J+||_F cond(F),
+    # kappa = sigma_1 / sigma_r: these 84 draws read at most 0.987 units (median 0.023), 840 draws of
+    # default_rng(1) at most 1.325 (99th percentile 0.995)
+    rng = np.random.default_rng(0)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            for _ in range(3):
+                b = rng.integers(-5, 6, (n, rank)).astype(float)
+                while exact.null_space(exact.rational(b))[0]:
+                    b = rng.integers(-5, 6, (n, rank)).astype(float)
+                columns = zip(*exact.null_space(exact.rational(b.T)))
+                p = np.array([[v * math.lcm(*(x.denominator for x in col)) for v in col] for col in columns], float)
+                q = rng.integers(-3, 4, (n - rank, n - rank)).astype(float)
+                while exact.null_space(exact.rational(q))[0]:
+                    q = rng.integers(-3, 4, (n - rank, n - rank)).astype(float)
+                f = q @ p
+                assert not np.any(f @ b)
+                basis = ranked_svd(b @ b.T)
+                assert basis.rank == rank
+                distance = -verify_constraint_equivalence(basis, [f], -np.inf).margins[0]
+                kappa = basis.sigma[0] / basis.sigma[rank - 1]
+                unit = n * EPS * kappa * np.linalg.norm(basis.pinv.entries) * np.linalg.cond(f)
+                assert 0.0 <= distance <= 4.0 * unit, (n, rank)
 
 
 def test_the_bias_gradient_form_gives_the_constrained_bound():

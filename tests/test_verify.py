@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from crbkit import (
     pinv_via_basis,
     random_rank_deficient_psd,
     ranked_svd,
-    sample_constraint_stacks,
     sample_minimum_constraints,
     sample_minimum_stack,
     unconstrained_crb,
@@ -42,7 +42,7 @@ import crbkit.verify as verify_module
 from crbkit.crb import _bounds
 from crbkit.matlin import ORTHONORMAL_TOL, orthonormal_columns, restricted_information, restricted_nonsingular
 from crbkit.verify import _check_orthonormal
-from util import make_psd, orthonormal_rows, random_orthonormal
+from util import make_psd, orthonormal_rows, random_orthonormal, sampled_draws, sampler_chunks
 
 EPS = np.finfo(float).eps
 DIAG = np.diag([2.0, 0.0])
@@ -133,24 +133,34 @@ def test_eigen_dominance_refuses_frames_narrower_than_the_rank():
 def test_orthonormality_guard_edges():
     # an off-diagonal Gram entry of exactly t: tilted[0, 1] = t gives (V'V)[0, 1] = t and (V'V)[1, 1] = 1
     frame = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    _check_orthonormal(frame, "v")
-    _check_orthonormal(np.zeros((3, 0)), "v")
-    _check_orthonormal(np.zeros((2, 3, 0)), "v")
+    _check_orthonormal(frame, 3, "v")
+    _check_orthonormal(np.zeros((3, 0)), 3, "v")
+    _check_orthonormal(np.zeros((2, 3, 0)), 3, "v")
     tilted = frame.copy()
     tilted[0, 1] = np.nextafter(ORTHONORMAL_TOL, 0.0)
-    _check_orthonormal(tilted, "v")
-    _check_orthonormal(np.stack([frame, tilted]), "v")
+    _check_orthonormal(tilted, 3, "v")
+    _check_orthonormal(np.stack([frame, tilted]), 3, "v")
     tilted[0, 1] = np.nextafter(ORTHONORMAL_TOL, 1.0)
     with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
-        _check_orthonormal(tilted, "v")
+        _check_orthonormal(tilted, 3, "v")
     with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
-        _check_orthonormal(np.stack([frame, tilted]), "v")
+        _check_orthonormal(np.stack([frame, tilted]), 3, "v")
     broken = frame.copy()
     broken[2, 0] = np.nan
     with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
-        _check_orthonormal(broken, "v")
+        _check_orthonormal(broken, 3, "v")
     with pytest.raises(InvalidInput, match="v columns are not orthonormal"):
         verify_eigen_dominance(DIAG, np.array([[np.nan], [0.0]]))
+
+
+def test_frames_with_another_row_count_are_refused():
+    # a frame or stack whose row count is not n is refused before any product, its shape named
+    j = np.diag([2.0, 1.0, 0.0])
+    frames = (np.eye(4)[:, :2], np.eye(2))
+    for verify in (verify_poincare, verify_eigen_dominance):
+        for v in frames + tuple(np.stack([frame, frame]) for frame in frames):
+            with pytest.raises(InvalidInput, match=r"^v must be a tall matrix.*got shape " + re.escape(str(v.shape))):
+                verify(j, v)
 
 
 def per_frame_dominance(basis, frames):
@@ -576,16 +586,15 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
 
 
 def test_sampled_stack_spans_several_chunks():
-    # at a loose cutoff draws are rejected, so 70 constraints take more than three chunks of 32
+    # at a loose cutoff draws are rejected, so 70 constraints take more than three chunks of 32;
+    # the stack holds the accepted draws of all of them, in draw order
     rng = np.random.default_rng(44)
     basis = ranked_svd(random_rank_deficient_psd(6, 3, rng), 0.02)
-    chunks = list(sample_constraint_stacks(basis, 70, 5))
-    assert len(chunks) > 3 and sum(int(np.sum(chunk.is_minimum)) for chunk in chunks) == 70
-    assert not np.all(np.concatenate([chunk.is_minimum for chunk in chunks]))
+    draws, hits = sampled_draws(basis, 70, 5)
+    assert len(sampler_chunks(hits, 70)) > 3 and len(draws) > 70
     stack = sample_minimum_stack(basis, 70, 5)
     assert len(stack.f_jacs) == 70
-    accepted = np.concatenate([chunk.f_jacs[chunk.is_minimum] for chunk in chunks])
-    assert np.array_equal(stack.f_jacs, accepted)
+    assert np.array_equal(stack.f_jacs, draws[hits])
     assert_stack_path_matches(basis, stack)
 
 
@@ -654,19 +663,22 @@ def test_a_stack_is_checked_against_the_values_of_j():
 
 
 def test_a_rejected_draw_is_reported_from_its_own_chunk():
-    # under a loose cutoff some draws leave U'JU singular; the error carries the row rank and
-    # U'JU extremes of the chunk's own qr-route evaluation
+    # under a loose cutoff some draws leave U'JU singular; evaluated as one stack, the sampler's
+    # draws up to its last accepted one, with a rejected draw among them, report the row rank and
+    # U'JU extremes of their own evaluation
     basis = ranked_svd(random_rank_deficient_psd(6, 3, np.random.default_rng(48)), 0.05)
-    chunk = next(chunk for chunk in sample_constraint_stacks(basis, 20, 9) if not np.all(chunk.is_minimum))
-    idx = int(np.argmin(chunk.is_minimum))
-    evals = chunk.utju_eigs[idx]
+    draws, hits = sampled_draws(basis, 20, 9)
+    stack = evaluate_constraints(basis, orthonormal_rows(draws))
+    assert np.array_equal(np.flatnonzero(stack.is_minimum), hits)
+    idx = int(np.argmin(stack.is_minimum))
+    evals = stack.utju_eigs[idx]
     details = {
-        "rank_jacobian": int(chunk.row_rank[idx]), "rank_fim": 3, "param_dim": 6,
+        "rank_jacobian": int(stack.row_rank[idx]), "rank_fim": 3, "param_dim": 6,
         "utju_min_eig": float(evals[0]), "utju_max_eig": float(evals[-1]),
     }
-    assert details["rank_jacobian"] == 3 and not chunk.utju_nonsingular[idx]
+    assert details["rank_jacobian"] == 3 and not stack.utju_nonsingular[idx]
     with pytest.raises(NotMinimumConstraint) as raised:
-        verify_trace_bound(basis, chunk)
+        verify_trace_bound(basis, stack)
     assert str(raised.value) == f"constraint {idx} (unlabeled) is not minimum: {details}"
 
 

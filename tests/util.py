@@ -7,6 +7,8 @@ route so library results are checked against an independent construction.
 import numpy as np
 
 from crbkit.cli import derived_rng
+from crbkit.constraint import sample_minimum_constraints
+from crbkit.matlin import seed_sequence
 from crbkit.verify import random_rank_deficient_psd
 
 
@@ -31,6 +33,29 @@ def orthonormal_rows(f_jacs):
     positive: for a sampled stack's draws G', the F that its specs and witnesses give, the rows it once held."""
     q, r = np.linalg.qr(np.asarray(f_jacs).transpose(0, 2, 1))
     return (q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]).transpose(0, 2, 1)
+
+
+def sampled_draws(basis, count, seed):
+    """Every draw G' that sample_minimum_constraints(basis, count, seed) made, in draw order, and the
+    index of each accepted one, read from the retries= labels of its specs. The sampler consumes its
+    stream as one draw at a time would, and its last draw is its last accepted one."""
+    specs = sample_minimum_constraints(basis, count, seed)
+    hits = np.cumsum([int(spec.label.split("retries=")[1]) + 1 for spec in specs]) - 1
+    shape = (hits[-1] + 1, basis.dim, basis.dim - basis.rank)
+    return np.random.default_rng(seed_sequence(seed)).standard_normal(shape).transpose(0, 2, 1), hits
+
+
+def sampler_chunks(hits, count):
+    """The chunk sizes of the sampler's loop for a sample that accepted the draws hits: each chunk makes
+    as many draws as can still be accepted, at most 32, and never overdraws the budget of 100 * count."""
+    chunks, accepted, rejects = [], 0, 0
+    while accepted < count:
+        drawn = sum(chunks)
+        chunks.append(min(count - accepted, 100 * count - rejects, 32))
+        inside = hits[(hits >= drawn) & (hits < drawn + chunks[-1])]
+        accepted += inside.size
+        rejects = drawn + chunks[-1] - 1 - inside[-1] if inside.size else rejects + chunks[-1]
+    return chunks
 
 
 def svd_pinv_oracle(a):
