@@ -240,13 +240,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         model_kind = args.model
 
     model_params: dict = {}
+    allowed = {"command", "version", "input", "model", *SETTINGS}  # the file keys that apply to every input
     if model_kind is not None:
         if model_kind not in MODELS:
             raise InvalidInput(f"unknown model {model_kind!r}; choose from {tuple(MODELS)}")
         for key, default in MODELS[model_kind][1].items():
             model_params[key] = _parse(file_values, key, default)
-    allowed = {"command", "version", "input", "model", *SETTINGS}
-    allowed |= {"theta", "fim_method", *model_params} if model_kind is not None else set()
+        allowed |= {"theta", "fim_method", *model_params}
     if stray := sorted(file_values.keys() - allowed):
         where = f"to model {model_kind}" if model_kind is not None else "without a model"
         raise InvalidInput(f"config key {stray[0]!r} does not apply {where}")
