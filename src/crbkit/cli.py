@@ -51,9 +51,7 @@ from .errors import (
 from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
     DEFAULT_RANK_TOL_REL,
-    _cutoff,
     as_sym_matrix,
-    check_psd,
     orthonormal_columns,
     ranked_svd,
     seed_sequence,
@@ -293,8 +291,8 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
 def information_matrix(config: RunConfig):
     """The run's information matrix factored under its rank rule; returns (RankedSvd, FimEstimate | None).
 
-    Invalid input, a rank_tol refused by check_rank_tol or a J that check_psd refuses
-    raise CliError with exit 2, a failed estimate exit 3.
+    Invalid input, a rank_tol or an indefinite J that ranked_svd refuses raise CliError with exit 2,
+    a failed estimate exit 3.
     """
     try:
         if config.matrix is not None:
@@ -314,19 +312,12 @@ def information_matrix(config: RunConfig):
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
-    check_rank_tol(sym.dim, config.rank_tol_rel)  # a rule that calls every eigenvalue zero cannot judge definiteness
     try:  # a model's J is PSD up to roundoff that the rank rule calls zero
-        return check_psd(ranked_svd(sym, config.rank_tol_rel)), estimate
+        return ranked_svd(sym, config.rank_tol_rel), estimate
+    except InvalidInput as exc:  # a rule that calls every eigenvalue zero cannot judge definiteness
+        raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
     except InvalidMatrix as exc:
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
-
-
-def check_rank_tol(n: int, rank_tol: float) -> None:
-    """Refuse, with exit 2, a rank_tol that the rank rule refuses for n x n matrices, before any is factored."""
-    try:
-        _cutoff(1.0, n, rank_tol)
-    except InvalidInput as exc:  # below machine epsilon or from 1/n on; validate refuses the rest
-        raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
 
 
 def _config_value(value) -> str:
@@ -439,9 +430,11 @@ def cmd_certify(config: RunConfig) -> int:
         for i in range(config.count):
             n = int(shape_rng.integers(2, 9))
             rank = int(shape_rng.integers(1, n))
-            check_rank_tol(n, config.rank_tol_rel)
             rng = derived_rng(config.seed, "certify-matrix", i)
-            matrices.append((ranked_svd(random_rank_deficient_psd(n, rank, rng), config.rank_tol_rel), rng))
+            try:  # below machine epsilon or from 1/n on; validate refuses the rest
+                matrices.append((ranked_svd(random_rank_deficient_psd(n, rank, rng), config.rank_tol_rel), rng))
+            except InvalidInput as exc:
+                raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
         basis, _ = information_matrix(config)

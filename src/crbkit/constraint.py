@@ -24,7 +24,6 @@ from .matlin import (
     RankedSvd,
     _freeze,
     as_ranked_svd,
-    check_psd,
     null_complements,
     orthonormal_columns,
     random_stream,
@@ -196,11 +195,11 @@ def _sampled(j, count: int, rng_seed, rule) -> tuple:
     arrays concatenated, in draw order. Draws from random_stream(rng_seed) are made CONSTRAINT_CHUNK
     at a time, never more than a draw-by-draw loop would make, and accepted in draw order, so the
     stream is consumed as by one draw at a time. Raises SamplingExhausted after 100 * count
-    consecutive rejections, FullRankFim when J is nonsingular and InvalidMatrix when check_psd refuses J.
+    consecutive rejections, FullRankFim when J is nonsingular and InvalidMatrix when ranked_svd refuses J.
     """
     if count < 1:
         raise InvalidInput(f"count must be positive, got {count}")
-    basis = check_psd(j)  # the chart takes Lambda^-1/2
+    basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
     n, m = basis.dim, basis.dim - basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")

@@ -80,7 +80,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
-    """The one seed derivation: the stream of spawn_key under a top-level seed."""
+    """The one seed derivation: the stream of spawn_key under a top-level seed, refused when negative."""
+    if isinstance(entropy, (int, np.integer)) and entropy < 0:
+        raise InvalidInput(f"seed must be nonnegative, got {entropy}")
     return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
 
@@ -107,9 +109,10 @@ def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RankedSvd:
-    """Symmetric matrix J (matrix) factored once by one eigendecomposition, ordered by |lambda| descending.
+    """Information matrix J (matrix) factored once by one eigendecomposition, ordered by |lambda| descending.
 
-    eigenvalues: (n,) J's signed eigenvalues, in the column order of [u_r, u_bar].
+    eigenvalues: (n,) J's signed eigenvalues, in the column order of [u_r, u_bar];
+           those the rank rule keeps are positive (see ranked_svd).
     u_r:   (n, r) orthonormal basis of the numerical range.
     sigma: (r,) singular values |lambda| above the rank cutoff, descending.
     u_bar: (n, n - r) orthonormal basis of the numerical null space.
@@ -144,7 +147,7 @@ class RankedSvd:
 
     @cached_property
     def pinv_eigenvalues(self) -> np.ndarray:
-        """Descending eigenvalues of pinv: 1/sigma reversed and n - r zeros, for J that pass is_psd, as the CLI's do."""
+        """Descending eigenvalues of pinv: 1/sigma reversed and n - r zeros."""
         return _freeze(np.concatenate([1.0 / self.sigma[::-1], np.zeros(self.dim - self.rank)]))
 
 
@@ -176,12 +179,8 @@ def _bounds(u: np.ndarray, restricted: np.ndarray) -> np.ndarray:
     return 0.5 * (bounds + bounds.transpose(0, 2, 1))
 
 
-def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
-    """Decompose a symmetric matrix into range and null bases with one eigh call.
-
-    Its singular values are sigma = |lambda|; those below or at sigma_max * n * rank_tol_rel count
-    as zero. The zero matrix yields rank 0 with u_bar spanning the whole space.
-    """
+def _factored(m, rank_tol_rel: float) -> RankedSvd:
+    """Any symmetric matrix split into range and null bases by one eigh call, under the rank rule."""
     sym = as_sym_matrix(m)
     lam, u = np.linalg.eigh(sym.entries)
     order = np.argsort(-np.abs(lam), kind="stable")
@@ -190,11 +189,25 @@ def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
     return RankedSvd(sym, lam, u[:, :rank], s[:rank], u[:, rank:], rank, rank_tol_rel)
 
 
+def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
+    """Decompose a positive semidefinite J into range and null bases with one eigh call.
+
+    Its singular values are sigma = |lambda|; those below or at sigma_max * n * rank_tol_rel count as zero, and
+    InvalidMatrix refuses J if one it keeps is negative. The zero matrix yields rank 0, u_bar spanning the space.
+    """
+    basis = _factored(m, rank_tol_rel)
+    if not is_psd(basis):
+        lam, cutoff = basis.eigenvalues, basis.cutoff(basis.dim)
+        kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
+        raise InvalidMatrix(f"information matrix is not positive semidefinite: {kept}")
+    return basis
+
+
 def as_ranked_svd(m) -> RankedSvd:
     """m itself if it is a RankedSvd, else ranked_svd(m) under the default rank rule.
 
-    Every function that takes J factors it here, so a J factored as
-    ranked_svd(J, tol) carries tol into each rank decision made about it:
+    Every function that takes J factors it here, so each refuses an indefinite J, and
+    a J factored as ranked_svd(J, tol) carries tol into each rank decision made about it:
     J's rank, a constraint's row rank, and whether U'JU is nonsingular.
     """
     return m if isinstance(m, RankedSvd) else ranked_svd(m)
@@ -215,19 +228,9 @@ def eigvals_desc(m) -> np.ndarray:
 
 
 def is_psd(m) -> bool:
-    """True iff every eigenvalue that as_ranked_svd(m)'s rank rule keeps is positive; the rest may have any sign."""
-    basis = as_ranked_svd(m)
+    """True iff every eigenvalue that the rank rule keeps is positive: a RankedSvd's rule, else the default; never refuses."""
+    basis = m if isinstance(m, RankedSvd) else _factored(m, DEFAULT_RANK_TOL_REL)
     return bool(np.all(basis.eigenvalues[: basis.rank] > 0))
-
-
-def check_psd(m) -> RankedSvd:
-    """as_ranked_svd(m), refused with InvalidMatrix unless is_psd: the message names the negative eigenvalue and the cutoff."""
-    basis = as_ranked_svd(m)
-    if not is_psd(basis):
-        lam, cutoff = basis.eigenvalues, basis.cutoff(basis.dim)
-        kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
-        raise InvalidMatrix(f"information matrix is not positive semidefinite: {kept}")
-    return basis
 
 
 def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):
@@ -260,7 +263,7 @@ def null_complement(f_jac, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.nda
 def is_nonsingular(a, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> bool:
     """True iff the rank rule keeps every singular value of symmetric a; a 0 x 0 matrix counts as nonsingular."""
     arr = _as_2d(a, "matrix")
-    return arr.shape == (0, 0) or ranked_svd(arr, rank_tol_rel).rank == arr.shape[0]
+    return arr.shape == (0, 0) or _factored(arr, rank_tol_rel).rank == arr.shape[0]
 
 
 def orthonormal_columns(a) -> np.ndarray:
@@ -292,6 +295,8 @@ def moore_penrose_residuals(m, p) -> tuple[float, float, float, float]:
     """
     m_arr = _as_2d(m, "matrix")
     p_arr = _as_2d(p, "candidate pseudoinverse")
+    if p_arr.shape != m_arr.T.shape:
+        raise InvalidInput(f"candidate pseudoinverse {p_arr.shape} of a {m_arr.shape} matrix must be {m_arr.T.shape}")
 
     def rel(num: np.ndarray, den: np.ndarray) -> float:
         den_norm = float(np.linalg.norm(den))

@@ -234,14 +234,14 @@ def verify_eigen_dominance(
 def verify_poincare(
     j, v, margin_tol: float = DEFAULT_MARGIN_TOL
 ) -> TheoremCertificate:
-    """Check lambda_i(V'J_rV) <= lambda_i(J_r) for i up to V's width; J_r's eigenvalues come from as_ranked_svd(j)."""
+    """Check lambda_i(V'J_rV) <= lambda_i(J_r) for i up to V's width; J_r's spectrum is sigma, then n - r zeros."""
     basis = as_ranked_svd(j)
     v_arr = np.asarray(v, dtype=float)
     if v_arr.ndim != 2:
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, basis.dim, "v")
     lam_restricted = restricted_information(basis, v_arr[None])[1][0, ::-1]
-    lam = np.sort(np.append(basis.eigenvalues[: basis.rank], np.zeros(basis.dim - basis.rank)))[::-1]
+    lam = np.append(basis.sigma, np.zeros(basis.dim - basis.rank))
     margins = lam[: lam_restricted.size] - lam_restricted
     return _certify(
         "poincare", margins, lambda i: (f"eig-index-{i}", {"j": basis.matrix.entries, "v": v_arr}), margin_tol

@@ -486,6 +486,37 @@ def test_config_key_that_does_not_apply_exits_2(tmp_path, capsys, config, key, w
     assert not (tmp_path / "o" / "manifest.cfg").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "model = blind_channel\nseed = 3 # x\n",
+            "resolving configuration: config key seed is not an integer: '3 # x'",
+        ),
+        ("model = blind_channel\ncount = 2.5\n", "resolving configuration: config key count is not an integer: '2.5'"),
+        (
+            "model = blind_channel\nfim_method = bogus\n",
+            "resolving configuration: fim_method must be analytic or monte_carlo, got 'bogus'",
+        ),
+        ("model = blind_channel\nseed 3\n", "resolving configuration: config line 2 is not 'key = value': 'seed 3'"),
+        (
+            "model = blind_channel\ntheta = 1 x 2 3 4 5\n",
+            "resolving configuration: config key theta is not a vector: '1 x 2 3 4 5'",
+        ),
+        ("model = blind_channel\ntheta = 1 2\n", "reading input: theta has length 2, model needs 6"),
+        # a file of comments is no config, so it is read as a matrix
+        ("# only a comment\n", "resolving configuration: matx: header must be 'n m', got '# only a comment'"),
+    ],
+    ids=["seed-comment", "count-float", "fim-method", "no-equals", "theta-word", "theta-length", "comment-only"],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o" / "manifest.cfg").exists()
+
+
 def test_unknown_model_in_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("model = nosuch\n")
@@ -789,6 +820,18 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
     assert (out1 / "traces.csv").read_bytes() == (out2 / "traces.csv").read_bytes()
 
 
+def test_experiment_exits_3_on_a_trace_below_the_baseline_after_writing_its_outputs(tmp_path, capsys, monkeypatch):
+    # sampled traces are never below tr J+ by more than roundoff, so the sampler is replaced by one whose are
+    monkeypatch.setattr(crbkit.cli, "sample_constraint_traces", lambda basis, count, seed: np.full(count, -0.5))
+    out = tmp_path / "o"
+    argv = ["experiment", "--input", str(write_diag_matrix(tmp_path)), "--count", "3", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: experiment: observed trace margin -1 below -margin_tol\n"
+    lines = (out / "traces.csv").read_text().splitlines()
+    assert lines[1:] == ["# baseline_trace = 0.5", "sample_index,trace,margin", "0,-0.5,-1", "1,-0.5,-1", "2,-0.5,-1"]
+    assert (out / "manifest.cfg").is_file()
+
+
 def test_experiment_full_rank_exits_2(tmp_path):
     path = write_identity_matrix(tmp_path)
     assert main(["experiment", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -1020,10 +1063,12 @@ def test_psd_tol_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
 )
 def test_rank_tol_below_machine_epsilon_exits_2_before_factoring(tmp_path, capsys, monkeypatch, argv, tol):
     # at 1e-20 the blind channel's J at seed 0 came out rank 6 of 6, with a trace_pinv of -6.6e15;
-    # ranked_svd is no function here, so a run that factored J would fail with a traceback
+    # ranked_svd refuses the rule after its eigh, before it returns J factored, and what a refused
+    # run must never reach is no function here, so a run that went on to a bound or a sample fails
     if argv != ["certify"]:  # a bare certify runs its suite
         argv = argv + ["--model", "blind_channel"]
-    monkeypatch.setattr(crbkit.cli, "ranked_svd", None)
+    for name in ("unconstrained_crb", "sample_minimum_stack", "sample_constraint_traces"):
+        monkeypatch.setattr(crbkit.cli, name, None)
     assert main(argv + ["--rank-tol", tol, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
         f"error: checking rank_tol: rank_tol_rel must be positive and finite, at least machine epsilon, got {tol}\n"

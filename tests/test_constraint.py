@@ -30,7 +30,7 @@ from crbkit import (
     verify_eigen_dominance,
     verify_trace_bound,
 )
-from crbkit.matlin import _sign_fixed_columns, check_psd, seed_sequence
+from crbkit.matlin import _sign_fixed_columns, is_psd, seed_sequence
 import exact
 from util import make_psd, orthonormal_rows, random_orthonormal, sampled_draws, sampler_chunks
 
@@ -189,6 +189,18 @@ def test_constraint_file_roundtrip(tmp_path):
     plain = ConstraintSpec(np.array([[1.0, 2.0]]))
     save_constraint_spec(path, plain)
     assert load_constraint_spec(path).offset is None
+    # a blank line between the matrix and its offset is skipped
+    path.write_text("1 2\n0.25 -1.5\n\noffset 0.75\n")
+    assert load_constraint_spec(path).offset.tolist() == [0.75]
+
+
+def test_a_spec_refuses_a_vector_jacobian_and_the_optimal_constraint_a_point_of_another_length():
+    with pytest.raises(InvalidInput) as info:
+        ConstraintSpec(np.ones(3))
+    assert str(info.value) == "f_jac must be 2-d, got shape (3,)"
+    with pytest.raises(InvalidInput) as info:
+        optimal_affine_constraint(np.diag([1.0, 0.0]), np.zeros(3))
+    assert str(info.value) == "theta0 must have length 2, got 3"
 
 
 def test_constraint_file_rejects_garbage(tmp_path):
@@ -196,6 +208,10 @@ def test_constraint_file_rejects_garbage(tmp_path):
     path.write_text("1 2\n1 0\nnot-an-offset 3\n")
     with pytest.raises(InvalidInput):
         load_constraint_spec(path)
+    path.write_text("1 2\n1 0\noffset x\n")
+    with pytest.raises(InvalidInput) as info:
+        load_constraint_spec(path)
+    assert str(info.value) == "non-numeric offset value"
     with pytest.raises(InvalidInput):
         load_constraint_spec(tmp_path / "absent.constraint")
     for value in ("nan", "inf", "-1e400"):
@@ -487,16 +503,15 @@ def test_every_sampled_trace_is_at_least_the_pseudoinverse_trace():
 
 def test_the_sampler_refuses_an_indefinite_j_before_drawing():
     # -1 is kept by the rank rule, so sqrt(lambda_r) would be taken of it; the sampler refuses J
-    # with check_psd's one message, not with SamplingExhausted once its budget of draws is spent
-    basis = ranked_svd(np.diag([1.0, -1.0, 0.0]))
+    # with ranked_svd's one message, not with SamplingExhausted once its budget of draws is spent
     message = "information matrix is not positive semidefinite: eigenvalue -1 is negative and kept by the rank cutoff 3e-10"
     for sample in (sample_minimum_stack, sample_minimum_constraints, sample_constraint_traces):
         with pytest.raises(InvalidMatrix) as info:
-            sample(basis, 5, 1)
+            sample(np.diag([1.0, -1.0, 0.0]), 5, 1)
         assert str(info.value) == message
     # a negative eigenvalue that the rule calls zero is J's null space, as the CLI reads it
     inside = ranked_svd(np.diag([1.0, -3e-10, 0.0]))
-    assert check_psd(inside) is inside
+    assert is_psd(inside)
     assert sample_minimum_stack(inside, 5, 1).f_jacs.shape == (5, 2, 3)
 
 

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from crbkit import (
+    BlindChannelModel,
     ConstraintSpec,
+    GaussianMeanModel,
     InvalidInput,
     RankDeficientConstraint,
     bound_traces,
     check_minimum_constraint,
     constrained_crb,
     evaluate_constraints,
+    fim_gaussian_mean,
     is_psd,
     null_complements,
     pinv_via_basis,
@@ -158,6 +161,13 @@ def test_a_ragged_list_of_jacobians_is_invalid_input():
         evaluate_constraints(j, [np.zeros((1, 4)), np.zeros((2, 4))])
     with pytest.raises(InvalidInput, match=refusal):
         constrained_crb(j, [[0, 0, 1, 0], [0, 0, 1]])
+
+
+def test_an_inverse_of_utju_that_overflows_is_refused():
+    # 3e-309 is subnormal: its inverse is inf, which the bound refuses rather than returns
+    with pytest.raises(FloatingPointError) as info:
+        constrained_crb(np.diag([3e-309, 0.0]), [[0.0, 1.0]])
+    assert str(info.value) == "overflow encountered in the inverse of U'JU"
 
 
 def test_dependent_constraint_rows_rejected():
@@ -344,3 +354,42 @@ def test_the_bias_gradient_form_gives_the_constrained_bound():
     assert stack.utju_nonsingular.all() and not stack.rank_sum_is_n.any()
     below = sum(constrained_crb(basis, f).trace < basis.pinv.trace for f in extra)
     assert 0 < below < 200
+
+
+def test_no_linear_estimator_is_unbiased_when_j_is_singular():
+    # y = G theta + w, w ~ N(0, sigma^2 I), G of rank 3: J = G'G / sigma^2 has nullity 2. For T(y) = Ay,
+    # d E[T] / d theta = E[T s'] = AG, which vanishes on null(J) = null(G), so it is never I
+    rng = np.random.default_rng(5)
+    g, sigma = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 5)), 0.5
+    model = GaussianMeanModel(
+        mean_fn=lambda th: g @ th, mean_jac=lambda th: g, noise_var=sigma**2, param_dim=5, obs_dim=7
+    )
+    theta = rng.standard_normal(5)
+    basis = ranked_svd(fim_gaussian_mean(model, theta).matrix)
+    assert (basis.rank, basis.u_bar.shape) == (3, (5, 2))
+    z = np.random.default_rng(6).standard_normal((100_000, 7))
+    scores = z @ (g / sigma)  # the batched score of fim_monte_carlo at y = G theta + sigma z
+    for a in (rng.standard_normal((5, 7)), np.linalg.pinv(g)):
+        ag = a @ g
+        unit = EPS * np.linalg.norm(a, 2) * np.linalg.norm(g, 2) * basis.sigma[0] / basis.sigma[-1]
+        assert np.all(np.linalg.norm(ag @ basis.u_bar, axis=0) <= 10 * unit)
+        # E[T s'] = AG by Monte Carlo, each entry within 5 standard errors of the same draws
+        products = ((g @ theta + sigma * z) @ a.T)[:, :, None] * scores[:, None, :]
+        std_err = products.std(axis=0, ddof=1) / np.sqrt(len(z))
+        assert np.all(np.abs(products.mean(axis=0) - ag) <= 5 * std_err)
+
+
+def test_the_blind_channel_mean_is_flat_along_its_ambiguity_curve():
+    # (a s, h / a) gives the same mean for every a != 0, so every estimator has one mean along the curve
+    # and none is unbiased there; the curve's tangent at a = 1 lies in J's numerical null space
+    model = BlindChannelModel(3, 3)
+    theta = np.random.default_rng(0).uniform(0.5, 1.5, 6)
+    s, h = model.split(theta)
+    mean = model.mean_at(theta)
+    for a in (0.5, 2.0, -1.0):
+        assert np.abs(model.mean_at(np.concatenate([a * s, h / a])) - mean).max() <= 4 * EPS * np.abs(mean).max()
+    basis = ranked_svd(fim_gaussian_mean(model, theta).matrix)
+    direction = model.ambiguity_direction(theta)
+    assert basis.rank == 5
+    kappa = basis.sigma[0] / basis.sigma[-1]
+    assert np.linalg.norm(basis.u_r.T @ direction) <= 10 * 6 * EPS * kappa

@@ -4,21 +4,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crbkit import (
+    ConstraintSpec,
     InvalidInput,
     InvalidMatrix,
     RankDeficientConstraint,
     SymMatrix,
     as_ranked_svd,
+    check_minimum_constraint,
+    constrained_crb,
     eigvals_desc,
     evaluate_constraints,
+    fim_monte_carlo,
+    gaussian_location,
     is_nonsingular,
     is_psd,
     moore_penrose_residuals,
     null_complement,
     null_complements,
+    optimal_affine_constraint,
     orthonormal_columns,
     pinv_via_basis,
     ranked_svd,
+    sample_constraint_traces,
+    sample_minimum_constraints,
+    sample_minimum_stack,
+    unconstrained_crb,
+    verify_constraint_equivalence,
+    verify_eigen_dominance,
+    verify_min_rank,
+    verify_poincare,
+    verify_trace_bound,
 )
 import exact
 from util import make_psd, random_orthonormal, svd_pinv_oracle
@@ -174,6 +189,60 @@ def test_is_psd_examples():
     assert not is_psd(np.diag([1.0, np.nextafter(-cutoff, -1.0)]))
 
 
+def test_every_function_that_takes_j_refuses_an_indefinite_j():
+    # -2 is kept by the rank rule (cutoff 2 * 3 * 1e-10), so J is no information matrix: its pseudoinverse
+    # would report eigenvalues [1, 0.5, 0] for a bound whose spectrum is [1, 0, -0.5]
+    j = np.diag([1.0, -2.0, 0.0])
+    f_jac, frame = np.array([[0.0, 0.0, 1.0]]), np.eye(3)[:, :2]
+    psd_stack = evaluate_constraints(np.diag([1.0, 2.0, 0.0]), f_jac[None])
+    calls = {
+        "ranked_svd": lambda: ranked_svd(j),
+        "as_ranked_svd": lambda: as_ranked_svd(j),
+        "unconstrained_crb": lambda: unconstrained_crb(j),
+        "constrained_crb": lambda: constrained_crb(j, f_jac),
+        "pinv_via_basis": lambda: pinv_via_basis(j),
+        "evaluate_constraints": lambda: evaluate_constraints(j, f_jac[None]),
+        "check_minimum_constraint": lambda: check_minimum_constraint(j, ConstraintSpec(f_jac)),
+        "optimal_affine_constraint": lambda: optimal_affine_constraint(j, np.zeros(3)),
+        "sample_minimum_stack": lambda: sample_minimum_stack(j, 5, 1),
+        "sample_minimum_constraints": lambda: sample_minimum_constraints(j, 5, 1),
+        "sample_constraint_traces": lambda: sample_constraint_traces(j, 5, 1),
+        "verify_trace_bound": lambda: verify_trace_bound(j, psd_stack),
+        "verify_eigen_dominance": lambda: verify_eigen_dominance(j, frame),
+        "verify_poincare": lambda: verify_poincare(j, frame),
+        "verify_constraint_equivalence": lambda: verify_constraint_equivalence(j, f_jac[None]),
+        "verify_min_rank": lambda: verify_min_rank(j, 3, 0),
+    }
+    message = (
+        "information matrix is not positive semidefinite: eigenvalue -2 is negative and kept by the rank cutoff 6e-10"
+    )
+    for name, call in calls.items():
+        with pytest.raises(InvalidMatrix) as info:
+            call()
+        assert str(info.value) == message, name
+    # is_psd and is_nonsingular answer for any symmetric matrix
+    assert not is_psd(j)
+    assert is_nonsingular(np.diag([1.0, -2.0]))
+    # a negative eigenvalue that the rule calls zero is J's null space
+    assert ranked_svd(np.diag([1.0, -1e-6]), 1e-6).rank == 1
+
+
+def test_a_negative_seed_is_refused_where_every_stream_is_derived():
+    # numpy's SeedSequence raised "ValueError: expected non-negative integer"
+    j, model = np.diag([1.0, 0.0]), gaussian_location(2)
+    calls = {
+        "sample_minimum_stack": lambda: sample_minimum_stack(j, 3, -1),
+        "sample_minimum_constraints": lambda: sample_minimum_constraints(j, 3, -1),
+        "sample_constraint_traces": lambda: sample_constraint_traces(j, 3, -1),
+        "verify_min_rank": lambda: verify_min_rank(j, 3, -1),
+        "fim_monte_carlo": lambda: fim_monte_carlo(model, np.zeros(2), 100, -1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert str(info.value) == "seed must be nonnegative, got -1", name
+
+
 def test_null_complement_frozen_examples():
     u = null_complement(np.array([[0.0, 1.0]]))
     assert u.shape == (2, 1)
@@ -258,6 +327,35 @@ def test_orthonormal_columns_properties():
 
 def test_moore_penrose_residuals_zero_matrix():
     assert max(moore_penrose_residuals(np.zeros((2, 2)), np.zeros((2, 2)))) == 0.0
+
+
+def test_moore_penrose_residuals_take_a_matrix_and_a_candidate_of_its_transposed_shape():
+    # a mismatch raised numpy's matmul ValueError
+    with pytest.raises(InvalidInput) as info:
+        moore_penrose_residuals(np.eye(2), np.eye(3))
+    assert str(info.value) == "candidate pseudoinverse (3, 3) of a (2, 2) matrix must be (2, 2)"
+    with pytest.raises(InvalidInput, match=r"candidate pseudoinverse \(2, 3\) of a \(2, 3\) matrix must be \(3, 2\)"):
+        moore_penrose_residuals(np.ones((2, 3)), np.ones((2, 3)))
+    wide = np.ones((2, 3))
+    assert max(moore_penrose_residuals(wide, np.linalg.pinv(wide))) <= 1e-15
+
+
+def test_a_vector_is_no_jacobian_and_a_factored_j_reads_as_its_matrix():
+    with pytest.raises(InvalidMatrix) as info:
+        null_complement(np.ones(3))
+    assert str(info.value) == "constraint Jacobian must be 2-d, got shape (3,)"
+    j = make_psd(np.random.default_rng(3), 4, 2)
+    basis = ranked_svd(j)
+    assert np.array_equal(eigvals_desc(basis), eigvals_desc(j))
+
+
+def test_orthonormal_columns_refuses_a_vector_and_a_wide_matrix():
+    with pytest.raises(InvalidMatrix) as info:
+        orthonormal_columns(np.ones(3))
+    assert str(info.value) == "matrix must be finite with at least 2 dimensions, got shape (3,)"
+    with pytest.raises(InvalidInput) as info:
+        orthonormal_columns(np.ones((2, 3)))
+    assert str(info.value) == "need at least as many rows as columns, got (2, 3)"
 
 
 @settings(max_examples=30, deadline=None)

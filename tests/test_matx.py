@@ -57,6 +57,19 @@ def test_malformed_text_rejected(text):
         parse_matrix(text)
 
 
+def test_blank_lines_before_the_header_are_skipped():
+    assert np.array_equal(parse_matrix("\n  \n2 2\n1 0\n0 1\n"), np.eye(2))
+
+
+def test_dump_refuses_a_3d_array_and_parse_a_header_of_words():
+    with pytest.raises(InvalidInput) as info:
+        dump_matrix(np.ones((2, 2, 2)))
+    assert str(info.value) == "matx supports 2-d matrices, got ndim=3"
+    with pytest.raises(InvalidInput) as info:
+        parse_matrix("a b\n")
+    assert str(info.value) == "matx: non-integer header 'a b'"
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(InvalidInput):
         load_matrix(tmp_path / "absent.matx")

@@ -150,6 +150,19 @@ def test_gaussian_model_rejects_bad_noise():
             )
 
 
+def test_gaussian_model_rejects_an_empty_parameter_and_a_jacobian_of_another_shape():
+    with pytest.raises(InvalidModel) as info:
+        gaussian_location(0)
+    assert str(info.value) == "dim must be positive, got 0"
+    with pytest.raises(InvalidModel) as info:
+        GaussianMeanModel(mean_fn=lambda t: t, mean_jac=lambda t: np.eye(1), noise_var=1.0, param_dim=0, obs_dim=1)
+    assert str(info.value) == "dimensions must be positive, got (0, 1)"
+    model = GaussianMeanModel(mean_fn=lambda t: t, mean_jac=lambda t: np.eye(3), noise_var=1.0, param_dim=2, obs_dim=2)
+    with pytest.raises(InvalidModel) as info:
+        model.jac_at([1.0, 2.0])
+    assert str(info.value) == "mean_jac returned shape (3, 3), expected (2, 2)"
+
+
 def test_blind_channel_rejects_bad_dims():
     with pytest.raises(InvalidModel):
         BlindChannelModel(0, 3)

@@ -410,6 +410,12 @@ def test_min_rank_rejects_full_rank_j():
         verify_min_rank(np.eye(2), trials=2, rng_seed=0)
 
 
+def test_min_rank_refuses_zero_trials():
+    with pytest.raises(InvalidInput) as info:
+        verify_min_rank(np.diag([1.0, 0.0]), trials=0, rng_seed=0)
+    assert str(info.value) == "trials must be positive, got 0"
+
+
 def test_counterexample_certificate():
     cert = counterexample_check()
     assert cert.theorem_id == "counterexample"
