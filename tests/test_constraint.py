@@ -189,9 +189,16 @@ def test_constraint_file_roundtrip(tmp_path):
     plain = ConstraintSpec(np.array([[1.0, 2.0]]))
     save_constraint_spec(path, plain)
     assert load_constraint_spec(path).offset is None
-    # a blank line between the matrix and its offset is skipped
+
+
+def test_constraint_file_skips_a_blank_line_and_refuses_a_non_numeric_offset(tmp_path):
+    path = tmp_path / "f.constraint"
     path.write_text("1 2\n0.25 -1.5\n\noffset 0.75\n")
     assert load_constraint_spec(path).offset.tolist() == [0.75]
+    path.write_text("1 2\n1 0\noffset x\n")
+    with pytest.raises(InvalidInput) as info:
+        load_constraint_spec(path)
+    assert str(info.value) == "non-numeric offset value"
 
 
 def test_a_spec_refuses_a_vector_jacobian_and_the_optimal_constraint_a_point_of_another_length():
@@ -208,10 +215,6 @@ def test_constraint_file_rejects_garbage(tmp_path):
     path.write_text("1 2\n1 0\nnot-an-offset 3\n")
     with pytest.raises(InvalidInput):
         load_constraint_spec(path)
-    path.write_text("1 2\n1 0\noffset x\n")
-    with pytest.raises(InvalidInput) as info:
-        load_constraint_spec(path)
-    assert str(info.value) == "non-numeric offset value"
     with pytest.raises(InvalidInput):
         load_constraint_spec(tmp_path / "absent.constraint")
     for value in ("nan", "inf", "-1e400"):
