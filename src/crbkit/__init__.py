@@ -24,7 +24,6 @@ from .errors import (
     NotMinimumConstraint,
     NumericalFailure,
     RankDeficientConstraint,
-    SamplingExhausted,
     SingularRestriction,
 )
 from .matlin import (

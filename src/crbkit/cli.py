@@ -46,7 +46,6 @@ from .errors import (
     InvalidMatrix,
     InvalidModel,
     NumericalFailure,
-    SamplingExhausted,
 )
 from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
@@ -490,8 +489,6 @@ def cmd_experiment(config: RunConfig) -> int:
         traces = sample_constraint_traces(basis, config.count, seed)
     except FullRankFim as exc:
         raise CliError(EXIT_INVALID_INPUT, f"sampling constraints: {exc}") from exc
-    except SamplingExhausted as exc:
-        raise CliError(EXIT_NUMERICAL, f"sampling constraints: {exc}") from exc
     margins = traces - baseline
     worst, sampled = margins.min(), len(traces)
     row = f"%d,{FLOAT_FMT},{FLOAT_FMT}"

@@ -8,7 +8,8 @@ space, and samples random minimum constraints for experiments: one
 evaluated stack, its traces, or labeled specs.
 One evaluator, _evaluate, makes one svd and one eigvalsh call per stack
 of Jacobians for evaluate_constraints, constrained_crb and the
-equivalence certificate. Both samplers read draws in J's chart instead.
+equivalence certificate. The samplers draw in J's chart instead, where
+every draw is a minimum constraint.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FullRankFim, InvalidInput, SamplingExhausted
+from .errors import FullRankFim, InvalidInput
 from .matlin import (
     RankedSvd,
+    _check_count,
     _freeze,
     as_ranked_svd,
     null_complements,
@@ -32,17 +34,13 @@ from .matlin import (
 )
 from .matx import _parse_block, dump_matrix, format_row
 
-# Rejection budget: sampling gives up after 100 * count consecutive misses.
-REJECTION_BUDGET_FACTOR = 100
-
-# Constraints drawn, checked and bounded per stacked LAPACK call. Larger
-# chunks are no faster and cost memory: for 1000 constraints of a 32 x 32 J,
-# peak RSS was 53 MB in one stack, 42 MB in chunks of 128 and 40 in chunks of 32.
+# Constraints drawn per chunk, each chunk one block of normals and, for a
+# stack, one stacked eigvalsh; chunks bound the sampler's working memory.
 CONSTRAINT_CHUNK = 32
 
-# The trace sampler's bracket on 1/mu_min decides a draw only when it clears the cutoff by this
-# factor; the rule reads mu itself for every draw nearer the cutoff.
-BRACKET_SAFETY = 2.0
+# The sampler's ladder of steps: draw i of a sample is delta N with delta = STEPS[i % 6] and N
+# standard normal, shrunk where needed (see _sampled); the smallest steps are near-optimal probes.
+STEPS = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +88,8 @@ class ConstraintStack(NamedTuple):
     basis is J as factored, with the rank rule of every flag. row_rank
     (k,) and utju_eigs, the ascending eigenvalues of each U'J_rU, come from
     one svd and one eigvalsh in _evaluate, or from J's chart in a sampled
-    stack, whose f_jacs are its Gaussian draws G' (see _chart). The stack
-    keeps no U or U'J_rU; _evaluate gives them. The flags are each (k,).
-    A sampled stack's flags are those of its draws' orthonormal rows, not of
-    G': near 1/n the svd rule calls full-rank-flagged draws rank deficient.
+    stack (see sample_minimum_stack). The stack keeps no U or U'J_rU;
+    _evaluate gives them. The flags are each (k,).
     """
 
     basis: RankedSvd
@@ -187,155 +183,80 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
 
-def _sampled(j, count: int, rng_seed, rule) -> tuple:
-    """The samplers' one draw-and-budget loop, over chunks of Gaussian (k, n, n - rank J) draws.
+def _sampled(j, count: int, rng_seed):
+    """J factored, then its count draws in J's chart, CONSTRAINT_CHUNK at a time: each chunk's L and ||M||_F^2.
 
-    rule(basis) gives the chunk rule, which maps a chunk to its accept mask and then its arrays over
-    the accepted draws. Returns each accepted draw's index among all draws, then each of the rule's
-    arrays concatenated, in draw order. Draws from random_stream(rng_seed) are made CONSTRAINT_CHUNK
-    at a time, never more than a draw-by-draw loop would make, and accepted in draw order, so the
-    stream is consumed as by one draw at a time. Raises SamplingExhausted after 100 * count
-    consecutive rejections, FullRankFim when J is nonsingular and InvalidMatrix when ranked_svd refuses J.
+    Draw i is L = t delta_i N: N an (n - r, r) standard normal block from
+    random_stream(rng_seed), delta_i = STEPS[i % 6], and t <= 1 the largest
+    factor with c ||M||_F^2 <= (1 - c / lambda_r) / 2, M = L Lambda^-1/2 and
+    c = basis.cutoff(r). F = (U_bar + U_r L')' has row rank m = n - r, and
+    null(F) is spanned by W = U_r - U_bar L. As W'J_rW = Lambda, the bound
+    U (U'J_rU)^-1 U' of Gorman and Hero is W Lambda^-1 W', whose nonzero
+    eigenvalues 1/mu are those of the r x r X = Lambda^-1 + M'M. So
+    1/mu_min <= 1/lambda_r + ||M||_F^2 < 1/c: restricted_nonsingular keeps
+    every draw, and tr X = sum 1/lambda_i + ||M||_F^2. A draw depends on its
+    index alone, so a sample's first k draws are the sample of k. Raises
+    InvalidInput for a count that is not a positive integer, FullRankFim
+    when J is nonsingular and InvalidMatrix when ranked_svd refuses J.
     """
-    if count < 1:
-        raise InvalidInput(f"count must be positive, got {count}")
+    _check_count(count, "count", 1)
     basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
-    n, m = basis.dim, basis.dim - basis.rank
+    m, r = basis.dim - basis.rank, basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
-    judge = rule(basis)
-    rng = random_stream(rng_seed)
-    budget = REJECTION_BUDGET_FACTOR * count
-    hits, parts = [], []
-    accepted = drawn = consecutive_rejects = 0
-    while accepted < count:
-        k = min(count - accepted, budget - consecutive_rejects, CONSTRAINT_CHUNK)
-        is_minimum, *arrays = judge(rng.standard_normal((k, n, m)))
-        chunk_hits = np.flatnonzero(is_minimum)
-        if chunk_hits.size:
-            accepted += chunk_hits.size
-            consecutive_rejects = k - 1 - int(chunk_hits[-1])
-        else:  # k never overdraws the budget, so only a chunk that accepts nothing can exhaust it
-            consecutive_rejects += k
-            if consecutive_rejects >= budget:
-                raise SamplingExhausted(f"{budget} consecutive rejections while sampling minimum constraints")
-        hits.append(drawn + chunk_hits)
-        parts.append(arrays)
-        drawn += k
-    return np.concatenate(hits), *(np.concatenate(part) for part in zip(*parts))
+    rng, steps, inv_lam = random_stream(rng_seed), np.resize(STEPS, count), 1.0 / basis.sigma
+    cutoff = basis.cutoff(r)
+    room = 0.5 * (1.0 - cutoff / basis.sigma.min(initial=np.inf))  # (1 - c / lambda_r) / 2; 1/2 at rank 0
 
+    def chunks():
+        for start in range(0, count, CONSTRAINT_CHUNK):
+            step = steps[start : start + CONSTRAINT_CHUNK, None, None]
+            scaled = step * rng.standard_normal((len(step), m, r))  # delta N
+            squares = np.sum(np.square(scaled) * inv_lam, axis=(1, 2))  # ||delta N Lambda^-1/2||_F^2
+            shrink = room / np.maximum(room, cutoff * squares)  # t^2
+            yield np.sqrt(shrink)[:, None, None] * scaled, shrink * squares
 
-def _chart(basis: RankedSvd):
-    """J's chart of a chunk of Gaussian (k, n, m) draws G: chart(draws) gives each draw's L, spectra(L) its mu.
-
-    In J's eigenbasis A = U_r'G and B = U_bar'G. Where B is nonsingular, F
-    has row rank m and null(F) is spanned by W = U_r - U_bar L, L = B^-T A'
-    (one batched solve). As W'J_rW = Lambda, the bound U (U'J_rU)^-1 U' is
-    W Lambda^-1 W', and its nonzero eigenvalues 1/mu are those of the r x r
-    X = Lambda^-1 + M'M, M = L Lambda^-1/2. An exactly singular B, whose
-    null(F) meets null(J), makes solve refuse the chunk, which is solved
-    again draw by draw; that draw reads as an infinite L. A non-finite X
-    reads mu = 0. The rule rejects both.
-    """
-    n, r = basis.dim, basis.rank
-    eigenvectors_t = np.concatenate([basis.u_r, basis.u_bar], axis=1).T
-    root, diagonal = np.sqrt(1.0 / basis.sigma), np.diag(1.0 / basis.sigma)
-
-    def chart(draws):
-        ab = eigenvectors_t @ draws
-        try:
-            return np.linalg.solve(ab[:, r:].transpose(0, 2, 1), ab[:, :r].transpose(0, 2, 1))
-        except np.linalg.LinAlgError:  # some B is exactly singular: each draw alone, that one as an infinite L
-            return np.concatenate([chart(g[None]) for g in draws]) if len(draws) > 1 else np.full((1, n - r, r), np.inf)
-
-    def spectra(l_mat):
-        with np.errstate(all="ignore"):  # cli.main raises on overflow; an X that overflows is a rejection
-            m_mat = l_mat * root
-            x = diagonal + m_mat.transpose(0, 2, 1) @ m_mat
-            broken = ~np.isfinite(x).all(axis=(1, 2))
-            x[broken] = diagonal
-            mu = 1.0 / np.linalg.eigvalsh(x)[:, ::-1]
-        mu[broken] = 0.0
-        return mu
-
-    return chart, spectra
-
-
-def _stack_chunks(basis: RankedSvd):
-    """The chunk rule of sample_minimum_stack and sample_minimum_constraints: a chunk's accept mask, then
-    its accepted draws G' and their mu, read in J's chart. A nonsingular B gives G' row rank m = n - rank J,
-    so restricted_nonsingular alone decides is_minimum; no qr orthonormalizes G'."""
-    chart, spectra = _chart(basis)
-
-    def judge(draws):
-        mu = spectra(chart(draws))
-        accept = restricted_nonsingular(basis, mu)
-        return accept, draws.transpose(0, 2, 1)[accept], mu[accept]
-
-    return judge
-
-
-def _trace_chunks(basis: RankedSvd):
-    """The chunk rule of sample_constraint_traces: a chunk's accept mask, then the accepted draws' traces
-    tr X = sum 1/lambda_i + ||M||_F^2.
-
-    1/mu_min = lambda_max(X) lies between max_i (1/lambda_i + ||M e_i||^2)
-    and 1/lambda_r + ||M||_F^2 (see _chart). This bracket decides a draw
-    when it clears the cutoff c = basis.cutoff(r) by BRACKET_SAFETY, and
-    the rule reads the mu of the rest, so both samplers accept the same
-    draws. An M that overflows reads as an infinite trace, a rejection.
-    """
-    chart, spectra = _chart(basis)
-    inv_lam, cutoff = 1.0 / basis.sigma, basis.cutoff(basis.rank)
-    inv_lam_sum, inv_lam_max, safe_cutoff = inv_lam.sum(), inv_lam.max(initial=0.0), BRACKET_SAFETY * cutoff
-
-    def judge(draws):
-        l_mat = chart(draws)
-        with np.errstate(all="ignore"):
-            columns = np.sum(np.square(l_mat), axis=1) * inv_lam  # ||M e_i||^2
-            frobenius = columns.sum(axis=1)
-            accept = safe_cutoff * (inv_lam_max + frobenius) < 1.0
-            undecided = ~(accept | (np.max(inv_lam + columns, axis=1, initial=0.0) * cutoff > BRACKET_SAFETY))
-        if undecided.any():
-            accept[undecided] = restricted_nonsingular(basis, spectra(l_mat[undecided]))
-        return accept, inv_lam_sum + frobenius[accept]
-
-    return judge
+    return basis, chunks()
 
 
 def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
-    """The (count,) traces of the draws that sample_minimum_stack(j, count, rng_seed) accepts, in draw order.
+    """The (count,) traces of the constraints of sample_minimum_stack(j, count, rng_seed), in draw order.
 
-    The same draws, budget and errors (see _sampled); each trace is read
-    in closed form (see _trace_chunks), with no qr or F, and no eigvalsh
-    but for the draws that the bracket leaves open.
+    Each is tr X = sum 1/lambda_i + ||M||_F^2, read in closed form from its
+    draw (see _sampled): no LAPACK call, no F and no mu.
     """
-    return _sampled(j, count, rng_seed, _trace_chunks)[1]
+    basis, chunks = _sampled(j, count, rng_seed)
+    return np.sum(1.0 / basis.sigma) + np.concatenate([squares for _, squares in chunks])
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
     """Draw count random minimum constraints for a singular J as one evaluated stack, in draw order.
 
-    Each Jacobian is the transpose G' of a Gaussian (n, n - rank J) draw that passed the
-    minimum-constraint check (see _stack_chunks, and _sampled for the draws, the budget and the
-    errors); its flags are those of its orthonormal rows (see ConstraintStack).
+    Each Jacobian is F = U_bar' + L U_r' for a draw L of _sampled; its mu are
+    read from one eigvalsh of the chunk's X = Lambda^-1 + M'M. Its rows are
+    not orthonormal, but its singular values are at least one, so the svd
+    row-rank rule of evaluate_constraints gives it row rank m unless
+    sigma_max(F) max(m, n) rank_tol_rel reaches one.
     """
-    basis = as_ranked_svd(j)
-    _, f_jacs, mu = _sampled(basis, count, rng_seed, _stack_chunks)
-    return _evaluated(basis, f_jacs, np.full(count, f_jacs.shape[1]), mu)
+    basis, chunks = _sampled(j, count, rng_seed)
+    diagonal, root = np.diag(1.0 / basis.sigma), np.sqrt(1.0 / basis.sigma)
+    f_jacs, mu = [], []
+    for l_mat, _ in chunks:
+        m_mat = l_mat * root
+        mu.append(1.0 / np.linalg.eigvalsh(diagonal + m_mat.transpose(0, 2, 1) @ m_mat)[:, ::-1])
+        f_jacs.append(basis.u_bar.T + l_mat @ basis.u_r.T)
+    f_jacs = np.concatenate(f_jacs)
+    return _evaluated(basis, f_jacs, np.full(count, f_jacs.shape[1]), np.concatenate(mu))
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:
     """Draw random minimum constraints for a singular J; deterministic for a given seed.
 
-    The draws of sample_minimum_stack; each F holds the orthonormal rows of an accepted draw G' (one
-    sign-fixed qr for all), and the i-th is labeled "sampled-i retries=d", d the draws rejected since
-    the one before.
+    The constraints of sample_minimum_stack, each F the orthonormal rows of
+    its Jacobian (one sign-fixed qr for all), the i-th labeled "sampled-i".
     """
-    hits, f_jacs, _ = _sampled(j, count, rng_seed, _stack_chunks)
-    labels = [f"sampled-{i} retries={d}" for i, d in enumerate(np.diff(hits, prepend=-1) - 1)]
-    rows = orthonormal_columns(f_jacs.transpose(0, 2, 1))
-    return [ConstraintSpec(f_jac=f_t.T, label=label) for f_t, label in zip(rows, labels)]
+    rows = orthonormal_columns(sample_minimum_stack(j, count, rng_seed).f_jacs.transpose(0, 2, 1))
+    return [ConstraintSpec(f_jac=f_t.T, label=f"sampled-{i}") for i, f_t in enumerate(rows)]
 
 
 def save_constraint_spec(path, spec: ConstraintSpec) -> None:

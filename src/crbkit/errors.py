@@ -51,10 +51,6 @@ class FullRankFim(CrbKitError):
     """Fisher information is nonsingular; no constraint is needed or derivable."""
 
 
-class SamplingExhausted(CrbKitError):
-    """Rejection sampler hit its retry budget without producing a valid draw."""
-
-
 class NotMinimumConstraint(CrbKitError):
     """Constraint fails one of the minimum-constraint requirements."""
 

@@ -79,10 +79,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """InvalidInput naming value unless it is an integer (Python or numpy) no smaller than least, 0 or 1."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidInput(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
+
+
 def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
-    """The one seed derivation: the stream of spawn_key under a top-level seed, refused when negative."""
-    if isinstance(entropy, (int, np.integer)) and entropy < 0:
-        raise InvalidInput(f"seed must be nonnegative, got {entropy}")
+    """The one seed derivation: the stream of spawn_key under a top-level seed, a nonnegative integer."""
+    _check_count(entropy, "seed", 0)
     return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
 

@@ -33,6 +33,7 @@ from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
     _bounds,
+    _check_count,
     _freeze,
     as_ranked_svd,
     orthonormal_columns,
@@ -309,8 +310,7 @@ def verify_min_rank(
     cutoff c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
     witnesses hold the F evaluated. Refuses a nonsingular or a zero J.
     """
-    if trials < 1:
-        raise InvalidInput(f"trials must be positive, got {trials}")
+    _check_count(trials, "trials", 1)
     basis = as_ranked_svd(j)
     n, rank = basis.dim, basis.rank
     if rank == n:

@@ -393,3 +393,83 @@ def test_the_blind_channel_mean_is_flat_along_its_ambiguity_curve():
     assert basis.rank == 5
     kappa = basis.sigma[0] / basis.sigma[-1]
     assert np.linalg.norm(basis.u_r.T @ direction) <= 10 * 6 * EPS * kappa
+
+
+def test_the_constrained_blue_attains_the_constrained_bound():
+    # y = G theta + w, w ~ N(0, sigma^2 I), G 7 x 5 of rank 3, J = G'G / sigma^2. On the constraint set
+    # theta0 + null(F) the BLUE theta0 + A (y - G theta0), A = U (U'JU)^-1 U'G' / sigma^2, is unbiased,
+    # A G U = U, and its covariance sigma^2 A A' is the constrained bound U (U'JU)^-1 U' (Gorman & Hero
+    # 1990; Stoica & Ng 1998), J+ for F = U_bar'. U comes from numpy's svd of F, sharing no code with
+    # constrained_crb
+    rng = np.random.default_rng(71)
+    g, var = rng.standard_normal((7, 3)) @ rng.standard_normal((3, 5)), 0.5
+    j = g.T @ g / var
+    basis = ranked_svd(j)
+    assert basis.rank == 3
+    blues = {}
+    for spec in sample_minimum_constraints(basis, 12, 72) + [ConstraintSpec(basis.u_bar.T)]:
+        u = np.linalg.svd(spec.f_jac)[2][2:].T
+        a = u @ np.linalg.solve(u.T @ j @ u, u.T @ g.T) / var
+        assert np.abs(a @ g @ u - u).max() <= 1e-9 * np.abs(u).max()
+        covariance, bound = var * a @ a.T, constrained_crb(basis, spec).bound.entries
+        assert np.linalg.norm(covariance - bound) <= 1e-9 * np.linalg.norm(bound)
+        blues[spec.label] = u, a, covariance
+    _, _, optimal = blues[""]
+    assert np.linalg.norm(optimal - basis.pinv.entries) <= 1e-9 * np.linalg.norm(basis.pinv.entries)
+    # by Monte Carlo, 1e5 batched draws at a point of the constraint set: the mean error and each entry of
+    # the empirical covariance within 5 standard errors, Var(e_i e_j) = C_ii C_jj + C_ij^2 (Isserlis)
+    u, a, covariance = blues["sampled-3"]
+    theta0 = rng.standard_normal(5)
+    theta = theta0 + u @ rng.standard_normal(3)
+    count = 100_000
+    z = np.random.default_rng(73).standard_normal((count, 7))
+    errors = (g @ (theta - theta0) + np.sqrt(var) * z) @ a.T + theta0 - theta  # theta_hat - theta, batched
+    diag = np.diag(covariance)
+    assert np.all(np.abs(errors.mean(axis=0)) <= 5 * np.sqrt(diag / count))
+    band = 5 * np.sqrt((np.outer(diag, diag) + covariance**2) / count)
+    assert np.all(np.abs(errors.T @ errors / count - covariance) <= band)
+
+
+def blind_channel_output(noise_var=1.0):
+    """The blind channel (s_len = h_len = 3, theta from default_rng(0)) factored, and the Jacobian G of its
+    output s * h, whose rows span range(J) as J = G'G / noise_var."""
+    model = BlindChannelModel(3, 3, noise_var)
+    theta = np.random.default_rng(0).uniform(0.5, 1.5, 6)
+    return ranked_svd(fim_gaussian_mean(model, theta).matrix), model.jac_at(theta)
+
+
+def test_no_minimum_constraint_moves_the_bound_on_an_estimable_function():
+    # for g with grad g' in range(J), grad g = A J, and J U (U'JU)^-1 U' J = J for every minimum
+    # constraint, so grad g B(F) grad g' = grad g J+ grad g' (Stoica & Marzetta 2001): over 200 sampled
+    # constraints whose traces reach far above tr J+, for the blind channel's output s * h and for the
+    # rows of a random rank-deficient G
+    rng = np.random.default_rng(74)
+    g = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 6))
+    cases = [blind_channel_output(), (ranked_svd(g.T @ g), g)]
+    for basis, grad in cases:
+        reference = grad @ basis.pinv.entries @ grad.T
+        traces = []
+        for spec in sample_minimum_constraints(basis, 200, 75):
+            bound = constrained_crb(basis, spec)
+            traces.append(bound.trace)
+            assert np.linalg.norm(grad @ bound.bound.entries @ grad.T - reference) <= 1e-8 * np.linalg.norm(reference)
+        assert max(traces) > 100 * basis.pinv.trace
+
+
+def test_the_pseudoinverse_bound_on_a_gaussian_mean_is_noise_var_times_rank():
+    # J = G'G / sigma^2, so G J+ G' = sigma^2 P, P the projection onto range(G): its trace is sigma^2 rank J
+    for noise_var in (1.0, 0.5):
+        basis, grad = blind_channel_output(noise_var)
+        assert basis.rank == 5
+        trace = np.trace(grad @ basis.pinv.entries @ grad.T)
+        assert abs(trace - noise_var * 5) <= 100 * EPS * noise_var * 5
+
+
+def test_the_pseudoinverse_is_no_bound_on_each_entry():
+    # J+ is the least bound in trace and in ordered eigenvalues, not entry by entry: for s_0, whose
+    # gradient e_0 is not in range(J), some minimum constraint bounds it below (J+)_00
+    basis, _ = blind_channel_output()
+    entries = [constrained_crb(basis, spec).bound.entries[0, 0] for spec in sample_minimum_constraints(basis, 200, 75)]
+    assert min(entries) < basis.pinv.entries[0, 0] < max(entries)
+    e0 = np.eye(6)[0]
+    assert np.linalg.norm(basis.u_bar.T @ e0) > 0.1

@@ -243,6 +243,36 @@ def test_a_negative_seed_is_refused_where_every_stream_is_derived():
         assert str(info.value) == "seed must be nonnegative, got -1", name
 
 
+def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
+    # numpy raised "TypeError: SeedSequence expects int or sequence of ints for entropy not 1.5" for
+    # the seed, and a TypeError from the draw's shape for the count and the trials; a numpy integer
+    # and a Generator still pass
+    j, model = np.diag([1.0, 0.0]), gaussian_location(2)
+    calls = {
+        "seed must be an integer, got 1.5": [
+            lambda: sample_minimum_stack(j, 2, 1.5),
+            lambda: sample_minimum_constraints(j, 2, 1.5),
+            lambda: sample_constraint_traces(j, 2, 1.5),
+            lambda: verify_min_rank(j, 2, 1.5),
+            lambda: fim_monte_carlo(model, np.zeros(2), 100, 1.5),
+        ],
+        "count must be an integer, got 2.5": [
+            lambda: sample_minimum_stack(j, 2.5, 1),
+            lambda: sample_minimum_constraints(j, 2.5, 1),
+            lambda: sample_constraint_traces(j, 2.5, 1),
+        ],
+        "trials must be an integer, got 2.5": [lambda: verify_min_rank(j, 2.5, 1)],
+        "seed must be an integer, got '3'": [lambda: sample_constraint_traces(j, 2, "3")],
+    }
+    for message, refused in calls.items():
+        for call in refused:
+            with pytest.raises(InvalidInput) as info:
+                call()
+            assert str(info.value) == message
+    assert sample_constraint_traces(j, np.int64(2), np.uint32(1)).tolist() == sample_constraint_traces(j, 2, 1).tolist()
+    assert verify_min_rank(j, np.int32(2), np.random.default_rng(1)).n_cases == 3
+
+
 def test_null_complement_frozen_examples():
     u = null_complement(np.array([[0.0, 1.0]]))
     assert u.shape == (2, 1)

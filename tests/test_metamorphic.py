@@ -117,18 +117,17 @@ def test_the_pseudoinverse_does_not_follow_a_non_orthogonal_reparametrization(ca
 
 
 def minimum_flags(basis, stacks, seed):
-    """The three flags of each evaluated stack, and the labels of 10 sampled constraints, whose retries=
-    count the draws that the sampler rejected."""
-    evaluated = [evaluate_constraints(basis, f_jacs) for f_jacs in stacks]
-    labels = np.array([spec.label for spec in sample_minimum_constraints(basis, 10, seed)])
-    return [[s.full_rank_jacobian, s.utju_nonsingular, s.rank_sum_is_n] for s in evaluated] + [[labels]]
+    """The three flags of each evaluated stack, and of 10 sampled constraints' orthonormal rows."""
+    sampled = np.array([spec.f_jac for spec in sample_minimum_constraints(basis, 10, seed)])
+    evaluated = [evaluate_constraints(basis, f_jacs) for f_jacs in [*stacks, sampled]]
+    return [[s.full_rank_jacobian, s.utju_nonsingular, s.rank_sum_is_n] for s in evaluated]
 
 
 @METAMORPHIC
 @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([1e-10, 0.02]))
 def test_scaling_j_keeps_every_flag_and_the_min_rank_verdict(n, seed, tol):
     # J -> cJ scales J's cutoff, and the cutoff of every U'J_rU, with J, so no flag of an evaluated
-    # stack moves and no sampled draw's verdict (at 0.02 many are rejected); min_rank's margins, in
+    # stack moves, nor of the sampled constraints, which are minimum at every scale; min_rank's margins, in
     # units of that cutoff, move by roundoff: mu by about n eps sigma_1, so each margin by n eps / tol
     rng = np.random.default_rng(seed)
     j = make_psd(rng, n, int(rng.integers(1, n)))

@@ -68,14 +68,14 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     experiment, analyze, certify = traces
     assert experiment.problems == [] and analyze.problems == [] and certify.problems == []
     assert experiment.calls["matlin.ranked_svd"] == 1
-    # one eigh gives J's rank, PSD check and J+, and one solve per chunk of 32 constraints gives
-    # their traces in closed form; on this J the bracket decides every draw, so no eigvalsh of
-    # X runs, and no qr is made (3 qr, 3 eigvalsh and 0 solve when each chunk was factored to
-    # read its traces from the spectrum of U'JU)
+    # one eigh gives J's rank, PSD check and J+, and each constraint is drawn in J's chart with its
+    # trace in closed form, with no LAPACK call (3 qr, 3 eigvalsh and 0 solve when each chunk was
+    # factored to read its traces from the spectrum of U'JU, and 3 solve when each chunk's
+    # Gaussian draws were carried to J's chart)
     assert experiment.calls["linalg.eigh"] == 1
     assert experiment.calls["linalg.svd"] == 0
     assert experiment.calls["linalg.inv"] == 0
-    assert experiment.calls["linalg.solve"] == 3
+    assert experiment.calls["linalg.solve"] == 0
     assert experiment.calls["linalg.qr"] == 0
     assert experiment.calls["linalg.eigvalsh"] == 0
     # J's one eigh; the svd, eigvalsh and inv belong to the optimal constraint's bound
@@ -87,7 +87,7 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert certify.calls["linalg.eigh"] == 4
     # one stacked eigen-dominance check per suite matrix, one for the counterexample
     assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
-    # the sampled stack holds its Gaussian draws and goes straight to the trace and dominance
+    # the sampled stack holds its chart draws' F and goes straight to the trace and dominance
     # certificates, which read the spectra of U'JU and J and orthonormalize no draw while every
     # case passes; min_rank takes its trials' rows and null bases from one complete qr per J and
     # one eigvalsh for all trials; the one svd per J is the equivalence check's; and J's eigh gives
@@ -103,6 +103,7 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     # eigvalsh: one per J for its sampler chunk, its Poincare frame, its equivalence mixes and its
     # min_rank trials, and two for the counterexample (21 in all when min_rank took one per
     # distinct row count, and 20 when each trial drew its row count and then its rows); the
-    # sampler reads each chunk in J's chart with one solve
+    # sampler draws each chunk in J's chart and makes no solve (one per J when it carried Gaussian
+    # draws there)
     assert certify.calls["linalg.eigvalsh"] == 3 * 4 + 2
-    assert certify.calls["linalg.solve"] == 3
+    assert certify.calls["linalg.solve"] == 0

@@ -7,7 +7,6 @@ route so library results are checked against an independent construction.
 import numpy as np
 
 from crbkit.cli import derived_rng
-from crbkit.constraint import sample_minimum_constraints
 from crbkit.matlin import seed_sequence
 from crbkit.verify import random_rank_deficient_psd
 
@@ -35,27 +34,34 @@ def orthonormal_rows(f_jacs):
     return (q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]).transpose(0, 2, 1)
 
 
-def sampled_draws(basis, count, seed):
-    """Every draw G' that sample_minimum_constraints(basis, count, seed) made, in draw order, and the
-    index of each accepted one, read from the retries= labels of its specs. The sampler consumes its
-    stream as one draw at a time would, and its last draw is its last accepted one."""
-    specs = sample_minimum_constraints(basis, count, seed)
-    hits = np.cumsum([int(spec.label.split("retries=")[1]) + 1 for spec in specs]) - 1
-    shape = (hits[-1] + 1, basis.dim, basis.dim - basis.rank)
-    return np.random.default_rng(seed_sequence(seed)).standard_normal(shape).transpose(0, 2, 1), hits
+def chart_draws(basis, count, seed):
+    """The draws L (count, n - r, r) of a sample of count constraints from seed, made one at a time by the
+    documented law: draw i is t delta_i N, N standard normal from seed_sequence(seed), delta_i the i-th of
+    (1e-3, 1e-2, 1e-1, 1, 10, 100) in turn, and t <= 1 the largest factor with
+    c ||L Lambda^-1/2||_F^2 <= (1 - c / lambda_r) / 2, c = sigma_1 r rank_tol_rel."""
+    n, r = basis.dim, basis.rank
+    rng = np.random.default_rng(seed_sequence(seed))
+    c = basis.sigma[0] * r * basis.rank_tol_rel if r else 0.0
+    room = 0.5 * (1.0 - c / basis.sigma[-1]) if r else 0.5
+    draws = []
+    for i in range(count):
+        scaled = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)[i % 6] * rng.standard_normal((n - r, r))
+        gap = c * np.sum(scaled**2 / basis.sigma)
+        draws.append(scaled * (np.sqrt(room / gap) if gap > room else 1.0))
+    return np.array(draws).reshape(count, n - r, r)
 
 
-def sampler_chunks(hits, count):
-    """The chunk sizes of the sampler's loop for a sample that accepted the draws hits: each chunk makes
-    as many draws as can still be accepted, at most 32, and never overdraws the budget of 100 * count."""
-    chunks, accepted, rejects = [], 0, 0
-    while accepted < count:
-        drawn = sum(chunks)
-        chunks.append(min(count - accepted, 100 * count - rejects, 32))
-        inside = hits[(hits >= drawn) & (hits < drawn + chunks[-1])]
-        accepted += inside.size
-        rejects = drawn + chunks[-1] - 1 - inside[-1] if inside.size else rejects + chunks[-1]
-    return chunks
+def chart_jacobians(basis, l_mats):
+    """The Jacobians F = U_bar' + L U_r' of draws L: each F's rows span the complement of
+    null(F) = span(U_r - U_bar L)."""
+    return basis.u_bar.T + l_mats @ basis.u_r.T
+
+
+def gaussian_rows(seed, count, n, m):
+    """The orthonormal rows (count, m, n) of count Gaussian (n, m) draws from seed_sequence(seed), one
+    sign-fixed qr: Haar-uniform constraints, the inputs that the samplers once drew from that seed."""
+    draws = np.random.default_rng(seed_sequence(seed)).standard_normal((count, n, m))
+    return orthonormal_rows(draws.transpose(0, 2, 1))
 
 
 def svd_pinv_oracle(a):

@@ -47,13 +47,15 @@ INPUTS = {
     "indefinite_1e-6.matx": np.diag([1.0, -1e-6, 0.0]),
     "zero.matx": np.zeros((2, 2)),
     "huge.matx": np.diag([8e307, 8e307, 0.0]),
+    "tiny_1e-160.matx": np.diag([1e-160, 5e-161, 0.0]),
+    "tiny_1e-300.matx": np.diag([1e-300, 5e-301, 0.0]),
     "blind.cfg": "model = blind_channel\n",
     "blind_mc.cfg": "model = blind_channel\nfim_method = monte_carlo\n",
 }
 
 _SUITES = [["certify", "--count", "20", "--seed", str(seed)] for seed in range(5000, 5012)] + [
     ["certify", "--count", "5", "--seed", "3", "--margin-tol", "1e-320"],  # fails, and writes witnesses
-    ["certify", "--count", "10", "--seed", "19", "--rank-tol", "0.1"],  # exits 3
+    ["certify", "--count", "10", "--seed", "19", "--rank-tol", "0.1"],  # t shrinks the large steps of this suite
     ["certify", "--count", "20", "--seed", "11", "--rank-tol", "0.05"],
     ["certify", "--count", "5", "--rank-tol", "1e-20"],
     ["certify", "--count", "5", "--rank-tol", "0.2"],
@@ -64,6 +66,8 @@ _PER_MATRIX = [
     ["experiment", "--count", "50"],
     ["certify", "--rank-tol", "1e-3"],
     ["analyze", "--rank-tol", "0.5"],
+    ["experiment", "--count", "50", "--rank-tol", "0.1"],  # the sampler shrinks draws near a loose cutoff
+    ["certify", "--count", "30", "--rank-tol", "0.1"],
 ]
 _MATRICES = [name for name in INPUTS if name.endswith(".matx")]
 
