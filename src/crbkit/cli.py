@@ -64,6 +64,7 @@ from .verify import (
     counterexample_check,
     certificates_to_csv,
     merge_certificates,
+    passes,
     random_rank_deficient_psd,
     verify_constraint_equivalence,
     verify_eigen_dominance,
@@ -373,7 +374,7 @@ def cmd_analyze(config: RunConfig) -> int:
         if estimate.method == "monte_carlo":
             rows.append(("fim_samples", str(estimate.n_samples)))
             rows.append(("fim_std_err_bound", format_float(estimate.std_err_bound)))
-            rows.append(("fim_clip_magnitude", format_float(estimate.clip_magnitude)))
+            rows.append(("fim_clip_magnitude", format_float(max(0.0, -float(basis.eigenvalues.min())))))
     for i, value in enumerate(basis.sigma, 1):
         rows.append((f"sigma_{i}", format_float(value)))
     for i, value in enumerate(report.eigenvalues, 1):
@@ -385,7 +386,7 @@ def cmd_analyze(config: RunConfig) -> int:
         print(f"information matrix is nonsingular (rank {rank}); no constraint needed")
         print(f"inverse written to {out / 'j_pinv.matx'}")
     else:
-        spec = optimal_affine_constraint(basis, np.zeros(n))
+        spec = optimal_affine_constraint(basis, np.zeros(n) if config.theta is None else config.theta)
         bound = constrained_crb(basis, spec)
         save_constraint_spec(out / "constraint.matx", spec)
         save_matrix(out / "crb_constrained.matx", bound.bound.entries)
@@ -501,7 +502,7 @@ def cmd_experiment(config: RunConfig) -> int:
         f"{sampled} constraints sampled; baseline trace {format_float(baseline)}; "
         f"worst margin {format_float(worst)}"
     )
-    if worst < -config.margin_tol:
+    if not passes(margins, config.margin_tol).all():
         raise CliError(
             EXIT_NUMERICAL,
             f"experiment: observed trace margin {format_float(worst)} below -margin_tol",

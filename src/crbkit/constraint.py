@@ -189,15 +189,19 @@ def _sampled(j, count: int, rng_seed):
     Draw i is L = t delta_i N: N an (n - r, r) standard normal block from
     random_stream(rng_seed), delta_i = STEPS[i % 6], and t <= 1 the largest
     factor with c ||M||_F^2 <= (1 - c / lambda_r) / 2, M = L Lambda^-1/2 and
-    c = basis.cutoff(r). F = (U_bar + U_r L')' has row rank m = n - r, and
-    null(F) is spanned by W = U_r - U_bar L. As W'J_rW = Lambda, the bound
-    U (U'J_rU)^-1 U' of Gorman and Hero is W Lambda^-1 W', whose nonzero
-    eigenvalues 1/mu are those of the r x r X = Lambda^-1 + M'M. So
-    1/mu_min <= 1/lambda_r + ||M||_F^2 < 1/c: restricted_nonsingular keeps
-    every draw, and tr X = sum 1/lambda_i + ||M||_F^2. A draw depends on its
-    index alone, so a sample's first k draws are the sample of k. Raises
-    InvalidInput for a count that is not a positive integer, FullRankFim
-    when J is nonsingular and InvalidMatrix when ranked_svd refuses J.
+    c = basis.cutoff(r), and with ||M||_F^2 at most half the double range
+    above sum 1/lambda_i, a cap that binds only past half the largest
+    double; t and ||M||_F^2 are formed in units of 2^unit, near 1/lambda_r,
+    an exact scaling with which no step overflows. F = (U_bar + U_r L')' has
+    row rank m = n - r, and null(F) is spanned by W = U_r - U_bar L. As
+    W'J_rW = Lambda, the bound U (U'J_rU)^-1 U' of Gorman and Hero is
+    W Lambda^-1 W', whose nonzero eigenvalues 1/mu are those of the r x r
+    X = Lambda^-1 + M'M. So 1/mu_min <= 1/lambda_r + ||M||_F^2 < 1/c:
+    restricted_nonsingular keeps every draw, and
+    tr X = sum 1/lambda_i + ||M||_F^2. A draw depends on its index alone, so
+    a sample's first k draws are the sample of k. Raises InvalidInput for a
+    count that is not a positive integer, FullRankFim when J is nonsingular
+    and InvalidMatrix when ranked_svd refuses J.
     """
     _check_count(count, "count", 1)
     basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
@@ -207,14 +211,18 @@ def _sampled(j, count: int, rng_seed):
     rng, steps, inv_lam = random_stream(rng_seed), np.resize(STEPS, count), 1.0 / basis.sigma
     cutoff = basis.cutoff(r)
     room = 0.5 * (1.0 - cutoff / basis.sigma.min(initial=np.inf))  # (1 - c / lambda_r) / 2; 1/2 at rank 0
+    unit = max(0, int(np.frexp(inv_lam.max(initial=0.0))[1]))  # 2^unit is 1 where lambda_r > 1
+    unit_inv_lam, unit_cutoff = np.ldexp(inv_lam, -unit), np.ldexp(cutoff, unit)
+    cap = np.ldexp(0.5 * (np.finfo(float).max - np.sum(inv_lam)), -unit)  # on ||M||_F^2 / 2^unit
 
     def chunks():
         for start in range(0, count, CONSTRAINT_CHUNK):
             step = steps[start : start + CONSTRAINT_CHUNK, None, None]
             scaled = step * rng.standard_normal((len(step), m, r))  # delta N
-            squares = np.sum(np.square(scaled) * inv_lam, axis=(1, 2))  # ||delta N Lambda^-1/2||_F^2
-            shrink = room / np.maximum(room, cutoff * squares)  # t^2
-            yield np.sqrt(shrink)[:, None, None] * scaled, shrink * squares
+            squares = np.sum(np.square(scaled) * unit_inv_lam, axis=(1, 2))  # ||delta N Lambda^-1/2||_F^2 / 2^unit
+            shrink = room / np.maximum(room, unit_cutoff * squares)  # t^2 under the room
+            shrink *= cap / np.maximum(cap, shrink * squares)  # t^2 under the cap too
+            yield np.sqrt(shrink)[:, None, None] * scaled, np.ldexp(shrink * squares, unit)
 
     return basis, chunks()
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
-from .matlin import SymMatrix, seed_sequence
+from .errors import NumericalFailure
+from .matlin import SymMatrix, _check_count, seed_sequence
 from .statmodel import GaussianMeanModel
 
 # Samples per derived stream; the stream for partition p is seeded from
@@ -31,16 +31,14 @@ class FimEstimate:
     """Fisher information estimate.
 
     method is "analytic" or "monte_carlo". For Monte-Carlo estimates
-    std_err_bound is the Frobenius norm of the entrywise standard errors
-    and clip_magnitude records how far the smallest eigenvalue had to be
-    raised to reach zero; both are 0.0 for analytic estimates.
+    std_err_bound is the Frobenius norm of the entrywise standard errors;
+    it is 0.0 for analytic estimates.
     """
 
     matrix: SymMatrix
     method: str
     n_samples: int = 0
     std_err_bound: float = 0.0
-    clip_magnitude: float = 0.0
 
 
 def fim_gaussian_mean(model: GaussianMeanModel, theta) -> FimEstimate:
@@ -61,19 +59,19 @@ def fim_monte_carlo(
     standard_normal(obs_dim) draws, so sample i sees the same z as under
     model.sample.
 
-    The sample mean is symmetrized and its negative eigenvalues are
-    clipped to zero so downstream positive-semidefinite preconditions
-    hold; the clip size is reported. Raises NumericalFailure naming the
-    global index of the first sample whose score is non-finite.
+    The estimate is the sample mean W'SW (W = G / sigma, S the draws'
+    second moment), symmetrized by SymMatrix and, like G'G / sigma^2, not
+    clipped: it is PSD up to roundoff that the rank rule of ranked_svd
+    reads as zero. Raises InvalidInput unless n_samples is an integer of
+    at least MIN_MC_SAMPLES, and NumericalFailure naming the global index
+    of the first sample whose score is non-finite.
     """
-    if n_samples < MIN_MC_SAMPLES:
-        raise InvalidInput(f"n_samples must be at least {MIN_MC_SAMPLES}, got {n_samples}")
+    _check_count(n_samples, "n_samples", MIN_MC_SAMPLES)
     # score(mean + sigma z) = (G / sigma)' z; G times 1/sigma rounds as a solve against sigma I
     whitened_jac = model.jac_at(theta) * (1.0 / np.sqrt(model.noise_var))
 
-    dim = model.param_dim
-    total = np.zeros((dim, dim))
-    total_sq = np.zeros((dim, dim))
+    total = np.zeros((model.param_dim, model.param_dim))
+    total_sq = np.zeros_like(total)
     n_partitions = (n_samples + PARTITION_SIZE - 1) // PARTITION_SIZE
     drawn = 0
     for part in range(n_partitions):
@@ -93,19 +91,5 @@ def fim_monte_carlo(
     mean = total / n_samples
     # entrywise sample variance of the outer products
     var = (total_sq - n_samples * mean * mean) / (n_samples - 1)
-    np.maximum(var, 0.0, out=var)
-    std_err = np.sqrt(var / n_samples)
-    std_err_bound = float(np.linalg.norm(std_err))
-
-    sym = 0.5 * (mean + mean.T)
-    evals, evecs = np.linalg.eigh(sym)
-    clip = max(0.0, -float(evals[0]))
-    if clip > 0.0:
-        sym = (evecs * np.maximum(evals, 0.0)) @ evecs.T
-    return FimEstimate(
-        matrix=SymMatrix(sym),
-        method="monte_carlo",
-        n_samples=n_samples,
-        std_err_bound=std_err_bound,
-        clip_magnitude=clip,
-    )
+    std_err_bound = float(np.linalg.norm(np.sqrt(np.maximum(var, 0.0) / n_samples)))
+    return FimEstimate(SymMatrix(mean), "monte_carlo", n_samples, std_err_bound)

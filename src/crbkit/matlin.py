@@ -80,11 +80,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_count(value, name: str, least: int) -> None:
-    """InvalidInput naming value unless it is an integer (Python or numpy) no smaller than least, 0 or 1."""
-    if not isinstance(value, (int, np.integer)):
+    """InvalidInput naming value unless it is an integer (Python or numpy, not a bool) no smaller than least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise InvalidInput(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
+        floor = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise InvalidInput(f"{name} must be {floor}, got {value}")
 
 
 def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:

@@ -112,6 +112,11 @@ class TheoremCertificate:
         return float(self.margins.min())
 
 
+def passes(margins: np.ndarray, margin_tol: float) -> np.ndarray:
+    """The one pass rule, for certificates and experiment alike: margin >= -margin_tol; a NaN margin fails."""
+    return margins >= -margin_tol
+
+
 def _certify(
     theorem_id: str,
     margins: np.ndarray,
@@ -119,14 +124,13 @@ def _certify(
     margin_tol: float,
     detail: str = "",
 ) -> TheoremCertificate:
-    """The one pass rule: case i fails unless margins[i] >= -margin_tol; case(i) gives a failing case's inputs."""
+    """The certificate of margins under the pass rule of passes; case(i) gives a failing case i's inputs."""
     if not margins.size:
         raise InvalidInput("certificate needs at least one case")
     witnesses = []
-    for i, margin in enumerate(margins.tolist()):
-        if not margin >= -margin_tol:
-            label, mats = case(i)
-            witnesses.append(FailingCase(label=label, margin=margin, matrices=tuple(mats.items())))
+    for i in np.flatnonzero(~passes(margins, margin_tol)).tolist():
+        label, mats = case(i)
+        witnesses.append(FailingCase(label=label, margin=float(margins[i]), matrices=tuple(mats.items())))
     return TheoremCertificate(theorem_id, margins, tuple(witnesses), detail)
 
 

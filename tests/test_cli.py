@@ -16,6 +16,7 @@ from crbkit import (
     bound_traces,
     constrained_crb,
     fim_gaussian_mean,
+    load_constraint_spec,
     load_matrix,
     ranked_svd,
     sample_minimum_constraints,
@@ -82,7 +83,10 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # every other output, as it was; e's and e2's traces and c's and c2's certificates were
     # retaken when the samplers came to draw each constraint in J's chart, L = t delta N, which
     # moves every sampled trace and every sampled trace_bound and eigen_dominance margin and leaves
-    # every other output as it was; they cover the labeled CLI streams, the Monte-Carlo
+    # every other output as it was; every output read from a's J (a's, e's, e2's, c2's and m's, not
+    # the manifests) was retaken when the Monte-Carlo J came to be factored as estimated, with no
+    # clip of its least eigenvalue (-8.5e-16 here), which moves J by roundoff, and a's constraint
+    # when its offset came to vanish at the run's theta; they cover the labeled CLI streams, the Monte-Carlo
     # partitions, the sampler and the min_rank trials, the analyze runs' pseudoinverse,
     # constrained bound, constraint and report, and each run's manifest, whose input or model
     # branch follows the kind of input
@@ -112,22 +116,22 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     outputs += tuple(f"{run}/manifest.cfg" for run in ("a", "e", "e2", "c", "c2", "m"))
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert digests == {
-        "a/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "a/analysis.csv": "4b76529086526d97468620c6bc3134c57084a65c4f5cd323534fced029bc6cc3",
-        "a/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
-        "a/crb_constrained.matx": "ba29609c59aca466f2fd34030d3f40e99242e996024be93dd8f872eb02b87549",
-        "a/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
-        "e/traces.csv": "c7cb0163e4ec22f9e131d65669029accb8590ee339f09bc9ef76dd1923b984bd",
-        "e2/traces.csv": "07616d1255534bbe42684de67b83991f0f643be97ed87030321fb011115594c3",
+        "a/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
+        "a/analysis.csv": "96e2f86d3cb6d750725a38ca121c9d686bfea3c49a4e49009adef43aa67593f4",
+        "a/j_pinv.matx": "d13537e0814cd19ac5fdb17369a2984f9bff4da7862ef2525d08d9764e897fd9",
+        "a/crb_constrained.matx": "1758d54342a7c27b1a4a570def027ececfe738e231c2493fc438e0b8c48e10ef",
+        "a/constraint.matx": "f8343fc87176ef41436373ba233f19660a180a259189574ac6921c408ba52719",
+        "e/traces.csv": "ebb01dfb3d0720cb4a4273f910c8efabe3f9cbcf12d9c1069cb5176d512e99bb",
+        "e2/traces.csv": "f434782362c8869440ebab5ac67817e2891c2247276d96f59081f6b995473e11",
         "c/certificates.csv": "fd6357bb9088f844eb0c466ebb53686fa87f5bfa05dfd05e20b45a12ba0c90fb",
-        "c2/certificates.csv": "7735563de5815b432d4367db9ebfa488c7cd4a4b17834fcc1e1d51192be63389",
-        "m/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "m/analysis.csv": "ffe97c66bbaa2db9c1436d27aee992d6120ce56cd15b79c62abeb1dd546ea894",
-        "m/j_pinv.matx": "e1dd5b54aa0ea788347ad709180739297f39cb06e17474c1ebdef4a81fd9ec05",
-        "m/crb_constrained.matx": "ba29609c59aca466f2fd34030d3f40e99242e996024be93dd8f872eb02b87549",
-        "m/constraint.matx": "9ccd544b2694b7c85479d5945dda52c6642687329d0d90e31a988d9a35ef331f",
-        "e/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
-        "c2/j.matx": "9348655c0c0c552985c5b31fa64f8ca30b87e45339efa249065345330155d7b6",
+        "c2/certificates.csv": "213424cc3d26ba077d9eb3971444c50a1c2c15e453e5066a427fcf0211fdbd16",
+        "m/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
+        "m/analysis.csv": "988bef45b55776ab4700e5a11f6552de42600f40e06b476687743e10707b5384",
+        "m/j_pinv.matx": "d13537e0814cd19ac5fdb17369a2984f9bff4da7862ef2525d08d9764e897fd9",
+        "m/crb_constrained.matx": "1758d54342a7c27b1a4a570def027ececfe738e231c2493fc438e0b8c48e10ef",
+        "m/constraint.matx": "6d155481d9d638ffb85c8084feaccd80930579a6ac00c8aa1e4d64f6c5dd56a6",
+        "e/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
+        "c2/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
         "a/manifest.cfg": "d4976e05f9d5ed44e5f2dbfaaf30c874ed34248d653d2247abcafc298106bd55",
         "e/manifest.cfg": "c25b4625ddd4ee340cb21b0a6a2276018d1782ec7655922738782bb63337a79d",
         "e2/manifest.cfg": "eba451e13f98b2f196a4966ea6045baab78152d1b1464683fa70653b14154d83",
@@ -192,8 +196,10 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
     # these digests, taken when G was whitened by a solve against the Cholesky factor of the
     # noise covariance, pin that rounding; at seed 2, G / sigma differs from G * (1 / sigma)
     # in 9 of the Jacobian's 30 entries; analysis.csv's digest was retaken when J came to be
-    # factored by one eigh, which moves its singular values and bounds by roundoff, and when
-    # the constrained bound came to be formed from U'J_rU, which moves it by 8e-15 relative
+    # factored by one eigh, which moves its singular values and bounds by roundoff, when
+    # the constrained bound came to be formed from U'J_rU, which moves it by 8e-15 relative,
+    # and when J came to be factored with no clip of its least eigenvalue and the constraint's
+    # offset to vanish at theta; both digests were retaken then
     config = tmp_path / "mc.cfg"
     config.write_text(
         "model = blind_channel\ns_len = 3\nh_len = 3\nnoise_var = 0.5\n"
@@ -205,8 +211,8 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
         for name in ("j.matx", "analysis.csv")
     }
     assert digests == {
-        "j.matx": "93ebfc3ad49e36d94c8669274e56ebe8a961f89c0c4c8c23e4db603b1a210fed",
-        "analysis.csv": "de4a40b4cdb99e38b63dd000e63491005c3a870b9b78d4bd5143c7e9d8e36f5a",
+        "j.matx": "c72949422e0f73e89de8a44929671caf43f894235364db6fe5e973d013916b8f",
+        "analysis.csv": "63503e959244c3fa746711ccf248bf782298d36641537bd655a80488006c06ca",
     }
 
 
@@ -274,6 +280,21 @@ def test_analyze_blind_channel_config(tmp_path):
     manifest = (out / "manifest.cfg").read_text()
     assert "model = blind_channel" in manifest
     assert "theta = " in manifest
+
+
+@pytest.mark.parametrize("fim_method", ["analytic", "monte_carlo"])
+def test_a_model_runs_optimal_constraint_vanishes_at_its_theta(tmp_path, fim_method):
+    # the constraint F theta + C vanished at theta = 0 for every input; F theta + C read -0.767 at
+    # the manifest's theta of analyze --model blind_channel --seed 7
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"model = blind_channel\nfim_method = {fim_method}\n")
+    assert main(["analyze", "--input", str(cfg), "--seed", "7", "--out", str(tmp_path / "a")]) == 0
+    manifest = (tmp_path / "a" / "manifest.cfg").read_text().splitlines()
+    theta = np.array(next(line for line in manifest if line.startswith("theta = ")).split()[2:], dtype=float)
+    spec = load_constraint_spec(tmp_path / "a" / "constraint.matx")
+    f_norm = np.linalg.norm(spec.f_jac)
+    assert np.linalg.norm(spec.offset) > 0.5
+    assert np.linalg.norm(spec.f_jac @ theta + spec.offset) <= 1e-14 * f_norm * np.linalg.norm(theta)
 
 
 def test_analyze_monte_carlo_config(tmp_path):
@@ -871,6 +892,18 @@ def test_experiment_exits_3_on_a_trace_below_the_baseline_after_writing_its_outp
     assert (out / "manifest.cfg").is_file()
 
 
+def test_experiment_exits_3_on_a_nan_trace_as_a_certificate_fails_one(tmp_path, capsys, monkeypatch):
+    # one pass rule, verify.passes, for certify and experiment: NaN >= -margin_tol is false, where
+    # experiment's own test, worst < -margin_tol, passed it and exited 0
+    traces = lambda basis, count, seed: np.where(np.arange(count) == 1, np.nan, 1.0)
+    monkeypatch.setattr(crbkit.cli, "sample_constraint_traces", traces)
+    out = tmp_path / "o"
+    argv = ["experiment", "--input", str(write_diag_matrix(tmp_path)), "--count", "3", "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: experiment: observed trace margin nan below -margin_tol\n"
+    assert (out / "traces.csv").read_text().splitlines()[3:] == ["0,1,0.5", "1,nan,nan", "2,1,0.5"]
+
+
 def test_experiment_full_rank_exits_2(tmp_path):
     path = write_identity_matrix(tmp_path)
     assert main(["experiment", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -976,6 +1009,21 @@ def test_huge_matrix_input_exits_2(tmp_path, capsys, matrix, command):
     err = capsys.readouterr().err
     assert err.startswith("error: input values too large for double precision: overflow encountered")
     assert err.count("\n") == 1
+
+
+def test_a_j_near_the_underflow_edge_passes_certify_and_experiment(tmp_path):
+    # at diag(1e-307, 0) the sampler's steps 10 and 100 would give bounds beyond double range: both
+    # commands exited 2 with the overflow line; the cap on ||M||_F^2 keeps every trace finite
+    path = tmp_path / "tiny.matx"
+    path.write_text("2 2\n1e-307 0\n0 0\n")
+    argv = ["--input", str(path), "--count", "12", "--out"]
+    assert main(["experiment", *argv, str(tmp_path / "e")]) == 0
+    _, traces = experiment_traces(tmp_path / "e")
+    assert traces.size == 12 and np.all(np.isfinite(traces)) and np.all(traces >= 1e307)
+    assert main(["certify", *argv, str(tmp_path / "c")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "c" / "certificates.csv").read_text().splitlines()[2:]]
+    assert [row[1] for row in rows] == ["true"] * 6
+    assert all(np.isfinite(float(row[3])) for row in rows)
 
 
 def test_monte_carlo_overflow_exits_2(tmp_path, capsys):

@@ -408,15 +408,17 @@ def test_every_sampled_trace_is_at_least_the_pseudoinverse_trace():
 
 
 def test_every_sampled_stack_is_minimum_with_the_traces_of_the_trace_sampler():
-    # random J of every size and rank, at five cutoffs up to one ulp below 1/n and three scales: every
+    # random J of every size and rank, at five cutoffs up to one ulp below 1/n and four scales: every
     # draw is minimum, the stack's traces sum 1/mu equal sample_constraint_traces to 10 n eps, and
     # the constrained_crb trace of its spec to 1e-9 relative
-    # (one ulp below 1/5 the rule ranks J 0, and every trace is 0)
-    rng = np.random.default_rng(31)
+    # (one ulp below 1/5 the rule ranks J 0, and every trace is 0); at the scale 1e-301 J's
+    # eigenvalues reach 1e-307, where the large steps' bounds would leave double range and the cap on
+    # ||M||_F^2 binds; that scale draws its J from a stream of its own, so the others keep theirs
+    rng, edge_rng = np.random.default_rng(31), np.random.default_rng(301)
     for n in range(2, 9):
         for rank in range(1, n):
-            for scale in (1e-8, 1.0, 1e8):
-                j = spread_psd(rng, n, rank, scale)
+            for scale in (1e-8, 1.0, 1e8, 1e-301):
+                j = spread_psd(edge_rng if scale == 1e-301 else rng, n, rank, scale)
                 for tol in (1e-10, 0.02, 0.05, 0.1, np.nextafter(1.0 / n, 0.0)):
                     if n * tol >= 1 or (basis := ranked_svd(j, tol)).rank == n:
                         continue

@@ -245,8 +245,10 @@ def test_a_negative_seed_is_refused_where_every_stream_is_derived():
 
 def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
     # numpy raised "TypeError: SeedSequence expects int or sequence of ints for entropy not 1.5" for
-    # the seed, and a TypeError from the draw's shape for the count and the trials; a numpy integer
-    # and a Generator still pass
+    # the seed, and a TypeError from the draw's shape for the count and the trials; a count or trial
+    # count of True leaked a TypeError too, a seed of True was read as 1, n_samples = True was "at least
+    # 100" and n_samples = 1000.5 leaked a TypeError from range(); a numpy integer and a Generator still
+    # pass, and the sample floor keeps its message
     j, model = np.diag([1.0, 0.0]), gaussian_location(2)
     calls = {
         "seed must be an integer, got 1.5": [
@@ -263,6 +265,15 @@ def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
         ],
         "trials must be an integer, got 2.5": [lambda: verify_min_rank(j, 2.5, 1)],
         "seed must be an integer, got '3'": [lambda: sample_constraint_traces(j, 2, "3")],
+        "count must be an integer, got True": [
+            lambda: sample_minimum_stack(j, True, 0),
+            lambda: sample_constraint_traces(j, True, 0),
+        ],
+        "trials must be an integer, got True": [lambda: verify_min_rank(j, True, 0)],
+        "seed must be an integer, got True": [lambda: sample_constraint_traces(j, 2, True)],
+        "n_samples must be an integer, got 1000.5": [lambda: fim_monte_carlo(model, np.zeros(2), 1000.5, 0)],
+        "n_samples must be an integer, got True": [lambda: fim_monte_carlo(model, np.zeros(2), True, 0)],
+        "n_samples must be at least 100, got 99": [lambda: fim_monte_carlo(model, np.zeros(2), 99, 0)],
     }
     for message, refused in calls.items():
         for call in refused:

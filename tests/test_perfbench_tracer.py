@@ -107,3 +107,27 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     # draws there)
     assert certify.calls["linalg.eigvalsh"] == 3 * 4 + 2
     assert certify.calls["linalg.solve"] == 0
+
+
+def test_a_monte_carlo_j_is_factored_once(tmp_path):
+    # the estimate is not clipped, so its own eigh and reconstruction are gone (2 eigh when they
+    # were there); the svd, eigvalsh and inv belong to the optimal constraint's bound. A suite's
+    # count is unchanged by it
+    config = tmp_path / "mc.cfg"
+    config.write_text("model = blind_channel\nfim_method = monte_carlo\n")
+    module = load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        traces = []
+        for argv in (["analyze", "--input", str(config)], ["certify", "--count", "20", "--seed", "6"]):
+            tracer.start_job()
+            start = time.perf_counter()
+            assert crbkit.cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+            traces.append(tracer.finish_job(time.perf_counter() - start, 10.0))
+    finally:
+        tracer.uninstall()
+    analyze, certify = traces
+    lapack = {name: analyze.calls[f"linalg.{name}"] for name in module.LINALG}
+    assert lapack == {"svd": 1, "eigvalsh": 1, "eigh": 1, "inv": 1, "qr": 0, "solve": 0, "cholesky": 0}
+    assert sum(certify.calls[f"linalg.{name}"] for name in module.LINALG) == 224

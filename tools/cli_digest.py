@@ -49,6 +49,7 @@ INPUTS = {
     "huge.matx": np.diag([8e307, 8e307, 0.0]),
     "tiny_1e-160.matx": np.diag([1e-160, 5e-161, 0.0]),
     "tiny_1e-300.matx": np.diag([1e-300, 5e-301, 0.0]),
+    "tiny_1e-307.matx": np.diag([1e-307, 0.0]),  # the sampler's largest steps meet its cap on ||M||_F^2
     "blind.cfg": "model = blind_channel\n",
     "blind_mc.cfg": "model = blind_channel\nfim_method = monte_carlo\n",
 }
@@ -77,6 +78,9 @@ COMMANDS = (
     + [argv + ["--input", f"{{tmp}}/{name}"] for name in _MATRICES for argv in _PER_MATRIX]
     + [[command, "--input", f"{{tmp}}/{cfg}", "--count", "20"] for cfg in ("blind.cfg", "blind_mc.cfg")
        for command in ("analyze", "certify", "experiment")]
+    # Monte-Carlo J over seeds, with and without roundoff below zero, and at the finest rank rule
+    + [["analyze", "--input", "{tmp}/blind_mc.cfg", "--seed", str(seed)] for seed in range(10)]
+    + [["analyze", "--input", "{tmp}/blind_mc.cfg", "--rank-tol", "2.3e-16"]]
 )
 
 
