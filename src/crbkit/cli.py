@@ -117,10 +117,10 @@ def derived_seed(seed: int, label: str, index: int = 0) -> int:
     return int(seed_sequence(seed, _label_key(label), index).generate_state(1, np.uint64)[0])
 
 
-def _setting(key: str, default, help_text: str, limit: str | None = None):
+def _setting(key: str, default, help_text: str, limit: str):
     """A run setting's RunConfig field: config key, flag help, limit "positive" or "nonnegative".
 
-    A setting with a limit must also be finite.
+    A setting must also be finite.
     """
     return field(default=default, metadata={"key": key, "help": help_text, "limit": limit})
 
@@ -147,9 +147,9 @@ class RunConfig:
             raise InvalidInput(f"{self.command} requires --input or --model naming a matrix or a model")
         for key, setting in SETTINGS.items():
             value, limit = getattr(self, setting.name), setting.metadata["limit"]
-            if limit and not (value > 0 if limit == "positive" else value >= 0):
+            if not (value > 0 if limit == "positive" else value >= 0):
                 raise InvalidInput(f"{key} must be {limit}, got {value}")
-            if limit and value == np.inf:
+            if value == np.inf:
                 raise InvalidInput(f"{key} must be finite, got {value}")
         if self.fim_method not in ("analytic", "monte_carlo"):
             raise InvalidInput(f"fim_method must be analytic or monte_carlo, got {self.fim_method!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -82,23 +82,34 @@ class ConstraintSpec:
         return self.f_jac.shape[1]
 
 
-class ConstraintStack(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class ConstraintStack:
     """Minimum-constraint evaluation of a (k, m, n) stack f_jacs against J.
 
     basis is J as factored, with the rank rule of every flag. row_rank
     (k,) and utju_eigs, the ascending eigenvalues of each U'J_rU, come from
     one svd and one eigvalsh in _evaluate, or from J's chart in a sampled
     stack (see sample_minimum_stack). The stack keeps no U or U'J_rU;
-    _evaluate gives them. The flags are each (k,).
+    _evaluate gives them. The flags are each (k,), read from row_rank and
+    utju_eigs on first use and kept.
     """
 
     basis: RankedSvd
     f_jacs: np.ndarray
     row_rank: np.ndarray
     utju_eigs: np.ndarray
-    full_rank_jacobian: np.ndarray
-    utju_nonsingular: np.ndarray
-    rank_sum_is_n: np.ndarray
+
+    @cached_property
+    def full_rank_jacobian(self) -> np.ndarray:
+        return self.row_rank == self.f_jacs.shape[1]
+
+    @cached_property
+    def utju_nonsingular(self) -> np.ndarray:
+        return self.full_rank_jacobian & restricted_nonsingular(self.basis, self.utju_eigs)
+
+    @cached_property
+    def rank_sum_is_n(self) -> np.ndarray:
+        return self.row_rank + self.basis.rank == self.basis.dim
 
     @property
     def is_minimum(self) -> np.ndarray:
@@ -127,7 +138,7 @@ def _evaluate(j, f_jacs) -> tuple[ConstraintStack, np.ndarray, np.ndarray]:
     f_jacs = _jacobian_stack(basis, f_jacs)
     row_rank, u = null_complements(f_jacs, basis.rank_tol_rel)
     restricted, mu = restricted_information(basis, u)
-    return _evaluated(basis, f_jacs, row_rank, mu), u, restricted
+    return ConstraintStack(basis, f_jacs, row_rank, mu), u, restricted
 
 
 def _jacobian_stack(basis: RankedSvd, f_jacs) -> np.ndarray:
@@ -139,20 +150,6 @@ def _jacobian_stack(basis: RankedSvd, f_jacs) -> np.ndarray:
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
     return f_jacs
-
-
-def _evaluated(basis: RankedSvd, f_jacs, row_rank, evals) -> ConstraintStack:
-    """The stack of f_jacs given their row ranks and the ascending spectra of U'J_rU: adds the flags."""
-    full_rank = row_rank == f_jacs.shape[1]
-    return ConstraintStack(
-        basis=basis,
-        f_jacs=f_jacs,
-        row_rank=row_rank,
-        utju_eigs=evals,
-        full_rank_jacobian=full_rank,
-        utju_nonsingular=full_rank & restricted_nonsingular(basis, evals),
-        rank_sum_is_n=row_rank + basis.rank == basis.dim,
-    )
 
 
 def check_minimum_constraint(j, spec: ConstraintSpec) -> ConstraintStack:
@@ -254,7 +251,7 @@ def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
         mu.append(1.0 / np.linalg.eigvalsh(diagonal + m_mat.transpose(0, 2, 1) @ m_mat)[:, ::-1])
         f_jacs.append(basis.u_bar.T + l_mat @ basis.u_r.T)
     f_jacs = np.concatenate(f_jacs)
-    return _evaluated(basis, f_jacs, np.full(count, f_jacs.shape[1]), np.concatenate(mu))
+    return ConstraintStack(basis, f_jacs, np.full(count, f_jacs.shape[1]), np.concatenate(mu))
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:

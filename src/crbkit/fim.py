@@ -72,21 +72,18 @@ def fim_monte_carlo(
 
     total = np.zeros((model.param_dim, model.param_dim))
     total_sq = np.zeros_like(total)
-    n_partitions = (n_samples + PARTITION_SIZE - 1) // PARTITION_SIZE
-    drawn = 0
-    for part in range(n_partitions):
-        count = min(PARTITION_SIZE, n_samples - drawn)
+    for part, start in enumerate(range(0, n_samples, PARTITION_SIZE)):
+        count = min(PARTITION_SIZE, n_samples - start)
         rng = np.random.default_rng(seed_sequence(rng_seed, part))
         scores = rng.standard_normal((count, model.obs_dim)) @ whitened_jac
         if not np.isfinite(scores).all():
             # the row-wise scan runs only on failure, to name the first bad sample
-            index = drawn + int(np.argmin(np.isfinite(scores).all(axis=1)))
+            index = start + int(np.argmin(np.isfinite(scores).all(axis=1)))
             raise NumericalFailure(f"non-finite score at sample {index}", sample_index=index)
         squares = scores * scores
         # fixed reduction order: partitions fold in by index
         total += scores.T @ scores
         total_sq += squares.T @ squares
-        drawn += count
 
     mean = total / n_samples
     # entrywise sample variance of the outer products

@@ -201,13 +201,17 @@ def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
     """Decompose a positive semidefinite J into range and null bases with one eigh call.
 
     Its singular values are sigma = |lambda|; those below or at sigma_max * n * rank_tol_rel count as zero, and
-    InvalidMatrix refuses J if one it keeps is negative. The zero matrix yields rank 0, u_bar spanning the space.
+    InvalidMatrix refuses J if one it keeps is negative, or if tr J+ = sum 1/sigma is not below half the largest
+    double: every entry of J+ and sum of two stays finite. The zero matrix yields rank 0, u_bar spanning the space.
     """
     basis = _factored(m, rank_tol_rel)
     if not is_psd(basis):
         lam, cutoff = basis.eigenvalues, basis.cutoff(basis.dim)
         kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
         raise InvalidMatrix(f"information matrix is not positive semidefinite: {kept}")
+    if not sum(1.0 / s for s in basis.sigma.tolist()) < 0.5 * np.finfo(float).max:  # Python floats: inf, no warning
+        small = f"its least kept eigenvalue {format_float(basis.sigma[-1])} makes tr J+ reach half the largest double"
+        raise InvalidMatrix(f"information matrix has no pseudoinverse in double precision: {small}")
     return basis
 
 

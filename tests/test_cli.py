@@ -988,27 +988,41 @@ def test_zero_matrix_input(tmp_path, capsys, matrix):
     assert not (tmp_path / "c" / "certificates.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "matrix",
-    [
-        "2 2\n1e308 0\n0 1e308\n",
-        "3 3\n1e308 0 0\n0 1e308 0\n0 0 0\n",
-        "2 2\n3e-309 0\n0 0\n",
-        "3 3\n4e-309 0 0\n0 2e-309 0\n0 0 0\n",
-        "model = blind_channel\nnoise_var = 1e308\n",
-    ],
+HUGE_ENTRIES = ("2 2\n1e308 0\n0 1e308\n", "3 3\n1e308 0 0\n0 1e308 0\n0 0 0\n")
+HUGE_PINV = (
+    "2 2\n3e-309 0\n0 0\n",
+    "3 3\n4e-309 0 0\n0 2e-309 0\n0 0 0\n",
+    "model = blind_channel\nnoise_var = 1e308\n",
+    "2 2\n1e-308 0\n0 0\n",
+    "2 2\n1e-310 0\n0 0\n",
 )
+
+
+@pytest.mark.parametrize("matrix", HUGE_ENTRIES + HUGE_PINV)
 @pytest.mark.parametrize("command", ["analyze", "certify", "experiment"])
 def test_huge_matrix_input_exits_2(tmp_path, capsys, matrix, command):
-    # finite entries whose sums overflow, or a singular J whose nonzero singular values all lie
-    # below 1/DBL_MAX, so its pseudoinverse overflows; the last input is a config whose J is
-    # G'G / 1e308; RuntimeWarnings are errors under the test settings
+    # finite entries whose sums overflow exit with the overflow line; a singular J whose tr J+ = sum 1/sigma
+    # is not below half the largest double (the config's J is G'G / 1e308) is refused where ranked_svd factors
+    # it, before a 1/sigma (below 5.6e-309) or the sum of two J+ entries (1e308 each at 1e-308) leaves double
+    # range; RuntimeWarnings are errors under the test settings
     path = tmp_path / "huge.matx"
     path.write_text(matrix)
     assert main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: input values too large for double precision: overflow encountered")
+    if matrix in HUGE_ENTRIES:
+        assert err.startswith("error: input values too large for double precision: overflow encountered")
+    else:
+        assert err.startswith("error: reading input: information matrix has no pseudoinverse in double precision: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify", "experiment"])
+def test_a_j_whose_pseudoinverse_fits_in_double_precision_is_accepted(tmp_path, capsys, command):
+    # tr J+ = 2.5e307 is below half the largest double, 8.99e307
+    path = tmp_path / "tiny.matx"
+    path.write_text("2 2\n4e-308 0\n0 0\n")
+    assert main([command, "--input", str(path), "--count", "12", "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_a_j_near_the_underflow_edge_passes_certify_and_experiment(tmp_path):

@@ -520,3 +520,46 @@ def test_sampled_spectra_and_traces_against_exact_rationals(monkeypatch):
         tr_x, tr_x2 = exact.trace(x), exact.trace(exact.matmul(x, x))
         for computed, power in ((np.sum(1.0 / mu[i]), tr_x), (np.sum(1.0 / mu[i] ** 2), tr_x2), (traces[i], tr_x)):
             assert abs(Fraction(float(computed)) - power) <= 10 * 3 * EPS * power, i
+
+
+def test_minimum_flags_against_exact_ranks():
+    # J = BB' and F are integer, so exact in binary, and each flag is a rank over the rationals: F has full row
+    # rank when null(F') is empty; U'JU is nonsingular when, moreover, null(F) meets null(J) = null(B') only at 0,
+    # that is when [F; B'] has an empty null space; and rank F = m - dim null(F'). F has m = n - r - 1, n - r or
+    # n - r + 1 rows: a random one, one with a repeated row, and one that annihilates an integer v in null(B').
+    # The float flags are decided by cutoffs, so a draw whose mu_min lies within a factor 1e3 of the cutoff of
+    # U'J_rU is skipped
+    rng = np.random.default_rng(34)
+    shapes = [(n, rank) for n in range(3, 7) for rank in range(1, n)] * 3
+    seen, mismatched, skipped = set(), [], 0
+    for n, rank in shapes:
+        b = rng.integers(-3, 4, (n, rank)).astype(float)
+        while exact.null_space(exact.rational(b))[0]:
+            b = rng.integers(-3, 4, (n, rank)).astype(float)
+        b_t = exact.transpose(exact.rational(b))
+        v_q = next(zip(*exact.null_space(b_t)))
+        v = np.array([float(x * np.lcm.reduce([y.denominator for y in v_q])) for x in v_q])  # integer, in null(B')
+        basis = ranked_svd(b @ b.T)
+        assert basis.rank == rank
+        for m in (n - rank - 1, n - rank, n - rank + 1):
+            g = rng.integers(-3, 4, (3, m, n)).astype(float)
+            if m >= 2:
+                g[1, 1] = g[1, 0]
+            g[2] = (v @ v) * g[2] - np.outer(g[2] @ v, v)  # F v = 0
+            stack = evaluate_constraints(basis, g)
+            for i, f in enumerate(g):
+                f_q = exact.rational(f)
+                rank_f = m - len(exact.null_space(exact.transpose(f_q))[0]) if m else 0
+                full = rank_f == m
+                flags = (full, full and not exact.null_space(f_q + b_t)[0], rank_f + rank == n)
+                cutoff, mu = basis.cutoff(n - m), stack.utju_eigs[i]
+                if full and mu.size and cutoff / 1e3 < mu[0] < cutoff * 1e3:
+                    skipped += 1
+                    continue
+                seen.add(flags)
+                got = (stack.full_rank_jacobian[i], stack.utju_nonsingular[i], stack.rank_sum_is_n[i])
+                if tuple(map(bool, got)) != flags:
+                    mismatched.append((n, rank, m, i, flags, got))
+    assert not mismatched, f"{len(mismatched)} mismatches, {skipped} draws skipped near the cutoff: {mismatched}"
+    assert skipped <= 5, f"{skipped} draws skipped near the cutoff"
+    assert len(seen) == 6  # every combination but a nonsingular U'JU of a rank-deficient F

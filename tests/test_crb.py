@@ -166,9 +166,10 @@ def test_a_ragged_list_of_jacobians_is_invalid_input():
 
 
 def test_an_inverse_of_utju_that_overflows_is_refused():
-    # 3e-309 is subnormal: its inverse is inf, which the bound refuses rather than returns
+    # J+ = diag(1e300, 0) is in double range, but U'JU = 1e-300 * 9e-10 / (1 + 9e-10), above the cutoff 1e-310,
+    # is subnormal: its inverse is inf, which the bound refuses rather than returns
     with pytest.raises(FloatingPointError) as info:
-        constrained_crb(np.diag([3e-309, 0.0]), [[0.0, 1.0]])
+        constrained_crb(np.diag([1e-300, 0.0]), [[1.0, 3e-5]])
     assert str(info.value) == "overflow encountered in the inverse of U'JU"
 
 
@@ -257,16 +258,17 @@ def test_stacked_bounds_report_missing_bounds_and_dependent_rows():
         constrained_crb(np.eye(2), stack.f_jacs[1])
 
 
-def exact_minimum_constraint(rng, n, rank):
-    """An integer n x rank B and (n - rank) x n F, entries in [-5, 5], with B of full column rank and F a
-    minimum constraint for J = BB', both checked exactly: F has full row rank, and [F; B'] is nonsingular,
-    so null(F) meets null(J) = null(B') only at 0 and U'JU is nonsingular."""
+def exact_minimum_constraint(rng, n, rank, b=None):
+    """An integer n x rank B, drawn unless given, and (n - rank) x n F, entries in [-5, 5], with B of full column
+    rank and F a minimum constraint for J = BB', both checked exactly: F has full row rank, and [F; B'] is
+    nonsingular, so null(F) meets null(J) = null(B') only at 0 and U'JU is nonsingular."""
     while True:
-        b, f = rng.integers(-5, 6, (n, rank)).astype(float), rng.integers(-5, 6, (n - rank, n)).astype(float)
-        b_q, f_q = exact.rational(b), exact.rational(f)
+        b_draw = rng.integers(-5, 6, (n, rank)).astype(float) if b is None else b
+        f = rng.integers(-5, 6, (n - rank, n)).astype(float)
+        b_q, f_q = exact.rational(b_draw), exact.rational(f)
         if not exact.null_space(b_q)[0] and len(exact.null_space(f_q)[0]) == rank:
             if not exact.null_space(f_q + exact.transpose(b_q))[0]:
-                return b, f
+                return b_draw, f
 
 
 def test_constrained_bounds_against_exact_rationals():
@@ -475,6 +477,39 @@ def test_the_pseudoinverse_is_no_bound_on_each_entry():
     assert min(entries) < basis.pinv.entries[0, 0] < max(entries)
     e0 = np.eye(6)[0]
     assert np.linalg.norm(basis.u_bar.T @ e0) > 0.1
+
+
+def test_no_minimum_constraint_moves_the_bound_on_an_estimable_function_exactly():
+    # J = BB' and grad g = AB' with integer B, A and minimum F: over the rationals B(F) = U (U'JU)^-1 U' from
+    # U = null(F), and J+ = B (B'B)^-2 B', give grad g B(F) grad g' = grad g J+ grad g' for every F, and
+    # constrained_crb meets it to 1e-9 relative: the error is about eps ||J||_2 ||B(F)||_2^2 ||grad g||_2^2, at
+    # most 8.2e-10 here, on an F whose tr B(F) is 2e7 tr J+, and below 1e-13 on the others. A coordinate e_i
+    # outside range(J) is not estimable: for each, some F gives a B(F)_ii other than (J+)_ii
+    rng = np.random.default_rng(18)
+    for n in range(3, 7):
+        for rank in range(1, n):
+            b, _ = exact_minimum_constraint(rng, n, rank)
+            basis, b_q = ranked_svd(b @ b.T), exact.rational(b)
+            grad = rng.integers(-3, 4, (2, rank)).astype(float) @ b.T
+            grad_q, j_q = exact.rational(grad), exact.rational(b @ b.T)
+            gram = exact.matmul(exact.transpose(b_q), b_q)
+            half = exact.solve(gram, exact.solve(gram, exact.transpose(b_q)))  # (B'B)^-2 B'
+            pinv = exact.matmul(b_q, half)
+            projection = exact.matmul(j_q, pinv)  # onto range(J)
+            reference = exact.matmul(grad_q, exact.matmul(pinv, exact.transpose(grad_q)))
+            outside = {i for i in range(n) if projection[i][i] != 1}
+            moved = set()
+            for _ in range(3):
+                f = exact_minimum_constraint(rng, n, rank, b)[1]
+                null = exact.null_space(exact.rational(f))
+                restricted = exact.matmul(exact.transpose(null), exact.matmul(j_q, null))
+                bound = exact.matmul(null, exact.solve(restricted, exact.transpose(null)))
+                assert exact.matmul(grad_q, exact.matmul(bound, exact.transpose(grad_q))) == reference
+                computed = grad @ constrained_crb(basis, f).bound.entries @ grad.T
+                expected = np.array(reference, dtype=float)
+                assert np.linalg.norm(computed - expected) <= 1e-9 * np.linalg.norm(expected), (n, rank)
+                moved |= {i for i in outside if bound[i][i] != pinv[i][i]}
+            assert outside and moved == outside, (n, rank)
 
 
 def least_trace_search(j, rank, rng, starts=8, steps=300):

@@ -227,6 +227,28 @@ def test_every_function_that_takes_j_refuses_an_indefinite_j():
     assert ranked_svd(np.diag([1.0, -1e-6]), 1e-6).rank == 1
 
 
+def test_a_j_whose_pseudoinverse_leaves_double_range_is_refused_where_it_is_factored():
+    # tr J+ = sum 1/sigma must stay below half the largest double: at 1e-310 1/sigma overflowed, at 1e-308 a J+
+    # entry of 1e308 overflowed the symmetrizing add, and the samplers returned nan; the check itself neither
+    # warns (warnings are errors here) nor overflows
+    refusal = "^information matrix has no pseudoinverse in double precision: its least kept eigenvalue "
+    for scale in (1e-310, 1e-308):
+        j = np.diag([scale, 0.0])
+        calls = (
+            lambda: ranked_svd(j),
+            lambda: pinv_via_basis(j),
+            lambda: sample_constraint_traces(j, 6, 0),
+            lambda: sample_minimum_stack(j, 6, 0),
+        )
+        for call in calls:
+            with np.errstate(over="raise"), pytest.raises(InvalidMatrix, match=refusal):
+                call()
+    # at 2e-308 tr J+ = 5e307 is below the limit, 8.99e307, and every entry of J+ and sum of two is finite
+    basis = ranked_svd(np.diag([2e-308, 0.0]))
+    assert basis.rank == 1 and basis.pinv.trace == pytest.approx(5e307, rel=1e-15)
+    assert np.all(np.isfinite(sample_constraint_traces(basis, 6, 0)))
+
+
 def test_a_negative_seed_is_refused_where_every_stream_is_derived():
     # numpy's SeedSequence raised "ValueError: expected non-negative integer"
     j, model = np.diag([1.0, 0.0]), gaussian_location(2)

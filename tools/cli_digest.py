@@ -50,6 +50,8 @@ INPUTS = {
     "tiny_1e-160.matx": np.diag([1e-160, 5e-161, 0.0]),
     "tiny_1e-300.matx": np.diag([1e-300, 5e-301, 0.0]),
     "tiny_1e-307.matx": np.diag([1e-307, 0.0]),  # the sampler's largest steps meet its cap on ||M||_F^2
+    "tiny_1e-308.matx": np.diag([1e-308, 0.0]),  # tr J+ 1e308 is past half the largest double: refused
+    "tiny_1e-310.matx": np.diag([1e-310, 0.0]),  # 1/sigma overflows: refused
     "blind.cfg": "model = blind_channel\n",
     "blind_mc.cfg": "model = blind_channel\nfim_method = monte_carlo\n",
 }
