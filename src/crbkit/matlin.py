@@ -79,10 +79,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_integers(error: type[Exception], **values) -> None:
+    """error naming the first of values that is not an integer (Python or numpy, not a bool)."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _check_count(value, name: str, least: int) -> None:
     """InvalidInput naming value unless it is an integer (Python or numpy, not a bool) no smaller than least."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    _check_integers(InvalidInput, **{name: value})
     if value < least:
         floor = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
         raise InvalidInput(f"{name} must be {floor}, got {value}")

@@ -27,13 +27,13 @@ from typing import Callable
 import numpy as np
 
 from .constraint import ConstraintStack, _evaluate
-from .crb import bound_traces
-from .errors import InvalidInput, NotMinimumConstraint, RankDeficientConstraint, SingularRestriction
+from .errors import InvalidInput, NotMinimumConstraint, SingularRestriction
 from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
     _bounds,
     _check_count,
+    _check_integers,
     _freeze,
     as_ranked_svd,
     orthonormal_columns,
@@ -155,13 +155,17 @@ def _check_orthonormal(v: np.ndarray, n: int, name: str) -> None:
         raise InvalidInput(f"{name} columns are not orthonormal")
 
 
-def _evaluated_against(basis, stack: ConstraintStack) -> ConstraintStack:
-    """stack, if it was evaluated against the J of basis under its rank rule."""
+def _minimum_stack(basis, stack: ConstraintStack) -> ConstraintStack:
+    """The one gate of the minimum-constraint rule: stack, if it was evaluated against the J of basis under its
+    rank rule (else InvalidInput) and is_minimum holds for each constraint (else NotMinimumConstraint, the first)."""
     other = stack.basis
-    if other is basis:
-        return stack
-    if other.rank_tol_rel != basis.rank_tol_rel or not np.array_equal(other.matrix, basis.matrix):
+    same = other is basis or (other.rank_tol_rel == basis.rank_tol_rel and np.array_equal(other.matrix, basis.matrix))
+    if not same:
         raise InvalidInput("constraint stack was evaluated against another J or rank_tol_rel")
+    failed = np.flatnonzero(~stack.is_minimum)
+    if failed.size:
+        idx = int(failed[0])
+        raise NotMinimumConstraint(f"constraint {idx} (unlabeled) is not minimum: {stack.details(idx)}")
     return stack
 
 
@@ -182,17 +186,14 @@ def verify_trace_bound(
     spectra of U'JU are used as they are. Witnesses hold the orthonormal
     rows of each f_jac's sign-fixed qr, a sampled draw's F; for an f_jac
     that is not orthonormal a replayed witness meets its margin only within
-    eps cond(f_jac) ||J||_2 ||B(f_jac)||_2^2. Raises NotMinimumConstraint
-    when some constraint fails its preconditions, and InvalidInput for a
-    stack evaluated against another J or rank rule.
+    eps cond(f_jac) ||J||_2 ||B(f_jac)||_2^2. Raises what _minimum_stack
+    raises: NotMinimumConstraint when some constraint is not minimum, and
+    InvalidInput for a stack evaluated against another J or rank rule.
     """
     basis = as_ranked_svd(j)
-    stack = _evaluated_against(basis, stack)
-    failed = np.flatnonzero(~stack.is_minimum)
-    if failed.size:
-        idx = int(failed[0])
-        raise NotMinimumConstraint(f"constraint {idx} (unlabeled) is not minimum: {stack.details(idx)}")
-    margins = bound_traces(stack) - basis.pinv.trace
+    stack = _minimum_stack(basis, stack)
+    # past the gate every U'JU is nonsingular: each bound's trace is sum 1/mu, as bound_traces reads it
+    margins = (1.0 / stack.utju_eigs).sum(axis=1) - basis.pinv.trace
     return _certify("trace_bound", margins, lambda i: (f"constraint-{i}", _stack_witness(basis, stack, i)), margin_tol)
 
 
@@ -205,32 +206,31 @@ def verify_eigen_dominance(
 
     v is one (n, r) frame or a (k, n, r) stack of frames, each with
     orthonormal columns, as many as rank(J), or a ConstraintStack
-    evaluated against J, whose spectra of U'JU and flags are used as
-    they are; its frames are the null bases of its f_jacs, n - m wide, and
-    its witnesses hold and replay f_jac as verify_trace_bound's do, in
-    place of v. Margins compare the nonzero eigenvalues, 1/mu of V'J_rV
-    with 1/sigma of J, frame by frame; the zeros agree exactly and are not
-    cases. Raises SingularRestriction when restricted_nonsingular calls some
-    V'J_rV singular, InvalidInput for frames of another width or a stack
-    evaluated against another J or rank rule.
+    evaluated against J, whose spectra of U'JU are used as they are; it
+    passes the gate _minimum_stack, so its frames, the null bases of its
+    f_jacs, are rank(J) wide, and its witnesses hold and replay f_jac as
+    verify_trace_bound's do, in place of v. Margins compare the nonzero
+    eigenvalues, 1/mu of V'J_rV with 1/sigma of J, frame by frame; the
+    zeros agree exactly and are not cases. Raises InvalidInput for frames
+    of another width and SingularRestriction when restricted_nonsingular
+    calls some V'J_rV singular; a stack raises what _minimum_stack raises.
     """
     basis = as_ranked_svd(j)
+    rank = basis.rank
     if isinstance(v, ConstraintStack):
-        stack = _evaluated_against(basis, v)
-        evals, exists = stack.utju_eigs, stack.utju_nonsingular
-        width, witness = stack.f_jacs.shape[2] - stack.f_jacs.shape[1], lambda i: _stack_witness(basis, stack, i)
+        stack = _minimum_stack(basis, v)
+        evals, witness = stack.utju_eigs, lambda i: _stack_witness(basis, stack, i)
     else:
         v_arr = np.asarray(v, dtype=float)
         _check_orthonormal(v_arr, basis.dim, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
+        if frames.shape[2] != rank:
+            raise InvalidInput(f"frames need rank(J) = {rank} columns, got {frames.shape[2]}")
         evals = restricted_information(basis, frames)[1]
         exists = restricted_nonsingular(basis, evals)
-        width, witness = frames.shape[2], lambda i: {"j": basis.matrix.entries, "v": frames[i]}
-    rank = basis.rank
-    if width != rank:
-        raise InvalidInput(f"frames need rank(J) = {rank} columns, got {width}")
-    if not np.all(exists):
-        raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
+        if not np.all(exists):
+            raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
+        witness = lambda i: {"j": basis.matrix.entries, "v": frames[i]}
     # 1/mu descends as mu ascends, as 1/sigma does
     margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel()
     return _certify("eigen_dominance", margins, lambda c: (f"eig-index-{c % rank}", witness(c // rank)), margin_tol)
@@ -262,10 +262,10 @@ def verify_constraint_equivalence(
 
     alt_jacobians, a list of (m, n) alternatives F, m = n - rank(J), or a
     (k, m, n) array, is evaluated as one stack, as constrained_crb
-    evaluates [F]. Each F must satisfy ||F U_r|| <= 1e-8 ||F|| and have
-    full row rank; the margin is minus the Frobenius distance of its bound
-    U (U'J_rU)^-1 U' from pinv J. Raises SingularRestriction where the
-    stack calls some U'J_rU singular.
+    evaluates [F]. Each F must satisfy ||F U_r|| <= 1e-8 ||F|| and pass
+    the gate _minimum_stack, which raises NotMinimumConstraint for the
+    first F that is not a minimum constraint; the margin is minus the
+    Frobenius distance of its bound U (U'J_rU)^-1 U' from pinv J.
     """
     basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
@@ -279,10 +279,7 @@ def verify_constraint_equivalence(
     stray = np.linalg.norm(stack.f_jacs @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(stack.f_jacs, axis=(1, 2))
     if stray.any():
         raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
-    if not stack.full_rank_jacobian.all():
-        raise RankDeficientConstraint(min(stack.row_rank), m)
-    if not stack.utju_nonsingular.all():
-        raise SingularRestriction(f"U'JU of alternative {np.argmin(stack.utju_nonsingular)} is singular")
+    _minimum_stack(basis, stack)
     bounds = _bounds(u, restricted)
     # one norm per matrix: a norm over axes (1, 2) sums in another order
     margins = -np.array([np.linalg.norm(diff) for diff in bounds - basis.pinv.entries])
@@ -377,8 +374,10 @@ def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> Sy
     """Random PSD matrix with exactly n - rank zero eigenvalues.
 
     Built as Q diag(d) Q' with Q Haar orthogonal and the nonzero entries
-    of d drawn uniformly from RANDOM_PSD_EIG_RANGE.
+    of d drawn uniformly from RANDOM_PSD_EIG_RANGE. n and rank are integers
+    (Python or numpy, not a bool).
     """
+    _check_integers(InvalidInput, n=n, rank=rank)
     if n < 1 or rank < 0 or rank > n:
         raise InvalidInput(f"need 0 <= rank <= n, got rank={rank}, n={n}")
     q = orthonormal_columns(rng.standard_normal((n, n)))

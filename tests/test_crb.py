@@ -299,6 +299,36 @@ def test_constrained_bounds_against_exact_rationals():
                 assert gap > 0
 
 
+def test_eigenvalue_margins_through_exact_second_power_sums():
+    # verify_eigen_dominance sets 1/mu of each U'JU against 1/sigma of J; neither spectrum is rational, but
+    # its power sums are. The first, tr B(F) and tr J+, are tested above; the second are
+    # sum 1/mu^2 = tr B(F)^2 = tr (R^-1 N'N)^2 for any basis N of null(F), R = N'JN, and
+    # sum 1/sigma^2 = tr J+^2 = tr (B'B)^-2. With u = eps ||J||_2 ||B(F)||_2^2 tr B(F), the gap of the first
+    # read at most 3.9 u over these 84 draws and 31 u over 840 draws of default_rng(1): it grows with
+    # cond(F), and in units of u cond(F) it read at most 1.97 and 5.09. The gap of the second read at
+    # most 4.53 and 5.91 units of eps sigma_1 ||J+||_2^2 tr J+. Both bounds take the wider sample's maximum
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        for rank in range(1, n):
+            for _ in range(3):
+                b, f = exact_minimum_constraint(rng, n, rank)
+                b_q, null = exact.rational(b), exact.null_space(exact.rational(f))
+                b_null = exact.matmul(exact.transpose(b_q), null)  # B'N, so R = (B'N)'B'N
+                gram = exact.matmul(exact.transpose(null), null)
+                half = exact.solve(exact.matmul(exact.transpose(b_null), b_null), gram)  # R^-1 N'N
+                eye = [[Fraction(int(i == k)) for k in range(rank)] for i in range(rank)]
+                gram_inv = exact.solve(exact.matmul(exact.transpose(b_q), b_q), eye)  # (B'B)^-1
+                mu = evaluate_constraints(b @ b.T, f[None]).utju_eigs[0]
+                basis = ranked_svd(b @ b.T)
+                assert basis.rank == rank
+                unit = EPS * basis.sigma[0] * np.sum(1.0 / mu) / mu[0] ** 2 * np.linalg.cond(f)
+                gap = abs(Fraction(np.sum(1.0 / mu**2)) - exact.trace(exact.matmul(half, half)))
+                assert gap <= 2 * 5.09 * unit, (n, rank)
+                unit = EPS * basis.sigma[0] * basis.pinv_eigenvalues[0] ** 2 * basis.pinv.trace
+                gap = abs(Fraction(np.sum(basis.pinv_eigenvalues**2)) - exact.trace(exact.matmul(gram_inv, gram_inv)))
+                assert gap <= 2 * 5.91 * unit, (n, rank)
+
+
 def test_equivalence_distance_against_an_exact_annihilator():
     # J = BB' with integer B; P, an integer basis of null(B') (exact, denominators cleared), and an
     # integer nonsingular Q give F = QP', which annihilates range(J) exactly, so its bound is J+ and the

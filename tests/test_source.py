@@ -19,3 +19,20 @@ def test_every_imported_name_is_read(path):
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {name: line for name, line in imported.items() if name not in read} == {}
+
+
+def test_every_private_function_is_read():
+    # a helper that a refactor leaves behind is defined and never called: every function or method whose name
+    # starts with one underscore is read somewhere in the package, as a name or as an attribute
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    nodes = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)]
+    private = {
+        node.name: f"{name}:{node.lineno}"
+        for name, node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    read = {node.id for _, node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for _, node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert len(private) > 20
+    assert {name: where for name, where in private.items() if name not in read} == {}

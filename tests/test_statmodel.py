@@ -5,9 +5,11 @@ from crbkit import (
     BlindChannelModel,
     DegenerateParameter,
     GaussianMeanModel,
+    InvalidInput,
     InvalidModel,
     fim_gaussian_mean,
     gaussian_location,
+    random_rank_deficient_psd,
     ranked_svd,
 )
 
@@ -168,6 +170,33 @@ def test_blind_channel_rejects_bad_dims():
         BlindChannelModel(0, 3)
     with pytest.raises(InvalidModel):
         BlindChannelModel(3, 2, noise_var=-1.0)
+
+
+def test_a_size_that_is_not_an_integer_is_refused_by_name():
+    # a size counts parameters, observations or rows: a float or a bool is refused by name before it is
+    # summed into param_dim or handed to numpy; numpy integers are sizes too
+    def gaussian(param_dim, obs_dim):
+        return GaussianMeanModel(lambda t: t, lambda t: np.eye(2), 1.0, param_dim, obs_dim)
+
+    cases = [
+        (lambda: BlindChannelModel(2.0, 3), "s_len must be an integer, got 2.0"),
+        (lambda: BlindChannelModel(True, 2), "s_len must be an integer, got True"),
+        (lambda: BlindChannelModel(2, np.float64(3.0)), f"h_len must be an integer, got {np.float64(3.0)!r}"),
+        (lambda: gaussian(1.5, 2), "param_dim must be an integer, got 1.5"),
+        (lambda: gaussian(2, False), "obs_dim must be an integer, got False"),
+        (lambda: gaussian_location(2.5), "dim must be an integer, got 2.5"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InvalidModel) as info:
+            build()
+        assert str(info.value) == message
+    assert BlindChannelModel(np.int64(2), np.int32(3)).param_dim == 5
+    assert gaussian_location(np.int64(2)).obs_dim == 2
+    rng = np.random.default_rng(27)
+    for n, rank, name in ((3.0, 1, "n"), (3, 1.5, "rank"), (True, 1, "n"), (3, np.float64(1.0), "rank")):
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer, got "):
+            random_rank_deficient_psd(n, rank, rng)
+    assert random_rank_deficient_psd(np.int64(3), np.int32(1), rng).entries.shape == (3, 3)
 
 
 def test_blind_channel_split_roundtrip():
