@@ -288,12 +288,18 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
     return derived_rng(config.seed, "theta").uniform(0.5, 1.5, param_dim)
 
 
-def information_matrix(config: RunConfig):
-    """The run's information matrix factored under its rank rule; returns (RankedSvd, FimEstimate | None).
+def _factor_j(j, rank_tol_rel: float):
+    """ranked_svd(j, rank_tol_rel), its refusal of rank_tol or of J a CliError with exit 2."""
+    try:
+        return ranked_svd(j, rank_tol_rel)
+    except InvalidInput as exc:  # a rule that calls every eigenvalue zero cannot judge definiteness
+        raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
+    except InvalidMatrix as exc:
+        raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
 
-    Invalid input, a rank_tol or an indefinite J that ranked_svd refuses raise CliError with exit 2,
-    a failed estimate exit 3.
-    """
+
+def information_matrix(config: RunConfig):
+    """The run's J as _factor_j factors it, and its FimEstimate or None; CliError exit 2, or 3 if estimating fails."""
     try:
         if config.matrix is not None:
             sym, estimate = as_sym_matrix(config.matrix), None
@@ -312,12 +318,7 @@ def information_matrix(config: RunConfig):
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
-    try:  # a model's J is PSD up to roundoff that the rank rule calls zero
-        return ranked_svd(sym, config.rank_tol_rel), estimate
-    except InvalidInput as exc:  # a rule that calls every eigenvalue zero cannot judge definiteness
-        raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
-    except InvalidMatrix as exc:
-        raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
+    return _factor_j(sym, config.rank_tol_rel), estimate  # a model's J is PSD up to roundoff the rule calls zero
 
 
 def _config_value(value) -> str:
@@ -431,10 +432,7 @@ def cmd_certify(config: RunConfig) -> int:
             n = int(shape_rng.integers(2, 9))
             rank = int(shape_rng.integers(1, n))
             rng = derived_rng(config.seed, "certify-matrix", i)
-            try:  # below machine epsilon or from 1/n on; validate refuses the rest
-                matrices.append((ranked_svd(random_rank_deficient_psd(n, rank, rng), config.rank_tol_rel), rng))
-            except InvalidInput as exc:
-                raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
+            matrices.append((_factor_j(random_rank_deficient_psd(n, rank, rng), config.rank_tol_rel), rng))
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
         basis, _ = information_matrix(config)
@@ -457,7 +455,7 @@ def cmd_certify(config: RunConfig) -> int:
                 raise CliError(EXIT_NUMERICAL, f"certify matrix {index}, {theorem_id}: {exc}") from exc
 
     certificates = [merge_certificates(parts) for parts in per_theorem.values()]
-    certificates.append(counterexample_check(config.margin_tol))
+    certificates.append(counterexample_check())
 
     (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")
     write_manifest(config)

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import FullRankFim, InvalidInput
 from .matlin import (
     RankedSvd,
+    _as_2d,
+    _as_floats,
     _check_count,
     _freeze,
     as_ranked_svd,
@@ -56,17 +58,13 @@ class ConstraintSpec:
     label: str = ""
 
     def __post_init__(self):
-        jac = np.asarray(self.f_jac, dtype=float)
-        if jac.ndim != 2:
-            raise InvalidInput(f"f_jac must be 2-d, got shape {jac.shape}")
-        if not np.all(np.isfinite(jac)):
-            raise InvalidInput("f_jac contains non-finite entries")
+        jac = _as_2d(InvalidInput, self.f_jac, "f_jac")
         m, n = jac.shape
         if n == 0 or m > n:
             raise InvalidInput(f"f_jac shape {jac.shape} must satisfy 0 <= m <= n, n >= 1")
         object.__setattr__(self, "f_jac", _freeze(jac))
         if self.offset is not None:
-            offset = np.asarray(self.offset, dtype=float).ravel()
+            offset = _as_floats(InvalidInput, self.offset, "offset").ravel()
             if offset.size != m:
                 raise InvalidInput(f"offset must have length {m}, got {offset.size}")
             if not np.all(np.isfinite(offset)):
@@ -145,7 +143,7 @@ def _jacobian_stack(basis: RankedSvd, f_jacs) -> np.ndarray:
     """f_jacs as a float (k, m, n) array of Jacobians for the n x n J of basis; InvalidInput otherwise."""
     try:
         f_jacs = np.asarray(f_jacs, dtype=float)
-    except ValueError:  # a ragged list of Jacobians, or entries that are not numbers
+    except (TypeError, ValueError):  # a ragged list of Jacobians, or entries that are not numbers
         raise InvalidInput(f"constraints are not finite (k, m, {basis.dim}) Jacobians of one shape") from None
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
@@ -171,7 +169,7 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     J. Raises FullRankFim when J is nonsingular.
     """
     basis = as_ranked_svd(j)
-    point = np.asarray(theta0, dtype=float).ravel()
+    point = _as_floats(InvalidInput, theta0, "theta0").ravel()
     if point.size != basis.dim:
         raise InvalidInput(f"theta0 must have length {basis.dim}, got {point.size}")
     if basis.rank == basis.dim:
@@ -273,7 +271,7 @@ def save_constraint_spec(path, spec: ConstraintSpec) -> None:
         fh.write(text)
 
 
-def load_constraint_spec(path, label: str = "") -> ConstraintSpec:
+def load_constraint_spec(path) -> ConstraintSpec:
     """Read a constraint written by save_constraint_spec."""
     if not os.path.isfile(path):
         raise InvalidInput(f"no such constraint file {path}")
@@ -291,4 +289,4 @@ def load_constraint_spec(path, label: str = "") -> ConstraintSpec:
             offset = np.array([float(v) for v in fields[1:]])
         except ValueError as exc:
             raise InvalidInput("non-numeric offset value") from exc
-    return ConstraintSpec(f_jac=jac, offset=offset, label=label)
+    return ConstraintSpec(f_jac=jac, offset=offset)

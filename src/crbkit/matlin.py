@@ -26,12 +26,20 @@ ORTHONORMAL_TOL = 1e-10
 _EPS = np.finfo(float).eps
 
 
-def _as_2d(values, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _as_floats(error: type[Exception], values, name: str) -> np.ndarray:
+    """values as a float array; error naming name where numpy cannot convert them, as text or a ragged list."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} is not an array of numbers") from None
+
+
+def _as_2d(error: type[Exception], values, name: str) -> np.ndarray:
+    arr = _as_floats(error, values, name)
     if arr.ndim != 2:
-        raise InvalidMatrix(f"{name} must be 2-d, got shape {arr.shape}")
+        raise error(f"{name} must be 2-d, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidMatrix(f"{name} contains non-finite entries")
+        raise error(f"{name} contains non-finite entries")
     return arr
 
 
@@ -47,10 +55,12 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_2d(self.entries)
+        arr = _as_2d(InvalidMatrix, self.entries, "matrix")
         if arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise InvalidMatrix(f"expected a nonempty square matrix, got shape {arr.shape}")
         arr = 0.5 * (arr + arr.T)
+        if not np.all(np.isfinite(arr)):  # a + a' overflows past half the largest double
+            raise InvalidMatrix("matrix is too large for double precision: its symmetrized entries overflow")
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -70,7 +80,7 @@ def as_sym_matrix(m) -> SymMatrix:
     """Coerce an array-like to SymMatrix; a SymMatrix or RankedSvd passes through."""
     if isinstance(m, RankedSvd):
         return m.matrix
-    return m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
+    return m if isinstance(m, SymMatrix) else SymMatrix(m)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -79,16 +89,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_integers(error: type[Exception], **values) -> None:
-    """error naming the first of values that is not an integer (Python or numpy, not a bool)."""
+_KINDS = {"an integer": (int, np.integer), "a number": (int, float, np.integer, np.floating)}
+
+
+def _check_kind(error: type[Exception], kind: str, **values) -> None:
+    """error naming the first of values that is not kind, a key of _KINDS: a Python or numpy one, not a bool."""
     for name, value in values.items():
-        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-            raise error(f"{name} must be an integer, got {value!r}")
+        if not isinstance(value, _KINDS[kind]) or isinstance(value, bool):
+            raise error(f"{name} must be {kind}, got {value!r}")
 
 
 def _check_count(value, name: str, least: int) -> None:
     """InvalidInput naming value unless it is an integer (Python or numpy, not a bool) no smaller than least."""
-    _check_integers(InvalidInput, **{name: value})
+    _check_kind(InvalidInput, "an integer", **{name: value})
     if value < least:
         floor = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
         raise InvalidInput(f"{name} must be {floor}, got {value}")
@@ -108,6 +121,7 @@ def random_stream(rng_seed) -> np.random.Generator:
 def _cutoff(s_max, size: int, rank_tol_rel: float):
     """The rank rule's threshold s_max * size * rank_tol_rel; singular values at or below it count as zero.
     Refused from size * rank_tol_rel = 1 on, where it would rank every matrix 0, orthonormal rows too."""
+    _check_kind(InvalidInput, "a number", rank_tol_rel=rank_tol_rel)
     if not _EPS <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
         raise InvalidInput(f"rank_tol_rel must be positive and finite, at least machine epsilon, got {rank_tol_rel}")
     if size * rank_tol_rel >= 1:
@@ -263,25 +277,25 @@ def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_
     return np.where(unit, m, _rank_cutoff(s, max(m, n), rank_tol_rel)), vh[:, m:].transpose(0, 2, 1)
 
 
-def null_complement(f_jac, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> np.ndarray:
+def null_complement(f_jac) -> np.ndarray:
     """Orthonormal basis U of the null space of a full-row-rank Jacobian.
 
     For an (m, n) Jacobian with m <= n, returns U of shape (n, n - m) with
     U'U = I and f_jac @ U = 0. An empty Jacobian (m = 0) yields the
     identity. Raises RankDeficientConstraint when the numerical row rank
-    is below m.
+    is below m under the default rank rule.
     """
-    jac = _as_2d(f_jac, "constraint Jacobian")
-    ranks, u = null_complements(jac[None], rank_tol_rel)
+    jac = _as_2d(InvalidMatrix, f_jac, "constraint Jacobian")
+    ranks, u = null_complements(jac[None])
     if ranks[0] < jac.shape[0]:
         raise RankDeficientConstraint(ranks[0], jac.shape[0])
     return u[0]
 
 
-def is_nonsingular(a, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> bool:
-    """True iff the rank rule keeps every singular value of symmetric a; a 0 x 0 matrix counts as nonsingular."""
-    arr = _as_2d(a, "matrix")
-    return arr.shape == (0, 0) or _factored(arr, rank_tol_rel).rank == arr.shape[0]
+def is_nonsingular(a) -> bool:
+    """True iff the default rank rule keeps every singular value of symmetric a; a 0 x 0 one counts as nonsingular."""
+    arr = _as_2d(InvalidMatrix, a, "matrix")
+    return arr.shape == (0, 0) or _factored(arr, DEFAULT_RANK_TOL_REL).rank == arr.shape[0]
 
 
 def orthonormal_columns(a) -> np.ndarray:
@@ -290,7 +304,7 @@ def orthonormal_columns(a) -> np.ndarray:
     QR with the sign of R's diagonal fixed to +1, so Gaussian input maps
     to a uniformly distributed orthonormal frame. A stack is one qr call.
     """
-    arr = np.asarray(a, dtype=float)
+    arr = _as_floats(InvalidMatrix, a, "matrix")
     if arr.ndim < 2 or not np.all(np.isfinite(arr)):
         raise InvalidMatrix(f"matrix must be finite with at least 2 dimensions, got shape {arr.shape}")
     if arr.shape[-1] > arr.shape[-2]:
@@ -311,8 +325,8 @@ def moore_penrose_residuals(m, p) -> tuple[float, float, float, float]:
     Returns (|MPM - M|/|M|, |PMP - P|/|P|, |(MP)' - MP|/|MP|,
     |(PM)' - PM|/|PM|), with 0/0 read as 0.
     """
-    m_arr = _as_2d(m, "matrix")
-    p_arr = _as_2d(p, "candidate pseudoinverse")
+    m_arr = _as_2d(InvalidMatrix, m, "matrix")
+    p_arr = _as_2d(InvalidMatrix, p, "candidate pseudoinverse")
     if p_arr.shape != m_arr.T.shape:
         raise InvalidInput(f"candidate pseudoinverse {p_arr.shape} of a {m_arr.shape} matrix must be {m_arr.T.shape}")
 

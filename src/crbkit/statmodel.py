@@ -17,11 +17,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidInput, InvalidModel
-from .matlin import _check_integers
+from .matlin import _as_floats, _check_kind
 
 
 def _as_vector(values, size: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = _as_floats(InvalidInput, values, name).ravel()
     if arr.size != size:
         raise InvalidInput(f"{name} must have length {size}, got {arr.size}")
     return arr
@@ -31,10 +31,10 @@ def _as_vector(values, size: int, name: str) -> np.ndarray:
 class GaussianMeanModel:
     """y ~ N(mean_fn(theta), noise_var I) with a differentiable mean map.
 
-    noise_var is the variance of every noise entry; it must be positive
-    and finite. mean_fn maps a param_dim vector to an obs_dim vector and
+    noise_var is the variance of every noise entry, a positive and finite
+    number. mean_fn maps a param_dim vector to an obs_dim vector and
     mean_jac returns the (obs_dim, param_dim) Jacobian of that map. Both
-    sizes are integers (Python or numpy, not a bool) of at least 1.
+    sizes are integers of at least 1. Python or numpy, but not bools.
     """
 
     mean_fn: Callable[[np.ndarray], np.ndarray]
@@ -44,9 +44,10 @@ class GaussianMeanModel:
     obs_dim: int
 
     def __post_init__(self):
-        _check_integers(InvalidModel, param_dim=self.param_dim, obs_dim=self.obs_dim)
+        _check_kind(InvalidModel, "an integer", param_dim=self.param_dim, obs_dim=self.obs_dim)
         if self.param_dim < 1 or self.obs_dim < 1:
             raise InvalidModel(f"dimensions must be positive, got ({self.param_dim}, {self.obs_dim})")
+        _check_kind(InvalidModel, "a number", noise_var=self.noise_var)
         if not 0.0 < self.noise_var < np.inf:
             raise InvalidModel(f"noise_var must be positive and finite, got {self.noise_var}")
 
@@ -73,7 +74,7 @@ class GaussianMeanModel:
 
 def gaussian_location(dim: int, noise_var: float = 1.0) -> GaussianMeanModel:
     """Gaussian model with identity mean map and isotropic noise."""
-    _check_integers(InvalidModel, dim=dim)
+    _check_kind(InvalidModel, "an integer", dim=dim)
     if dim < 1:
         raise InvalidModel(f"dim must be positive, got {dim}")
     eye = np.eye(dim)
@@ -97,7 +98,7 @@ class BlindChannelModel(GaussianMeanModel):
     """
 
     def __init__(self, s_len: int, h_len: int, noise_var: float = 1.0):
-        _check_integers(InvalidModel, s_len=s_len, h_len=h_len)
+        _check_kind(InvalidModel, "an integer", s_len=s_len, h_len=h_len)
         if s_len < 1 or h_len < 1:
             raise InvalidModel(f"filter lengths must be positive, got ({s_len}, {h_len})")
         for name, value in (("s_len", s_len), ("h_len", h_len)):

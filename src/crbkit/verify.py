@@ -31,9 +31,10 @@ from .errors import InvalidInput, NotMinimumConstraint, SingularRestriction
 from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
+    _as_floats,
     _bounds,
     _check_count,
-    _check_integers,
+    _check_kind,
     _freeze,
     as_ranked_svd,
     orthonormal_columns,
@@ -124,7 +125,8 @@ def _certify(
     margin_tol: float,
     detail: str = "",
 ) -> TheoremCertificate:
-    """The certificate of margins under the pass rule of passes; case(i) gives a failing case i's inputs."""
+    """The certificate of margins under the pass rule of passes, margin_tol a number; case(i) gives case i's inputs."""
+    _check_kind(InvalidInput, "a number", margin_tol=margin_tol)
     if not margins.size:
         raise InvalidInput("certificate needs at least one case")
     witnesses = []
@@ -221,7 +223,7 @@ def verify_eigen_dominance(
         stack = _minimum_stack(basis, v)
         evals, witness = stack.utju_eigs, lambda i: _stack_witness(basis, stack, i)
     else:
-        v_arr = np.asarray(v, dtype=float)
+        v_arr = _as_floats(InvalidInput, v, "v")
         _check_orthonormal(v_arr, basis.dim, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
         if frames.shape[2] != rank:
@@ -241,7 +243,7 @@ def verify_poincare(
 ) -> TheoremCertificate:
     """Check lambda_i(V'J_rV) <= lambda_i(J_r) for i up to V's width; J_r's spectrum is sigma, then n - r zeros."""
     basis = as_ranked_svd(j)
-    v_arr = np.asarray(v, dtype=float)
+    v_arr = _as_floats(InvalidInput, v, "v")
     if v_arr.ndim != 2:
         raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
     _check_orthonormal(v_arr, basis.dim, "v")
@@ -269,7 +271,7 @@ def verify_constraint_equivalence(
     """
     basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
-    f_jacs = [np.asarray(f_jac, dtype=float) for f_jac in alt_jacobians]
+    f_jacs = [_as_floats(InvalidInput, f_jac, f"alternative {idx}") for idx, f_jac in enumerate(alt_jacobians)]
     if not f_jacs:
         raise InvalidInput("certificate needs at least one case")
     for idx, f_arr in enumerate(f_jacs):
@@ -338,7 +340,7 @@ def verify_min_rank(
     )
 
 
-def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
+def counterexample_check() -> TheoremCertificate:
     """Fixed 4x4 case splitting matrix order from trace and eigenvalue order.
 
     With J = diag(1, 1, 0, 0) and a particular orthonormal V, the matrix
@@ -346,7 +348,8 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
     eigenvalue is (1 - sqrt 5)/2), yet tr(D) >= 0 and sorted-eigenvalue
     dominance still holds. The certificate margins are: how far D's
     smallest eigenvalue sits below the -1e-6 indefiniteness threshold,
-    tr(D), and the worst eigenvalue-dominance slack.
+    tr(D), and the worst eigenvalue-dominance slack: (sqrt 5 - 1)/2 - 1e-6,
+    2 and 1, which no nonnegative tolerance fails, so it takes none.
     """
     basis = ranked_svd(np.diag([1.0, 1.0, 0.0, 0.0]))
     j = basis.matrix.entries
@@ -365,7 +368,7 @@ def counterexample_check(margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCerti
         "counterexample",
         margins,
         lambda i: (labels[i], {"j": j, "v": v}),
-        margin_tol,
+        DEFAULT_MARGIN_TOL,
         detail=f"min_eigenvalue={format_float(min_eig)}",
     )
 
@@ -377,7 +380,7 @@ def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> Sy
     of d drawn uniformly from RANDOM_PSD_EIG_RANGE. n and rank are integers
     (Python or numpy, not a bool).
     """
-    _check_integers(InvalidInput, n=n, rank=rank)
+    _check_kind(InvalidInput, "an integer", n=n, rank=rank)
     if n < 1 or rank < 0 or rank > n:
         raise InvalidInput(f"need 0 <= rank <= n, got rank={rank}, n={n}")
     q = orthonormal_columns(rng.standard_normal((n, n)))

@@ -67,6 +67,21 @@ def test_sym_matrix_rejects_bad_input():
         SymMatrix(np.zeros((0, 0)))
 
 
+def test_sym_matrix_refuses_entries_whose_symmetrized_sum_overflows():
+    # 0.5 * (a + a') overflows past half the largest double: the sum is inf before the halving, and a SymMatrix
+    # holding inf would factor as rank 0 with NaN eigenvalues; the overflow warning is silenced to show the refusal
+    message = "^matrix is too large for double precision: its symmetrized entries overflow$"
+    with np.errstate(over="ignore"):
+        for entries in (np.diag([1.7e308, 0.0]), np.array([[0.0, 1e308], [1e308, 0.0]])):
+            with pytest.raises(InvalidMatrix, match=message):
+                SymMatrix(entries)
+        with pytest.raises(InvalidMatrix, match=message):
+            ranked_svd(np.diag([1.7e308, 0.0]))
+    # below half the largest double, or with a partner of the other sign, the sum stays finite
+    assert SymMatrix(np.diag([8e307, 0.0])).entries[0, 0] == 8e307
+    assert SymMatrix(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])).entries.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
 def test_ranked_svd_diag_rank_one():
     svd = ranked_svd(np.diag([2.0, 0.0]))
     assert svd.rank == 1

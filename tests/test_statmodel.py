@@ -152,6 +152,27 @@ def test_gaussian_model_rejects_bad_noise():
             )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda value: BlindChannelModel(2, 3, noise_var=value),
+        lambda value: gaussian_location(2, noise_var=value),
+        lambda value: GaussianMeanModel(lambda t: t, lambda t: np.eye(2), value, 2, 2),
+    ],
+    ids=["blind_channel", "gaussian_location", "gaussian_mean"],
+)
+def test_a_noise_var_that_is_not_a_number_is_refused_by_name(build):
+    # text or None would leak Python's TypeError from the comparison, and True would build a model of variance 1
+    for value in ("1", None, True, np.bool_(True), [1.0]):
+        with pytest.raises(InvalidModel) as info:
+            build(value)
+        assert str(info.value) == f"noise_var must be a number, got {value!r}"
+    for value in (2, np.float32(0.5), np.int64(3)):  # Python and numpy numbers are variances
+        assert build(value).noise_var == value
+    with pytest.raises(InvalidModel, match="^noise_var must be positive and finite, got -1$"):
+        build(-1)
+
+
 def test_gaussian_model_rejects_an_empty_parameter_and_a_jacobian_of_another_shape():
     with pytest.raises(InvalidModel) as info:
         gaussian_location(0)

@@ -1,0 +1,81 @@
+"""Arguments of the wrong type end in the package's own errors, each with a one-line message.
+
+errors.py promises one base class, CrbKitError, for every error the package raises on purpose. numpy raises
+ValueError or TypeError for text or a ragged list, and Python raises TypeError comparing text with a number;
+each call below would leak one of them without the package's own checks.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from crbkit import (
+    BlindChannelModel,
+    ConstraintSpec,
+    CrbKitError,
+    SymMatrix,
+    evaluate_constraints,
+    fim_gaussian_mean,
+    gaussian_location,
+    moore_penrose_residuals,
+    null_complement,
+    optimal_affine_constraint,
+    orthonormal_columns,
+    ranked_svd,
+    verify_constraint_equivalence,
+    verify_eigen_dominance,
+    verify_poincare,
+    verify_trace_bound,
+)
+
+J = np.diag([2.0, 1.0, 0.0])
+V = np.eye(3)[:, :2]  # an orthonormal frame of rank(J) columns
+
+CALLS = {
+    "SymMatrix text": (lambda: SymMatrix("abc"), "matrix is not an array of numbers"),
+    "SymMatrix ragged": (lambda: SymMatrix([[1.0, 2.0], [3.0]]), "matrix is not an array of numbers"),
+    "ranked_svd text": (lambda: ranked_svd("x"), "matrix is not an array of numbers"),
+    "ranked_svd rank_tol_rel": (lambda: ranked_svd(J, "x"), "rank_tol_rel must be a number, got 'x'"),
+    "ConstraintSpec f_jac": (lambda: ConstraintSpec(f_jac=[[1.0, "a"]]), "f_jac is not an array of numbers"),
+    "ConstraintSpec offset": (
+        lambda: ConstraintSpec(f_jac=[[1.0, 0.0]], offset="x"), "offset is not an array of numbers"
+    ),
+    "moore_penrose_residuals": (
+        lambda: moore_penrose_residuals(J, "x"), "candidate pseudoinverse is not an array of numbers"
+    ),
+    "null_complement": (lambda: null_complement("x"), "constraint Jacobian is not an array of numbers"),
+    "orthonormal_columns": (lambda: orthonormal_columns("x"), "matrix is not an array of numbers"),
+    "verify_poincare": (lambda: verify_poincare(J, "x"), "v is not an array of numbers"),
+    "verify_eigen_dominance": (lambda: verify_eigen_dominance(J, "x"), "v is not an array of numbers"),
+    "verify_constraint_equivalence": (
+        lambda: verify_constraint_equivalence(J, ["x"]), "alternative 0 is not an array of numbers"
+    ),
+    "evaluate_constraints": (
+        lambda: evaluate_constraints(J, {"f_jac": 1.0}), "constraints are not finite (k, m, 3) Jacobians of one shape"
+    ),
+    "optimal_affine_constraint": (lambda: optimal_affine_constraint(J, "x"), "theta0 is not an array of numbers"),
+    "fim_gaussian_mean": (lambda: fim_gaussian_mean(gaussian_location(2), "ab"), "theta is not an array of numbers"),
+    "noise_var text": (lambda: BlindChannelModel(2, 3, noise_var="1"), "noise_var must be a number, got '1'"),
+    "noise_var None": (lambda: gaussian_location(2, noise_var=None), "noise_var must be a number, got None"),
+    "poincare margin_tol": (lambda: verify_poincare(J, V, "x"), "margin_tol must be a number, got 'x'"),
+    "dominance margin_tol": (lambda: verify_eigen_dominance(J, V, "1e-9"), "margin_tol must be a number, got '1e-9'"),
+    "trace margin_tol": (
+        lambda: verify_trace_bound(J, evaluate_constraints(J, np.eye(3)[None, 2:]), None),
+        "margin_tol must be a number, got None",
+    ),
+    "equivalence margin_tol": (
+        lambda: verify_constraint_equivalence(J, [np.eye(3)[2:]], True), "margin_tol must be a number, got True"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_a_wrong_type_raises_a_crbkit_error_with_a_one_line_message(name):
+    call, message = CALLS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning on the way would be an escape too
+        with pytest.raises(CrbKitError) as info:
+            call()
+    assert str(info.value) == message
+    assert "\n" not in message
