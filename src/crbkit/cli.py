@@ -55,7 +55,7 @@ from .matlin import (
     ranked_svd,
     seed_sequence,
 )
-from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, save_matrix
+from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, read_ascii, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
 from .verify import (
     CSV_VERSION_LINE,
@@ -220,9 +220,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     if args.input is not None:
         path = Path(args.input)
-        if not path.is_file():
-            raise InvalidInput(f"no such input file: {path}")
-        text = path.read_text(encoding="ascii")
+        text = read_ascii(path, f"no such input file: {path}")
         if _sniff_is_config(text):
             file_values = parse_config_text(text)
             if "model" in file_values and "input" in file_values:
@@ -539,7 +537,7 @@ def main(argv=None) -> int:
         try:
             config = resolve_config(args)
             os.makedirs(config.output_dir, exist_ok=True)
-        except (InvalidInput, InvalidMatrix, InvalidModel, OSError, UnicodeDecodeError) as exc:
+        except (InvalidInput, InvalidMatrix, InvalidModel, OSError) as exc:
             raise CliError(EXIT_INVALID_INPUT, f"resolving configuration: {exc}") from exc
         # finite input too large for double precision would otherwise turn to inf part way
         with np.errstate(over="raise"):

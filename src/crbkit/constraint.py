@@ -14,7 +14,6 @@ every draw is a minimum constraint.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +24,7 @@ from .matlin import (
     RankedSvd,
     _as_2d,
     _as_floats,
+    _as_vector,
     _check_count,
     _freeze,
     as_ranked_svd,
@@ -34,7 +34,7 @@ from .matlin import (
     restricted_information,
     restricted_nonsingular,
 )
-from .matx import _parse_block, dump_matrix, format_row
+from .matx import _parse_block, dump_matrix, format_row, read_ascii
 
 # Constraints drawn per chunk, each chunk one block of normals and, for a
 # stack, one stacked eigvalsh; chunks bound the sampler's working memory.
@@ -64,9 +64,7 @@ class ConstraintSpec:
             raise InvalidInput(f"f_jac shape {jac.shape} must satisfy 0 <= m <= n, n >= 1")
         object.__setattr__(self, "f_jac", _freeze(jac))
         if self.offset is not None:
-            offset = _as_floats(InvalidInput, self.offset, "offset").ravel()
-            if offset.size != m:
-                raise InvalidInput(f"offset must have length {m}, got {offset.size}")
+            offset = _as_vector(InvalidInput, self.offset, m, "offset")
             if not np.all(np.isfinite(offset)):
                 raise InvalidInput("offset contains non-finite entries")
             object.__setattr__(self, "offset", _freeze(offset))
@@ -142,8 +140,8 @@ def _evaluate(j, f_jacs) -> tuple[ConstraintStack, np.ndarray, np.ndarray]:
 def _jacobian_stack(basis: RankedSvd, f_jacs) -> np.ndarray:
     """f_jacs as a float (k, m, n) array of Jacobians for the n x n J of basis; InvalidInput otherwise."""
     try:
-        f_jacs = np.asarray(f_jacs, dtype=float)
-    except (TypeError, ValueError):  # a ragged list of Jacobians, or entries that are not numbers
+        f_jacs = _as_floats(InvalidInput, f_jacs, "constraints")
+    except InvalidInput:  # a ragged list of Jacobians, entries that are not numbers, or complex ones
         raise InvalidInput(f"constraints are not finite (k, m, {basis.dim}) Jacobians of one shape") from None
     if f_jacs.ndim != 3 or f_jacs.shape[2] != basis.dim or not np.all(np.isfinite(f_jacs)):
         raise InvalidInput(f"constraints {f_jacs.shape} are not finite (k, m, {basis.dim}) Jacobians")
@@ -169,9 +167,7 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     J. Raises FullRankFim when J is nonsingular.
     """
     basis = as_ranked_svd(j)
-    point = _as_floats(InvalidInput, theta0, "theta0").ravel()
-    if point.size != basis.dim:
-        raise InvalidInput(f"theta0 must have length {basis.dim}, got {point.size}")
+    point = _as_vector(InvalidInput, theta0, basis.dim, "theta0")
     if basis.rank == basis.dim:
         raise FullRankFim("J is numerically nonsingular; no constraint is needed")
     f_jac = basis.u_bar.T
@@ -273,10 +269,7 @@ def save_constraint_spec(path, spec: ConstraintSpec) -> None:
 
 def load_constraint_spec(path) -> ConstraintSpec:
     """Read a constraint written by save_constraint_spec."""
-    if not os.path.isfile(path):
-        raise InvalidInput(f"no such constraint file {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_ascii(path, f"no such constraint file {path}").splitlines()
     jac, pos = _parse_block(lines, 0)
     offset = None
     for line in lines[pos:]:

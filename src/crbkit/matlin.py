@@ -27,11 +27,23 @@ _EPS = np.finfo(float).eps
 
 
 def _as_floats(error: type[Exception], values, name: str) -> np.ndarray:
-    """values as a float array; error naming name where numpy cannot convert them, as text or a ragged list."""
+    """values as a float array; error naming name where numpy cannot convert them, as text or a ragged list, and
+    where they are complex, which a cast to float would drop the imaginary part of."""
     try:
-        return np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":
+            return np.asarray(arr, dtype=float)
     except (TypeError, ValueError):
         raise error(f"{name} is not an array of numbers") from None
+    raise error(f"{name} has complex entries; only real numbers are accepted")
+
+
+def _as_vector(error: type[Exception], values, size: int, name: str) -> np.ndarray:
+    """values flattened to a float vector of size entries; error naming name otherwise."""
+    arr = _as_floats(error, values, name).ravel()
+    if arr.size != size:
+        raise error(f"{name} must have length {size}, got {arr.size}")
+    return arr
 
 
 def _as_2d(error: type[Exception], values, name: str) -> np.ndarray:

@@ -82,8 +82,17 @@ def save_matrix(path, a) -> None:
         fh.write(dump_matrix(a))
 
 
-def load_matrix(path) -> np.ndarray:
+def read_ascii(path, missing: str) -> str:
+    """The text of the file at path, the one reader of every input file. Raises InvalidInput with the message
+    missing when no such file exists, and with the codec's own message where a byte is not ASCII."""
     if not os.path.isfile(path):
-        raise InvalidInput(f"matx: no such file {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+        raise InvalidInput(missing)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(str(exc)) from None
+
+
+def load_matrix(path) -> np.ndarray:
+    return parse_matrix(read_ascii(path, f"matx: no such file {path}"))

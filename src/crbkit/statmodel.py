@@ -17,14 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidInput, InvalidModel
-from .matlin import _as_floats, _check_kind
-
-
-def _as_vector(values, size: int, name: str) -> np.ndarray:
-    arr = _as_floats(InvalidInput, values, name).ravel()
-    if arr.size != size:
-        raise InvalidInput(f"{name} must have length {size}, got {arr.size}")
-    return arr
+from .matlin import _as_floats, _as_vector, _check_kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,12 +45,12 @@ class GaussianMeanModel:
             raise InvalidModel(f"noise_var must be positive and finite, got {self.noise_var}")
 
     def mean_at(self, theta) -> np.ndarray:
-        th = _as_vector(theta, self.param_dim, "theta")
-        return _as_vector(self.mean_fn(th), self.obs_dim, "mean_fn(theta)")
+        th = _as_vector(InvalidInput, theta, self.param_dim, "theta")
+        return _as_vector(InvalidInput, self.mean_fn(th), self.obs_dim, "mean_fn(theta)")
 
     def jac_at(self, theta) -> np.ndarray:
-        th = _as_vector(theta, self.param_dim, "theta")
-        jac = np.asarray(self.mean_jac(th), dtype=float)
+        th = _as_vector(InvalidInput, theta, self.param_dim, "theta")
+        jac = _as_floats(InvalidModel, self.mean_jac(th), "mean_jac(theta)")
         if jac.shape != (self.obs_dim, self.param_dim):
             raise InvalidModel(
                 f"mean_jac returned shape {jac.shape}, expected ({self.obs_dim}, {self.param_dim})"
@@ -68,7 +61,7 @@ class GaussianMeanModel:
         return self.mean_at(theta) + np.sqrt(self.noise_var) * rng.standard_normal(self.obs_dim)
 
     def score(self, y, theta) -> np.ndarray:
-        resid = _as_vector(y, self.obs_dim, "y") - self.mean_at(theta)
+        resid = _as_vector(InvalidInput, y, self.obs_dim, "y") - self.mean_at(theta)
         return self.jac_at(theta).T @ resid / self.noise_var
 
 
@@ -112,7 +105,7 @@ class BlindChannelModel(GaussianMeanModel):
         )
 
     def split(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        th = _as_vector(theta, self.param_dim, "theta")
+        th = _as_vector(InvalidInput, theta, self.param_dim, "theta")
         return th[: self.s_len], th[self.s_len :]
 
     def _convolution_jac(self, th: np.ndarray) -> np.ndarray:

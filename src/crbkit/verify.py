@@ -2,7 +2,7 @@
 
 Each verifier returns a TheoremCertificate that keeps every case's signed
 slack, in case order, as margins. A case fails unless its margin >=
--margin_tol and is then kept as a replayable witness holding the input
+-margin_tol and is kept as a replayable witness: J, then the case's own
 matrices; a certificate passes when it has no witness. merge_certificates
 concatenates margins and witnesses and judges nothing again.
 
@@ -120,19 +120,21 @@ def passes(margins: np.ndarray, margin_tol: float) -> np.ndarray:
 
 def _certify(
     theorem_id: str,
+    basis,
     margins: np.ndarray,
     case: Callable[[int], tuple[str, dict[str, np.ndarray]]],
     margin_tol: float,
     detail: str = "",
 ) -> TheoremCertificate:
-    """The certificate of margins under the pass rule of passes, margin_tol a number; case(i) gives case i's inputs."""
+    """The certificate of margins under the pass rule of passes, margin_tol a number. case(i) gives failing case
+    i's label and matrices; its witness holds J, the matrix of basis, first, then those matrices."""
     _check_kind(InvalidInput, "a number", margin_tol=margin_tol)
     if not margins.size:
         raise InvalidInput("certificate needs at least one case")
     witnesses = []
     for i in np.flatnonzero(~passes(margins, margin_tol)).tolist():
         label, mats = case(i)
-        witnesses.append(FailingCase(label=label, margin=float(margins[i]), matrices=tuple(mats.items())))
+        witnesses.append(FailingCase(label, float(margins[i]), (("j", basis.matrix.entries), *mats.items())))
     return TheoremCertificate(theorem_id, margins, tuple(witnesses), detail)
 
 
@@ -171,9 +173,9 @@ def _minimum_stack(basis, stack: ConstraintStack) -> ConstraintStack:
     return stack
 
 
-def _stack_witness(basis, stack: ConstraintStack, i: int) -> dict[str, np.ndarray]:
-    """Constraint i of a stack as a witness: J and the orthonormal rows of one sign-fixed qr of its f_jac."""
-    return {"j": basis.matrix.entries, "f_jac": orthonormal_columns(stack.f_jacs[i].T).T}
+def _stack_witness(stack: ConstraintStack, i: int) -> dict[str, np.ndarray]:
+    """Constraint i of a stack as a witness: the orthonormal rows of one sign-fixed qr of its f_jac."""
+    return {"f_jac": orthonormal_columns(stack.f_jacs[i].T).T}
 
 
 def verify_trace_bound(
@@ -196,7 +198,7 @@ def verify_trace_bound(
     stack = _minimum_stack(basis, stack)
     # past the gate every U'JU is nonsingular: each bound's trace is sum 1/mu, as bound_traces reads it
     margins = (1.0 / stack.utju_eigs).sum(axis=1) - basis.pinv.trace
-    return _certify("trace_bound", margins, lambda i: (f"constraint-{i}", _stack_witness(basis, stack, i)), margin_tol)
+    return _certify("trace_bound", basis, margins, lambda i: (f"constraint-{i}", _stack_witness(stack, i)), margin_tol)
 
 
 def verify_eigen_dominance(
@@ -221,7 +223,7 @@ def verify_eigen_dominance(
     rank = basis.rank
     if isinstance(v, ConstraintStack):
         stack = _minimum_stack(basis, v)
-        evals, witness = stack.utju_eigs, lambda i: _stack_witness(basis, stack, i)
+        evals, mats = stack.utju_eigs, lambda i: _stack_witness(stack, i)
     else:
         v_arr = _as_floats(InvalidInput, v, "v")
         _check_orthonormal(v_arr, basis.dim, "v")
@@ -232,10 +234,10 @@ def verify_eigen_dominance(
         exists = restricted_nonsingular(basis, evals)
         if not np.all(exists):
             raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
-        witness = lambda i: {"j": basis.matrix.entries, "v": frames[i]}
+        mats = lambda i: {"v": frames[i]}
     # 1/mu descends as mu ascends, as 1/sigma does
     margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel()
-    return _certify("eigen_dominance", margins, lambda c: (f"eig-index-{c % rank}", witness(c // rank)), margin_tol)
+    return _certify("eigen_dominance", basis, margins, lambda c: (f"eig-index-{c % rank}", mats(c // rank)), margin_tol)
 
 
 def verify_poincare(
@@ -250,9 +252,7 @@ def verify_poincare(
     lam_restricted = restricted_information(basis, v_arr[None])[1][0, ::-1]
     lam = np.append(basis.sigma, np.zeros(basis.dim - basis.rank))
     margins = lam[: lam_restricted.size] - lam_restricted
-    return _certify(
-        "poincare", margins, lambda i: (f"eig-index-{i}", {"j": basis.matrix.entries, "v": v_arr}), margin_tol
-    )
+    return _certify("poincare", basis, margins, lambda i: (f"eig-index-{i}", {"v": v_arr}), margin_tol)
 
 
 def verify_constraint_equivalence(
@@ -286,8 +286,7 @@ def verify_constraint_equivalence(
     # one norm per matrix: a norm over axes (1, 2) sums in another order
     margins = -np.array([np.linalg.norm(diff) for diff in bounds - basis.pinv.entries])
     return _certify(
-        "equivalence", margins,
-        lambda i: (f"alternative-{i}", {"j": basis.matrix.entries, "f_jac": stack.f_jacs[i]}), margin_tol,
+        "equivalence", basis, margins, lambda i: (f"alternative-{i}", {"f_jac": stack.f_jacs[i]}), margin_tol
     )
 
 
@@ -334,10 +333,7 @@ def verify_min_rank(
     # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
     margins = np.append(1.0 - scaled[:-1], scaled[-1] - 1.0)
     labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
-    return _certify(
-        "min_rank", margins,
-        lambda i: (labels[i], {"j": basis.matrix.entries, "f_jac": q[i, :, : rows[i]].T}), margin_tol,
-    )
+    return _certify("min_rank", basis, margins, lambda i: (labels[i], {"f_jac": q[i, :, : rows[i]].T}), margin_tol)
 
 
 def counterexample_check() -> TheoremCertificate:
@@ -364,13 +360,8 @@ def counterexample_check() -> TheoremCertificate:
 
     margins = np.array([margin_indefinite, margin_trace, margin_dominance])
     labels = ("difference-indefinite", "trace-still-dominates", "eigenvalues-still-dominate")
-    return _certify(
-        "counterexample",
-        margins,
-        lambda i: (labels[i], {"j": j, "v": v}),
-        DEFAULT_MARGIN_TOL,
-        detail=f"min_eigenvalue={format_float(min_eig)}",
-    )
+    detail = f"min_eigenvalue={format_float(min_eig)}"
+    return _certify("counterexample", basis, margins, lambda i: (labels[i], {"v": v}), DEFAULT_MARGIN_TOL, detail)
 
 
 def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> SymMatrix:

@@ -449,7 +449,7 @@ def test_merge_certificates_accumulates_cases():
     assert merged.passed
     # merging concatenates margins and witnesses in order and judges nothing again
     parts = [
-        verify_module._certify("poincare", np.array(margins), lambda i: (f"case-{i}", {}), 1e-9)
+        verify_module._certify("poincare", ranked_svd(DIAG), np.array(margins), lambda i: (f"case-{i}", {}), 1e-9)
         for margins in ([0.5, -1.0], [0.25], [-2.0, 3.0])
     ]
     merged = merge_certificates(parts)
@@ -843,11 +843,12 @@ def test_the_pass_rule_keeps_a_margin_equal_to_minus_margin_tol():
     tol = 1e-9
     below = float(np.nextafter(-tol, -np.inf))
     margins = np.array([1.0, -tol, below, 0.0])
-    cert = verify_module._certify("poincare", margins, lambda i: (f"case-{i}", {"j": np.eye(2)}), tol)
+    basis = ranked_svd(np.eye(2))
+    cert = verify_module._certify("poincare", basis, margins, lambda i: (f"case-{i}", {}), tol)
     assert [(w.label, w.margin) for w in cert.witnesses] == [("case-2", below)]
     assert (cert.passed, cert.n_cases, cert.worst_margin) == (False, 4, below)
     assert cert.margins.tolist() == margins.tolist() and not cert.margins.flags.writeable
-    assert verify_module._certify("poincare", np.array([-tol]), lambda i: ("unused", {}), tol).passed
+    assert verify_module._certify("poincare", basis, np.array([-tol]), lambda i: ("unused", {}), tol).passed
 
 
 def test_ranked_svd_refuses_a_cutoff_that_calls_unit_rows_dependent():
@@ -856,3 +857,30 @@ def test_ranked_svd_refuses_a_cutoff_that_calls_unit_rows_dependent():
     refusal = r"^rank_tol_rel 0.25 gives every 4 x 4 matrix rank 0; 4 \* rank_tol_rel must be below 1$"
     with pytest.raises(InvalidInput, match=refusal):
         ranked_svd(np.diag([1.0, 0.5, 0.0, 0.0]), 0.25)
+
+
+WITNESS_J = make_psd(np.random.default_rng(37), 4, 2)
+WITNESSED = {
+    "trace_bound": (lambda b, tol: verify_trace_bound(b, sample_minimum_stack(b, 3, 0), tol), "f_jac"),
+    "eigen_dominance stack": (lambda b, tol: verify_eigen_dominance(b, sample_minimum_stack(b, 3, 0), tol), "f_jac"),
+    "eigen_dominance frames": (lambda b, tol: verify_eigen_dominance(b, b.u_r[None], tol), "v"),
+    "poincare": (lambda b, tol: verify_poincare(b, b.u_r, tol), "v"),
+    "equivalence": (lambda b, tol: verify_constraint_equivalence(b, [b.u_bar.T, -b.u_bar.T], tol), "f_jac"),
+    "min_rank": (lambda b, tol: verify_min_rank(b, 3, 0, tol), "f_jac"),
+}
+
+
+@pytest.mark.parametrize("name", WITNESSED)
+def test_every_witness_holds_j_first_then_the_verifiers_own_matrix(tmp_path, name):
+    # at margin_tol = -inf the pass rule margin >= inf fails every case, so each case is a witness
+    verify, own = WITNESSED[name]
+    basis = ranked_svd(WITNESS_J)
+    cert = verify(basis, -np.inf)
+    assert cert.n_cases > 0 and len(cert.witnesses) == cert.n_cases
+    for witness in cert.witnesses:
+        assert [label for label, _ in witness.matrices] == ["j", own]
+        assert np.array_equal(witness.matrices[0][1], basis.matrix.entries)
+    paths = write_certificate_witnesses(cert, tmp_path)
+    for idx in range(cert.n_cases):
+        assert str(tmp_path / f"{cert.theorem_id}_{idx:03d}_j.matx") in paths
+        assert np.array_equal(load_matrix(tmp_path / f"{cert.theorem_id}_{idx:03d}_j.matx"), basis.matrix.entries)

@@ -2,7 +2,9 @@
 
 errors.py promises one base class, CrbKitError, for every error the package raises on purpose. numpy raises
 ValueError or TypeError for text or a ragged list, and Python raises TypeError comparing text with a number;
-each call below would leak one of them without the package's own checks.
+each call below would leak one of them without the package's own checks. numpy casts a complex array to float
+with a ComplexWarning and drops its imaginary part, and an input file that is not ASCII fails to decode with
+UnicodeDecodeError: both are refused by name too.
 """
 
 import warnings
@@ -14,10 +16,15 @@ from crbkit import (
     BlindChannelModel,
     ConstraintSpec,
     CrbKitError,
+    GaussianMeanModel,
+    InvalidInput,
+    InvalidMatrix,
     SymMatrix,
     evaluate_constraints,
     fim_gaussian_mean,
     gaussian_location,
+    load_constraint_spec,
+    load_matrix,
     moore_penrose_residuals,
     null_complement,
     optimal_affine_constraint,
@@ -31,6 +38,7 @@ from crbkit import (
 
 J = np.diag([2.0, 1.0, 0.0])
 V = np.eye(3)[:, :2]  # an orthonormal frame of rank(J) columns
+COMPLEX = "has complex entries; only real numbers are accepted"
 
 CALLS = {
     "SymMatrix text": (lambda: SymMatrix("abc"), "matrix is not an array of numbers"),
@@ -67,6 +75,26 @@ CALLS = {
     "equivalence margin_tol": (
         lambda: verify_constraint_equivalence(J, [np.eye(3)[2:]], True), "margin_tol must be a number, got True"
     ),
+    "SymMatrix complex scalars": (lambda: SymMatrix([[np.complex128(1j), 0.0], [0.0, 1.0]]), f"matrix {COMPLEX}"),
+    "ranked_svd complex": (lambda: ranked_svd(J.astype(complex)), f"matrix {COMPLEX}"),
+    "ConstraintSpec complex offset": (
+        lambda: ConstraintSpec(f_jac=[[1.0, 0.0]], offset=np.array([1j])), f"offset {COMPLEX}"
+    ),
+    "optimal_affine_constraint complex": (
+        lambda: optimal_affine_constraint(J, np.array([0.0, 0.0, 1j])), f"theta0 {COMPLEX}"
+    ),
+    "verify_poincare complex": (lambda: verify_poincare(J, V.astype(complex)), f"v {COMPLEX}"),
+    "evaluate_constraints complex": (
+        lambda: evaluate_constraints(J, np.array([[[0.0, 0.0, 1j]]])),
+        "constraints are not finite (k, m, 3) Jacobians of one shape",
+    ),
+    "mean_jac complex": (
+        lambda: fim_gaussian_mean(GaussianMeanModel(lambda th: th, lambda th: 1j * np.eye(2), 1.0, 2, 2), [1.0, 2.0]),
+        f"mean_jac(theta) {COMPLEX}",
+    ),
+    "fim_gaussian_mean complex": (
+        lambda: fim_gaussian_mean(gaussian_location(2), np.array([1j, 0.0])), f"theta {COMPLEX}"
+    ),
 }
 
 
@@ -79,3 +107,21 @@ def test_a_wrong_type_raises_a_crbkit_error_with_a_one_line_message(name):
             call()
     assert str(info.value) == message
     assert "\n" not in message
+
+
+def test_a_complex_matrix_is_refused_as_an_invalid_matrix():
+    # a cast to float would store diag(1, 0) for diag(1 + 1j, 2j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMatrix, match=f"^matrix {COMPLEX}$"):
+            SymMatrix(np.array([[1 + 1j, 0], [0, 2j]]))
+
+
+@pytest.mark.parametrize("load", [load_matrix, load_constraint_spec], ids=lambda f: f.__name__)
+def test_a_file_that_is_not_ascii_raises_invalid_input_with_the_codecs_message(tmp_path, load):
+    path = tmp_path / "accent.matx"
+    path.write_bytes("2 2\n1 0\n0 \u00e9\n".encode("utf-8"))
+    with pytest.raises(InvalidInput) as info:
+        load(path)
+    assert str(info.value).startswith("'ascii' codec can't decode byte 0xc3 in position 10")
+    assert "\n" not in str(info.value)
