@@ -69,6 +69,7 @@ from .verify import (
     certificates_to_csv,
     counterexample_check,
     merge_certificates,
+    min_rank_trials,
     random_rank_deficient_psd,
     verify_constraint_equivalence,
     verify_eigen_dominance,

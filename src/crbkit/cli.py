@@ -50,8 +50,9 @@ from .errors import (
 from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
     DEFAULT_RANK_TOL_REL,
+    _per_shape,
+    _sign_fixed_columns,
     as_sym_matrix,
-    orthonormal_columns,
     ranked_svd,
     seed_sequence,
 )
@@ -61,11 +62,12 @@ from .verify import (
     CSV_VERSION_LINE,
     DEFAULT_MARGIN_TOL,
     THEOREM_IDS,
+    _random_psds,
     counterexample_check,
     certificates_to_csv,
     merge_certificates,
+    min_rank_trials,
     passes,
-    random_rank_deficient_psd,
     verify_constraint_equivalence,
     verify_eigen_dominance,
     verify_min_rank,
@@ -86,6 +88,8 @@ DEFAULT_OUT = "crbkit_run"
 CERTIFY_CONSTRAINTS_PER_MATRIX = 20
 CERTIFY_EQUIVALENCE_ALTS = 3
 CERTIFY_MIN_RANK_TRIALS = 5
+# In a block of _suite_frames, the first min_rank slot: the Poincare frame and the mixes come first.
+MIN_RANK_SLOT = 1 + CERTIFY_EQUIVALENCE_ALTS
 
 # Built-in models: factory and default parameters, in manifest order.
 MODELS = {
@@ -406,31 +410,64 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _certify_one_matrix(basis, rng: np.random.Generator, config: RunConfig, index: int, constraints_count: int):
-    """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order; rng is J's stream."""
-    tol, n, rank = config.margin_tol, basis.dim, basis.rank
+def _suite_q(blocks: np.ndarray) -> np.ndarray:
+    """Q of a (k, 10, n, n) stack of _suite_frames blocks by one qr, the columns of each frame and mix signed so
+    that R's diagonal is nonnegative; min_rank's slots keep Q as the qr gives it."""
+    q, r = np.linalg.qr(blocks)
+    q[:, :MIN_RANK_SLOT] = _sign_fixed_columns(q[:, :MIN_RANK_SLOT], r[:, :MIN_RANK_SLOT])
+    return q
+
+
+def _suite_frames(matrices: list) -> list[tuple]:
+    """Per (basis, rng) of matrices, what rng draws after J, in order: the Poincare frame, the equivalence mixes,
+    and min_rank's trials, as their complete Q and row counts. Each matrix's draws go zero-padded into one
+    (10, n, n) block, min_rank_trials' slots last, and the blocks of one n get one qr (_suite_q): a zero column
+    adds a reflector with tau = 0, and the zero rows below a mix leave its leading Q and R as they are."""
+    blocks, rows = [], []
+    for basis, rng in matrices:
+        n, rank, m = basis.dim, basis.rank, basis.dim - basis.rank
+        block = np.zeros((MIN_RANK_SLOT, n, n))
+        block[0, :, :rank] = rng.standard_normal((n, rank))
+        block[1:, :m, :m] = rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, m, m))
+        slots, counts = min_rank_trials(basis, CERTIFY_MIN_RANK_TRIALS, rng)
+        blocks.append(np.concatenate([block, slots]))
+        rows.append(counts)
+    frames = []
+    for (basis, _), q, counts in zip(matrices, _per_shape(_suite_q, blocks), rows):
+        rank, m = basis.rank, basis.dim - basis.rank
+        frames.append((q[0, :, :rank], q[1:MIN_RANK_SLOT, :m, :m], q[MIN_RANK_SLOT:], counts))
+    return frames
+
+
+def _certify_one_matrix(basis, frames: tuple, config: RunConfig, index: int, constraints_count: int):
+    """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order; frames are its
+    draws from _suite_frames."""
+    (frame, mixes, trials_q, rows), tol = frames, config.margin_tol
     stack = sample_minimum_stack(basis, constraints_count, derived_seed(config.seed, "certify-constraints", index))
     yield verify_trace_bound(basis, stack, tol)
     yield verify_eigen_dominance(basis, stack, tol)
-    yield verify_poincare(basis, orthonormal_columns(rng.standard_normal((n, rank))), tol)
+    yield verify_poincare(basis, frame, tol)
     # orthonormal (m, m) mixes keep the rows of U_bar' orthonormal, so no ill-conditioned mix fails the row-rank test
-    mixes = orthonormal_columns(rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, n - rank, n - rank)))
     yield verify_constraint_equivalence(basis, mixes @ basis.u_bar.T, tol)
-    yield verify_min_rank(basis, CERTIFY_MIN_RANK_TRIALS, rng, tol)
+    yield verify_min_rank(basis, trials_q, rows, tol)
 
 
 def cmd_certify(config: RunConfig) -> int:
-    """Run the full certificate suite; exit 4 when any inequality fails."""
+    """Run the full certificate suite; exit 4 when any inequality fails.
+
+    The suite runs in stages: every J, drawn from its stream, with one sign-fixed qr per n for their Haar
+    frames, each then factored by its own ranked_svd; every J's _suite_frames, with one qr per n; then each
+    J's certificates.
+    """
     out = config.output_dir
 
-    matrices = []
     if config.matrix is None and config.model_kind is None:
-        shape_rng = derived_rng(config.seed, "certify-shapes")
+        shape_rng, shapes = derived_rng(config.seed, "certify-shapes"), []
         for i in range(config.count):
             n = int(shape_rng.integers(2, 9))
-            rank = int(shape_rng.integers(1, n))
-            rng = derived_rng(config.seed, "certify-matrix", i)
-            matrices.append((_factor_j(random_rank_deficient_psd(n, rank, rng), config.rank_tol_rel), rng))
+            shapes.append((n, int(shape_rng.integers(1, n)), derived_rng(config.seed, "certify-matrix", i)))
+        bases = [_factor_j(j, config.rank_tol_rel) for j in _random_psds(shapes)]
+        matrices = [(basis, rng) for basis, (_, _, rng) in zip(bases, shapes)]
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
         basis, _ = information_matrix(config)
@@ -440,12 +477,12 @@ def cmd_certify(config: RunConfig) -> int:
                 f"certify: input information matrix is {'nonsingular' if basis.rank else 'zero'}; "
                 "the bound inequalities are only at stake for singular nonzero input",
             )
-        matrices.append((basis, derived_rng(config.seed, "certify-matrix", 0)))
+        matrices = [(basis, derived_rng(config.seed, "certify-matrix", 0))]
         constraints_count = config.count
 
     per_theorem: dict[str, list] = {tid: [] for tid in THEOREM_IDS if tid != "counterexample"}
-    for index, (basis, rng) in enumerate(matrices):
-        certs = _certify_one_matrix(basis, rng, config, index, constraints_count)
+    for index, ((basis, _), frames) in enumerate(zip(matrices, _suite_frames(matrices))):
+        certs = _certify_one_matrix(basis, frames, config, index, constraints_count)
         for theorem_id, parts in per_theorem.items():
             try:
                 parts.append(next(certs))

@@ -331,6 +331,17 @@ def _sign_fixed_columns(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return q[..., : r.shape[-1]] * signs[..., None, :]
 
 
+def _per_shape(fn, blocks: list[np.ndarray]) -> list:
+    """fn's result for each block, in order, from one fn call per distinct shape on the stack of every block of
+    that shape; fn maps a (k, ...) stack to k results, as a stacked numpy.linalg call does."""
+    results: list = [None] * len(blocks)
+    for shape in dict.fromkeys(block.shape for block in blocks):
+        index = [i for i, block in enumerate(blocks) if block.shape == shape]
+        for i, result in zip(index, fn(np.stack([blocks[i] for i in index])), strict=True):
+            results[i] = result
+    return results
+
+
 def moore_penrose_residuals(m, p) -> tuple[float, float, float, float]:
     """Relative Frobenius residuals of the four Moore-Penrose conditions.
 

@@ -27,7 +27,9 @@ def format_row(values: list[float]) -> str:
 
 
 def dump_matrix(a) -> str:
-    """Serialize a 1-d or 2-d array as one matx block (1-d becomes one row)."""
+    """Serialize a 1-d or 2-d real array as one matx block (1-d becomes one row)."""
+    if np.iscomplexobj(a):  # a cast to float would drop the imaginary part
+        raise InvalidInput("matrix has complex entries; only real numbers are accepted")
     arr = np.atleast_2d(np.asarray(a, dtype=float))
     if arr.ndim != 2:
         raise InvalidInput(f"matx supports 2-d matrices, got ndim={arr.ndim}")
@@ -78,8 +80,9 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def save_matrix(path, a) -> None:
+    text = dump_matrix(a)  # a refused array leaves no file
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dump_matrix(a))
+        fh.write(text)
 
 
 def read_ascii(path, missing: str) -> str:

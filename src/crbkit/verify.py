@@ -36,6 +36,7 @@ from .matlin import (
     _check_count,
     _check_kind,
     _freeze,
+    _per_shape,
     as_ranked_svd,
     orthonormal_columns,
     random_stream,
@@ -290,41 +291,69 @@ def verify_constraint_equivalence(
     )
 
 
+def _singular(j):
+    """as_ranked_svd(j), refused (InvalidInput) where J is nonsingular and the min_rank claim vacuous."""
+    basis = as_ranked_svd(j)
+    if basis.rank == basis.dim:
+        raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
+    return basis
+
+
+def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
+    """The one draw of verify_min_rank's inputs: (trials + 1, n, n) slots and their row counts.
+
+    From rng_seed (see random_stream) one call draws every trial's row
+    count m < n - rank(J), and one a Gaussian (n, n - rank) block per
+    trial, its columns past m zeroed; U_bar comes last, with n - rank
+    rows. Each slot is zero-padded to n columns, so one qr of the slots,
+    or of any stack of (n, n) blocks that holds them, gives each slot's
+    complete Q: a zero column adds a reflector with tau = 0. Refuses a
+    nonsingular J before drawing.
+    """
+    _check_count(trials, "trials", 1)
+    basis = _singular(j)
+    n, m = basis.dim, basis.dim - basis.rank
+    rng = random_stream(rng_seed)
+    counts = rng.integers(0, m, size=trials)
+    slots = np.zeros((trials + 1, n, n))
+    slots[:-1, :, :m] = np.where(np.arange(m) < counts[:, None, None], rng.standard_normal((trials, n, m)), 0.0)
+    slots[-1, :, :m] = basis.u_bar
+    return slots, counts.tolist() + [m]
+
+
 def verify_min_rank(
     j,
-    trials: int,
-    rng_seed,
+    q,
+    rows,
     margin_tol: float = DEFAULT_MARGIN_TOL,
 ) -> TheoremCertificate:
     """Check that n - rank(J) constraint rows are necessary and sufficient.
 
-    Each trial draws a Gaussian (m, n) matrix, m < n - rank(J), and
-    requires U'J_rU to be numerically singular for the constraint F whose
-    orthonormal rows span its row space; the optimal affine constraint,
-    with n - rank(J) rows, must leave U'J_rU nonsingular. From rng_seed
-    (see random_stream) one call draws every row count m, and one a
-    Gaussian (n, n - rank) slot per trial, its columns past m zeroed. One
-    complete qr of the slots and of U_bar gives each F (Q's leading m
-    columns) and its null basis U (the rest; a zero column adds no
-    reflector); one restricted_information call reads every U'J_rU, with
-    Q's leading m columns zeroed. Margins, 1 - mu_min / c for a deficient
-    trial and mu_min / c - 1 for the achievable one, are in units of the
-    cutoff c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
-    witnesses hold the F evaluated. Refuses a nonsingular or a zero J.
+    q is the (k, n, n) complete Q of the slots of min_rank_trials(j, ...),
+    from one qr of them or a slice of a stacked one, and rows are their
+    row counts. Case i's constraint F is Q's leading rows[i] columns,
+    transposed, and its null basis U the rest. A deficient case, fewer
+    than n - rank(J) rows, requires U'J_rU numerically singular; the last,
+    the optimal affine constraint, must leave U'J_rU nonsingular. One
+    restricted_information call reads every U'J_rU, with Q's leading
+    columns zeroed. Margins, 1 - mu_min / c for a deficient case and
+    mu_min / c - 1 for the achievable one, are in units of the cutoff
+    c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
+    witnesses hold the F evaluated. Refuses a nonsingular or a zero J, row
+    counts other than min_rank_trials draws and a q of another shape; q's
+    columns are taken as orthonormal, as a qr gives them, unchecked.
     """
-    _check_count(trials, "trials", 1)
-    basis = as_ranked_svd(j)
-    n, rank = basis.dim, basis.rank
-    if rank == n:
-        raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
-    if rank == 0:
+    basis = _singular(j)
+    if basis.rank == 0:
         raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
-    rng = random_stream(rng_seed)
-    # every trial's row count, then every trial's slot; the optimal affine constraint's comes last
-    counts = rng.integers(0, n - rank, size=trials)
-    draws = np.where(np.arange(n - rank) < counts[:, None, None], rng.standard_normal((trials, n, n - rank)), 0.0)
-    slots, rows = np.concatenate([draws, basis.u_bar[None]]), counts.tolist() + [n - rank]
-    q = np.linalg.qr(slots, mode="complete")[0]
+    n, nullity = basis.dim, basis.dim - basis.rank
+    rows = list(rows)
+    _check_kind(InvalidInput, "an integer", **{f"row count {i}": count for i, count in enumerate(rows)})
+    if not rows or rows[-1] != nullity or not all(0 <= count < nullity for count in rows[:-1]):
+        raise InvalidInput(f"row counts must lie in [0, {nullity}) and end with n - rank(J) = {nullity}, got {rows}")
+    q = _as_floats(InvalidInput, q, "q")
+    if q.shape != (len(rows), n, n):
+        raise InvalidInput(f"q must hold one {n} x {n} Q per row count, got shape {q.shape}")
 
     # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
     padded = np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0)
@@ -367,17 +396,25 @@ def counterexample_check() -> TheoremCertificate:
 def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> SymMatrix:
     """Random PSD matrix with exactly n - rank zero eigenvalues.
 
-    Built as Q diag(d) Q' with Q Haar orthogonal and the nonzero entries
-    of d drawn uniformly from RANDOM_PSD_EIG_RANGE. n and rank are integers
-    (Python or numpy, not a bool).
+    Built as Q diag(d) Q' with Q Haar orthogonal, the sign-fixed qr of a
+    Gaussian (n, n) block, and the nonzero entries of d drawn after it,
+    uniformly from RANDOM_PSD_EIG_RANGE. n and rank are integers (Python
+    or numpy, not a bool).
     """
-    _check_kind(InvalidInput, "an integer", n=n, rank=rank)
-    if n < 1 or rank < 0 or rank > n:
-        raise InvalidInput(f"need 0 <= rank <= n, got rank={rank}, n={n}")
-    q = orthonormal_columns(rng.standard_normal((n, n)))
-    d = np.zeros(n)
-    d[:rank] = rng.uniform(*RANDOM_PSD_EIG_RANGE, rank)
-    return SymMatrix((q * d) @ q.T)
+    return _random_psds([(n, rank, rng)])[0]
+
+
+def _random_psds(shapes) -> list[SymMatrix]:
+    """random_rank_deficient_psd(n, rank, rng) of each (n, rank, rng) in shapes, drawn from each rng in turn; the
+    Gaussian blocks of one n are orthonormalized by one sign-fixed qr."""
+    blocks, kept = [], []
+    for n, rank, rng in shapes:
+        _check_kind(InvalidInput, "an integer", n=n, rank=rank)
+        if n < 1 or rank < 0 or rank > n:
+            raise InvalidInput(f"need 0 <= rank <= n, got rank={rank}, n={n}")
+        blocks.append(rng.standard_normal((n, n)))
+        kept.append(np.append(rng.uniform(*RANDOM_PSD_EIG_RANGE, rank), np.zeros(n - rank)))
+    return [SymMatrix((q * d) @ q.T) for q, d in zip(_per_shape(orthonormal_columns, blocks), kept)]
 
 
 def certificates_to_csv(certs: list[TheoremCertificate]) -> str:

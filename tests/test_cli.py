@@ -23,13 +23,15 @@ from crbkit import (
     sample_minimum_stack,
     save_matrix,
 )
-from crbkit.cli import build_parser, derived_rng, derived_seed, main
+from crbkit.cli import _suite_frames, build_parser, derived_rng, derived_seed, main
 from crbkit.matlin import DEFAULT_RANK_TOL_REL, orthonormal_columns, seed_sequence
 from crbkit.matx import format_float
 from crbkit.verify import (
     certificates_to_csv,
     counterexample_check,
     merge_certificates,
+    min_rank_trials,
+    random_rank_deficient_psd,
     verify_constraint_equivalence,
     verify_eigen_dominance,
     verify_min_rank,
@@ -145,36 +147,73 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
 
 
 def certificates_from_streams(seed, matrices, constraints_count):
-    """certificates.csv of certify, from the verifiers called on inputs drawn as documented: matrix i's stream
-    draws the Poincare frame, the equivalence mixes and the min_rank trials, in that order, and its sampler
-    has the stream ("certify-constraints", i)."""
+    """certificates.csv of certify, from the verifiers called on inputs drawn as documented, one matrix and one
+    qr at a time: matrix i's stream draws the Poincare frame, the equivalence mixes and the min_rank trials'
+    row counts and Gaussian blocks, in that order, and its sampler has the stream ("certify-constraints", i)."""
     parts = []
     for i, (basis, rng) in enumerate(matrices):
-        n, rank = basis.dim, basis.rank
+        n, rank, m = basis.dim, basis.rank, basis.dim - basis.rank
         stack = sample_minimum_stack(basis, constraints_count, derived_seed(seed, "certify-constraints", i))
         frame = orthonormal_columns(rng.standard_normal((n, rank)))
-        mixes = orthonormal_columns(rng.standard_normal((3, n - rank, n - rank)))
+        mixes = orthonormal_columns(rng.standard_normal((3, m, m)))
+        counts = rng.integers(0, m, size=5)
+        draws = np.where(np.arange(m) < counts[:, None, None], rng.standard_normal((5, n, m)), 0.0)
+        trials_q = np.linalg.qr(np.concatenate([draws, basis.u_bar[None]]), mode="complete")[0]
         parts.append([
             verify_trace_bound(basis, stack),
             verify_eigen_dominance(basis, stack),
             verify_poincare(basis, frame),
             verify_constraint_equivalence(basis, mixes @ basis.u_bar.T),
-            verify_min_rank(basis, 5, rng),
+            verify_min_rank(basis, trials_q, counts.tolist() + [m]),
         ])
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)] + [counterexample_check()]
     return certificates_to_csv(certificates)
 
 
 def test_each_certify_matrix_draws_its_inputs_from_one_stream(tmp_path):
-    # a suite matrix's stream ("certify-matrix", i) draws J first; certify --input draws from index 0
-    assert main(["certify", "--count", "4", "--seed", "11", "--out", str(tmp_path / "s")]) == 0
-    matrices = [(ranked_svd(j), rng) for j, _, rng in suite_streams(11, 4)]
-    assert (tmp_path / "s" / "certificates.csv").read_text() == certificates_from_streams(11, matrices, 20)
+    # a suite matrix's stream ("certify-matrix", i) draws J first; certify --input draws from index 0. The
+    # CLI takes one qr per matrix size for all its J and one for all its other frames, the reference one per
+    # matrix and draw: seed 6's 20 matrices have 5 sizes, and at rank_tol 0.1 the factored rank of some J is
+    # below the drawn one
+    for seed, count, tol in ((11, 4, DEFAULT_RANK_TOL_REL), (6, 20, DEFAULT_RANK_TOL_REL), (6, 20, 0.1)):
+        out = tmp_path / f"s{seed}-{count}-{tol}"
+        argv = ["certify", "--count", str(count), "--seed", str(seed), "--rank-tol", str(tol)]
+        assert main(argv + ["--out", str(out)]) == 0
+        streams = list(suite_streams(seed, count))
+        matrices = [(ranked_svd(j, tol), rng) for j, _, rng in streams]
+        assert (out / "certificates.csv").read_text() == certificates_from_streams(seed, matrices, 20)
+        assert count < 20 or len({j.dim for j, _, _ in streams}) == 5
+        assert (tol == 0.1) == any(basis.rank < rank for (basis, _), (_, rank, _) in zip(matrices, streams))
     path = tmp_path / "j.matx"
     save_matrix(path, make_psd(np.random.default_rng(5), 6, 3))
     assert main(["certify", "--input", str(path), "--count", "40", "--seed", "3", "--out", str(tmp_path / "i")]) == 0
     matrices = [(ranked_svd(load_matrix(tmp_path / "i" / "j.matx")), derived_rng(3, "certify-matrix", 0))]
     assert (tmp_path / "i" / "certificates.csv").read_text() == certificates_from_streams(3, matrices, 40)
+
+
+def test_one_padded_qr_per_size_gives_each_frame_of_the_unpadded_draws():
+    # _suite_frames takes every matrix's Poincare frame, equivalence mixes and min_rank Q from one qr per size
+    # of their zero-padded (10, n, n) blocks; the reference orthonormalizes each unpadded draw alone. The
+    # mixes and min_rank's Q are bit-identical; so are the frames up to n = 7, while at n = 8 forming the
+    # padded block's complete Q moves some frames of rank 2, 3, 4 and 6 by at most 1.5 eps (unit columns,
+    # 2,000 draws per rank on OpenBLAS), so 2 eps is asserted
+    eps, worst = np.finfo(float).eps, 0.0
+    for seed in range(10):
+        matrices, reference = [], []
+        for n in range(2, 9):
+            for rank in range(1, n):
+                basis = ranked_svd(random_rank_deficient_psd(n, rank, np.random.default_rng([seed, n, rank])))
+                matrices.append((basis, np.random.default_rng([seed, n, rank, 1])))
+                rng, m = np.random.default_rng([seed, n, rank, 1]), n - rank
+                frame = orthonormal_columns(rng.standard_normal((n, rank)))
+                mixes = orthonormal_columns(rng.standard_normal((3, m, m)))
+                slots, rows = min_rank_trials(basis, 5, rng)
+                reference.append((frame, mixes, np.linalg.qr(slots[:, :, :m], mode="complete")[0], rows))
+        for (frame, mixes, trials_q, rows), want in zip(_suite_frames(matrices), reference, strict=True):
+            assert np.array_equal(mixes, want[1]) and np.array_equal(trials_q, want[2]) and rows == want[3]
+            assert frame.shape == want[0].shape
+            worst = max(worst, np.abs(frame - want[0]).max() / eps)
+    assert worst <= 2.0
 
 
 def test_a_certify_suite_derives_three_seeds_per_matrix(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,17 @@ def test_32_column_matrix_round_trips_bit_for_bit():
     values = random_doubles(5, 32 * 31)
     a = np.concatenate([np.where(np.isnan(values), 1.0, values), EDGE_VALUES * 4]).reshape(32, 32)
     assert np.array_equal(parse_matrix(dump_matrix(a)).view(np.uint64), a.view(np.uint64))
+
+
+def test_a_complex_array_is_refused_and_no_file_is_written(tmp_path):
+    # numpy's cast to float warned (ComplexWarning) and wrote the real part, diag(0, 1) here
+    path = tmp_path / "c.matx"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        complex_j = np.array([[1j, 0], [0, 1]])
+        for call in (lambda: dump_matrix(complex_j), lambda: save_matrix(path, complex_j)):
+            with pytest.raises(InvalidInput) as info:
+                call()
+            assert str(info.value) == "matrix has complex entries; only real numbers are accepted"
+    assert not path.exists()
+    assert dump_matrix(np.array([[1.0, 0.0]])) == "1 2\n1 0\n"

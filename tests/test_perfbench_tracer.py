@@ -89,16 +89,18 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
     # the sampled stack holds its chart draws' F and goes straight to the trace and dominance
     # certificates, which read the spectra of U'JU and J and orthonormalize no draw while every
-    # case passes; min_rank takes its trials' rows and null bases from one complete qr per J and
-    # one eigvalsh for all trials; the one svd per J is the equivalence check's; and J's eigh gives
-    # J+ and the Poincare spectrum. So each J makes 4 qr: one each for J itself, the Poincare
-    # frame, the equivalence mixes and min_rank (15 qr when each sampler chunk took one more for
-    # its orthonormal rows); 3 svd and 4 inv (12 svd and 12 qr with an svd per row count of the
+    # case passes; min_rank takes its trials' rows and null bases from their complete Q and one
+    # eigvalsh for all trials; the one svd per J is the equivalence check's; and J's eigh gives
+    # J+ and the Poincare spectrum. The suite's matrices have 2 sizes, and each size takes 2 qr:
+    # one for the Haar frames of its J, one for the zero-padded blocks of their Poincare frames,
+    # equivalence mixes and min_rank trials (12 qr when each J took 4: one each for J itself, the
+    # Poincare frame, the mixes and min_rank; 15 when each sampler chunk took one more for its
+    # orthonormal rows); 3 svd and 4 inv (12 svd and 12 qr with an svd per row count of the
     # min_rank trials; 16, 23 and 8 svd, eigvalsh and inv with an svd, an eigvalsh and an inv of
     # U_r'JU_r per J; 19, 34 and 15 forming each sampled bound; 168 eigvalsh and 71 inv checking
     # one frame at a time)
     assert certify.calls["linalg.svd"] <= 3
-    assert certify.calls["linalg.qr"] == 12
+    assert certify.calls["linalg.qr"] == 4
     assert certify.calls["linalg.inv"] <= 4
     # eigvalsh: one per J for its sampler chunk, its Poincare frame, its equivalence mixes and its
     # min_rank trials, and two for the counterexample (21 in all when min_rank took one per
@@ -112,7 +114,8 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
 def test_a_monte_carlo_j_is_factored_once(tmp_path):
     # the estimate is not clipped, so its own eigh and reconstruction are gone (2 eigh when they
     # were there); the svd, eigvalsh and inv belong to the optimal constraint's bound. A suite's
-    # count is unchanged by it
+    # count is unchanged by it; its 20 matrices have 5 sizes, and each size takes 2 qr (154 LAPACK
+    # calls, 10 of them qr; 224 with 80 qr when each J took 4)
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\n")
     module = load_tracer()
@@ -130,4 +133,6 @@ def test_a_monte_carlo_j_is_factored_once(tmp_path):
     analyze, certify = traces
     lapack = {name: analyze.calls[f"linalg.{name}"] for name in module.LINALG}
     assert lapack == {"svd": 1, "eigvalsh": 1, "eigh": 1, "inv": 1, "qr": 0, "solve": 0, "cholesky": 0}
-    assert sum(certify.calls[f"linalg.{name}"] for name in module.LINALG) == 224
+    assert sum(certify.calls[f"linalg.{name}"] for name in module.LINALG) == 154
+    assert certify.calls["linalg.qr"] == 10 and certify.calls["linalg.eigh"] == 21
+    assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 21

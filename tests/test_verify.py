@@ -21,6 +21,7 @@ from crbkit import (
     is_psd,
     load_matrix,
     merge_certificates,
+    min_rank_trials,
     null_complement,
     null_complements,
     optimal_affine_constraint,
@@ -41,7 +42,15 @@ import crbkit.verify as verify_module
 from crbkit.crb import _bounds
 from crbkit.matlin import ORTHONORMAL_TOL, orthonormal_columns, restricted_information, restricted_nonsingular
 from crbkit.verify import _check_orthonormal
-from util import chart_draws, chart_jacobians, gaussian_rows, make_psd, orthonormal_rows, random_orthonormal
+from util import (
+    chart_draws,
+    chart_jacobians,
+    gaussian_rows,
+    make_psd,
+    min_rank_certificate,
+    orthonormal_rows,
+    random_orthonormal,
+)
 
 EPS = np.finfo(float).eps
 DIAG = np.diag([2.0, 0.0])
@@ -395,23 +404,25 @@ def test_equivalence_reads_orthonormal_rows_at_unit_singular_values(monkeypatch)
 
 
 def test_min_rank_certificate():
-    cert = verify_min_rank(J4, trials=10, rng_seed=3)
+    cert = min_rank_certificate(J4, trials=10, rng_seed=3)
     assert cert.theorem_id == "min_rank"
     assert cert.passed
     # ten deficient draws plus the achievability case
     assert cert.n_cases == 11
-    again = verify_min_rank(J4, trials=10, rng_seed=3)
+    again = min_rank_certificate(J4, trials=10, rng_seed=3)
     assert again.worst_margin == cert.worst_margin
 
 
 def test_min_rank_rejects_full_rank_j():
-    with pytest.raises(InvalidInput):
-        verify_min_rank(np.eye(2), trials=2, rng_seed=0)
+    # the draw and the verifier each refuse it
+    for call in (lambda: min_rank_trials(np.eye(2), 2, 0), lambda: verify_min_rank(np.eye(2), [np.eye(2)], [0])):
+        with pytest.raises(InvalidInput, match="^J is numerically nonsingular; the rank claim is vacuous$"):
+            call()
 
 
 def test_min_rank_refuses_zero_trials():
     with pytest.raises(InvalidInput) as info:
-        verify_min_rank(np.diag([1.0, 0.0]), trials=0, rng_seed=0)
+        min_rank_trials(np.diag([1.0, 0.0]), trials=0, rng_seed=0)
     assert str(info.value) == "trials must be positive, got 0"
 
 
@@ -726,7 +737,7 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     assert verify_constraint_equivalence(basis, [basis.u_bar.T]).n_cases == 1
     assert_min_rank_matches(j, 5, 7, 1e-6)
     # J_r = diag(1, 0, 0): the achievable U'J_rU is 1 x 1, mu = 1 against the cutoff 1 * 1 * 1e-6
-    assert verify_min_rank(basis, 5, 7).margins[-1] == 1.0 / 1e-6 - 1.0
+    assert min_rank_certificate(basis, 5, 7).margins[-1] == 1.0 / 1e-6 - 1.0
 
 
 def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
@@ -766,7 +777,7 @@ def assert_min_rank_matches(j, trials, rng_seed, rank_tol_rel=1e-10):
     margin agrees within 10 n eps sigma_1 / c: the two null bases move mu_min by about eps sigma_1.
     At margin_tol = -inf every case is a witness, so every label and F is compared."""
     basis = ranked_svd(j, rank_tol_rel)
-    cert = verify_min_rank(basis, trials, rng_seed, -np.inf)
+    cert = min_rank_certificate(basis, trials, rng_seed, -np.inf)
     expected = per_trial_min_rank(j, trials, rng_seed, rank_tol_rel)
     assert cert.n_cases == trials + 1
     assert [w.label for w in cert.witnesses] == [label for _, label, _, _ in expected]
@@ -818,7 +829,7 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
             return restricted, mu
 
         monkeypatch.setattr(verify_module, "restricted_information", pinned)
-        cert = verify_min_rank(basis, 6, 3, 0.0)
+        cert = min_rank_certificate(basis, 6, 3, 0.0)
         assert cert.witnesses and all(w.label.startswith(failing) for w in cert.witnesses)
         assert [w.margin for w in cert.witnesses] == cert.margins[claimed].tolist()
         assert all(-EPS <= margin < 0.0 for margin in cert.margins[claimed])
@@ -826,16 +837,40 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
 
 
 def test_min_rank_refuses_a_zero_j():
-    # the cutoff of a zero J is zero, so margins in its units do not exist; both refusals come before
-    # any draw, so a Generator handed to a refused call keeps its state
-    with pytest.raises(InvalidInput, match="J is zero"):
-        verify_min_rank(np.zeros((3, 3)), 5, 0)
+    # the cutoff of a zero J is zero, so margins in its units do not exist; the verifier refuses it, while
+    # the draw, whose row counts a zero J defines, is refused only for a nonsingular J, before any draw,
+    # so a Generator handed to that refused call keeps its state
+    zero = np.zeros((3, 3))
+    slots, rows = min_rank_trials(zero, 5, 0)
+    assert slots.shape == (6, 3, 3) and rows[-1] == 3
+    with pytest.raises(InvalidInput, match="^J is zero; the rank claim has no cutoff to measure against$"):
+        verify_min_rank(zero, np.linalg.qr(slots)[0], rows)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    for j, refusal in ((np.zeros((3, 3)), "J is zero"), (np.eye(3), "J is numerically nonsingular")):
-        with pytest.raises(InvalidInput, match=refusal):
-            verify_min_rank(j, 5, rng)
-        assert rng.bit_generator.state == state
+    with pytest.raises(InvalidInput, match="J is numerically nonsingular"):
+        min_rank_trials(np.eye(3), 5, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_min_rank_refuses_inputs_that_min_rank_trials_does_not_draw():
+    # q holds one n x n orthogonal Q per row count; the counts lie below n - rank(J), then equal it
+    basis = ranked_svd(np.diag([2.0, 1.0, 0.0, 0.0]))
+    slots, rows = min_rank_trials(basis, 3, 5)
+    q = np.linalg.qr(slots)[0]
+    assert verify_min_rank(basis, q, rows).passed
+    counts = "row counts must lie in [0, 2) and end with n - rank(J) = 2, got "
+    refused = [
+        (q, rows[:3] + [1], counts + str(rows[:3] + [1])),
+        (q[2:], [2, 2], counts + "[2, 2]"),
+        (q[:0], [], counts + "[]"),
+        (q[2:], [1.0, 2], "row count 0 must be an integer, got 1.0"),
+        (q[1:], rows, "q must hold one 4 x 4 Q per row count, got shape (3, 4, 4)"),
+        (q.astype(complex), rows, "q has complex entries; only real numbers are accepted"),
+    ]
+    for bad_q, bad_rows, message in refused:
+        with pytest.raises(InvalidInput) as info:
+            verify_min_rank(basis, bad_q, bad_rows)
+        assert str(info.value) == message
 
 
 def test_the_pass_rule_keeps_a_margin_equal_to_minus_margin_tol():
@@ -866,7 +901,7 @@ WITNESSED = {
     "eigen_dominance frames": (lambda b, tol: verify_eigen_dominance(b, b.u_r[None], tol), "v"),
     "poincare": (lambda b, tol: verify_poincare(b, b.u_r, tol), "v"),
     "equivalence": (lambda b, tol: verify_constraint_equivalence(b, [b.u_bar.T, -b.u_bar.T], tol), "f_jac"),
-    "min_rank": (lambda b, tol: verify_min_rank(b, 3, 0, tol), "f_jac"),
+    "min_rank": (lambda b, tol: min_rank_certificate(b, 3, 0, tol), "f_jac"),
 }
 
 

@@ -20,6 +20,7 @@ from crbkit import (
     InvalidInput,
     InvalidMatrix,
     SymMatrix,
+    dump_matrix,
     evaluate_constraints,
     fim_gaussian_mean,
     gaussian_location,
@@ -92,6 +93,7 @@ CALLS = {
         lambda: fim_gaussian_mean(GaussianMeanModel(lambda th: th, lambda th: 1j * np.eye(2), 1.0, 2, 2), [1.0, 2.0]),
         f"mean_jac(theta) {COMPLEX}",
     ),
+    "dump_matrix complex": (lambda: dump_matrix(np.array([[1j, 0.0], [0.0, 1.0]])), f"matrix {COMPLEX}"),
     "fim_gaussian_mean complex": (
         lambda: fim_gaussian_mean(gaussian_location(2), np.array([1j, 0.0])), f"theta {COMPLEX}"
     ),
