@@ -90,6 +90,8 @@ CERTIFY_EQUIVALENCE_ALTS = 3
 CERTIFY_MIN_RANK_TRIALS = 5
 # In a block of _suite_frames, the first min_rank slot: the Poincare frame and the mixes come first.
 MIN_RANK_SLOT = 1 + CERTIFY_EQUIVALENCE_ALTS
+# Suite matrices drawn and framed together: their frames of one n share a qr, and memory stays bounded in --count.
+CERTIFY_STAGE = 20
 
 # Built-in models: factory and default parameters, in manifest order.
 MODELS = {
@@ -439,6 +441,13 @@ def _suite_frames(matrices: list) -> list[tuple]:
     return frames
 
 
+def _suite_stage(config: RunConfig, shapes: list, start: int) -> list[tuple]:
+    """(basis, rng) of the suite matrices start, start + 1, ... of each (n, rank) in shapes: J drawn from its
+    certify-matrix stream, the Haar frames of one n by one sign-fixed qr (_random_psds), then factored alone."""
+    draws = [(n, rank, derived_rng(config.seed, "certify-matrix", start + i)) for i, (n, rank) in enumerate(shapes)]
+    return [(_factor_j(j, config.rank_tol_rel), rng) for j, (_, _, rng) in zip(_random_psds(draws), draws)]
+
+
 def _certify_one_matrix(basis, frames: tuple, config: RunConfig, index: int, constraints_count: int):
     """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order; frames are its
     draws from _suite_frames."""
@@ -455,19 +464,20 @@ def _certify_one_matrix(basis, frames: tuple, config: RunConfig, index: int, con
 def cmd_certify(config: RunConfig) -> int:
     """Run the full certificate suite; exit 4 when any inequality fails.
 
-    The suite runs in stages: every J, drawn from its stream, with one sign-fixed qr per n for their Haar
-    frames, each then factored by its own ranked_svd; every J's _suite_frames, with one qr per n; then each
-    J's certificates.
+    The suite runs in stages of CERTIFY_STAGE matrices: each stage's J (_suite_stage), then their
+    _suite_frames, with one qr per n, then each J's certificates, in matrix order.
     """
     out = config.output_dir
 
     if config.matrix is None and config.model_kind is None:
         shape_rng, shapes = derived_rng(config.seed, "certify-shapes"), []
-        for i in range(config.count):
+        for _ in range(config.count):
             n = int(shape_rng.integers(2, 9))
-            shapes.append((n, int(shape_rng.integers(1, n)), derived_rng(config.seed, "certify-matrix", i)))
-        bases = [_factor_j(j, config.rank_tol_rel) for j in _random_psds(shapes)]
-        matrices = [(basis, rng) for basis, (_, _, rng) in zip(bases, shapes)]
+            shapes.append((n, int(shape_rng.integers(1, n))))
+        stages = (
+            _suite_stage(config, shapes[start : start + CERTIFY_STAGE], start)
+            for start in range(0, config.count, CERTIFY_STAGE)
+        )
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
         basis, _ = information_matrix(config)
@@ -477,11 +487,12 @@ def cmd_certify(config: RunConfig) -> int:
                 f"certify: input information matrix is {'nonsingular' if basis.rank else 'zero'}; "
                 "the bound inequalities are only at stake for singular nonzero input",
             )
-        matrices = [(basis, derived_rng(config.seed, "certify-matrix", 0))]
+        stages = [[(basis, derived_rng(config.seed, "certify-matrix", 0))]]
         constraints_count = config.count
 
     per_theorem: dict[str, list] = {tid: [] for tid in THEOREM_IDS if tid != "counterexample"}
-    for index, ((basis, _), frames) in enumerate(zip(matrices, _suite_frames(matrices))):
+    staged = ((basis, frames) for matrices in stages for (basis, _), frames in zip(matrices, _suite_frames(matrices)))
+    for index, (basis, frames) in enumerate(staged):
         certs = _certify_one_matrix(basis, frames, config, index, constraints_count)
         for theorem_id, parts in per_theorem.items():
             try:

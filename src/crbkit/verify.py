@@ -291,14 +291,6 @@ def verify_constraint_equivalence(
     )
 
 
-def _singular(j):
-    """as_ranked_svd(j), refused (InvalidInput) where J is nonsingular and the min_rank claim vacuous."""
-    basis = as_ranked_svd(j)
-    if basis.rank == basis.dim:
-        raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
-    return basis
-
-
 def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
     """The one draw of verify_min_rank's inputs: (trials + 1, n, n) slots and their row counts.
 
@@ -307,14 +299,15 @@ def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
     trial, its columns past m zeroed; U_bar comes last, with n - rank
     rows. Each slot is zero-padded to n columns, so one qr of the slots,
     or of any stack of (n, n) blocks that holds them, gives each slot's
-    complete Q: a zero column adds a reflector with tau = 0. Refuses a
-    nonsingular J before drawing.
+    complete Q: a zero column adds a reflector with tau = 0. A
+    nonsingular J, where n - rank is 0, draws nothing and gets zero
+    slots; verify_min_rank refuses it, as it does a zero J.
     """
     _check_count(trials, "trials", 1)
-    basis = _singular(j)
+    basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
     rng = random_stream(rng_seed)
-    counts = rng.integers(0, m, size=trials)
+    counts = rng.integers(0, m, size=trials) if m else np.zeros(trials, dtype=int)
     slots = np.zeros((trials + 1, n, n))
     slots[:-1, :, :m] = np.where(np.arange(m) < counts[:, None, None], rng.standard_normal((trials, n, m)), 0.0)
     slots[-1, :, :m] = basis.u_bar
@@ -340,10 +333,13 @@ def verify_min_rank(
     mu_min / c - 1 for the achievable one, are in units of the cutoff
     c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
     witnesses hold the F evaluated. Refuses a nonsingular or a zero J, row
-    counts other than min_rank_trials draws and a q of another shape; q's
-    columns are taken as orthonormal, as a qr gives them, unchecked.
+    counts other than min_rank_trials draws, and a q of another shape, with
+    columns that are not orthonormal, or whose last Q's leading n - rank(J)
+    columns do not span U_bar.
     """
-    basis = _singular(j)
+    basis = as_ranked_svd(j)
+    if basis.rank == basis.dim:
+        raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
     if basis.rank == 0:
         raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
     n, nullity = basis.dim, basis.dim - basis.rank
@@ -354,6 +350,9 @@ def verify_min_rank(
     q = _as_floats(InvalidInput, q, "q")
     if q.shape != (len(rows), n, n):
         raise InvalidInput(f"q must hold one {n} x {n} Q per row count, got shape {q.shape}")
+    _check_orthonormal(q, n, "q")
+    if not np.abs(q[-1, :, nullity:].T @ basis.u_bar).max(initial=0.0) <= ORTHONORMAL_TOL:
+        raise InvalidInput(f"q's last Q must span U_bar in its leading {nullity} columns")
 
     # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
     padded = np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0)

@@ -172,17 +172,18 @@ def certificates_from_streams(seed, matrices, constraints_count):
 
 def test_each_certify_matrix_draws_its_inputs_from_one_stream(tmp_path):
     # a suite matrix's stream ("certify-matrix", i) draws J first; certify --input draws from index 0. The
-    # CLI takes one qr per matrix size for all its J and one for all its other frames, the reference one per
-    # matrix and draw: seed 6's 20 matrices have 5 sizes, and at rank_tol 0.1 the factored rank of some J is
-    # below the drawn one
-    for seed, count, tol in ((11, 4, DEFAULT_RANK_TOL_REL), (6, 20, DEFAULT_RANK_TOL_REL), (6, 20, 0.1)):
+    # CLI takes one qr per matrix size for the J of a stage of 20 matrices and one for their other frames,
+    # the reference one per matrix and draw: seed 6's 20 matrices have 5 sizes, at rank_tol 0.1 the factored
+    # rank of some J is below the drawn one, and 45 matrices run in three stages
+    suites = [(11, 4, DEFAULT_RANK_TOL_REL), (6, 20, DEFAULT_RANK_TOL_REL), (6, 20, 0.1), (6, 45, DEFAULT_RANK_TOL_REL)]
+    for seed, count, tol in suites:
         out = tmp_path / f"s{seed}-{count}-{tol}"
         argv = ["certify", "--count", str(count), "--seed", str(seed), "--rank-tol", str(tol)]
         assert main(argv + ["--out", str(out)]) == 0
         streams = list(suite_streams(seed, count))
         matrices = [(ranked_svd(j, tol), rng) for j, _, rng in streams]
         assert (out / "certificates.csv").read_text() == certificates_from_streams(seed, matrices, 20)
-        assert count < 20 or len({j.dim for j, _, _ in streams}) == 5
+        assert count != 20 or len({j.dim for j, _, _ in streams}) == 5
         assert (tol == 0.1) == any(basis.rank < rank for (basis, _), (_, rank, _) in zip(matrices, streams))
     path = tmp_path / "j.matx"
     save_matrix(path, make_psd(np.random.default_rng(5), 6, 3))
@@ -882,6 +883,33 @@ def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err == "error: certify matrix 0, poincare: V'JV of frame 0 is numerically singular\n"
     assert "Traceback" not in err
+
+
+def test_a_nonsingular_suite_j_is_refused_by_matrix_and_theorem_in_matrix_order(tmp_path, capsys, monkeypatch):
+    # no drawn J factors as nonsingular under a rank_tol the CLI accepts, so J is swapped for the identity;
+    # the frames stage draws nothing for it and leaves the refusal to the verifiers, matrix by matrix
+    real = crbkit.cli._random_psds
+
+    def swapped(*indices):
+        def draw(shapes):
+            return [SymMatrix(np.eye(j.entries.shape[0])) if i in indices else j for i, j in enumerate(real(shapes))]
+
+        monkeypatch.setattr(crbkit.cli, "_random_psds", draw)
+
+    argv = ["certify", "--count", "4", "--seed", "5", "--out", str(tmp_path / "o")]
+    swapped(1)
+    assert main(argv) == 3
+    refusal = "trace_bound: J is numerically nonsingular; minimum constraints are empty"
+    assert capsys.readouterr().err == f"error: certify matrix 1, {refusal}\n"
+
+    def cannot_build(*args):
+        raise crbkit.SingularRestriction("V'JV of frame 0 is numerically singular")
+
+    # an earlier matrix's failure comes first
+    swapped(2)
+    monkeypatch.setattr(crbkit.cli, "verify_poincare", cannot_build)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: certify matrix 0, poincare: V'JV of frame 0 is numerically singular\n"
 
 
 def test_certify_full_rank_input_exits_2(tmp_path, capsys):

@@ -414,10 +414,11 @@ def test_min_rank_certificate():
 
 
 def test_min_rank_rejects_full_rank_j():
-    # the draw and the verifier each refuse it
-    for call in (lambda: min_rank_trials(np.eye(2), 2, 0), lambda: verify_min_rank(np.eye(2), [np.eye(2)], [0])):
-        with pytest.raises(InvalidInput, match="^J is numerically nonsingular; the rank claim is vacuous$"):
-            call()
+    # the verifier refuses it; the draw, which has no row count below n - rank = 0, gives zero slots
+    slots, rows = min_rank_trials(np.eye(2), 2, 0)
+    assert not slots.any() and slots.shape == (3, 2, 2) and rows == [0, 0, 0]
+    with pytest.raises(InvalidInput, match="^J is numerically nonsingular; the rank claim is vacuous$"):
+        verify_min_rank(np.eye(2), [np.eye(2)], [0])
 
 
 def test_min_rank_refuses_zero_trials():
@@ -838,8 +839,8 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
 
 def test_min_rank_refuses_a_zero_j():
     # the cutoff of a zero J is zero, so margins in its units do not exist; the verifier refuses it, while
-    # the draw, whose row counts a zero J defines, is refused only for a nonsingular J, before any draw,
-    # so a Generator handed to that refused call keeps its state
+    # the draw refuses no J: a zero J defines its row counts, and a nonsingular J draws nothing, so a
+    # Generator handed to that call keeps its state
     zero = np.zeros((3, 3))
     slots, rows = min_rank_trials(zero, 5, 0)
     assert slots.shape == (6, 3, 3) and rows[-1] == 3
@@ -847,8 +848,7 @@ def test_min_rank_refuses_a_zero_j():
         verify_min_rank(zero, np.linalg.qr(slots)[0], rows)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    with pytest.raises(InvalidInput, match="J is numerically nonsingular"):
-        min_rank_trials(np.eye(3), 5, rng)
+    min_rank_trials(np.eye(3), 5, rng)
     assert rng.bit_generator.state == state
 
 
@@ -866,6 +866,8 @@ def test_min_rank_refuses_inputs_that_min_rank_trials_does_not_draw():
         (q[2:], [1.0, 2], "row count 0 must be an integer, got 1.0"),
         (q[1:], rows, "q must hold one 4 x 4 Q per row count, got shape (3, 4, 4)"),
         (q.astype(complex), rows, "q has complex entries; only real numbers are accepted"),
+        (1.01 * q, rows, "q columns are not orthonormal"),
+        (q[[0, 1, 2, 0]], rows[:3] + [2], "q's last Q must span U_bar in its leading 2 columns"),
     ]
     for bad_q, bad_rows, message in refused:
         with pytest.raises(InvalidInput) as info:

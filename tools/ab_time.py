@@ -2,7 +2,7 @@
 
 Usage:
 
-    python3 tools/ab_time.py TREE_A TREE_B WORKLOAD [--jobs N] [--seed S]
+    python3 tools/ab_time.py TREE_A TREE_B WORKLOAD [--jobs N]
 
 WORKLOAD is `certify` (certify --count 20, a fresh seed per job) or
 `experiment` (experiment --count 1000 on a fresh 32 x 32 rank-16 J per
@@ -41,11 +41,11 @@ def load_tree(tree: Path, name: str, where: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def job_argv(workload: str, seed: int, index: int, inputs: Path) -> list[str]:
-    """The command of job index: a fresh certify seed, or a fresh 32 x 32 rank-16 J for experiment."""
+def job_argv(workload: str, index: int, inputs: Path) -> list[str]:
+    """The command of job index: certify at seed index, or a fresh 32 x 32 rank-16 J for experiment."""
     if workload == "certify":
-        return ["certify", "--count", "20", "--seed", str(seed * 100_000 + index)]
-    rng = np.random.default_rng([seed, index])
+        return ["certify", "--count", "20", "--seed", str(index)]
+    rng = np.random.default_rng(index)
     q = np.linalg.qr(rng.standard_normal((32, 32)))[0]
     d = np.append(rng.uniform(0.5, 2.0, 16), np.zeros(16))
     path = inputs / f"j{index}.matx"
@@ -65,7 +65,7 @@ def timed(cli, argv: list[str], out: Path) -> float:
     return elapsed
 
 
-def compare(tree_a: Path, tree_b: Path, workload: str, jobs: int, seed: int) -> dict:
+def compare(tree_a: Path, tree_b: Path, workload: str, jobs: int) -> dict:
     """Each tree's median job seconds, the median paired ratio B/A and the share of pairs B won."""
     with tempfile.TemporaryDirectory() as tmp:
         where = Path(tmp)
@@ -74,7 +74,7 @@ def compare(tree_a: Path, tree_b: Path, workload: str, jobs: int, seed: int) -> 
             clis = (load_tree(tree_a, "crbkit_a", where), load_tree(tree_b, "crbkit_b", where))
             times: tuple[list[float], list[float]] = ([], [])
             for index in range(WARMUP + jobs):
-                argv = job_argv(workload, seed, index, where)
+                argv = job_argv(workload, index, where)
                 order = (0, 1) if index % 2 == 0 else (1, 0)
                 pair = {side: timed(clis[side], argv, where / f"out{side}") for side in order}
                 if index >= WARMUP:
@@ -100,11 +100,10 @@ def main(argv=None) -> int:
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("workload", choices=WORKLOADS)
     parser.add_argument("--jobs", type=int, default=200, help="timed pairs, after the warm-up")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be positive")
-    result = compare(args.tree_a.resolve(), args.tree_b.resolve(), args.workload, args.jobs, args.seed)
+    result = compare(args.tree_a.resolve(), args.tree_b.resolve(), args.workload, args.jobs)
     print(f"{args.workload}: {args.jobs} pairs after {WARMUP} warm-up pairs")
     print(f"A {args.tree_a}: median {1e3 * result['median_a_s']:.2f} ms")
     print(f"B {args.tree_b}: median {1e3 * result['median_b_s']:.2f} ms")
