@@ -51,8 +51,8 @@ from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
 from .matlin import (
     DEFAULT_RANK_TOL_REL,
     _per_shape,
-    _sign_fixed_columns,
     as_sym_matrix,
+    orthonormal_columns,
     ranked_svd,
     seed_sequence,
 )
@@ -412,19 +412,12 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _suite_q(blocks: np.ndarray) -> np.ndarray:
-    """Q of a (k, 10, n, n) stack of _suite_frames blocks by one qr, the columns of each frame and mix signed so
-    that R's diagonal is nonnegative; min_rank's slots keep Q as the qr gives it."""
-    q, r = np.linalg.qr(blocks)
-    q[:, :MIN_RANK_SLOT] = _sign_fixed_columns(q[:, :MIN_RANK_SLOT], r[:, :MIN_RANK_SLOT])
-    return q
-
-
 def _suite_frames(matrices: list) -> list[tuple]:
     """Per (basis, rng) of matrices, what rng draws after J, in order: the Poincare frame, the equivalence mixes,
     and min_rank's trials, as their complete Q and row counts. Each matrix's draws go zero-padded into one
-    (10, n, n) block, min_rank_trials' slots last, and the blocks of one n get one qr (_suite_q): a zero column
-    adds a reflector with tau = 0, and the zero rows below a mix leave its leading Q and R as they are."""
+    (10, n, n) block, min_rank_trials' slots last, and the blocks of one n get one sign-fixed qr
+    (orthonormal_columns): a zero column adds a reflector with tau = 0, and the zero rows below a mix leave its
+    leading Q and R as they are."""
     blocks, rows = [], []
     for basis, rng in matrices:
         n, rank, m = basis.dim, basis.rank, basis.dim - basis.rank
@@ -435,7 +428,7 @@ def _suite_frames(matrices: list) -> list[tuple]:
         blocks.append(np.concatenate([block, slots]))
         rows.append(counts)
     frames = []
-    for (basis, _), q, counts in zip(matrices, _per_shape(_suite_q, blocks), rows):
+    for (basis, _), q, counts in zip(matrices, _per_shape(orthonormal_columns, blocks), rows):
         rank, m = basis.rank, basis.dim - basis.rank
         frames.append((q[0, :, :rank], q[1:MIN_RANK_SLOT, :m, :m], q[MIN_RANK_SLOT:], counts))
     return frames

@@ -1,9 +1,9 @@
 """tools/cert_mutants.py: its table is deterministic, and the faults it finds caught stay caught by the same rows."""
 
-import importlib.util
 from pathlib import Path
 
 from crbkit.verify import THEOREM_IDS
+from util import load_tool
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cert_mutants.py"
 
@@ -15,16 +15,9 @@ CAUGHT = {
 }
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("cert_mutants", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_a_short_mutant_table_is_deterministic_and_keeps_its_caught_faults_caught():
     # three suite matrices and one J with a small rank gap under every mutant, twice; about 0.7 s on a 2-core host
-    tool = load_tool()
+    tool = load_tool(TOOL)
     short = [["certify", "--count", "3", "--seed", "0"], tool.SWEEP[-2]]
     assert short[1][-1] == "{tmp}/gap_n3.matx"
     first = tool.table(short)

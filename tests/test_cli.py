@@ -194,10 +194,11 @@ def test_each_certify_matrix_draws_its_inputs_from_one_stream(tmp_path):
 
 def test_one_padded_qr_per_size_gives_each_frame_of_the_unpadded_draws():
     # _suite_frames takes every matrix's Poincare frame, equivalence mixes and min_rank Q from one qr per size
-    # of their zero-padded (10, n, n) blocks; the reference orthonormalizes each unpadded draw alone. The
-    # mixes and min_rank's Q are bit-identical; so are the frames up to n = 7, while at n = 8 forming the
-    # padded block's complete Q moves some frames of rank 2, 3, 4 and 6 by at most 1.5 eps (unit columns,
-    # 2,000 draws per rank on OpenBLAS), so 2 eps is asserted
+    # of their zero-padded (10, n, n) blocks, signed so that R's diagonal is nonnegative; the reference
+    # orthonormalizes each unpadded draw alone, min_rank's slots by a complete qr with their leading columns
+    # signed by R's diagonal. The mixes and min_rank's Q are bit-identical; so are the frames up to n = 7, while
+    # at n = 8 forming the padded block's complete Q moves some frames of rank 2, 3, 4 and 6 by at most 1.5 eps
+    # (unit columns, 2,000 draws per rank on OpenBLAS), so 2 eps is asserted
     eps, worst = np.finfo(float).eps, 0.0
     for seed in range(10):
         matrices, reference = [], []
@@ -209,7 +210,9 @@ def test_one_padded_qr_per_size_gives_each_frame_of_the_unpadded_draws():
                 frame = orthonormal_columns(rng.standard_normal((n, rank)))
                 mixes = orthonormal_columns(rng.standard_normal((3, m, m)))
                 slots, rows = min_rank_trials(basis, 5, rng)
-                reference.append((frame, mixes, np.linalg.qr(slots[:, :, :m], mode="complete")[0], rows))
+                trials_q, r = np.linalg.qr(slots[:, :, :m], mode="complete")
+                trials_q[:, :, :m] *= np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+                reference.append((frame, mixes, trials_q, rows))
         for (frame, mixes, trials_q, rows), want in zip(_suite_frames(matrices), reference, strict=True):
             assert np.array_equal(mixes, want[1]) and np.array_equal(trials_q, want[2]) and rows == want[3]
             assert frame.shape == want[0].shape

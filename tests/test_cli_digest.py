@@ -1,21 +1,16 @@
 """tools/cli_digest.py: the sweep that compares two source trees gives each command the same line every run."""
 
-import importlib.util
+import warnings
 from pathlib import Path
+
+from util import load_tool
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location("cli_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_three_commands_digest_alike_in_two_temporary_directories():
     # each run writes its inputs and outputs under a new temporary directory, which stdout and stderr name
-    tool = load_tool()
+    tool = load_tool(TOOL)
     assert len(tool.COMMANDS) >= 58
     picked = [
         ["certify", "--count", "20", "--seed", "5000"],
@@ -28,3 +23,28 @@ def test_three_commands_digest_alike_in_two_temporary_directories():
     assert [line.split()[0] for line in first[:3]] == ["exit=0", "exit=4", "exit=2"]
     assert first[1].split()[3].startswith("files=47:")  # certificates, manifest and 45 witness files
     assert first[3].startswith("total ") and first[3].endswith(" over 3 commands")
+
+
+def test_a_sweep_goes_on_past_a_command_that_argparse_refuses():
+    # argparse exits 2 through SystemExit, which the runner reads as "argparse"; the next command still runs
+    lines = load_tool(TOOL).digest([["certify", "--count", "x"], ["certify", "--input", "{tmp}/zero.matx"]])
+    assert [line.split()[0] for line in lines[:2]] == ["exit=argparse", "exit=2"]
+    assert lines[2].startswith("total ") and lines[2].endswith(" over 2 commands")
+
+
+def test_the_runner_reads_an_escaped_exception_and_records_each_warning():
+    def main(argv):
+        print("out")
+        for _ in range(2):  # each warning is recorded, however often it repeats
+            warnings.warn("again", RuntimeWarning)
+        raise ValueError(" ".join(argv))
+
+    tool = load_tool(TOOL)
+    code, stdout, stderr, caught = tool.run(main, ["a", "b"])
+    assert code.startswith("raised: ValueError: a b at test_cli_digest.py:")
+    assert (stdout, stderr, caught) == ("out\n", "", ["RuntimeWarning: again"] * 2)
+    # a sweep hashes the exception's message and each warning as lines of stderr, the directory read as {tmp}
+    code, stdout, stderr = tool.sweep_run(main, ["{tmp}/x"], Path("/d"), Path("/d/out"))
+    assert code == "raised"
+    assert stderr.startswith("ValueError: {tmp}/x --out {tmp}/out at test_cli_digest.py:")
+    assert stderr.endswith("\nwarning: RuntimeWarning: again\nwarning: RuntimeWarning: again\n")

@@ -1,24 +1,18 @@
 """tools/cli_fuzz.py: random inputs end in a documented exit code and one error line, and runs rerun bit for bit."""
 
-import importlib.util
 from pathlib import Path
 
 import numpy as np
 
+from util import load_tool
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_fuzz.py"
-
-
-def load_tool():
-    spec = importlib.util.spec_from_file_location("cli_fuzz", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_three_hundred_fuzzed_commands_break_no_promise():
     # each exit 2 or 3 prints one error: line, nothing escapes main or warns, and each run that writes its
     # outputs (exit 0 or 4) reruns from its manifest.cfg to the same bytes; about 1.1 s on a 2-core host
-    exits, violations = load_tool().fuzz(20, 300)
+    exits, violations = load_tool(TOOL).fuzz(20, 300)
     assert violations == []
     assert set(exits) <= {0, 2, 3, 4, "argparse"}
     assert sum(exits.values()) == 300
@@ -26,7 +20,7 @@ def test_three_hundred_fuzzed_commands_break_no_promise():
 
 
 def test_a_seed_draws_the_same_commands_and_files(tmp_path):
-    tool = load_tool()
+    tool = load_tool(TOOL)
     drawn = []
     for name in ("a", "b"):
         directory = tmp_path / name

@@ -5,7 +5,6 @@ name, and reads some of their arguments by position, so renaming a traced
 function or reordering its arguments breaks the benchmark.
 """
 
-import importlib.util
 import inspect
 import sys
 import time
@@ -13,20 +12,13 @@ from pathlib import Path
 
 import crbkit.cli
 from crbkit import fim_monte_carlo, pinv_via_basis, ranked_svd, sample_minimum_constraints
+from util import load_tool
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_name_resolves():
-    tracer = load_tracer()
+    tracer = load_tool(TRACER_PATH)
     for name, (module, attr) in tracer.FUNCTIONS.items():
         assert callable(getattr(sys.modules[module], attr, None)), name
     for name, (module, cls, attr) in tracer.METHODS.items():
@@ -47,7 +39,7 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     path = tmp_path / "j.matx"
     path.write_text("3 3\n2 0 0\n0 1 0\n0 0 0\n")
     original = crbkit.cli.ranked_svd
-    tracer = load_tracer().Tracer()
+    tracer = load_tool(TRACER_PATH).Tracer()
     tracer.install()
     try:
         assert tracer.binding_problems() == []
@@ -118,7 +110,7 @@ def test_a_monte_carlo_j_is_factored_once(tmp_path):
     # calls, 10 of them qr; 224 with 80 qr when each J took 4)
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\n")
-    module = load_tracer()
+    module = load_tool(TRACER_PATH)
     tracer = module.Tracer()
     tracer.install()
     try:

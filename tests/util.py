@@ -4,6 +4,9 @@ The pseudoinverse oracle here deliberately uses the reciprocal-singular-value
 route so library results are checked against an independent construction.
 """
 
+import importlib.util
+import sys
+
 import numpy as np
 
 from crbkit.cli import derived_rng
@@ -88,3 +91,15 @@ def min_rank_certificate(j, trials, rng_seed, margin_tol=DEFAULT_MARGIN_TOL):
     """verify_min_rank over the trials that min_rank_trials(j, trials, rng_seed) draws, with one qr of their slots."""
     slots, rows = min_rank_trials(j, trials, rng_seed)
     return verify_min_rank(j, np.linalg.qr(slots)[0], rows, margin_tol)
+
+
+def load_tool(path):
+    """The script at path as a module named after its file, as it runs: registered in sys.modules, where
+    dataclasses look their module up, and with its directory on sys.path, so that it imports its neighbours."""
+    if str(path.parent) not in sys.path:
+        sys.path.append(str(path.parent))
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

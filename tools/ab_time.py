@@ -1,27 +1,28 @@
-"""Paired in-process timing of two crbkit source trees on one CLI workload.
+"""Paired in-process timing of two crbkit source trees on one benchmark workload.
 
 Usage:
 
     python3 tools/ab_time.py TREE_A TREE_B WORKLOAD [--jobs N]
 
-WORKLOAD is `certify` (certify --count 20, a fresh seed per job) or
-`experiment` (experiment --count 1000 on a fresh 32 x 32 rank-16 J per
-job). Each tree's src/crbkit is copied to a temporary directory as the
-package crbkit_a or crbkit_b; crbkit imports itself only relatively, so
-both trees load in this one process, on one numpy. Job i runs the same
-command through both trees' cli.main, in an order that alternates with
-i, and the tool prints each tree's median job wall time, the median of
-the paired ratios B/A, and the share of pairs in which B was faster.
-Pairs cancel the drift that separate runs of the benchmark show on a
-shared host; warm-up jobs are run first and not counted.
+WORKLOAD is certify_suite, experiment_wide or mc_blind_channel: the jobs,
+at benchmark seed 0, and the output check of that workload in
+perfbench/workloads.py. Each tree's src/crbkit is copied to a temporary
+directory as the package crbkit_a or crbkit_b; crbkit imports itself
+only relatively, so both trees load in this one process, on one numpy.
+Job i runs through both trees' cli.main (tools/cli_digest.py's run), in
+an order that alternates with i, and each tree's outputs must pass the
+check; a job that it marks as a known false FAIL passes, as it does in
+the benchmark. The tool refuses a tree whose outputs fail, and prints
+each tree's median job wall time, the median of the paired ratios B/A,
+and the share of pairs in which B was faster. Pairs cancel the drift
+that separate runs of the benchmark show on a shared host; warm-up jobs
+are run and checked first and not counted.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
-import io
 import shutil
 import statistics
 import sys
@@ -29,9 +30,11 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
+from cli_digest import run
 
-WORKLOADS = ("certify", "experiment")
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
 WARMUP = 3
 
 
@@ -41,45 +44,38 @@ def load_tree(tree: Path, name: str, where: Path):
     return importlib.import_module(f"{name}.cli")
 
 
-def job_argv(workload: str, index: int, inputs: Path) -> list[str]:
-    """The command of job index: certify at seed index, or a fresh 32 x 32 rank-16 J for experiment."""
-    if workload == "certify":
-        return ["certify", "--count", "20", "--seed", str(index)]
-    rng = np.random.default_rng(index)
-    q = np.linalg.qr(rng.standard_normal((32, 32)))[0]
-    d = np.append(rng.uniform(0.5, 2.0, 16), np.zeros(16))
-    path = inputs / f"j{index}.matx"
-    path.write_text("32 32\n" + "\n".join(" ".join(f"{x:.17g}" for x in row) for row in (q * d) @ q.T) + "\n")
-    return ["experiment", "--input", str(path), "--count", "1000", "--seed", str(index)]
-
-
-def timed(cli, argv: list[str], out: Path) -> float:
-    """Wall seconds of one cli.main call, its prints swallowed; a nonzero exit is an error."""
-    sink = io.StringIO()
+def timed(cli, job, check, out: Path, tree: Path) -> float:
+    """Wall seconds of job through one tree's cli.main, with its outputs in out, which must pass check."""
     start = time.perf_counter()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        code = cli.main(argv + ["--out", str(out)])
+    code, _, stderr, _ = run(cli.main, job.argv + ["--out", str(out)])
     elapsed = time.perf_counter() - start
-    if code != 0:
-        raise SystemExit(f"{' '.join(argv)} exited {code}: {sink.getvalue()}")
+    try:
+        problems, known = check(job, out, code)
+    except (OSError, KeyError, ValueError, IndexError) as exc:
+        problems, known = [f"exit code {code}", f"outputs unreadable: {exc!r}"], False
+    if problems and not known:
+        raise SystemExit(f"{tree}: job {job.index} ({' '.join(job.argv)}): {'; '.join(problems)}\n{stderr}")
+    shutil.rmtree(out)
     return elapsed
 
 
 def compare(tree_a: Path, tree_b: Path, workload: str, jobs: int) -> dict:
     """Each tree's median job seconds, the median paired ratio B/A and the share of pairs B won."""
+    make_jobs, check = WORKLOADS[workload]
+    trees = (tree_a, tree_b)
     with tempfile.TemporaryDirectory() as tmp:
         where = Path(tmp)
         sys.path.insert(0, str(where))
         try:
             clis = (load_tree(tree_a, "crbkit_a", where), load_tree(tree_b, "crbkit_b", where))
             times: tuple[list[float], list[float]] = ([], [])
-            for index in range(WARMUP + jobs):
-                argv = job_argv(workload, index, where)
-                order = (0, 1) if index % 2 == 0 else (1, 0)
-                pair = {side: timed(clis[side], argv, where / f"out{side}") for side in order}
-                if index >= WARMUP:
-                    times[0].append(pair[0])
-                    times[1].append(pair[1])
+            for job in make_jobs(0, where, WARMUP + jobs):
+                if job.write_input:
+                    job.write_input()
+                for side in (0, 1) if job.index % 2 == 0 else (1, 0):
+                    elapsed = timed(clis[side], job, check, where / f"out{side}", trees[side])
+                    if job.index >= WARMUP:
+                        times[side].append(elapsed)
         finally:
             sys.path.remove(str(where))
             for name in list(sys.modules):
@@ -98,7 +94,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
-    parser.add_argument("workload", choices=WORKLOADS)
+    parser.add_argument("workload", choices=list(WORKLOADS))
     parser.add_argument("--jobs", type=int, default=200, help="timed pairs, after the warm-up")
     args = parser.parse_args(argv)
     if args.jobs < 1:

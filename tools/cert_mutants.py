@@ -15,8 +15,10 @@ next mutant.
 It prints one line per mutant: for each certificate row (THEOREM_IDS of
 the tree's crbkit.verify), the number of sweep commands whose
 certificates.csv marks the row failed (- for none); the exit code of each
-command; and one sha256 over every command's stdout, stderr (the
-temporary directory read as {tmp}) and output files, witnesses included.
+command; and one sha256 over every command's stdout, stderr and output
+files, witnesses included, as tools/cli_digest.py's sweep_run gives them
+(an escaped exception reads `raised`, its message and a `warning: ...`
+line per warning added to stderr, the temporary directory read as {tmp}).
 The last line is the sha256 of all lines. Two trees whose lines agree
 caught the same faults with the same exit codes, messages, certificates
 and witness bytes.
@@ -27,28 +29,20 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import io
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-
-def _psd(eigenvalues: list[float]) -> np.ndarray:
-    """A fixed J with the given eigenvalues: Q diag(eigenvalues) Q' with Q from default_rng(1)."""
-    n = len(eigenvalues)
-    q = np.linalg.qr(np.random.default_rng(1).standard_normal((n, n)))[0]
-    return (q * np.array(eigenvalues)) @ q.T
-
+from cli_digest import _psd, read_files, sweep_run, write_inputs
 
 # J whose least kept eigenvalue lies 20 to 40 times above the rank cutoff sigma_max n rank_tol of the
 # sweep's --rank-tol 1e-3, so that a rule 100 times looser drops it; the suite's eigenvalues lie in [0.5, 2],
 # far above any cutoff, so no rank-rule mutant can show there.
 INPUTS = {
-    "gap_n3.matx": _psd([1.0, 0.1, 0.0]),
-    "gap_n5.matx": _psd([2.0, 1.5, 0.2, 0.0, 0.0]),
+    "gap_n3.matx": _psd([1.0, 0.1, 0.0], 1),
+    "gap_n5.matx": _psd([2.0, 1.5, 0.2, 0.0, 0.0], 1),
 }
 
 SWEEP = [["certify", "--count", "20", "--seed", str(seed)] for seed in range(3)] + [
@@ -142,32 +136,17 @@ def mutated(name: str):
             setattr(owner, attribute, original)
 
 
-def write_inputs(directory: Path) -> None:
-    """Write every J of INPUTS into directory in matx form, with repr floats."""
-    for name, value in INPUTS.items():
-        rows = [" ".join(repr(float(x)) for x in row) for row in value]
-        (directory / name).write_text("\n".join([f"{value.shape[0]} {value.shape[1]}", *rows]) + "\n", "ascii")
-
-
 def run(directory: Path, out: Path, argv: list[str], digest) -> tuple[str, set[str]]:
     """Run one command with its output in out, adding its streams and files to digest; its exit and failed rows."""
     from crbkit.cli import main
 
-    tmp = str(directory)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-        warnings.simplefilter("always")
-        try:
-            code = str(main([arg.replace("{tmp}", tmp) for arg in argv] + ["--out", str(out)]))
-        except Exception as exc:  # a traceback is a result to compare, and the sweep goes on
-            code = f"raised:{type(exc).__name__}"
-            stderr.write(f"{type(exc).__name__}: {exc}\n")
+    code, stdout, stderr = sweep_run(main, argv, directory, out)
     for stream in (stdout, stderr):
-        digest.update(stream.getvalue().replace(tmp, "{tmp}").encode() + b"\0")
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest.update(f"{path.relative_to(out).as_posix()}\0".encode() + path.read_bytes() + b"\0")
-    csv = out / "certificates.csv"
-    lines = csv.read_text("ascii").splitlines()[2:] if csv.is_file() else []
+        digest.update(stream.encode() + b"\0")
+    files = read_files(out)
+    for path, data in files.items():
+        digest.update(f"{path}\0".encode() + data + b"\0")
+    lines = files["certificates.csv"].decode("ascii").splitlines()[2:] if "certificates.csv" in files else []
     return code, {line.split(",")[0] for line in lines if line.split(",")[1] == "false"}
 
 
@@ -178,7 +157,7 @@ def table(sweep=SWEEP, mutants=MUTANTS) -> list[str]:
     lines = [" ".join([f"{'mutant':<28}", *rows, "exits", "sha256"])]
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
-        write_inputs(directory)
+        write_inputs(directory, INPUTS)
         for index, mutant in enumerate(mutants):
             digest, exits, failed = hashlib.sha256(), [], {row: 0 for row in rows}
             with mutated(mutant):

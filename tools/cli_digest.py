@@ -7,12 +7,18 @@ Usage:
 imports crbkit from TREE/src, writes the sweep's input files to a
 temporary directory, and runs each command of COMMANDS in this one
 process through crbkit.cli.main. It prints one line per command: the
-exit code (or the exception that escaped main, its message added to
-stderr), the sha256 of its stdout and of its stderr (the temporary
-directory read as {tmp}), the number of files it wrote and one sha256
-over their relative paths and contents, then the command. The last line
-is the sha256 of all those lines. Two trees whose totals agree gave the
-same exit codes, messages and output files on every command.
+exit code (see run; an escaped exception reads `raised`, its message
+added to stderr), the sha256 of its stdout and of its stderr (a
+`warning: ...` line added per warning, the temporary directory read as
+{tmp}), the number of files it wrote and one sha256 over their relative
+paths and contents, then the command. The last line is the sha256 of all
+those lines. Two trees whose totals agree gave the same exit codes,
+messages and output files on every command.
+
+The other tools import from here the one in-process runner (run, and
+sweep_run for a sweep that hashes its results), the matx writer of
+their input files (write_inputs), their fixed J (_psd) and the reader
+of a command's output files (read_files).
 """
 
 from __future__ import annotations
@@ -29,20 +35,64 @@ from pathlib import Path
 import numpy as np
 
 
-def _psd(n: int, rank: int, scale: float) -> np.ndarray:
-    """A fixed n x n J of the given rank: Q diag(d) Q' from default_rng(0), times scale."""
-    rng = np.random.default_rng(0)
-    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    d = np.zeros(n)
-    d[:rank] = np.linspace(2.0, 0.5, rank)
-    return scale * (q * d) @ q.T
+def run(main, argv: list[str]) -> tuple[int | str, str, str, list[str]]:
+    """main(argv) in this process: its exit code, "argparse" when argparse refuses argv, or "raised: ..." when an
+    exception escapes main; its stdout and stderr; and the warnings it issued, each shown whatever ran before."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses its own arguments with exit 2
+                code = "argparse" if exc.code == 2 else f"raised: SystemExit({exc.code})"
+            except Exception as exc:  # a traceback is a result to report, and the sweep goes on
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                code = f"raised: {type(exc).__name__}: {exc} at {Path(frame.filename).name}:{frame.lineno}"
+    return code, stdout.getvalue(), stderr.getvalue(), [f"{w.category.__name__}: {w.message}" for w in caught]
 
+
+def sweep_run(main, argv: list[str], directory: Path, out: Path) -> tuple[str, str, str]:
+    """run of argv, with {tmp} naming directory, and --out out, as a sweep hashes it: the exit code, "raised" for an
+    escaped exception, whose message joins stderr; stdout; and stderr with a `warning: ...` line per warning, both
+    reading directory as {tmp}."""
+    tmp = str(directory)
+    code, stdout, stderr, caught = run(main, [arg.replace("{tmp}", tmp) for arg in argv] + ["--out", str(out)])
+    if str(code).startswith("raised"):
+        code, stderr = "raised", f"{stderr}{code[len('raised: '):]}\n"
+    stderr += "".join(f"warning: {message}\n" for message in caught)
+    return str(code), stdout.replace(tmp, "{tmp}"), stderr.replace(tmp, "{tmp}")
+
+
+def read_files(directory: Path) -> dict[str, bytes]:
+    """The bytes of every file under directory by relative path, in path order; none if directory is missing."""
+    return {p.relative_to(directory).as_posix(): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def _psd(eigenvalues: list[float], seed: int, scale: float = 1.0) -> np.ndarray:
+    """A fixed J: scale Q diag(eigenvalues) Q', Q from the qr of an n x n Gaussian draw of default_rng(seed); scale
+    multiplies Q diag(eigenvalues) before the product, which fixes the bytes of the sweep's scaled J."""
+    n = len(eigenvalues)
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    return scale * (q * np.array(eigenvalues)) @ q.T
+
+
+def write_inputs(directory: Path, inputs: dict) -> None:
+    """Write each input file of inputs, by name, into directory: a matrix in matx form with repr floats, or text."""
+    for name, value in inputs.items():
+        if not isinstance(value, str):
+            rows = [" ".join(repr(float(x)) for x in row) for row in value]
+            value = "\n".join([f"{value.shape[0]} {value.shape[1]}", *rows]) + "\n"
+        (directory / name).write_text(value, encoding="ascii")
+
+
+_RANK3 = [2.0, 1.25, 0.5, 0.0, 0.0]
 
 # Input files by name: a matrix (written in matx form with repr floats) or config text.
 INPUTS = {
-    "rank3_scale1.matx": _psd(5, 3, 1.0),
-    "rank3_scale1e-8.matx": _psd(5, 3, 1e-8),
-    "rank3_scale1e8.matx": _psd(5, 3, 1e8),
+    "rank3_scale1.matx": _psd(_RANK3, 0),
+    "rank3_scale1e-8.matx": _psd(_RANK3, 0, 1e-8),
+    "rank3_scale1e8.matx": _psd(_RANK3, 0, 1e8),
     "indefinite_5e-10.matx": np.diag([1.0, -5e-10, 0.0]),
     "indefinite_1e-6.matx": np.diag([1.0, -1e-6, 0.0]),
     "zero.matx": np.zeros((2, 2)),
@@ -86,15 +136,6 @@ COMMANDS = (
 )
 
 
-def write_inputs(directory: Path) -> None:
-    """Write every file of INPUTS into directory."""
-    for name, value in INPUTS.items():
-        if isinstance(value, str):
-            text = value
-        else:
-            rows = [" ".join(repr(float(x)) for x in row) for row in value]
-            text = "\n".join([f"{value.shape[0]} {value.shape[1]}", *rows]) + "\n"
-        (directory / name).write_text(text, encoding="ascii")
 
 
 def _sha(data: bytes) -> str:
@@ -105,21 +146,13 @@ def command_line(directory: Path, index: int, argv: list[str]) -> str:
     """Run one command through crbkit.cli.main with its output in directory/out-index; its digest line."""
     from crbkit.cli import main
 
-    tmp = str(directory)
     out = directory / f"out-{index:03d}"
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
-        warnings.simplefilter("always")  # every command shows its own warnings, whatever ran before it
-        try:
-            code = main([arg.replace("{tmp}", tmp) for arg in argv] + ["--out", str(out)])
-        except Exception as exc:  # a traceback is a result to compare, and the sweep goes on
-            code = f"raised:{type(exc).__name__}"
-            stderr.write("".join(traceback.format_exception_only(exc)))
-    files = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else []
+    code, stdout, stderr = sweep_run(main, argv, directory, out)
+    files = read_files(out)
     tree = hashlib.sha256()
-    for path in files:
-        tree.update(f"{path.relative_to(out).as_posix()}\0{_sha(path.read_bytes())}\n".encode())
-    out_sha, err_sha = (_sha(stream.getvalue().replace(tmp, "{tmp}").encode())[:16] for stream in (stdout, stderr))
+    for path, data in files.items():
+        tree.update(f"{path}\0{_sha(data)}\n".encode())
+    out_sha, err_sha = (_sha(stream.encode())[:16] for stream in (stdout, stderr))
     return f"exit={code} stdout={out_sha} stderr={err_sha} files={len(files)}:{tree.hexdigest()[:16]} {' '.join(argv)}"
 
 
@@ -127,7 +160,7 @@ def digest(commands=COMMANDS) -> list[str]:
     """The digest line of each command, run in order over freshly written inputs, then the total."""
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
-        write_inputs(directory)
+        write_inputs(directory, INPUTS)
         lines = [command_line(directory, index, argv) for index, argv in enumerate(commands)]
     return lines + [f"total {_sha(chr(10).join(lines).encode())} over {len(lines)} commands"]
 

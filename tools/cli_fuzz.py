@@ -23,16 +23,14 @@ is one. The same SEED and COUNT draw the same commands on every run.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import sys
 import tempfile
-import traceback
-import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+
+from cli_digest import read_files, run
 
 # Tokens that replace one entry of a corrupted matrix; 1e400 reads as inf.
 BAD_ENTRIES = ("nan", "inf", "-inf", "1e400", "x", "1.0.0", "")
@@ -131,28 +129,6 @@ def draw_case(rng: np.random.Generator, directory: Path, index: int) -> list[str
     return argv
 
 
-def run(argv: list[str]) -> tuple[int | str, str, list[str]]:
-    """crbkit.cli.main(argv) in this process: its exit code, "argparse" or "raised: ...", stderr, and warnings."""
-    from crbkit.cli import main
-
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refuses its own arguments with exit 2
-                code = "argparse" if exc.code == 2 else f"raised: SystemExit({exc.code})"
-            except Exception as exc:  # a traceback is a violation to report, and the sweep goes on
-                frame = traceback.extract_tb(exc.__traceback__)[-1]
-                code = f"raised: {type(exc).__name__}: {exc} at {Path(frame.filename).name}:{frame.lineno}"
-    return code, stderr.getvalue(), [f"{w.category.__name__}: {w.message}" for w in caught]
-
-
-def _files(directory: Path) -> dict[str, bytes]:
-    return {p.relative_to(directory).as_posix(): p.read_bytes() for p in sorted(directory.rglob("*")) if p.is_file()}
-
-
 def problems(code, err: str, caught: list[str]) -> list[str]:
     """What one run did wrong, by the rules of the module docstring, rerun aside."""
     found = [f"warning {message}" for message in caught]
@@ -170,21 +146,23 @@ def problems(code, err: str, caught: list[str]) -> list[str]:
 
 def fuzz(seed: int, count: int) -> tuple[Counter, list[str]]:
     """Run count cases drawn from default_rng(seed); the count of each exit, and each violation with its case."""
+    from crbkit.cli import main
+
     rng, exits, violations = np.random.default_rng(seed), Counter(), []
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
         for index in range(count):
             argv = draw_case(rng, directory, index)
             out = directory / f"out-{index}"
-            code, err, caught = run(argv + ["--out", str(out)])
+            code, _, err, caught = run(main, argv + ["--out", str(out)])
             exits[code if not str(code).startswith("raised") else "raised"] += 1
             found = problems(code, err, caught)
             if code in (0, 4) and not found:
                 again = directory / f"rerun-{index}"
-                rerun = run([argv[0], "--input", str(out / "manifest.cfg"), "--out", str(again)])
-                found += [f"rerun: {p}" for p in problems(*rerun)]
-                if rerun[0] != code or _files(again) != _files(out):
-                    found.append(f"rerun from the manifest exited {rerun[0]} or wrote other files")
+                rerun, _, err, caught = run(main, [argv[0], "--input", str(out / "manifest.cfg"), "--out", str(again)])
+                found += [f"rerun: {p}" for p in problems(rerun, err, caught)]
+                if rerun != code or read_files(again) != read_files(out):
+                    found.append(f"rerun from the manifest exited {rerun} or wrote other files")
             case = " ".join(argv).replace(name, "{tmp}")
             violations += [f"case {index} ({case}): {problem}" for problem in found]
     return exits, violations
