@@ -14,6 +14,7 @@ every draw is a minimum constraint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,14 +31,14 @@ from .matlin import (
     as_ranked_svd,
     null_complements,
     orthonormal_columns,
-    random_stream,
     restricted_information,
     restricted_nonsingular,
+    seed_sequence,
 )
 from .matx import _parse_block, dump_matrix, format_row, read_ascii
 
-# Constraints drawn per chunk, each chunk one block of normals and, for a
-# stack, one stacked eigvalsh; chunks bound the sampler's working memory.
+# Constraints drawn per chunk, each chunk one block of column norms and steps and, for a stack,
+# one block of directions and one stacked eigvalsh; chunks bound the sampler's working memory.
 CONSTRAINT_CHUNK = 32
 
 # The sampler's ladder of steps: draw i of a sample is delta N with delta = STEPS[i % 6] and N
@@ -175,11 +176,11 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
 
 
 def _sampled(j, count: int, rng_seed):
-    """J factored, then its count draws in J's chart, CONSTRAINT_CHUNK at a time: each chunk's L and ||M||_F^2.
+    """J factored, then its count draws in J's chart, CONSTRAINT_CHUNK at a time: each chunk's ||L_j||^2 and ||M||_F^2.
 
-    Draw i is L = t delta_i N: N an (n - r, r) standard normal block from
-    random_stream(rng_seed), delta_i = STEPS[i % 6], and t <= 1 the largest
-    factor with c ||M||_F^2 <= (1 - c / lambda_r) / 2, M = L Lambda^-1/2 and
+    Draw i is L = t delta_i N: N an (n - r, r) standard normal block,
+    delta_i = STEPS[i % 6], and t <= 1 the largest factor with
+    c ||M||_F^2 <= (1 - c / lambda_r) / 2, M = L Lambda^-1/2 and
     c = basis.cutoff(r), and with ||M||_F^2 at most half the double range
     above sum 1/lambda_i, a cap that binds only past half the largest
     double; t and ||M||_F^2 are formed in units of 2^unit, near 1/lambda_r,
@@ -188,32 +189,36 @@ def _sampled(j, count: int, rng_seed):
     W'J_rW = Lambda, the bound U (U'J_rU)^-1 U' of Gorman and Hero is
     W Lambda^-1 W', whose nonzero eigenvalues 1/mu are those of the r x r
     X = Lambda^-1 + M'M. So 1/mu_min <= 1/lambda_r + ||M||_F^2 < 1/c:
-    restricted_nonsingular keeps every draw, and
-    tr X = sum 1/lambda_i + ||M||_F^2. A draw depends on its index alone, so
-    a sample's first k draws are the sample of k. Raises InvalidInput for a
-    count that is not a positive integer, FullRankFim when J is nonsingular
-    and InvalidMatrix when ranked_svd refuses J.
+    restricted_nonsingular keeps every draw, and tr X = sum 1/lambda_i +
+    ||M||_F^2, which reads N only through its squared column norms C_j,
+    chi^2(m) and independent of the columns' directions. A chunk draws its
+    (k, r) C from the stream seed_sequence(rng_seed); only
+    sample_minimum_stack draws directions. Each stream is drawn in draw
+    order, so a sample's first k draws are the sample of k. Raises
+    InvalidInput for a count that is not a positive integer, FullRankFim
+    when J is nonsingular and InvalidMatrix when ranked_svd refuses J.
     """
     _check_count(count, "count", 1)
     basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
     m, r = basis.dim - basis.rank, basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
-    rng, steps, inv_lam = random_stream(rng_seed), np.resize(STEPS, count), 1.0 / basis.sigma
-    cutoff = basis.cutoff(r)
-    room = 0.5 * (1.0 - cutoff / basis.sigma.min(initial=np.inf))  # (1 - c / lambda_r) / 2; 1/2 at rank 0
-    unit = max(0, int(np.frexp(inv_lam.max(initial=0.0))[1]))  # 2^unit is 1 where lambda_r > 1
-    unit_inv_lam, unit_cutoff = np.ldexp(inv_lam, -unit), np.ldexp(cutoff, unit)
-    cap = np.ldexp(0.5 * (np.finfo(float).max - np.sum(inv_lam)), -unit)  # on ||M||_F^2 / 2^unit
+    rng = np.random.default_rng(seed_sequence(rng_seed))
+    inv_lam, step_squares = 1.0 / basis.sigma, np.square(STEPS)
+    unit = max(0, math.frexp(inv_lam.max(initial=0.0))[1])  # 2^unit is 1 where lambda_r > 1
+    unit_inv_lam = np.ldexp(inv_lam, -unit)
+    limit = math.ldexp(0.5 * (np.finfo(float).max - inv_lam.sum()), -unit)  # the cap, on ||M||_F^2 / 2^unit
+    if r:  # and the room, c ||M||_F^2 <= (1 - c / lambda_r) / 2
+        cutoff = basis.cutoff(r)
+        limit = min(limit, 0.5 * (1.0 - cutoff / basis.sigma[-1]) / math.ldexp(cutoff, unit))
 
     def chunks():
         for start in range(0, count, CONSTRAINT_CHUNK):
-            step = steps[start : start + CONSTRAINT_CHUNK, None, None]
-            scaled = step * rng.standard_normal((len(step), m, r))  # delta N
-            squares = np.sum(np.square(scaled) * unit_inv_lam, axis=(1, 2))  # ||delta N Lambda^-1/2||_F^2 / 2^unit
-            shrink = room / np.maximum(room, unit_cutoff * squares)  # t^2 under the room
-            shrink *= cap / np.maximum(cap, shrink * squares)  # t^2 under the cap too
-            yield np.sqrt(shrink)[:, None, None] * scaled, np.ldexp(shrink * squares, unit)
+            step_2 = step_squares[np.arange(start, min(count, start + CONSTRAINT_CHUNK)) % len(STEPS)]  # delta^2
+            norms = rng.chisquare(m, (len(step_2), r))  # C, each column's ||N_j||^2
+            squares = step_2 * (norms @ unit_inv_lam)  # ||delta N Lambda^-1/2||_F^2 / 2^unit
+            shrink = limit / np.maximum(limit, squares)  # t^2
+            yield (shrink * step_2)[:, None] * norms, np.ldexp(np.minimum(squares, limit), unit)
 
     return basis, chunks()
 
@@ -222,7 +227,7 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
     """The (count,) traces of the constraints of sample_minimum_stack(j, count, rng_seed), in draw order.
 
     Each is tr X = sum 1/lambda_i + ||M||_F^2, read in closed form from its
-    draw (see _sampled): no LAPACK call, no F and no mu.
+    draw's column norms (see _sampled): no direction, no LAPACK call, no F and no mu.
     """
     basis, chunks = _sampled(j, count, rng_seed)
     return np.sum(1.0 / basis.sigma) + np.concatenate([squares for _, squares in chunks])
@@ -231,16 +236,22 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
     """Draw count random minimum constraints for a singular J as one evaluated stack, in draw order.
 
-    Each Jacobian is F = U_bar' + L U_r' for a draw L of _sampled; its mu are
-    read from one eigvalsh of the chunk's X = Lambda^-1 + M'M. Its rows are
-    not orthonormal, but its singular values are at least one, so the svd
-    row-rank rule of evaluate_constraints gives it row rank m unless
+    Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled and
+    its direction from a standard normal g of the second stream
+    seed_sequence(rng_seed, 1), so N is standard normal. Each Jacobian is
+    F = U_bar' + L U_r'; its mu are read from one eigvalsh of the chunk's
+    X = Lambda^-1 + M'M. Its rows are not orthonormal, but its singular
+    values are at least one, so the svd row-rank rule of
+    evaluate_constraints gives it row rank m unless
     sigma_max(F) max(m, n) rank_tol_rel reaches one.
     """
     basis, chunks = _sampled(j, count, rng_seed)
+    directions = np.random.default_rng(seed_sequence(rng_seed, 1))
     diagonal, root = np.diag(1.0 / basis.sigma), np.sqrt(1.0 / basis.sigma)
     f_jacs, mu = [], []
-    for l_mat, _ in chunks:
+    for l_squares, _ in chunks:
+        g = directions.standard_normal((len(l_squares), basis.dim - basis.rank, basis.rank))
+        l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
         m_mat = l_mat * root
         mu.append(1.0 / np.linalg.eigvalsh(diagonal + m_mat.transpose(0, 2, 1) @ m_mat)[:, ::-1])
         f_jacs.append(basis.u_bar.T + l_mat @ basis.u_r.T)

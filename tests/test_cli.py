@@ -88,7 +88,11 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # every other output as it was; every output read from a's J (a's, e's, e2's, c2's and m's, not
     # the manifests) was retaken when the Monte-Carlo J came to be factored as estimated, with no
     # clip of its least eigenvalue (-8.5e-16 here), which moves J by roundoff, and a's constraint
-    # when its offset came to vanish at the run's theta; they cover the labeled CLI streams, the Monte-Carlo
+    # when its offset came to vanish at the run's theta; e's and e2's traces and c's and c2's certificates
+    # were retaken when the samplers came to draw each constraint's squared column norms, chi^2(n - r),
+    # from the sample's stream and, for a stack alone, their directions from a second stream, which
+    # moves every sampled trace and every sampled trace_bound and eigen_dominance margin and leaves
+    # every other output as it was; they cover the labeled CLI streams, the Monte-Carlo
     # partitions, the sampler and the min_rank trials, the analyze runs' pseudoinverse,
     # constrained bound, constraint and report, and each run's manifest, whose input or model
     # branch follows the kind of input
@@ -123,10 +127,10 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "a/j_pinv.matx": "d13537e0814cd19ac5fdb17369a2984f9bff4da7862ef2525d08d9764e897fd9",
         "a/crb_constrained.matx": "1758d54342a7c27b1a4a570def027ececfe738e231c2493fc438e0b8c48e10ef",
         "a/constraint.matx": "f8343fc87176ef41436373ba233f19660a180a259189574ac6921c408ba52719",
-        "e/traces.csv": "ebb01dfb3d0720cb4a4273f910c8efabe3f9cbcf12d9c1069cb5176d512e99bb",
-        "e2/traces.csv": "f434782362c8869440ebab5ac67817e2891c2247276d96f59081f6b995473e11",
-        "c/certificates.csv": "fd6357bb9088f844eb0c466ebb53686fa87f5bfa05dfd05e20b45a12ba0c90fb",
-        "c2/certificates.csv": "213424cc3d26ba077d9eb3971444c50a1c2c15e453e5066a427fcf0211fdbd16",
+        "e/traces.csv": "81f00c785c0e6b117d4989f040a88d4a5c40b5aa5b554e24b9b912192ce2d278",
+        "e2/traces.csv": "42f6c9b15d4aed0bfbe8c74a902f9cb13bd70229b7eb8f9546daecfb76e7bc58",
+        "c/certificates.csv": "938b599db4369b463e3073408177089b731bcdd17cf19a0fa6e6ca345cee031e",
+        "c2/certificates.csv": "fd6c90c27f7bcca10e41763db25def3939c7144f8513bd7230b22d91995fb216",
         "m/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
         "m/analysis.csv": "988bef45b55776ab4700e5a11f6552de42600f40e06b476687743e10707b5384",
         "m/j_pinv.matx": "d13537e0814cd19ac5fdb17369a2984f9bff4da7862ef2525d08d9764e897fd9",
@@ -220,9 +224,11 @@ def test_one_padded_qr_per_size_gives_each_frame_of_the_unpadded_draws():
     assert worst <= 2.0
 
 
-def test_a_certify_suite_derives_three_seeds_per_matrix(tmp_path, monkeypatch):
+def test_a_certify_suite_derives_four_seeds_per_matrix(tmp_path, monkeypatch):
     # the shapes' stream, then per matrix its own stream, its sampler's sub-seed and the sampler's
-    # stream from that sub-seed: 61 derivations for 20 matrices, where seven per matrix made 141
+    # two streams from that sub-seed, the column norms' and the directions': 81 derivations for 20
+    # matrices, where three per matrix made 61, before the sampler drew directions from a stream of
+    # their own, and seven per matrix 141
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("crbkit") and hasattr(module, "seed_sequence"):
@@ -231,7 +237,7 @@ def test_a_certify_suite_derives_three_seeds_per_matrix(tmp_path, monkeypatch):
     for seed in (0, 6):
         calls.clear()
         assert main(["certify", "--count", "20", "--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0
-        assert len(calls) == 61
+        assert len(calls) == 81
 
 
 def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
@@ -263,7 +269,8 @@ def test_experiment_keeps_its_bytes_at_the_benchmark_shape(tmp_path):
     # a 32 x 32 rank-16 J, the experiment_wide shape: 100 rows of 17-digit traces and margins,
     # a 32-column j.matx and its manifest; digests taken before the CSV rows and the matx rows
     # came to be formatted with one % call each, and traces.csv's retaken when the sampler came to
-    # draw each constraint in J's chart
+    # draw each constraint in J's chart, and again when it came to draw each constraint's squared
+    # column norms, chi^2(n - r), in place of its (n - r, r) normals
     save_matrix(tmp_path / "wide.matx", make_psd(np.random.default_rng(32), 32, 16))
     argv = ["experiment", "--input", str(tmp_path / "wide.matx"), "--count", "100", "--seed", "7"]
     assert main(argv + ["--out", str(tmp_path / "e")]) == 0
@@ -272,7 +279,7 @@ def test_experiment_keeps_its_bytes_at_the_benchmark_shape(tmp_path):
         for name in ("traces.csv", "j.matx", "manifest.cfg")
     }
     assert digests == {
-        "traces.csv": "a7e135d61f442dff239c2cc84b51be0f161bd2aecff5e0cc05f05c114c86be8f",
+        "traces.csv": "06b6cd04790bb46242853df8cf7be1be17004845486273d1978e346b825bdb48",
         "j.matx": "acbecc7739d845219311320dce136a816bbdbc3496433ff92810a096a5d98f1b",
         "manifest.cfg": "1e5e25f85510744b87cfe4a5981a5fe78933cd0f35b4d3d0ce5fb489c00c8564",
     }

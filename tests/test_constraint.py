@@ -226,7 +226,8 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
     # 70 constraints take three chunks of at most 32; each draw is rebuilt one at a time from the
     # documented law (util.chart_draws), at the default cutoff and at 0.02, where t shrinks the
     # large steps; F = U_bar' + L U_r' and each trace sum 1/lambda_i + ||L Lambda^-1/2||_F^2 agree to
-    # a few ulps
+    # a few ulps. The law's N was drawn whole from one stream until each column's squared norm and its
+    # direction came from two; chart_draws follows the law as it stands
     q = random_orthonormal(np.random.default_rng(5), 6, 6)
     j = (q * np.array([1.0, 0.5, 0.2, 0.0, 0.0, 0.0])) @ q.T
     j = 0.5 * (j + j.T)
@@ -248,8 +249,9 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
 
 
 def test_a_samples_first_k_constraints_are_the_sample_of_k():
-    # a draw depends on its index alone, so a shorter sample is a prefix of a longer one, bit for bit,
-    # across the chunk boundaries at 32 and 64 and where t shrinks draws (rank_tol 0.1)
+    # each of the sampler's two streams, the column norms' and the directions', is drawn in draw order,
+    # so a shorter sample is a prefix of a longer one, bit for bit, across the chunk boundaries at 32
+    # and 64 and where t shrinks draws (rank_tol 0.1)
     for tol in (1e-10, 0.1):
         basis = ranked_svd(make_psd(np.random.default_rng(17), 7, 3), tol)
         stack = sample_minimum_stack(basis, 100, 4)
@@ -289,7 +291,8 @@ def test_sampled_flags_follow_the_row_rank_rule():
 def test_sampled_stack_holds_the_draws_its_specs_label():
     # a lone chunk, a count above CONSTRAINT_CHUNK and a loose cutoff: the stack holds, in draw order,
     # the Jacobians of the documented draws, every one of them minimum, and the specs carry the labels
-    # sampled-i and the orthonormal rows of the stack's Jacobians
+    # sampled-i and the orthonormal rows of the stack's Jacobians; the documented draws (util.chart_draws)
+    # moved when N came to take its column norms and directions from two streams
     rng = np.random.default_rng(8)
     for basis, count in [(ranked_svd(make_psd(rng, 5, 2)), 20), (ranked_svd(make_psd(rng, 6, 3), 0.05), 20),
                          (ranked_svd(make_psd(rng, 5, 2)), 40)]:
@@ -485,38 +488,100 @@ def test_the_trace_sampler_returns_the_accepted_traces_as_one_float64_array():
         assert np.all(np.abs(traces - expected) <= 10 * basis.rank * EPS * expected)
 
 
-def scripted_stream(monkeypatch, draws):
-    """Make the samplers draw the given (k, n - r, r) chunk of N, once, in place of their Gaussian stream."""
-    chunks = [np.array(draws, dtype=float)]
+def scripted_streams(monkeypatch, norms, directions):
+    """Make the samplers draw the given (k, r) chi^2(n - r) column norms C from their stream seed_sequence(seed)
+    and the given (k, n - r, r) Gaussian directions g from seed_sequence(seed, 1), once each."""
+    m = np.shape(directions)[1]
 
-    class Scripted:
-        def standard_normal(self, shape):
-            assert chunks and shape == chunks[0].shape, shape
-            return chunks.pop()
+    class Scripted(np.random.Generator):  # np.random.default_rng returns a Generator as it is
+        def __init__(self, method, block):
+            super().__init__(np.random.PCG64(0))
+            self.method, self.blocks = method, [np.array(block, dtype=float)]
 
-    monkeypatch.setattr(constraint_module, "random_stream", lambda seed: Scripted())
+        def chisquare(self, df, size):
+            assert self.method == "chisquare" and df == m, (self.method, df)
+            return self.pop(size)
+
+        def standard_normal(self, size):
+            assert self.method == "standard_normal", self.method
+            return self.pop(size)
+
+        def pop(self, size):
+            assert self.blocks and size == self.blocks[0].shape, size
+            return self.blocks.pop()
+
+    streams = {(): Scripted("chisquare", norms), (1,): Scripted("standard_normal", directions)}
+    monkeypatch.setattr(constraint_module, "seed_sequence", lambda seed, *key: streams[key])
+
+
+def test_the_trace_sampler_never_draws_a_direction(monkeypatch):
+    # the traces read each draw's column norms alone: with the derivation of the direction stream
+    # seed_sequence(seed, 1) made to raise, sample_constraint_traces gives its traces bit for bit, across
+    # chunks and where t shrinks draws, while sample_minimum_stack, which needs the directions, raises
+    basis = ranked_svd(make_psd(np.random.default_rng(41), 7, 3), 0.1)
+    expected = sample_constraint_traces(basis, 70, 12)
+    real = constraint_module.seed_sequence
+
+    def norms_only(seed, *key):
+        if key:
+            raise AssertionError(f"the stream {key} was derived")
+        return real(seed)
+
+    monkeypatch.setattr(constraint_module, "seed_sequence", norms_only)
+    assert sample_constraint_traces(basis, 70, 12).tobytes() == expected.tobytes()
+    with pytest.raises(AssertionError, match=r"the stream \(1,\) was derived"):
+        sample_minimum_stack(basis, 70, 12)
+
+
+def test_sampled_normals_follow_the_chi_square_law():
+    # at the default cutoff on this J, t = 1, so N = L / delta_i. Over 10^4 draws of N (3 x 2) from the
+    # documented law (util.chart_draws, the stack's draws to a few ulps) the squared column norms C have
+    # mean m = 3 and variance 2m, the directions d = N_j / ||N_j|| have E[dd'] = I/m, and N_j N_j' = C dd'
+    # has mean I, each within 5 standard errors
+    basis = ranked_svd(np.diag([1.0, 0.5, 0.0, 0.0, 0.0]))
+    count, m = 10_000, 3
+    steps = np.resize([1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0], count)[:, None]
+    l_mats = chart_draws(basis, count, 21)
+    stack = sample_minimum_stack(basis, count, 21)
+    assert np.all(np.abs(stack.f_jacs @ basis.u_r - l_mats) <= 8 * EPS * np.abs(l_mats).max(axis=(1, 2))[:, None, None])
+    norms = np.sum(np.square(l_mats), axis=1) / steps**2  # C, (count, r)
+    traces = sample_constraint_traces(basis, count, 21)
+    assert np.allclose(traces, np.sum(1.0 / basis.sigma) + steps[:, 0] ** 2 * (norms @ (1.0 / basis.sigma)), rtol=1e-12)
+    norms = norms.ravel()
+    assert abs(norms.mean() - m) <= 5 * np.sqrt(2 * m / norms.size)
+    assert abs(norms.var() - 2 * m) <= 5 * np.sqrt((8 * m**2 + 48 * m) / norms.size)  # chi^2(m)'s 4th moment
+    d = (l_mats / np.linalg.norm(l_mats, axis=1, keepdims=True)).transpose(0, 2, 1).reshape(-1, m)
+    for products, mean in ((d[:, :, None] * d[:, None, :], np.eye(m) / m),
+                           (norms[:, None, None] * d[:, :, None] * d[:, None, :], np.eye(m))):
+        error = np.std(products, axis=0) / np.sqrt(len(products))
+        assert np.all(np.abs(products.mean(axis=0) - mean) <= 5 * error)
 
 
 def test_sampled_spectra_and_traces_against_exact_rationals(monkeypatch):
     # J = diag(1, 1/4, 2^-12, 0, 0) has unit eigenvectors and a rational Lambda^-1/2; draws 3, 4 and 5
-    # have steps 1, 10 and 100, which scale these N exactly, and t = 1, so each X = Lambda^-1 + M'M is
-    # rational, and its power sums tr X = sum 1/mu and tr X^2 = sum 1/mu^2 are exact; draw 5 leaves
-    # U'J_rU a condition number above 1e8. Both samplers read them within 10 r eps
+    # have steps 1, 10 and 100 and t = 1. Each of their columns g_j is Pythagorean, ||g_j|| a whole number,
+    # and its squared norm C_j = ||g_j||^2 s_j^2 for a dyadic s_j, so N_j = sqrt(C_j / ||g_j||^2) g_j = s_j g_j
+    # is exact, and each X = Lambda^-1 + M'M is rational, and its power sums tr X = sum 1/mu and
+    # tr X^2 = sum 1/mu^2 are exact; draw 5 leaves U'J_rU a condition number above 1e8. Both samplers read
+    # them within 10 r eps. The draws were N's entries themselves until the samplers came to draw each
+    # column's squared norm and direction from two streams
     basis = ranked_svd(np.diag([1.0, 0.25, 2.0 ** -12, 0.0, 0.0]))
     assert set(np.abs(np.concatenate([basis.u_r, basis.u_bar], axis=1)).ravel()) == {0.0, 1.0}
-    blocks = [[[1, -1, 0.5], [0.5, 2, 0.25]], [[3, 1, -2], [0.5, 1, -1]], [[0.5, 0.5, 2], [-1, 0.125, 4]]]
-    draws = np.concatenate([np.ones((3, 2, 3)), np.array(blocks, dtype=float)])
-    scripted_stream(monkeypatch, draws)
+    columns = [[[4, 3, 0], [-3, 4, -1]], [[-3, 4, 3], [4, 3, -4]], [[3, 4, -3], [4, -3, 4]]]
+    scales = [[0.5, 0.25, 2], [0.125, 1, 0.5], [0.5, 0.5, 1]]
+    directions = np.concatenate([np.ones((3, 2, 3)), np.array(columns, dtype=float)])
+    norms = np.sum(directions**2, axis=1) * np.concatenate([np.ones((3, 3)), np.square(scales)])
+    scripted_streams(monkeypatch, norms, directions)
     mu = sample_minimum_stack(basis, 6, 0).utju_eigs
-    scripted_stream(monkeypatch, draws)
+    scripted_streams(monkeypatch, norms, directions)
     traces = sample_constraint_traces(basis, 6, 0)
     assert mu[5, 2] / mu[5, 0] > 1e8
     root = [Fraction(1), Fraction(2), Fraction(64)]  # Lambda^-1/2
-    for i, (step, block) in enumerate(zip((1, 10, 100), blocks), 3):
-        m_mat = [[step * Fraction(v) * root[c] for c, v in enumerate(row)] for row in block]
+    for i, (step, block, scale) in enumerate(zip((1, 10, 100), columns, scales), 3):
+        m_mat = [[step * v * Fraction(scale[c]) * root[c] for c, v in enumerate(row)] for row in block]
         x = exact.matmul(exact.transpose(m_mat), m_mat)
-        for c, scale in enumerate(root):
-            x[c][c] += scale ** 2
+        for c, unit in enumerate(root):
+            x[c][c] += unit ** 2
         tr_x, tr_x2 = exact.trace(x), exact.trace(exact.matmul(x, x))
         for computed, power in ((np.sum(1.0 / mu[i]), tr_x), (np.sum(1.0 / mu[i] ** 2), tr_x2), (traces[i], tr_x)):
             assert abs(Fraction(float(computed)) - power) <= 10 * 3 * EPS * power, i

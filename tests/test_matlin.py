@@ -286,8 +286,10 @@ def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
     # numpy raised "TypeError: SeedSequence expects int or sequence of ints for entropy not 1.5" for
     # the seed, and a TypeError from the draw's shape for the count and the trials; a count or trial
     # count of True leaked a TypeError too, a seed of True was read as 1, n_samples = True was "at least
-    # 100" and n_samples = 1000.5 leaked a TypeError from range(); a numpy integer and a Generator still
-    # pass, and the sample floor keeps its message
+    # 100" and n_samples = 1000.5 leaked a TypeError from range(); a numpy integer still passes, and so
+    # does a Generator for min_rank_trials. The samplers derive two streams from their seed, so they refuse
+    # a Generator, which they took before the directions came to have a stream of their own. The sample floor
+    # keeps its message
     j, model = np.diag([1.0, 0.0]), gaussian_location(2)
     calls = {
         "seed must be an integer, got 1.5": [
@@ -321,6 +323,9 @@ def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
             assert str(info.value) == message
     assert sample_constraint_traces(j, np.int64(2), np.uint32(1)).tolist() == sample_constraint_traces(j, 2, 1).tolist()
     assert min_rank_certificate(j, np.int32(2), np.random.default_rng(1)).n_cases == 3
+    for sample in (sample_minimum_stack, sample_minimum_constraints, sample_constraint_traces):
+        with pytest.raises(InvalidInput, match=r"^seed must be an integer, got Generator\(PCG64\)"):
+            sample(j, 2, np.random.default_rng(1))
 
 
 def test_null_complement_frozen_examples():

@@ -604,7 +604,8 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
 
 def test_sampled_stack_spans_several_chunks():
     # 70 constraints take three chunks of at most 32, here at a loose cutoff; the stack holds the
-    # Jacobians of all of them, in draw order
+    # Jacobians of all of them, in draw order, as the documented law (util.chart_draws) draws them,
+    # since N's column norms and directions came from two streams
     rng = np.random.default_rng(44)
     basis = ranked_svd(random_rank_deficient_psd(6, 3, rng), 0.02)
     l_mats = chart_draws(basis, 70, 5)
