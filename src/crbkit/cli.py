@@ -62,17 +62,17 @@ from .verify import (
     CSV_VERSION_LINE,
     DEFAULT_MARGIN_TOL,
     THEOREM_IDS,
+    _eigen_dominance_stage,
+    _equivalence_stage,
+    _min_rank_stage,
+    _poincare_stage,
     _random_psds,
+    _trace_bound_stage,
     counterexample_check,
     certificates_to_csv,
     merge_certificates,
     min_rank_trials,
     passes,
-    verify_constraint_equivalence,
-    verify_eigen_dominance,
-    verify_min_rank,
-    verify_poincare,
-    verify_trace_bound,
     write_certificate_witnesses,
 )
 
@@ -441,24 +441,37 @@ def _suite_stage(config: RunConfig, shapes: list, start: int) -> list[tuple]:
     return [(_factor_j(j, config.rank_tol_rel), rng) for j, (_, _, rng) in zip(_random_psds(draws), draws)]
 
 
-def _certify_one_matrix(basis, frames: tuple, config: RunConfig, index: int, constraints_count: int):
-    """Yield the certificates of one singular J, factored once as basis, in THEOREM_IDS order; frames are its
-    draws from _suite_frames."""
-    (frame, mixes, trials_q, rows), tol = frames, config.margin_tol
-    stack = sample_minimum_stack(basis, constraints_count, derived_seed(config.seed, "certify-constraints", index))
-    yield verify_trace_bound(basis, stack, tol)
-    yield verify_eigen_dominance(basis, stack, tol)
-    yield verify_poincare(basis, frame, tol)
-    # orthonormal (m, m) mixes keep the rows of U_bar' orthonormal, so no ill-conditioned mix fails the row-rank test
-    yield verify_constraint_equivalence(basis, mixes @ basis.u_bar.T, tol)
-    yield verify_min_rank(basis, trials_q, rows, tol)
+def _certify_stage(matrices: list, frames: list, config: RunConfig, start: int, constraints_count: int) -> list:
+    """Each theorem's certificate but the counterexample's over the (basis, rng) of matrices, suite matrices start,
+    start + 1, ..., and their _suite_frames: their stacks sampled, then one check of each theorem for the stage. A
+    failure is reported as if each matrix went through THEOREM_IDS in turn, a sampler's as its trace_bound: a failed
+    stage of several matrices is certified again one matrix at a time. A FloatingPointError escapes as it is."""
+    bases, theorem, certificates = [basis for basis, _ in matrices], 0, []
+    try:
+        seeds = [derived_seed(config.seed, "certify-constraints", start + index) for index in range(len(bases))]
+        stacks = [sample_minimum_stack(basis, constraints_count, seed) for basis, seed in zip(bases, seeds)]
+        frame, mixes, trials_q, rows = zip(*frames)
+        # orthonormal (m, m) mixes keep U_bar's rows orthonormal, so no ill-conditioned mix fails the row-rank test
+        alternatives = [mix @ basis.u_bar.T for mix, basis in zip(mixes, bases)]
+        checks = [(_trace_bound_stage, stacks), (_eigen_dominance_stage, stacks), (_poincare_stage, frame),
+                  (_equivalence_stage, alternatives), (_min_rank_stage, trials_q, rows)]
+        for theorem, (check, *inputs) in enumerate(checks):
+            certificates.append(check(bases, *inputs, config.margin_tol))
+    except (CrbKitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        for i in range(len(bases)) if len(bases) > 1 else []:
+            _certify_stage(matrices[i : i + 1], frames[i : i + 1], config, start + i, constraints_count)
+        if isinstance(exc, FloatingPointError):
+            raise
+        raise CliError(EXIT_NUMERICAL, f"certify matrix {start}, {THEOREM_IDS[theorem]}: {exc}") from exc
+    return certificates
 
 
 def cmd_certify(config: RunConfig) -> int:
     """Run the full certificate suite; exit 4 when any inequality fails.
 
     The suite runs in stages of CERTIFY_STAGE matrices: each stage's J (_suite_stage), then their
-    _suite_frames, with one qr per n, then each J's certificates, in matrix order.
+    _suite_frames, with one qr per n, their sampled stacks, and one check of each theorem for the stage
+    (_certify_stage), whose stacked LAPACK calls each take every operand of one shape.
     """
     out = config.output_dir
 
@@ -483,17 +496,9 @@ def cmd_certify(config: RunConfig) -> int:
         stages = [[(basis, derived_rng(config.seed, "certify-matrix", 0))]]
         constraints_count = config.count
 
-    per_theorem: dict[str, list] = {tid: [] for tid in THEOREM_IDS if tid != "counterexample"}
-    staged = ((basis, frames) for matrices in stages for (basis, _), frames in zip(matrices, _suite_frames(matrices)))
-    for index, (basis, frames) in enumerate(staged):
-        certs = _certify_one_matrix(basis, frames, config, index, constraints_count)
-        for theorem_id, parts in per_theorem.items():
-            try:
-                parts.append(next(certs))
-            except (CrbKitError, np.linalg.LinAlgError) as exc:
-                raise CliError(EXIT_NUMERICAL, f"certify matrix {index}, {theorem_id}: {exc}") from exc
-
-    certificates = [merge_certificates(parts) for parts in per_theorem.values()]
+    parts = [_certify_stage(matrices, _suite_frames(matrices), config, CERTIFY_STAGE * i, constraints_count)
+             for i, matrices in enumerate(stages)]
+    certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)]
     certificates.append(counterexample_check())
 
     (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")

@@ -7,9 +7,9 @@ synthesizes the optimal affine constraint from the information null
 space, and samples random minimum constraints for experiments: one
 evaluated stack, its traces, or labeled specs.
 One evaluator, _evaluate, makes one svd and one eigvalsh call per stack
-of Jacobians for evaluate_constraints, constrained_crb and the
-equivalence certificate. The samplers draw in J's chart instead, where
-every draw is a minimum constraint.
+of Jacobians for evaluate_constraints and constrained_crb; the
+equivalence certificate makes them for a stage of J. The samplers draw
+in J's chart instead, where every draw is a minimum constraint.
 """
 
 from __future__ import annotations

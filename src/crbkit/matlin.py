@@ -191,12 +191,17 @@ class RankedSvd:
         return _freeze(np.concatenate([1.0 / self.sigma[::-1], np.zeros(self.dim - self.rank)]))
 
 
-def restricted_information(basis: RankedSvd, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def restricted_information(basis, u) -> tuple[np.ndarray, np.ndarray]:
     """U'J_rU = Y' diag(lambda_r) Y, Y = U_r'U, symmetrized, for a (k, n, p) stack of bases U, and its
-    ascending eigenvalues; J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+."""
-    y = basis.u_r.T @ u
-    restricted = y.transpose(0, 2, 1) @ (basis.eigenvalues[: basis.rank, None] * y)
-    restricted = 0.5 * (restricted + restricted.transpose(0, 2, 1))
+    ascending eigenvalues; J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+.
+    basis and u may also be lists, of J's and of their stacks of one k and p: their U'J_rU come as one
+    (len(basis), k, p, p) stack, with one eigvalsh call for all."""
+    many, parts = isinstance(basis, list), []
+    for one, stack in zip(basis, u) if many else [(basis, u)]:
+        y = one.u_r.T @ stack
+        parts.append(y.transpose(0, 2, 1) @ (one.eigenvalues[: one.rank, None] * y))
+    restricted = np.stack(parts) if many else parts[0]
+    restricted = 0.5 * (restricted + restricted.swapaxes(-1, -2))
     return restricted, np.linalg.eigvalsh(restricted)
 
 
@@ -206,13 +211,14 @@ def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
     return np.all(mu > basis.cutoff(mu.shape[-1]), axis=-1)
 
 
-def _bounds(u: np.ndarray, restricted: np.ndarray) -> np.ndarray:
+def _bounds(u: np.ndarray, restricted: np.ndarray, inverse: np.ndarray | None = None) -> np.ndarray:
     """U (U'JU)^-1 U', symmetrized, for a (k, n, r) stack of bases U; one inv call for all.
 
-    restricted is the (k, r, r) stack of U'JU, each nonsingular. An
+    restricted is the (k, r, r) stack of U'JU, each nonsingular; inverse,
+    when given, is its inverse, taken by a stacked inv call of many J. An
     inverse that overflows raises FloatingPointError.
     """
-    inverse = np.linalg.inv(restricted)
+    inverse = np.linalg.inv(restricted) if inverse is None else inverse
     if not np.isfinite(inverse).all():
         raise FloatingPointError("overflow encountered in the inverse of U'JU")
     bounds = u @ inverse @ u.transpose(0, 2, 1)
@@ -278,15 +284,15 @@ def is_psd(m) -> bool:
 
 
 def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_REL):
-    """Row ranks (k,) and orthonormal null bases (k, n, n - m) of (k, m, n) Jacobians.
+    """Row ranks (k,) and orthonormal null bases (k, n, n - m) of (k, m, n) Jacobians, or of a (g, k, m, n) stack.
 
     One svd call gives both; where ranks[i] == m, f_jacs[i] @ u[i] = 0. Rows orthonormal within ORTHONORMAL_TOL
     have rank m: their singular values are one (1 +- a few ulp from the svd), which every rule _cutoff admits keeps.
     """
-    m, n = f_jacs.shape[1:]
+    m, n = f_jacs.shape[-2:]
     _, s, vh = np.linalg.svd(f_jacs)
-    unit = np.abs(f_jacs @ f_jacs.transpose(0, 2, 1) - np.eye(m)).max(axis=(1, 2), initial=0.0) <= ORTHONORMAL_TOL
-    return np.where(unit, m, _rank_cutoff(s, max(m, n), rank_tol_rel)), vh[:, m:].transpose(0, 2, 1)
+    unit = np.abs(f_jacs @ f_jacs.swapaxes(-1, -2) - np.eye(m)).max(axis=(-2, -1), initial=0.0) <= ORTHONORMAL_TOL
+    return np.where(unit, m, _rank_cutoff(s, max(m, n), rank_tol_rel)), vh[..., m:, :].swapaxes(-1, -2)
 
 
 def null_complement(f_jac) -> np.ndarray:

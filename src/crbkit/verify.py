@@ -4,7 +4,10 @@ Each verifier returns a TheoremCertificate that keeps every case's signed
 slack, in case order, as margins. A case fails unless its margin >=
 -margin_tol and is kept as a replayable witness: J, then the case's own
 matrices; a certificate passes when it has no witness. merge_certificates
-concatenates margins and witnesses and judges nothing again.
+concatenates margins and witnesses and judges nothing again. Each public
+verifier is the stage of one J: its stage function (_poincare_stage, ...)
+checks many J as one certificate, with one stacked eigvalsh, svd or inv
+call per operand shape, which gives each J's margins bit for bit.
 
 Checks covered:
   trace_bound      tr(constrained CRB) >= tr(pinv J) for minimum constraints
@@ -21,12 +24,13 @@ Checks covered:
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .constraint import ConstraintStack, _evaluate
+from .constraint import ConstraintStack, _jacobian_stack
 from .errors import InvalidInput, NotMinimumConstraint, SingularRestriction
 from .matlin import (
     ORTHONORMAL_TOL,
@@ -38,6 +42,7 @@ from .matlin import (
     _freeze,
     _per_shape,
     as_ranked_svd,
+    null_complements,
     orthonormal_columns,
     random_stream,
     ranked_svd,
@@ -120,23 +125,22 @@ def passes(margins: np.ndarray, margin_tol: float) -> np.ndarray:
 
 
 def _certify(
-    theorem_id: str,
-    basis,
-    margins: np.ndarray,
-    case: Callable[[int], tuple[str, dict[str, np.ndarray]]],
-    margin_tol: float,
+    theorem_id: str, bases: list, margins: list[np.ndarray], case: Callable[[int, int], tuple], margin_tol: float,
     detail: str = "",
 ) -> TheoremCertificate:
-    """The certificate of margins under the pass rule of passes, margin_tol a number. case(i) gives failing case
-    i's label and matrices; its witness holds J, the matrix of basis, first, then those matrices."""
+    """The certificate of the margins of each J of bases, in order, under the pass rule of passes, margin_tol a
+    number; each J needs at least one case. case(k, i) gives J k's failing case i's label and matrices; its witness
+    holds J k, the matrix of bases[k], first, then those matrices."""
     _check_kind(InvalidInput, "a number", margin_tol=margin_tol)
-    if not margins.size:
+    if not all(part.size for part in margins):
         raise InvalidInput("certificate needs at least one case")
+    flat, starts = np.concatenate(margins), np.cumsum([0] + [part.size for part in margins]).tolist()
     witnesses = []
-    for i in np.flatnonzero(~passes(margins, margin_tol)).tolist():
-        label, mats = case(i)
-        witnesses.append(FailingCase(label, float(margins[i]), (("j", basis.matrix.entries), *mats.items())))
-    return TheoremCertificate(theorem_id, margins, tuple(witnesses), detail)
+    for c in np.flatnonzero(~passes(flat, margin_tol)).tolist():
+        k = bisect_right(starts, c) - 1
+        label, mats = case(k, c - starts[k])
+        witnesses.append(FailingCase(label, float(flat[c]), (("j", bases[k].matrix.entries), *mats.items())))
+    return TheoremCertificate(theorem_id, flat, tuple(witnesses), detail)
 
 
 def merge_certificates(certs: list[TheoremCertificate]) -> TheoremCertificate:
@@ -179,11 +183,7 @@ def _stack_witness(stack: ConstraintStack, i: int) -> dict[str, np.ndarray]:
     return {"f_jac": orthonormal_columns(stack.f_jacs[i].T).T}
 
 
-def verify_trace_bound(
-    j,
-    stack: ConstraintStack,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
-) -> TheoremCertificate:
+def verify_trace_bound(j, stack: ConstraintStack, margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
     """Check tr(constrained CRB) >= tr(pinv J) for minimum constraints.
 
     stack is a ConstraintStack evaluated against J (as
@@ -195,18 +195,19 @@ def verify_trace_bound(
     raises: NotMinimumConstraint when some constraint is not minimum, and
     InvalidInput for a stack evaluated against another J or rank rule.
     """
-    basis = as_ranked_svd(j)
-    stack = _minimum_stack(basis, stack)
+    return _trace_bound_stage([as_ranked_svd(j)], [stack], margin_tol)
+
+
+def _trace_bound_stage(bases: list, stacks: list, margin_tol: float) -> TheoremCertificate:
+    """verify_trace_bound of each J of bases and its stack, as one certificate."""
+    stacks = [_minimum_stack(basis, stack) for basis, stack in zip(bases, stacks)]
     # past the gate every U'JU is nonsingular: each bound's trace is sum 1/mu, as bound_traces reads it
-    margins = (1.0 / stack.utju_eigs).sum(axis=1) - basis.pinv.trace
-    return _certify("trace_bound", basis, margins, lambda i: (f"constraint-{i}", _stack_witness(stack, i)), margin_tol)
+    margins = [(1.0 / stack.utju_eigs).sum(axis=1) - basis.pinv.trace for basis, stack in zip(bases, stacks)]
+    case = lambda k, i: (f"constraint-{i}", _stack_witness(stacks[k], i))
+    return _certify("trace_bound", bases, margins, case, margin_tol)
 
 
-def verify_eigen_dominance(
-    j,
-    v,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
-) -> TheoremCertificate:
+def verify_eigen_dominance(j, v, margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
     """Check sorted-eigenvalue dominance of V (V'JV)^-1 V' over pinv J.
 
     v is one (n, r) frame or a (k, n, r) stack of frames, each with
@@ -220,47 +221,55 @@ def verify_eigen_dominance(
     of another width and SingularRestriction when restricted_nonsingular
     calls some V'J_rV singular; a stack raises what _minimum_stack raises.
     """
-    basis = as_ranked_svd(j)
-    rank = basis.rank
-    if isinstance(v, ConstraintStack):
-        stack = _minimum_stack(basis, v)
-        evals, mats = stack.utju_eigs, lambda i: _stack_witness(stack, i)
-    else:
+    return _eigen_dominance_stage([as_ranked_svd(j)], [v], margin_tol)
+
+
+def _eigen_dominance_stage(bases: list, vs: list, margin_tol: float) -> TheoremCertificate:
+    """verify_eigen_dominance of each J of bases and its v, as one certificate."""
+    evals, mats = [], []
+    for basis, v in zip(bases, vs):
+        if isinstance(v, ConstraintStack):
+            stack = _minimum_stack(basis, v)
+            evals.append(stack.utju_eigs)
+            mats.append(lambda i, stack=stack: _stack_witness(stack, i))
+            continue
         v_arr = _as_floats(InvalidInput, v, "v")
         _check_orthonormal(v_arr, basis.dim, "v")
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
-        if frames.shape[2] != rank:
-            raise InvalidInput(f"frames need rank(J) = {rank} columns, got {frames.shape[2]}")
-        evals = restricted_information(basis, frames)[1]
-        exists = restricted_nonsingular(basis, evals)
+        if frames.shape[2] != basis.rank:
+            raise InvalidInput(f"frames need rank(J) = {basis.rank} columns, got {frames.shape[2]}")
+        evals.append(restricted_information(basis, frames)[1])
+        exists = restricted_nonsingular(basis, evals[-1])
         if not np.all(exists):
             raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
-        mats = lambda i: {"v": frames[i]}
+        mats.append(lambda i, frames=frames: {"v": frames[i]})
     # 1/mu descends as mu ascends, as 1/sigma does
-    margins = (1.0 / evals - basis.pinv_eigenvalues[:rank]).ravel()
-    return _certify("eigen_dominance", basis, margins, lambda c: (f"eig-index-{c % rank}", mats(c // rank)), margin_tol)
+    margins = [(1.0 / mu - basis.pinv_eigenvalues[: basis.rank]).ravel() for basis, mu in zip(bases, evals)]
+    case = lambda k, c: (f"eig-index-{c % bases[k].rank}", mats[k](c // bases[k].rank))
+    return _certify("eigen_dominance", bases, margins, case, margin_tol)
 
 
-def verify_poincare(
-    j, v, margin_tol: float = DEFAULT_MARGIN_TOL
-) -> TheoremCertificate:
+def verify_poincare(j, v, margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
     """Check lambda_i(V'J_rV) <= lambda_i(J_r) for i up to V's width; J_r's spectrum is sigma, then n - r zeros."""
-    basis = as_ranked_svd(j)
-    v_arr = _as_floats(InvalidInput, v, "v")
-    if v_arr.ndim != 2:
-        raise InvalidInput(f"v must be a tall matrix, got shape {v_arr.shape}")
-    _check_orthonormal(v_arr, basis.dim, "v")
-    lam_restricted = restricted_information(basis, v_arr[None])[1][0, ::-1]
-    lam = np.append(basis.sigma, np.zeros(basis.dim - basis.rank))
-    margins = lam[: lam_restricted.size] - lam_restricted
-    return _certify("poincare", basis, margins, lambda i: (f"eig-index-{i}", {"v": v_arr}), margin_tol)
+    return _poincare_stage([as_ranked_svd(j)], [v], margin_tol)
 
 
-def verify_constraint_equivalence(
-    j,
-    alt_jacobians,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
-) -> TheoremCertificate:
+def _poincare_stage(bases: list, vs: list, margin_tol: float) -> TheoremCertificate:
+    """verify_poincare of each J of bases and its v, as one certificate."""
+    frames = []
+    for basis, v in zip(bases, vs):
+        frames.append(_as_floats(InvalidInput, v, "v"))
+        if frames[-1].ndim != 2:
+            raise InvalidInput(f"v must be a tall matrix, got shape {frames[-1].shape}")
+        _check_orthonormal(frames[-1], basis.dim, "v")
+    margins = []
+    for basis, (_, mu) in zip(bases, _restricted_stage(bases, [v[None] for v in frames])):
+        lam = np.append(basis.sigma, np.zeros(basis.dim - basis.rank))
+        margins.append(lam[: mu.shape[1]] - mu[0, ::-1])
+    return _certify("poincare", bases, margins, lambda k, i: (f"eig-index-{i}", {"v": frames[k]}), margin_tol)
+
+
+def verify_constraint_equivalence(j, alt_jacobians, margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
     """Check that every Jacobian annihilating the range basis gives pinv J.
 
     alt_jacobians, a list of (m, n) alternatives F, m = n - rank(J), or a
@@ -270,25 +279,38 @@ def verify_constraint_equivalence(
     first F that is not a minimum constraint; the margin is minus the
     Frobenius distance of its bound U (U'J_rU)^-1 U' from pinv J.
     """
-    basis = as_ranked_svd(j)
-    n, m = basis.dim, basis.dim - basis.rank
-    f_jacs = [_as_floats(InvalidInput, f_jac, f"alternative {idx}") for idx, f_jac in enumerate(alt_jacobians)]
-    if not f_jacs:
-        raise InvalidInput("certificate needs at least one case")
-    for idx, f_arr in enumerate(f_jacs):
-        if f_arr.shape != (m, n):
-            raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
-    stack, u, restricted = _evaluate(basis, f_jacs)
-    stray = np.linalg.norm(stack.f_jacs @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(stack.f_jacs, axis=(1, 2))
-    if stray.any():
-        raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
-    _minimum_stack(basis, stack)
-    bounds = _bounds(u, restricted)
-    # one norm per matrix: a norm over axes (1, 2) sums in another order
-    margins = -np.array([np.linalg.norm(diff) for diff in bounds - basis.pinv.entries])
-    return _certify(
-        "equivalence", basis, margins, lambda i: (f"alternative-{i}", {"f_jac": stack.f_jacs[i]}), margin_tol
-    )
+    return _equivalence_stage([as_ranked_svd(j)], [alt_jacobians], margin_tol)
+
+
+def _equivalence_stage(bases: list, alternatives: list, margin_tol: float) -> TheoremCertificate:
+    """verify_constraint_equivalence of each J of bases, all of one rank rule, and its alternatives, as one
+    certificate: the stacks of one shape get one svd (null_complements) and one inv call."""
+    stacks = []
+    for basis, alt_jacobians in zip(bases, alternatives):
+        n, m = basis.dim, basis.dim - basis.rank
+        f_jacs = [_as_floats(InvalidInput, f_jac, f"alternative {idx}") for idx, f_jac in enumerate(alt_jacobians)]
+        if not f_jacs:
+            raise InvalidInput("certificate needs at least one case")
+        for idx, f_arr in enumerate(f_jacs):
+            if f_arr.shape != (m, n):
+                raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
+        stacks.append(_jacobian_stack(basis, f_jacs))
+    (rank_tol_rel,) = {basis.rank_tol_rel for basis in bases}
+    complements = _per_shape(lambda group: zip(*null_complements(group, rank_tol_rel)), stacks)
+    spectra = _restricted_stage(bases, [u for _, u in complements])
+    for basis, f_jacs, (row_rank, _), (_, mu) in zip(bases, stacks, complements, spectra):
+        stray = np.linalg.norm(f_jacs @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(f_jacs, axis=(1, 2))
+        if stray.any():
+            raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
+        _minimum_stack(basis, ConstraintStack(basis, f_jacs, row_rank, mu))
+    inverses = _per_shape(np.linalg.inv, [restricted for restricted, _ in spectra])
+    diffs = [(_bounds(u, r, inverse) - basis.pinv.entries).reshape(len(u), 1, -1)
+             for basis, (_, u), (r, _), inverse in zip(bases, complements, spectra, inverses)]
+    # each norm as np.linalg.norm takes it, the dot product of the flattened difference with itself, one matmul
+    # for the differences of each size; a norm over axes (1, 2) sums in another order
+    margins = _per_shape(lambda diff: -np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0], diffs)
+    case = lambda k, i: (f"alternative-{i}", {"f_jac": stacks[k][i]})
+    return _certify("equivalence", bases, margins, case, margin_tol)
 
 
 def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
@@ -314,12 +336,7 @@ def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
     return slots, counts.tolist() + [m]
 
 
-def verify_min_rank(
-    j,
-    q,
-    rows,
-    margin_tol: float = DEFAULT_MARGIN_TOL,
-) -> TheoremCertificate:
+def verify_min_rank(j, q, rows, margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
     """Check that n - rank(J) constraint rows are necessary and sufficient.
 
     q is the (k, n, n) complete Q of the slots of min_rank_trials(j, ...),
@@ -337,31 +354,53 @@ def verify_min_rank(
     columns that are not orthonormal, or whose last Q's leading n - rank(J)
     columns do not span U_bar.
     """
-    basis = as_ranked_svd(j)
-    if basis.rank == basis.dim:
-        raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
-    if basis.rank == 0:
-        raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
-    n, nullity = basis.dim, basis.dim - basis.rank
-    rows = list(rows)
-    _check_kind(InvalidInput, "an integer", **{f"row count {i}": count for i, count in enumerate(rows)})
-    if not rows or rows[-1] != nullity or not all(0 <= count < nullity for count in rows[:-1]):
-        raise InvalidInput(f"row counts must lie in [0, {nullity}) and end with n - rank(J) = {nullity}, got {rows}")
-    q = _as_floats(InvalidInput, q, "q")
-    if q.shape != (len(rows), n, n):
-        raise InvalidInput(f"q must hold one {n} x {n} Q per row count, got shape {q.shape}")
-    _check_orthonormal(q, n, "q")
-    if not np.abs(q[-1, :, nullity:].T @ basis.u_bar).max(initial=0.0) <= ORTHONORMAL_TOL:
-        raise InvalidInput(f"q's last Q must span U_bar in its leading {nullity} columns")
+    return _min_rank_stage([as_ranked_svd(j)], [q], [rows], margin_tol)
 
-    # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
-    padded = np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0)
-    mu_min = restricted_information(basis, padded)[1][np.arange(len(rows)), rows]
-    scaled = mu_min / np.array([basis.cutoff(n - m) for m in rows])  # mu_min / c
-    # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
-    margins = np.append(1.0 - scaled[:-1], scaled[-1] - 1.0)
-    labels = [f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
-    return _certify("min_rank", basis, margins, lambda i: (labels[i], {"f_jac": q[i, :, : rows[i]].T}), margin_tol)
+
+def _min_rank_stage(bases: list, qs: list, counts: list, margin_tol: float) -> TheoremCertificate:
+    """verify_min_rank of each J of bases and its q and rows, as one certificate."""
+    qs, counts, padded = list(qs), list(counts), []
+    for k, (basis, q, rows) in enumerate(zip(bases, qs, counts)):
+        if basis.rank == basis.dim:
+            raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
+        if basis.rank == 0:
+            raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
+        n, nullity = basis.dim, basis.dim - basis.rank
+        rows = list(rows)
+        _check_kind(InvalidInput, "an integer", **{f"row count {i}": count for i, count in enumerate(rows)})
+        if not rows or rows[-1] != nullity or not all(0 <= count < nullity for count in rows[:-1]):
+            counted = f"row counts must lie in [0, {nullity}) and end with n - rank(J) = {nullity}"
+            raise InvalidInput(f"{counted}, got {rows}")
+        q = _as_floats(InvalidInput, q, "q")
+        if q.shape != (len(rows), n, n):
+            raise InvalidInput(f"q must hold one {n} x {n} Q per row count, got shape {q.shape}")
+        _check_orthonormal(q, n, "q")
+        if not np.abs(q[-1, :, nullity:].T @ basis.u_bar).max(initial=0.0) <= ORTHONORMAL_TOL:
+            raise InvalidInput(f"q's last Q must span U_bar in its leading {nullity} columns")
+        qs[k], counts[k] = q, rows
+        # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
+        padded.append(np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0))
+    margins = []
+    for basis, rows, (_, mu) in zip(bases, counts, _restricted_stage(bases, padded)):
+        scaled = mu[np.arange(len(rows)), rows] / np.array([basis.cutoff(basis.dim - m) for m in rows])  # mu_min / c
+        # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
+        margins.append(np.append(1.0 - scaled[:-1], scaled[-1] - 1.0))
+    labels = [[f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
+              for rows in counts]
+    case = lambda k, i: (labels[k][i], {"f_jac": qs[k][i, :, : counts[k][i]].T})
+    return _certify("min_rank", bases, margins, case, margin_tol)
+
+
+def _restricted_stage(bases: list, stacks: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """restricted_information of each J of bases on its (k, n, p) stack of U: one call, and so one eigvalsh, for
+    the stacks of each k and p."""
+    spectra: list = [None] * len(bases)
+    for shape in dict.fromkeys(u.shape[::2] for u in stacks):
+        index = [i for i, u in enumerate(stacks) if u.shape[::2] == shape]
+        restricted, mu = restricted_information([bases[i] for i in index], [stacks[i] for i in index])
+        for i, one, spectrum in zip(index, restricted, mu):
+            spectra[i] = one, spectrum
+    return spectra
 
 
 def counterexample_check() -> TheoremCertificate:
@@ -376,20 +415,17 @@ def counterexample_check() -> TheoremCertificate:
     2 and 1, which no nonnegative tolerance fails, so it takes none.
     """
     basis = ranked_svd(np.diag([1.0, 1.0, 0.0, 0.0]))
-    j = basis.matrix.entries
     v = 0.5 * np.array([[-1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    lhs = _bounds(v[None], (v.T @ j @ v)[None])[0]
-    diff = lhs - basis.pinv.entries  # both symmetric
+    margin_dominance = verify_eigen_dominance(basis, v).worst_margin  # which refuses a v of the wrong width first
+    diff = _bounds(v[None], restricted_information(basis, v[None])[0])[0] - basis.pinv.entries  # both symmetric
     min_eig = float(np.linalg.eigvalsh(diff)[0])
-
     margin_indefinite = -COUNTEREXAMPLE_NEG_EIG - min_eig
     margin_trace = float(np.trace(diff))
-    margin_dominance = verify_eigen_dominance(basis, v).worst_margin
-
     margins = np.array([margin_indefinite, margin_trace, margin_dominance])
     labels = ("difference-indefinite", "trace-still-dominates", "eigenvalues-still-dominate")
     detail = f"min_eigenvalue={format_float(min_eig)}"
-    return _certify("counterexample", basis, margins, lambda i: (labels[i], {"v": v}), DEFAULT_MARGIN_TOL, detail)
+    case = lambda k, i: (labels[i], {"v": v})
+    return _certify("counterexample", [basis], [margins], case, DEFAULT_MARGIN_TOL, detail)
 
 
 def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> SymMatrix:

@@ -653,10 +653,15 @@ def test_config_with_model_and_input_exits_2(tmp_path):
 
 
 def recorded_trace_bounds(monkeypatch):
-    """The (basis, stack, certificate) of every verify_trace_bound call that certify makes, in order."""
-    calls, real = [], crbkit.cli.verify_trace_bound
-    monkeypatch.setattr(crbkit.cli, "verify_trace_bound", lambda basis, stack, tol: calls.append(
-        (basis, stack, real(basis, stack, tol))) or calls[-1][2])
+    """The (basis, stack, certificate) of every matrix whose trace bound certify checks, in order; the certificate
+    is verify_trace_bound's of that matrix alone, whose margins its stage's certificate holds."""
+    calls, real = [], crbkit.cli._trace_bound_stage
+
+    def stage(bases, stacks, tol):
+        calls.extend((basis, stack, verify_trace_bound(basis, stack, tol)) for basis, stack in zip(bases, stacks))
+        return real(bases, stacks, tol)
+
+    monkeypatch.setattr(crbkit.cli, "_trace_bound_stage", stage)
     return calls
 
 
@@ -888,7 +893,7 @@ def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys, mo
     def cannot_build(*args):
         raise crbkit.SingularRestriction("V'JV of frame 0 is numerically singular")
 
-    monkeypatch.setattr(crbkit.cli, "verify_poincare", cannot_build)
+    monkeypatch.setattr(crbkit.cli, "_poincare_stage", cannot_build)
     assert main(["certify", "--count", "2", "--seed", "5", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err == "error: certify matrix 0, poincare: V'JV of frame 0 is numerically singular\n"
@@ -917,9 +922,28 @@ def test_a_nonsingular_suite_j_is_refused_by_matrix_and_theorem_in_matrix_order(
 
     # an earlier matrix's failure comes first
     swapped(2)
-    monkeypatch.setattr(crbkit.cli, "verify_poincare", cannot_build)
+    monkeypatch.setattr(crbkit.cli, "_poincare_stage", cannot_build)
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: certify matrix 0, poincare: V'JV of frame 0 is numerically singular\n"
+
+
+def test_a_stage_reports_its_first_failing_matrix_before_a_later_ones_earlier_theorem(tmp_path, capsys, monkeypatch):
+    # matrix 1's Poincare frame is not orthonormal, and matrix 2's J, swapped for the identity, is refused by its
+    # sampler, which counts as its trace_bound; the stage's trace_bound check fails at matrix 2 before its poincare
+    # check runs, yet matrix 1's poincare comes first, as when each matrix went through THEOREM_IDS in turn
+    real_psds, real_frames = crbkit.cli._random_psds, crbkit.cli._suite_frames
+
+    def frames(matrices):
+        drawn = real_frames(matrices)
+        frame, *rest = drawn[1]
+        drawn[1] = (1.01 * frame, *rest)
+        return drawn
+
+    monkeypatch.setattr(crbkit.cli, "_random_psds", lambda shapes: [
+        SymMatrix(np.eye(j.dim)) if i == 2 else j for i, j in enumerate(real_psds(shapes))])
+    monkeypatch.setattr(crbkit.cli, "_suite_frames", frames)
+    assert main(["certify", "--count", "4", "--seed", "5", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: certify matrix 1, poincare: v columns are not orthonormal\n"
 
 
 def test_certify_full_rank_input_exits_2(tmp_path, capsys):

@@ -77,8 +77,9 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     # three suite matrices and the fixed counterexample, each factored once
     assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 4
     assert certify.calls["linalg.eigh"] == 4
-    # one stacked eigen-dominance check per suite matrix, one for the counterexample
-    assert certify.calls["verify.verify_eigen_dominance"] == 3 + 1
+    # the suite's theorems are checked by stage, not through the public verifiers, so only the counterexample
+    # calls one (3 + 1 eigen-dominance checks when each suite matrix took its own)
+    assert certify.calls["verify.verify_eigen_dominance"] == 1
     # the sampled stack holds its chart draws' F and goes straight to the trace and dominance
     # certificates, which read the spectra of U'JU and J and orthonormalize no draw while every
     # case passes; min_rank takes its trials' rows and null bases from their complete Q and one
@@ -90,24 +91,32 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     # orthonormal rows); 3 svd and 4 inv (12 svd and 12 qr with an svd per row count of the
     # min_rank trials; 16, 23 and 8 svd, eigvalsh and inv with an svd, an eigvalsh and an inv of
     # U_r'JU_r per J; 19, 34 and 15 forming each sampled bound; 168 eigvalsh and 71 inv checking
-    # one frame at a time)
-    assert certify.calls["linalg.svd"] <= 3
+    # one frame at a time). The stage's equivalence check takes one svd per shape (m, n) of its mixes,
+    # and the 3 J have 3 shapes, of 2 sizes and 2 ranks; one inv per rank and one for the
+    # counterexample (3 svd and 4 inv when each J took its own)
+    assert certify.calls["linalg.svd"] == 3
     assert certify.calls["linalg.qr"] == 4
-    assert certify.calls["linalg.inv"] <= 4
-    # eigvalsh: one per J for its sampler chunk, its Poincare frame, its equivalence mixes and its
-    # min_rank trials, and two for the counterexample (21 in all when min_rank took one per
-    # distinct row count, and 20 when each trial drew its row count and then its rows); the
-    # sampler draws each chunk in J's chart and makes no solve (one per J when it carried Gaussian
-    # draws there)
-    assert certify.calls["linalg.eigvalsh"] == 3 * 4 + 2
+    assert certify.calls["linalg.inv"] == 2 + 1
+    # eigvalsh: one per J for its sampler chunk; one per rank for the Poincare frames and one per rank
+    # for the equivalence mixes; one per size for the min_rank trials; and three for the counterexample,
+    # its dominance check's, its bound's V'J_rV and the spectrum of the bound's difference from J+
+    # (14 when each J took one for each check and the counterexample formed V'JV itself; 21 when
+    # min_rank took one per distinct row count, and 20 when each trial drew its row count and then its
+    # rows); the sampler draws each chunk in J's chart and makes no solve (one per J when it carried
+    # Gaussian draws there)
+    assert certify.calls["linalg.eigvalsh"] == 3 + 2 + 2 + 2 + 3
     assert certify.calls["linalg.solve"] == 0
 
 
 def test_a_monte_carlo_j_is_factored_once(tmp_path):
     # the estimate is not clipped, so its own eigh and reconstruction are gone (2 eigh when they
     # were there); the svd, eigvalsh and inv belong to the optimal constraint's bound. A suite's
-    # count is unchanged by it; its 20 matrices have 5 sizes, and each size takes 2 qr (154 LAPACK
-    # calls, 10 of them qr; 224 with 80 qr when each J took 4)
+    # count is unchanged by it; its 20 matrices have 5 sizes, and each size takes 2 qr (224 LAPACK
+    # calls with 80 qr when each J took 4). Each theorem is checked once per stage, with one stacked
+    # call per operand shape: the 20 J have 5 ranks and 12 shapes (m, n), so 5 eigvalsh each for the
+    # Poincare frames, the equivalence mixes and the min_rank trials, 12 svd and 5 + 1 inv, besides
+    # the sampler's 20 eigvalsh and the counterexample's 3 (154 calls, with 82 eigvalsh, 20 svd and
+    # 21 inv, when each J was checked alone and the counterexample formed its own V'JV)
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\n")
     module = load_tool(TRACER_PATH)
@@ -125,6 +134,7 @@ def test_a_monte_carlo_j_is_factored_once(tmp_path):
     analyze, certify = traces
     lapack = {name: analyze.calls[f"linalg.{name}"] for name in module.LINALG}
     assert lapack == {"svd": 1, "eigvalsh": 1, "eigh": 1, "inv": 1, "qr": 0, "solve": 0, "cholesky": 0}
-    assert sum(certify.calls[f"linalg.{name}"] for name in module.LINALG) == 154
+    assert sum(certify.calls[f"linalg.{name}"] for name in module.LINALG) == 87
     assert certify.calls["linalg.qr"] == 10 and certify.calls["linalg.eigh"] == 21
+    assert (certify.calls["linalg.eigvalsh"], certify.calls["linalg.svd"], certify.calls["linalg.inv"]) == (38, 12, 6)
     assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 21

@@ -40,8 +40,23 @@ from crbkit import (
 )
 import crbkit.verify as verify_module
 from crbkit.crb import _bounds
-from crbkit.matlin import ORTHONORMAL_TOL, orthonormal_columns, restricted_information, restricted_nonsingular
-from crbkit.verify import _check_orthonormal
+from crbkit.matlin import (
+    ORTHONORMAL_TOL,
+    RankedSvd,
+    SymMatrix,
+    orthonormal_columns,
+    restricted_information,
+    restricted_nonsingular,
+)
+from crbkit.cli import _suite_frames
+from crbkit.verify import (
+    _check_orthonormal,
+    _eigen_dominance_stage,
+    _equivalence_stage,
+    _min_rank_stage,
+    _poincare_stage,
+    _trace_bound_stage,
+)
 from util import (
     chart_draws,
     chart_jacobians,
@@ -460,8 +475,9 @@ def test_merge_certificates_accumulates_cases():
     assert merged.worst_margin == min(a.worst_margin, b.worst_margin)
     assert merged.passed
     # merging concatenates margins and witnesses in order and judges nothing again
+    basis = ranked_svd(DIAG)
     parts = [
-        verify_module._certify("poincare", ranked_svd(DIAG), np.array(margins), lambda i: (f"case-{i}", {}), 1e-9)
+        verify_module._certify("poincare", [basis], [np.array(margins)], lambda k, i: (f"case-{i}", {}), 1e-9)
         for margins in ([0.5, -1.0], [0.25], [-2.0, 3.0])
     ]
     merged = merge_certificates(parts)
@@ -821,14 +837,16 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
         # the six deficient trials come first, the achievable case last
         claimed = np.arange(7) < 6 if failing == "deficient-" else np.arange(7) == 6
 
-        def pinned(basis, u):
-            restricted, mu = real(basis, u)
-            mu = mu.copy()
+        def pinned(bases, stacks):
+            # a stage of one J: the lists of its basis and its padded Q, whose U'J_rU come as a stack of one
+            (basis,), (u,) = bases, stacks
+            restricted, mu = real(bases, stacks)
+            mu = mu[0].copy()
             for i, m in enumerate(np.sum(~u.any(axis=1), axis=1)):
                 mu[i, m] = np.nextafter(basis.cutoff(mu.shape[1] - m), step)
                 mu[i, m:] = np.maximum(mu[i, m:], mu[i, m])  # still ascending: mu_min alone decides
                 assert restricted_nonsingular(basis, mu[i, m:]) == nonsingular
-            return restricted, mu
+            return restricted, mu[None]
 
         monkeypatch.setattr(verify_module, "restricted_information", pinned)
         cert = min_rank_certificate(basis, 6, 3, 0.0)
@@ -882,11 +900,11 @@ def test_the_pass_rule_keeps_a_margin_equal_to_minus_margin_tol():
     below = float(np.nextafter(-tol, -np.inf))
     margins = np.array([1.0, -tol, below, 0.0])
     basis = ranked_svd(np.eye(2))
-    cert = verify_module._certify("poincare", basis, margins, lambda i: (f"case-{i}", {}), tol)
+    cert = verify_module._certify("poincare", [basis], [margins], lambda k, i: (f"case-{i}", {}), tol)
     assert [(w.label, w.margin) for w in cert.witnesses] == [("case-2", below)]
     assert (cert.passed, cert.n_cases, cert.worst_margin) == (False, 4, below)
     assert cert.margins.tolist() == margins.tolist() and not cert.margins.flags.writeable
-    assert verify_module._certify("poincare", basis, np.array([-tol]), lambda i: ("unused", {}), tol).passed
+    assert verify_module._certify("poincare", [basis], [np.array([-tol])], lambda k, i: ("unused", {}), tol).passed
 
 
 def test_ranked_svd_refuses_a_cutoff_that_calls_unit_rows_dependent():
@@ -922,3 +940,68 @@ def test_every_witness_holds_j_first_then_the_verifiers_own_matrix(tmp_path, nam
     for idx in range(cert.n_cases):
         assert str(tmp_path / f"{cert.theorem_id}_{idx:03d}_j.matx") in paths
         assert np.array_equal(load_matrix(tmp_path / f"{cert.theorem_id}_{idx:03d}_j.matx"), basis.matrix.entries)
+
+
+def every_shape_twice():
+    """A stage of 56 singular J, each (n, rank) with n from 2 to 8 twice, and the inputs certify draws for them:
+    per theorem its one-J verifier, its stage and the stage's columns of inputs, in THEOREM_IDS order."""
+    matrices = []
+    for copy in range(2):
+        for n in range(2, 9):
+            for rank in range(1, n):
+                rng = np.random.default_rng([copy, n, rank])
+                matrices.append((ranked_svd(random_rank_deficient_psd(n, rank, rng)), rng))
+    bases = [basis for basis, _ in matrices]
+    frame, mixes, trials_q, rows = zip(*_suite_frames(matrices))
+    stacks = [sample_minimum_stack(basis, 20, i) for i, basis in enumerate(bases)]
+    return bases, [
+        (verify_trace_bound, _trace_bound_stage, [stacks]),
+        (verify_eigen_dominance, _eigen_dominance_stage, [stacks]),
+        (verify_poincare, _poincare_stage, [frame]),
+        (verify_constraint_equivalence, _equivalence_stage, [[mix @ b.u_bar.T for mix, b in zip(mixes, bases)]]),
+        (verify_min_rank, _min_rank_stage, [trials_q, rows]),
+    ]
+
+
+def test_a_stage_of_every_shape_twice_gives_each_matrix_its_own_certificate():
+    # each stacked eigvalsh, svd and inv of a stage takes every operand of one shape, here at least two: a stacked
+    # call runs LAPACK on each matrix as one call would, so the stage's margins are the one-J verifiers' bit for
+    # bit; at margin_tol = -inf every case fails, and each witness holds its own matrix's J, label and matrices
+    bases, theorems = every_shape_twice()
+    assert sorted({(b.dim, b.rank) for b in bases}) == [(n, r) for n in range(2, 9) for r in range(1, n)]
+    assert len(bases) == 56
+    for one, stage, columns in theorems:
+        for tol in (1e-9, -np.inf):
+            cert = stage(bases, *columns, tol)
+            singles = [one(basis, *(column[k] for column in columns), tol) for k, basis in enumerate(bases)]
+            assert cert.theorem_id == singles[0].theorem_id
+            assert cert.margins.tobytes() == np.concatenate([single.margins for single in singles]).tobytes()
+            want = [(k, w) for k, single in enumerate(singles) for w in single.witnesses]
+            assert len(cert.witnesses) == len(want) == (cert.n_cases if tol < 0 else 0)
+            for got, (k, w) in zip(cert.witnesses, want):
+                assert (got.label, got.margin) == (w.label, w.margin)
+                assert np.array_equal(got.matrices[0][1], bases[k].matrix.entries)
+                assert [name for name, _ in got.matrices] == [name for name, _ in w.matrices]
+                assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.matrices, w.matrices))
+
+
+def test_a_stage_takes_each_equivalence_margin_as_np_linalg_norm_does(monkeypatch):
+    # with J+ read off by a random symmetric matrix of scale 1e-17 to 10, each bound's difference from it is a
+    # random n x n matrix; the stage's one matmul per size gives the norm that np.linalg.norm gives each
+    # difference bit for bit, where a sum over axes (1, 2) differs in about half of such draws
+    rng, noise = np.random.default_rng(48), {}
+    real = RankedSvd.pinv.func
+
+    def off(basis):
+        if id(basis) not in noise:
+            a = rng.standard_normal((basis.dim, basis.dim)) * 10.0 ** rng.uniform(-17.0, 1.0)
+            noise[id(basis)] = a + a.T
+        return SymMatrix(real(basis).entries + noise[id(basis)])
+
+    monkeypatch.setattr(RankedSvd, "pinv", property(off))
+    bases, theorems = every_shape_twice()
+    alternatives = theorems[3][2][0]
+    margins = _equivalence_stage(bases, alternatives, -np.inf).margins
+    bounds = [(b, constrained_crb(b, f).bound.entries) for b, fs in zip(bases, alternatives) for f in fs]
+    want = [-np.linalg.norm(bound - b.pinv.entries) for b, bound in bounds]
+    assert margins.tolist() == want
