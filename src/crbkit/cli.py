@@ -35,7 +35,7 @@ from . import __version__
 from .constraint import (
     optimal_affine_constraint,
     sample_constraint_traces,
-    sample_minimum_stack,
+    sample_minimum_stacks,
     save_constraint_spec,
 )
 from .crb import constrained_crb, unconstrained_crb
@@ -54,6 +54,7 @@ from .matlin import (
     as_sym_matrix,
     orthonormal_columns,
     ranked_svd,
+    ranked_svds,
     seed_sequence,
 )
 from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, read_ascii, save_matrix
@@ -292,10 +293,10 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
     return derived_rng(config.seed, "theta").uniform(0.5, 1.5, param_dim)
 
 
-def _factor_j(j, rank_tol_rel: float):
-    """ranked_svd(j, rank_tol_rel), its refusal of rank_tol or of J a CliError with exit 2."""
+def _factor_j(factor, j, rank_tol_rel: float):
+    """factor(j, rank_tol_rel), of ranked_svd or ranked_svds, its refusal of rank_tol or of J a CliError with exit 2."""
     try:
-        return ranked_svd(j, rank_tol_rel)
+        return factor(j, rank_tol_rel)
     except InvalidInput as exc:  # a rule that calls every eigenvalue zero cannot judge definiteness
         raise CliError(EXIT_INVALID_INPUT, f"checking rank_tol: {exc}") from None
     except InvalidMatrix as exc:
@@ -322,7 +323,7 @@ def information_matrix(config: RunConfig):
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except (NumericalFailure, np.linalg.LinAlgError) as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
-    return _factor_j(sym, config.rank_tol_rel), estimate  # a model's J is PSD up to roundoff the rule calls zero
+    return _factor_j(ranked_svd, sym, config.rank_tol_rel), estimate  # a model's J: PSD up to roundoff the rule zeroes
 
 
 def _config_value(value) -> str:
@@ -436,9 +437,9 @@ def _suite_frames(matrices: list) -> list[tuple]:
 
 def _suite_stage(config: RunConfig, shapes: list, start: int) -> list[tuple]:
     """(basis, rng) of the suite matrices start, start + 1, ... of each (n, rank) in shapes: J drawn from its
-    certify-matrix stream, the Haar frames of one n by one sign-fixed qr (_random_psds), then factored alone."""
+    certify-matrix stream; the Haar frames, then the eigh, of one n take a stacked call (_random_psds, ranked_svds)."""
     draws = [(n, rank, derived_rng(config.seed, "certify-matrix", start + i)) for i, (n, rank) in enumerate(shapes)]
-    return [(_factor_j(j, config.rank_tol_rel), rng) for j, (_, _, rng) in zip(_random_psds(draws), draws)]
+    return list(zip(_factor_j(ranked_svds, _random_psds(draws), config.rank_tol_rel), [rng for *_, rng in draws]))
 
 
 def _certify_stage(matrices: list, frames: list, config: RunConfig, start: int, constraints_count: int) -> list:
@@ -449,7 +450,7 @@ def _certify_stage(matrices: list, frames: list, config: RunConfig, start: int, 
     bases, theorem, certificates = [basis for basis, _ in matrices], 0, []
     try:
         seeds = [derived_seed(config.seed, "certify-constraints", start + index) for index in range(len(bases))]
-        stacks = [sample_minimum_stack(basis, constraints_count, seed) for basis, seed in zip(bases, seeds)]
+        stacks = sample_minimum_stacks(bases, constraints_count, seeds)
         frame, mixes, trials_q, rows = zip(*frames)
         # orthonormal (m, m) mixes keep U_bar's rows orthonormal, so no ill-conditioned mix fails the row-rank test
         alternatives = [mix @ basis.u_bar.T for mix, basis in zip(mixes, bases)]

@@ -28,6 +28,7 @@ from .matlin import (
     _as_vector,
     _check_count,
     _freeze,
+    _per_shape,
     as_ranked_svd,
     null_complements,
     orthonormal_columns,
@@ -108,7 +109,7 @@ class ConstraintStack:
     def rank_sum_is_n(self) -> np.ndarray:
         return self.row_rank + self.basis.rank == self.basis.dim
 
-    @property
+    @cached_property
     def is_minimum(self) -> np.ndarray:
         return self.full_rank_jacobian & self.utju_nonsingular & self.rank_sum_is_n
 
@@ -233,30 +234,36 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
     return np.sum(1.0 / basis.sigma) + np.concatenate([squares for _, squares in chunks])
 
 
-def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
-    """Draw count random minimum constraints for a singular J as one evaluated stack, in draw order.
+def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[ConstraintStack]:
+    """For each singular J of js and its integer seed, count random minimum constraints as one evaluated stack.
 
-    Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled and
-    its direction from a standard normal g of the second stream
-    seed_sequence(rng_seed, 1), so N is standard normal. Each Jacobian is
-    F = U_bar' + L U_r'; its mu are read from one eigvalsh of the chunk's
-    X = Lambda^-1 + M'M. Its rows are not orthonormal, but its singular
-    values are at least one, so the svd row-rank rule of
-    evaluate_constraints gives it row rank m unless
-    sigma_max(F) max(m, n) rank_tol_rel reaches one.
+    Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled and its direction from a standard normal
+    g of the second stream seed_sequence(rng_seed, 1), so N is standard normal. Each Jacobian is F = U_bar' + L U_r';
+    its mu come from the eigvalsh of its chunk's X = Lambda^-1 + M'M. The J's chunks are drawn in step, chunk c of
+    every J together, whose X of one shape (k, r, r) get one stacked eigvalsh: each stack equals its J's own bit for
+    bit, and only one chunk of X per J is held. F's rows are not orthonormal, but its singular values are at least
+    one, so the svd row-rank rule of evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n)
+    rank_tol_rel reaches one.
     """
-    basis, chunks = _sampled(j, count, rng_seed)
-    directions = np.random.default_rng(seed_sequence(rng_seed, 1))
-    diagonal, root = np.diag(1.0 / basis.sigma), np.sqrt(1.0 / basis.sigma)
-    f_jacs, mu = [], []
-    for l_squares, _ in chunks:
-        g = directions.standard_normal((len(l_squares), basis.dim - basis.rank, basis.rank))
-        l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
-        m_mat = l_mat * root
-        mu.append(1.0 / np.linalg.eigvalsh(diagonal + m_mat.transpose(0, 2, 1) @ m_mat)[:, ::-1])
-        f_jacs.append(basis.u_bar.T + l_mat @ basis.u_r.T)
-    f_jacs = np.concatenate(f_jacs)
-    return ConstraintStack(basis, f_jacs, np.full(count, f_jacs.shape[1]), np.concatenate(mu))
+    samples = [(*_sampled(j, count, rng_seed), np.random.default_rng(seed_sequence(rng_seed, 1)), [], [])
+               for j, rng_seed in zip(js, rng_seeds)]
+    for chunk in zip(*(chunks for _, chunks, *_ in samples)):  # every J draws as many chunks, of equal k
+        xs = []
+        for (basis, _, directions, f_jacs, _), (l_squares, _) in zip(samples, chunk):
+            g = directions.standard_normal((len(l_squares), basis.dim - basis.rank, basis.rank))
+            l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
+            m_mat = l_mat * np.sqrt(1.0 / basis.sigma)
+            xs.append(np.diag(1.0 / basis.sigma) + m_mat.transpose(0, 2, 1) @ m_mat)
+            f_jacs.append(basis.u_bar.T + l_mat @ basis.u_r.T)
+        for (*_, mu), spectrum in zip(samples, _per_shape(np.linalg.eigvalsh, xs)):
+            mu.append(1.0 / spectrum[:, ::-1])
+    return [ConstraintStack(basis, np.concatenate(f_jacs), np.full(count, basis.dim - basis.rank), np.concatenate(mu))
+            for basis, _, _, f_jacs, mu in samples]
+
+
+def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
+    """sample_minimum_stacks([j], count, [rng_seed]): count random minimum constraints for a singular J."""
+    return sample_minimum_stacks([j], count, [rng_seed])[0]
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:

@@ -130,20 +130,25 @@ def random_stream(rng_seed) -> np.random.Generator:
     return np.random.default_rng(rng_seed if isinstance(rng_seed, np.random.Generator) else seed_sequence(rng_seed))
 
 
-def _cutoff(s_max, size: int, rank_tol_rel: float):
-    """The rank rule's threshold s_max * size * rank_tol_rel; singular values at or below it count as zero.
-    Refused from size * rank_tol_rel = 1 on, where it would rank every matrix 0, orthonormal rows too."""
+def _check_rule(size: int, rank_tol_rel: float) -> None:
+    """InvalidInput unless rank_tol_rel is a number in [eps, 1 / size); from 1 / size on all size x size ranks are 0."""
     _check_kind(InvalidInput, "a number", rank_tol_rel=rank_tol_rel)
     if not _EPS <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
         raise InvalidInput(f"rank_tol_rel must be positive and finite, at least machine epsilon, got {rank_tol_rel}")
     if size * rank_tol_rel >= 1:
         zero = f"rank_tol_rel {format_float(rank_tol_rel)} gives every {size} x {size} matrix rank 0"
         raise InvalidInput(f"{zero}; {size} * rank_tol_rel must be below 1")
+
+
+def _cutoff(s_max, size, rank_tol_rel: float):
+    """The rank rule's threshold s_max * size * rank_tol_rel, elementwise: singular values at or below it count as
+    zero. A plain product: _check_rule checks the rule once per factorization, in _rank_cutoff and RankedSvd."""
     return s_max * size * rank_tol_rel
 
 
 def _rank_cutoff(s: np.ndarray, size: int, rank_tol_rel: float) -> np.ndarray:
     """Rank from descending singular values (last axis): those above _cutoff(s_max, size, rank_tol_rel)."""
+    _check_rule(size, rank_tol_rel)
     return np.sum(s > _cutoff(s[..., :1], size, rank_tol_rel), axis=-1)
 
 
@@ -169,6 +174,7 @@ class RankedSvd:
     rank_tol_rel: float
 
     def __post_init__(self):
+        _check_rule(self.matrix.dim, self.rank_tol_rel)
         for name in ("eigenvalues", "u_r", "sigma", "u_bar"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
 
@@ -176,8 +182,8 @@ class RankedSvd:
     def dim(self) -> int:
         return self.u_r.shape[0]
 
-    def cutoff(self, size: int) -> float:
-        """The rank rule's threshold at J's scale, _cutoff(sigma_max, size, rank_tol_rel): J's own at size n."""
+    def cutoff(self, size):
+        """_cutoff(sigma_max, size, rank_tol_rel), the rule's threshold at J's scale, at sizes up to n; J's own at n."""
         return _cutoff(abs(self.eigenvalues[0]), size, self.rank_tol_rel)
 
     @cached_property
@@ -191,18 +197,17 @@ class RankedSvd:
         return _freeze(np.concatenate([1.0 / self.sigma[::-1], np.zeros(self.dim - self.rank)]))
 
 
-def restricted_information(basis, u) -> tuple[np.ndarray, np.ndarray]:
+def restricted_information(basis, u):
     """U'J_rU = Y' diag(lambda_r) Y, Y = U_r'U, symmetrized, for a (k, n, p) stack of bases U, and its
     ascending eigenvalues; J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+.
-    basis and u may also be lists, of J's and of their stacks of one k and p: their U'J_rU come as one
-    (len(basis), k, p, p) stack, with one eigvalsh call for all."""
+    basis and u may also be lists, of J's and of their stacks: then both come as lists, in order, with
+    one eigvalsh call for the stacks of each k and p (_per_shape)."""
     many, parts = isinstance(basis, list), []
     for one, stack in zip(basis, u) if many else [(basis, u)]:
         y = one.u_r.T @ stack
-        parts.append(y.transpose(0, 2, 1) @ (one.eigenvalues[: one.rank, None] * y))
-    restricted = np.stack(parts) if many else parts[0]
-    restricted = 0.5 * (restricted + restricted.swapaxes(-1, -2))
-    return restricted, np.linalg.eigvalsh(restricted)
+        restricted = y.transpose(0, 2, 1) @ (one.eigenvalues[: one.rank, None] * y)
+        parts.append(0.5 * (restricted + restricted.swapaxes(-1, -2)))
+    return (parts, _per_shape(np.linalg.eigvalsh, parts)) if many else (parts[0], np.linalg.eigvalsh(parts[0]))
 
 
 def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
@@ -225,32 +230,41 @@ def _bounds(u: np.ndarray, restricted: np.ndarray, inverse: np.ndarray | None = 
     return 0.5 * (bounds + bounds.transpose(0, 2, 1))
 
 
-def _factored(m, rank_tol_rel: float) -> RankedSvd:
-    """Any symmetric matrix split into range and null bases by one eigh call, under the rank rule."""
-    sym = as_sym_matrix(m)
-    lam, u = np.linalg.eigh(sym.entries)
-    order = np.argsort(-np.abs(lam), kind="stable")
-    lam, u, s = lam[order], u[:, order], np.abs(lam[order])
-    rank = int(_rank_cutoff(s, sym.dim, rank_tol_rel))
-    return RankedSvd(sym, lam, u[:, :rank], s[:rank], u[:, rank:], rank, rank_tol_rel)
+def _factored(ms: list, rank_tol_rel: float):
+    """Symmetric matrices split into range and null bases under the rank rule, in order: one eigh call per size."""
+    syms = [as_sym_matrix(m) for m in ms]
+    eighs = _per_shape(lambda stack: zip(*np.linalg.eigh(stack)), [sym.entries for sym in syms])
+    for sym, (lam, u) in zip(syms, eighs):
+        order = np.argsort(-np.abs(lam), kind="stable")
+        lam, u, s = lam[order], u[:, order], np.abs(lam[order])
+        rank = int(_rank_cutoff(s, sym.dim, rank_tol_rel))
+        yield RankedSvd(sym, lam, u[:, :rank], s[:rank], u[:, rank:], rank, rank_tol_rel)
+
+
+def ranked_svds(ms: list, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> list[RankedSvd]:
+    """Decompose a list of positive semidefinite J into range and null bases, with one stacked eigh call per size.
+
+    J by J, in list order: sigma = |lambda| at or below sigma_max * n * rank_tol_rel count as zero, and InvalidMatrix
+    refuses the first J that keeps a negative one or whose tr J+ = sum 1/sigma reaches half the largest double, so
+    that J+ and sums of two entries stay finite. A zero J has rank 0. Each basis equals J's alone, bit for bit.
+    """
+    bases = []
+    for basis in _factored(ms, rank_tol_rel):
+        if not is_psd(basis):
+            lam, cutoff = basis.eigenvalues.min(), basis.cutoff(basis.dim)
+            kept = f"eigenvalue {format_float(lam)} is negative and kept by the rank cutoff {format_float(cutoff)}"
+            raise InvalidMatrix(f"information matrix is not positive semidefinite: {kept}")
+        if not sum(1.0 / s for s in basis.sigma.tolist()) < 0.5 * np.finfo(float).max:  # Python floats: inf
+            least = format_float(basis.sigma[-1])
+            small = f"its least kept eigenvalue {least} makes tr J+ reach half the largest double"
+            raise InvalidMatrix(f"information matrix has no pseudoinverse in double precision: {small}")
+        bases.append(basis)
+    return bases
 
 
 def ranked_svd(m, rank_tol_rel: float = DEFAULT_RANK_TOL_REL) -> RankedSvd:
-    """Decompose a positive semidefinite J into range and null bases with one eigh call.
-
-    Its singular values are sigma = |lambda|; those below or at sigma_max * n * rank_tol_rel count as zero, and
-    InvalidMatrix refuses J if one it keeps is negative, or if tr J+ = sum 1/sigma is not below half the largest
-    double: every entry of J+ and sum of two stays finite. The zero matrix yields rank 0, u_bar spanning the space.
-    """
-    basis = _factored(m, rank_tol_rel)
-    if not is_psd(basis):
-        lam, cutoff = basis.eigenvalues, basis.cutoff(basis.dim)
-        kept = f"eigenvalue {format_float(lam.min())} is negative and kept by the rank cutoff {format_float(cutoff)}"
-        raise InvalidMatrix(f"information matrix is not positive semidefinite: {kept}")
-    if not sum(1.0 / s for s in basis.sigma.tolist()) < 0.5 * np.finfo(float).max:  # Python floats: inf, no warning
-        small = f"its least kept eigenvalue {format_float(basis.sigma[-1])} makes tr J+ reach half the largest double"
-        raise InvalidMatrix(f"information matrix has no pseudoinverse in double precision: {small}")
-    return basis
+    """Decompose a positive semidefinite J into range and null bases with one eigh call: ranked_svds([m])."""
+    return ranked_svds([m], rank_tol_rel)[0]
 
 
 def as_ranked_svd(m) -> RankedSvd:
@@ -279,7 +293,7 @@ def eigvals_desc(m) -> np.ndarray:
 
 def is_psd(m) -> bool:
     """True iff every eigenvalue that the rank rule keeps is positive: a RankedSvd's rule, else the default; never refuses."""
-    basis = m if isinstance(m, RankedSvd) else _factored(m, DEFAULT_RANK_TOL_REL)
+    basis = m if isinstance(m, RankedSvd) else next(_factored([m], DEFAULT_RANK_TOL_REL))
     return bool(np.all(basis.eigenvalues[: basis.rank] > 0))
 
 
@@ -313,7 +327,7 @@ def null_complement(f_jac) -> np.ndarray:
 def is_nonsingular(a) -> bool:
     """True iff the default rank rule keeps every singular value of symmetric a; a 0 x 0 one counts as nonsingular."""
     arr = _as_2d(InvalidMatrix, a, "matrix")
-    return arr.shape == (0, 0) or _factored(arr, DEFAULT_RANK_TOL_REL).rank == arr.shape[0]
+    return arr.shape == (0, 0) or next(_factored([arr], DEFAULT_RANK_TOL_REL)).rank == arr.shape[0]
 
 
 def orthonormal_columns(a) -> np.ndarray:
@@ -341,9 +355,11 @@ def _per_shape(fn, blocks: list[np.ndarray]) -> list:
     """fn's result for each block, in order, from one fn call per distinct shape on the stack of every block of
     that shape; fn maps a (k, ...) stack to k results, as a stacked numpy.linalg call does."""
     results: list = [None] * len(blocks)
-    for shape in dict.fromkeys(block.shape for block in blocks):
-        index = [i for i, block in enumerate(blocks) if block.shape == shape]
-        for i, result in zip(index, fn(np.stack([blocks[i] for i in index])), strict=True):
+    groups: dict = {}  # the indices of each shape, in one pass
+    for i, block in enumerate(blocks):
+        groups.setdefault(block.shape, []).append(i)
+    for index in groups.values():
+        for i, result in zip(index, fn(np.array([blocks[i] for i in index])), strict=True):
             results[i] = result
     return results
 

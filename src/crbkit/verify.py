@@ -263,7 +263,7 @@ def _poincare_stage(bases: list, vs: list, margin_tol: float) -> TheoremCertific
             raise InvalidInput(f"v must be a tall matrix, got shape {frames[-1].shape}")
         _check_orthonormal(frames[-1], basis.dim, "v")
     margins = []
-    for basis, (_, mu) in zip(bases, _restricted_stage(bases, [v[None] for v in frames])):
+    for basis, mu in zip(bases, restricted_information(bases, [v[None] for v in frames])[1]):
         lam = np.append(basis.sigma, np.zeros(basis.dim - basis.rank))
         margins.append(lam[: mu.shape[1]] - mu[0, ::-1])
     return _certify("poincare", bases, margins, lambda k, i: (f"eig-index-{i}", {"v": frames[k]}), margin_tol)
@@ -297,15 +297,15 @@ def _equivalence_stage(bases: list, alternatives: list, margin_tol: float) -> Th
         stacks.append(_jacobian_stack(basis, f_jacs))
     (rank_tol_rel,) = {basis.rank_tol_rel for basis in bases}
     complements = _per_shape(lambda group: zip(*null_complements(group, rank_tol_rel)), stacks)
-    spectra = _restricted_stage(bases, [u for _, u in complements])
-    for basis, f_jacs, (row_rank, _), (_, mu) in zip(bases, stacks, complements, spectra):
+    restricted, spectra = restricted_information(bases, [u for _, u in complements])
+    for basis, f_jacs, (row_rank, _), mu in zip(bases, stacks, complements, spectra):
         stray = np.linalg.norm(f_jacs @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(f_jacs, axis=(1, 2))
         if stray.any():
             raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
         _minimum_stack(basis, ConstraintStack(basis, f_jacs, row_rank, mu))
-    inverses = _per_shape(np.linalg.inv, [restricted for restricted, _ in spectra])
+    inverses = _per_shape(np.linalg.inv, restricted)
     diffs = [(_bounds(u, r, inverse) - basis.pinv.entries).reshape(len(u), 1, -1)
-             for basis, (_, u), (r, _), inverse in zip(bases, complements, spectra, inverses)]
+             for basis, (_, u), r, inverse in zip(bases, complements, restricted, inverses)]
     # each norm as np.linalg.norm takes it, the dot product of the flattened difference with itself, one matmul
     # for the differences of each size; a norm over axes (1, 2) sums in another order
     margins = _per_shape(lambda diff: -np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0], diffs)
@@ -381,26 +381,14 @@ def _min_rank_stage(bases: list, qs: list, counts: list, margin_tol: float) -> T
         # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
         padded.append(np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0))
     margins = []
-    for basis, rows, (_, mu) in zip(bases, counts, _restricted_stage(bases, padded)):
-        scaled = mu[np.arange(len(rows)), rows] / np.array([basis.cutoff(basis.dim - m) for m in rows])  # mu_min / c
+    for basis, rows, mu in zip(bases, counts, restricted_information(bases, padded)[1]):
+        scaled = mu[np.arange(len(rows)), rows] / basis.cutoff(basis.dim - np.array(rows))  # mu_min / c
         # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
         margins.append(np.append(1.0 - scaled[:-1], scaled[-1] - 1.0))
     labels = [[f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
               for rows in counts]
     case = lambda k, i: (labels[k][i], {"f_jac": qs[k][i, :, : counts[k][i]].T})
     return _certify("min_rank", bases, margins, case, margin_tol)
-
-
-def _restricted_stage(bases: list, stacks: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """restricted_information of each J of bases on its (k, n, p) stack of U: one call, and so one eigvalsh, for
-    the stacks of each k and p."""
-    spectra: list = [None] * len(bases)
-    for shape in dict.fromkeys(u.shape[::2] for u in stacks):
-        index = [i for i, u in enumerate(stacks) if u.shape[::2] == shape]
-        restricted, mu = restricted_information([bases[i] for i in index], [stacks[i] for i in index])
-        for i, one, spectrum in zip(index, restricted, mu):
-            spectra[i] = one, spectrum
-    return spectra
 
 
 def counterexample_check() -> TheoremCertificate:

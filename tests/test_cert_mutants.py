@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import crbkit.cli
 from crbkit.verify import THEOREM_IDS
 from util import load_tool
 
@@ -33,3 +34,24 @@ def test_a_short_mutant_table_is_deterministic_and_keeps_its_caught_faults_caugh
     assert failed["none"] == (set(), "0,0")
     for mutant, rows in CAUGHT.items():
         assert failed[mutant] == (rows, "4,4")
+
+
+def test_every_mutant_of_the_factored_j_or_its_cutoff_reaches_the_suite(tmp_path):
+    # a suite's J are factored by stage (ranked_svds) and every threshold is formed by _cutoff, so each of these
+    # mutants changes a plain suite's table hash, and its own rows too, not only the fixed counterexample's: a stage
+    # path that bypassed ranked_svds moved the hashes through the counterexample alone, and left every suite row
+    tool = load_tool(TOOL)
+    mutants = ["none", "sigma*0.99", "eigenbasis-rotated-3e-2", "rank-1", "cutoff*100"]
+    argv = ["certify", "--count", "20", "--seed", "0"]
+    _, *lines, _ = tool.table([argv], mutants)
+    assert [line.split()[0] for line in lines] == mutants and len({line.split()[-1] for line in lines}) == 5
+    suites = {}
+    for index, mutant in enumerate(mutants):
+        out = tmp_path / str(index)
+        with tool.mutated(mutant):
+            code, _, stderr = tool.sweep_run(crbkit.cli.main, argv, tmp_path, out)
+        rows = (out / "certificates.csv").read_text().splitlines()[2:] if code != "3" else []
+        suites[mutant] = (code, stderr, [row for row in rows if not row.startswith("counterexample,")])
+    # one column fewer in the first suite J's range leaves its first sampled frame empty
+    assert suites["rank-1"] == ("3", "error: certify matrix 0, eigen_dominance: certificate needs at least one case\n", [])
+    assert all(suites[mutant] != suites["none"] for mutant in mutants[1:])

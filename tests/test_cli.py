@@ -1178,7 +1178,8 @@ def test_failed_factorization_exits_3(tmp_path, capsys, monkeypatch, argv):
     def fail(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(crbkit.cli, "ranked_svd", fail)
+    # a suite's J are factored by stage, an input J alone
+    monkeypatch.setattr(crbkit.cli, "ranked_svd" if argv[-1] == "--input" else "ranked_svds", fail)
     if argv[-1] == "--input":
         argv = argv + [str(write_diag_matrix(tmp_path))]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 3
@@ -1248,7 +1249,7 @@ def test_rank_tol_below_machine_epsilon_exits_2_before_factoring(tmp_path, capsy
     # run must never reach is no function here, so a run that went on to a bound or a sample fails
     if argv != ["certify"]:  # a bare certify runs its suite
         argv = argv + ["--model", "blind_channel"]
-    for name in ("unconstrained_crb", "sample_minimum_stack", "sample_constraint_traces"):
+    for name in ("unconstrained_crb", "sample_minimum_stacks", "sample_constraint_traces"):
         monkeypatch.setattr(crbkit.cli, name, None)
     assert main(argv + ["--rank-tol", tol, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (

@@ -29,6 +29,7 @@ from crbkit import (
     verify_eigen_dominance,
     verify_trace_bound,
 )
+from crbkit.constraint import sample_minimum_stacks
 from crbkit.matlin import _sign_fixed_columns, is_psd
 import exact
 from util import chart_draws, chart_jacobians, make_psd, orthonormal_rows, random_orthonormal
@@ -264,6 +265,28 @@ def test_a_samples_first_k_constraints_are_the_sample_of_k():
             assert sample_constraint_traces(basis, k, 4).tobytes() == traces[:k].tobytes()
             shorter = sample_minimum_constraints(basis, k, 4)
             assert all(a.f_jac.tobytes() == b.f_jac.tobytes() and a.label == b.label for a, b in zip(shorter, specs))
+
+
+def test_a_stage_sample_equals_each_js_own_bit_for_bit():
+    # J of mixed sizes, several of one rank, so that chunks of one shape (k, r, r) group across J: at counts 33
+    # and 70 the partial chunks of 1 and 6 draws group too; each stack equals its J's own sample, bit for bit
+    rng = np.random.default_rng(44)
+    shapes = [(2, 1), (5, 1), (4, 2), (6, 2), (6, 2), (8, 5), (3, 2), (7, 5), (8, 1)]
+    bases = [ranked_svd(make_psd(rng, n, rank)) for n, rank in shapes]
+    seeds = [100 + i for i in range(len(bases))]
+    for count in (1, 20, 33, 70):
+        stacks = sample_minimum_stacks(bases, count, seeds)
+        assert len(stacks) == len(bases)
+        for basis, seed, stack in zip(bases, seeds, stacks):
+            one = sample_minimum_stack(basis, count, seed)
+            assert stack.basis is basis and stack.utju_eigs.shape == (count, basis.rank)
+            assert np.array_equal(stack.utju_eigs, one.utju_eigs) and np.array_equal(stack.f_jacs, one.f_jacs)
+            assert np.array_equal(stack.row_rank, one.row_rank)
+
+
+def test_a_stacks_flags_are_read_once():
+    stack = sample_minimum_stack(ranked_svd(DIAG), 3, 0)
+    assert stack.is_minimum is stack.is_minimum and stack.is_minimum.tolist() == [True] * 3
 
 
 def test_sampled_flags_follow_the_row_rank_rule():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from crbkit import (
     verify_poincare,
     verify_trace_bound,
 )
+from crbkit.matlin import ranked_svds
 import exact
 from util import make_psd, min_rank_certificate, random_orthonormal, svd_pinv_oracle
 
@@ -462,6 +465,49 @@ def test_factored_value_passes_through_and_keeps_its_pseudoinverse():
     assert pinv_via_basis(basis) is basis.pinv is pinv_via_basis(basis)
     assert basis.pinv_eigenvalues is basis.pinv_eigenvalues
     assert np.array_equal(basis.pinv.entries, pinv_via_basis(j).entries)
+
+
+def test_a_stage_factorization_equals_each_js_own_bit_for_bit():
+    # every (n, rank) for n 2 to 8, rank 0 to n, twelve of them twice, in mixed order: one stacked eigh per size
+    # holds J of every rank, and each basis equals ranked_svd's of its J, whose eigenvalues are those of one
+    # unstacked eigh of J, ordered by |lambda| descending
+    rng = np.random.default_rng(43)
+    shapes = [(n, rank) for n in range(2, 9) for rank in range(n + 1)]
+    shapes += [shapes[i] for i in rng.choice(len(shapes), 12, replace=False)]
+    js = [make_psd(rng, n, rank) for n, rank in rng.permutation(shapes)]
+    bases = ranked_svds(js)
+    assert len(bases) == len(js) == 54
+    for j, basis in zip(js, bases):
+        one = ranked_svd(j)
+        assert (basis.rank, basis.rank_tol_rel) == (one.rank, one.rank_tol_rel)
+        for name in ("eigenvalues", "u_r", "u_bar", "sigma"):
+            assert np.array_equal(getattr(basis, name), getattr(one, name)), name
+        lam = np.linalg.eigh(basis.matrix.entries)[0]
+        assert np.array_equal(one.eigenvalues, lam[np.argsort(-np.abs(lam), kind="stable")])
+
+
+def test_a_stage_factorization_reports_the_first_j_it_refuses():
+    # J are refused matrix by matrix in list order, whatever the reason, though each size's eigh runs first
+    good, indefinite, tiny = np.diag([2.0, 1.0, 0.0]), np.diag([1.0, -0.5]), np.diag([1e-310, 0.0, 0.0])
+    not_psd = "^information matrix is not positive semidefinite: eigenvalue -0.5 is negative"
+    no_pinv = "^information matrix has no pseudoinverse in double precision: its least kept eigenvalue 9.99"
+    for js, refusal in (([good, indefinite, tiny], not_psd), ([good, tiny, indefinite], no_pinv)):
+        with pytest.raises(InvalidMatrix, match=refusal):
+            ranked_svds(js)
+    # at rank_tol 0.2 the rule ranks every 8 x 8 matrix 0, but not a 2 x 2 one
+    for js, refusal in (([indefinite, np.eye(8)], not_psd), ([np.eye(8), indefinite], "gives every 8 x 8 matrix")):
+        with pytest.raises((InvalidMatrix, InvalidInput), match=refusal):
+            ranked_svds(js, 0.2)
+    assert [basis.rank for basis in ranked_svds([good, np.eye(3), good])] == [2, 3, 2]
+
+
+def test_the_rank_rule_is_checked_per_factorization_and_its_cutoff_read_at_many_sizes():
+    basis = ranked_svd(make_psd(np.random.default_rng(13), 6, 3))
+    sizes = np.arange(7)
+    assert np.array_equal(basis.cutoff(sizes), [basis.cutoff(int(size)) for size in sizes])
+    # a basis checks its rule when it is made, for its own size
+    with pytest.raises(InvalidInput, match="gives every 6 x 6 matrix rank 0"):
+        dataclasses.replace(basis, rank_tol_rel=0.2)
 
 
 def test_stacked_calls_equal_single_calls_bit_for_bit():

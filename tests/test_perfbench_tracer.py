@@ -10,6 +10,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 import crbkit.cli
 from crbkit import fim_monte_carlo, pinv_via_basis, ranked_svd, sample_minimum_constraints
 from util import load_tool
@@ -35,10 +37,23 @@ def test_noted_arguments_keep_their_places():
     assert params(fim_monte_carlo)[2] == "n_samples"
 
 
-def test_traced_runs_factor_each_matrix_once(tmp_path):
+def stage_factorizations(monkeypatch):
+    """The J of each call of cli.ranked_svds, the suite's stage factorization, as bytes, in call order."""
+    calls, real = [], crbkit.cli.ranked_svds
+
+    def recorded(js, *args):
+        calls.append([np.asarray(j).tobytes() for j in js])
+        return real(js, *args)
+
+    monkeypatch.setattr(crbkit.cli, "ranked_svds", recorded)
+    return calls
+
+
+def test_traced_runs_factor_each_matrix_once(tmp_path, monkeypatch):
     path = tmp_path / "j.matx"
     path.write_text("3 3\n2 0 0\n0 1 0\n0 0 0\n")
     original = crbkit.cli.ranked_svd
+    stages = stage_factorizations(monkeypatch)
     tracer = load_tool(TRACER_PATH).Tracer()
     tracer.install()
     try:
@@ -74,9 +89,12 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert analyze.calls["matlin.ranked_svd"] == 1
     assert analyze.calls["linalg.eigh"] == 1
     assert analyze.calls["linalg.svd"] == analyze.calls["linalg.eigvalsh"] == analyze.calls["linalg.inv"] == 1
-    # three suite matrices and the fixed counterexample, each factored once
-    assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 4
-    assert certify.calls["linalg.eigh"] == 4
+    # the three suite matrices enter the stage factorization once each, which takes one eigh per size,
+    # 2 here; ranked_svd factors the fixed counterexample alone (4 ranked_svd calls and 4 eigh when each
+    # suite J took its own)
+    assert len(stages) == 1 and len(stages[0]) == len(set(stages[0])) == 3
+    assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 1
+    assert certify.calls["linalg.eigh"] == 2 + 1
     # the suite's theorems are checked by stage, not through the public verifiers, so only the counterexample
     # calls one (3 + 1 eigen-dominance checks when each suite matrix took its own)
     assert certify.calls["verify.verify_eigen_dominance"] == 1
@@ -97,18 +115,18 @@ def test_traced_runs_factor_each_matrix_once(tmp_path):
     assert certify.calls["linalg.svd"] == 3
     assert certify.calls["linalg.qr"] == 4
     assert certify.calls["linalg.inv"] == 2 + 1
-    # eigvalsh: one per J for its sampler chunk; one per rank for the Poincare frames and one per rank
+    # eigvalsh: one per rank for the sampler chunks, one per rank for the Poincare frames and one per rank
     # for the equivalence mixes; one per size for the min_rank trials; and three for the counterexample,
     # its dominance check's, its bound's V'J_rV and the spectrum of the bound's difference from J+
-    # (14 when each J took one for each check and the counterexample formed V'JV itself; 21 when
-    # min_rank took one per distinct row count, and 20 when each trial drew its row count and then its
-    # rows); the sampler draws each chunk in J's chart and makes no solve (one per J when it carried
-    # Gaussian draws there)
-    assert certify.calls["linalg.eigvalsh"] == 3 + 2 + 2 + 2 + 3
+    # (12 when each J's sampler chunk took its own; 14 when each J took one for each check and the
+    # counterexample formed V'JV itself; 21 when min_rank took one per distinct row count, and 20 when
+    # each trial drew its row count and then its rows); the sampler draws each chunk in J's chart and
+    # makes no solve (one per J when it carried Gaussian draws there)
+    assert certify.calls["linalg.eigvalsh"] == 2 + 2 + 2 + 2 + 3
     assert certify.calls["linalg.solve"] == 0
 
 
-def test_a_monte_carlo_j_is_factored_once(tmp_path):
+def test_a_monte_carlo_j_is_factored_once(tmp_path, monkeypatch):
     # the estimate is not clipped, so its own eigh and reconstruction are gone (2 eigh when they
     # were there); the svd, eigvalsh and inv belong to the optimal constraint's bound. A suite's
     # count is unchanged by it; its 20 matrices have 5 sizes, and each size takes 2 qr (224 LAPACK
@@ -116,7 +134,10 @@ def test_a_monte_carlo_j_is_factored_once(tmp_path):
     # call per operand shape: the 20 J have 5 ranks and 12 shapes (m, n), so 5 eigvalsh each for the
     # Poincare frames, the equivalence mixes and the min_rank trials, 12 svd and 5 + 1 inv, besides
     # the sampler's 20 eigvalsh and the counterexample's 3 (154 calls, with 82 eigvalsh, 20 svd and
-    # 21 inv, when each J was checked alone and the counterexample formed its own V'JV)
+    # 21 inv, when each J was checked alone and the counterexample formed its own V'JV). The stage's J are
+    # factored by one eigh per size, and its sampler chunks take one eigvalsh per shape (k, r, r), here per
+    # rank (87 calls, with 21 eigh and 38 eigvalsh, when each J took its own of both)
+    stages = stage_factorizations(monkeypatch)
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\n")
     module = load_tool(TRACER_PATH)
@@ -134,7 +155,9 @@ def test_a_monte_carlo_j_is_factored_once(tmp_path):
     analyze, certify = traces
     lapack = {name: analyze.calls[f"linalg.{name}"] for name in module.LINALG}
     assert lapack == {"svd": 1, "eigvalsh": 1, "eigh": 1, "inv": 1, "qr": 0, "solve": 0, "cholesky": 0}
-    assert sum(certify.calls[f"linalg.{name}"] for name in module.LINALG) == 87
-    assert certify.calls["linalg.qr"] == 10 and certify.calls["linalg.eigh"] == 21
-    assert (certify.calls["linalg.eigvalsh"], certify.calls["linalg.svd"], certify.calls["linalg.inv"]) == (38, 12, 6)
-    assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 21
+    assert sum(certify.calls[f"linalg.{name}"] for name in module.LINALG) == 57
+    assert certify.calls["linalg.qr"] == 10 and certify.calls["linalg.eigh"] == 5 + 1
+    assert (certify.calls["linalg.eigvalsh"], certify.calls["linalg.svd"], certify.calls["linalg.inv"]) == (23, 12, 6)
+    # each of the 20 suite J enters the stage factorization once; ranked_svd factors the counterexample alone
+    assert len(stages) == 1 and len(stages[0]) == len(set(stages[0])) == 20
+    assert certify.calls["matlin.ranked_svd"] == certify.distinct["matlin.ranked_svd"] == 1

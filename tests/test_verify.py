@@ -838,7 +838,7 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
         claimed = np.arange(7) < 6 if failing == "deficient-" else np.arange(7) == 6
 
         def pinned(bases, stacks):
-            # a stage of one J: the lists of its basis and its padded Q, whose U'J_rU come as a stack of one
+            # a stage of one J: the lists of its basis and its padded Q, and of its U'J_rU and their spectra
             (basis,), (u,) = bases, stacks
             restricted, mu = real(bases, stacks)
             mu = mu[0].copy()
@@ -846,7 +846,7 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
                 mu[i, m] = np.nextafter(basis.cutoff(mu.shape[1] - m), step)
                 mu[i, m:] = np.maximum(mu[i, m:], mu[i, m])  # still ascending: mu_min alone decides
                 assert restricted_nonsingular(basis, mu[i, m:]) == nonsingular
-            return restricted, mu[None]
+            return restricted, [mu]
 
         monkeypatch.setattr(verify_module, "restricted_information", pinned)
         cert = min_rank_certificate(basis, 6, 3, 0.0)

@@ -8,7 +8,7 @@ imports crbkit from TREE/src, writes the sweep's input files to a
 temporary directory and runs each command of SWEEP in this one process
 through crbkit.cli.main: first unmutated, then under each mutant of
 MUTANTS. A mutant replaces one function or property by a faulty copy in
-every crbkit module that holds it (`from .matlin import ranked_svd`
+every crbkit module that holds it (`from .matlin import ranked_svds`
 copies the name into the importing module), and is undone before the
 next mutant.
 
@@ -61,8 +61,10 @@ def _everywhere(module: str, name: str, wrap):
 
 
 def _on_basis(change):
-    """A mutant of ranked_svd: every J factored as before, then change(basis) returned."""
-    return lambda: _everywhere("crbkit.matlin", "ranked_svd", lambda real: lambda *a, **k: change(real(*a, **k)))
+    """A mutant of ranked_svds, the factorization of every J (ranked_svd is its one-J case): every J factored as
+    before, then change(basis) returned."""
+    wrap = lambda real: lambda *a, **k: [change(basis) for basis in real(*a, **k)]
+    return lambda: _everywhere("crbkit.matlin", "ranked_svds", wrap)
 
 
 def _scaled_sigma(basis):
@@ -107,6 +109,8 @@ def _property(name: str, factor: float):
 def _restricted_scaled(real):
     def restricted_information(*args, **kwargs):
         restricted, mu = real(*args, **kwargs)
+        if isinstance(restricted, list):  # the list form, of a stage of J
+            return [1.01 * one for one in restricted], [1.01 * one for one in mu]
         return 1.01 * restricted, 1.01 * mu
 
     return restricted_information
