@@ -6,10 +6,10 @@ rank, nonsingular restricted information U'J_rU, rank F + rank J = n),
 synthesizes the optimal affine constraint from the information null
 space, and samples random minimum constraints for experiments: one
 evaluated stack, its traces, or labeled specs.
-One evaluator, _evaluate, makes one svd and one eigvalsh call per stack
-of Jacobians for evaluate_constraints and constrained_crb; the
-equivalence certificate makes them for a stage of J. The samplers draw
-in J's chart instead, where every draw is a minimum constraint.
+One evaluator, _evaluate, makes one svd and one eigvalsh call per shape
+for a stage of J and their Jacobian stacks: for evaluate_constraints and
+constrained_crb a stage of one, for the equivalence certificate many. The
+samplers draw in J's chart instead, where every draw is a minimum constraint.
 """
 
 from __future__ import annotations
@@ -125,18 +125,19 @@ class ConstraintStack:
 
 def evaluate_constraints(j, f_jacs) -> ConstraintStack:
     """Evaluate the three minimum-constraint requirements for a (k, m, n) stack."""
-    return _evaluate(j, f_jacs)[0]
+    return _evaluate([j], [f_jacs])[0][0]
 
 
-def _evaluate(j, f_jacs) -> tuple[ConstraintStack, np.ndarray, np.ndarray]:
-    """The one evaluator of Jacobian stacks: the evaluated stack, each null basis U and each U'J_rU.
-    f_jacs is validated once; one null_complements (svd) call gives each row rank and U, and one
-    restricted_information (eigvalsh) call each U'J_rU and its spectrum, as _bounds takes them."""
-    basis = as_ranked_svd(j)
-    f_jacs = _jacobian_stack(basis, f_jacs)
-    row_rank, u = null_complements(f_jacs, basis.rank_tol_rel)
-    restricted, mu = restricted_information(basis, u)
-    return ConstraintStack(basis, f_jacs, row_rank, mu), u, restricted
+def _evaluate(js: list, f_jacs: list) -> tuple[list[ConstraintStack], list, list]:
+    """The one evaluator of Jacobian stacks: for each J of js, all of one rank rule, and its (k, m, n) stack of f_jacs,
+    validated in order, the evaluated stack, its null bases U and its U'J_rU, as _bounds takes them, in three lists.
+    One svd call (null_complements) per (k, m, n) gives row ranks and U, and one eigvalsh call per (k, p) gives mu."""
+    bases = [as_ranked_svd(j) for j in js]
+    stacks = [_jacobian_stack(basis, stack) for basis, stack in zip(bases, f_jacs)]
+    (rank_tol_rel,) = {basis.rank_tol_rel for basis in bases}
+    row_ranks, us = zip(*_per_shape(lambda group: zip(*null_complements(group, rank_tol_rel)), stacks))
+    restricted, spectra = restricted_information(bases, us)
+    return [ConstraintStack(*fields) for fields in zip(bases, stacks, row_ranks, spectra)], list(us), restricted
 
 
 def _jacobian_stack(basis: RankedSvd, f_jacs) -> np.ndarray:

@@ -65,23 +65,22 @@ def constrained_crb(j, constraint) -> CrbReport:
 
     Evaluates the stack [F] as evaluate_constraints does and forms
     U (U'J_rU)^-1 U' from its U and U'J_rU where its flags call U'J_rU
-    nonsingular, with trace and eigenvalues 1/mu read from the spectrum mu
-    of U'J_rU; otherwise reports a nonexistent (infinite) bound. Raises
-    RankDeficientConstraint for dependent rows and InvalidInput for an F
-    that is not a finite (m, n) matrix.
+    nonsingular, with eigenvalues 1/mu read from the spectrum mu of U'J_rU
+    and trace their sum, as bound_traces reads it; otherwise reports a
+    nonexistent (infinite) bound. Raises RankDeficientConstraint for
+    dependent rows and InvalidInput for an F that is not a finite (m, n) matrix.
     """
     f_jac = constraint.f_jac if isinstance(constraint, ConstraintSpec) else constraint
-    stack, u, restricted = _evaluate(j, [f_jac])
+    (stack,), us, restricted = _evaluate([j], [[f_jac]])
     m = stack.f_jacs.shape[1]
     if not stack.full_rank_jacobian[0]:
         raise RankDeficientConstraint(stack.row_rank[0], m)
     if not stack.utju_nonsingular[0]:
         return CrbReport(bound=None, exists=False, trace=math.inf, eigenvalues=None)
-    bound = _bounds(u, restricted)[0]
-    lam = 1.0 / stack.utju_eigs[0]
+    (bound,) = _bounds(us, restricted)
     return CrbReport(
-        bound=SymMatrix(bound),
+        bound=SymMatrix(bound[0]),
         exists=True,
-        trace=float(lam.sum()),
-        eigenvalues=_freeze(np.concatenate([lam, np.zeros(m)])),
+        trace=float(bound_traces(stack)[0]),
+        eigenvalues=_freeze(np.concatenate([1.0 / stack.utju_eigs[0], np.zeros(m)])),
     )

@@ -197,17 +197,16 @@ class RankedSvd:
         return _freeze(np.concatenate([1.0 / self.sigma[::-1], np.zeros(self.dim - self.rank)]))
 
 
-def restricted_information(basis, u):
-    """U'J_rU = Y' diag(lambda_r) Y, Y = U_r'U, symmetrized, for a (k, n, p) stack of bases U, and its
-    ascending eigenvalues; J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+.
-    basis and u may also be lists, of J's and of their stacks: then both come as lists, in order, with
-    one eigvalsh call for the stacks of each k and p (_per_shape)."""
-    many, parts = isinstance(basis, list), []
-    for one, stack in zip(basis, u) if many else [(basis, u)]:
-        y = one.u_r.T @ stack
-        restricted = y.transpose(0, 2, 1) @ (one.eigenvalues[: one.rank, None] * y)
-        parts.append(0.5 * (restricted + restricted.swapaxes(-1, -2)))
-    return (parts, _per_shape(np.linalg.eigvalsh, parts)) if many else (parts[0], np.linalg.eigvalsh(parts[0]))
+def restricted_information(bases: list, us: list) -> tuple[list, list]:
+    """U'J_rU = Y' diag(lambda_r) Y, Y = U_r'U, symmetrized, for each J of bases and its (k, n, p) stack of bases U
+    in us, and their ascending eigenvalues, as lists in order, with one eigvalsh call for the stacks of each k and p
+    (_per_shape); J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+."""
+    restricted = []
+    for basis, u in zip(bases, us):
+        y = basis.u_r.T @ u
+        one = y.transpose(0, 2, 1) @ (basis.eigenvalues[: basis.rank, None] * y)
+        restricted.append(0.5 * (one + one.swapaxes(-1, -2)))
+    return restricted, _per_shape(np.linalg.eigvalsh, restricted)
 
 
 def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
@@ -216,18 +215,17 @@ def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
     return np.all(mu > basis.cutoff(mu.shape[-1]), axis=-1)
 
 
-def _bounds(u: np.ndarray, restricted: np.ndarray, inverse: np.ndarray | None = None) -> np.ndarray:
-    """U (U'JU)^-1 U', symmetrized, for a (k, n, r) stack of bases U; one inv call for all.
-
-    restricted is the (k, r, r) stack of U'JU, each nonsingular; inverse,
-    when given, is its inverse, taken by a stacked inv call of many J. An
-    inverse that overflows raises FloatingPointError.
-    """
-    inverse = np.linalg.inv(restricted) if inverse is None else inverse
-    if not np.isfinite(inverse).all():
-        raise FloatingPointError("overflow encountered in the inverse of U'JU")
-    bounds = u @ inverse @ u.transpose(0, 2, 1)
-    return 0.5 * (bounds + bounds.transpose(0, 2, 1))
+def _bounds(us: list, restricted: list) -> list:
+    """U (U'JU)^-1 U', symmetrized, for each (k, n, r) stack of bases U of us and its (k, r, r) stack of nonsingular
+    U'JU in restricted, in order, with one inv call per shape (_per_shape); FloatingPointError for the first inverse
+    that overflows."""
+    bounds = []
+    for u, inverse in zip(us, _per_shape(np.linalg.inv, restricted)):
+        if not np.isfinite(inverse).all():
+            raise FloatingPointError("overflow encountered in the inverse of U'JU")
+        bound = u @ inverse @ u.transpose(0, 2, 1)
+        bounds.append(0.5 * (bound + bound.transpose(0, 2, 1)))
+    return bounds
 
 
 def _factored(ms: list, rank_tol_rel: float):

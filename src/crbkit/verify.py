@@ -30,7 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import ConstraintStack, _jacobian_stack
+from .constraint import ConstraintStack, _evaluate
+from .crb import bound_traces
 from .errors import InvalidInput, NotMinimumConstraint, SingularRestriction
 from .matlin import (
     ORTHONORMAL_TOL,
@@ -42,7 +43,6 @@ from .matlin import (
     _freeze,
     _per_shape,
     as_ranked_svd,
-    null_complements,
     orthonormal_columns,
     random_stream,
     ranked_svd,
@@ -129,9 +129,11 @@ def _certify(
     detail: str = "",
 ) -> TheoremCertificate:
     """The certificate of the margins of each J of bases, in order, under the pass rule of passes, margin_tol a
-    number; each J needs at least one case. case(k, i) gives J k's failing case i's label and matrices; its witness
-    holds J k, the matrix of bases[k], first, then those matrices."""
+    number but not NaN, which fails every case; each J needs a case. case(k, i) gives J k's failing case i's label and
+    matrices; its witness holds J k, the matrix of bases[k], first, then those matrices."""
     _check_kind(InvalidInput, "a number", margin_tol=margin_tol)
+    if np.isnan(margin_tol):
+        raise InvalidInput(f"margin_tol must not be NaN, got {margin_tol!r}")
     if not all(part.size for part in margins):
         raise InvalidInput("certificate needs at least one case")
     flat, starts = np.concatenate(margins), np.cumsum([0] + [part.size for part in margins]).tolist()
@@ -201,8 +203,7 @@ def verify_trace_bound(j, stack: ConstraintStack, margin_tol: float = DEFAULT_MA
 def _trace_bound_stage(bases: list, stacks: list, margin_tol: float) -> TheoremCertificate:
     """verify_trace_bound of each J of bases and its stack, as one certificate."""
     stacks = [_minimum_stack(basis, stack) for basis, stack in zip(bases, stacks)]
-    # past the gate every U'JU is nonsingular: each bound's trace is sum 1/mu, as bound_traces reads it
-    margins = [(1.0 / stack.utju_eigs).sum(axis=1) - basis.pinv.trace for basis, stack in zip(bases, stacks)]
+    margins = [bound_traces(stack) - basis.pinv.trace for basis, stack in zip(bases, stacks)]
     case = lambda k, i: (f"constraint-{i}", _stack_witness(stacks[k], i))
     return _certify("trace_bound", bases, margins, case, margin_tol)
 
@@ -226,11 +227,11 @@ def verify_eigen_dominance(j, v, margin_tol: float = DEFAULT_MARGIN_TOL) -> Theo
 
 def _eigen_dominance_stage(bases: list, vs: list, margin_tol: float) -> TheoremCertificate:
     """verify_eigen_dominance of each J of bases and its v, as one certificate."""
-    evals, mats = [], []
-    for basis, v in zip(bases, vs):
+    evals, mats, framed = {}, [], {}  # the spectra, and the frames, of each J k
+    for k, (basis, v) in enumerate(zip(bases, vs)):
         if isinstance(v, ConstraintStack):
             stack = _minimum_stack(basis, v)
-            evals.append(stack.utju_eigs)
+            evals[k] = stack.utju_eigs
             mats.append(lambda i, stack=stack: _stack_witness(stack, i))
             continue
         v_arr = _as_floats(InvalidInput, v, "v")
@@ -238,13 +239,15 @@ def _eigen_dominance_stage(bases: list, vs: list, margin_tol: float) -> TheoremC
         frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
         if frames.shape[2] != basis.rank:
             raise InvalidInput(f"frames need rank(J) = {basis.rank} columns, got {frames.shape[2]}")
-        evals.append(restricted_information(basis, frames)[1])
-        exists = restricted_nonsingular(basis, evals[-1])
+        framed[k] = frames
+        mats.append(lambda i, frames=frames: {"v": frames[i]})
+    for k, mu in zip(framed, restricted_information([bases[k] for k in framed], list(framed.values()))[1]):
+        exists = restricted_nonsingular(bases[k], mu)
         if not np.all(exists):
             raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
-        mats.append(lambda i, frames=frames: {"v": frames[i]})
+        evals[k] = mu
     # 1/mu descends as mu ascends, as 1/sigma does
-    margins = [(1.0 / mu - basis.pinv_eigenvalues[: basis.rank]).ravel() for basis, mu in zip(bases, evals)]
+    margins = [(1.0 / evals[k] - basis.pinv_eigenvalues[: basis.rank]).ravel() for k, basis in enumerate(bases)]
     case = lambda k, c: (f"eig-index-{c % bases[k].rank}", mats[k](c // bases[k].rank))
     return _certify("eigen_dominance", bases, margins, case, margin_tol)
 
@@ -284,7 +287,7 @@ def verify_constraint_equivalence(j, alt_jacobians, margin_tol: float = DEFAULT_
 
 def _equivalence_stage(bases: list, alternatives: list, margin_tol: float) -> TheoremCertificate:
     """verify_constraint_equivalence of each J of bases, all of one rank rule, and its alternatives, as one
-    certificate: the stacks of one shape get one svd (null_complements) and one inv call."""
+    certificate: constraint._evaluate evaluates every J's stack, and _bounds forms every bound."""
     stacks = []
     for basis, alt_jacobians in zip(bases, alternatives):
         n, m = basis.dim, basis.dim - basis.rank
@@ -294,22 +297,20 @@ def _equivalence_stage(bases: list, alternatives: list, margin_tol: float) -> Th
         for idx, f_arr in enumerate(f_jacs):
             if f_arr.shape != (m, n):
                 raise InvalidInput(f"alternative {idx} has shape {f_arr.shape}, expected ({m}, {n})")
-        stacks.append(_jacobian_stack(basis, f_jacs))
-    (rank_tol_rel,) = {basis.rank_tol_rel for basis in bases}
-    complements = _per_shape(lambda group: zip(*null_complements(group, rank_tol_rel)), stacks)
-    restricted, spectra = restricted_information(bases, [u for _, u in complements])
-    for basis, f_jacs, (row_rank, _), mu in zip(bases, stacks, complements, spectra):
+        stacks.append(f_jacs)
+    evaluated, us, restricted = _evaluate(bases, stacks)
+    for basis, stack in zip(bases, evaluated):
+        f_jacs = stack.f_jacs
         stray = np.linalg.norm(f_jacs @ basis.u_r, axis=(1, 2)) > 1e-8 * np.linalg.norm(f_jacs, axis=(1, 2))
         if stray.any():
             raise InvalidInput(f"alternative {np.argmax(stray)} does not annihilate the range basis")
-        _minimum_stack(basis, ConstraintStack(basis, f_jacs, row_rank, mu))
-    inverses = _per_shape(np.linalg.inv, restricted)
-    diffs = [(_bounds(u, r, inverse) - basis.pinv.entries).reshape(len(u), 1, -1)
-             for basis, (_, u), r, inverse in zip(bases, complements, restricted, inverses)]
+        _minimum_stack(basis, stack)
+    diffs = [(bound - basis.pinv.entries).reshape(len(bound), 1, -1)
+             for basis, bound in zip(bases, _bounds(us, restricted))]
     # each norm as np.linalg.norm takes it, the dot product of the flattened difference with itself, one matmul
     # for the differences of each size; a norm over axes (1, 2) sums in another order
     margins = _per_shape(lambda diff: -np.sqrt(diff @ diff.swapaxes(-1, -2))[..., 0, 0], diffs)
-    case = lambda k, i: (f"alternative-{i}", {"f_jac": stacks[k][i]})
+    case = lambda k, i: (f"alternative-{i}", {"f_jac": evaluated[k].f_jacs[i]})
     return _certify("equivalence", bases, margins, case, margin_tol)
 
 
@@ -405,7 +406,7 @@ def counterexample_check() -> TheoremCertificate:
     basis = ranked_svd(np.diag([1.0, 1.0, 0.0, 0.0]))
     v = 0.5 * np.array([[-1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     margin_dominance = verify_eigen_dominance(basis, v).worst_margin  # which refuses a v of the wrong width first
-    diff = _bounds(v[None], restricted_information(basis, v[None])[0])[0] - basis.pinv.entries  # both symmetric
+    diff = _bounds([v[None]], restricted_information([basis], [v[None]])[0])[0][0] - basis.pinv.entries  # symmetric
     min_eig = float(np.linalg.eigvalsh(diff)[0])
     margin_indefinite = -COUNTEREXAMPLE_NEG_EIG - min_eig
     margin_trace = float(np.trace(diff))

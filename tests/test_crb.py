@@ -27,6 +27,7 @@ from crbkit import (
     unconstrained_crb,
     verify_constraint_equivalence,
 )
+from crbkit.constraint import _evaluate
 from crbkit.crb import _bounds
 from crbkit.matlin import DEFAULT_RANK_TOL_REL, restricted_information
 import exact
@@ -179,38 +180,40 @@ def test_dependent_constraint_rows_rejected():
 
 
 def test_stacked_bounds_match_single_calls_bit_for_bit():
-    # every n from 2 to 32 with every nullity from 1 to n - 1, and rank 0
+    # every n from 2 to 32 with every nullity from 1 to n - 1, and rank 0, evaluated as one stage: the U'J_rU of one
+    # rank share an eigvalsh and an inv call across n, and each J's bounds equal its own constrained_crb's
     rng = np.random.default_rng(32)
+    sweep = []
     for n in range(2, 33):
         for nullity in range(1, n + 1):
             j = make_psd(rng, n, n - nullity)
             basis = ranked_svd(j)
             assert basis.rank == n - nullity
-            specs = sample_minimum_constraints(basis, 2, n * 100 + nullity)
-            stack = evaluate_constraints(basis, np.stack([spec.f_jac for spec in specs]))
-            u = null_complements(stack.f_jacs)[1]
-            bounds = _bounds(u, restricted_information(basis, u)[0])
-            traces = bound_traces(stack)
-            for i, spec in enumerate(specs):
-                single = constrained_crb(j, spec)
-                assert np.array_equal(single.bound.entries, bounds[i])
-                assert single.trace == traces[i]
-                lam = single.eigenvalues
-                assert np.array_equal(lam[: n - nullity], 1.0 / stack.utju_eigs[i])
-                assert np.all(lam[n - nullity :] == 0.0)
-                # one matrix at a time in plain numpy, U'J_rU = Y' diag(lambda_r) Y with Y = U_r'U
-                u = np.linalg.svd(spec.f_jac)[2][nullity:].T
-                y = basis.u_r.T @ u
-                restricted = y.T @ (basis.eigenvalues[: n - nullity, None] * y)
-                restricted = 0.5 * (restricted + restricted.T)
-                evals = np.linalg.eigvalsh(restricted)
-                assert np.array_equal(stack.utju_eigs[i], evals)
-                bound = u @ np.linalg.inv(restricted) @ u.T
-                assert np.array_equal(single.bound.entries, 0.5 * (bound + bound.T))
-                expected = {"rank_jacobian": nullity, "rank_fim": n - nullity, "param_dim": n}
-                if evals.size:
-                    expected.update(utju_min_eig=float(evals[0]), utju_max_eig=float(evals[-1]))
-                assert check_minimum_constraint(j, spec).details(0) == expected
+            sweep.append((n, nullity, j, basis, sample_minimum_constraints(basis, 2, n * 100 + nullity)))
+    stacks, us, utjus = _evaluate([basis for *_, basis, _ in sweep],
+                                  [np.stack([spec.f_jac for spec in specs]) for *_, specs in sweep])
+    for (n, nullity, j, basis, specs), stack, bounds in zip(sweep, stacks, _bounds(us, utjus), strict=True):
+        traces = bound_traces(stack)
+        for i, spec in enumerate(specs):
+            single = constrained_crb(j, spec)
+            assert np.array_equal(single.bound.entries, bounds[i])
+            assert single.trace == traces[i]
+            lam = single.eigenvalues
+            assert np.array_equal(lam[: n - nullity], 1.0 / stack.utju_eigs[i])
+            assert np.all(lam[n - nullity :] == 0.0)
+            # one matrix at a time in plain numpy, U'J_rU = Y' diag(lambda_r) Y with Y = U_r'U
+            u = np.linalg.svd(spec.f_jac)[2][nullity:].T
+            y = basis.u_r.T @ u
+            restricted = y.T @ (basis.eigenvalues[: n - nullity, None] * y)
+            restricted = 0.5 * (restricted + restricted.T)
+            evals = np.linalg.eigvalsh(restricted)
+            assert np.array_equal(stack.utju_eigs[i], evals)
+            bound = u @ np.linalg.inv(restricted) @ u.T
+            assert np.array_equal(single.bound.entries, 0.5 * (bound + bound.T))
+            expected = {"rank_jacobian": nullity, "rank_fim": n - nullity, "param_dim": n}
+            if evals.size:
+                expected.update(utju_min_eig=float(evals[0]), utju_max_eig=float(evals[-1]))
+            assert check_minimum_constraint(j, spec).details(0) == expected
 
 
 def test_spectral_traces_and_eigenvalues_agree_with_the_n_by_n_route():
@@ -226,7 +229,7 @@ def test_spectral_traces_and_eigenvalues_agree_with_the_n_by_n_route():
             f_jacs = orthonormal_rows(sample_minimum_stack(basis, 40, 100 * n + rank).f_jacs)
             stack = evaluate_constraints(basis, f_jacs)
             u = null_complements(stack.f_jacs)[1]
-            bounds = _bounds(u, restricted_information(basis, u)[0])
+            (bounds,) = _bounds([u], restricted_information([basis], [u])[0])
             mu = stack.utju_eigs
             cond = mu[:, -1] / mu[:, 0]
             traces = np.array(bound_traces(stack))

@@ -36,3 +36,17 @@ def test_every_private_function_is_read():
     read |= {node.attr for _, node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert len(private) > 20
     assert {name: where for name, where in private.items() if name not in read} == {}
+
+
+def test_each_factorization_and_inverse_has_one_home():
+    # every svd, inv, eigh and qr of the package is read in one function, so each is grouped by shape in one place;
+    # eigvalsh is left out, as J's chart (the sampler's X) and the frame route (U'J_rU) need separate calls
+    homes = {"svd": "null_complements", "inv": "_bounds", "eigh": "_factored", "qr": "orthonormal_columns"}
+    found = {name: [] for name in homes}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:  # a function or class, or a statement of the module
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in homes and ast.unparse(node.value) == "np.linalg":
+                    found[node.attr].append(getattr(top, "name", "<module>"))
+    assert found == {name: [home] for name, home in homes.items()}

@@ -247,7 +247,7 @@ def test_spectral_dominance_margins_agree_with_the_n_by_n_route():
             stack = evaluate_constraints(basis, f_jacs)
             margins = verify_eigen_dominance(basis, stack).margins.reshape(20, rank)
             u = null_complements(stack.f_jacs)[1]
-            bounds = _bounds(u, restricted_information(basis, u)[0])
+            (bounds,) = _bounds([u], restricted_information([basis], [u])[0])
             pinv = np.linalg.eigvalsh(basis.pinv.entries)[::-1]
             reference = np.linalg.eigvalsh(bounds)[:, ::-1] - pinv
             mu, sigma = stack.utju_eigs, basis.sigma
@@ -277,7 +277,7 @@ def assert_clears_the_known_false_fail(basis, frames, cert):
     relative = cert.margins / np.tile(basis.pinv_eigenvalues[: basis.rank], len(frames))
     assert 0.0797 < min(relative) < 0.0798
     v = frames[11]
-    lam = np.linalg.eigvalsh(_bounds(v[None], (v.T @ basis.matrix.entries @ v)[None])[0])
+    lam = np.linalg.eigvalsh(_bounds([v[None]], [(v.T @ basis.matrix.entries @ v)[None]])[0][0])
     assert 0.0 > lam[0] >= -4 * EPS * lam[-1]
     return lam[0]
 

@@ -76,6 +76,10 @@ CALLS = {
     "equivalence margin_tol": (
         lambda: verify_constraint_equivalence(J, [np.eye(3)[2:]], True), "margin_tol must be a number, got True"
     ),
+    "trace margin_tol NaN": (
+        lambda: verify_trace_bound(J, evaluate_constraints(J, np.eye(3)[None, 2:]), float("nan")),
+        "margin_tol must not be NaN, got nan",
+    ),
     "SymMatrix complex scalars": (lambda: SymMatrix([[np.complex128(1j), 0.0], [0.0, 1.0]]), f"matrix {COMPLEX}"),
     "ranked_svd complex": (lambda: ranked_svd(J.astype(complex)), f"matrix {COMPLEX}"),
     "ConstraintSpec complex offset": (

@@ -109,9 +109,7 @@ def _property(name: str, factor: float):
 def _restricted_scaled(real):
     def restricted_information(*args, **kwargs):
         restricted, mu = real(*args, **kwargs)
-        if isinstance(restricted, list):  # the list form, of a stage of J
-            return [1.01 * one for one in restricted], [1.01 * one for one in mu]
-        return 1.01 * restricted, 1.01 * mu
+        return [1.01 * one for one in restricted], [1.01 * one for one in mu]
 
     return restricted_information
 
