@@ -132,7 +132,7 @@ def _certify(
     number but not NaN, which fails every case; each J needs a case. case(k, i) gives J k's failing case i's label and
     matrices; its witness holds J k, the matrix of bases[k], first, then those matrices."""
     _check_kind(InvalidInput, "a number", margin_tol=margin_tol)
-    if np.isnan(margin_tol):
+    if margin_tol != margin_tol:  # only NaN is unequal to itself, of any float type
         raise InvalidInput(f"margin_tol must not be NaN, got {margin_tol!r}")
     if not all(part.size for part in margins):
         raise InvalidInput("certificate needs at least one case")
