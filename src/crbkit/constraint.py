@@ -193,9 +193,11 @@ def _sampled(j, count: int, rng_seed):
     X = Lambda^-1 + M'M. So 1/mu_min <= 1/lambda_r + ||M||_F^2 < 1/c:
     restricted_nonsingular keeps every draw, and tr X = sum 1/lambda_i +
     ||M||_F^2, which reads N only through its squared column norms C_j,
-    chi^2(m) and independent of the columns' directions. A chunk draws its
-    (k, r) C from the stream seed_sequence(rng_seed); only
-    sample_minimum_stack draws directions. Each stream is drawn in draw
+    chi^2(m) and independent of the columns' directions (Muirhead 1982).
+    So tr B(F) - tr J+ = ||M||_F^2 >= 0, zero iff null(F) = range(J), and
+    lambda_i(X) >= lambda_i(Lambda^-1) by Weyl: the paper's trace and
+    eigenvalue bounds. A chunk draws its (k, r) C from the stream
+    seed_sequence(rng_seed); only sample_minimum_stack draws directions. Each stream is drawn in draw
     order, so a sample's first k draws are the sample of k. Raises
     InvalidInput for a count that is not a positive integer, FullRankFim
     when J is nonsingular and InvalidMatrix when ranked_svd refuses J.
@@ -239,12 +241,13 @@ def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[Constra
     """For each singular J of js and its integer seed, count random minimum constraints as one evaluated stack.
 
     Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled and its direction from a standard normal
-    g of the second stream seed_sequence(rng_seed, 1), so N is standard normal. Each Jacobian is F = U_bar' + L U_r';
-    its mu come from the eigvalsh of its chunk's X = Lambda^-1 + M'M. The J's chunks are drawn in step, chunk c of
-    every J together, whose X of one shape (k, r, r) get one stacked eigvalsh: each stack equals its J's own bit for
-    bit, and only one chunk of X per J is held. F's rows are not orthonormal, but its singular values are at least
-    one, so the svd row-rank rule of evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n)
-    rank_tol_rel reaches one.
+    g of the second stream seed_sequence(rng_seed, 1), so N is standard normal. Each Jacobian is F = U_bar' + L U_r',
+    kept as drawn (the bound reads F only through null(F)); its mu come from the eigvalsh of its chunk's
+    X = Lambda^-1 + M'M. The J's chunks are drawn in step, chunk c of every J together, whose X of one shape
+    (k, r, r) get one stacked eigvalsh: each stack equals its J's own bit for bit, and only one chunk of X per J is
+    held. F's rows are not orthonormal, but its singular values are at least one, so the svd row-rank rule of
+    evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n) rank_tol_rel reaches one: at a loose rule,
+    evaluate its orthonormal rows (sample_minimum_constraints) instead.
     """
     samples = [(*_sampled(j, count, rng_seed), np.random.default_rng(seed_sequence(rng_seed, 1)), [], [])
                for j, rng_seed in zip(js, rng_seeds)]
@@ -271,7 +274,8 @@ def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintS
     """Draw random minimum constraints for a singular J; deterministic for a given seed.
 
     The constraints of sample_minimum_stack, each F the orthonormal rows of
-    its Jacobian (one sign-fixed qr for all), the i-th labeled "sampled-i".
+    its Jacobian, the i-th labeled "sampled-i": one sign-fixed qr of all,
+    which gives each F of its own qr bit for bit.
     """
     rows = orthonormal_columns(sample_minimum_stack(j, count, rng_seed).f_jacs.transpose(0, 2, 1))
     return [ConstraintSpec(f_jac=f_t.T, label=f"sampled-{i}") for i, f_t in enumerate(rows)]
@@ -287,7 +291,7 @@ def save_constraint_spec(path, spec: ConstraintSpec) -> None:
 
 
 def load_constraint_spec(path) -> ConstraintSpec:
-    """Read a constraint written by save_constraint_spec."""
+    """Read a constraint written by save_constraint_spec, unlabeled."""
     lines = read_ascii(path, f"no such constraint file {path}").splitlines()
     jac, pos = _parse_block(lines, 0)
     offset = None

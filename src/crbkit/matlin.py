@@ -105,10 +105,13 @@ _KINDS = {"an integer": (int, np.integer), "a number": (int, float, np.integer, 
 
 
 def _check_kind(error: type[Exception], kind: str, **values) -> None:
-    """error naming the first of values that is not kind, a key of _KINDS: a Python or numpy one, not a bool."""
+    """error naming the first of values that is not kind, a key of _KINDS: a Python or numpy one, not a bool.
+    "a number" admits a Python int only within double range, where float() and comparisons with floats hold."""
     for name, value in values.items():
         if not isinstance(value, _KINDS[kind]) or isinstance(value, bool):
             raise error(f"{name} must be {kind}, got {value!r}")
+        if kind == "a number" and isinstance(value, int) and not abs(value) <= float(np.finfo(float).max):
+            raise error(f"{name} must be a number within double range, got an integer of {value.bit_length()} bits")
 
 
 def _check_count(value, name: str, least: int) -> None:
@@ -159,7 +162,8 @@ class RankedSvd:
     eigenvalues: (n,) J's signed eigenvalues, in the column order of [u_r, u_bar];
            those the rank rule keeps are positive (see ranked_svd).
     u_r:   (n, r) orthonormal basis of the numerical range.
-    sigma: (r,) singular values |lambda| above the rank cutoff, descending.
+    sigma: (r,) singular values |lambda| above the rank cutoff, descending
+           (a symmetric J's singular vectors are its eigenvectors: Golub & Van Loan).
     u_bar: (n, n - r) orthonormal basis of the numerical null space.
     rank:  r, decided with rank_tol_rel. The pseudoinverse and its
     eigenvalues are computed on first use and kept.
@@ -200,7 +204,8 @@ class RankedSvd:
 def restricted_information(bases: list, us: list) -> tuple[list, list]:
     """U'J_rU = Y' diag(lambda_r) Y, Y = U_r'U, symmetrized, for each J of bases and its (k, n, p) stack of bases U
     in us, and their ascending eigenvalues, as lists in order, with one eigvalsh call for the stacks of each k and p
-    (_per_shape); J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+."""
+    (_per_shape); J_r = U_r diag(lambda_r) U_r' is J as its rank rule reads it, the J of J+ and so of every margin,
+    which differs from J by what the rule zeroes: roundoff under the default rule."""
     restricted = []
     for basis, u in zip(bases, us):
         y = basis.u_r.T @ u
@@ -211,7 +216,10 @@ def restricted_information(bases: list, us: list) -> tuple[list, list]:
 
 def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
     """The one rule for p x p U'J_rU with spectra mu (last axis): J's rank rule at J's scale keeps
-    all p eigenvalues, mu > basis.cutoff(p); a 0 x 0 U'J_rU counts as nonsingular."""
+    all p eigenvalues, mu > basis.cutoff(p); a 0 x 0 U'J_rU counts as nonsingular. U has orthonormal columns, so mu
+    lies within sigma_max, and a rank-one J's 1 x 1 U'J_rU is judged against J. At n, not p, the cutoff would reach
+    sigma_max as n rank_tol_rel nears 1, past mu_min <= sigma_r; at p an optimal constraint's U'J_rU is nonsingular
+    under every rule that _check_rule admits."""
     return np.all(mu > basis.cutoff(mu.shape[-1]), axis=-1)
 
 
@@ -299,7 +307,8 @@ def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_
     """Row ranks (k,) and orthonormal null bases (k, n, n - m) of (k, m, n) Jacobians, or of a (g, k, m, n) stack.
 
     One svd call gives both; where ranks[i] == m, f_jacs[i] @ u[i] = 0. Rows orthonormal within ORTHONORMAL_TOL
-    have rank m: their singular values are one (1 +- a few ulp from the svd), which every rule _cutoff admits keeps.
+    have rank m: their singular values are one, which every rule _cutoff admits keeps, but the svd gives them as
+    1 +- a few ulp, so by its count alone some would fall to the cutoff a few ulp below rank_tol_rel = 1 / max(m, n).
     """
     m, n = f_jacs.shape[-2:]
     _, s, vh = np.linalg.svd(f_jacs)

@@ -120,7 +120,8 @@ class TheoremCertificate:
 
 
 def passes(margins: np.ndarray, margin_tol: float) -> np.ndarray:
-    """The one pass rule, for certificates and experiment alike: margin >= -margin_tol; a NaN margin fails."""
+    """The one pass rule, for certificates and experiment alike: margin >= -margin_tol; a NaN margin fails.
+    A margin_tol of -inf makes every case a witness; the margins themselves are kept whatever the verdict."""
     return margins >= -margin_tol
 
 
@@ -129,7 +130,7 @@ def _certify(
     detail: str = "",
 ) -> TheoremCertificate:
     """The certificate of the margins of each J of bases, in order, under the pass rule of passes, margin_tol a
-    number but not NaN, which fails every case; each J needs a case. case(k, i) gives J k's failing case i's label and
+    number other than NaN, which it refuses; each J needs a case. case(k, i) gives J k's failing case i's label and
     matrices; its witness holds J k, the matrix of bases[k], first, then those matrices."""
     _check_kind(InvalidInput, "a number", margin_tol=margin_tol)
     if margin_tol != margin_tol:  # only NaN is unequal to itself, of any float type
@@ -219,8 +220,10 @@ def verify_eigen_dominance(j, v, margin_tol: float = DEFAULT_MARGIN_TOL) -> Theo
     verify_trace_bound's do, in place of v. Margins compare the nonzero
     eigenvalues, 1/mu of V'J_rV with 1/sigma of J, frame by frame; the
     zeros agree exactly and are not cases. Raises InvalidInput for frames
-    of another width and SingularRestriction when restricted_nonsingular
-    calls some V'J_rV singular; a stack raises what _minimum_stack raises.
+    of another width (a narrower one has no 1/mu to set against the last
+    1/sigma, a wider one leaves V'JV singular), and SingularRestriction
+    when restricted_nonsingular calls some V'J_rV singular; a stack raises
+    what _minimum_stack raises.
     """
     return _eigen_dominance_stage([as_ranked_svd(j)], [v], margin_tol)
 
@@ -349,10 +352,13 @@ def verify_min_rank(j, q, rows, margin_tol: float = DEFAULT_MARGIN_TOL) -> Theor
     restricted_information call reads every U'J_rU, with Q's leading
     columns zeroed. Margins, 1 - mu_min / c for a deficient case and
     mu_min / c - 1 for the achievable one, are in units of the cutoff
-    c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU;
-    witnesses hold the F evaluated. Refuses a nonsingular or a zero J, row
-    counts other than min_rank_trials draws, and a q of another shape, with
-    columns that are not orthonormal, or whose last Q's leading n - rank(J)
+    c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU, so J's
+    scale moves none, and under the default rule they read about 1 and
+    sigma_r / c. F's rows are orthonormal, so no row rank is checked; a
+    column's sign moves only the sign of a witness's F, and witnesses hold
+    the F evaluated. Refuses a nonsingular or a zero J, row counts other
+    than min_rank_trials draws, and a q of another shape, with columns
+    that are not orthonormal, or whose last Q's leading n - rank(J)
     columns do not span U_bar.
     """
     return _min_rank_stage([as_ranked_svd(j)], [q], [rows], margin_tol)

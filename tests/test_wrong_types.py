@@ -76,6 +76,17 @@ CALLS = {
     "equivalence margin_tol": (
         lambda: verify_constraint_equivalence(J, [np.eye(3)[2:]], True), "margin_tol must be a number, got True"
     ),
+    "trace margin_tol beyond double range": (
+        lambda: verify_trace_bound(J, evaluate_constraints(J, np.eye(3)[None, 2:]), 10**400),
+        "margin_tol must be a number within double range, got an integer of 1329 bits",
+    ),
+    "rank_tol_rel beyond double range": (
+        lambda: ranked_svd(J, 10**400), "rank_tol_rel must be a number within double range, got an integer of 1329 bits"
+    ),
+    "noise_var beyond double range": (
+        lambda: fim_gaussian_mean(gaussian_location(2, 10**400), [1.0, 2.0]),
+        "noise_var must be a number within double range, got an integer of 1329 bits",
+    ),
     "trace margin_tol NaN": (
         lambda: verify_trace_bound(J, evaluate_constraints(J, np.eye(3)[None, 2:]), float("nan")),
         "margin_tol must not be NaN, got nan",
