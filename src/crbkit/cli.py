@@ -531,7 +531,7 @@ def cmd_experiment(config: RunConfig) -> int:
     seed = derived_seed(config.seed, "experiment-constraints")
     try:
         traces = sample_constraint_traces(basis, config.count, seed)
-    except FullRankFim as exc:
+    except (FullRankFim, InvalidInput) as exc:  # J nonsingular, or a count numpy cannot allocate
         raise CliError(EXIT_INVALID_INPUT, f"sampling constraints: {exc}") from exc
     margins = traces - baseline
     worst, sampled = margins.min(), len(traces)

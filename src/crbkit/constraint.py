@@ -23,6 +23,7 @@ import numpy as np
 from .errors import FullRankFim, InvalidInput
 from .matlin import (
     RankedSvd,
+    _allocated,
     _as_2d,
     _as_floats,
     _as_vector,
@@ -37,10 +38,6 @@ from .matlin import (
     seed_sequence,
 )
 from .matx import _parse_block, dump_matrix, format_row, read_ascii
-
-# Constraints drawn per chunk, each chunk one block of column norms and steps and, for a stack,
-# one block of directions and one stacked eigvalsh; chunks bound the sampler's working memory.
-CONSTRAINT_CHUNK = 32
 
 # The sampler's ladder of steps: draw i of a sample is delta N with delta = STEPS[i % 6] and N
 # standard normal, shrunk where needed (see _sampled); the smallest steps are near-optimal probes.
@@ -178,29 +175,22 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
 
 
 def _sampled(j, count: int, rng_seed):
-    """J factored, then its count draws in J's chart, CONSTRAINT_CHUNK at a time: each chunk's ||L_j||^2 and ||M||_F^2.
+    """J factored, then its count draws in J's chart, all at once: each draw's ||L_j||^2 (count, r) and ||M||_F^2.
 
-    Draw i is L = t delta_i N: N an (n - r, r) standard normal block,
-    delta_i = STEPS[i % 6], and t <= 1 the largest factor with
-    c ||M||_F^2 <= (1 - c / lambda_r) / 2, M = L Lambda^-1/2 and
-    c = basis.cutoff(r), and with ||M||_F^2 at most half the double range
-    above sum 1/lambda_i, a cap that binds only past half the largest
-    double; t and ||M||_F^2 are formed in units of 2^unit, near 1/lambda_r,
-    an exact scaling with which no step overflows. F = (U_bar + U_r L')' has
-    row rank m = n - r, and null(F) is spanned by W = U_r - U_bar L. As
-    W'J_rW = Lambda, the bound U (U'J_rU)^-1 U' of Gorman and Hero is
-    W Lambda^-1 W', whose nonzero eigenvalues 1/mu are those of the r x r
-    X = Lambda^-1 + M'M. So 1/mu_min <= 1/lambda_r + ||M||_F^2 < 1/c:
-    restricted_nonsingular keeps every draw, and tr X = sum 1/lambda_i +
-    ||M||_F^2, which reads N only through its squared column norms C_j,
-    chi^2(m) and independent of the columns' directions (Muirhead 1982).
-    So tr B(F) - tr J+ = ||M||_F^2 >= 0, zero iff null(F) = range(J), and
-    lambda_i(X) >= lambda_i(Lambda^-1) by Weyl: the paper's trace and
-    eigenvalue bounds. A chunk draws its (k, r) C from the stream
-    seed_sequence(rng_seed); only sample_minimum_stack draws directions. Each stream is drawn in draw
-    order, so a sample's first k draws are the sample of k. Raises
-    InvalidInput for a count that is not a positive integer, FullRankFim
-    when J is nonsingular and InvalidMatrix when ranked_svd refuses J.
+    Draw i is L = t delta_i N: N an (n - r, r) standard normal block, delta_i = STEPS[i % 6], and t <= 1 the largest
+    factor with c ||M||_F^2 <= (1 - c / lambda_r) / 2, M = L Lambda^-1/2 and c = basis.cutoff(r), and with ||M||_F^2
+    at most half the double range above sum 1/lambda_i, a cap that binds only past half the largest double; t and
+    ||M||_F^2 are formed in units of 2^unit, near 1/lambda_r, an exact scaling with which no step overflows.
+    F = (U_bar + U_r L')' has row rank m = n - r, and null(F) is spanned by W = U_r - U_bar L. As W'J_rW = Lambda,
+    the bound U (U'J_rU)^-1 U' of Gorman and Hero is W Lambda^-1 W', whose nonzero eigenvalues 1/mu are those of the
+    r x r X = Lambda^-1 + M'M. So 1/mu_min <= 1/lambda_r + ||M||_F^2 < 1/c: restricted_nonsingular keeps every draw,
+    and tr X = sum 1/lambda_i + ||M||_F^2, which reads N only through its squared column norms C_j, chi^2(m) and
+    independent of the columns' directions (Muirhead 1982). So tr B(F) - tr J+ = ||M||_F^2 >= 0, zero iff
+    null(F) = range(J), and lambda_i(X) >= lambda_i(Lambda^-1) by Weyl: the paper's trace and eigenvalue bounds.
+    The (count, r) C are one draw from the stream seed_sequence(rng_seed); only sample_minimum_stack draws
+    directions. Each stream is drawn in draw order, so a sample's first k draws are the sample of k. Raises
+    InvalidInput for a count that is not a positive integer or whose draw numpy cannot allocate, FullRankFim when J
+    is nonsingular and InvalidMatrix when ranked_svd refuses J.
     """
     _check_count(count, "count", 1)
     basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
@@ -208,23 +198,17 @@ def _sampled(j, count: int, rng_seed):
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
     rng = np.random.default_rng(seed_sequence(rng_seed))
-    inv_lam, step_squares = 1.0 / basis.sigma, np.square(STEPS)
+    inv_lam = 1.0 / basis.sigma
     unit = max(0, math.frexp(inv_lam.max(initial=0.0))[1])  # 2^unit is 1 where lambda_r > 1
-    unit_inv_lam = np.ldexp(inv_lam, -unit)
     limit = math.ldexp(0.5 * (np.finfo(float).max - inv_lam.sum()), -unit)  # the cap, on ||M||_F^2 / 2^unit
     if r:  # and the room, c ||M||_F^2 <= (1 - c / lambda_r) / 2
         cutoff = basis.cutoff(r)
         limit = min(limit, 0.5 * (1.0 - cutoff / basis.sigma[-1]) / math.ldexp(cutoff, unit))
-
-    def chunks():
-        for start in range(0, count, CONSTRAINT_CHUNK):
-            step_2 = step_squares[np.arange(start, min(count, start + CONSTRAINT_CHUNK)) % len(STEPS)]  # delta^2
-            norms = rng.chisquare(m, (len(step_2), r))  # C, each column's ||N_j||^2
-            squares = step_2 * (norms @ unit_inv_lam)  # ||delta N Lambda^-1/2||_F^2 / 2^unit
-            shrink = limit / np.maximum(limit, squares)  # t^2
-            yield (shrink * step_2)[:, None] * norms, np.ldexp(np.minimum(squares, limit), unit)
-
-    return basis, chunks()
+    norms = _allocated(lambda shape: rng.chisquare(m, shape), (count, r), "count")  # C, each column's ||N_j||^2
+    step_2 = np.square(STEPS)[np.arange(count) % len(STEPS)]  # delta^2
+    squares = step_2 * (norms @ np.ldexp(inv_lam, -unit))  # ||delta N Lambda^-1/2||_F^2 / 2^unit
+    shrink = limit / np.maximum(limit, squares)  # t^2
+    return basis, (shrink * step_2)[:, None] * norms, np.ldexp(np.minimum(squares, limit), unit)
 
 
 def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
@@ -233,8 +217,8 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
     Each is tr X = sum 1/lambda_i + ||M||_F^2, read in closed form from its
     draw's column norms (see _sampled): no direction, no LAPACK call, no F and no mu.
     """
-    basis, chunks = _sampled(j, count, rng_seed)
-    return np.sum(1.0 / basis.sigma) + np.concatenate([squares for _, squares in chunks])
+    basis, _, squares = _sampled(j, count, rng_seed)
+    return np.sum(1.0 / basis.sigma) + squares
 
 
 def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[ConstraintStack]:
@@ -242,27 +226,23 @@ def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[Constra
 
     Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled and its direction from a standard normal
     g of the second stream seed_sequence(rng_seed, 1), so N is standard normal. Each Jacobian is F = U_bar' + L U_r',
-    kept as drawn (the bound reads F only through null(F)); its mu come from the eigvalsh of its chunk's
-    X = Lambda^-1 + M'M. The J's chunks are drawn in step, chunk c of every J together, whose X of one shape
-    (k, r, r) get one stacked eigvalsh: each stack equals its J's own bit for bit, and only one chunk of X per J is
-    held. F's rows are not orthonormal, but its singular values are at least one, so the svd row-rank rule of
-    evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n) rank_tol_rel reaches one: at a loose rule,
-    evaluate its orthonormal rows (sample_minimum_constraints) instead.
+    kept as drawn (the bound reads F only through null(F)); its mu come from the eigvalsh of its
+    X = Lambda^-1 + M'M. Every J's X of one shape (count, r, r) get one stacked eigvalsh: each stack equals its J's
+    own bit for bit. F's rows are not orthonormal, but its singular values are at least one, so the svd row-rank
+    rule of evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n) rank_tol_rel reaches one: at a
+    loose rule, evaluate its orthonormal rows (sample_minimum_constraints) instead.
     """
-    samples = [(*_sampled(j, count, rng_seed), np.random.default_rng(seed_sequence(rng_seed, 1)), [], [])
-               for j, rng_seed in zip(js, rng_seeds)]
-    for chunk in zip(*(chunks for _, chunks, *_ in samples)):  # every J draws as many chunks, of equal k
-        xs = []
-        for (basis, _, directions, f_jacs, _), (l_squares, _) in zip(samples, chunk):
-            g = directions.standard_normal((len(l_squares), basis.dim - basis.rank, basis.rank))
-            l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
-            m_mat = l_mat * np.sqrt(1.0 / basis.sigma)
-            xs.append(np.diag(1.0 / basis.sigma) + m_mat.transpose(0, 2, 1) @ m_mat)
-            f_jacs.append(basis.u_bar.T + l_mat @ basis.u_r.T)
-        for (*_, mu), spectrum in zip(samples, _per_shape(np.linalg.eigvalsh, xs)):
-            mu.append(1.0 / spectrum[:, ::-1])
-    return [ConstraintStack(basis, np.concatenate(f_jacs), np.full(count, basis.dim - basis.rank), np.concatenate(mu))
-            for basis, _, _, f_jacs, mu in samples]
+    samples, xs = [], []
+    for j, rng_seed in zip(js, rng_seeds):
+        basis, l_squares, _ = _sampled(j, count, rng_seed)
+        directions = np.random.default_rng(seed_sequence(rng_seed, 1))
+        g = _allocated(directions.standard_normal, (count, basis.dim - basis.rank, basis.rank), "count")
+        l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
+        m_mat = l_mat * np.sqrt(1.0 / basis.sigma)
+        xs.append(np.diag(1.0 / basis.sigma) + m_mat.transpose(0, 2, 1) @ m_mat)
+        samples.append((basis, basis.u_bar.T + l_mat @ basis.u_r.T))
+    return [ConstraintStack(basis, f_jacs, np.full(count, basis.dim - basis.rank), 1.0 / spectrum[:, ::-1])
+            for (basis, f_jacs), spectrum in zip(samples, _per_shape(np.linalg.eigvalsh, xs))]
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:

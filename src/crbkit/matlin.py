@@ -122,6 +122,14 @@ def _check_count(value, name: str, least: int) -> None:
         raise InvalidInput(f"{name} must be {floor}, got {value}")
 
 
+def _allocated(draw, shape: tuple, name: str) -> np.ndarray:
+    """draw(shape), or InvalidInput naming name and shape where numpy cannot allocate that array."""
+    try:
+        return draw(shape)
+    except (ValueError, MemoryError):  # numpy's "maximum allowed size/dimension exceeded" or "unable to allocate"
+        raise InvalidInput(f"{name} asks for a {shape} array, more than numpy can allocate") from None
+
+
 def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
     """The one seed derivation: the stream of spawn_key under a top-level seed, a nonnegative integer."""
     _check_count(entropy, "seed", 0)

@@ -36,6 +36,7 @@ from .errors import InvalidInput, NotMinimumConstraint, SingularRestriction
 from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
+    _allocated,
     _as_floats,
     _bounds,
     _check_count,
@@ -429,7 +430,7 @@ def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> Sy
     Built as Q diag(d) Q' with Q Haar orthogonal, the sign-fixed qr of a
     Gaussian (n, n) block, and the nonzero entries of d drawn after it,
     uniformly from RANDOM_PSD_EIG_RANGE. n and rank are integers (Python
-    or numpy, not a bool).
+    or numpy, not a bool), and n one whose (n, n) block numpy can allocate.
     """
     return _random_psds([(n, rank, rng)])[0]
 
@@ -442,7 +443,7 @@ def _random_psds(shapes) -> list[SymMatrix]:
         _check_kind(InvalidInput, "an integer", n=n, rank=rank)
         if n < 1 or rank < 0 or rank > n:
             raise InvalidInput(f"need 0 <= rank <= n, got rank={rank}, n={n}")
-        blocks.append(rng.standard_normal((n, n)))
+        blocks.append(_allocated(rng.standard_normal, (n, n), "n"))
         kept.append(np.append(rng.uniform(*RANDOM_PSD_EIG_RANGE, rank), np.zeros(n - rank)))
     return [SymMatrix((q * d) @ q.T) for q, d in zip(_per_shape(orthonormal_columns, blocks), kept)]
 

@@ -103,7 +103,7 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--out", str(tmp_path / "e")]
     assert main(argv) == 0
     assert main(["certify", "--count", "5", "--seed", "11", "--out", str(tmp_path / "c")]) == 0
-    # 40 constraints take two sampler chunks, so this run goes through their concatenation
+    # 40 constraints, twice the suite's 20 a matrix, from one draw of the sampler
     argv = ["certify", "--input", j_path, "--count", "40", "--seed", "2", "--out", str(tmp_path / "c2")]
     assert main(argv) == 0
     # a matrix input takes the manifest's input branch and writes j.matx with the manifest
@@ -1008,6 +1008,20 @@ def test_experiment_exits_3_on_a_nan_trace_as_a_certificate_fails_one(tmp_path, 
 def test_experiment_full_rank_exits_2(tmp_path):
     path = write_identity_matrix(tmp_path)
     assert main(["experiment", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("count", [10**18, 10**20])
+@pytest.mark.parametrize("command, code, prefix", [
+    ("experiment", 2, "sampling constraints"), ("certify", 3, "certify matrix 0, trace_bound"),
+])
+def test_a_count_numpy_cannot_allocate_ends_in_one_error_line(tmp_path, capsys, command, code, prefix, count):
+    # the sampler draws a sample's (count, r) column norms whole and refuses, by its size, a draw numpy cannot
+    # allocate (at least 8e18 bytes here, so nothing is allocated): experiment as for a nonsingular J, certify as
+    # for its sampler's other refusals
+    argv = [command, "--input", str(write_diag_matrix(tmp_path)), "--count", str(count), "--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    message = f"count asks for a {(count, 1)} array, more than numpy can allocate"
+    assert capsys.readouterr().err == f"error: {prefix}: {message}\n"
 
 
 def experiment_traces(out):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -224,7 +225,7 @@ def test_constraint_file_rejects_garbage(tmp_path):
 
 
 def test_chunked_sampler_consumes_the_stream_draw_by_draw():
-    # 70 constraints take three chunks of at most 32; each draw is rebuilt one at a time from the
+    # a sample of 70 draws in one call; each draw is rebuilt one at a time from the
     # documented law (util.chart_draws), at the default cutoff and at 0.02, where t shrinks the
     # large steps; F = U_bar' + L U_r' and each trace sum 1/lambda_i + ||L Lambda^-1/2||_F^2 agree to
     # a few ulps. The law's N was drawn whole from one stream until each column's squared norm and its
@@ -251,8 +252,8 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
 
 def test_a_samples_first_k_constraints_are_the_sample_of_k():
     # each of the sampler's two streams, the column norms' and the directions', is drawn in draw order,
-    # so a shorter sample is a prefix of a longer one, bit for bit, across the chunk boundaries at 32
-    # and 64 and where t shrinks draws (rank_tol 0.1)
+    # so a shorter sample is a prefix of a longer one, bit for bit, at every length, 32 and 64 among
+    # them, and where t shrinks draws (rank_tol 0.1)
     for tol in (1e-10, 0.1):
         basis = ranked_svd(make_psd(np.random.default_rng(17), 7, 3), tol)
         stack = sample_minimum_stack(basis, 100, 4)
@@ -267,9 +268,41 @@ def test_a_samples_first_k_constraints_are_the_sample_of_k():
             assert all(a.f_jac.tobytes() == b.f_jac.tobytes() and a.label == b.label for a, b in zip(shorter, specs))
 
 
+def test_a_whole_sample_takes_one_eigvalsh_per_shape(monkeypatch):
+    # each J's count draws are drawn whole, so its X = Lambda^-1 + M'M make one (count, r, r) block, and the
+    # blocks of every J of one rank take one stacked eigvalsh
+    rng = np.random.default_rng(46)
+    single = ranked_svd(make_psd(rng, 6, 3))
+    bases = [ranked_svd(make_psd(rng, n, rank)) for n, rank in [(2, 1), (5, 1), (4, 2), (6, 2), (8, 5)]]
+    calls = []
+    real = np.linalg.eigvalsh
+    counted = lambda a, *args, **kwargs: calls.append(a.shape) or real(a, *args, **kwargs)
+    monkeypatch.setattr(constraint_module.np.linalg, "eigvalsh", counted)
+    sample_minimum_stack(single, 70, 3)
+    assert calls == [(1, 70, 3, 3)]
+    calls.clear()
+    sample_minimum_stacks(bases, 70, [5, 6, 7, 8, 9])
+    assert calls == [(2, 70, 1, 1), (2, 70, 2, 2), (1, 70, 5, 5)]
+
+
+def test_the_trace_survey_holds_a_few_count_by_r_blocks():
+    # tracemalloc sees numpy's buffers: the trace survey's working memory is a few (count, r) blocks of
+    # doubles, the column norms and the ||L_j||^2; one (count, m, r) block of directions would be 16 here
+    basis = ranked_svd(make_psd(np.random.default_rng(47), 32, 16))
+    count = 10**5
+    tracemalloc.start()
+    try:
+        sample_constraint_traces(basis, count, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.rank == 16
+    assert peak < 4 * count * basis.rank * 8
+
+
 def test_a_stage_sample_equals_each_js_own_bit_for_bit():
-    # J of mixed sizes, several of one rank, so that chunks of one shape (k, r, r) group across J: at counts 33
-    # and 70 the partial chunks of 1 and 6 draws group too; each stack equals its J's own sample, bit for bit
+    # J of mixed sizes, several of one rank, so that the X of one shape (count, r, r) group across J, at counts
+    # 33 and 70 too; each stack equals its J's own sample, bit for bit
     rng = np.random.default_rng(44)
     shapes = [(2, 1), (5, 1), (4, 2), (6, 2), (6, 2), (8, 5), (3, 2), (7, 5), (8, 1)]
     bases = [ranked_svd(make_psd(rng, n, rank)) for n, rank in shapes]
@@ -312,7 +345,7 @@ def test_sampled_flags_follow_the_row_rank_rule():
 
 
 def test_sampled_stack_holds_the_draws_its_specs_label():
-    # a lone chunk, a count above CONSTRAINT_CHUNK and a loose cutoff: the stack holds, in draw order,
+    # a small count, a count above 32 and a loose cutoff: the stack holds, in draw order,
     # the Jacobians of the documented draws, every one of them minimum, and the specs carry the labels
     # sampled-i and the orthonormal rows of the stack's Jacobians; the documented draws (util.chart_draws)
     # moved when N came to take its column norms and directions from two streams
@@ -352,8 +385,8 @@ def test_specs_and_witnesses_hold_the_rows_of_each_chunks_reduced_qr():
     # the stack holds F = U_bar' + L U_r', and orthonormal rows are formed only where F leaves the
     # program: the specs of sample_minimum_constraints and the witnesses of the stack's trace and
     # dominance certificates (margin_tol -inf keeps every case) hold, bit for bit, the sign-fixed
-    # reduced qr rows of each chunk of the stack's Jacobians, with the margins and labels of the
-    # certificates; 40 constraints span two chunks
+    # reduced qr rows of the stack's Jacobians, with the margins and labels of the
+    # certificates; 40 constraints among them
     rng = np.random.default_rng(15)
     for tol in (1e-10, 0.02):
         for n in range(2, 9):
@@ -376,7 +409,7 @@ def test_specs_and_witnesses_hold_the_rows_of_each_chunks_reduced_qr():
 
 
 def test_only_sample_minimum_constraints_orthonormalizes_and_with_one_qr(monkeypatch):
-    # 20 constraints take one chunk and 40 two, at the default cutoff and at 0.02; the stack makes
+    # 20 constraints and 40, at the default cutoff and at 0.02; the stack makes
     # no qr, and the specs one for all constraints
     calls = []
     real = np.linalg.qr
@@ -498,7 +531,7 @@ def test_sampled_and_evaluated_stacks_read_one_j_under_one_rule():
 
 
 def test_the_trace_sampler_returns_the_accepted_traces_as_one_float64_array():
-    # counts inside one chunk, at its boundary and past it, and the blind channel at rank_tol 0.02;
+    # counts below, at and above 32, and the blind channel at rank_tol 0.02;
     # each array holds the traces of the constraints of sample_minimum_stack, sum 1/mu, within 10 r eps
     model = BlindChannelModel(3, 3, 1.0)
     blind = fim_gaussian_mean(model, np.random.default_rng(32).uniform(0.5, 1.5, model.param_dim)).matrix
@@ -539,8 +572,8 @@ def scripted_streams(monkeypatch, norms, directions):
 
 def test_the_trace_sampler_never_draws_a_direction(monkeypatch):
     # the traces read each draw's column norms alone: with the derivation of the direction stream
-    # seed_sequence(seed, 1) made to raise, sample_constraint_traces gives its traces bit for bit, across
-    # chunks and where t shrinks draws, while sample_minimum_stack, which needs the directions, raises
+    # seed_sequence(seed, 1) made to raise, sample_constraint_traces gives its traces bit for bit, at
+    # count 70 and where t shrinks draws, while sample_minimum_stack, which needs the directions, raises
     basis = ranked_svd(make_psd(np.random.default_rng(41), 7, 3), 0.1)
     expected = sample_constraint_traces(basis, 70, 12)
     real = constraint_module.seed_sequence

@@ -115,12 +115,12 @@ def test_traced_runs_factor_each_matrix_once(tmp_path, monkeypatch):
     assert certify.calls["linalg.svd"] == 3
     assert certify.calls["linalg.qr"] == 4
     assert certify.calls["linalg.inv"] == 2 + 1
-    # eigvalsh: one per rank for the sampler chunks, one per rank for the Poincare frames and one per rank
+    # eigvalsh: one per rank for the sampler's X, one per rank for the Poincare frames and one per rank
     # for the equivalence mixes; one per size for the min_rank trials; and three for the counterexample,
     # its dominance check's, its bound's V'J_rV and the spectrum of the bound's difference from J+
-    # (12 when each J's sampler chunk took its own; 14 when each J took one for each check and the
+    # (12 when each J's sampler took its own; 14 when each J took one for each check and the
     # counterexample formed V'JV itself; 21 when min_rank took one per distinct row count, and 20 when
-    # each trial drew its row count and then its rows); the sampler draws each chunk in J's chart and
+    # each trial drew its row count and then its rows); the sampler draws in J's chart and
     # makes no solve (one per J when it carried Gaussian draws there)
     assert certify.calls["linalg.eigvalsh"] == 2 + 2 + 2 + 2 + 3
     assert certify.calls["linalg.solve"] == 0
@@ -135,7 +135,7 @@ def test_a_monte_carlo_j_is_factored_once(tmp_path, monkeypatch):
     # Poincare frames, the equivalence mixes and the min_rank trials, 12 svd and 5 + 1 inv, besides
     # the sampler's 20 eigvalsh and the counterexample's 3 (154 calls, with 82 eigvalsh, 20 svd and
     # 21 inv, when each J was checked alone and the counterexample formed its own V'JV). The stage's J are
-    # factored by one eigh per size, and its sampler chunks take one eigvalsh per shape (k, r, r), here per
+    # factored by one eigh per size, and its sampler's X take one eigvalsh per shape (count, r, r), here per
     # rank (87 calls, with 21 eigh and 38 eigvalsh, when each J took its own of both)
     stages = stage_factorizations(monkeypatch)
     config = tmp_path / "mc.cfg"

@@ -50,3 +50,22 @@ def test_each_factorization_and_inverse_has_one_home():
                 if isinstance(node, ast.Attribute) and node.attr in homes and ast.unparse(node.value) == "np.linalg":
                     found[node.attr].append(getattr(top, "name", "<module>"))
     assert found == {name: [home] for name, home in homes.items()}
+
+
+def test_every_constant_is_read():
+    # a constant that a refactor leaves behind is assigned and never read: every module-level UPPER_CASE name
+    # assigned in the package is read somewhere in it, as a loaded name or as an attribute
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    constants = {}
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                for leaf in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(leaf, ast.Name) and leaf.id.isupper():
+                        constants[leaf.id] = f"{name}:{node.lineno}"
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    read = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert len(constants) > 20
+    assert {name: where for name, where in constants.items() if name not in read} == {}

@@ -619,7 +619,7 @@ def test_sampled_stack_certificates_equal_the_spec_and_frame_paths():
 
 
 def test_sampled_stack_spans_several_chunks():
-    # 70 constraints take three chunks of at most 32, here at a loose cutoff; the stack holds the
+    # 70 constraints drawn in one call, here at a loose cutoff; the stack holds the
     # Jacobians of all of them, in draw order, as the documented law (util.chart_draws) draws them,
     # since N's column norms and directions came from two streams
     rng = np.random.default_rng(44)

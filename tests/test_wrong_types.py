@@ -4,7 +4,8 @@ errors.py promises one base class, CrbKitError, for every error the package rais
 ValueError or TypeError for text or a ragged list, and Python raises TypeError comparing text with a number;
 each call below would leak one of them without the package's own checks. numpy casts a complex array to float
 with a ComplexWarning and drops its imaginary part, and an input file that is not ASCII fails to decode with
-UnicodeDecodeError: both are refused by name too.
+UnicodeDecodeError: both are refused by name too. So is a size numpy cannot allocate, where numpy raises
+ValueError or MemoryError.
 """
 
 import warnings
@@ -30,12 +31,16 @@ from crbkit import (
     null_complement,
     optimal_affine_constraint,
     orthonormal_columns,
+    random_rank_deficient_psd,
     ranked_svd,
+    sample_constraint_traces,
+    sample_minimum_stack,
     verify_constraint_equivalence,
     verify_eigen_dominance,
     verify_poincare,
     verify_trace_bound,
 )
+from crbkit.constraint import sample_minimum_stacks
 
 J = np.diag([2.0, 1.0, 0.0])
 V = np.eye(3)[:, :2]  # an orthonormal frame of rank(J) columns
@@ -113,6 +118,30 @@ CALLS = {
         lambda: fim_gaussian_mean(gaussian_location(2), np.array([1j, 0.0])), f"theta {COMPLEX}"
     ),
 }
+
+# sizes numpy cannot allocate, each of at least 8e18 bytes, past any address space, so nothing is allocated
+UNALLOCATABLE = "array, more than numpy can allocate"
+CALLS.update({
+    f"random_rank_deficient_psd n 10**{e}": (
+        lambda e=e: random_rank_deficient_psd(10**e, 1, np.random.default_rng(0)),
+        f"n asks for a {(10**e, 10**e)} {UNALLOCATABLE}",
+    )
+    for e in (9, 20, 400)
+})
+SAMPLERS = {
+    "sample_constraint_traces": sample_constraint_traces,
+    "sample_minimum_stack": sample_minimum_stack,
+    "sample_minimum_stacks": lambda j, count, seed: sample_minimum_stacks([j], count, [seed]),
+}
+# J of rank 1: count 10**18 draws 8e18 bytes, which numpy fails to allocate, and 10**20 more than it can size
+CALLS.update({
+    f"{name} count 10**{e}": (
+        lambda sampler=sampler, e=e: sampler(np.diag([1.0, 0.0]), 10**e, 0),
+        f"count asks for a {(10**e, 1)} {UNALLOCATABLE}",
+    )
+    for name, sampler in SAMPLERS.items()
+    for e in (18, 20)
+})
 
 
 @pytest.mark.parametrize("name", CALLS)
