@@ -35,7 +35,6 @@ from . import __version__
 from .constraint import (
     optimal_affine_constraint,
     sample_constraint_traces,
-    sample_minimum_stacks,
     save_constraint_spec,
 )
 from .crb import constrained_crb, unconstrained_crb
@@ -48,31 +47,18 @@ from .errors import (
     NumericalFailure,
 )
 from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
-from .matlin import (
-    DEFAULT_RANK_TOL_REL,
-    _per_shape,
-    as_sym_matrix,
-    orthonormal_columns,
-    ranked_svd,
-    ranked_svds,
-    seed_sequence,
-)
+from .matlin import DEFAULT_RANK_TOL_REL, as_sym_matrix, ranked_svd, ranked_svds, seed_sequence
 from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, read_ascii, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
 from .verify import (
     CSV_VERSION_LINE,
     DEFAULT_MARGIN_TOL,
-    THEOREM_IDS,
-    _eigen_dominance_stage,
-    _equivalence_stage,
-    _min_rank_stage,
-    _poincare_stage,
+    _certify_stage,
     _random_psds,
-    _trace_bound_stage,
+    _suite_frames,
     counterexample_check,
     certificates_to_csv,
     merge_certificates,
-    min_rank_trials,
     passes,
     write_certificate_witnesses,
 )
@@ -85,12 +71,8 @@ EXIT_CERTIFICATE = 4
 DEFAULT_SAMPLES = 10000
 DEFAULT_OUT = "crbkit_run"
 
-# Fixed per-matrix case counts for certify.
+# Constraints sampled per suite matrix; an input J's count is the run's.
 CERTIFY_CONSTRAINTS_PER_MATRIX = 20
-CERTIFY_EQUIVALENCE_ALTS = 3
-CERTIFY_MIN_RANK_TRIALS = 5
-# In a block of _suite_frames, the first min_rank slot: the Poincare frame and the mixes come first.
-MIN_RANK_SLOT = 1 + CERTIFY_EQUIVALENCE_ALTS
 # Suite matrices drawn and framed together: their frames of one n share a qr, and memory stays bounded in --count.
 CERTIFY_STAGE = 20
 
@@ -413,78 +395,27 @@ def cmd_analyze(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _suite_frames(matrices: list) -> list[tuple]:
-    """Per (basis, rng) of matrices, what rng draws after J, in order: the Poincare frame, the equivalence mixes,
-    and min_rank's trials, as their complete Q and row counts. Each matrix's draws go zero-padded into one
-    (10, n, n) block, min_rank_trials' slots last, and the blocks of one n get one sign-fixed qr
-    (orthonormal_columns): a zero column adds a reflector with tau = 0, and the zero rows below a mix leave its
-    leading Q and R as they are."""
-    blocks, rows = [], []
-    for basis, rng in matrices:
-        n, rank, m = basis.dim, basis.rank, basis.dim - basis.rank
-        block = np.zeros((MIN_RANK_SLOT, n, n))
-        block[0, :, :rank] = rng.standard_normal((n, rank))
-        block[1:, :m, :m] = rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, m, m))
-        slots, counts = min_rank_trials(basis, CERTIFY_MIN_RANK_TRIALS, rng)
-        blocks.append(np.concatenate([block, slots]))
-        rows.append(counts)
-    frames = []
-    for (basis, _), q, counts in zip(matrices, _per_shape(orthonormal_columns, blocks), rows):
-        rank, m = basis.rank, basis.dim - basis.rank
-        frames.append((q[0, :, :rank], q[1:MIN_RANK_SLOT, :m, :m], q[MIN_RANK_SLOT:], counts))
-    return frames
-
-
-def _suite_stage(config: RunConfig, shapes: list, start: int) -> list[tuple]:
-    """(basis, rng) of the suite matrices start, start + 1, ... of each (n, rank) in shapes: J drawn from its
-    certify-matrix stream; the Haar frames, then the eigh, of one n take a stacked call (_random_psds, ranked_svds)."""
-    draws = [(n, rank, derived_rng(config.seed, "certify-matrix", start + i)) for i, (n, rank) in enumerate(shapes)]
+def _suite_stage(config: RunConfig, shape_rng: np.random.Generator, start: int) -> list[tuple]:
+    """(basis, rng) of suite matrices start, start + 1, ..., at most CERTIFY_STAGE: each (n, rank) drawn from shape_rng
+    as the stage starts, J from its certify-matrix stream; one qr and eigh per n (_random_psds, ranked_svds)."""
+    draws = []
+    for index in range(start, min(start + CERTIFY_STAGE, config.count)):
+        n = int(shape_rng.integers(2, 9))
+        draws.append((n, int(shape_rng.integers(1, n)), derived_rng(config.seed, "certify-matrix", index)))
     return list(zip(_factor_j(ranked_svds, _random_psds(draws), config.rank_tol_rel), [rng for *_, rng in draws]))
-
-
-def _certify_stage(matrices: list, frames: list, config: RunConfig, start: int, constraints_count: int) -> list:
-    """Each theorem's certificate but the counterexample's over the (basis, rng) of matrices, suite matrices start,
-    start + 1, ..., and their _suite_frames: their stacks sampled, then one check of each theorem for the stage. A
-    failure is reported as if each matrix went through THEOREM_IDS in turn, a sampler's as its trace_bound: a failed
-    stage of several matrices is certified again one matrix at a time. A FloatingPointError escapes as it is."""
-    bases, theorem, certificates = [basis for basis, _ in matrices], 0, []
-    try:
-        seeds = [derived_seed(config.seed, "certify-constraints", start + index) for index in range(len(bases))]
-        stacks = sample_minimum_stacks(bases, constraints_count, seeds)
-        frame, mixes, trials_q, rows = zip(*frames)
-        # orthonormal (m, m) mixes keep U_bar's rows orthonormal, so no ill-conditioned mix fails the row-rank test
-        alternatives = [mix @ basis.u_bar.T for mix, basis in zip(mixes, bases)]
-        checks = [(_trace_bound_stage, stacks), (_eigen_dominance_stage, stacks), (_poincare_stage, frame),
-                  (_equivalence_stage, alternatives), (_min_rank_stage, trials_q, rows)]
-        for theorem, (check, *inputs) in enumerate(checks):
-            certificates.append(check(bases, *inputs, config.margin_tol))
-    except (CrbKitError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        for i in range(len(bases)) if len(bases) > 1 else []:
-            _certify_stage(matrices[i : i + 1], frames[i : i + 1], config, start + i, constraints_count)
-        if isinstance(exc, FloatingPointError):
-            raise
-        raise CliError(EXIT_NUMERICAL, f"certify matrix {start}, {THEOREM_IDS[theorem]}: {exc}") from exc
-    return certificates
 
 
 def cmd_certify(config: RunConfig) -> int:
     """Run the full certificate suite; exit 4 when any inequality fails.
 
-    The suite runs in stages of CERTIFY_STAGE matrices: each stage's J (_suite_stage), then their
-    _suite_frames, with one qr per n, their sampled stacks, and one check of each theorem for the stage
-    (_certify_stage), whose stacked LAPACK calls each take every operand of one shape.
+    verify._suite_frames and verify._certify_stage check the suite in stages of CERTIFY_STAGE matrices. cli keeps
+    the streams (_suite_stage's shapes and J, each matrix's certify-constraints seed), the merge and every output.
     """
     out = config.output_dir
 
     if config.matrix is None and config.model_kind is None:
-        shape_rng, shapes = derived_rng(config.seed, "certify-shapes"), []
-        for _ in range(config.count):
-            n = int(shape_rng.integers(2, 9))
-            shapes.append((n, int(shape_rng.integers(1, n))))
-        stages = (
-            _suite_stage(config, shapes[start : start + CERTIFY_STAGE], start)
-            for start in range(0, config.count, CERTIFY_STAGE)
-        )
+        shape_rng = derived_rng(config.seed, "certify-shapes")
+        stages = (_suite_stage(config, shape_rng, start) for start in range(0, config.count, CERTIFY_STAGE))
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
         basis, _ = information_matrix(config)
@@ -497,8 +428,11 @@ def cmd_certify(config: RunConfig) -> int:
         stages = [[(basis, derived_rng(config.seed, "certify-matrix", 0))]]
         constraints_count = config.count
 
-    parts = [_certify_stage(matrices, _suite_frames(matrices), config, CERTIFY_STAGE * i, constraints_count)
-             for i, matrices in enumerate(stages)]
+    parts = []
+    for i, matrices in enumerate(stages):
+        bases, start = [basis for basis, _ in matrices], CERTIFY_STAGE * i
+        seeds = [derived_seed(config.seed, "certify-constraints", start + k) for k in range(len(bases))]
+        parts.append(_certify_stage(bases, _suite_frames(matrices), constraints_count, seeds, config.margin_tol, start))
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)]
     certificates.append(counterexample_check())
 

@@ -368,13 +368,15 @@ def _sign_fixed_columns(q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _per_shape(fn, blocks: list[np.ndarray]) -> list:
     """fn's result for each block, in order, from one fn call per distinct shape on the stack of every block of
-    that shape; fn maps a (k, ...) stack to k results, as a stacked numpy.linalg call does."""
+    that shape; fn maps a (k, ...) stack to k results, as a stacked numpy.linalg call does. A lone C-contiguous block
+    of its shape goes in as a view, uncopied."""
     results: list = [None] * len(blocks)
     groups: dict = {}  # the indices of each shape, in one pass
     for i, block in enumerate(blocks):
         groups.setdefault(block.shape, []).append(i)
     for index in groups.values():
-        for i, result in zip(index, fn(np.array([blocks[i] for i in index])), strict=True):
+        stack = np.array([blocks[i] for i in index]) if len(index) > 1 else np.ascontiguousarray(blocks[index[0]][None])
+        for i, result in zip(index, fn(stack), strict=True):
             results[i] = result
     return results
 

@@ -8,6 +8,8 @@ concatenates margins and witnesses and judges nothing again. Each public
 verifier is the stage of one J: its stage function (_poincare_stage, ...)
 checks many J as one certificate, with one stacked eigvalsh, svd or inv
 call per operand shape, which gives each J's margins bit for bit.
+_certify_stage checks one certify stage from the frames that
+_suite_frames draws from each J's stream.
 
 Checks covered:
   trace_bound      tr(constrained CRB) >= tr(pinv J) for minimum constraints
@@ -30,9 +32,9 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import ConstraintStack, _evaluate
+from .constraint import ConstraintStack, _evaluate, sample_minimum_stacks
 from .crb import bound_traces
-from .errors import InvalidInput, NotMinimumConstraint, SingularRestriction
+from .errors import CrbKitError, InvalidInput, NotMinimumConstraint, SingularRestriction
 from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
@@ -69,6 +71,11 @@ THEOREM_IDS = (
     "min_rank",
     "counterexample",
 )
+
+# Per matrix of a certify stage: equivalence mixes, min_rank trials, and min_rank's first slot in _suite_frames.
+CERTIFY_EQUIVALENCE_ALTS = 3
+CERTIFY_MIN_RANK_TRIALS = 5
+MIN_RANK_SLOT = 1 + CERTIFY_EQUIVALENCE_ALTS
 
 # Range of the nonzero eigenvalues of random_rank_deficient_psd.
 RANDOM_PSD_EIG_RANGE = (0.5, 2.0)
@@ -397,6 +404,51 @@ def _min_rank_stage(bases: list, qs: list, counts: list, margin_tol: float) -> T
               for rows in counts]
     case = lambda k, i: (labels[k][i], {"f_jac": qs[k][i, :, : counts[k][i]].T})
     return _certify("min_rank", bases, margins, case, margin_tol)
+
+
+def _suite_frames(matrices: list) -> list[tuple]:
+    """Per (basis, rng) of matrices, what rng draws after J, in order: the Poincare frame, the equivalence mixes,
+    and min_rank's trials, as their complete Q and row counts. Each matrix's draws go zero-padded into one
+    (10, n, n) block, min_rank_trials' slots last, and the blocks of one n get one sign-fixed qr
+    (orthonormal_columns): a zero column adds a reflector with tau = 0, and the zero rows below a mix leave its
+    leading Q and R as they are."""
+    blocks, kept = [], []
+    for basis, rng in matrices:
+        n, rank, m = basis.dim, basis.rank, basis.dim - basis.rank
+        block = np.zeros((MIN_RANK_SLOT, n, n))
+        block[0, :, :rank] = rng.standard_normal((n, rank))
+        block[1:, :m, :m] = rng.standard_normal((CERTIFY_EQUIVALENCE_ALTS, m, m))
+        slots, counts = min_rank_trials(basis, CERTIFY_MIN_RANK_TRIALS, rng)
+        blocks.append(np.concatenate([block, slots]))
+        kept.append((rank, m, counts))
+    return [(q[0, :, :rank], q[1:MIN_RANK_SLOT, :m, :m], q[MIN_RANK_SLOT:], counts)
+            for q, (rank, m, counts) in zip(_per_shape(orthonormal_columns, blocks), kept)]
+
+
+def _certify_stage(bases: list, frames: list, constraints_count: int, seeds: list, margin_tol: float, start: int):
+    """Each theorem's certificate but the counterexample's over bases, suite matrices start, start + 1, ..., from their
+    _suite_frames and constraints_count constraints sampled per J from seeds, one check of each theorem for the stage.
+    The first failure raises CrbKitError("certify matrix i, theorem: ...") as if each J went through THEOREM_IDS in
+    turn, a sampler's as its trace_bound: a failed stage is certified again one J at a time. A FloatingPointError
+    escapes as it is."""
+    theorem, certificates = 0, []
+    try:
+        stacks = sample_minimum_stacks(bases, constraints_count, seeds)
+        frame, mixes, trials_q, rows = zip(*frames)
+        # orthonormal (m, m) mixes keep U_bar's rows orthonormal, so no ill-conditioned mix fails the row-rank test
+        alternatives = [mix @ basis.u_bar.T for mix, basis in zip(mixes, bases)]
+        checks = [(_trace_bound_stage, stacks), (_eigen_dominance_stage, stacks), (_poincare_stage, frame),
+                  (_equivalence_stage, alternatives), (_min_rank_stage, trials_q, rows)]
+        for theorem, (check, *inputs) in enumerate(checks):
+            certificates.append(check(bases, *inputs, margin_tol))
+    except (CrbKitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        for i in range(len(bases)) if len(bases) > 1 else []:
+            one = slice(i, i + 1)
+            _certify_stage(bases[one], frames[one], constraints_count, seeds[one], margin_tol, start + i)
+        if isinstance(exc, FloatingPointError):
+            raise
+        raise CrbKitError(f"certify matrix {start}, {THEOREM_IDS[theorem]}: {exc}") from exc
+    return certificates
 
 
 def counterexample_check() -> TheoremCertificate:

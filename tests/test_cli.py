@@ -23,10 +23,11 @@ from crbkit import (
     sample_minimum_stack,
     save_matrix,
 )
-from crbkit.cli import _suite_frames, build_parser, derived_rng, derived_seed, main
+from crbkit.cli import CERTIFY_STAGE, build_parser, derived_rng, derived_seed, main
 from crbkit.matlin import DEFAULT_RANK_TOL_REL, orthonormal_columns, seed_sequence
 from crbkit.matx import format_float
 from crbkit.verify import (
+    _suite_frames,
     certificates_to_csv,
     counterexample_check,
     merge_certificates,
@@ -655,13 +656,13 @@ def test_config_with_model_and_input_exits_2(tmp_path):
 def recorded_trace_bounds(monkeypatch):
     """The (basis, stack, certificate) of every matrix whose trace bound certify checks, in order; the certificate
     is verify_trace_bound's of that matrix alone, whose margins its stage's certificate holds."""
-    calls, real = [], crbkit.cli._trace_bound_stage
+    calls, real = [], crbkit.verify._trace_bound_stage
 
     def stage(bases, stacks, tol):
-        calls.extend((basis, stack, verify_trace_bound(basis, stack, tol)) for basis, stack in zip(bases, stacks))
+        calls.extend((basis, stack, real([basis], [stack], tol)) for basis, stack in zip(bases, stacks))
         return real(bases, stacks, tol)
 
-    monkeypatch.setattr(crbkit.cli, "_trace_bound_stage", stage)
+    monkeypatch.setattr(crbkit.verify, "_trace_bound_stage", stage)
     return calls
 
 
@@ -893,7 +894,7 @@ def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys, mo
     def cannot_build(*args):
         raise crbkit.SingularRestriction("V'JV of frame 0 is numerically singular")
 
-    monkeypatch.setattr(crbkit.cli, "_poincare_stage", cannot_build)
+    monkeypatch.setattr(crbkit.verify, "_poincare_stage", cannot_build)
     assert main(["certify", "--count", "2", "--seed", "5", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert err == "error: certify matrix 0, poincare: V'JV of frame 0 is numerically singular\n"
@@ -922,7 +923,7 @@ def test_a_nonsingular_suite_j_is_refused_by_matrix_and_theorem_in_matrix_order(
 
     # an earlier matrix's failure comes first
     swapped(2)
-    monkeypatch.setattr(crbkit.cli, "_poincare_stage", cannot_build)
+    monkeypatch.setattr(crbkit.verify, "_poincare_stage", cannot_build)
     assert main(argv) == 3
     assert capsys.readouterr().err == "error: certify matrix 0, poincare: V'JV of frame 0 is numerically singular\n"
 
@@ -944,6 +945,32 @@ def test_a_stage_reports_its_first_failing_matrix_before_a_later_ones_earlier_th
     monkeypatch.setattr(crbkit.cli, "_suite_frames", frames)
     assert main(["certify", "--count", "4", "--seed", "5", "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "error: certify matrix 1, poincare: v columns are not orthonormal\n"
+
+
+def test_a_suite_draws_each_stages_shapes_as_the_stage_starts(tmp_path, capsys, monkeypatch):
+    # a suite of 100,000 matrices whose first stage fails draws no more than two stages' (n, rank) pairs; drawing
+    # every pair before the first stage took 200,000 integers calls, 3 s and 70 MB at a count of 1,000,000
+    calls, real = [], crbkit.cli.derived_rng
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, *args):
+            calls.append(args)
+            return self.rng.integers(*args)
+
+    def derived(seed, label, index=0):
+        return Counted(real(seed, label, index)) if label == "certify-shapes" else real(seed, label, index)
+
+    def fail(*args):
+        raise crbkit.CrbKitError("certify matrix 0, trace_bound: refused")
+
+    monkeypatch.setattr(crbkit.cli, "derived_rng", derived)
+    monkeypatch.setattr(crbkit.cli, "_certify_stage", fail)
+    assert main(["certify", "--count", "100000", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "error: certify matrix 0, trace_bound: refused\n"
+    assert 0 < len(calls) <= 2 * CERTIFY_STAGE
 
 
 def test_certify_full_rank_input_exits_2(tmp_path, capsys):
@@ -1263,8 +1290,9 @@ def test_rank_tol_below_machine_epsilon_exits_2_before_factoring(tmp_path, capsy
     # run must never reach is no function here, so a run that went on to a bound or a sample fails
     if argv != ["certify"]:  # a bare certify runs its suite
         argv = argv + ["--model", "blind_channel"]
-    for name in ("unconstrained_crb", "sample_minimum_stacks", "sample_constraint_traces"):
-        monkeypatch.setattr(crbkit.cli, name, None)
+    for module, name in ((crbkit.cli, "unconstrained_crb"), (crbkit.verify, "sample_minimum_stacks"),
+                         (crbkit.cli, "sample_constraint_traces")):
+        monkeypatch.setattr(module, name, None)
     assert main(argv + ["--rank-tol", tol, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == (
         f"error: checking rank_tol: rank_tol_rel must be positive and finite, at least machine epsilon, got {tol}\n"

@@ -38,7 +38,7 @@ from crbkit import (
     verify_poincare,
     verify_trace_bound,
 )
-from crbkit.matlin import ranked_svds
+from crbkit.matlin import _per_shape, ranked_svds
 import exact
 from util import make_psd, min_rank_certificate, random_orthonormal, svd_pinv_oracle
 
@@ -521,3 +521,21 @@ def test_stacked_calls_equal_single_calls_bit_for_bit():
     assert ranks.tolist() == [4] * 7
     for f_jac, basis in zip(f_jacs, u):
         assert np.array_equal(null_complement(f_jac), basis)
+
+
+def test_a_lone_block_of_its_shape_goes_in_as_a_view_and_blocks_of_one_shape_in_one_call():
+    # a stage's largest operand is often the only one of its shape, and a copy of it doubled its memory; a block
+    # that is not C-contiguous is still copied, so every call sees the layout one np.array of it gives
+    seen = []
+
+    def fn(stack):
+        seen.append(stack)
+        return list(-stack)
+
+    lone, pair, strided = np.ones((3, 3)), [np.eye(2), 2.0 * np.eye(2)], np.arange(8.0).reshape(2, 4)[:, ::2]
+    blocks = [pair[0], lone, pair[1], strided[None]]
+    results = _per_shape(fn, blocks)
+    assert [stack.shape for stack in seen] == [(2, 2, 2), (1, 3, 3), (1, 1, 2, 2)]
+    assert np.shares_memory(seen[1], lone) and not np.shares_memory(seen[2], strided)
+    assert seen[2].flags.c_contiguous
+    assert all(np.array_equal(result, -block) for result, block in zip(results, blocks, strict=True))

@@ -52,6 +52,25 @@ def test_each_factorization_and_inverse_has_one_home():
     assert found == {name: [home] for name, home in homes.items()}
 
 
+def test_the_theorem_table_has_one_home():
+    # which theorems a certify stage checks, in which order, and which failure comes first is decided in verify.py:
+    # no other module reads THEOREM_IDS or a _<theorem>_stage named from it, as a name, an attribute or an import
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    (table,) = [ast.literal_eval(node.value) for node in trees["verify.py"].body
+                if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["THEOREM_IDS"]]
+    names = {"THEOREM_IDS", *(f"_{theorem}_stage" for theorem in table)}
+    assert len(names) == 7
+    readers = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used = {alias.name for alias in node.names}
+            else:
+                used = {getattr(node, "id", None), getattr(node, "attr", None)}
+            readers |= {(name, found) for found in used & names}
+    assert {name for name, _ in readers} == {"verify.py"}
+
+
 def test_every_constant_is_read():
     # a constant that a refactor leaves behind is assigned and never read: every module-level UPPER_CASE name
     # assigned in the package is read somewhere in it, as a loaded name or as an attribute

@@ -48,13 +48,13 @@ from crbkit.matlin import (
     restricted_information,
     restricted_nonsingular,
 )
-from crbkit.cli import _suite_frames
 from crbkit.verify import (
     _check_orthonormal,
     _eigen_dominance_stage,
     _equivalence_stage,
     _min_rank_stage,
     _poincare_stage,
+    _suite_frames,
     _trace_bound_stage,
 )
 from util import (

@@ -110,6 +110,7 @@ _SUITES = [["certify", "--count", "20", "--seed", str(seed)] for seed in range(5
     ["certify", "--count", "5", "--seed", "3", "--margin-tol", "1e-320"],  # fails, and writes witnesses
     ["certify", "--count", "10", "--seed", "19", "--rank-tol", "0.1"],  # t shrinks the large steps of this suite
     ["certify", "--count", "20", "--seed", "11", "--rank-tol", "0.05"],
+    ["certify", "--count", "45", "--seed", "6"],  # three stages, the last partial, merged across stages
     ["certify", "--count", "5", "--rank-tol", "1e-20"],
     ["certify", "--count", "5", "--rank-tol", "0.2"],
 ]
