@@ -47,13 +47,14 @@ from .errors import (
     NumericalFailure,
 )
 from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
-from .matlin import DEFAULT_RANK_TOL_REL, as_sym_matrix, ranked_svd, ranked_svds, seed_sequence
+from .matlin import DEFAULT_RANK_TOL_REL, _allocated, as_sym_matrix, ranked_svd, ranked_svds, seed_sequence
 from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, read_ascii, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
 from .verify import (
     CSV_VERSION_LINE,
     DEFAULT_MARGIN_TOL,
     _certify_stage,
+    _csv_text,
     _random_psds,
     _suite_frames,
     counterexample_check,
@@ -272,7 +273,7 @@ def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
                 f"theta has length {config.theta.size}, model needs {param_dim}"
             )
         return config.theta
-    return derived_rng(config.seed, "theta").uniform(0.5, 1.5, param_dim)
+    return _allocated(lambda shape: derived_rng(config.seed, "theta").uniform(0.5, 1.5, shape), (param_dim,), "theta")
 
 
 def _factor_j(factor, j, rank_tol_rel: float):
@@ -303,7 +304,7 @@ def information_matrix(config: RunConfig):
             sym = estimate.matrix
     except (InvalidInput, InvalidMatrix, InvalidModel) as exc:
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
+    except NumericalFailure as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
     return _factor_j(ranked_svd, sym, config.rank_tol_rel), estimate  # a model's J: PSD up to roundoff the rule zeroes
 
@@ -327,15 +328,8 @@ def write_manifest(config: RunConfig) -> None:
         lines.append(f"model = {config.model_kind}")
         lines += [f"{key} = {_config_value(value)}" for key, value in config.model_params.items()]
         lines.append(f"fim_method = {config.fim_method}")
-        if config.theta is not None:
-            lines.append("theta = " + format_row(config.theta.tolist()))
+        lines.append("theta = " + format_row(config.theta.tolist()))
     (out / "manifest.cfg").write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _kv_csv(rows: list[tuple[str, str]]) -> str:
-    lines = [CSV_VERSION_LINE, "key,value"]
-    lines += [f"{k},{v}" for k, v in rows]
-    return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -389,7 +383,7 @@ def cmd_analyze(config: RunConfig) -> int:
             f"optimal affine constraint has {spec.n_constraints} row(s)"
         )
 
-    (out / "analysis.csv").write_text(_kv_csv(rows), encoding="ascii")
+    (out / "analysis.csv").write_text(_csv_text(["key,value"], [f"{k},{v}" for k, v in rows]), encoding="ascii")
     write_manifest(config)
     print(f"report written to {out / 'analysis.csv'}")
     return EXIT_OK
@@ -470,9 +464,9 @@ def cmd_experiment(config: RunConfig) -> int:
     margins = traces - baseline
     worst, sampled = margins.min(), len(traces)
     row = f"%d,{FLOAT_FMT},{FLOAT_FMT}"
-    lines = [CSV_VERSION_LINE, f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
-    lines += [row % values for values in zip(range(sampled), traces.tolist(), margins.tolist())]
-    (out / "traces.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = [row % values for values in zip(range(sampled), traces.tolist(), margins.tolist())]
+    head = [f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
+    (out / "traces.csv").write_text(_csv_text(head, rows), encoding="ascii")
     write_manifest(config)
 
     print(

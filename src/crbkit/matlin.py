@@ -318,6 +318,9 @@ def null_complements(f_jacs: np.ndarray, rank_tol_rel: float = DEFAULT_RANK_TOL_
     have rank m: their singular values are one, which every rule _cutoff admits keeps, but the svd gives them as
     1 +- a few ulp, so by its count alone some would fall to the cutoff a few ulp below rank_tol_rel = 1 / max(m, n).
     """
+    f_jacs = _as_floats(InvalidMatrix, f_jacs, "constraint Jacobians")
+    if f_jacs.ndim < 2:
+        raise InvalidMatrix(f"constraint Jacobians must have at least 2 dimensions, got shape {f_jacs.shape}")
     m, n = f_jacs.shape[-2:]
     _, s, vh = np.linalg.svd(f_jacs)
     unit = np.abs(f_jacs @ f_jacs.swapaxes(-1, -2) - np.eye(m)).max(axis=(-2, -1), initial=0.0) <= ORTHONORMAL_TOL

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateParameter, InvalidInput, InvalidModel
-from .matlin import _as_floats, _as_vector, _check_kind
+from .matlin import _allocated, _as_floats, _as_vector, _check_kind
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +70,7 @@ def gaussian_location(dim: int, noise_var: float = 1.0) -> GaussianMeanModel:
     _check_kind(InvalidModel, "an integer", dim=dim)
     if dim < 1:
         raise InvalidModel(f"dim must be positive, got {dim}")
-    eye = np.eye(dim)
+    eye = _allocated(lambda shape: np.eye(*shape), (dim, dim), "dim")
     return GaussianMeanModel(
         mean_fn=lambda th: np.asarray(th, dtype=float),
         mean_jac=lambda th: eye,
@@ -116,7 +116,7 @@ class BlindChannelModel(GaussianMeanModel):
         """
         s_len, h_len = self.s_len, self.h_len
         s, h = th[:s_len], th[s_len:]
-        jac = np.zeros((self.obs_dim, self.param_dim))
+        jac = _allocated(np.zeros, (self.obs_dim, self.param_dim), "mean_jac")
         for i in range(s_len):
             jac[i : i + h_len, i] = h
         for j in range(h_len):

@@ -59,6 +59,12 @@ DEFAULT_MARGIN_TOL = 1e-9
 # First line of every CSV file and of the manifest.
 CSV_VERSION_LINE = "# crb-kit v1"
 
+
+def _csv_text(head: list[str], rows: list[str]) -> str:
+    """The v1 CSV layout: CSV_VERSION_LINE, the head lines, then one line per row, each line ending in a newline."""
+    return "\n".join([CSV_VERSION_LINE, *head, *rows]) + "\n"
+
+
 # Non-PSD threshold for the counterexample: the difference matrix must
 # have an eigenvalue at least this far below zero.
 COUNTEREXAMPLE_NEG_EIG = 1e-6
@@ -237,28 +243,24 @@ def verify_eigen_dominance(j, v, margin_tol: float = DEFAULT_MARGIN_TOL) -> Theo
 
 
 def _eigen_dominance_stage(bases: list, vs: list, margin_tol: float) -> TheoremCertificate:
-    """verify_eigen_dominance of each J of bases and its v, as one certificate."""
-    evals, mats, framed = {}, [], {}  # the spectra, and the frames, of each J k
-    for k, (basis, v) in enumerate(zip(bases, vs)):
+    """verify_eigen_dominance of each J of bases and its v, as one certificate; each J's frames are read apart."""
+    margins, mats = [], []
+    for basis, v in zip(bases, vs):
         if isinstance(v, ConstraintStack):
-            stack = _minimum_stack(basis, v)
-            evals[k] = stack.utju_eigs
-            mats.append(lambda i, stack=stack: _stack_witness(stack, i))
-            continue
-        v_arr = _as_floats(InvalidInput, v, "v")
-        _check_orthonormal(v_arr, basis.dim, "v")
-        frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
-        if frames.shape[2] != basis.rank:
-            raise InvalidInput(f"frames need rank(J) = {basis.rank} columns, got {frames.shape[2]}")
-        framed[k] = frames
-        mats.append(lambda i, frames=frames: {"v": frames[i]})
-    for k, mu in zip(framed, restricted_information([bases[k] for k in framed], list(framed.values()))[1]):
-        exists = restricted_nonsingular(bases[k], mu)
-        if not np.all(exists):
-            raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
-        evals[k] = mu
-    # 1/mu descends as mu ascends, as 1/sigma does
-    margins = [(1.0 / evals[k] - basis.pinv_eigenvalues[: basis.rank]).ravel() for k, basis in enumerate(bases)]
+            mu = _minimum_stack(basis, v).utju_eigs
+            mats.append(lambda i, stack=v: _stack_witness(stack, i))
+        else:
+            v_arr = _as_floats(InvalidInput, v, "v")
+            _check_orthonormal(v_arr, basis.dim, "v")
+            frames = v_arr.reshape((-1,) + v_arr.shape[-2:])
+            if frames.shape[2] != basis.rank:
+                raise InvalidInput(f"frames need rank(J) = {basis.rank} columns, got {frames.shape[2]}")
+            mu = restricted_information([basis], [frames])[1][0]
+            if not np.all(exists := restricted_nonsingular(basis, mu)):
+                raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
+            mats.append(lambda i, frames=frames: {"v": frames[i]})
+        # 1/mu descends as mu ascends, as 1/sigma does
+        margins.append((1.0 / mu - basis.pinv_eigenvalues[: basis.rank]).ravel())
     case = lambda k, c: (f"eig-index-{c % bases[k].rank}", mats[k](c // bases[k].rank))
     return _certify("eigen_dominance", bases, margins, case, margin_tol)
 
@@ -481,9 +483,11 @@ def random_rank_deficient_psd(n: int, rank: int, rng: np.random.Generator) -> Sy
 
     Built as Q diag(d) Q' with Q Haar orthogonal, the sign-fixed qr of a
     Gaussian (n, n) block, and the nonzero entries of d drawn after it,
-    uniformly from RANDOM_PSD_EIG_RANGE. n and rank are integers (Python
-    or numpy, not a bool), and n one whose (n, n) block numpy can allocate.
+    uniformly from RANDOM_PSD_EIG_RANGE. n and rank are integers (Python or numpy, not a bool), n
+    one whose (n, n) block numpy can allocate, and rng a numpy Generator.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidInput(f"rng must be a numpy Generator, got {rng!r}")
     return _random_psds([(n, rank, rng)])[0]
 
 
@@ -502,11 +506,9 @@ def _random_psds(shapes) -> list[SymMatrix]:
 
 def certificates_to_csv(certs: list[TheoremCertificate]) -> str:
     """Render certificates as CSV under CSV_VERSION_LINE."""
-    lines = [CSV_VERSION_LINE, "theorem_id,passed,n_cases,worst_margin,detail"]
-    for cert in certs:
-        passed = "true" if cert.passed else "false"
-        lines.append(f"{cert.theorem_id},{passed},{cert.n_cases},{format_float(cert.worst_margin)},{cert.detail}")
-    return "\n".join(lines) + "\n"
+    rows = [f"{cert.theorem_id},{'true' if cert.passed else 'false'},{cert.n_cases},"
+            f"{format_float(cert.worst_margin)},{cert.detail}" for cert in certs]
+    return _csv_text(["theorem_id,passed,n_cases,worst_margin,detail"], rows)
 
 
 def write_certificate_witnesses(cert: TheoremCertificate, directory) -> list[str]:

@@ -1051,6 +1051,20 @@ def test_a_count_numpy_cannot_allocate_ends_in_one_error_line(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {prefix}: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "certify", "experiment"])
+@pytest.mark.parametrize("config, message", [
+    ("model = gaussian_location\ndim = 10000000000\n", f"dim asks for a {(10**10, 10**10)}"),
+    ("model = blind_channel\ns_len = 10000000000000000000\n", f"theta asks for a {(10**19 + 3,)}"),
+], ids=["gaussian_location", "blind_channel"])
+def test_a_model_size_numpy_cannot_allocate_ends_in_one_error_line(tmp_path, capsys, command, config, message):
+    # each size is past numpy's maximum size or dimension, so numpy refuses it before allocating anything
+    path = tmp_path / "model.cfg"
+    path.write_text(config, encoding="ascii")
+    assert main([command, "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: reading input: {message} array, more than numpy can allocate\n"
+    assert not (tmp_path / "o" / "manifest.cfg").exists()
+
+
 def experiment_traces(out):
     """The sample indices and traces of an experiment run's traces.csv."""
     rows = [line.split(",") for line in (out / "traces.csv").read_text().splitlines()[3:]]

@@ -63,6 +63,10 @@ def test_blank_lines_before_the_header_are_skipped():
     assert np.array_equal(parse_matrix("\n  \n2 2\n1 0\n0 1\n"), np.eye(2))
 
 
+def test_blank_lines_after_the_block_are_not_trailing_content():
+    assert np.array_equal(parse_matrix("2 2\n1 0\n0 1\n\n \t\n"), np.eye(2))
+
+
 def test_dump_refuses_a_3d_array_and_parse_a_header_of_words():
     with pytest.raises(InvalidInput) as info:
         dump_matrix(np.ones((2, 2, 2)))

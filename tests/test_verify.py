@@ -985,6 +985,27 @@ def test_a_stage_of_every_shape_twice_gives_each_matrix_its_own_certificate():
                 assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.matrices, w.matrices))
 
 
+def test_a_dominance_stage_of_frames_and_a_stack_gives_each_matrix_its_own_certificate():
+    # a frame stack, a single frame and a sampled stack, of three J of different sizes, in one stage call: each
+    # J's margins and witnesses are its one-J verifier's bit for bit; at margin_tol = -inf every case is a witness
+    rng = np.random.default_rng(49)
+    bases = [ranked_svd(random_rank_deficient_psd(n, rank, rng)) for n, rank in ((5, 3), (4, 2), (6, 4))]
+    vs = [orthonormal_columns(rng.standard_normal((7, 5, 3))), random_orthonormal(rng, 4, 2),
+          sample_minimum_stack(bases[2], 9, 3)]
+    for tol in (1e-9, -np.inf):
+        cert = _eigen_dominance_stage(bases, vs, tol)
+        singles = [verify_eigen_dominance(basis, v, tol) for basis, v in zip(bases, vs)]
+        assert cert.margins.tobytes() == np.concatenate([single.margins for single in singles]).tobytes()
+        assert cert.n_cases == 7 * 3 + 2 + 9 * 4
+        want = [(k, w) for k, single in enumerate(singles) for w in single.witnesses]
+        assert len(cert.witnesses) == len(want) == (cert.n_cases if tol < 0 else 0)
+        for got, (k, w) in zip(cert.witnesses, want):
+            assert (got.label, got.margin) == (w.label, w.margin)
+            assert np.array_equal(got.matrices[0][1], bases[k].matrix.entries)
+            assert [name for name, _ in got.matrices] == [name for name, _ in w.matrices]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got.matrices, w.matrices))
+
+
 def test_a_stage_takes_each_equivalence_margin_as_np_linalg_norm_does(monkeypatch):
     # with J+ read off by a random symmetric matrix of scale 1e-17 to 10, each bound's difference from it is a
     # random n x n matrix; the stage's one matmul per size gives the norm that np.linalg.norm gives each

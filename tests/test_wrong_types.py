@@ -29,6 +29,7 @@ from crbkit import (
     load_matrix,
     moore_penrose_residuals,
     null_complement,
+    null_complements,
     optimal_affine_constraint,
     orthonormal_columns,
     random_rank_deficient_psd,
@@ -59,7 +60,14 @@ CALLS = {
         lambda: moore_penrose_residuals(J, "x"), "candidate pseudoinverse is not an array of numbers"
     ),
     "null_complement": (lambda: null_complement("x"), "constraint Jacobian is not an array of numbers"),
+    "null_complements text": (lambda: null_complements("x"), "constraint Jacobians is not an array of numbers"),
+    "null_complements 1-d": (
+        lambda: null_complements(np.ones(3)), "constraint Jacobians must have at least 2 dimensions, got shape (3,)"
+    ),
     "orthonormal_columns": (lambda: orthonormal_columns("x"), "matrix is not an array of numbers"),
+    "random_rank_deficient_psd rng": (
+        lambda: random_rank_deficient_psd(3, 1, 5), "rng must be a numpy Generator, got 5"
+    ),
     "verify_poincare": (lambda: verify_poincare(J, "x"), "v is not an array of numbers"),
     "verify_eigen_dominance": (lambda: verify_eigen_dominance(J, "x"), "v is not an array of numbers"),
     "verify_constraint_equivalence": (
@@ -127,6 +135,15 @@ CALLS.update({
         f"n asks for a {(10**e, 10**e)} {UNALLOCATABLE}",
     )
     for e in (9, 20, 400)
+})
+CALLS.update({
+    "gaussian_location dim 10**10": (
+        lambda: gaussian_location(10**10), f"dim asks for a {(10**10, 10**10)} {UNALLOCATABLE}"
+    ),
+    "BlindChannelModel mean_jac": (
+        lambda: BlindChannelModel(10**19, 1)._convolution_jac(np.ones(3)),
+        f"mean_jac asks for a {(10**19, 10**19 + 1)} {UNALLOCATABLE}",
+    ),
 })
 SAMPLERS = {
     "sample_constraint_traces": sample_constraint_traces,

@@ -9,8 +9,8 @@ numpy's default_rng(SEED) and runs each in this one process through crbkit.cli.m
 with its input files and outputs in a temporary directory. The inputs are random
 .matx files (PSD, indefinite or diagonal, n from 1 to 8, scales from 1e-310 to
 1e308, some with an entry above half the largest double, a non-numeric entry or a
-header that does not match), model configs with random and malformed values, and
-random flags. Every run must:
+header that does not match), model configs with random and malformed values (sizes
+among them that numpy cannot allocate), and random flags. Every run must:
 
   - exit 0, 2, 3 or 4, or exit 2 from argparse, which is counted apart;
   - on exit 2 or 3 from crbkit, print exactly one line to stderr, an `error:` one;
@@ -38,9 +38,9 @@ HALF_MAX = 0.5 * np.finfo(float).max
 
 # Config values drawn for each key; the last few of each are malformed or out of range.
 CONFIG_VALUES = {
-    "s_len": ("1", "2", "3", "4", "0", "-1", "2.5", "x"),
-    "h_len": ("1", "2", "3", "0", "2.5"),
-    "dim": ("1", "2", "4", "0", "x"),
+    "s_len": ("1", "2", "3", "4", "0", "-1", "2.5", "x", "10000000000000000000"),
+    "h_len": ("1", "2", "3", "0", "2.5", "10000000000000000000"),
+    "dim": ("1", "2", "4", "0", "x", "10000000000"),
     "noise_var": ("1", "0.5", "2", "1e-300", "1e308", "0", "-1", "nan", "inf", "x"),
     "fim_method": ("analytic", "monte_carlo", "monte_carlo", "exact"),
     "samples": ("100", "257", "99", "x"),
