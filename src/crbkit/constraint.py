@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -266,8 +267,7 @@ def save_constraint_spec(path, spec: ConstraintSpec) -> None:
     text = dump_matrix(spec.f_jac)
     if spec.offset is not None:
         text += "offset " + format_row(spec.offset.tolist()) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    Path(path).write_text(text, encoding="ascii")
 
 
 def load_constraint_spec(path) -> ConstraintSpec:

@@ -136,11 +136,6 @@ def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=entropy, spawn_key=spawn_key)
 
 
-def random_stream(rng_seed) -> np.random.Generator:
-    """A Generator rng_seed, drawn from in place, or the stream of an integer seed under seed_sequence."""
-    return np.random.default_rng(rng_seed if isinstance(rng_seed, np.random.Generator) else seed_sequence(rng_seed))
-
-
 def _check_rule(size: int, rank_tol_rel: float) -> None:
     """InvalidInput unless rank_tol_rel is a number in [eps, 1 / size); from 1 / size on all size x size ranks are 0."""
     _check_kind(InvalidInput, "a number", rank_tol_rel=rank_tol_rel)

@@ -8,6 +8,7 @@ significant digits so doubles round-trip exactly.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -80,9 +81,8 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def save_matrix(path, a) -> None:
-    text = dump_matrix(a)  # a refused array leaves no file
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    """Write a as one matx block; dump_matrix runs first, so a refused array leaves no file."""
+    Path(path).write_text(dump_matrix(a), encoding="ascii")
 
 
 def read_ascii(path, missing: str) -> str:

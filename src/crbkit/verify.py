@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -47,10 +48,10 @@ from .matlin import (
     _per_shape,
     as_ranked_svd,
     orthonormal_columns,
-    random_stream,
     ranked_svd,
     restricted_information,
     restricted_nonsingular,
+    seed_sequence,
 )
 from .matx import dump_matrix, format_float, save_matrix
 
@@ -330,19 +331,18 @@ def _equivalence_stage(bases: list, alternatives: list, margin_tol: float) -> Th
 def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
     """The one draw of verify_min_rank's inputs: (trials + 1, n, n) slots and their row counts.
 
-    From rng_seed (see random_stream) one call draws every trial's row
-    count m < n - rank(J), and one a Gaussian (n, n - rank) block per
-    trial, its columns past m zeroed; U_bar comes last, with n - rank
-    rows. Each slot is zero-padded to n columns, so one qr of the slots,
-    or of any stack of (n, n) blocks that holds them, gives each slot's
-    complete Q: a zero column adds a reflector with tau = 0. A
-    nonsingular J, where n - rank is 0, draws nothing and gets zero
-    slots; verify_min_rank refuses it, as it does a zero J.
+    From rng_seed, a Generator drawn from in place or a nonnegative integer seed of the
+    stream seed_sequence(rng_seed), one call draws every trial's row count m < n - rank(J),
+    and one a Gaussian (n, n - rank) block per trial, its columns past m zeroed; U_bar
+    comes last, with n - rank rows. Each slot is zero-padded to n columns, so one qr of the
+    slots, or of any stack of (n, n) blocks that holds them, gives each slot's complete Q:
+    a zero column adds a reflector with tau = 0. A nonsingular J, where n - rank is 0,
+    draws nothing and gets zero slots; verify_min_rank refuses it, as it does a zero J.
     """
     _check_count(trials, "trials", 1)
     basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
-    rng = random_stream(rng_seed)
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(seed_sequence(rng_seed))
     counts = rng.integers(0, m, size=trials) if m else np.zeros(trials, dtype=int)
     slots = np.zeros((trials + 1, n, n))
     slots[:-1, :, :m] = np.where(np.arange(m) < counts[:, None, None], rng.standard_normal((trials, n, m)), 0.0)
@@ -402,9 +402,8 @@ def _min_rank_stage(bases: list, qs: list, counts: list, margin_tol: float) -> T
         scaled = mu[np.arange(len(rows)), rows] / basis.cutoff(basis.dim - np.array(rows))  # mu_min / c
         # deficient constraints must leave U'J_rU singular (mu_min at or below c); the achievable must not
         margins.append(np.append(1.0 - scaled[:-1], scaled[-1] - 1.0))
-    labels = [[f"deficient-{t}-rows-{m}" for t, m in enumerate(rows[:-1])] + ["achievable-at-min-rank"]
-              for rows in counts]
-    case = lambda k, i: (labels[k][i], {"f_jac": qs[k][i, :, : counts[k][i]].T})
+    case = lambda k, i: (f"deficient-{i}-rows-{counts[k][i]}" if i + 1 < len(counts[k]) else "achievable-at-min-rank",
+                         {"f_jac": qs[k][i, :, : counts[k][i]].T})
     return _certify("min_rank", bases, margins, case, margin_tol)
 
 
@@ -521,8 +520,7 @@ def write_certificate_witnesses(cert: TheoremCertificate, directory) -> list[str
     for idx, witness in enumerate(cert.witnesses):
         stem = f"{cert.theorem_id}_{idx:03d}"
         note_path = os.path.join(directory, f"{stem}.txt")
-        with open(note_path, "w", encoding="ascii") as fh:
-            fh.write(witness.as_text())
+        Path(note_path).write_text(witness.as_text(), encoding="ascii")
         written.append(note_path)
         for name, arr in witness.matrices:
             mat_path = os.path.join(directory, f"{stem}_{name}.matx")

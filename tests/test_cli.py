@@ -11,6 +11,7 @@ import pytest
 import crbkit
 from crbkit import (
     BlindChannelModel,
+    GaussianMeanModel,
     RankedSvd,
     SymMatrix,
     bound_traces,
@@ -1204,6 +1205,22 @@ def test_monte_carlo_overflow_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: input values too large for double precision: overflow encountered")
     assert err.count("\n") == 1
+
+
+def test_a_non_finite_monte_carlo_score_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    # no built-in model reaches this refusal: a non-finite score needs an overflow first, which main's errstate
+    # turns into exit 2 (above); a mean Jacobian of NaN gives NaN scores with no overflow
+    def nan_location(dim, noise_var):
+        return GaussianMeanModel(mean_fn=lambda th: th, mean_jac=lambda th: np.full((dim, dim), np.nan),
+                                 noise_var=noise_var, param_dim=dim, obs_dim=dim)
+
+    monkeypatch.setitem(crbkit.cli.MODELS, "gaussian_location", (nan_location, {"dim": 4, "noise_var": 1.0}))
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("model = gaussian_location\nfim_method = monte_carlo\nsamples = 200\n")
+    out = tmp_path / "o"
+    assert main(["analyze", "--input", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: estimating information matrix: non-finite score at sample 0\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -88,3 +88,24 @@ def test_every_constant_is_read():
     read |= {node.attr for node in nodes if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert len(constants) > 20
     assert {name: where for name, where in constants.items() if name not in read} == {}
+
+
+def test_every_file_is_written_one_way():
+    # each output file is written by Path.write_text with encoding="ascii", its text formed first so that a refused
+    # value leaves no file: no open() or Path.open() with a mode that writes (a mode that is not a literal counts)
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    calls = [(name, node) for name, tree in trees.items() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    writers, unencoded = [], []
+    for name, call in calls:
+        callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        keywords = {keyword.arg: keyword.value for keyword in call.keywords}
+        if callee == "open":
+            mode = keywords.get("mode", call.args[1] if len(call.args) > 1 else ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax+"):
+                writers.append(f"{name}:{call.lineno}")
+        elif callee == "write_text":
+            encoding = keywords.get("encoding")
+            if not (isinstance(encoding, ast.Constant) and encoding.value == "ascii"):
+                unencoded.append(f"{name}:{call.lineno}")
+    assert (writers, unencoded) == ([], [])
+    assert sum(getattr(call.func, "attr", None) == "write_text" for _, call in calls) >= 7
