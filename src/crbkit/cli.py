@@ -14,9 +14,9 @@ command-line flags override file values. Every run, a certify suite
 included, writes a manifest that can be fed back through --input to
 reproduce the run bit for bit.
 All randomness fans out from one seed through labeled streams; one per
-certify matrix draws its J, Poincare frame, equivalence mixes and min_rank
-trials in turn. Exit codes: 0 success, 2 invalid input, 3 numerical
-failure, 4 certificate failure.
+certify matrix draws its J, Poincare frame, equivalence mixes, min_rank
+trials and sampled constraints in turn. Exit codes: 0 success, 2 invalid
+input, 3 numerical failure, 4 certificate failure.
 """
 
 from __future__ import annotations
@@ -402,8 +402,9 @@ def _suite_stage(config: RunConfig, shape_rng: np.random.Generator, start: int) 
 def cmd_certify(config: RunConfig) -> int:
     """Run the full certificate suite; exit 4 when any inequality fails.
 
-    verify._suite_frames and verify._certify_stage check the suite in stages of CERTIFY_STAGE matrices. cli keeps
-    the streams (_suite_stage's shapes and J, each matrix's certify-constraints seed), the merge and every output.
+    verify._suite_frames and verify._certify_stage check the suite in stages of CERTIFY_STAGE matrices, each
+    matrix's frames and sampled constraints drawn from the stream that drew its J. cli keeps the streams
+    (_suite_stage's shapes and each matrix's certify-matrix stream, index 0 for --input), the merge and every output.
     """
     out = config.output_dir
 
@@ -424,9 +425,9 @@ def cmd_certify(config: RunConfig) -> int:
 
     parts = []
     for i, matrices in enumerate(stages):
-        bases, start = [basis for basis, _ in matrices], CERTIFY_STAGE * i
-        seeds = [derived_seed(config.seed, "certify-constraints", start + k) for k in range(len(bases))]
-        parts.append(_certify_stage(bases, _suite_frames(matrices), constraints_count, seeds, config.margin_tol, start))
+        bases, rngs = zip(*matrices)
+        frames = _suite_frames(matrices)
+        parts.append(_certify_stage(bases, frames, constraints_count, rngs, config.margin_tol, CERTIFY_STAGE * i))
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)]
     certificates.append(counterexample_check())
 

@@ -175,7 +175,7 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
 
-def _sampled(j, count: int, rng_seed):
+def _sampled(j, count: int, rng: np.random.Generator):
     """J factored, then its count draws in J's chart, all at once: each draw's ||L_j||^2 (count, r) and ||M||_F^2.
 
     Draw i is L = t delta_i N: N an (n - r, r) standard normal block, delta_i = STEPS[i % 6], and t <= 1 the largest
@@ -188,17 +188,15 @@ def _sampled(j, count: int, rng_seed):
     and tr X = sum 1/lambda_i + ||M||_F^2, which reads N only through its squared column norms C_j, chi^2(m) and
     independent of the columns' directions (Muirhead 1982). So tr B(F) - tr J+ = ||M||_F^2 >= 0, zero iff
     null(F) = range(J), and lambda_i(X) >= lambda_i(Lambda^-1) by Weyl: the paper's trace and eigenvalue bounds.
-    The (count, r) C are one draw from the stream seed_sequence(rng_seed); only sample_minimum_stack draws
-    directions. Each stream is drawn in draw order, so a sample's first k draws are the sample of k. Raises
-    InvalidInput for a count that is not a positive integer or whose draw numpy cannot allocate, FullRankFim when J
-    is nonsingular and InvalidMatrix when ranked_svd refuses J.
+    The (count, r) C are one draw from the Generator rng; only _sample_stacks draws directions. Raises InvalidInput
+    for a count that is not a positive integer or whose draw numpy cannot allocate, FullRankFim when J is
+    nonsingular and InvalidMatrix when ranked_svd refuses J.
     """
     _check_count(count, "count", 1)
     basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
     m, r = basis.dim - basis.rank, basis.rank
     if m == 0:
         raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
-    rng = np.random.default_rng(seed_sequence(rng_seed))
     inv_lam = 1.0 / basis.sigma
     unit = max(0, math.frexp(inv_lam.max(initial=0.0))[1])  # 2^unit is 1 where lambda_r > 1
     limit = math.ldexp(0.5 * (np.finfo(float).max - inv_lam.sum()), -unit)  # the cap, on ||M||_F^2 / 2^unit
@@ -215,28 +213,23 @@ def _sampled(j, count: int, rng_seed):
 def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
     """The (count,) traces of the constraints of sample_minimum_stack(j, count, rng_seed), in draw order.
 
-    Each is tr X = sum 1/lambda_i + ||M||_F^2, read in closed form from its
-    draw's column norms (see _sampled): no direction, no LAPACK call, no F and no mu.
+    Each is tr X = sum 1/lambda_i + ||M||_F^2, read in closed form from its draw's column norms (see _sampled), drawn
+    from the stream seed_sequence(rng_seed): no direction, no LAPACK call, no F and no mu.
     """
-    basis, _, squares = _sampled(j, count, rng_seed)
+    basis, _, squares = _sampled(j, count, np.random.default_rng(seed_sequence(rng_seed)))
     return np.sum(1.0 / basis.sigma) + squares
 
 
-def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[ConstraintStack]:
-    """For each singular J of js and its integer seed, count random minimum constraints as one evaluated stack.
-
-    Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled and its direction from a standard normal
-    g of the second stream seed_sequence(rng_seed, 1), so N is standard normal. Each Jacobian is F = U_bar' + L U_r',
-    kept as drawn (the bound reads F only through null(F)); its mu come from the eigvalsh of its
-    X = Lambda^-1 + M'M. Every J's X of one shape (count, r, r) get one stacked eigvalsh: each stack equals its J's
-    own bit for bit. F's rows are not orthonormal, but its singular values are at least one, so the svd row-rank
-    rule of evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n) rank_tol_rel reaches one: at a
-    loose rule, evaluate its orthonormal rows (sample_minimum_constraints) instead.
-    """
+def _sample_stacks(js: list, count: int, streams: list) -> list[ConstraintStack]:
+    """For each singular J of js and its (norms, directions) Generators of streams, count random minimum constraints
+    as one evaluated stack. Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled's draw from norms and
+    its direction from a (count, n - r, r) standard normal g that directions draws next, one Generator or another, so
+    N is standard normal. Each Jacobian is F = U_bar' + L U_r', kept as drawn (the bound reads F only through
+    null(F)); its mu come from the eigvalsh of its X = Lambda^-1 + M'M. Every J's X of one shape (count, r, r) get
+    one stacked eigvalsh: each stack equals its J's own bit for bit."""
     samples, xs = [], []
-    for j, rng_seed in zip(js, rng_seeds):
-        basis, l_squares, _ = _sampled(j, count, rng_seed)
-        directions = np.random.default_rng(seed_sequence(rng_seed, 1))
+    for j, (norms, directions) in zip(js, streams):
+        basis, l_squares, _ = _sampled(j, count, norms)
         g = _allocated(directions.standard_normal, (count, basis.dim - basis.rank, basis.rank), "count")
         l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
         m_mat = l_mat * np.sqrt(1.0 / basis.sigma)
@@ -244,6 +237,16 @@ def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[Constra
         samples.append((basis, basis.u_bar.T + l_mat @ basis.u_r.T))
     return [ConstraintStack(basis, f_jacs, np.full(count, basis.dim - basis.rank), 1.0 / spectrum[:, ::-1])
             for (basis, f_jacs), spectrum in zip(samples, _per_shape(np.linalg.eigvalsh, xs))]
+
+
+def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[ConstraintStack]:
+    """For each singular J of js and its integer seed, count random minimum constraints as one evaluated stack: the
+    _sample_stacks whose norms stream is seed_sequence(rng_seed) and directions stream seed_sequence(rng_seed, 1),
+    each drawn in draw order, so a sample's first k draws are the sample of k. F's rows are not orthonormal, but its
+    singular values are at least one, so the svd row-rank rule of evaluate_constraints gives it row rank m unless
+    sigma_max(F) max(m, n) rank_tol_rel reaches one: at a loose rule, evaluate its orthonormal rows instead."""
+    streams = [(np.random.default_rng(seed_sequence(s)), np.random.default_rng(seed_sequence(s, 1))) for s in rng_seeds]
+    return _sample_stacks(js, count, streams)
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:

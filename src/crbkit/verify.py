@@ -9,7 +9,8 @@ verifier is the stage of one J: its stage function (_poincare_stage, ...)
 checks many J as one certificate, with one stacked eigvalsh, svd or inv
 call per operand shape, which gives each J's margins bit for bit.
 _certify_stage checks one certify stage from the frames that
-_suite_frames draws from each J's stream.
+_suite_frames draws from each J's stream and the constraints that stream
+draws next.
 
 Checks covered:
   trace_bound      tr(constrained CRB) >= tr(pinv J) for minimum constraints
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constraint import ConstraintStack, _evaluate, sample_minimum_stacks
+from .constraint import ConstraintStack, _evaluate, _sample_stacks
 from .crb import bound_traces
 from .errors import CrbKitError, InvalidInput, NotMinimumConstraint, SingularRestriction
 from .matlin import (
@@ -426,15 +427,15 @@ def _suite_frames(matrices: list) -> list[tuple]:
             for q, (rank, m, counts) in zip(_per_shape(orthonormal_columns, blocks), kept)]
 
 
-def _certify_stage(bases: list, frames: list, constraints_count: int, seeds: list, margin_tol: float, start: int):
+def _certify_stage(bases: list, frames: list, constraints_count: int, rngs: list, margin_tol: float, start: int):
     """Each theorem's certificate but the counterexample's over bases, suite matrices start, start + 1, ..., from their
-    _suite_frames and constraints_count constraints sampled per J from seeds, one check of each theorem for the stage.
-    The first failure raises CrbKitError("certify matrix i, theorem: ...") as if each J went through THEOREM_IDS in
-    turn, a sampler's as its trace_bound: a failed stage is certified again one J at a time. A FloatingPointError
-    escapes as it is."""
-    theorem, certificates = 0, []
+    _suite_frames and the constraints_count constraints per J that its Generator of rngs draws next, one check of
+    each theorem for the stage. The first failure raises CrbKitError("certify matrix i, theorem: ...") as if each J
+    went through THEOREM_IDS in turn, a sampler's as its trace_bound: a failed stage is certified again one J at a
+    time, on the constraints it drew, each Generator put back first. A FloatingPointError escapes as it is."""
+    theorem, certificates, states = 0, [], [rng.bit_generator.state for rng in rngs]
     try:
-        stacks = sample_minimum_stacks(bases, constraints_count, seeds)
+        stacks = _sample_stacks(bases, constraints_count, [(rng, rng) for rng in rngs])
         frame, mixes, trials_q, rows = zip(*frames)
         # orthonormal (m, m) mixes keep U_bar's rows orthonormal, so no ill-conditioned mix fails the row-rank test
         alternatives = [mix @ basis.u_bar.T for mix, basis in zip(mixes, bases)]
@@ -443,9 +444,11 @@ def _certify_stage(bases: list, frames: list, constraints_count: int, seeds: lis
         for theorem, (check, *inputs) in enumerate(checks):
             certificates.append(check(bases, *inputs, margin_tol))
     except (CrbKitError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
         for i in range(len(bases)) if len(bases) > 1 else []:
             one = slice(i, i + 1)
-            _certify_stage(bases[one], frames[one], constraints_count, seeds[one], margin_tol, start + i)
+            _certify_stage(bases[one], frames[one], constraints_count, rngs[one], margin_tol, start + i)
         if isinstance(exc, FloatingPointError):
             raise
         raise CrbKitError(f"certify matrix {start}, {THEOREM_IDS[theorem]}: {exc}") from exc

@@ -21,10 +21,10 @@ from crbkit import (
     load_matrix,
     ranked_svd,
     sample_minimum_constraints,
-    sample_minimum_stack,
     save_matrix,
 )
 from crbkit.cli import CERTIFY_STAGE, build_parser, derived_rng, derived_seed, main
+from crbkit.constraint import _sample_stacks
 from crbkit.matlin import DEFAULT_RANK_TOL_REL, orthonormal_columns, seed_sequence
 from crbkit.matx import format_float
 from crbkit.verify import (
@@ -94,7 +94,10 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # were retaken when the samplers came to draw each constraint's squared column norms, chi^2(n - r),
     # from the sample's stream and, for a stack alone, their directions from a second stream, which
     # moves every sampled trace and every sampled trace_bound and eigen_dominance margin and leaves
-    # every other output as it was; they cover the labeled CLI streams, the Monte-Carlo
+    # every other output as it was; c's and c2's certificates were retaken when each certify
+    # matrix's stream came to draw its sampled constraints' column norms and directions after its
+    # min_rank trials, which moves every sampled trace_bound and eigen_dominance margin of certify
+    # and leaves every other output as it was; they cover the labeled CLI streams, the Monte-Carlo
     # partitions, the sampler and the min_rank trials, the analyze runs' pseudoinverse,
     # constrained bound, constraint and report, and each run's manifest, whose input or model
     # branch follows the kind of input
@@ -131,8 +134,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "a/constraint.matx": "f8343fc87176ef41436373ba233f19660a180a259189574ac6921c408ba52719",
         "e/traces.csv": "81f00c785c0e6b117d4989f040a88d4a5c40b5aa5b554e24b9b912192ce2d278",
         "e2/traces.csv": "42f6c9b15d4aed0bfbe8c74a902f9cb13bd70229b7eb8f9546daecfb76e7bc58",
-        "c/certificates.csv": "938b599db4369b463e3073408177089b731bcdd17cf19a0fa6e6ca345cee031e",
-        "c2/certificates.csv": "fd6c90c27f7bcca10e41763db25def3939c7144f8513bd7230b22d91995fb216",
+        "c/certificates.csv": "40d8972bddd1b152f09cc298af1477a3220f8033044c7cc4138aeb096e7d1a5b",
+        "c2/certificates.csv": "e990c689cd2309fa2b6b8ca501d88b1b73b53b8dded8e7cca8d7a37ba797855d",
         "m/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
         "m/analysis.csv": "988bef45b55776ab4700e5a11f6552de42600f40e06b476687743e10707b5384",
         "m/j_pinv.matx": "d13537e0814cd19ac5fdb17369a2984f9bff4da7862ef2525d08d9764e897fd9",
@@ -152,19 +155,19 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         assert np.array_equal(seed_sequence(11, *key).generate_state(4), old)
 
 
-def certificates_from_streams(seed, matrices, constraints_count):
+def certificates_from_streams(matrices, constraints_count):
     """certificates.csv of certify, from the verifiers called on inputs drawn as documented, one matrix and one
-    qr at a time: matrix i's stream draws the Poincare frame, the equivalence mixes and the min_rank trials'
-    row counts and Gaussian blocks, in that order, and its sampler has the stream ("certify-constraints", i)."""
+    qr at a time: matrix i's stream draws the Poincare frame, the equivalence mixes, the min_rank trials' row
+    counts and Gaussian blocks, then the sampled constraints' column norms and directions, in that order."""
     parts = []
-    for i, (basis, rng) in enumerate(matrices):
+    for basis, rng in matrices:
         n, rank, m = basis.dim, basis.rank, basis.dim - basis.rank
-        stack = sample_minimum_stack(basis, constraints_count, derived_seed(seed, "certify-constraints", i))
         frame = orthonormal_columns(rng.standard_normal((n, rank)))
         mixes = orthonormal_columns(rng.standard_normal((3, m, m)))
         counts = rng.integers(0, m, size=5)
         draws = np.where(np.arange(m) < counts[:, None, None], rng.standard_normal((5, n, m)), 0.0)
         trials_q = np.linalg.qr(np.concatenate([draws, basis.u_bar[None]]), mode="complete")[0]
+        (stack,) = _sample_stacks([basis], constraints_count, [(rng, rng)])
         parts.append([
             verify_trace_bound(basis, stack),
             verify_eigen_dominance(basis, stack),
@@ -188,14 +191,14 @@ def test_each_certify_matrix_draws_its_inputs_from_one_stream(tmp_path):
         assert main(argv + ["--out", str(out)]) == 0
         streams = list(suite_streams(seed, count))
         matrices = [(ranked_svd(j, tol), rng) for j, _, rng in streams]
-        assert (out / "certificates.csv").read_text() == certificates_from_streams(seed, matrices, 20)
+        assert (out / "certificates.csv").read_text() == certificates_from_streams(matrices, 20)
         assert count != 20 or len({j.dim for j, _, _ in streams}) == 5
         assert (tol == 0.1) == any(basis.rank < rank for (basis, _), (_, rank, _) in zip(matrices, streams))
     path = tmp_path / "j.matx"
     save_matrix(path, make_psd(np.random.default_rng(5), 6, 3))
     assert main(["certify", "--input", str(path), "--count", "40", "--seed", "3", "--out", str(tmp_path / "i")]) == 0
     matrices = [(ranked_svd(load_matrix(tmp_path / "i" / "j.matx")), derived_rng(3, "certify-matrix", 0))]
-    assert (tmp_path / "i" / "certificates.csv").read_text() == certificates_from_streams(3, matrices, 40)
+    assert (tmp_path / "i" / "certificates.csv").read_text() == certificates_from_streams(matrices, 40)
 
 
 def test_one_padded_qr_per_size_gives_each_frame_of_the_unpadded_draws():
@@ -226,11 +229,11 @@ def test_one_padded_qr_per_size_gives_each_frame_of_the_unpadded_draws():
     assert worst <= 2.0
 
 
-def test_a_certify_suite_derives_four_seeds_per_matrix(tmp_path, monkeypatch):
-    # the shapes' stream, then per matrix its own stream, its sampler's sub-seed and the sampler's
-    # two streams from that sub-seed, the column norms' and the directions': 81 derivations for 20
-    # matrices, where three per matrix made 61, before the sampler drew directions from a stream of
-    # their own, and seven per matrix 141
+def test_a_certify_suite_derives_one_stream_per_matrix(tmp_path, monkeypatch):
+    # the shapes' stream, then per matrix its own stream, which draws its sampled constraints too: 21
+    # derivations for 20 matrices, where four per matrix made 81, before the sampler came to draw from
+    # the matrix's stream, three per matrix 61 and seven per matrix 141; certify --input derives its
+    # one stream, index 0
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("crbkit") and hasattr(module, "seed_sequence"):
@@ -239,7 +242,11 @@ def test_a_certify_suite_derives_four_seeds_per_matrix(tmp_path, monkeypatch):
     for seed in (0, 6):
         calls.clear()
         assert main(["certify", "--count", "20", "--seed", str(seed), "--out", str(tmp_path / str(seed))]) == 0
-        assert len(calls) == 81
+        assert len(calls) == 21
+    calls.clear()
+    j_path = str(write_diag_matrix(tmp_path))
+    assert main(["certify", "--input", j_path, "--count", "20", "--out", str(tmp_path / "i")]) == 0
+    assert len(calls) == 1
 
 
 def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
@@ -948,6 +955,28 @@ def test_a_stage_reports_its_first_failing_matrix_before_a_later_ones_earlier_th
     assert capsys.readouterr().err == "error: certify matrix 1, poincare: v columns are not orthonormal\n"
 
 
+def test_a_failed_stage_is_certified_again_on_the_constraints_it_drew(tmp_path, capsys, monkeypatch):
+    # each matrix's stream draws its sampled constraints after its frames; a stage that fails is certified again
+    # one matrix at a time from the streams' states before the sample, so the retry meets the constraints that
+    # failed. Drawing on from where the stage left off, no retried stack is matrix 7's, and the report falls back
+    # to the stage's first matrix
+    argv = ["certify", "--count", "20", "--seed", "5", "--out", str(tmp_path / "o")]
+    calls = recorded_trace_bounds(monkeypatch)
+    assert main(argv) == 0
+    planted = calls[7][1].f_jacs.tobytes()
+    real = crbkit.verify._trace_bound_stage
+
+    def stage(bases, stacks, tol):
+        if any(stack.f_jacs.tobytes() == planted for stack in stacks):
+            raise crbkit.CrbKitError("planted")
+        return real(bases, stacks, tol)
+
+    monkeypatch.setattr(crbkit.verify, "_trace_bound_stage", stage)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: certify matrix 7, trace_bound: planted\n"
+
+
 def test_a_suite_draws_each_stages_shapes_as_the_stage_starts(tmp_path, capsys, monkeypatch):
     # a suite of 100,000 matrices whose first stage fails draws no more than two stages' (n, rank) pairs; drawing
     # every pair before the first stage took 200,000 integers calls, 3 s and 70 MB at a count of 1,000,000
@@ -1007,6 +1036,21 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
     assert main(["experiment", "--input", str(j), "--count", "50", "--out", str(out1)]) == 0
     assert main(["experiment", "--input", str(j), "--count", "50", "--out", str(out2)]) == 0
     assert (out1 / "traces.csv").read_bytes() == (out2 / "traces.csv").read_bytes()
+
+
+def test_an_experiments_first_traces_are_the_experiment_of_that_count(tmp_path):
+    # experiment draws its column norms from one stream in draw order, so the first 20 rows of a run of 40 are
+    # the rows of a run of 20, byte for byte, under the same baseline line
+    path = tmp_path / "j.matx"
+    save_matrix(path, make_psd(np.random.default_rng(9), 6, 3))
+    lines = {}
+    for count in ("40", "20"):
+        argv = ["experiment", "--input", str(path), "--count", count, "--seed", "3", "--out", str(tmp_path / count)]
+        assert main(argv) == 0
+        lines[count] = (tmp_path / count / "traces.csv").read_bytes().splitlines(keepends=True)
+    assert len(lines["40"]) == 43 and len(lines["20"]) == 23
+    assert lines["40"][1].startswith(b"# baseline_trace = ")
+    assert lines["40"][:23] == lines["20"]
 
 
 def test_experiment_exits_3_on_a_trace_below_the_baseline_after_writing_its_outputs(tmp_path, capsys, monkeypatch):
@@ -1321,7 +1365,7 @@ def test_rank_tol_below_machine_epsilon_exits_2_before_factoring(tmp_path, capsy
     # run must never reach is no function here, so a run that went on to a bound or a sample fails
     if argv != ["certify"]:  # a bare certify runs its suite
         argv = argv + ["--model", "blind_channel"]
-    for module, name in ((crbkit.cli, "unconstrained_crb"), (crbkit.verify, "sample_minimum_stacks"),
+    for module, name in ((crbkit.cli, "unconstrained_crb"), (crbkit.verify, "_sample_stacks"),
                          (crbkit.cli, "sample_constraint_traces")):
         monkeypatch.setattr(module, name, None)
     assert main(argv + ["--rank-tol", tol, "--out", str(tmp_path / "o")]) == 2

@@ -3,6 +3,7 @@
 import warnings
 from pathlib import Path
 
+import crbkit.cli
 from util import load_tool
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
@@ -48,3 +49,31 @@ def test_the_runner_reads_an_escaped_exception_and_records_each_warning():
     assert code == "raised"
     assert stderr.startswith("ValueError: {tmp}/x --out {tmp}/out at test_cli_digest.py:")
     assert stderr.endswith("\nwarning: RuntimeWarning: again\nwarning: RuntimeWarning: again\n")
+
+
+def test_the_verdict_line_reads_exit_codes_and_verdicts_but_no_margin(monkeypatch):
+    # a main that writes every worst_margin as 0 changes the total and leaves the verdict line as it was; one that
+    # writes every passed column as false changes both
+    tool = load_tool(TOOL)
+    picked = [["certify", "--count", "5", "--seed", "3"], ["analyze", "--input", "{tmp}/rank3_scale1.matx"]]
+    first = tool.digest(picked)
+    real = crbkit.cli.main
+
+    def rewritten(column, value):
+        def main(argv):
+            code = real(argv)
+            path = Path(argv[argv.index("--out") + 1]) / "certificates.csv"
+            if path.exists():  # the version line and the head line, then one row per theorem
+                lines = path.read_text().splitlines()
+                rows = [row.split(",") for row in lines[2:]]
+                rows = [",".join(row[:column] + [value] + row[column + 1:]) for row in rows]
+                path.write_text("\n".join(lines[:2] + rows) + "\n")
+            return code
+
+        monkeypatch.setattr(crbkit.cli, "main", main)
+        return tool.digest(picked)
+
+    margins, verdicts = rewritten(3, "0"), rewritten(1, "false")
+    assert [line.split()[0] for line in first[2:]] == ["total", "verdicts"] and first[3].endswith(" over 2 commands")
+    assert margins[2] != first[2] and margins[3] == first[3]
+    assert verdicts[2] != first[2] and verdicts[3] != first[3]

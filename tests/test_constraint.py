@@ -570,6 +570,21 @@ def scripted_streams(monkeypatch, norms, directions):
     monkeypatch.setattr(constraint_module, "seed_sequence", lambda seed, *key: streams[key])
 
 
+def test_one_generator_draws_the_column_norms_then_the_directions(monkeypatch):
+    # a certify matrix's stream draws its (count, r) chi^2(n - r) column norms, then its (count, n - r, r)
+    # directions, as one block each: the stack equals the integer-seeded sampler's with those two blocks scripted,
+    # bit for bit, and leaves the Generator where a draw of both blocks leaves it
+    basis = ranked_svd(make_psd(np.random.default_rng(43), 7, 3), 0.1)
+    rng, copy = np.random.default_rng(8), np.random.default_rng(8)
+    (stack,) = constraint_module._sample_stacks([basis], 33, [(rng, rng)])
+    m, r = basis.dim - basis.rank, basis.rank
+    norms, directions = copy.chisquare(m, (33, r)), copy.standard_normal((33, m, r))
+    scripted_streams(monkeypatch, norms, directions)
+    want = sample_minimum_stack(basis, 33, 0)
+    assert stack.f_jacs.tobytes() == want.f_jacs.tobytes() and stack.utju_eigs.tobytes() == want.utju_eigs.tobytes()
+    assert rng.bit_generator.state == copy.bit_generator.state
+
+
 def test_the_trace_sampler_never_draws_a_direction(monkeypatch):
     # the traces read each draw's column norms alone: with the derivation of the direction stream
     # seed_sequence(seed, 1) made to raise, sample_constraint_traces gives its traces bit for bit, at

@@ -11,9 +11,13 @@ exit code (see run; an escaped exception reads `raised`, its message
 added to stderr), the sha256 of its stdout and of its stderr (a
 `warning: ...` line added per warning, the temporary directory read as
 {tmp}), the number of files it wrote and one sha256 over their relative
-paths and contents, then the command. The last line is the sha256 of all
-those lines. Two trees whose totals agree gave the same exit codes,
-messages and output files on every command.
+paths and contents, then the command. Then comes the total, the sha256 of
+all those lines, and last the verdict line, one sha256 over each
+command's exit code and, where it wrote certificates.csv, that file's
+theorem_id, passed and n_cases columns. Two trees whose totals agree gave
+the same exit codes, messages and output files on every command; two
+whose verdict lines agree gave the same exit codes and verdicts, whatever
+their margins.
 
 The other tools import from here the one in-process runner (run, and
 sweep_run for a sweep that hashes its results), the matx writer of
@@ -143,8 +147,9 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def command_line(directory: Path, index: int, argv: list[str]) -> str:
-    """Run one command through crbkit.cli.main with its output in directory/out-index; its digest line."""
+def command_line(directory: Path, index: int, argv: list[str]) -> tuple[str, str]:
+    """Run one command through crbkit.cli.main with its output in directory/out-index; its digest line and its
+    verdict: the exit code, then the theorem_id, passed and n_cases columns of certificates.csv where it wrote one."""
     from crbkit.cli import main
 
     out = directory / f"out-{index:03d}"
@@ -154,16 +159,19 @@ def command_line(directory: Path, index: int, argv: list[str]) -> str:
     for path, data in files.items():
         tree.update(f"{path}\0{_sha(data)}\n".encode())
     out_sha, err_sha = (_sha(stream.encode())[:16] for stream in (stdout, stderr))
-    return f"exit={code} stdout={out_sha} stderr={err_sha} files={len(files)}:{tree.hexdigest()[:16]} {' '.join(argv)}"
+    line = f"exit={code} stdout={out_sha} stderr={err_sha} files={len(files)}:{tree.hexdigest()[:16]} {' '.join(argv)}"
+    rows = files.get("certificates.csv", b"").decode().splitlines()[1:]  # the head line and a row per theorem
+    return line, " ".join([code] + [",".join(row.split(",")[:3]) for row in rows])
 
 
 def digest(commands=COMMANDS) -> list[str]:
-    """The digest line of each command, run in order over freshly written inputs, then the total."""
+    """The digest line of each command, run in order over freshly written inputs, then the total and the verdicts."""
     with tempfile.TemporaryDirectory() as name:
         directory = Path(name)
         write_inputs(directory, INPUTS)
-        lines = [command_line(directory, index, argv) for index, argv in enumerate(commands)]
-    return lines + [f"total {_sha(chr(10).join(lines).encode())} over {len(lines)} commands"]
+        lines, verdicts = zip(*[command_line(directory, index, argv) for index, argv in enumerate(commands)])
+    return [*lines, f"total {_sha(chr(10).join(lines).encode())} over {len(lines)} commands",
+            f"verdicts {_sha(chr(10).join(verdicts).encode())} over {len(lines)} commands"]
 
 
 if __name__ == "__main__":
