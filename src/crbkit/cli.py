@@ -56,7 +56,6 @@ from .verify import (
     _certify_stage,
     _csv_text,
     _random_psds,
-    _suite_frames,
     counterexample_check,
     certificates_to_csv,
     merge_certificates,
@@ -402,8 +401,8 @@ def _suite_stage(config: RunConfig, shape_rng: np.random.Generator, start: int) 
 def cmd_certify(config: RunConfig) -> int:
     """Run the full certificate suite; exit 4 when any inequality fails.
 
-    verify._suite_frames and verify._certify_stage check the suite in stages of CERTIFY_STAGE matrices, each
-    matrix's frames and sampled constraints drawn from the stream that drew its J. cli keeps the streams
+    verify._certify_stage checks the suite in stages of CERTIFY_STAGE matrices, each matrix's frames and sampled
+    constraints drawn from the stream that drew its J. cli keeps the streams
     (_suite_stage's shapes and each matrix's certify-matrix stream, index 0 for --input), the merge and every output.
     """
     out = config.output_dir
@@ -423,11 +422,8 @@ def cmd_certify(config: RunConfig) -> int:
         stages = [[(basis, derived_rng(config.seed, "certify-matrix", 0))]]
         constraints_count = config.count
 
-    parts = []
-    for i, matrices in enumerate(stages):
-        bases, rngs = zip(*matrices)
-        frames = _suite_frames(matrices)
-        parts.append(_certify_stage(bases, frames, constraints_count, rngs, config.margin_tol, CERTIFY_STAGE * i))
+    parts = [_certify_stage(matrices, constraints_count, config.margin_tol, CERTIFY_STAGE * i)
+             for i, matrices in enumerate(stages)]
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)]
     certificates.append(counterexample_check())
 

@@ -188,9 +188,9 @@ def _sampled(j, count: int, rng: np.random.Generator):
     and tr X = sum 1/lambda_i + ||M||_F^2, which reads N only through its squared column norms C_j, chi^2(m) and
     independent of the columns' directions (Muirhead 1982). So tr B(F) - tr J+ = ||M||_F^2 >= 0, zero iff
     null(F) = range(J), and lambda_i(X) >= lambda_i(Lambda^-1) by Weyl: the paper's trace and eigenvalue bounds.
-    The (count, r) C are one draw from the Generator rng; only _sample_stacks draws directions. Raises InvalidInput
-    for a count that is not a positive integer or whose draw numpy cannot allocate, FullRankFim when J is
-    nonsingular and InvalidMatrix when ranked_svd refuses J.
+    The (count, r) C are one draw from the Generator rng; _sample_stacks draws the directions from rng next. Raises
+    InvalidInput for a count that is not a positive integer or whose draw numpy cannot allocate, FullRankFim when J
+    is nonsingular and InvalidMatrix when ranked_svd refuses J.
     """
     _check_count(count, "count", 1)
     basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
@@ -220,17 +220,19 @@ def sample_constraint_traces(j, count: int, rng_seed: int) -> np.ndarray:
     return np.sum(1.0 / basis.sigma) + squares
 
 
-def _sample_stacks(js: list, count: int, streams: list) -> list[ConstraintStack]:
-    """For each singular J of js and its (norms, directions) Generators of streams, count random minimum constraints
-    as one evaluated stack. Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled's draw from norms and
-    its direction from a (count, n - r, r) standard normal g that directions draws next, one Generator or another, so
-    N is standard normal. Each Jacobian is F = U_bar' + L U_r', kept as drawn (the bound reads F only through
-    null(F)); its mu come from the eigvalsh of its X = Lambda^-1 + M'M. Every J's X of one shape (count, r, r) get
-    one stacked eigvalsh: each stack equals its J's own bit for bit."""
+def _sample_stacks(js: list, count: int, rngs: list) -> list[ConstraintStack]:
+    """For each singular J of js and its Generator of rngs, count random minimum constraints as one evaluated stack.
+    Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled's draw of C and its direction from a
+    (count, n - r, r) standard normal g that the same Generator draws next, so N is standard normal. Each Jacobian is
+    F = U_bar' + L U_r', kept as drawn (the bound reads F only through null(F)); its mu come from the eigvalsh of its
+    X = Lambda^-1 + M'M. Every J's X of one shape (count, r, r) get one stacked eigvalsh: each stack equals its J's
+    own bit for bit. F's rows are not orthonormal, but its singular values are at least one, so the svd row-rank rule
+    of evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n) rank_tol_rel reaches one: at a loose
+    rule, evaluate its orthonormal rows instead."""
     samples, xs = [], []
-    for j, (norms, directions) in zip(js, streams):
-        basis, l_squares, _ = _sampled(j, count, norms)
-        g = _allocated(directions.standard_normal, (count, basis.dim - basis.rank, basis.rank), "count")
+    for j, rng in zip(js, rngs):
+        basis, l_squares, _ = _sampled(j, count, rng)
+        g = _allocated(rng.standard_normal, (count, basis.dim - basis.rank, basis.rank), "count")
         l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
         m_mat = l_mat * np.sqrt(1.0 / basis.sigma)
         xs.append(np.diag(1.0 / basis.sigma) + m_mat.transpose(0, 2, 1) @ m_mat)
@@ -239,19 +241,10 @@ def _sample_stacks(js: list, count: int, streams: list) -> list[ConstraintStack]
             for (basis, f_jacs), spectrum in zip(samples, _per_shape(np.linalg.eigvalsh, xs))]
 
 
-def sample_minimum_stacks(js: list, count: int, rng_seeds: list) -> list[ConstraintStack]:
-    """For each singular J of js and its integer seed, count random minimum constraints as one evaluated stack: the
-    _sample_stacks whose norms stream is seed_sequence(rng_seed) and directions stream seed_sequence(rng_seed, 1),
-    each drawn in draw order, so a sample's first k draws are the sample of k. F's rows are not orthonormal, but its
-    singular values are at least one, so the svd row-rank rule of evaluate_constraints gives it row rank m unless
-    sigma_max(F) max(m, n) rank_tol_rel reaches one: at a loose rule, evaluate its orthonormal rows instead."""
-    streams = [(np.random.default_rng(seed_sequence(s)), np.random.default_rng(seed_sequence(s, 1))) for s in rng_seeds]
-    return _sample_stacks(js, count, streams)
-
-
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:
-    """sample_minimum_stacks([j], count, [rng_seed]): count random minimum constraints for a singular J."""
-    return sample_minimum_stacks([j], count, [rng_seed])[0]
+    """count random minimum constraints for a singular J: the _sample_stacks of J on the stream seed_sequence(rng_seed),
+    which draws the norms of all count draws, then their directions."""
+    return _sample_stacks([j], count, [np.random.default_rng(seed_sequence(rng_seed))])[0]
 
 
 def sample_minimum_constraints(j, count: int, rng_seed: int) -> list[ConstraintSpec]:

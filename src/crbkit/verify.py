@@ -8,9 +8,8 @@ concatenates margins and witnesses and judges nothing again. Each public
 verifier is the stage of one J: its stage function (_poincare_stage, ...)
 checks many J as one certificate, with one stacked eigvalsh, svd or inv
 call per operand shape, which gives each J's margins bit for bit.
-_certify_stage checks one certify stage from the frames that
-_suite_frames draws from each J's stream and the constraints that stream
-draws next.
+_certify_stage checks one certify stage from what each J's stream draws
+after J: the frames of _suite_frames, then the sampled constraints.
 
 Checks covered:
   trace_bound      tr(constrained CRB) >= tr(pinv J) for minimum constraints
@@ -427,16 +426,17 @@ def _suite_frames(matrices: list) -> list[tuple]:
             for q, (rank, m, counts) in zip(_per_shape(orthonormal_columns, blocks), kept)]
 
 
-def _certify_stage(bases: list, frames: list, constraints_count: int, rngs: list, margin_tol: float, start: int):
-    """Each theorem's certificate but the counterexample's over bases, suite matrices start, start + 1, ..., from their
-    _suite_frames and the constraints_count constraints per J that its Generator of rngs draws next, one check of
-    each theorem for the stage. The first failure raises CrbKitError("certify matrix i, theorem: ...") as if each J
-    went through THEOREM_IDS in turn, a sampler's as its trace_bound: a failed stage is certified again one J at a
-    time, on the constraints it drew, each Generator put back first. A FloatingPointError escapes as it is."""
+def _certify_stage(matrices: list, constraints_count: int, margin_tol: float, start: int):
+    """Each theorem's certificate but the counterexample's over the (basis, rng) of matrices, suite matrices start,
+    start + 1, ..., from what each rng draws after J: its _suite_frames, then constraints_count sampled constraints.
+    One check of each theorem for the stage. The first failure raises CrbKitError("certify matrix i, theorem: ...")
+    as if each J went through THEOREM_IDS in turn, a sampler's as its trace_bound: a failed stage is certified again
+    one J at a time, each rng put back first, so each J redraws what it drew. A FloatingPointError escapes as it is."""
+    bases, rngs = zip(*matrices)
     theorem, certificates, states = 0, [], [rng.bit_generator.state for rng in rngs]
+    frame, mixes, trials_q, rows = zip(*_suite_frames(matrices))
     try:
-        stacks = _sample_stacks(bases, constraints_count, [(rng, rng) for rng in rngs])
-        frame, mixes, trials_q, rows = zip(*frames)
+        stacks = _sample_stacks(bases, constraints_count, rngs)
         # orthonormal (m, m) mixes keep U_bar's rows orthonormal, so no ill-conditioned mix fails the row-rank test
         alternatives = [mix @ basis.u_bar.T for mix, basis in zip(mixes, bases)]
         checks = [(_trace_bound_stage, stacks), (_eigen_dominance_stage, stacks), (_poincare_stage, frame),
@@ -446,9 +446,8 @@ def _certify_stage(bases: list, frames: list, constraints_count: int, rngs: list
     except (CrbKitError, np.linalg.LinAlgError, FloatingPointError) as exc:
         for rng, state in zip(rngs, states):
             rng.bit_generator.state = state
-        for i in range(len(bases)) if len(bases) > 1 else []:
-            one = slice(i, i + 1)
-            _certify_stage(bases[one], frames[one], constraints_count, rngs[one], margin_tol, start + i)
+        for i in range(len(matrices)) if len(matrices) > 1 else []:
+            _certify_stage(matrices[i : i + 1], constraints_count, margin_tol, start + i)
         if isinstance(exc, FloatingPointError):
             raise
         raise CrbKitError(f"certify matrix {start}, {THEOREM_IDS[theorem]}: {exc}") from exc

@@ -167,7 +167,7 @@ def certificates_from_streams(matrices, constraints_count):
         counts = rng.integers(0, m, size=5)
         draws = np.where(np.arange(m) < counts[:, None, None], rng.standard_normal((5, n, m)), 0.0)
         trials_q = np.linalg.qr(np.concatenate([draws, basis.u_bar[None]]), mode="complete")[0]
-        (stack,) = _sample_stacks([basis], constraints_count, [(rng, rng)])
+        (stack,) = _sample_stacks([basis], constraints_count, [rng])
         parts.append([
             verify_trace_bound(basis, stack),
             verify_eigen_dominance(basis, stack),
@@ -939,18 +939,22 @@ def test_a_nonsingular_suite_j_is_refused_by_matrix_and_theorem_in_matrix_order(
 def test_a_stage_reports_its_first_failing_matrix_before_a_later_ones_earlier_theorem(tmp_path, capsys, monkeypatch):
     # matrix 1's Poincare frame is not orthonormal, and matrix 2's J, swapped for the identity, is refused by its
     # sampler, which counts as its trace_bound; the stage's trace_bound check fails at matrix 2 before its poincare
-    # check runs, yet matrix 1's poincare comes first, as when each matrix went through THEOREM_IDS in turn
-    real_psds, real_frames = crbkit.cli._random_psds, crbkit.cli._suite_frames
+    # check runs, yet matrix 1's poincare comes first, as when each matrix went through THEOREM_IDS in turn. The
+    # frame is spoiled wherever matrix 1's J is framed, so the one-matrix retry, which draws its frames again, meets it
+    real_psds, real_frames = crbkit.cli._random_psds, crbkit.verify._suite_frames
+    j1 = list(suite_streams(5, 2))[1][0].entries
 
     def frames(matrices):
         drawn = real_frames(matrices)
-        frame, *rest = drawn[1]
-        drawn[1] = (1.01 * frame, *rest)
+        for i, (basis, _) in enumerate(matrices):
+            if np.array_equal(basis.matrix.entries, j1):
+                frame, *rest = drawn[i]
+                drawn[i] = (1.01 * frame, *rest)
         return drawn
 
     monkeypatch.setattr(crbkit.cli, "_random_psds", lambda shapes: [
         SymMatrix(np.eye(j.dim)) if i == 2 else j for i, j in enumerate(real_psds(shapes))])
-    monkeypatch.setattr(crbkit.cli, "_suite_frames", frames)
+    monkeypatch.setattr(crbkit.verify, "_suite_frames", frames)
     assert main(["certify", "--count", "4", "--seed", "5", "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "error: certify matrix 1, poincare: v columns are not orthonormal\n"
 

@@ -77,3 +77,11 @@ def test_the_verdict_line_reads_exit_codes_and_verdicts_but_no_margin(monkeypatc
     assert [line.split()[0] for line in first[2:]] == ["total", "verdicts"] and first[3].endswith(" over 2 commands")
     assert margins[2] != first[2] and margins[3] == first[3]
     assert verdicts[2] != first[2] and verdicts[3] != first[3]
+
+
+def test_the_whole_sweeps_verdict_line_is_pinned():
+    # the exit codes and certify verdicts of every command of the sweep; this line reads the same on the default,
+    # Haswell, Sandybridge and Prescott OpenBLAS kernels, where the total line, which hashes every margin, does not
+    tool = load_tool(TOOL)
+    lines = tool.digest(tool.COMMANDS)
+    assert lines[-1] == "verdicts 7bdcc8ba20558ac87188f568f74441c12ba44866edd0c670b6c6ab5b85816f72 over 119 commands"

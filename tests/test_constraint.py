@@ -30,8 +30,7 @@ from crbkit import (
     verify_eigen_dominance,
     verify_trace_bound,
 )
-from crbkit.constraint import sample_minimum_stacks
-from crbkit.matlin import _sign_fixed_columns, is_psd
+from crbkit.matlin import _sign_fixed_columns, is_psd, seed_sequence
 import exact
 from util import chart_draws, chart_jacobians, make_psd, orthonormal_rows, random_orthonormal
 
@@ -228,8 +227,7 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
     # a sample of 70 draws in one call; each draw is rebuilt one at a time from the
     # documented law (util.chart_draws), at the default cutoff and at 0.02, where t shrinks the
     # large steps; F = U_bar' + L U_r' and each trace sum 1/lambda_i + ||L Lambda^-1/2||_F^2 agree to
-    # a few ulps. The law's N was drawn whole from one stream until each column's squared norm and its
-    # direction came from two; chart_draws follows the law as it stands
+    # a few ulps
     q = random_orthonormal(np.random.default_rng(5), 6, 6)
     j = (q * np.array([1.0, 0.5, 0.2, 0.0, 0.0, 0.0])) @ q.T
     j = 0.5 * (j + j.T)
@@ -250,22 +248,15 @@ def test_chunked_sampler_consumes_the_stream_draw_by_draw():
     assert shrunk > 0
 
 
-def test_a_samples_first_k_constraints_are_the_sample_of_k():
-    # each of the sampler's two streams, the column norms' and the directions', is drawn in draw order,
-    # so a shorter sample is a prefix of a longer one, bit for bit, at every length, 32 and 64 among
-    # them, and where t shrinks draws (rank_tol 0.1)
+def test_a_trace_samples_first_k_traces_are_the_sample_of_k():
+    # the traces read the column norms alone, the first draw of their stream, in draw order, so a shorter
+    # sample is a prefix of a longer one, bit for bit, at every length, 32 and 64 among them, and where t
+    # shrinks draws (rank_tol 0.1); a sampled stack draws its directions after every norm and keeps no such rule
     for tol in (1e-10, 0.1):
         basis = ranked_svd(make_psd(np.random.default_rng(17), 7, 3), tol)
-        stack = sample_minimum_stack(basis, 100, 4)
         traces = sample_constraint_traces(basis, 100, 4)
-        specs = sample_minimum_constraints(basis, 100, 4)
         for k in (1, 6, 31, 32, 33, 64, 65):
-            prefix = sample_minimum_stack(basis, k, 4)
-            assert prefix.f_jacs.tobytes() == stack.f_jacs[:k].tobytes()
-            assert prefix.utju_eigs.tobytes() == stack.utju_eigs[:k].tobytes()
             assert sample_constraint_traces(basis, k, 4).tobytes() == traces[:k].tobytes()
-            shorter = sample_minimum_constraints(basis, k, 4)
-            assert all(a.f_jac.tobytes() == b.f_jac.tobytes() and a.label == b.label for a, b in zip(shorter, specs))
 
 
 def test_a_whole_sample_takes_one_eigvalsh_per_shape(monkeypatch):
@@ -281,7 +272,7 @@ def test_a_whole_sample_takes_one_eigvalsh_per_shape(monkeypatch):
     sample_minimum_stack(single, 70, 3)
     assert calls == [(1, 70, 3, 3)]
     calls.clear()
-    sample_minimum_stacks(bases, 70, [5, 6, 7, 8, 9])
+    constraint_module._sample_stacks(bases, 70, [np.random.default_rng(seed) for seed in range(5, 10)])
     assert calls == [(2, 70, 1, 1), (2, 70, 2, 2), (1, 70, 5, 5)]
 
 
@@ -308,7 +299,8 @@ def test_a_stage_sample_equals_each_js_own_bit_for_bit():
     bases = [ranked_svd(make_psd(rng, n, rank)) for n, rank in shapes]
     seeds = [100 + i for i in range(len(bases))]
     for count in (1, 20, 33, 70):
-        stacks = sample_minimum_stacks(bases, count, seeds)
+        rngs = [np.random.default_rng(seed_sequence(seed)) for seed in seeds]
+        stacks = constraint_module._sample_stacks(bases, count, rngs)
         assert len(stacks) == len(bases)
         for basis, seed, stack in zip(bases, seeds, stacks):
             one = sample_minimum_stack(basis, count, seed)
@@ -347,8 +339,7 @@ def test_sampled_flags_follow_the_row_rank_rule():
 def test_sampled_stack_holds_the_draws_its_specs_label():
     # a small count, a count above 32 and a loose cutoff: the stack holds, in draw order,
     # the Jacobians of the documented draws, every one of them minimum, and the specs carry the labels
-    # sampled-i and the orthonormal rows of the stack's Jacobians; the documented draws (util.chart_draws)
-    # moved when N came to take its column norms and directions from two streams
+    # sampled-i and the orthonormal rows of the stack's Jacobians, the documented draws of util.chart_draws
     rng = np.random.default_rng(8)
     for basis, count in [(ranked_svd(make_psd(rng, 5, 2)), 20), (ranked_svd(make_psd(rng, 6, 3), 0.05), 20),
                          (ranked_svd(make_psd(rng, 5, 2)), 40)]:
@@ -545,62 +536,63 @@ def test_the_trace_sampler_returns_the_accepted_traces_as_one_float64_array():
 
 
 def scripted_streams(monkeypatch, norms, directions):
-    """Make the samplers draw the given (k, r) chi^2(n - r) column norms C from their stream seed_sequence(seed)
-    and the given (k, n - r, r) Gaussian directions g from seed_sequence(seed, 1), once each."""
+    """Make the samplers' one stream, seed_sequence(seed), draw the given (k, r) chi^2(n - r) column norms C and then
+    the given (k, n - r, r) Gaussian directions g, once each."""
     m = np.shape(directions)[1]
 
     class Scripted(np.random.Generator):  # np.random.default_rng returns a Generator as it is
-        def __init__(self, method, block):
+        def __init__(self):
             super().__init__(np.random.PCG64(0))
-            self.method, self.blocks = method, [np.array(block, dtype=float)]
+            self.blocks = [("chisquare", np.array(norms, dtype=float)),
+                           ("standard_normal", np.array(directions, dtype=float))]
 
         def chisquare(self, df, size):
-            assert self.method == "chisquare" and df == m, (self.method, df)
-            return self.pop(size)
+            assert df == m, df
+            return self.pop("chisquare", size)
 
         def standard_normal(self, size):
-            assert self.method == "standard_normal", self.method
-            return self.pop(size)
+            return self.pop("standard_normal", size)
 
-        def pop(self, size):
-            assert self.blocks and size == self.blocks[0].shape, size
-            return self.blocks.pop()
+        def pop(self, method, size):
+            assert self.blocks and (method, size) == (self.blocks[0][0], self.blocks[0][1].shape), (method, size)
+            return self.blocks.pop(0)[1]
 
-    streams = {(): Scripted("chisquare", norms), (1,): Scripted("standard_normal", directions)}
-    monkeypatch.setattr(constraint_module, "seed_sequence", lambda seed, *key: streams[key])
+    monkeypatch.setattr(constraint_module, "seed_sequence", lambda seed: Scripted())
 
 
 def test_one_generator_draws_the_column_norms_then_the_directions(monkeypatch):
-    # a certify matrix's stream draws its (count, r) chi^2(n - r) column norms, then its (count, n - r, r)
-    # directions, as one block each: the stack equals the integer-seeded sampler's with those two blocks scripted,
-    # bit for bit, and leaves the Generator where a draw of both blocks leaves it
+    # an integer-seeded stack is _sample_stacks on the one stream seed_sequence(seed), bit for bit; that stream draws
+    # the (count, r) chi^2(n - r) column norms, then the (count, n - r, r) directions, as one block each: the stack
+    # equals the sampler's with those two blocks scripted, and leaves the stream where a draw of both blocks leaves it
     basis = ranked_svd(make_psd(np.random.default_rng(43), 7, 3), 0.1)
-    rng, copy = np.random.default_rng(8), np.random.default_rng(8)
-    (stack,) = constraint_module._sample_stacks([basis], 33, [(rng, rng)])
+    rng, copy = np.random.default_rng(seed_sequence(8)), np.random.default_rng(seed_sequence(8))
+    (stack,) = constraint_module._sample_stacks([basis], 33, [rng])
+    want = sample_minimum_stack(basis, 33, 8)
+    assert stack.f_jacs.tobytes() == want.f_jacs.tobytes() and stack.utju_eigs.tobytes() == want.utju_eigs.tobytes()
     m, r = basis.dim - basis.rank, basis.rank
     norms, directions = copy.chisquare(m, (33, r)), copy.standard_normal((33, m, r))
-    scripted_streams(monkeypatch, norms, directions)
-    want = sample_minimum_stack(basis, 33, 0)
-    assert stack.f_jacs.tobytes() == want.f_jacs.tobytes() and stack.utju_eigs.tobytes() == want.utju_eigs.tobytes()
     assert rng.bit_generator.state == copy.bit_generator.state
+    scripted_streams(monkeypatch, norms, directions)
+    scripted = sample_minimum_stack(basis, 33, 0)
+    assert stack.f_jacs.tobytes() == scripted.f_jacs.tobytes()
+    assert stack.utju_eigs.tobytes() == scripted.utju_eigs.tobytes()
 
 
 def test_the_trace_sampler_never_draws_a_direction(monkeypatch):
-    # the traces read each draw's column norms alone: with the derivation of the direction stream
-    # seed_sequence(seed, 1) made to raise, sample_constraint_traces gives its traces bit for bit, at
-    # count 70 and where t shrinks draws, while sample_minimum_stack, which needs the directions, raises
+    # the traces read each draw's column norms alone: on a stream whose standard_normal raises,
+    # sample_constraint_traces gives its traces bit for bit, at count 70 and where t shrinks draws, while
+    # sample_minimum_stack, which needs the directions, raises
     basis = ranked_svd(make_psd(np.random.default_rng(41), 7, 3), 0.1)
     expected = sample_constraint_traces(basis, 70, 12)
-    real = constraint_module.seed_sequence
 
-    def norms_only(seed, *key):
-        if key:
-            raise AssertionError(f"the stream {key} was derived")
-        return real(seed)
+    class NormsOnly(np.random.Generator):  # np.random.default_rng returns a Generator as it is
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("a direction was drawn")
 
+    norms_only = lambda seed: NormsOnly(np.random.PCG64(seed_sequence(seed)))
     monkeypatch.setattr(constraint_module, "seed_sequence", norms_only)
     assert sample_constraint_traces(basis, 70, 12).tobytes() == expected.tobytes()
-    with pytest.raises(AssertionError, match=r"the stream \(1,\) was derived"):
+    with pytest.raises(AssertionError, match="a direction was drawn"):
         sample_minimum_stack(basis, 70, 12)
 
 
@@ -634,8 +626,7 @@ def test_sampled_spectra_and_traces_against_exact_rationals(monkeypatch):
     # and its squared norm C_j = ||g_j||^2 s_j^2 for a dyadic s_j, so N_j = sqrt(C_j / ||g_j||^2) g_j = s_j g_j
     # is exact, and each X = Lambda^-1 + M'M is rational, and its power sums tr X = sum 1/mu and
     # tr X^2 = sum 1/mu^2 are exact; draw 5 leaves U'J_rU a condition number above 1e8. Both samplers read
-    # them within 10 r eps. The draws were N's entries themselves until the samplers came to draw each
-    # column's squared norm and direction from two streams
+    # them within 10 r eps
     basis = ranked_svd(np.diag([1.0, 0.25, 2.0 ** -12, 0.0, 0.0]))
     assert set(np.abs(np.concatenate([basis.u_r, basis.u_bar], axis=1)).ravel()) == {0.0, 1.0}
     columns = [[[4, 3, 0], [-3, 4, -1]], [[-3, 4, 3], [4, 3, -4]], [[3, 4, -3], [4, -3, 4]]]

@@ -71,6 +71,24 @@ def test_the_theorem_table_has_one_home():
     assert {name for name, _ in readers} == {"verify.py"}
 
 
+def test_what_a_certify_matrix_draws_after_j_has_one_home():
+    # which frames and constraints a certify matrix's stream draws after J, and in which order, is decided in
+    # verify.py: no other module reads _suite_frames, _sample_stacks or min_rank_trials, as a name, an attribute or
+    # an import, but constraint.py, whose sample_minimum_stack samples on an integer seed's own stream, and
+    # __init__.py, which only re-exports the public min_rank_trials
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    names = {"_suite_frames", "_sample_stacks", "min_rank_trials"}
+    readers = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                used = {alias.name for alias in node.names}
+            else:
+                used = {getattr(node, "id", None), getattr(node, "attr", None)}
+            readers |= {(name, found) for found in used & names if name != "__init__.py"}
+    assert readers == {("verify.py", found) for found in names} | {("constraint.py", "_sample_stacks")}
+
+
 def test_every_constant_is_read():
     # a constant that a refactor leaves behind is assigned and never read: every module-level UPPER_CASE name
     # assigned in the package is read somewhere in it, as a loaded name or as an attribute

@@ -41,7 +41,6 @@ from crbkit import (
     verify_poincare,
     verify_trace_bound,
 )
-from crbkit.constraint import sample_minimum_stacks
 
 J = np.diag([2.0, 1.0, 0.0])
 V = np.eye(3)[:, :2]  # an orthonormal frame of rank(J) columns
@@ -148,7 +147,6 @@ CALLS.update({
 SAMPLERS = {
     "sample_constraint_traces": sample_constraint_traces,
     "sample_minimum_stack": sample_minimum_stack,
-    "sample_minimum_stacks": lambda j, count, seed: sample_minimum_stacks([j], count, [seed]),
 }
 # J of rank 1: count 10**18 draws 8e18 bytes, which numpy fails to allocate, and 10**20 more than it can size
 CALLS.update({

@@ -41,16 +41,16 @@ def chart_draws(basis, count, seed):
     """The draws L (count, n - r, r) of a sample of count constraints from seed, made one at a time by the
     documented law: draw i is t delta_i N, delta_i the i-th of (1e-3, 1e-2, 1e-1, 1, 10, 100) in turn, and
     t <= 1 the largest factor with c ||L Lambda^-1/2||_F^2 <= (1 - c / lambda_r) / 2, c = sigma_1 r rank_tol_rel.
-    N's r squared column norms C are chi^2(n - r) from seed_sequence(seed), and its columns are
-    sqrt(C_j) g_j / ||g_j|| for an (n - r, r) standard normal g from seed_sequence(seed, 1)."""
+    One stream, seed_sequence(seed), draws every draw's r squared column norms C, chi^2(n - r), and then every
+    draw's (n - r, r) standard normal g; N's columns are sqrt(C_j) g_j / ||g_j||."""
     n, r = basis.dim, basis.rank
-    norms_rng = np.random.default_rng(seed_sequence(seed))
-    directions_rng = np.random.default_rng(seed_sequence(seed, 1))
+    rng = np.random.default_rng(seed_sequence(seed))
     c = basis.sigma[0] * r * basis.rank_tol_rel if r else 0.0
     room = 0.5 * (1.0 - c / basis.sigma[-1]) if r else 0.5
+    all_norms = [rng.chisquare(n - r, r) for _ in range(count)]
     draws = []
-    for i in range(count):
-        norms, g = norms_rng.chisquare(n - r, r), directions_rng.standard_normal((n - r, r))
+    for i, norms in enumerate(all_norms):
+        g = rng.standard_normal((n - r, r))
         scaled = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)[i % 6] * g * np.sqrt(norms / np.sum(g**2, axis=0))
         gap = c * np.sum(scaled**2 / basis.sigma)
         draws.append(scaled * (np.sqrt(room / gap) if gap > room else 1.0))
