@@ -114,9 +114,9 @@ def _setting(key: str, default, help_text: str, limit: str):
     return field(default=default, metadata={"key": key, "help": help_text, "limit": limit})
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Fully resolved run parameters; the _setting fields are the run settings, in manifest order."""
+    """Resolved run parameters, checked as made; the _setting fields are the run settings, in manifest order."""
 
     command: str
     matrix: np.ndarray | None = None  # the input is matrix or model_kind; certify with neither runs its suite
@@ -131,7 +131,7 @@ class RunConfig:
     rank_tol_rel: float = _setting("rank_tol", DEFAULT_RANK_TOL_REL, "relative rank cutoff", "positive")
     margin_tol: float = _setting("margin_tol", DEFAULT_MARGIN_TOL, "certificate margin tolerance", "positive")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.matrix is None and self.model_kind is None and self.command != "certify":
             raise InvalidInput(f"{self.command} requires --input or --model naming a matrix or a model")
         for key, setting in SETTINGS.items():
@@ -177,15 +177,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-def _sniff_is_config(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        return "=" in line
-    return False
-
-
 def _parse(values: dict[str, str], key: str, default):
     """The config-file value of key as the type of default; default when the key is absent."""
     if key not in values:
@@ -210,7 +201,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.input is not None:
         path = Path(args.input)
         text = read_ascii(path, f"no such input file: {path}")
-        if _sniff_is_config(text):
+        if any("=" in line for line in text.splitlines() if not line.strip().startswith("#")):  # matx holds numbers
             file_values = parse_config_text(text)
             if "model" in file_values and "input" in file_values:
                 raise InvalidInput("config names both a model and an input matrix")
@@ -250,7 +241,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = _parse(file_values, key, setting.default)
         settings[setting.name] = value if getattr(args, key) is None else getattr(args, key)
 
-    config = RunConfig(
+    return RunConfig(
         command=args.command,
         matrix=matrix,
         model_kind=model_kind,
@@ -260,8 +251,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         output_dir=Path(args.out),
         **settings,
     )
-    config.validate()
-    return config
 
 
 def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
@@ -286,15 +275,14 @@ def _factor_j(factor, j, rank_tol_rel: float):
 
 
 def information_matrix(config: RunConfig):
-    """The run's J as _factor_j factors it, and its FimEstimate or None; CliError exit 2, or 3 if estimating fails."""
+    """(basis, estimate, theta): the run's J as _factor_j factors it, and a model's FimEstimate and resolved theta,
+    both None for a matrix input; CliError exit 2, or 3 if estimating fails."""
     try:
         if config.matrix is not None:
-            sym, estimate = as_sym_matrix(config.matrix), None
-            config.matrix = sym.entries  # the symmetrized matrix, which the manifest writes as j.matx
+            sym, estimate, theta = as_sym_matrix(config.matrix), None, None
         else:
             model = MODELS[config.model_kind][0](**config.model_params)
             theta = resolve_theta(config, model.param_dim)
-            config.theta = theta  # record the resolved point for the manifest
             if config.fim_method == "monte_carlo":
                 seed = derived_seed(config.seed, "fim-mc")
                 estimate = fim_monte_carlo(model, theta, config.n_samples, seed)
@@ -305,29 +293,27 @@ def information_matrix(config: RunConfig):
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except NumericalFailure as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
-    return _factor_j(ranked_svd, sym, config.rank_tol_rel), estimate  # a model's J: PSD up to roundoff the rule zeroes
+    return _factor_j(ranked_svd, sym, config.rank_tol_rel), estimate, theta  # a model's J: PSD up to zeroed roundoff
 
 
 def _config_value(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
-def write_manifest(config: RunConfig) -> None:
-    """Write the resolved run config in config-file form (17-digit floats) as manifest.cfg.
-
-    A matrix input is written next to it as the j.matx its input line names.
-    """
+def write_manifest(config: RunConfig, basis, theta) -> None:
+    """Write the run in config form (17-digit floats) as manifest.cfg, with theta and basis as information_matrix gave
+    them (None, None for a suite): a matrix input's J, symmetrized, goes next to it as the j.matx its input names."""
     out = config.output_dir
     lines = [f"{CSV_VERSION_LINE} manifest", f"command = {config.command}", f"version = {__version__}"]
     lines += [f"{key} = {_config_value(getattr(config, s.name))}" for key, s in SETTINGS.items()]
     if config.matrix is not None:
-        save_matrix(out / "j.matx", config.matrix)
+        save_matrix(out / "j.matx", basis.matrix.entries)
         lines.append("input = j.matx")
     elif config.model_kind is not None:
         lines.append(f"model = {config.model_kind}")
         lines += [f"{key} = {_config_value(value)}" for key, value in config.model_params.items()]
         lines.append(f"fim_method = {config.fim_method}")
-        lines.append("theta = " + format_row(config.theta.tolist()))
+        lines.append("theta = " + format_row(theta.tolist()))
     (out / "manifest.cfg").write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -335,7 +321,7 @@ def cmd_analyze(config: RunConfig) -> int:
     """Rank, pseudoinverse, and optimal-constraint report for one matrix."""
     out = config.output_dir
 
-    basis, estimate = information_matrix(config)
+    basis, estimate, theta = information_matrix(config)
     report = unconstrained_crb(basis)
     n, rank = basis.dim, basis.rank
     if config.matrix is None:  # a matrix input is written with the manifest
@@ -367,15 +353,16 @@ def cmd_analyze(config: RunConfig) -> int:
         print(f"information matrix is nonsingular (rank {rank}); no constraint needed")
         print(f"inverse written to {out / 'j_pinv.matx'}")
     else:
-        spec = optimal_affine_constraint(basis, np.zeros(n) if config.theta is None else config.theta)
+        spec = optimal_affine_constraint(basis, np.zeros(n) if theta is None else theta)
         bound = constrained_crb(basis, spec)
         save_constraint_spec(out / "constraint.matx", spec)
-        save_matrix(out / "crb_constrained.matx", bound.bound.entries)
+        if bound.exists:  # U'JU can be singular within roundoff of the rank cutoff: no bound, trace inf
+            save_matrix(out / "crb_constrained.matx", bound.bound.entries)
         rows.append(("constraint", spec.label))
         rows.append(("constraint_rows", str(spec.n_constraints)))
         rows.append(("constraint_exists", "true" if bound.exists else "false"))
         rows.append(("trace_constrained", format_float(bound.trace)))
-        for i, value in enumerate(bound.eigenvalues, 1):
+        for i, value in enumerate(bound.eigenvalues if bound.exists else (), 1):
             rows.append((f"eig_crb_{i}", format_float(value)))
         print(
             f"information matrix is singular (rank {rank} of {n}); "
@@ -383,7 +370,7 @@ def cmd_analyze(config: RunConfig) -> int:
         )
 
     (out / "analysis.csv").write_text(_csv_text(["key,value"], [f"{k},{v}" for k, v in rows]), encoding="ascii")
-    write_manifest(config)
+    write_manifest(config, basis, theta)
     print(f"report written to {out / 'analysis.csv'}")
     return EXIT_OK
 
@@ -408,11 +395,12 @@ def cmd_certify(config: RunConfig) -> int:
     out = config.output_dir
 
     if config.matrix is None and config.model_kind is None:
+        basis = theta = None
         shape_rng = derived_rng(config.seed, "certify-shapes")
         stages = (_suite_stage(config, shape_rng, start) for start in range(0, config.count, CERTIFY_STAGE))
         constraints_count = CERTIFY_CONSTRAINTS_PER_MATRIX
     else:
-        basis, _ = information_matrix(config)
+        basis, _, theta = information_matrix(config)
         if basis.rank in (0, basis.dim):
             raise CliError(
                 EXIT_INVALID_INPUT,
@@ -428,7 +416,7 @@ def cmd_certify(config: RunConfig) -> int:
     certificates.append(counterexample_check())
 
     (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")
-    write_manifest(config)
+    write_manifest(config, basis, theta)
 
     failed = [cert for cert in certificates if not cert.passed]
     for cert in certificates:
@@ -451,7 +439,7 @@ def cmd_experiment(config: RunConfig) -> int:
     """Trace survey over sampled minimum constraints for a singular matrix."""
     out = config.output_dir
 
-    basis, _ = information_matrix(config)
+    basis, _, theta = information_matrix(config)
     baseline = basis.pinv.trace
     seed = derived_seed(config.seed, "experiment-constraints")
     try:
@@ -464,7 +452,7 @@ def cmd_experiment(config: RunConfig) -> int:
     rows = [row % values for values in zip(range(sampled), traces.tolist(), margins.tolist())]
     head = [f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
     (out / "traces.csv").write_text(_csv_text(head, rows), encoding="ascii")
-    write_manifest(config)
+    write_manifest(config, basis, theta)
 
     print(
         f"{sampled} constraints sampled; baseline trace {format_float(baseline)}; "
@@ -479,6 +467,14 @@ def cmd_experiment(config: RunConfig) -> int:
     return EXIT_OK
 
 
+# Each command's function and help line, in parser order.
+COMMANDS = {
+    "analyze": (cmd_analyze, "rank / pseudoinverse / optimal constraint report"),
+    "certify": (cmd_certify, "run all inequality certificates"),
+    "experiment": (cmd_experiment, "trace survey over sampled minimum constraints"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The crbkit argument parser, built on first use and shared by every main call in the process."""
@@ -488,11 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"crbkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("analyze", "rank / pseudoinverse / optimal constraint report"),
-        ("certify", "run all inequality certificates"),
-        ("experiment", "trace survey over sampled minimum constraints"),
-    ):
+    for name, (_, help_text) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", help="matx matrix file or key = value config file")
         cmd.add_argument("--model", choices=tuple(MODELS), help="built-in model with default sizes")
@@ -513,11 +505,7 @@ def main(argv=None) -> int:
             raise CliError(EXIT_INVALID_INPUT, f"resolving configuration: {exc}") from exc
         # finite input too large for double precision would otherwise turn to inf part way
         with np.errstate(over="raise"):
-            if config.command == "analyze":
-                return cmd_analyze(config)
-            if config.command == "certify":
-                return cmd_certify(config)
-            return cmd_experiment(config)
+            return COMMANDS[config.command][0](config)
     except FloatingPointError as exc:
         print(f"error: input values too large for double precision: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -218,11 +218,11 @@ def restricted_information(bases: list, us: list) -> tuple[list, list]:
 
 
 def restricted_nonsingular(basis: RankedSvd, mu: np.ndarray) -> np.ndarray:
-    """The one rule for p x p U'J_rU with spectra mu (last axis): J's rank rule at J's scale keeps
-    all p eigenvalues, mu > basis.cutoff(p); a 0 x 0 U'J_rU counts as nonsingular. U has orthonormal columns, so mu
-    lies within sigma_max, and a rank-one J's 1 x 1 U'J_rU is judged against J. At n, not p, the cutoff would reach
-    sigma_max as n rank_tol_rel nears 1, past mu_min <= sigma_r; at p an optimal constraint's U'J_rU is nonsingular
-    under every rule that _check_rule admits."""
+    """The one rule for p x p U'J_rU with spectra mu (last axis): J's rank rule at J's scale keeps all p eigenvalues,
+    mu > basis.cutoff(p); a 0 x 0 U'J_rU counts as nonsingular. U has orthonormal columns, so mu lies within
+    sigma_max, and a rank-one J's 1 x 1 U'J_rU is judged against J. At n, not p, the cutoff would reach sigma_max as
+    n rank_tol_rel nears 1, past mu_min <= sigma_r. At p an optimal constraint's mu_min, sigma_r, clears the cutoff by
+    sigma_max (n - p) rank_tol_rel: roundoff in mu of a few eps sigma_max can exceed that room at rank_tol_rel = eps."""
     return np.all(mu > basis.cutoff(mu.shape[-1]), axis=-1)
 
 

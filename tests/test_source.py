@@ -127,3 +127,16 @@ def test_every_file_is_written_one_way():
                 unencoded.append(f"{name}:{call.lineno}")
     assert (writers, unencoded) == ([], [])
     assert sum(getattr(call.func, "attr", None) == "write_text" for _, call in calls) >= 7
+
+
+def test_no_statement_in_cli_writes_into_a_run_config():
+    # a RunConfig is resolved once: no statement in cli.py assigns to, or deletes, an attribute of a name config
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del))
+        and isinstance(node.value, ast.Name) and node.value.id == "config"
+    ]
+    assert writes == []

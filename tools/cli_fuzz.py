@@ -7,9 +7,10 @@ Usage:
 imports crbkit from the src directory next to this tool, draws COUNT commands from
 numpy's default_rng(SEED) and runs each in this one process through crbkit.cli.main,
 with its input files and outputs in a temporary directory. The inputs are random
-.matx files (PSD, indefinite or diagonal, n from 1 to 8, scales from 1e-310 to
-1e308, some with an entry above half the largest double, a non-numeric entry or a
-header that does not match), model configs with random and malformed values (sizes
+.matx files (PSD, indefinite or diagonal, n from 1 to 8, or PSD at the rank cutoff,
+n from 8 to 16, run at --rank-tol eps; scales from 1e-310 to 1e308, some with an
+entry above half the largest double, a non-numeric entry or a header that does not
+match), model configs with random and malformed values (sizes
 among them that numpy cannot allocate), and random flags. Every run must:
 
   - exit 0, 2, 3 or 4, or exit 2 from argparse, which is counted apart;
@@ -35,6 +36,7 @@ from cli_digest import read_files, run
 # Tokens that replace one entry of a corrupted matrix; 1e400 reads as inf.
 BAD_ENTRIES = ("nan", "inf", "-inf", "1e400", "x", "1.0.0", "")
 HALF_MAX = 0.5 * np.finfo(float).max
+EPS = float(np.finfo(float).eps)
 
 # Config values drawn for each key; the last few of each are malformed or out of range.
 CONFIG_VALUES = {
@@ -59,23 +61,30 @@ FLAG_VALUES = {
 }
 
 
-def _entries(rng: np.random.Generator) -> np.ndarray:
-    """A random n x n matrix: PSD of random rank, indefinite, or diagonal, at a random scale."""
-    n = int(rng.integers(1, 9))
+def _entries(rng: np.random.Generator) -> tuple[np.ndarray, list[str]]:
+    """A random n x n matrix at a random scale, and the flags it is run with: PSD of random rank, indefinite, or
+    diagonal, n from 1 to 8; or at the cutoff, run at --rank-tol eps: PSD of rank n - 1, n from 8 to 16, its least
+    kept eigenvalue 1.01 n eps times its largest, so that roundoff can make its optimal constraint's U'JU singular."""
+    kind = rng.integers(4)
+    n = int(rng.integers(8, 17) if kind == 3 else rng.integers(1, 9))
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-    d = rng.uniform(0.5, 2.0, n) * (rng.random(n) < 0.7)
-    kind = rng.integers(3)
+    d = rng.uniform(0.5, 2.0, n)
+    if kind == 3:
+        d[-2:] = 1.01 * n * EPS * d[:-2].max(), 0.0
+    else:
+        d *= rng.random(n) < 0.7
     if kind == 1:
         d[rng.integers(n)] *= -rng.choice([1e-12, 1e-6, 1.0])
     entries = np.diag(d) if kind == 2 else (q * d) @ q.T
     exponent = 0 if rng.random() < 0.5 else int(rng.integers(-310, 309))
     with np.errstate(over="ignore", under="ignore"):
-        return entries * 10.0**exponent
+        return entries * 10.0**exponent, ["--rank-tol", repr(EPS)] if kind == 3 else []
 
 
-def _matrix_text(rng: np.random.Generator) -> str:
-    """A .matx file of _entries, sometimes with a huge or non-numeric entry or a header that does not match."""
-    entries = _entries(rng)
+def _matrix_text(rng: np.random.Generator) -> tuple[str, list[str]]:
+    """A .matx file of _entries, sometimes with a huge or non-numeric entry or a header that does not match, and
+    the flags that _entries gave."""
+    entries, flags = _entries(rng)
     n = entries.shape[0]
     tokens = [[repr(float(x)) for x in row] for row in entries]
     header = f"{n} {n}"
@@ -87,7 +96,7 @@ def _matrix_text(rng: np.random.Generator) -> str:
         tokens[rng.integers(n)][rng.integers(n)] = str(rng.choice(BAD_ENTRIES))
     elif fault < 0.35:
         header = f"{n} {n + 1}"
-    return "\n".join([header, *(" ".join(row) for row in tokens)]) + "\n"
+    return "\n".join([header, *(" ".join(row) for row in tokens)]) + "\n", flags
 
 
 def _config_text(rng: np.random.Generator, model: str) -> str:
@@ -106,10 +115,11 @@ def _config_text(rng: np.random.Generator, model: str) -> str:
 def draw_case(rng: np.random.Generator, directory: Path, index: int) -> list[str]:
     """Write case index's input files into directory and return its argv, without --out."""
     command = str(rng.choice(["analyze", "certify", "experiment"]))
-    argv, source = [command], rng.random()
+    argv, source, needed = [command], rng.random(), []
     if source < 0.55:
         path = directory / f"in-{index}.matx"
-        path.write_text(_matrix_text(rng), encoding="ascii")
+        text, needed = _matrix_text(rng)
+        path.write_text(text, encoding="ascii")
         if rng.random() < 0.1:  # a config naming the matrix
             path = directory / f"in-{index}.cfg"
             path.write_text(f"input = in-{index}.matx\n", encoding="ascii")
@@ -124,6 +134,7 @@ def draw_case(rng: np.random.Generator, directory: Path, index: int) -> list[str
     for flag, values in FLAG_VALUES.items():
         if rng.random() < 0.2:
             argv += [flag, str(rng.choice(values))]
+    argv += needed  # after the drawn flags, which it overrides
     if "--input" not in argv and "--model" not in argv and "--count" not in argv:
         argv += ["--count", str(rng.integers(1, 4))]  # a suite of the default 100 matrices is slow, not different
     return argv
