@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Three commands over a shared flag set:
+Three commands, each taking the run settings it reads:
 
   analyze     rank / pseudoinverse / optimal-constraint report for one
               information matrix, from a matx file or a model config
@@ -46,7 +46,7 @@ from .errors import (
     InvalidModel,
     NumericalFailure,
 )
-from .fim import MIN_MC_SAMPLES, fim_gaussian_mean, fim_monte_carlo
+from .fim import fim_gaussian_mean, fim_monte_carlo
 from .matlin import DEFAULT_RANK_TOL_REL, _allocated, as_sym_matrix, ranked_svd, ranked_svds, seed_sequence
 from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, read_ascii, save_matrix
 from .statmodel import BlindChannelModel, gaussian_location
@@ -73,7 +73,8 @@ DEFAULT_OUT = "crbkit_run"
 
 # Constraints sampled per suite matrix; an input J's count is the run's.
 CERTIFY_CONSTRAINTS_PER_MATRIX = 20
-# Suite matrices drawn and framed together: their frames of one n share a qr, and memory stays bounded in --count.
+# Suite matrices drawn and framed together: their frames of one n share a qr. Only one stage's J, frames and
+# samples are held at a time; the certificates keep every case's margin, so they grow with --count.
 CERTIFY_STAGE = 20
 
 # Built-in models: factory and default parameters, in manifest order.
@@ -142,9 +143,6 @@ class RunConfig:
                 raise InvalidInput(f"{key} must be finite, got {value}")
         if self.fim_method not in ("analytic", "monte_carlo"):
             raise InvalidInput(f"fim_method must be analytic or monte_carlo, got {self.fim_method!r}")
-        if self.model_kind is not None and self.fim_method == "monte_carlo" and self.n_samples < MIN_MC_SAMPLES:
-            floor = f"at least {MIN_MC_SAMPLES} for fim_method = monte_carlo"
-            raise InvalidInput(f"samples must be {floor}, got {self.n_samples}")
 
 
 # Run settings by config key, in manifest order.
@@ -216,7 +214,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         model_kind = args.model
 
     model_params: dict = {}
-    allowed = {"command", "version", "input", "model", *SETTINGS}  # the file keys that apply to every input
+    reads = COMMANDS[args.command][2]
+    allowed = {"command", "version", "input", "model", *reads}  # the file keys that apply to every input
     if model_kind is not None:
         if model_kind not in MODELS:
             raise InvalidInput(f"unknown model {model_kind!r}; choose from {tuple(MODELS)}")
@@ -225,6 +224,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         allowed |= {"theta", "fim_method", *model_params}
     if stray := sorted(file_values.keys() - allowed):
         where = f"to model {model_kind}" if model_kind is not None else "without a model"
+        where = f"to {args.command}" if stray[0] in SETTINGS else where  # a setting that the command does not read
         raise InvalidInput(f"config key {stray[0]!r} does not apply {where}")
 
     theta = None
@@ -237,9 +237,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise InvalidInput(f"config key theta has non-finite entries: {file_values['theta']!r}")
 
     settings = {}  # a file value is parsed even where a flag overrides it, so a malformed file is refused
-    for key, setting in SETTINGS.items():
-        value = _parse(file_values, key, setting.default)
-        settings[setting.name] = value if getattr(args, key) is None else getattr(args, key)
+    for key in reads:
+        value = _parse(file_values, key, SETTINGS[key].default)
+        settings[SETTINGS[key].name] = value if getattr(args, key) is None else getattr(args, key)
 
     return RunConfig(
         command=args.command,
@@ -253,17 +253,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def resolve_theta(config: RunConfig, param_dim: int) -> np.ndarray:
-    """Explicit theta from the config, else generic values from the seed."""
-    if config.theta is not None:
-        if config.theta.size != param_dim:
-            raise InvalidInput(
-                f"theta has length {config.theta.size}, model needs {param_dim}"
-            )
-        return config.theta
-    return _allocated(lambda shape: derived_rng(config.seed, "theta").uniform(0.5, 1.5, shape), (param_dim,), "theta")
-
-
 def _factor_j(factor, j, rank_tol_rel: float):
     """factor(j, rank_tol_rel), of ranked_svd or ranked_svds, its refusal of rank_tol or of J a CliError with exit 2."""
     try:
@@ -275,14 +264,19 @@ def _factor_j(factor, j, rank_tol_rel: float):
 
 
 def information_matrix(config: RunConfig):
-    """(basis, estimate, theta): the run's J as _factor_j factors it, and a model's FimEstimate and resolved theta,
-    both None for a matrix input; CliError exit 2, or 3 if estimating fails."""
+    """(basis, estimate, theta): the run's J as _factor_j factors it, and a model's FimEstimate and theta, the config's
+    or else generic values from the seed, both None for a matrix input; CliError exit 2, or 3 if estimating fails."""
     try:
         if config.matrix is not None:
             sym, estimate, theta = as_sym_matrix(config.matrix), None, None
         else:
             model = MODELS[config.model_kind][0](**config.model_params)
-            theta = resolve_theta(config, model.param_dim)
+            theta, dim = config.theta, model.param_dim
+            if theta is None:
+                rng = derived_rng(config.seed, "theta")
+                theta = _allocated(lambda shape: rng.uniform(0.5, 1.5, shape), (dim,), "theta")
+            elif theta.size != dim:
+                raise InvalidInput(f"theta has length {theta.size}, model needs {dim}")
             if config.fim_method == "monte_carlo":
                 seed = derived_seed(config.seed, "fim-mc")
                 estimate = fim_monte_carlo(model, theta, config.n_samples, seed)
@@ -305,7 +299,7 @@ def write_manifest(config: RunConfig, basis, theta) -> None:
     them (None, None for a suite): a matrix input's J, symmetrized, goes next to it as the j.matx its input names."""
     out = config.output_dir
     lines = [f"{CSV_VERSION_LINE} manifest", f"command = {config.command}", f"version = {__version__}"]
-    lines += [f"{key} = {_config_value(getattr(config, s.name))}" for key, s in SETTINGS.items()]
+    lines += [f"{key} = {_config_value(getattr(config, SETTINGS[key].name))}" for key in COMMANDS[config.command][2]]
     if config.matrix is not None:
         save_matrix(out / "j.matx", basis.matrix.entries)
         lines.append("input = j.matx")
@@ -467,11 +461,12 @@ def cmd_experiment(config: RunConfig) -> int:
     return EXIT_OK
 
 
-# Each command's function and help line, in parser order.
+# Each command's function, help line and the settings it reads, which are its flags, config keys and manifest lines,
+# in parser order.
 COMMANDS = {
-    "analyze": (cmd_analyze, "rank / pseudoinverse / optimal constraint report"),
-    "certify": (cmd_certify, "run all inequality certificates"),
-    "experiment": (cmd_experiment, "trace survey over sampled minimum constraints"),
+    "analyze": (cmd_analyze, "rank / pseudoinverse / optimal constraint report", ("seed", "samples", "rank_tol")),
+    "certify": (cmd_certify, "run all inequality certificates", tuple(SETTINGS)),
+    "experiment": (cmd_experiment, "trace survey over sampled minimum constraints", tuple(SETTINGS)),
 }
 
 
@@ -484,13 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"crbkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (_, help_text, reads) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--input", help="matx matrix file or key = value config file")
         cmd.add_argument("--model", choices=tuple(MODELS), help="built-in model with default sizes")
         cmd.add_argument("--out", default=DEFAULT_OUT, help="output directory")
-        for key, setting in SETTINGS.items():
-            flag = "--" + key.replace("_", "-")
+        for key in reads:
+            flag, setting = "--" + key.replace("_", "-"), SETTINGS[key]
             cmd.add_argument(flag, dest=key, type=type(setting.default), help=setting.metadata["help"])
     return parser
 

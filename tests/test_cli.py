@@ -70,37 +70,12 @@ def test_derived_streams_are_stable_and_distinct():
 
 
 def test_seed_derivation_keeps_every_stream(tmp_path):
-    # digests of the outputs once the seed derivations became one helper, the sampled bounds
-    # were read from the spectrum of U'JU, the sampler took one complete qr per chunk, J was
-    # factored by one eigh and the equivalence mixes were orthonormalized, with the manifests'
-    # digests retaken when their psd_tol line went and the sampled runs' when the sampler came
-    # to read U'JU in J's range coordinates, as the rank rule reads J, and the suite run's
-    # when min_rank came to evaluate its trials' orthonormalized rows; the analyze runs' bound
-    # and report and the suite runs' certificates were retaken, and e2's traces, when every
-    # route came to judge U'J_rU by J's rank rule at J's scale, with min_rank's margins in
-    # units of that cutoff; e's and e2's traces were retaken when experiment came to read each
-    # trace in closed form, which moves them by at most 7.6e-11 and 5.6e-15 relative; c's and
-    # c2's certificates were retaken when each suite matrix's one stream came to draw its
-    # Poincare frame, equivalence mixes and min_rank trials after J, and again when the sampler
-    # came to read each draw's mu in J's chart, X = Lambda^-1 + M'M, which moves the sampled
-    # trace_bound and eigen_dominance margins by roundoff and leaves every accepted draw, and so
-    # every other output, as it was; e's and e2's traces and c's and c2's certificates were
-    # retaken when the samplers came to draw each constraint in J's chart, L = t delta N, which
-    # moves every sampled trace and every sampled trace_bound and eigen_dominance margin and leaves
-    # every other output as it was; every output read from a's J (a's, e's, e2's, c2's and m's, not
-    # the manifests) was retaken when the Monte-Carlo J came to be factored as estimated, with no
-    # clip of its least eigenvalue (-8.5e-16 here), which moves J by roundoff, and a's constraint
-    # when its offset came to vanish at the run's theta; e's and e2's traces and c's and c2's certificates
-    # were retaken when the samplers came to draw each constraint's squared column norms, chi^2(n - r),
-    # from the sample's stream and, for a stack alone, their directions from a second stream, which
-    # moves every sampled trace and every sampled trace_bound and eigen_dominance margin and leaves
-    # every other output as it was; c's and c2's certificates were retaken when each certify
-    # matrix's stream came to draw its sampled constraints' column norms and directions after its
-    # min_rank trials, which moves every sampled trace_bound and eigen_dominance margin of certify
-    # and leaves every other output as it was; they cover the labeled CLI streams, the Monte-Carlo
-    # partitions, the sampler and the min_rank trials, the analyze runs' pseudoinverse,
-    # constrained bound, constraint and report, and each run's manifest, whose input or model
-    # branch follows the kind of input
+    # sha256 of every output of six runs: a Monte-Carlo analyze (a), an experiment of its J (e) and the same at
+    # rank_tol 0.02 (e2), a certify suite (c), a certify of a's J (c2) and an analyze of a's J as a matrix input (m).
+    # They pin the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank trials, the analyze
+    # runs' pseudoinverse, constrained bound, constraint and report, each run's certificates or traces, and each
+    # run's manifest: its setting lines are those its command reads, and its input or model branch follows the kind
+    # of input. Last, the seed derivation matches numpy's SeedSequence. CHANGES.md gives the reason for each retake.
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 9000\n")
     assert main(["analyze", "--input", str(config), "--seed", "4", "--out", str(tmp_path / "a")]) == 0
@@ -143,12 +118,12 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
         "m/constraint.matx": "6d155481d9d638ffb85c8084feaccd80930579a6ac00c8aa1e4d64f6c5dd56a6",
         "e/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
         "c2/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
-        "a/manifest.cfg": "d4976e05f9d5ed44e5f2dbfaaf30c874ed34248d653d2247abcafc298106bd55",
+        "a/manifest.cfg": "ddefabf55065f13b3cbd0aeebbbaca0c7e81c2095d5a3209fff9699119ee787b",
         "e/manifest.cfg": "c25b4625ddd4ee340cb21b0a6a2276018d1782ec7655922738782bb63337a79d",
         "e2/manifest.cfg": "eba451e13f98b2f196a4966ea6045baab78152d1b1464683fa70653b14154d83",
         "c/manifest.cfg": "893a5a51a220abfbf1823bd3791fb5eddaba6ff21e674f272db524d23b38cf91",
         "c2/manifest.cfg": "ee1f422e7a6bcdb467e77235cfc408a2db906f81e75931809e6b2c8f71fc8f2e",
-        "m/manifest.cfg": "2cd01d6c5e05961ebe1300ab62be386ceaa8ad2d867e6dbbf4018be038cdb827",
+        "m/manifest.cfg": "174c3846c2ca068833e2ff022a6d294601b342a97753550764e8558aa4f39e0d",
     }
     for key in [(), (3,), (1234, 5)]:
         old = np.random.SeedSequence(entropy=11, spawn_key=key).generate_state(4)
@@ -405,20 +380,25 @@ def test_matrix_manifest_rerun_of_certify_and_experiment(tmp_path, command, outp
 
 
 def test_every_setting_flag_reaches_the_manifest_and_reruns(tmp_path):
+    # experiment reads all five settings and analyze three of them; each flag given is a manifest line
     j = write_diag_matrix(tmp_path)
-    flags = ["--seed", "7", "--count", "9", "--samples", "500", "--rank-tol", "1e-8", "--margin-tol", "1e-7"]
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    assert main(["analyze", "--input", str(j), *flags, "--out", str(out1)]) == 0
-    manifest = (out1 / "manifest.cfg").read_text().splitlines()
-    assert manifest[3:] == [
-        "seed = 7", "count = 9", "samples = 500", "rank_tol = 1e-08", "margin_tol = 9.9999999999999995e-08",
-        "input = j.matx",
-    ]
-    assert main(["analyze", "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
-    outputs = ("analysis.csv", "j.matx", "j_pinv.matx", "constraint.matx", "crb_constrained.matx")
-    for name in ("manifest.cfg",) + outputs:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    flags = {
+        "--seed": ("7", "seed = 7"), "--count": ("9", "count = 9"), "--samples": ("500", "samples = 500"),
+        "--rank-tol": ("1e-8", "rank_tol = 1e-08"), "--margin-tol": ("1e-7", "margin_tol = 9.9999999999999995e-08"),
+    }
+    runs = {
+        "experiment": (tuple(flags), ("traces.csv",)),
+        "analyze": (("--seed", "--samples", "--rank-tol"), ("analysis.csv", "j_pinv.matx", "constraint.matx")),
+    }
+    for command, (given, outputs) in runs.items():
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        argv = [arg for flag in given for arg in (flag, flags[flag][0])]
+        assert main([command, "--input", str(j), *argv, "--out", str(out1)]) == 0
+        manifest = (out1 / "manifest.cfg").read_text().splitlines()
+        assert manifest[3:] == [flags[flag][1] for flag in given] + ["input = j.matx"]
+        assert main([command, "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
+        for name in ("manifest.cfg", "j.matx") + outputs:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 BAD_SETTING_CASES = [
@@ -428,11 +408,8 @@ BAD_SETTING_CASES = [
     (["certify", "--count", "1", "--samples", "0"], None, "samples must be positive"),
     (["analyze", "--model", "blind_channel", "--samples", "-5"], None, "samples must be positive"),
     (["analyze"], "model = blind_channel\nsamples = 0\n", "samples must be positive"),
-    (
-        ["analyze"],
-        "model = blind_channel\nfim_method = monte_carlo\nsamples = 50\n",
-        "samples must be at least 100 for fim_method = monte_carlo",
-    ),
+    # the Monte-Carlo floor is fim_monte_carlo's, checked as the model's J is drawn
+    (["analyze"], "model = blind_channel\nfim_method = monte_carlo\nsamples = 50\n", "n_samples must be at least 100"),
 ]
 
 
@@ -451,7 +428,9 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config, rule):
         path.write_text(config)
         argv = argv + ["--input", str(path)]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == f"error: resolving configuration: {rule}, got {value}\n"
+    stage = "reading input" if rule.startswith("n_samples") else "resolving configuration"
+    assert capsys.readouterr().err == f"error: {stage}: {rule}, got {value}\n"
+    assert not (tmp_path / "o" / "manifest.cfg").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400"])
@@ -542,13 +521,12 @@ def test_model_manifest_lists_the_model_parameters(tmp_path, config, params):
     cfg.write_text(config)
     assert main(["analyze", "--input", str(cfg), "--out", str(tmp_path / "o")]) == 0
     lines = (tmp_path / "o" / "manifest.cfg").read_text().splitlines(keepends=True)
-    assert lines[:8] == [
+    assert lines[:6] == [
         "# crb-kit v1 manifest\n", "command = analyze\n", f"version = {crbkit.__version__}\n",
-        "seed = 0\n", "count = 100\n", "samples = 10000\n", "rank_tol = 1e-10\n",
-        "margin_tol = 1.0000000000000001e-09\n",
+        "seed = 0\n", "samples = 10000\n", "rank_tol = 1e-10\n",
     ]
     model = config.splitlines(keepends=True)[0]
-    assert "".join(lines[8:-1]) == model + params + "fim_method = analytic\n"
+    assert "".join(lines[6:-1]) == model + params + "fim_method = analytic\n"
     assert lines[-1].startswith("theta = ")
 
 
@@ -559,7 +537,7 @@ def test_model_manifest_lists_the_model_parameters(tmp_path, config, params):
         ("model = blind_channel\ndim = 9\n", "dim", "to model blind_channel"),
         ("input = j.matx\ns_len = 5\n", "s_len", "without a model"),
         ("input = j.matx\nfim_method = monte_carlo\ntheta = 1 2\n", "fim_method", "without a model"),
-        ("count = 3\ntheta = 1 2\n", "theta", "without a model"),
+        ("seed = 3\ntheta = 1 2\n", "theta", "without a model"),
     ],
 )
 def test_config_key_that_does_not_apply_exits_2(tmp_path, capsys, config, key, where):
@@ -579,7 +557,10 @@ def test_config_key_that_does_not_apply_exits_2(tmp_path, capsys, config, key, w
             "model = blind_channel\nseed = 3 # x\n",
             "resolving configuration: config key seed is not an integer: '3 # x'",
         ),
-        ("model = blind_channel\ncount = 2.5\n", "resolving configuration: config key count is not an integer: '2.5'"),
+        (
+            "model = blind_channel\nsamples = 2.5\n",
+            "resolving configuration: config key samples is not an integer: '2.5'",
+        ),
         (
             "model = blind_channel\nfim_method = bogus\n",
             "resolving configuration: fim_method must be analytic or monte_carlo, got 'bogus'",
@@ -593,7 +574,7 @@ def test_config_key_that_does_not_apply_exits_2(tmp_path, capsys, config, key, w
         # a file of comments is no config, so it is read as a matrix
         ("# only a comment\n", "resolving configuration: matx: header must be 'n m', got '# only a comment'"),
     ],
-    ids=["seed-comment", "count-float", "fim-method", "no-equals", "theta-word", "theta-length", "comment-only"],
+    ids=["seed-comment", "samples-float", "fim-method", "no-equals", "theta-word", "theta-length", "comment-only"],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, text, message):
     cfg = tmp_path / "run.cfg"
@@ -778,16 +759,19 @@ def test_certify_rerun_is_byte_identical(tmp_path):
 
 def test_certify_suite_reruns_from_its_manifest(tmp_path, capsys):
     # a suite run's manifest names neither a model nor an input matrix; such a config reruns
-    # the suite, and analyze or experiment refuse it
+    # the suite, and analyze or experiment refuse it: analyze by the count it does not read
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["certify", "--count", "2", "--seed", "4", "--rank-tol", "1e-9", "--out", str(out1)]) == 0
     assert main(["certify", "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
     for name in ("certificates.csv", "manifest.cfg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     capsys.readouterr()
-    for command in ("analyze", "experiment"):
+    rules = {
+        "analyze": "config key 'count' does not apply to analyze",
+        "experiment": "experiment requires --input or --model naming a matrix or a model",
+    }
+    for command, rule in rules.items():
         assert main([command, "--input", str(out1 / "manifest.cfg"), "--out", str(tmp_path / "o")]) == 2
-        rule = f"{command} requires --input or --model naming a matrix or a model"
         assert capsys.readouterr().err == f"error: resolving configuration: {rule}\n"
 
 
@@ -1226,7 +1210,8 @@ def test_a_j_whose_pseudoinverse_fits_in_double_precision_is_accepted(tmp_path, 
     # tr J+ = 2.5e307 is below half the largest double, 8.99e307
     path = tmp_path / "tiny.matx"
     path.write_text("2 2\n4e-308 0\n0 0\n")
-    assert main([command, "--input", str(path), "--count", "12", "--out", str(tmp_path / "o")]) == 0
+    count = [] if command == "analyze" else ["--count", "12"]  # analyze samples no constraint
+    assert main([command, "--input", str(path), *count, "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -1345,12 +1330,14 @@ def test_psd_tol_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
         main(["analyze", "--input", str(j), "--psd-tol", "1e-9"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --psd-tol 1e-9" in capsys.readouterr().err
-    # a manifest written while the setting existed names it on line 8; without that line it reruns
+    # an analyze manifest written while the setting existed holds seed, count, samples, rank_tol, psd_tol and
+    # margin_tol lines, psd_tol on line 8, which is refused first; the manifest of today reruns
     out = tmp_path / "a"
     assert main(["analyze", "--input", str(j), "--out", str(out)]) == 0
     lines = (out / "manifest.cfg").read_text().splitlines(keepends=True)
-    assert lines[6:8] == ["rank_tol = 1e-10\n", "margin_tol = 1.0000000000000001e-09\n"]
-    (out / "old.cfg").write_text("".join(lines[:7] + ["psd_tol = 1.0000000000000001e-09\n"] + lines[7:]))
+    assert lines[3:6] == ["seed = 0\n", "samples = 10000\n", "rank_tol = 1e-10\n"]
+    old = ["count = 100\n", *lines[4:6], "psd_tol = 1.0000000000000001e-09\n", "margin_tol = 1.0000000000000001e-09\n"]
+    (out / "old.cfg").write_text("".join(lines[:4] + old + lines[6:]))
     capsys.readouterr()
     assert main(["analyze", "--input", str(out / "old.cfg"), "--out", str(tmp_path / "b")]) == 2
     assert capsys.readouterr().err == "error: resolving configuration: unknown config key 'psd_tol' on line 8\n"

@@ -1,5 +1,6 @@
 """How cli resolves a run: a RunConfig checked as made and frozen after, J and theta returned by
-information_matrix, one table of commands, one rule for config files, and analyze at the rank boundary."""
+information_matrix, one table of commands that names the settings each reads, one rule for config files, and analyze
+at the rank boundary."""
 
 import argparse
 import dataclasses
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from crbkit import InvalidInput, constrained_crb, load_matrix, optimal_affine_constraint, ranked_svd, save_matrix
-from crbkit.cli import COMMANDS, RunConfig, build_parser, information_matrix, main, write_manifest
+from crbkit.cli import COMMANDS, SETTINGS, RunConfig, build_parser, information_matrix, main, write_manifest
 
 EPS = float(np.finfo(float).eps)
 
@@ -75,10 +76,80 @@ def test_a_run_config_is_checked_when_made_and_frozen_after():
         RunConfig(command="analyze", matrix=np.eye(2), seed=-1)
 
 
-def test_the_parser_offers_the_command_table_in_order():
+def _subparsers() -> argparse._SubParsersAction:
     (sub,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub
+
+
+def test_the_parser_offers_the_command_table_in_order():
+    sub = _subparsers()
     assert list(sub.choices) == list(COMMANDS)
-    assert [choice.help for choice in sub._choices_actions] == [help_text for _, help_text in COMMANDS.values()]
+    assert [choice.help for choice in sub._choices_actions] == [help_text for _, help_text, _ in COMMANDS.values()]
+
+
+
+
+def test_each_command_offers_the_flags_of_the_settings_it_reads():
+    expected = {
+        "analyze": ["--seed", "--samples", "--rank-tol"],
+        "certify": ["--seed", "--count", "--samples", "--rank-tol", "--margin-tol"],
+        "experiment": ["--seed", "--count", "--samples", "--rank-tol", "--margin-tol"],
+    }
+    for name, parser in _subparsers().choices.items():
+        flags = [flag for action in parser._actions for flag in action.option_strings]
+        assert flags == ["-h", "--help", "--input", "--model", "--out"] + expected[name]
+        assert [flag[2:].replace("-", "_") for flag in expected[name]] == list(COMMANDS[name][2])
+    assert set(COMMANDS["certify"][2]) == set(SETTINGS)
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "5"), ("--margin-tol", "1e-3")])
+def test_analyze_refuses_the_flags_of_settings_it_does_not_read(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--model", "blind_channel", flag, value, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["count", "margin_tol"])
+def test_an_analyze_config_naming_a_setting_analyze_does_not_read_exits_2(tmp_path, capsys, key):
+    (tmp_path / "run.cfg").write_text(f"model = blind_channel\n{key} = 1e-3\n")
+    assert main(["analyze", "--input", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: resolving configuration: config key {key!r} does not apply to analyze\n"
+    assert not (tmp_path / "o" / "manifest.cfg").exists()
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_an_analyze_manifest_holds_the_settings_analyze_reads_and_reruns(tmp_path):
+    (tmp_path / "mc.cfg").write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 300\n")
+    argv = ["analyze", "--input", str(tmp_path / "mc.cfg"), "--seed", "5", "--rank-tol", "1e-9"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    lines = (tmp_path / "a" / "manifest.cfg").read_text(encoding="ascii").splitlines()
+    assert lines[3:7] == ["seed = 5", "samples = 300", "rank_tol = 1.0000000000000001e-09", "model = blind_channel"]
+    assert not any(line.startswith(("count =", "margin_tol =")) for line in lines)
+    assert main(["analyze", "--input", str(tmp_path / "a" / "manifest.cfg"), "--out", str(tmp_path / "b")]) == 0
+    assert _files(tmp_path / "a") == _files(tmp_path / "b")
+
+
+def test_an_analyze_manifest_of_the_old_form_exits_2_and_reruns_without_count_and_margin_tol(tmp_path, capsys):
+    # analyze once wrote every setting, count and margin_tol among them, though it reads neither
+    (tmp_path / "j.matx").write_text("3 3\n2 0.5 0\n0.5 1 0\n0 0 0\n")
+    assert main(["analyze", "--input", str(tmp_path / "j.matx"), "--out", str(tmp_path / "a")]) == 0
+    lines = (tmp_path / "a" / "manifest.cfg").read_text(encoding="ascii").splitlines(keepends=True)
+    old = lines[:4] + ["count = 100\n"] + lines[4:6] + ["margin_tol = 1.0000000000000001e-09\n"] + lines[6:]
+    (tmp_path / "a" / "old.cfg").write_text("".join(old))
+    capsys.readouterr()
+    assert main(["analyze", "--input", str(tmp_path / "a" / "old.cfg"), "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == "error: resolving configuration: config key 'count' does not apply to analyze\n"
+    assert not (tmp_path / "b" / "manifest.cfg").exists()
+    kept = [line for line in old if not line.startswith(("count =", "margin_tol ="))]
+    (tmp_path / "a" / "old.cfg").write_text("".join(kept))
+    assert main(["analyze", "--input", str(tmp_path / "a" / "old.cfg"), "--out", str(tmp_path / "c")]) == 0
+    assert _files(tmp_path / "c") == {name: data for name, data in _files(tmp_path / "a").items() if name != "old.cfg"}
 
 
 def test_information_matrix_returns_theta_and_the_manifest_writes_it(tmp_path):

@@ -133,8 +133,8 @@ _MATRICES = [name for name in INPUTS if name.endswith(".matx")]
 COMMANDS = (
     _SUITES
     + [argv + ["--input", f"{{tmp}}/{name}"] for name in _MATRICES for argv in _PER_MATRIX]
-    + [[command, "--input", f"{{tmp}}/{cfg}", "--count", "20"] for cfg in ("blind.cfg", "blind_mc.cfg")
-       for command in ("analyze", "certify", "experiment")]
+    + [[command, "--input", f"{{tmp}}/{cfg}", *count] for cfg in ("blind.cfg", "blind_mc.cfg")
+       for command, count in (("analyze", []), ("certify", ["--count", "20"]), ("experiment", ["--count", "20"]))]
     # Monte-Carlo J over seeds, with and without roundoff below zero, and at the finest rank rule
     + [["analyze", "--input", "{tmp}/blind_mc.cfg", "--seed", str(seed)] for seed in range(10)]
     + [["analyze", "--input", "{tmp}/blind_mc.cfg", "--rank-tol", "2.3e-16"]]

@@ -11,7 +11,8 @@ with its input files and outputs in a temporary directory. The inputs are random
 n from 8 to 16, run at --rank-tol eps; scales from 1e-310 to 1e308, some with an
 entry above half the largest double, a non-numeric entry or a header that does not
 match), model configs with random and malformed values (sizes
-among them that numpy cannot allocate), and random flags. Every run must:
+among them that numpy cannot allocate), and random values of the setting
+flags that the command's own subparser offers. Every run must:
 
   - exit 0, 2, 3 or 4, or exit 2 from argparse, which is counted apart;
   - on exit 2 or 3 from crbkit, print exactly one line to stderr, an `error:` one;
@@ -24,6 +25,7 @@ is one. The same SEED and COUNT draw the same commands on every run.
 
 from __future__ import annotations
 
+import argparse
 import sys
 import tempfile
 from collections import Counter
@@ -51,7 +53,7 @@ CONFIG_VALUES = {
     "margin_tol": ("1e-9", "1e-320", "0", "x"),
 }
 
-# Flag values drawn for each run setting; again the last few are refused.
+# Flag values drawn for each run setting, where the command offers its flag; again the last few are refused.
 FLAG_VALUES = {
     "--seed": ("0", "1", "7", "123456789", "-1", "1.5"),
     "--count": ("1", "2", "3", "5", "20", "0", "x"),
@@ -112,9 +114,18 @@ def _config_text(rng: np.random.Generator, model: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def command_flags(command: str) -> set[str]:
+    """The flags that crbkit's subparser of command offers."""
+    from crbkit.cli import build_parser
+
+    (sub,) = [action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+
+
 def draw_case(rng: np.random.Generator, directory: Path, index: int) -> list[str]:
     """Write case index's input files into directory and return its argv, without --out."""
     command = str(rng.choice(["analyze", "certify", "experiment"]))
+    offered = command_flags(command)
     argv, source, needed = [command], rng.random(), []
     if source < 0.55:
         path = directory / f"in-{index}.matx"
@@ -132,10 +143,10 @@ def draw_case(rng: np.random.Generator, directory: Path, index: int) -> list[str
     elif source < 0.92:
         argv += ["--model", str(rng.choice(["blind_channel", "gaussian_location"]))]
     for flag, values in FLAG_VALUES.items():
-        if rng.random() < 0.2:
+        if flag in offered and rng.random() < 0.2:
             argv += [flag, str(rng.choice(values))]
     argv += needed  # after the drawn flags, which it overrides
-    if "--input" not in argv and "--model" not in argv and "--count" not in argv:
+    if "--count" in offered and "--input" not in argv and "--model" not in argv and "--count" not in argv:
         argv += ["--count", str(rng.integers(1, 4))]  # a suite of the default 100 matrices is slow, not different
     return argv
 
