@@ -380,24 +380,35 @@ def test_matrix_manifest_rerun_of_certify_and_experiment(tmp_path, command, outp
 
 
 def test_every_setting_flag_reaches_the_manifest_and_reruns(tmp_path):
-    # experiment reads all five settings and analyze three of them; each flag given is a manifest line
+    # experiment reads all five settings and analyze three of them; each flag given is a manifest line, followed by
+    # the input's lines: a matrix's j.matx, or a Monte-Carlo model whose J the rerun draws again
     j = write_diag_matrix(tmp_path)
+    mc = tmp_path / "mc.cfg"
+    mc.write_text("model = blind_channel\nfim_method = monte_carlo\n")
     flags = {
         "--seed": ("7", "seed = 7"), "--count": ("9", "count = 9"), "--samples": ("500", "samples = 500"),
         "--rank-tol": ("1e-8", "rank_tol = 1e-08"), "--margin-tol": ("1e-7", "margin_tol = 9.9999999999999995e-08"),
     }
-    runs = {
-        "experiment": (tuple(flags), ("traces.csv",)),
-        "analyze": (("--seed", "--samples", "--rank-tol"), ("analysis.csv", "j_pinv.matx", "constraint.matx")),
-    }
-    for command, (given, outputs) in runs.items():
-        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+    analyze = ("--seed", "--samples", "--rank-tol")
+    bounds = ("analysis.csv", "j_pinv.matx", "constraint.matx", "crb_constrained.matx")
+    runs = [
+        ("experiment", j, tuple(flags), ("j.matx", "traces.csv")),
+        ("analyze", j, analyze, ("j.matx",) + bounds),
+        ("analyze", mc, analyze, bounds),
+    ]
+    for command, source, given, outputs in runs:
+        out1, out2 = tmp_path / command / source.stem / "a", tmp_path / command / source.stem / "b"
         argv = [arg for flag in given for arg in (flag, flags[flag][0])]
-        assert main([command, "--input", str(j), *argv, "--out", str(out1)]) == 0
+        assert main([command, "--input", str(source), *argv, "--out", str(out1)]) == 0
         manifest = (out1 / "manifest.cfg").read_text().splitlines()
-        assert manifest[3:] == [flags[flag][1] for flag in given] + ["input = j.matx"]
+        settings = [flags[flag][1] for flag in given]
+        if source == j:
+            assert manifest[3:] == settings + ["input = j.matx"]
+        else:
+            assert manifest[3:4 + len(given)] == settings + ["model = blind_channel"]
+            assert "fim_method = monte_carlo" in manifest
         assert main([command, "--input", str(out1 / "manifest.cfg"), "--out", str(out2)]) == 0
-        for name in ("manifest.cfg", "j.matx") + outputs:
+        for name in ("manifest.cfg",) + outputs:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -430,7 +441,10 @@ def test_negative_seed_exits_2(tmp_path, capsys, argv, config, rule):
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     stage = "reading input" if rule.startswith("n_samples") else "resolving configuration"
     assert capsys.readouterr().err == f"error: {stage}: {rule}, got {value}\n"
-    assert not (tmp_path / "o" / "manifest.cfg").exists()
+    # --out is made once the config resolves, so a refusal while reading input leaves it behind, empty
+    made = stage == "reading input"
+    assert (tmp_path / "o").exists() == made
+    assert not made or not any((tmp_path / "o").iterdir())
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400"])
@@ -1331,7 +1345,8 @@ def test_psd_tol_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unrecognized arguments: --psd-tol 1e-9" in capsys.readouterr().err
     # an analyze manifest written while the setting existed holds seed, count, samples, rank_tol, psd_tol and
-    # margin_tol lines, psd_tol on line 8, which is refused first; the manifest of today reruns
+    # margin_tol lines, psd_tol on line 8, which is refused first; with every line analyze does not read
+    # deleted (psd_tol, count and margin_tol) it reruns
     out = tmp_path / "a"
     assert main(["analyze", "--input", str(j), "--out", str(out)]) == 0
     lines = (out / "manifest.cfg").read_text().splitlines(keepends=True)
@@ -1341,7 +1356,9 @@ def test_psd_tol_is_neither_a_flag_nor_a_config_key(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "--input", str(out / "old.cfg"), "--out", str(tmp_path / "b")]) == 2
     assert capsys.readouterr().err == "error: resolving configuration: unknown config key 'psd_tol' on line 8\n"
-    assert main(["analyze", "--input", str(out / "manifest.cfg"), "--out", str(tmp_path / "c")]) == 0
+    kept = [line for line in lines[:4] + old + lines[6:] if not line.startswith(("psd_tol", "count", "margin_tol"))]
+    (out / "old.cfg").write_text("".join(kept))
+    assert main(["analyze", "--input", str(out / "old.cfg"), "--out", str(tmp_path / "c")]) == 0
     for name in ("manifest.cfg", "analysis.csv", "j.matx", "j_pinv.matx", "constraint.matx", "crb_constrained.matx"):
         assert (out / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
 

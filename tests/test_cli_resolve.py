@@ -87,8 +87,6 @@ def test_the_parser_offers_the_command_table_in_order():
     assert [choice.help for choice in sub._choices_actions] == [help_text for _, help_text, _ in COMMANDS.values()]
 
 
-
-
 def test_each_command_offers_the_flags_of_the_settings_it_reads():
     expected = {
         "analyze": ["--seed", "--samples", "--rank-tol"],
@@ -122,17 +120,6 @@ def test_an_analyze_config_naming_a_setting_analyze_does_not_read_exits_2(tmp_pa
 
 def _files(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-
-
-def test_an_analyze_manifest_holds_the_settings_analyze_reads_and_reruns(tmp_path):
-    (tmp_path / "mc.cfg").write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 300\n")
-    argv = ["analyze", "--input", str(tmp_path / "mc.cfg"), "--seed", "5", "--rank-tol", "1e-9"]
-    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
-    lines = (tmp_path / "a" / "manifest.cfg").read_text(encoding="ascii").splitlines()
-    assert lines[3:7] == ["seed = 5", "samples = 300", "rank_tol = 1.0000000000000001e-09", "model = blind_channel"]
-    assert not any(line.startswith(("count =", "margin_tol =")) for line in lines)
-    assert main(["analyze", "--input", str(tmp_path / "a" / "manifest.cfg"), "--out", str(tmp_path / "b")]) == 0
-    assert _files(tmp_path / "a") == _files(tmp_path / "b")
 
 
 def test_an_analyze_manifest_of_the_old_form_exits_2_and_reruns_without_count_and_margin_tol(tmp_path, capsys):
