@@ -5,9 +5,10 @@ slack, in case order, as margins. A case fails unless its margin >=
 -margin_tol and is kept as a replayable witness: J, then the case's own
 matrices; a certificate passes when it has no witness. merge_certificates
 concatenates margins and witnesses and judges nothing again. Each public
-verifier is the stage of one J: its stage function (_poincare_stage, ...)
-checks many J as one certificate, with one stacked eigvalsh, svd or inv
-call per operand shape, which gives each J's margins bit for bit.
+verifier is the stage of one J, verify_min_rank once it has drawn its
+trials: its stage function (_poincare_stage, ...) checks many J as one
+certificate, with one stacked eigvalsh, svd or inv call per operand
+shape, which gives each J's margins bit for bit.
 _certify_stage checks one certify stage from what each J's stream draws
 after J: the frames of _suite_frames, then the sampled constraints.
 
@@ -329,7 +330,7 @@ def _equivalence_stage(bases: list, alternatives: list, margin_tol: float) -> Th
 
 
 def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
-    """The one draw of verify_min_rank's inputs: (trials + 1, n, n) slots and their row counts.
+    """The one draw of min_rank's inputs: (trials + 1, n, n) slots and their row counts.
 
     From rng_seed, a Generator drawn from in place or a nonnegative integer seed of the
     stream seed_sequence(rng_seed), one call draws every trial's row count m < n - rank(J),
@@ -338,65 +339,54 @@ def min_rank_trials(j, trials: int, rng_seed) -> tuple[np.ndarray, list[int]]:
     slots, or of any stack of (n, n) blocks that holds them, gives each slot's complete Q:
     a zero column adds a reflector with tau = 0. A nonsingular J, where n - rank is 0,
     draws nothing and gets zero slots; verify_min_rank refuses it, as it does a zero J.
+    Refuses trials whose slots numpy cannot allocate, as the samplers refuse such a count.
     """
     _check_count(trials, "trials", 1)
     basis = as_ranked_svd(j)
     n, m = basis.dim, basis.dim - basis.rank
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(seed_sequence(rng_seed))
+    slots = _allocated(np.zeros, (trials + 1, n, n), "trials")  # first: no other array of the draw is larger
     counts = rng.integers(0, m, size=trials) if m else np.zeros(trials, dtype=int)
-    slots = np.zeros((trials + 1, n, n))
     slots[:-1, :, :m] = np.where(np.arange(m) < counts[:, None, None], rng.standard_normal((trials, n, m)), 0.0)
     slots[-1, :, :m] = basis.u_bar
     return slots, counts.tolist() + [m]
 
 
-def verify_min_rank(j, q, rows, margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
+def verify_min_rank(j, trials: int, rng_seed, margin_tol: float = DEFAULT_MARGIN_TOL) -> TheoremCertificate:
     """Check that n - rank(J) constraint rows are necessary and sufficient.
 
-    q is the (k, n, n) complete Q of the slots of min_rank_trials(j, ...),
-    from one qr of them or a slice of a stacked one, and rows are their
-    row counts. Case i's constraint F is Q's leading rows[i] columns,
-    transposed, and its null basis U the rest. A deficient case, fewer
-    than n - rank(J) rows, requires U'J_rU numerically singular; the last,
-    the optimal affine constraint, must leave U'J_rU nonsingular. One
-    restricted_information call reads every U'J_rU, with Q's leading
-    columns zeroed. Margins, 1 - mu_min / c for a deficient case and
-    mu_min / c - 1 for the achievable one, are in units of the cutoff
-    c = basis.cutoff(p) of restricted_nonsingular for p x p U'J_rU, so J's
-    scale moves none, and under the default rule they read about 1 and
-    sigma_r / c. F's rows are orthonormal, so no row rank is checked; a
-    column's sign moves only the sign of a witness's F, and witnesses hold
-    the F evaluated. Refuses a nonsingular or a zero J, row counts other
-    than min_rank_trials draws, and a q of another shape, with columns
-    that are not orthonormal, or whose last Q's leading n - rank(J)
-    columns do not span U_bar.
+    The cases are the trials that min_rank_trials(j, trials, rng_seed)
+    draws, then U_bar's, each slot's complete Q from one sign-fixed qr
+    (orthonormal_columns) of them, as certify takes them. Case i's
+    constraint F is Q's leading m_i columns, transposed, m_i its row
+    count, and its null basis U the rest. A deficient case, fewer than n - rank(J) rows,
+    requires U'J_rU numerically singular; the last, the optimal affine
+    constraint, must leave U'J_rU nonsingular. One restricted_information
+    call reads every U'J_rU, with Q's leading columns zeroed. Margins,
+    1 - mu_min / c for a deficient case and mu_min / c - 1 for the
+    achievable one, are in units of the cutoff c = basis.cutoff(p) of
+    restricted_nonsingular for p x p U'J_rU, so J's scale moves none, and
+    under the default rule they read about 1 and sigma_r / c. F's rows are
+    orthonormal, so no row rank is checked, and witnesses hold the F
+    evaluated. Refuses a nonsingular or a zero J, and what
+    min_rank_trials refuses.
     """
-    return _min_rank_stage([as_ranked_svd(j)], [q], [rows], margin_tol)
+    basis = as_ranked_svd(j)
+    slots, rows = min_rank_trials(basis, trials, rng_seed)
+    return _min_rank_stage([basis], [orthonormal_columns(slots)], [rows], margin_tol)
 
 
 def _min_rank_stage(bases: list, qs: list, counts: list, margin_tol: float) -> TheoremCertificate:
-    """verify_min_rank of each J of bases and its q and rows, as one certificate."""
-    qs, counts, padded = list(qs), list(counts), []
-    for k, (basis, q, rows) in enumerate(zip(bases, qs, counts)):
+    """verify_min_rank of each J of bases, as one certificate, from the complete Q of the slots that
+    min_rank_trials drew for it and their row counts."""
+    padded = []
+    for basis, q, rows in zip(bases, qs, counts):
         if basis.rank == basis.dim:
             raise InvalidInput("J is numerically nonsingular; the rank claim is vacuous")
         if basis.rank == 0:
             raise InvalidInput("J is zero; the rank claim has no cutoff to measure against")
-        n, nullity = basis.dim, basis.dim - basis.rank
-        rows = list(rows)
-        _check_kind(InvalidInput, "an integer", **{f"row count {i}": count for i, count in enumerate(rows)})
-        if not rows or rows[-1] != nullity or not all(0 <= count < nullity for count in rows[:-1]):
-            counted = f"row counts must lie in [0, {nullity}) and end with n - rank(J) = {nullity}"
-            raise InvalidInput(f"{counted}, got {rows}")
-        q = _as_floats(InvalidInput, q, "q")
-        if q.shape != (len(rows), n, n):
-            raise InvalidInput(f"q must hold one {n} x {n} Q per row count, got shape {q.shape}")
-        _check_orthonormal(q, n, "q")
-        if not np.abs(q[-1, :, nullity:].T @ basis.u_bar).max(initial=0.0) <= ORTHONORMAL_TOL:
-            raise InvalidInput(f"q's last Q must span U_bar in its leading {nullity} columns")
-        qs[k], counts[k] = q, rows
         # m zeroed columns add m zeros below U'J_rU's own spectrum (to roundoff): mu_min is at index m
-        padded.append(np.where(np.arange(n) >= np.array(rows)[:, None, None], q, 0.0))
+        padded.append(np.where(np.arange(basis.dim) >= np.array(rows)[:, None, None], q, 0.0))
     margins = []
     for basis, rows, mu in zip(bases, counts, restricted_information(bases, padded)[1]):
         scaled = mu[np.arange(len(rows)), rows] / basis.cutoff(basis.dim - np.array(rows))  # mu_min / c

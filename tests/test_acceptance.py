@@ -20,7 +20,6 @@ from crbkit import (
     counterexample_check,
     fim_gaussian_mean,
     fim_monte_carlo,
-    min_rank_trials,
     moore_penrose_residuals,
     null_complement,
     optimal_affine_constraint,
@@ -148,8 +147,7 @@ def test_criterion_6_minimum_constraint_row_count():
         n = int(rng.integers(2, 7))
         rank = int(rng.integers(1, n))
         j = make_psd(rng, n, rank)
-        slots, rows = min_rank_trials(j, trials=5, rng_seed=4000 + i)
-        cert = verify_min_rank(j, np.linalg.qr(slots)[0], rows)
+        cert = verify_min_rank(j, trials=5, rng_seed=4000 + i)
         assert cert.passed
     _report(6, "n - rank(J) constraint rows are necessary and sufficient", time.perf_counter() - start, 10)
 

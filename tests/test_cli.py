@@ -28,6 +28,8 @@ from crbkit.constraint import _sample_stacks
 from crbkit.matlin import DEFAULT_RANK_TOL_REL, orthonormal_columns, seed_sequence
 from crbkit.matx import format_float
 from crbkit.verify import (
+    DEFAULT_MARGIN_TOL,
+    _min_rank_stage,
     _suite_frames,
     certificates_to_csv,
     counterexample_check,
@@ -36,7 +38,6 @@ from crbkit.verify import (
     random_rank_deficient_psd,
     verify_constraint_equivalence,
     verify_eigen_dominance,
-    verify_min_rank,
     verify_poincare,
     verify_trace_bound,
 )
@@ -131,9 +132,10 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
 
 
 def certificates_from_streams(matrices, constraints_count):
-    """certificates.csv of certify, from the verifiers called on inputs drawn as documented, one matrix and one
-    qr at a time: matrix i's stream draws the Poincare frame, the equivalence mixes, the min_rank trials' row
-    counts and Gaussian blocks, then the sampled constraints' column norms and directions, in that order."""
+    """certificates.csv of certify, from the verifiers, and min_rank's stage, called on inputs drawn as documented,
+    one matrix and one qr at a time: matrix i's stream draws the Poincare frame, the equivalence mixes, the
+    min_rank trials' row counts and Gaussian blocks, then the sampled constraints' column norms and directions, in
+    that order."""
     parts = []
     for basis, rng in matrices:
         n, rank, m = basis.dim, basis.rank, basis.dim - basis.rank
@@ -148,7 +150,7 @@ def certificates_from_streams(matrices, constraints_count):
             verify_eigen_dominance(basis, stack),
             verify_poincare(basis, frame),
             verify_constraint_equivalence(basis, mixes @ basis.u_bar.T),
-            verify_min_rank(basis, trials_q, counts.tolist() + [m]),
+            _min_rank_stage([basis], [trials_q], [counts.tolist() + [m]], DEFAULT_MARGIN_TOL),
         ])
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)] + [counterexample_check()]
     return certificates_to_csv(certificates)

@@ -40,7 +40,7 @@ from crbkit import (
 )
 from crbkit.matlin import _per_shape, ranked_svds
 import exact
-from util import make_psd, min_rank_certificate, random_orthonormal, svd_pinv_oracle
+from util import make_psd, random_orthonormal, svd_pinv_oracle
 
 ONES = np.ones((2, 2))
 HOUSE = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -231,7 +231,7 @@ def test_every_function_that_takes_j_refuses_an_indefinite_j():
         "verify_poincare": lambda: verify_poincare(j, frame),
         "verify_constraint_equivalence": lambda: verify_constraint_equivalence(j, f_jac[None]),
         "min_rank_trials": lambda: min_rank_trials(j, 3, 0),
-        "verify_min_rank": lambda: verify_min_rank(j, [np.eye(2)], [0]),
+        "verify_min_rank": lambda: verify_min_rank(j, 3, 0),
     }
     message = (
         "information matrix is not positive semidefinite: eigenvalue -2 is negative and kept by the rank cutoff 6e-10"
@@ -277,6 +277,7 @@ def test_a_negative_seed_is_refused_where_every_stream_is_derived():
         "sample_minimum_constraints": lambda: sample_minimum_constraints(j, 3, -1),
         "sample_constraint_traces": lambda: sample_constraint_traces(j, 3, -1),
         "min_rank_trials": lambda: min_rank_trials(j, 3, -1),
+        "verify_min_rank": lambda: verify_min_rank(j, 3, -1),
         "fim_monte_carlo": lambda: fim_monte_carlo(model, np.zeros(2), 100, -1),
     }
     for name, call in calls.items():
@@ -300,6 +301,7 @@ def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
             lambda: sample_minimum_constraints(j, 2, 1.5),
             lambda: sample_constraint_traces(j, 2, 1.5),
             lambda: min_rank_trials(j, 2, 1.5),
+            lambda: verify_min_rank(j, 2, 1.5),
             lambda: fim_monte_carlo(model, np.zeros(2), 100, 1.5),
         ],
         "count must be an integer, got 2.5": [
@@ -307,13 +309,19 @@ def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
             lambda: sample_minimum_constraints(j, 2.5, 1),
             lambda: sample_constraint_traces(j, 2.5, 1),
         ],
-        "trials must be an integer, got 2.5": [lambda: min_rank_trials(j, 2.5, 1)],
+        "trials must be an integer, got 2.5": [
+            lambda: min_rank_trials(j, 2.5, 1),
+            lambda: verify_min_rank(j, 2.5, 1),
+        ],
         "seed must be an integer, got '3'": [lambda: sample_constraint_traces(j, 2, "3")],
         "count must be an integer, got True": [
             lambda: sample_minimum_stack(j, True, 0),
             lambda: sample_constraint_traces(j, True, 0),
         ],
-        "trials must be an integer, got True": [lambda: min_rank_trials(j, True, 0)],
+        "trials must be an integer, got True": [
+            lambda: min_rank_trials(j, True, 0),
+            lambda: verify_min_rank(j, True, 0),
+        ],
         "seed must be an integer, got True": [lambda: sample_constraint_traces(j, 2, True)],
         "n_samples must be an integer, got 1000.5": [lambda: fim_monte_carlo(model, np.zeros(2), 1000.5, 0)],
         "n_samples must be an integer, got True": [lambda: fim_monte_carlo(model, np.zeros(2), True, 0)],
@@ -325,7 +333,7 @@ def test_a_seed_count_or_trials_that_is_not_an_integer_is_refused_by_name():
                 call()
             assert str(info.value) == message
     assert sample_constraint_traces(j, np.int64(2), np.uint32(1)).tolist() == sample_constraint_traces(j, 2, 1).tolist()
-    assert min_rank_certificate(j, np.int32(2), np.random.default_rng(1)).n_cases == 3
+    assert verify_min_rank(j, np.int32(2), np.random.default_rng(1)).n_cases == 3
     for sample in (sample_minimum_stack, sample_minimum_constraints, sample_constraint_traces):
         with pytest.raises(InvalidInput, match=r"^seed must be an integer, got Generator\(PCG64\)"):
             sample(j, 2, np.random.default_rng(1))

@@ -21,10 +21,11 @@ from crbkit import (
     ranked_svd,
     sample_minimum_constraints,
     verify_eigen_dominance,
+    verify_min_rank,
     verify_poincare,
     verify_trace_bound,
 )
-from util import make_psd, min_rank_certificate, random_orthonormal
+from util import make_psd, random_orthonormal
 
 # The largest error over 3,000 random cases was 6 units of n * eps * kappa * |B| (times cond(A) or cond(M)).
 TOL_FACTOR = 64
@@ -133,12 +134,12 @@ def test_scaling_j_keeps_every_flag_and_the_min_rank_verdict(n, seed, tol):
     stacks = [rng.standard_normal((5, m, n)) for m in range(1, n)]
     reference = ranked_svd(j, tol)
     flags = minimum_flags(reference, stacks, seed)
-    margins = min_rank_certificate(reference, 10, seed).margins
+    margins = verify_min_rank(reference, 10, seed).margins
     for c in (1e-8, 1e-4, 1e4, 1e8):
         basis = ranked_svd(c * j, tol)
         assert basis.rank == reference.rank
         for scaled, original in zip(minimum_flags(basis, stacks, seed), flags, strict=True):
             assert all(np.array_equal(a, b) for a, b in zip(scaled, original))
-        scaled = min_rank_certificate(basis, 10, seed).margins
+        scaled = verify_min_rank(basis, 10, seed).margins
         assert np.all(np.abs(scaled - margins) <= TOL_FACTOR * n * EPS / tol)
-        assert min_rank_certificate(basis, 10, seed).passed == min_rank_certificate(reference, 10, seed).passed
+        assert verify_min_rank(basis, 10, seed).passed == verify_min_rank(reference, 10, seed).passed

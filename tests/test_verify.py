@@ -1,4 +1,5 @@
 import re
+from copy import deepcopy
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,6 @@ from util import (
     chart_jacobians,
     gaussian_rows,
     make_psd,
-    min_rank_certificate,
     orthonormal_rows,
     random_orthonormal,
 )
@@ -419,12 +419,12 @@ def test_equivalence_reads_orthonormal_rows_at_unit_singular_values(monkeypatch)
 
 
 def test_min_rank_certificate():
-    cert = min_rank_certificate(J4, trials=10, rng_seed=3)
+    cert = verify_min_rank(J4, trials=10, rng_seed=3)
     assert cert.theorem_id == "min_rank"
     assert cert.passed
     # ten deficient draws plus the achievability case
     assert cert.n_cases == 11
-    again = min_rank_certificate(J4, trials=10, rng_seed=3)
+    again = verify_min_rank(J4, trials=10, rng_seed=3)
     assert again.worst_margin == cert.worst_margin
 
 
@@ -433,13 +433,14 @@ def test_min_rank_rejects_full_rank_j():
     slots, rows = min_rank_trials(np.eye(2), 2, 0)
     assert not slots.any() and slots.shape == (3, 2, 2) and rows == [0, 0, 0]
     with pytest.raises(InvalidInput, match="^J is numerically nonsingular; the rank claim is vacuous$"):
-        verify_min_rank(np.eye(2), [np.eye(2)], [0])
+        verify_min_rank(np.eye(2), 2, 0)
 
 
 def test_min_rank_refuses_zero_trials():
-    with pytest.raises(InvalidInput) as info:
-        min_rank_trials(np.diag([1.0, 0.0]), trials=0, rng_seed=0)
-    assert str(info.value) == "trials must be positive, got 0"
+    for draw in (min_rank_trials, verify_min_rank):
+        with pytest.raises(InvalidInput) as info:
+            draw(np.diag([1.0, 0.0]), trials=0, rng_seed=0)
+        assert str(info.value) == "trials must be positive, got 0"
 
 
 def test_counterexample_certificate():
@@ -755,7 +756,7 @@ def test_every_function_follows_the_rank_rule_of_a_factored_j():
     assert verify_constraint_equivalence(basis, [basis.u_bar.T]).n_cases == 1
     assert_min_rank_matches(j, 5, 7, 1e-6)
     # J_r = diag(1, 0, 0): the achievable U'J_rU is 1 x 1, mu = 1 against the cutoff 1 * 1 * 1e-6
-    assert min_rank_certificate(basis, 5, 7).margins[-1] == 1.0 / 1e-6 - 1.0
+    assert verify_min_rank(basis, 5, 7).margins[-1] == 1.0 / 1e-6 - 1.0
 
 
 def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
@@ -763,18 +764,20 @@ def per_trial_min_rank(j, trials, rng_seed, rank_tol_rel=1e-10):
 
     One call draws every trial's row count m and a second one Gaussian
     (n, n - rank) block per trial; trial t's draw is the transpose of block
-    t's leading m columns. Each draw's rows are orthonormalized by a reduced qr of its transpose and
-    evaluated alone through evaluate_constraints, whose svd gives another null
-    basis than the verifier's qr. The margin is -(mu_min / c - 1) for a
-    deficient trial and mu_min / c - 1 for the achievable one, c = sigma_1 p
-    rank_tol_rel the cutoff of a p x p U'J_rU. Returns (margin, label, f_jac, c) per case.
+    t's leading m columns. Each draw's rows are orthonormalized by a reduced
+    qr of its transpose, signed so that R's diagonal is positive
+    (orthonormal_rows), and evaluated alone through evaluate_constraints,
+    whose svd gives another null basis than the verifier's qr. The margin is
+    -(mu_min / c - 1) for a deficient trial and mu_min / c - 1 for the
+    achievable one, c = sigma_1 p rank_tol_rel the cutoff of a p x p
+    U'J_rU. Returns (margin, label, f_jac, c) per case.
     """
     basis = ranked_svd(j, rank_tol_rel)
     n, rank = basis.dim, basis.rank
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
 
     def case(draw, label, sign):
-        f_jac = np.linalg.qr(draw.T)[0].T
+        f_jac = orthonormal_rows(draw[None])[0]
         stack = evaluate_constraints(basis, f_jac[None])
         assert stack.full_rank_jacobian[0]
         mu = stack.utju_eigs[0]
@@ -795,7 +798,7 @@ def assert_min_rank_matches(j, trials, rng_seed, rank_tol_rel=1e-10):
     margin agrees within 10 n eps sigma_1 / c: the two null bases move mu_min by about eps sigma_1.
     At margin_tol = -inf every case is a witness, so every label and F is compared."""
     basis = ranked_svd(j, rank_tol_rel)
-    cert = min_rank_certificate(basis, trials, rng_seed, -np.inf)
+    cert = verify_min_rank(basis, trials, rng_seed, -np.inf)
     expected = per_trial_min_rank(j, trials, rng_seed, rank_tol_rel)
     assert cert.n_cases == trials + 1
     assert [w.label for w in cert.witnesses] == [label for _, label, _, _ in expected]
@@ -849,7 +852,7 @@ def test_min_rank_margins_change_sign_where_the_one_rule_does(monkeypatch):
             return restricted, [mu]
 
         monkeypatch.setattr(verify_module, "restricted_information", pinned)
-        cert = min_rank_certificate(basis, 6, 3, 0.0)
+        cert = verify_min_rank(basis, 6, 3, 0.0)
         assert cert.witnesses and all(w.label.startswith(failing) for w in cert.witnesses)
         assert [w.margin for w in cert.witnesses] == cert.margins[claimed].tolist()
         assert all(-EPS <= margin < 0.0 for margin in cert.margins[claimed])
@@ -864,34 +867,11 @@ def test_min_rank_refuses_a_zero_j():
     slots, rows = min_rank_trials(zero, 5, 0)
     assert slots.shape == (6, 3, 3) and rows[-1] == 3
     with pytest.raises(InvalidInput, match="^J is zero; the rank claim has no cutoff to measure against$"):
-        verify_min_rank(zero, np.linalg.qr(slots)[0], rows)
+        verify_min_rank(zero, 5, 0)
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     min_rank_trials(np.eye(3), 5, rng)
     assert rng.bit_generator.state == state
-
-
-def test_min_rank_refuses_inputs_that_min_rank_trials_does_not_draw():
-    # q holds one n x n orthogonal Q per row count; the counts lie below n - rank(J), then equal it
-    basis = ranked_svd(np.diag([2.0, 1.0, 0.0, 0.0]))
-    slots, rows = min_rank_trials(basis, 3, 5)
-    q = np.linalg.qr(slots)[0]
-    assert verify_min_rank(basis, q, rows).passed
-    counts = "row counts must lie in [0, 2) and end with n - rank(J) = 2, got "
-    refused = [
-        (q, rows[:3] + [1], counts + str(rows[:3] + [1])),
-        (q[2:], [2, 2], counts + "[2, 2]"),
-        (q[:0], [], counts + "[]"),
-        (q[2:], [1.0, 2], "row count 0 must be an integer, got 1.0"),
-        (q[1:], rows, "q must hold one 4 x 4 Q per row count, got shape (3, 4, 4)"),
-        (q.astype(complex), rows, "q has complex entries; only real numbers are accepted"),
-        (1.01 * q, rows, "q columns are not orthonormal"),
-        (q[[0, 1, 2, 0]], rows[:3] + [2], "q's last Q must span U_bar in its leading 2 columns"),
-    ]
-    for bad_q, bad_rows, message in refused:
-        with pytest.raises(InvalidInput) as info:
-            verify_min_rank(basis, bad_q, bad_rows)
-        assert str(info.value) == message
 
 
 def test_the_pass_rule_keeps_a_margin_equal_to_minus_margin_tol():
@@ -922,7 +902,7 @@ WITNESSED = {
     "eigen_dominance frames": (lambda b, tol: verify_eigen_dominance(b, b.u_r[None], tol), "v"),
     "poincare": (lambda b, tol: verify_poincare(b, b.u_r, tol), "v"),
     "equivalence": (lambda b, tol: verify_constraint_equivalence(b, [b.u_bar.T, -b.u_bar.T], tol), "f_jac"),
-    "min_rank": (lambda b, tol: min_rank_certificate(b, 3, 0, tol), "f_jac"),
+    "min_rank": (lambda b, tol: verify_min_rank(b, 3, 0, tol), "f_jac"),
 }
 
 
@@ -944,22 +924,30 @@ def test_every_witness_holds_j_first_then_the_verifiers_own_matrix(tmp_path, nam
 
 def every_shape_twice():
     """A stage of 56 singular J, each (n, rank) with n from 2 to 8 twice, and the inputs certify draws for them:
-    per theorem its one-J verifier, its stage and the stage's columns of inputs, in THEOREM_IDS order."""
+    per theorem its one-J verifier, its stage, the stage's columns of inputs and the verifier's, in THEOREM_IDS
+    order. min_rank's stage takes the complete Q and row counts of _suite_frames; its verifier draws them from a
+    copy of each J's stream at the point where _suite_frames draws them, past the Poincare frame and the mixes."""
     matrices = []
     for copy in range(2):
         for n in range(2, 9):
             for rank in range(1, n):
                 rng = np.random.default_rng([copy, n, rank])
                 matrices.append((ranked_svd(random_rank_deficient_psd(n, rank, rng)), rng))
-    bases = [basis for basis, _ in matrices]
+    bases, trials_rngs = [basis for basis, _ in matrices], [deepcopy(rng) for _, rng in matrices]
     frame, mixes, trials_q, rows = zip(*_suite_frames(matrices))
+    for basis, rng in zip(bases, trials_rngs):
+        rng.standard_normal((basis.dim, basis.rank)), rng.standard_normal((3,) + (basis.dim - basis.rank,) * 2)
     stacks = [sample_minimum_stack(basis, 20, i) for i, basis in enumerate(bases)]
-    return bases, [
+    shared = [
         (verify_trace_bound, _trace_bound_stage, [stacks]),
         (verify_eigen_dominance, _eigen_dominance_stage, [stacks]),
         (verify_poincare, _poincare_stage, [frame]),
         (verify_constraint_equivalence, _equivalence_stage, [[mix @ b.u_bar.T for mix, b in zip(mixes, bases)]]),
-        (verify_min_rank, _min_rank_stage, [trials_q, rows]),
+    ]
+    # each call draws from its own copy, so every call draws the same trials
+    min_rank = lambda basis, rng, tol: verify_min_rank(basis, 5, deepcopy(rng), tol)
+    return bases, [(one, stage, columns, columns) for one, stage, columns in shared] + [
+        (min_rank, _min_rank_stage, [trials_q, rows], [trials_rngs]),
     ]
 
 
@@ -970,10 +958,10 @@ def test_a_stage_of_every_shape_twice_gives_each_matrix_its_own_certificate():
     bases, theorems = every_shape_twice()
     assert sorted({(b.dim, b.rank) for b in bases}) == [(n, r) for n in range(2, 9) for r in range(1, n)]
     assert len(bases) == 56
-    for one, stage, columns in theorems:
+    for one, stage, columns, own in theorems:
         for tol in (1e-9, -np.inf):
             cert = stage(bases, *columns, tol)
-            singles = [one(basis, *(column[k] for column in columns), tol) for k, basis in enumerate(bases)]
+            singles = [one(basis, *(column[k] for column in own), tol) for k, basis in enumerate(bases)]
             assert cert.theorem_id == singles[0].theorem_id
             assert cert.margins.tobytes() == np.concatenate([single.margins for single in singles]).tobytes()
             want = [(k, w) for k, single in enumerate(singles) for w in single.witnesses]

@@ -27,6 +27,7 @@ from crbkit import (
     gaussian_location,
     load_constraint_spec,
     load_matrix,
+    min_rank_trials,
     moore_penrose_residuals,
     null_complement,
     null_complements,
@@ -38,6 +39,7 @@ from crbkit import (
     sample_minimum_stack,
     verify_constraint_equivalence,
     verify_eigen_dominance,
+    verify_min_rank,
     verify_poincare,
     verify_trace_bound,
 )
@@ -155,6 +157,15 @@ CALLS.update({
         f"count asks for a {(10**e, 1)} {UNALLOCATABLE}",
     )
     for name, sampler in SAMPLERS.items()
+    for e in (18, 20)
+})
+# min_rank's (trials + 1, n, n) slots, allocated before anything is drawn, for a J that draws and one that does not
+CALLS.update({
+    f"{name} {kind} J trials 10**{e}": (
+        lambda call=call, j=j, e=e: call(j, 10**e, 0), f"trials asks for a {(10**e + 1, 2, 2)} {UNALLOCATABLE}"
+    )
+    for name, call in {"min_rank_trials": min_rank_trials, "verify_min_rank": verify_min_rank}.items()
+    for kind, j in {"singular": np.diag([1.0, 0.0]), "nonsingular": np.eye(2)}.items()
     for e in (18, 20)
 })
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from crbkit.cli import derived_rng
 from crbkit.matlin import seed_sequence
-from crbkit.verify import DEFAULT_MARGIN_TOL, min_rank_trials, random_rank_deficient_psd, verify_min_rank
+from crbkit.verify import random_rank_deficient_psd
 
 
 def make_psd(rng, n, rank, lo=0.5, hi=2.0):
@@ -88,12 +88,6 @@ def suite_streams(seed, count):
         rank = int(shapes.integers(1, n))
         rng = derived_rng(seed, "certify-matrix", i)
         yield random_rank_deficient_psd(n, rank, rng), rank, rng
-
-
-def min_rank_certificate(j, trials, rng_seed, margin_tol=DEFAULT_MARGIN_TOL):
-    """verify_min_rank over the trials that min_rank_trials(j, trials, rng_seed) draws, with one qr of their slots."""
-    slots, rows = min_rank_trials(j, trials, rng_seed)
-    return verify_min_rank(j, np.linalg.qr(slots)[0], rows, margin_tol)
 
 
 def load_tool(path):
