@@ -16,15 +16,10 @@ __version__ = "0.1.0"
 
 from .errors import (
     CrbKitError,
-    DegenerateParameter,
-    FullRankFim,
     InvalidInput,
     InvalidMatrix,
-    InvalidModel,
     NotMinimumConstraint,
     NumericalFailure,
-    RankDeficientConstraint,
-    SingularRestriction,
 )
 from .matlin import (
     DEFAULT_RANK_TOL_REL,

@@ -38,14 +38,7 @@ from .constraint import (
     save_constraint_spec,
 )
 from .crb import constrained_crb, unconstrained_crb
-from .errors import (
-    CrbKitError,
-    FullRankFim,
-    InvalidInput,
-    InvalidMatrix,
-    InvalidModel,
-    NumericalFailure,
-)
+from .errors import CrbKitError, InvalidInput, InvalidMatrix, NumericalFailure
 from .fim import fim_gaussian_mean, fim_monte_carlo
 from .matlin import DEFAULT_RANK_TOL_REL, _allocated, as_sym_matrix, ranked_svd, ranked_svds, seed_sequence
 from .matx import FLOAT_FMT, format_float, format_row, load_matrix, parse_matrix, read_ascii, save_matrix
@@ -283,7 +276,7 @@ def information_matrix(config: RunConfig):
             else:
                 estimate = fim_gaussian_mean(model, theta)
             sym = estimate.matrix
-    except (InvalidInput, InvalidMatrix, InvalidModel) as exc:
+    except (InvalidInput, InvalidMatrix) as exc:
         raise CliError(EXIT_INVALID_INPUT, f"reading input: {exc}") from exc
     except NumericalFailure as exc:
         raise CliError(EXIT_NUMERICAL, f"estimating information matrix: {exc}") from exc
@@ -438,7 +431,7 @@ def cmd_experiment(config: RunConfig) -> int:
     seed = derived_seed(config.seed, "experiment-constraints")
     try:
         traces = sample_constraint_traces(basis, config.count, seed)
-    except (FullRankFim, InvalidInput) as exc:  # J nonsingular, or a count numpy cannot allocate
+    except InvalidInput as exc:  # J nonsingular, or a count numpy cannot allocate
         raise CliError(EXIT_INVALID_INPUT, f"sampling constraints: {exc}") from exc
     margins = traces - baseline
     worst, sampled = margins.min(), len(traces)
@@ -496,7 +489,7 @@ def main(argv=None) -> int:
         try:
             config = resolve_config(args)
             os.makedirs(config.output_dir, exist_ok=True)
-        except (InvalidInput, InvalidMatrix, InvalidModel, OSError) as exc:
+        except (InvalidInput, InvalidMatrix, OSError) as exc:
             raise CliError(EXIT_INVALID_INPUT, f"resolving configuration: {exc}") from exc
         # finite input too large for double precision would otherwise turn to inf part way
         with np.errstate(over="raise"):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FullRankFim, InvalidInput
+from .errors import InvalidInput
 from .matlin import (
     RankedSvd,
     _allocated,
@@ -165,12 +165,12 @@ def optimal_affine_constraint(j, theta0) -> ConstraintSpec:
     F is an orthonormal basis of the null space transposed and
     C = -F theta0, so f(theta) = F theta + C vanishes at theta0. The
     constrained bound under this constraint equals the pseudoinverse of
-    J. Raises FullRankFim when J is nonsingular.
+    J. Raises InvalidInput when J is nonsingular.
     """
     basis = as_ranked_svd(j)
     point = _as_vector(InvalidInput, theta0, basis.dim, "theta0")
     if basis.rank == basis.dim:
-        raise FullRankFim("J is numerically nonsingular; no constraint is needed")
+        raise InvalidInput("J is numerically nonsingular; no constraint is needed")
     f_jac = basis.u_bar.T
     return ConstraintSpec(f_jac=f_jac, offset=-f_jac @ point, label="optimal-affine")
 
@@ -189,14 +189,14 @@ def _sampled(j, count: int, rng: np.random.Generator):
     independent of the columns' directions (Muirhead 1982). So tr B(F) - tr J+ = ||M||_F^2 >= 0, zero iff
     null(F) = range(J), and lambda_i(X) >= lambda_i(Lambda^-1) by Weyl: the paper's trace and eigenvalue bounds.
     The (count, r) C are one draw from the Generator rng; _sample_stacks draws the directions from rng next. Raises
-    InvalidInput for a count that is not a positive integer or whose draw numpy cannot allocate, FullRankFim when J
-    is nonsingular and InvalidMatrix when ranked_svd refuses J.
+    InvalidInput for a count that is not a positive integer or whose draw numpy cannot allocate or when J is
+    nonsingular, and InvalidMatrix when ranked_svd refuses J.
     """
     _check_count(count, "count", 1)
     basis = as_ranked_svd(j)  # the chart takes Lambda^-1/2, so ranked_svd refuses an indefinite J
     m, r = basis.dim - basis.rank, basis.rank
     if m == 0:
-        raise FullRankFim("J is numerically nonsingular; minimum constraints are empty")
+        raise InvalidInput("J is numerically nonsingular; minimum constraints are empty")
     inv_lam = 1.0 / basis.sigma
     unit = max(0, math.frexp(inv_lam.max(initial=0.0))[1])  # 2^unit is 1 where lambda_r > 1
     limit = math.ldexp(0.5 * (np.finfo(float).max - inv_lam.sum()), -unit)  # the cap, on ||M||_F^2 / 2^unit

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraint import ConstraintSpec, ConstraintStack, _evaluate
-from .errors import RankDeficientConstraint
+from .errors import NotMinimumConstraint
 from .matlin import SymMatrix, _bounds, _freeze, as_ranked_svd
 
 
@@ -67,14 +67,14 @@ def constrained_crb(j, constraint) -> CrbReport:
     U (U'J_rU)^-1 U' from its U and U'J_rU where its flags call U'J_rU
     nonsingular, with eigenvalues 1/mu read from the spectrum mu of U'J_rU
     and trace their sum, as bound_traces reads it; otherwise reports a
-    nonexistent (infinite) bound. Raises RankDeficientConstraint for
+    nonexistent (infinite) bound. Raises NotMinimumConstraint for
     dependent rows and InvalidInput for an F that is not a finite (m, n) matrix.
     """
     f_jac = constraint.f_jac if isinstance(constraint, ConstraintSpec) else constraint
     (stack,), us, restricted = _evaluate([j], [[f_jac]])
     m = stack.f_jacs.shape[1]
     if not stack.full_rank_jacobian[0]:
-        raise RankDeficientConstraint(stack.row_rank[0], m)
+        raise NotMinimumConstraint(f"Jacobian row rank {stack.row_rank[0]} below row count {m}; rows are dependent")
     if not stack.utju_nonsingular[0]:
         return CrbReport(bound=None, exists=False, trace=math.inf, eigenvalues=None)
     (bound,) = _bounds(us, restricted)

@@ -1,7 +1,9 @@
 """Exception types raised by crb-kit.
 
 Every error raised deliberately by this package derives from CrbKitError,
-so callers can catch one base class at an API boundary.
+so callers can catch one base class at an API boundary. A class exists
+for a condition that some caller tells apart, and each condition raises
+one class from every entry point; the message names the case.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ class InvalidMatrix(CrbKitError):
 
 
 class InvalidInput(CrbKitError):
-    """Argument outside a function's documented domain."""
-
-
-class InvalidModel(CrbKitError):
-    """Statistical model is malformed, e.g. a singular noise covariance."""
-
-
-class DegenerateParameter(CrbKitError):
-    """Parameter point where a required direction or Jacobian is undefined."""
+    """Argument outside a function's documented domain, a malformed model or a nonsingular J among them."""
 
 
 class NumericalFailure(CrbKitError):
@@ -38,22 +32,6 @@ class NumericalFailure(CrbKitError):
         self.sample_index = sample_index
 
 
-class RankDeficientConstraint(CrbKitError):
-    """Constraint Jacobian does not have full row rank."""
-
-    def __init__(self, rank: int, rows: int):
-        super().__init__(f"Jacobian row rank {rank} below row count {rows}; rows are dependent")
-        self.rank = int(rank)
-        self.rows = int(rows)
-
-
-class FullRankFim(CrbKitError):
-    """Fisher information is nonsingular; no constraint is needed or derivable."""
-
-
 class NotMinimumConstraint(CrbKitError):
-    """Constraint fails one of the minimum-constraint requirements."""
-
-
-class SingularRestriction(CrbKitError):
-    """Restricted information matrix V'JV is numerically singular."""
+    """Constraint fails a minimum-constraint requirement: full row rank, a nonsingular U'JU (or V'JV of a frame) or
+    rank F + rank J = n."""

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidMatrix, RankDeficientConstraint
+from .errors import InvalidInput, InvalidMatrix, NotMinimumConstraint
 from .matx import format_float
 
 # Relative rank cutoff: singular values <= sigma_max * n * DEFAULT_RANK_TOL_REL
@@ -104,19 +104,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 _KINDS = {"an integer": (int, np.integer), "a number": (int, float, np.integer, np.floating)}
 
 
-def _check_kind(error: type[Exception], kind: str, **values) -> None:
-    """error naming the first of values that is not kind, a key of _KINDS: a Python or numpy one, not a bool.
+def _check_kind(kind: str, **values) -> None:
+    """InvalidInput naming the first of values that is not kind, a key of _KINDS: a Python or numpy one, not a bool.
     "a number" admits a Python int only within double range, where float() and comparisons with floats hold."""
     for name, value in values.items():
         if not isinstance(value, _KINDS[kind]) or isinstance(value, bool):
-            raise error(f"{name} must be {kind}, got {value!r}")
+            raise InvalidInput(f"{name} must be {kind}, got {value!r}")
         if kind == "a number" and isinstance(value, int) and not abs(value) <= float(np.finfo(float).max):
-            raise error(f"{name} must be a number within double range, got an integer of {value.bit_length()} bits")
+            raise InvalidInput(f"{name} must be a number within double range, got an integer of {value.bit_length()} bits")
 
 
 def _check_count(value, name: str, least: int) -> None:
     """InvalidInput naming value unless it is an integer (Python or numpy, not a bool) no smaller than least."""
-    _check_kind(InvalidInput, "an integer", **{name: value})
+    _check_kind("an integer", **{name: value})
     if value < least:
         floor = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
         raise InvalidInput(f"{name} must be {floor}, got {value}")
@@ -138,7 +138,7 @@ def seed_sequence(entropy: int, *spawn_key: int) -> np.random.SeedSequence:
 
 def _check_rule(size: int, rank_tol_rel: float) -> None:
     """InvalidInput unless rank_tol_rel is a number in [eps, 1 / size); from 1 / size on all size x size ranks are 0."""
-    _check_kind(InvalidInput, "a number", rank_tol_rel=rank_tol_rel)
+    _check_kind("a number", rank_tol_rel=rank_tol_rel)
     if not _EPS <= rank_tol_rel < np.inf:  # below machine epsilon roundoff would count as signal
         raise InvalidInput(f"rank_tol_rel must be positive and finite, at least machine epsilon, got {rank_tol_rel}")
     if size * rank_tol_rel >= 1:
@@ -327,13 +327,13 @@ def null_complement(f_jac) -> np.ndarray:
 
     For an (m, n) Jacobian with m <= n, returns U of shape (n, n - m) with
     U'U = I and f_jac @ U = 0. An empty Jacobian (m = 0) yields the
-    identity. Raises RankDeficientConstraint when the numerical row rank
+    identity. Raises NotMinimumConstraint when the numerical row rank
     is below m under the default rank rule.
     """
     jac = _as_2d(InvalidMatrix, f_jac, "constraint Jacobian")
     ranks, u = null_complements(jac[None])
     if ranks[0] < jac.shape[0]:
-        raise RankDeficientConstraint(ranks[0], jac.shape[0])
+        raise NotMinimumConstraint(f"Jacobian row rank {ranks[0]} below row count {jac.shape[0]}; rows are dependent")
     return u[0]
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateParameter, InvalidInput, InvalidModel
+from .errors import InvalidInput
 from .matlin import _allocated, _as_floats, _as_vector, _check_kind
 
 
@@ -37,12 +37,12 @@ class GaussianMeanModel:
     obs_dim: int
 
     def __post_init__(self):
-        _check_kind(InvalidModel, "an integer", param_dim=self.param_dim, obs_dim=self.obs_dim)
+        _check_kind("an integer", param_dim=self.param_dim, obs_dim=self.obs_dim)
         if self.param_dim < 1 or self.obs_dim < 1:
-            raise InvalidModel(f"dimensions must be positive, got ({self.param_dim}, {self.obs_dim})")
-        _check_kind(InvalidModel, "a number", noise_var=self.noise_var)
+            raise InvalidInput(f"dimensions must be positive, got ({self.param_dim}, {self.obs_dim})")
+        _check_kind("a number", noise_var=self.noise_var)
         if not 0.0 < self.noise_var < np.inf:
-            raise InvalidModel(f"noise_var must be positive and finite, got {self.noise_var}")
+            raise InvalidInput(f"noise_var must be positive and finite, got {self.noise_var}")
 
     def mean_at(self, theta) -> np.ndarray:
         th = _as_vector(InvalidInput, theta, self.param_dim, "theta")
@@ -50,9 +50,9 @@ class GaussianMeanModel:
 
     def jac_at(self, theta) -> np.ndarray:
         th = _as_vector(InvalidInput, theta, self.param_dim, "theta")
-        jac = _as_floats(InvalidModel, self.mean_jac(th), "mean_jac(theta)")
+        jac = _as_floats(InvalidInput, self.mean_jac(th), "mean_jac(theta)")
         if jac.shape != (self.obs_dim, self.param_dim):
-            raise InvalidModel(
+            raise InvalidInput(
                 f"mean_jac returned shape {jac.shape}, expected ({self.obs_dim}, {self.param_dim})"
             )
         return jac
@@ -67,9 +67,9 @@ class GaussianMeanModel:
 
 def gaussian_location(dim: int, noise_var: float = 1.0) -> GaussianMeanModel:
     """Gaussian model with identity mean map and isotropic noise."""
-    _check_kind(InvalidModel, "an integer", dim=dim)
+    _check_kind("an integer", dim=dim)
     if dim < 1:
-        raise InvalidModel(f"dim must be positive, got {dim}")
+        raise InvalidInput(f"dim must be positive, got {dim}")
     eye = _allocated(lambda shape: np.eye(*shape), (dim, dim), "dim")
     return GaussianMeanModel(
         mean_fn=lambda th: np.asarray(th, dtype=float),
@@ -91,9 +91,9 @@ class BlindChannelModel(GaussianMeanModel):
     """
 
     def __init__(self, s_len: int, h_len: int, noise_var: float = 1.0):
-        _check_kind(InvalidModel, "an integer", s_len=s_len, h_len=h_len)
+        _check_kind("an integer", s_len=s_len, h_len=h_len)
         if s_len < 1 or h_len < 1:
-            raise InvalidModel(f"filter lengths must be positive, got ({s_len}, {h_len})")
+            raise InvalidInput(f"filter lengths must be positive, got ({s_len}, {h_len})")
         for name, value in (("s_len", s_len), ("h_len", h_len)):
             object.__setattr__(self, name, value)
         super().__init__(
@@ -132,5 +132,5 @@ class BlindChannelModel(GaussianMeanModel):
         direction = np.concatenate([s, -h])
         norm = float(np.linalg.norm(direction))
         if norm == 0.0:
-            raise DegenerateParameter("ambiguity direction undefined at theta = 0")
+            raise InvalidInput("ambiguity direction undefined at theta = 0")
         return direction / norm

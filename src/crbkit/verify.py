@@ -36,7 +36,7 @@ import numpy as np
 
 from .constraint import ConstraintStack, _evaluate, _sample_stacks
 from .crb import bound_traces
-from .errors import CrbKitError, InvalidInput, NotMinimumConstraint, SingularRestriction
+from .errors import CrbKitError, InvalidInput, NotMinimumConstraint
 from .matlin import (
     ORTHONORMAL_TOL,
     SymMatrix,
@@ -148,7 +148,7 @@ def _certify(
     """The certificate of the margins of each J of bases, in order, under the pass rule of passes, margin_tol a
     number other than NaN, which it refuses; each J needs a case. case(k, i) gives J k's failing case i's label and
     matrices; its witness holds J k, the matrix of bases[k], first, then those matrices."""
-    _check_kind(InvalidInput, "a number", margin_tol=margin_tol)
+    _check_kind("a number", margin_tol=margin_tol)
     if margin_tol != margin_tol:  # only NaN is unequal to itself, of any float type
         raise InvalidInput(f"margin_tol must not be NaN, got {margin_tol!r}")
     if not all(part.size for part in margins):
@@ -237,9 +237,9 @@ def verify_eigen_dominance(j, v, margin_tol: float = DEFAULT_MARGIN_TOL) -> Theo
     eigenvalues, 1/mu of V'J_rV with 1/sigma of J, frame by frame; the
     zeros agree exactly and are not cases. Raises InvalidInput for frames
     of another width (a narrower one has no 1/mu to set against the last
-    1/sigma, a wider one leaves V'JV singular), and SingularRestriction
-    when restricted_nonsingular calls some V'J_rV singular; a stack raises
-    what _minimum_stack raises.
+    1/sigma, a wider one leaves V'JV singular), and NotMinimumConstraint
+    when restricted_nonsingular calls some V'J_rV singular, as
+    _minimum_stack does for a stack.
     """
     return _eigen_dominance_stage([as_ranked_svd(j)], [v], margin_tol)
 
@@ -259,7 +259,7 @@ def _eigen_dominance_stage(bases: list, vs: list, margin_tol: float) -> TheoremC
                 raise InvalidInput(f"frames need rank(J) = {basis.rank} columns, got {frames.shape[2]}")
             mu = restricted_information([basis], [frames])[1][0]
             if not np.all(exists := restricted_nonsingular(basis, mu)):
-                raise SingularRestriction(f"V'JV of frame {np.argmin(exists)} is numerically singular")
+                raise NotMinimumConstraint(f"V'JV of frame {np.argmin(exists)} is numerically singular")
             mats.append(lambda i, frames=frames: {"v": frames[i]})
         # 1/mu descends as mu ascends, as 1/sigma does
         margins.append((1.0 / mu - basis.pinv_eigenvalues[: basis.rank]).ravel())
@@ -487,7 +487,7 @@ def _random_psds(shapes) -> list[SymMatrix]:
     Gaussian blocks of one n are orthonormalized by one sign-fixed qr."""
     blocks, kept = [], []
     for n, rank, rng in shapes:
-        _check_kind(InvalidInput, "an integer", n=n, rank=rank)
+        _check_kind("an integer", n=n, rank=rank)
         if n < 1 or rank < 0 or rank > n:
             raise InvalidInput(f"need 0 <= rank <= n, got rank={rank}, n={n}")
         blocks.append(_allocated(rng.standard_normal, (n, n), "n"))
@@ -505,8 +505,10 @@ def certificates_to_csv(certs: list[TheoremCertificate]) -> str:
 def write_certificate_witnesses(cert: TheoremCertificate, directory) -> list[str]:
     """Write each witness of a failed certificate as matx files plus a note.
 
-    Returns the written file paths; passing certificates write nothing.
+    Returns the written file paths; a passing certificate writes nothing, not even the directory.
     """
+    if not cert.witnesses:
+        return []
     written: list[str] = []
     os.makedirs(directory, exist_ok=True)
     for idx, witness in enumerate(cert.witnesses):

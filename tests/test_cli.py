@@ -900,7 +900,7 @@ def test_certify_completes_where_a_gaussian_min_rank_trial_was_rank_deficient(tm
 
 def test_certify_names_the_certificate_that_cannot_be_built(tmp_path, capsys, monkeypatch):
     def cannot_build(*args):
-        raise crbkit.SingularRestriction("V'JV of frame 0 is numerically singular")
+        raise crbkit.NotMinimumConstraint("V'JV of frame 0 is numerically singular")
 
     monkeypatch.setattr(crbkit.verify, "_poincare_stage", cannot_build)
     assert main(["certify", "--count", "2", "--seed", "5", "--out", str(tmp_path / "o")]) == 3
@@ -927,7 +927,7 @@ def test_a_nonsingular_suite_j_is_refused_by_matrix_and_theorem_in_matrix_order(
     assert capsys.readouterr().err == f"error: certify matrix 1, {refusal}\n"
 
     def cannot_build(*args):
-        raise crbkit.SingularRestriction("V'JV of frame 0 is numerically singular")
+        raise crbkit.NotMinimumConstraint("V'JV of frame 0 is numerically singular")
 
     # an earlier matrix's failure comes first
     swapped(2)

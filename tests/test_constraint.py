@@ -8,7 +8,6 @@ import crbkit.constraint as constraint_module
 from crbkit import (
     BlindChannelModel,
     ConstraintSpec,
-    FullRankFim,
     InvalidInput,
     InvalidMatrix,
     bound_traces,
@@ -104,7 +103,7 @@ def test_optimal_affine_matches_blind_channel_ambiguity():
 
 
 def test_optimal_affine_rejects_full_rank_j():
-    with pytest.raises(FullRankFim):
+    with pytest.raises(InvalidInput, match="^J is numerically nonsingular; no constraint is needed$"):
         optimal_affine_constraint(np.eye(2), np.zeros(2))
 
 
@@ -124,7 +123,7 @@ def test_sampled_constraints_are_minimum_and_deterministic():
 
 
 def test_sample_rejects_full_rank_j():
-    with pytest.raises(FullRankFim):
+    with pytest.raises(InvalidInput, match="^J is numerically nonsingular; minimum constraints are empty$"):
         sample_minimum_constraints(np.eye(3), 2, 0)
 
 

@@ -10,7 +10,7 @@ from crbkit import (
     ConstraintSpec,
     GaussianMeanModel,
     InvalidInput,
-    RankDeficientConstraint,
+    NotMinimumConstraint,
     RankedSvd,
     bound_traces,
     check_minimum_constraint,
@@ -175,7 +175,7 @@ def test_an_inverse_of_utju_that_overflows_is_refused():
 
 
 def test_dependent_constraint_rows_rejected():
-    with pytest.raises(RankDeficientConstraint):
+    with pytest.raises(NotMinimumConstraint, match="^Jacobian row rank 1 below row count 2; rows are dependent$"):
         constrained_crb(np.eye(2), np.array([[1.0, 1.0], [2.0, 2.0]]))
 
 
@@ -257,7 +257,7 @@ def test_stacked_bounds_report_missing_bounds_and_dependent_rows():
     assert stack.utju_nonsingular.tolist() == [True, False]
     stack = evaluate_constraints(np.eye(2), np.array([np.eye(2), [[1.0, 1.0], [2.0, 2.0]]]))
     assert stack.full_rank_jacobian.tolist() == [True, False]
-    with pytest.raises(RankDeficientConstraint):
+    with pytest.raises(NotMinimumConstraint, match="^Jacobian row rank 1 below row count 2; rows are dependent$"):
         constrained_crb(np.eye(2), stack.f_jacs[1])
 
 

@@ -9,7 +9,7 @@ from crbkit import (
     ConstraintSpec,
     InvalidInput,
     InvalidMatrix,
-    RankDeficientConstraint,
+    NotMinimumConstraint,
     SymMatrix,
     as_ranked_svd,
     check_minimum_constraint,
@@ -364,9 +364,9 @@ def test_null_complement_spans_kernel():
 
 
 def test_null_complement_rejects_dependent_rows():
-    with pytest.raises(RankDeficientConstraint):
+    with pytest.raises(NotMinimumConstraint, match="^Jacobian row rank 1 below row count 2; rows are dependent$"):
         null_complement(np.array([[1.0, 1.0], [2.0, 2.0]]))
-    with pytest.raises(RankDeficientConstraint):
+    with pytest.raises(NotMinimumConstraint, match="^Jacobian row rank 0 below row count 3; rows are dependent$"):
         null_complement(np.zeros((3, 2)))
 
 

@@ -140,3 +140,17 @@ def test_no_statement_in_cli_writes_into_a_run_config():
         and isinstance(node.value, ast.Name) and node.value.id == "config"
     ]
     assert writes == []
+
+
+def test_every_error_class_is_read_by_another_module():
+    # a class exists for a condition that some caller tells apart: every class errors.py defines is read, as a loaded
+    # name, by a module of the package other than errors.py and __init__.py, which only re-exports
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    defined = {node.name for node in trees["errors.py"].body if isinstance(node, ast.ClassDef)}
+    read = {
+        node.id
+        for name, tree in trees.items() if name not in ("errors.py", "__init__.py")
+        for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert "CrbKitError" in defined and len(defined) > 1
+    assert defined - read == set()

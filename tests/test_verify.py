@@ -10,7 +10,6 @@ from crbkit import (
     FailingCase,
     InvalidInput,
     NotMinimumConstraint,
-    SingularRestriction,
     TheoremCertificate,
     as_ranked_svd,
     bound_traces,
@@ -129,7 +128,7 @@ def test_eigen_dominance_on_incomparable_fixture():
 
 
 def test_eigen_dominance_rejects_singular_restriction():
-    with pytest.raises(SingularRestriction):
+    with pytest.raises(NotMinimumConstraint, match="^V'JV of frame 0 is numerically singular$"):
         verify_eigen_dominance(DIAG, np.array([[0.0], [1.0]]))
 
 
@@ -298,7 +297,7 @@ def test_stacked_eigen_dominance_clears_the_known_false_fail():
 def test_eigen_dominance_stack_rejects_bad_frames():
     good, singular = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
     assert verify_eigen_dominance(DIAG, np.stack([good, good])).n_cases == 2
-    with pytest.raises(SingularRestriction, match="frame 1"):
+    with pytest.raises(NotMinimumConstraint, match="^V'JV of frame 1 is numerically singular$"):
         verify_eigen_dominance(DIAG, np.stack([good, singular, good]))
     with pytest.raises(InvalidInput, match="not orthonormal"):
         verify_eigen_dominance(DIAG, np.stack([good, 2.0 * good]))
@@ -523,6 +522,9 @@ def test_witness_files_roundtrip(tmp_path):
 
 def test_passing_certificate_writes_no_witnesses(tmp_path):
     assert write_certificate_witnesses(counterexample_check(), tmp_path) == []
+    # nor makes the directory it would have written them to
+    assert write_certificate_witnesses(counterexample_check(), tmp_path / "w") == []
+    assert not (tmp_path / "w").exists()
 
 
 def test_random_rank_deficient_psd_properties():

@@ -129,6 +129,24 @@ _PER_MATRIX = [
 ]
 _MATRICES = [name for name in INPUTS if name.endswith(".matx")]
 
+# The inputs of _REFUSALS, added after _MATRICES so that no _PER_MATRIX command reads them.
+INPUTS |= {
+    "nonsingular.matx": np.diag([2.0, 1.0, 0.5]),
+    "gauss.cfg": "model = gaussian_location\n",
+    "blind_noise.cfg": "model = blind_channel\nnoise_var = -1\n",
+    "blind_dim.cfg": "model = blind_channel\ndim = 3\n",  # a gaussian_location key
+}
+
+# Each error path of the commands: a nonsingular J (analyze alone accepts it), a bad model, a count numpy cannot
+# allocate (certify exits 3 and experiment 2) and an input named twice.
+_REFUSALS = (
+    [[command, "--input", "{tmp}/nonsingular.matx"] for command in ("analyze", "certify", "experiment")]
+    + [["experiment", "--input", "{tmp}/gauss.cfg", "--count", "5"]]
+    + [["analyze", "--input", f"{{tmp}}/{cfg}"] for cfg in ("blind_noise.cfg", "blind_dim.cfg")]
+    + [[command, "--input", "{tmp}/rank3_scale1.matx", "--count", str(10**18)] for command in ("certify", "experiment")]
+    + [["analyze", "--input", "{tmp}/rank3_scale1.matx", "--model", "blind_channel"]]
+)
+
 # Each command's arguments, with {tmp}/ naming an input file; --out is added per command.
 COMMANDS = (
     _SUITES
@@ -138,6 +156,7 @@ COMMANDS = (
     # Monte-Carlo J over seeds, with and without roundoff below zero, and at the finest rank rule
     + [["analyze", "--input", "{tmp}/blind_mc.cfg", "--seed", str(seed)] for seed in range(10)]
     + [["analyze", "--input", "{tmp}/blind_mc.cfg", "--rank-tol", "2.3e-16"]]
+    + _REFUSALS
 )
 
 
