@@ -13,10 +13,10 @@ Input is either a matx matrix file or a flat key = value model config;
 command-line flags override file values. Every run, a certify suite
 included, writes a manifest that can be fed back through --input to
 reproduce the run bit for bit.
-All randomness fans out from one seed through labeled streams; one per
-certify matrix draws its J, Poincare frame, equivalence mixes, min_rank
-trials and sampled constraints in turn. Exit codes: 0 success, 2 invalid
-input, 3 numerical failure, 4 certificate failure.
+All randomness comes from the seed: the CLI's own draws from streams of a
+label and an index, experiment's constraints and a Monte-Carlo J from the
+library calls sample_constraint_traces and fim_monte_carlo, given the seed.
+Exit codes: 0 success, 2 invalid input, 3 numerical failure, 4 certificate failure.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import argparse
 import functools
 import hashlib
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -93,11 +94,6 @@ def _label_key(label: str) -> int:
 def derived_rng(seed: int, label: str, index: int = 0) -> np.random.Generator:
     """Random stream derived from (seed, component label, index)."""
     return np.random.default_rng(seed_sequence(seed, _label_key(label), index))
-
-
-def derived_seed(seed: int, label: str, index: int = 0) -> int:
-    """Integer sub-seed derived from (seed, component label, index)."""
-    return int(seed_sequence(seed, _label_key(label), index).generate_state(1, np.uint64)[0])
 
 
 def _setting(key: str, default, help_text: str, limit: str):
@@ -271,8 +267,7 @@ def information_matrix(config: RunConfig):
             elif theta.size != dim:
                 raise InvalidInput(f"theta has length {theta.size}, model needs {dim}")
             if config.fim_method == "monte_carlo":
-                seed = derived_seed(config.seed, "fim-mc")
-                estimate = fim_monte_carlo(model, theta, config.n_samples, seed)
+                estimate = fim_monte_carlo(model, theta, config.n_samples, config.seed)
             else:
                 estimate = fim_gaussian_mean(model, theta)
             sym = estimate.matrix
@@ -335,8 +330,9 @@ def cmd_analyze(config: RunConfig) -> int:
         rows.append((f"eig_pinv_{i}", format_float(value)))
 
     if rank == n:
-        rows.append(("constraint", "none"))
-        rows.append(("note", "no constraint needed"))
+        rows += [("constraint", "none"), ("note", "no constraint needed")]
+        for name in ("constraint.matx", "crb_constrained.matx"):  # an earlier run's, in a reused --out
+            (out / name).unlink(missing_ok=True)
         print(f"information matrix is nonsingular (rank {rank}); no constraint needed")
         print(f"inverse written to {out / 'j_pinv.matx'}")
     else:
@@ -345,6 +341,8 @@ def cmd_analyze(config: RunConfig) -> int:
         save_constraint_spec(out / "constraint.matx", spec)
         if bound.exists:  # U'JU can be singular within roundoff of the rank cutoff: no bound, trace inf
             save_matrix(out / "crb_constrained.matx", bound.bound.entries)
+        else:
+            (out / "crb_constrained.matx").unlink(missing_ok=True)
         rows.append(("constraint", spec.label))
         rows.append(("constraint_rows", str(spec.n_constraints)))
         rows.append(("constraint_exists", "true" if bound.exists else "false"))
@@ -402,6 +400,8 @@ def cmd_certify(config: RunConfig) -> int:
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)]
     certificates.append(counterexample_check())
 
+    if (out / "witnesses").is_dir():  # an earlier run's, in a reused --out
+        shutil.rmtree(out / "witnesses")
     (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")
     write_manifest(config, basis, theta)
 
@@ -428,9 +428,8 @@ def cmd_experiment(config: RunConfig) -> int:
 
     basis, _, theta = information_matrix(config)
     baseline = basis.pinv.trace
-    seed = derived_seed(config.seed, "experiment-constraints")
     try:
-        traces = sample_constraint_traces(basis, config.count, seed)
+        traces = sample_constraint_traces(basis, config.count, config.seed)
     except InvalidInput as exc:  # J nonsingular, or a count numpy cannot allocate
         raise CliError(EXIT_INVALID_INPUT, f"sampling constraints: {exc}") from exc
     margins = traces - baseline

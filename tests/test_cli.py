@@ -17,13 +17,15 @@ from crbkit import (
     bound_traces,
     constrained_crb,
     fim_gaussian_mean,
+    fim_monte_carlo,
     load_constraint_spec,
     load_matrix,
     ranked_svd,
+    sample_constraint_traces,
     sample_minimum_constraints,
     save_matrix,
 )
-from crbkit.cli import CERTIFY_STAGE, build_parser, derived_rng, derived_seed, main
+from crbkit.cli import CERTIFY_STAGE, build_parser, derived_rng, main
 from crbkit.constraint import _sample_stacks
 from crbkit.matlin import DEFAULT_RANK_TOL_REL, orthonormal_columns, seed_sequence
 from crbkit.matx import format_float
@@ -65,9 +67,22 @@ def test_derived_streams_are_stable_and_distinct():
     assert np.array_equal(a, b)
     c = derived_rng(0, "certify-shapes").uniform(size=3)
     assert not np.array_equal(a, c)
-    assert derived_seed(0, "fim-mc") == derived_seed(0, "fim-mc")
-    assert derived_seed(0, "fim-mc") != derived_seed(1, "fim-mc")
-    assert derived_seed(0, "fim-mc", 0) != derived_seed(0, "fim-mc", 1)
+
+
+def test_the_cli_draws_what_the_library_draws_from_the_seed(tmp_path):
+    # a Monte-Carlo J is fim_monte_carlo(model, theta, samples, seed) and experiment's traces are
+    # sample_constraint_traces(ranked_svd(J, rank_tol), count, seed), bit for bit, with the run's seed passed as it is
+    config = tmp_path / "mc.cfg"
+    config.write_text("model = blind_channel\nfim_method = monte_carlo\n")
+    assert main(["analyze", "--input", str(config), "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    manifest = dict(line.split(" = ") for line in (tmp_path / "a" / "manifest.cfg").read_text().splitlines()[1:])
+    theta = np.array([float(value) for value in manifest["theta"].split()])
+    j = load_matrix(tmp_path / "a" / "j.matx")
+    assert np.array_equal(j, fim_monte_carlo(BlindChannelModel(3, 3, 1.0), theta, 10000, 5).matrix.entries)
+    argv = ["experiment", "--input", str(tmp_path / "a" / "j.matx"), "--count", "40", "--seed", "3"]
+    assert main(argv + ["--rank-tol", "0.02", "--out", str(tmp_path / "e")]) == 0
+    _, traces = experiment_traces(tmp_path / "e")
+    assert np.array_equal(traces, sample_constraint_traces(ranked_svd(j, 0.02), 40, 3))
 
 
 def test_seed_derivation_keeps_every_stream(tmp_path):
@@ -76,7 +91,8 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     # They pin the labeled CLI streams, the Monte-Carlo partitions, the sampler and the min_rank trials, the analyze
     # runs' pseudoinverse, constrained bound, constraint and report, each run's certificates or traces, and each
     # run's manifest: its setting lines are those its command reads, and its input or model branch follows the kind
-    # of input. Last, the seed derivation matches numpy's SeedSequence. CHANGES.md gives the reason for each retake.
+    # of input. Last, the seed derivation matches numpy's SeedSequence. CHANGES.md gives the reason for each retake;
+    # the last came when the Monte-Carlo J and experiment's constraints came to be drawn from --seed's own streams.
     config = tmp_path / "mc.cfg"
     config.write_text("model = blind_channel\nfim_method = monte_carlo\nsamples = 9000\n")
     assert main(["analyze", "--input", str(config), "--seed", "4", "--out", str(tmp_path / "a")]) == 0
@@ -93,7 +109,7 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     argv = ["experiment", "--input", j_path, "--count", "40", "--seed", "3", "--rank-tol", "0.02"]
     assert main(argv + ["--out", str(tmp_path / "e2")]) == 0
     basis = ranked_svd(load_matrix(j_path), 0.02)
-    cutoff, l_mats = basis.cutoff(basis.rank), chart_draws(basis, 40, derived_seed(3, "experiment-constraints"))
+    cutoff, l_mats = basis.cutoff(basis.rank), chart_draws(basis, 40, 3)
     edge = np.isclose(cutoff * np.sum(l_mats**2 / basis.sigma, axis=(1, 2)), 0.5 * (1.0 - cutoff / basis.sigma[-1]))
     assert basis.rank == 3 and 0 < np.sum(edge) < 40
     outputs = ("a/j.matx", "a/analysis.csv", "a/j_pinv.matx", "a/crb_constrained.matx", "a/constraint.matx",
@@ -103,22 +119,22 @@ def test_seed_derivation_keeps_every_stream(tmp_path):
     outputs += tuple(f"{run}/manifest.cfg" for run in ("a", "e", "e2", "c", "c2", "m"))
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs}
     assert digests == {
-        "a/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
-        "a/analysis.csv": "96e2f86d3cb6d750725a38ca121c9d686bfea3c49a4e49009adef43aa67593f4",
-        "a/j_pinv.matx": "d13537e0814cd19ac5fdb17369a2984f9bff4da7862ef2525d08d9764e897fd9",
-        "a/crb_constrained.matx": "1758d54342a7c27b1a4a570def027ececfe738e231c2493fc438e0b8c48e10ef",
-        "a/constraint.matx": "f8343fc87176ef41436373ba233f19660a180a259189574ac6921c408ba52719",
-        "e/traces.csv": "81f00c785c0e6b117d4989f040a88d4a5c40b5aa5b554e24b9b912192ce2d278",
-        "e2/traces.csv": "42f6c9b15d4aed0bfbe8c74a902f9cb13bd70229b7eb8f9546daecfb76e7bc58",
+        "a/j.matx": "6ef7483a7f8a3f9e1ee9cf81af9eb1296faea83a4f9c99d0f5c420d37ad01716",
+        "a/analysis.csv": "85cac659d8558f13026443997f3677334b55c674d4e2a679c1e0e1374fd83845",
+        "a/j_pinv.matx": "f36edb17cc8969426099f48688e22e2ef0bc59224c6207defff8f6b2d16841e9",
+        "a/crb_constrained.matx": "30486de7cd6b191e7ec298a89429c0b47a9600f10d73558bedecb92bbcf45d50",
+        "a/constraint.matx": "870c9276d76d51ab7e6f7685ec73cbeb0db8586c4d6a2ce9f4f708842af55a5b",
+        "e/traces.csv": "aa39649f95d592f8ea218c076744f778bc07e896abfe90434bdd89dc81e6a5f6",
+        "e2/traces.csv": "32811668a8356e7df0db0e570c9feefe4982a543e5f8ab8a8acded28575f2173",
         "c/certificates.csv": "40d8972bddd1b152f09cc298af1477a3220f8033044c7cc4138aeb096e7d1a5b",
-        "c2/certificates.csv": "e990c689cd2309fa2b6b8ca501d88b1b73b53b8dded8e7cca8d7a37ba797855d",
-        "m/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
-        "m/analysis.csv": "988bef45b55776ab4700e5a11f6552de42600f40e06b476687743e10707b5384",
-        "m/j_pinv.matx": "d13537e0814cd19ac5fdb17369a2984f9bff4da7862ef2525d08d9764e897fd9",
-        "m/crb_constrained.matx": "1758d54342a7c27b1a4a570def027ececfe738e231c2493fc438e0b8c48e10ef",
-        "m/constraint.matx": "6d155481d9d638ffb85c8084feaccd80930579a6ac00c8aa1e4d64f6c5dd56a6",
-        "e/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
-        "c2/j.matx": "23036162b848f5e4e82d746a31aa71a25e465ac155e8d80c038fdef0c9bc2220",
+        "c2/certificates.csv": "97065103cd53dd6ae15a82829b22adf9d777be9131f3ae119bd051ac91296a33",
+        "m/j.matx": "6ef7483a7f8a3f9e1ee9cf81af9eb1296faea83a4f9c99d0f5c420d37ad01716",
+        "m/analysis.csv": "ce63f3ad2e5b3dff32d3dc413d285700178428b471596b2aaa012e90e5215c91",
+        "m/j_pinv.matx": "f36edb17cc8969426099f48688e22e2ef0bc59224c6207defff8f6b2d16841e9",
+        "m/crb_constrained.matx": "30486de7cd6b191e7ec298a89429c0b47a9600f10d73558bedecb92bbcf45d50",
+        "m/constraint.matx": "beaf81c3a96990a60a445304d20684b6e95a4f975fcbc2bd5f5e662036d86540",
+        "e/j.matx": "6ef7483a7f8a3f9e1ee9cf81af9eb1296faea83a4f9c99d0f5c420d37ad01716",
+        "c2/j.matx": "6ef7483a7f8a3f9e1ee9cf81af9eb1296faea83a4f9c99d0f5c420d37ad01716",
         "a/manifest.cfg": "ddefabf55065f13b3cbd0aeebbbaca0c7e81c2095d5a3209fff9699119ee787b",
         "e/manifest.cfg": "c25b4625ddd4ee340cb21b0a6a2276018d1782ec7655922738782bb63337a79d",
         "e2/manifest.cfg": "eba451e13f98b2f196a4966ea6045baab78152d1b1464683fa70653b14154d83",
@@ -234,7 +250,8 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
     # factored by one eigh, which moves its singular values and bounds by roundoff, when
     # the constrained bound came to be formed from U'J_rU, which moves it by 8e-15 relative,
     # and when J came to be factored with no clip of its least eigenvalue and the constraint's
-    # offset to vanish at theta; both digests were retaken then
+    # offset to vanish at theta; both digests were retaken then, and again when the Monte-Carlo
+    # J came to be drawn from the streams of --seed itself, not of an integer derived from it
     config = tmp_path / "mc.cfg"
     config.write_text(
         "model = blind_channel\ns_len = 3\nh_len = 3\nnoise_var = 0.5\n"
@@ -246,8 +263,8 @@ def test_monte_carlo_whitening_keeps_the_benchmark_outputs(tmp_path):
         for name in ("j.matx", "analysis.csv")
     }
     assert digests == {
-        "j.matx": "c72949422e0f73e89de8a44929671caf43f894235364db6fe5e973d013916b8f",
-        "analysis.csv": "63503e959244c3fa746711ccf248bf782298d36641537bd655a80488006c06ca",
+        "j.matx": "f538d0f83f0bd1b4884c702e911fbceb515a609f114650a8bf79047dcbfa6b5b",
+        "analysis.csv": "b3672715b9e55020d1eceeaefcabfcd45a6141ac1a6a0f213a23f8cdc2b9e5b4",
     }
 
 
@@ -256,7 +273,8 @@ def test_experiment_keeps_its_bytes_at_the_benchmark_shape(tmp_path):
     # a 32-column j.matx and its manifest; digests taken before the CSV rows and the matx rows
     # came to be formatted with one % call each, and traces.csv's retaken when the sampler came to
     # draw each constraint in J's chart, and again when it came to draw each constraint's squared
-    # column norms, chi^2(n - r), in place of its (n - r, r) normals
+    # column norms, chi^2(n - r), in place of its (n - r, r) normals, and again when experiment
+    # came to draw its constraints from the stream of --seed itself
     save_matrix(tmp_path / "wide.matx", make_psd(np.random.default_rng(32), 32, 16))
     argv = ["experiment", "--input", str(tmp_path / "wide.matx"), "--count", "100", "--seed", "7"]
     assert main(argv + ["--out", str(tmp_path / "e")]) == 0
@@ -265,7 +283,7 @@ def test_experiment_keeps_its_bytes_at_the_benchmark_shape(tmp_path):
         for name in ("traces.csv", "j.matx", "manifest.cfg")
     }
     assert digests == {
-        "traces.csv": "06b6cd04790bb46242853df8cf7be1be17004845486273d1978e346b825bdb48",
+        "traces.csv": "0bc58726179107dcf4e639c41d490f617a2cc0ab8f982ea731682501b768d622",
         "j.matx": "acbecc7739d845219311320dce136a816bbdbc3496433ff92810a096a5d98f1b",
         "manifest.cfg": "1e5e25f85510744b87cfe4a5981a5fe78933cd0f35b4d3d0ce5fb489c00c8564",
     }
@@ -762,6 +780,27 @@ def test_equivalence_witnesses_replay_their_margins(tmp_path):
         assert cert.margins[0] == cert.witnesses[0].margin
 
 
+def test_a_reused_out_keeps_no_output_of_an_earlier_run(tmp_path):
+    # certify removes an earlier run's witnesses/ and analyze an earlier constraint.matx and crb_constrained.matx
+    # that it does not write itself; a refused run removes nothing
+    out = tmp_path / "c"
+    argv = ["certify", "--count", "3", "--seed", "3", "--out", str(out)]
+    assert main(argv + ["--margin-tol", "1e-320"]) == 4 and (out / "witnesses").is_dir()
+    save_matrix(tmp_path / "full.matx", np.diag([2.0, 1.0, 0.5]))
+    assert main(["certify", "--input", str(tmp_path / "full.matx"), "--out", str(out)]) == 2
+    assert (out / "witnesses").is_dir()
+    assert main(argv) == 0 and not (out / "witnesses").exists()
+    out, stale = tmp_path / "a", {"constraint.matx", "crb_constrained.matx"}
+    save_matrix(tmp_path / "singular.matx", np.diag([2.0, 1.0, 0.0]))
+    assert main(["analyze", "--input", str(tmp_path / "singular.matx"), "--out", str(out)]) == 0
+    assert stale <= {path.name for path in out.iterdir()}
+    assert main(["analyze", "--input", str(tmp_path / "full.matx"), "--rank-tol", "0.5", "--out", str(out)]) == 2
+    assert stale <= {path.name for path in out.iterdir()}
+    assert main(["analyze", "--input", str(tmp_path / "full.matx"), "--out", str(out)]) == 0
+    assert "constraint,none" in (out / "analysis.csv").read_text()
+    assert stale & {path.name for path in out.iterdir()} == set()
+
+
 def test_certify_rerun_is_byte_identical(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -1136,7 +1175,7 @@ def test_experiment_rows_are_the_constrained_bounds_of_the_sampled_specs(tmp_pat
                      "--rank-tol", tol, "--out", str(out)]) == 0
         indices, traces = experiment_traces(out)
         basis = ranked_svd(load_matrix(path), float(tol))
-        specs = sample_minimum_constraints(basis, count, derived_seed(8, "experiment-constraints"))
+        specs = sample_minimum_constraints(basis, count, 8)
         reports = [constrained_crb(basis, spec) for spec in specs]
         expected = np.array([report.trace for report in reports])
         slack = 10 * basis.dim * EPS * basis.sigma[0] * np.array([report.eigenvalues[0] for report in reports])

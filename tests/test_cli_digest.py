@@ -7,6 +7,10 @@ import crbkit.cli
 from util import load_tool
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The verdict line of the whole sweep, which README.md cites by its first 8 hex digits and its command count.
+VERDICTS = "verdicts f7c686f345af3a5654e06a4094dd9db56fb186ed6f895f42cd1c73f529f0e8a5 over 128 commands"
 
 
 def test_three_commands_digest_alike_in_two_temporary_directories():
@@ -84,4 +88,11 @@ def test_the_whole_sweeps_verdict_line_is_pinned():
     # Haswell, Sandybridge and Prescott OpenBLAS kernels, where the total line, which hashes every margin, does not
     tool = load_tool(TOOL)
     lines = tool.digest(tool.COMMANDS)
-    assert lines[-1] == "verdicts f7c686f345af3a5654e06a4094dd9db56fb186ed6f895f42cd1c73f529f0e8a5 over 128 commands"
+    assert lines[-1] == VERDICTS
+
+
+def test_the_readme_cites_the_pinned_verdict_line():
+    # the README's "Manifest reruns" names the pinned line by its first 8 hex digits and its command count
+    _, sha, _, count, _ = VERDICTS.split()
+    readme = " ".join(README.read_text(encoding="utf-8").split())  # a line break reads as a space
+    assert f"`{sha[:8]}…`" in readme and f"over its {count} commands" in readme

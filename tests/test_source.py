@@ -154,3 +154,19 @@ def test_every_error_class_is_read_by_another_module():
     }
     assert "CrbKitError" in defined and len(defined) > 1
     assert defined - read == set()
+
+
+def test_every_stream_is_one_seed_sequence_of_the_seed():
+    # one seed derivation: np.random.SeedSequence is built only in matlin.seed_sequence, and no module reads a
+    # stream's generate_state, so no stream is seeded from another stream's output
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    builders, states = [], []
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                callee = isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                if callee == "SeedSequence":
+                    builders.append((name, getattr(top, "name", "<module>")))
+                if isinstance(node, ast.Attribute) and node.attr == "generate_state":
+                    states.append(f"{name}:{node.lineno}")
+    assert (builders, states) == ([("matlin.py", "seed_sequence")], [])
