@@ -12,7 +12,9 @@ Three commands, each taking the run settings it reads:
 Input is either a matx matrix file or a flat key = value model config;
 command-line flags override file values. Every run, a certify suite
 included, writes a manifest that can be fed back through --input to
-reproduce the run bit for bit.
+reproduce the run bit for bit. The manifest is a run's first write, after it removes
+every earlier output (OUTPUTS) from --out; a run refused before its outputs removes and
+writes nothing, and a failed write can leave --out partly cleared.
 All randomness comes from the seed: the CLI's own draws from streams of a
 label and an index, experiment's constraints and a Monte-Carlo J from the
 library calls sample_constraint_traces and fim_monte_carlo, given the seed.
@@ -64,6 +66,9 @@ EXIT_CERTIFICATE = 4
 
 DEFAULT_SAMPLES = 10000
 DEFAULT_OUT = "crbkit_run"
+# Every name a command writes into --out; witnesses is the one directory.
+OUTPUTS = {"manifest.cfg", "j.matx", "j_pinv.matx", "constraint.matx", "crb_constrained.matx", "analysis.csv",
+           "certificates.csv", "traces.csv", "witnesses"}
 
 # Constraints sampled per suite matrix; an input J's count is the run's.
 CERTIFY_CONSTRAINTS_PER_MATRIX = 20
@@ -283,9 +288,15 @@ def _config_value(value) -> str:
 
 
 def write_manifest(config: RunConfig, basis, theta) -> None:
-    """Write the run in config form (17-digit floats) as manifest.cfg, with theta and basis as information_matrix gave
-    them (None, None for a suite): a matrix input's J, symmetrized, goes next to it as the j.matx its input names."""
+    """Each run's first write: remove every earlier output of OUTPUTS from --out (a directory at a file's name stays,
+    so its write fails), then write the run in config form (17-digit floats) as manifest.cfg, with theta and basis as
+    information_matrix gave them (None, None for a suite): a matrix input's J, symmetrized, goes beside it as j.matx."""
     out = config.output_dir
+    for entry in list(os.scandir(out)):
+        if entry.name == "witnesses" and entry.is_dir(follow_symlinks=False):
+            shutil.rmtree(entry.path)
+        elif entry.name in OUTPUTS and not entry.is_dir(follow_symlinks=False):
+            os.unlink(entry.path)
     lines = [f"{CSV_VERSION_LINE} manifest", f"command = {config.command}", f"version = {__version__}"]
     lines += [f"{key} = {_config_value(getattr(config, SETTINGS[key].name))}" for key in COMMANDS[config.command][2]]
     if config.matrix is not None:
@@ -306,6 +317,9 @@ def cmd_analyze(config: RunConfig) -> int:
     basis, estimate, theta = information_matrix(config)
     report = unconstrained_crb(basis)
     n, rank = basis.dim, basis.rank
+    spec = None if rank == n else optimal_affine_constraint(basis, np.zeros(n) if theta is None else theta)
+    bound = None if spec is None else constrained_crb(basis, spec)
+    write_manifest(config, basis, theta)
     if config.matrix is None:  # a matrix input is written with the manifest
         save_matrix(out / "j.matx", basis.matrix.entries)
     save_matrix(out / "j_pinv.matx", report.bound.entries)
@@ -329,24 +343,16 @@ def cmd_analyze(config: RunConfig) -> int:
     for i, value in enumerate(report.eigenvalues, 1):
         rows.append((f"eig_pinv_{i}", format_float(value)))
 
-    if rank == n:
+    if spec is None:
         rows += [("constraint", "none"), ("note", "no constraint needed")]
-        for name in ("constraint.matx", "crb_constrained.matx"):  # an earlier run's, in a reused --out
-            (out / name).unlink(missing_ok=True)
         print(f"information matrix is nonsingular (rank {rank}); no constraint needed")
         print(f"inverse written to {out / 'j_pinv.matx'}")
     else:
-        spec = optimal_affine_constraint(basis, np.zeros(n) if theta is None else theta)
-        bound = constrained_crb(basis, spec)
         save_constraint_spec(out / "constraint.matx", spec)
         if bound.exists:  # U'JU can be singular within roundoff of the rank cutoff: no bound, trace inf
             save_matrix(out / "crb_constrained.matx", bound.bound.entries)
-        else:
-            (out / "crb_constrained.matx").unlink(missing_ok=True)
-        rows.append(("constraint", spec.label))
-        rows.append(("constraint_rows", str(spec.n_constraints)))
-        rows.append(("constraint_exists", "true" if bound.exists else "false"))
-        rows.append(("trace_constrained", format_float(bound.trace)))
+        rows += [("constraint", spec.label), ("constraint_rows", str(spec.n_constraints)),
+                 ("constraint_exists", str(bound.exists).lower()), ("trace_constrained", format_float(bound.trace))]
         for i, value in enumerate(bound.eigenvalues if bound.exists else (), 1):
             rows.append((f"eig_crb_{i}", format_float(value)))
         print(
@@ -355,7 +361,6 @@ def cmd_analyze(config: RunConfig) -> int:
         )
 
     (out / "analysis.csv").write_text(_csv_text(["key,value"], [f"{k},{v}" for k, v in rows]), encoding="ascii")
-    write_manifest(config, basis, theta)
     print(f"report written to {out / 'analysis.csv'}")
     return EXIT_OK
 
@@ -400,10 +405,8 @@ def cmd_certify(config: RunConfig) -> int:
     certificates = [merge_certificates(list(theorem)) for theorem in zip(*parts)]
     certificates.append(counterexample_check())
 
-    if (out / "witnesses").is_dir():  # an earlier run's, in a reused --out
-        shutil.rmtree(out / "witnesses")
-    (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")
     write_manifest(config, basis, theta)
+    (out / "certificates.csv").write_text(certificates_to_csv(certificates), encoding="ascii")
 
     failed = [cert for cert in certificates if not cert.passed]
     for cert in certificates:
@@ -437,8 +440,8 @@ def cmd_experiment(config: RunConfig) -> int:
     row = f"%d,{FLOAT_FMT},{FLOAT_FMT}"
     rows = [row % values for values in zip(range(sampled), traces.tolist(), margins.tolist())]
     head = [f"# baseline_trace = {format_float(baseline)}", "sample_index,trace,margin"]
-    (out / "traces.csv").write_text(_csv_text(head, rows), encoding="ascii")
     write_manifest(config, basis, theta)
+    (out / "traces.csv").write_text(_csv_text(head, rows), encoding="ascii")
 
     print(
         f"{sampled} constraints sampled; baseline trace {format_float(baseline)}; "

@@ -225,20 +225,23 @@ def _sample_stacks(js: list, count: int, rngs: list) -> list[ConstraintStack]:
     Draw i's N_j = sqrt(C_j) g_j / ||g_j|| takes its norm from _sampled's draw of C and its direction from a
     (count, n - r, r) standard normal g that the same Generator draws next, so N is standard normal. Each Jacobian is
     F = U_bar' + L U_r', kept as drawn (the bound reads F only through null(F)); its mu come from the eigvalsh of its
-    X = Lambda^-1 + M'M. Every J's X of one shape (count, r, r) get one stacked eigvalsh: each stack equals its J's
-    own bit for bit. F's rows are not orthonormal, but its singular values are at least one, so the svd row-rank rule
-    of evaluate_constraints gives it row rank m unless sigma_max(F) max(m, n) rank_tol_rel reaches one: at a loose
-    rule, evaluate its orthonormal rows instead."""
-    samples, xs = [], []
+    X = Lambda^-1 + M'M, one stacked call per shape (count, r, r), each stack equal to its J's own bit for bit. g
+    becomes L, then M, in place, and F and X are summed in place: a J holds g, F and X at most, about twice F.
+    F's singular values are at least one, so the svd row-rank rule of evaluate_constraints gives it row rank m unless
+    sigma_max(F) max(m, n) rank_tol_rel reaches one: at a loose rule, evaluate its orthonormal rows instead."""
+    samples = []
     for j, rng in zip(js, rngs):
         basis, l_squares, _ = _sampled(j, count, rng)
         g = _allocated(rng.standard_normal, (count, basis.dim - basis.rank, basis.rank), "count")
-        l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # t delta_i N
-        m_mat = l_mat * np.sqrt(1.0 / basis.sigma)
-        xs.append(np.diag(1.0 / basis.sigma) + m_mat.transpose(0, 2, 1) @ m_mat)
-        samples.append((basis, basis.u_bar.T + l_mat @ basis.u_r.T))
+        g *= np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]  # L = t delta_i N
+        f_jacs = g @ basis.u_r.T
+        f_jacs += basis.u_bar.T
+        g *= np.sqrt(1.0 / basis.sigma)  # M = L Lambda^-1/2
+        x = g.transpose(0, 2, 1) @ g
+        x += np.diag(1.0 / basis.sigma)
+        samples.append((basis, f_jacs, x))
     return [ConstraintStack(basis, f_jacs, np.full(count, basis.dim - basis.rank), 1.0 / spectrum[:, ::-1])
-            for (basis, f_jacs), spectrum in zip(samples, _per_shape(np.linalg.eigvalsh, xs))]
+            for (basis, f_jacs, _), spectrum in zip(samples, _per_shape(np.linalg.eigvalsh, [x for *_, x in samples]))]
 
 
 def sample_minimum_stack(j, count: int, rng_seed: int) -> ConstraintStack:

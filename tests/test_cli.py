@@ -43,10 +43,11 @@ from crbkit.verify import (
     verify_poincare,
     verify_trace_bound,
 )
-from util import chart_draws, make_psd, suite_streams
+from util import chart_draws, load_tool, make_psd, suite_streams
 
 
 EPS = np.finfo(float).eps
+CLI_DIGEST = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
 
 
 def write_diag_matrix(tmp_path):
@@ -780,25 +781,98 @@ def test_equivalence_witnesses_replay_their_margins(tmp_path):
         assert cert.margins[0] == cert.witnesses[0].margin
 
 
-def test_a_reused_out_keeps_no_output_of_an_earlier_run(tmp_path):
-    # certify removes an earlier run's witnesses/ and analyze an earlier constraint.matx and crb_constrained.matx
-    # that it does not write itself; a refused run removes nothing
-    out = tmp_path / "c"
-    argv = ["certify", "--count", "3", "--seed", "3", "--out", str(out)]
-    assert main(argv + ["--margin-tol", "1e-320"]) == 4 and (out / "witnesses").is_dir()
-    save_matrix(tmp_path / "full.matx", np.diag([2.0, 1.0, 0.5]))
-    assert main(["certify", "--input", str(tmp_path / "full.matx"), "--out", str(out)]) == 2
-    assert (out / "witnesses").is_dir()
-    assert main(argv) == 0 and not (out / "witnesses").exists()
-    out, stale = tmp_path / "a", {"constraint.matx", "crb_constrained.matx"}
-    save_matrix(tmp_path / "singular.matx", np.diag([2.0, 1.0, 0.0]))
-    assert main(["analyze", "--input", str(tmp_path / "singular.matx"), "--out", str(out)]) == 0
-    assert stale <= {path.name for path in out.iterdir()}
-    assert main(["analyze", "--input", str(tmp_path / "full.matx"), "--rank-tol", "0.5", "--out", str(out)]) == 2
-    assert stale <= {path.name for path in out.iterdir()}
-    assert main(["analyze", "--input", str(tmp_path / "full.matx"), "--out", str(out)]) == 0
-    assert "constraint,none" in (out / "analysis.csv").read_text()
-    assert stale & {path.name for path in out.iterdir()} == set()
+def test_a_reused_out_keeps_no_output_of_an_earlier_run(tmp_path, capsys, monkeypatch):
+    # a run's first write removes every output that an earlier run of any command left in --out, and nothing else:
+    # after each run the reused --out holds the names and bytes of the same run into a fresh --out, and a file that
+    # no command writes. A run refused before its outputs leaves --out byte for byte as it was
+    read_files = load_tool(CLI_DIGEST).read_files
+    for name, diagonal in (("singular", [2.0, 1.0, 0.0]), ("full", [2.0, 1.0, 0.5]), ("indefinite", [1.0, -1.0, 0.0])):
+        save_matrix(tmp_path / f"{name}.matx", np.diag(diagonal))
+    singular, full = ["--input", str(tmp_path / "singular.matx")], ["--input", str(tmp_path / "full.matx")]
+    suite = ["certify", "--count", "3", "--seed", "3"]
+    runs = [
+        (["experiment", *singular, "--count", "5"], 0),
+        (["analyze", *singular], 0),
+        ([*suite, "--margin-tol", "1e-320"], 4),
+        (["experiment", *singular, "--count", "5"], 0),
+        (["analyze", *full], 0),
+        (["analyze", *singular], 0),
+        ([*suite, "--margin-tol", "1e-320"], 4),
+        (suite, 0),
+    ]
+    out = tmp_path / "reused"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    for index, (argv, code) in enumerate(runs):
+        assert main([*argv, "--out", str(out)]) == code, argv
+        assert main([*argv, "--out", str(tmp_path / f"fresh-{index}")]) == code, argv
+        assert read_files(out) == read_files(tmp_path / f"fresh-{index}") | {"notes.txt": b"kept\n"}, argv
+    assert (tmp_path / "fresh-6" / "witnesses").is_dir()
+    capsys.readouterr()
+
+    def fail(*args):
+        raise np.linalg.LinAlgError("stage failed")
+
+    # the refused runs: a rank_tol that zeroes every eigenvalue, an indefinite J, and a failure in a certify stage
+    # and in analyze's constrained bound, each after J is factored
+    monkeypatch.setattr(crbkit.cli, "_certify_stage", fail)
+    monkeypatch.setattr(crbkit.cli, "constrained_crb", fail)
+    refusals = [
+        (["analyze", *full, "--rank-tol", "0.5"], 2, "error: checking rank_tol: "),
+        (["analyze", "--input", str(tmp_path / "indefinite.matx")], 2, "error: reading input: "),
+        (suite, 3, "error: linear algebra failure: stage failed"),
+        (["analyze", *singular], 3, "error: linear algebra failure: stage failed"),
+    ]
+    before = read_files(out)
+    for argv, code, err in refusals:
+        assert main([*argv, "--out", str(out)]) == code, argv
+        assert capsys.readouterr().err.startswith(err)
+        assert read_files(out) == before, argv
+    monkeypatch.undo()
+    # a stale file at the name of the witnesses directory is removed like any other output
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    (stale / "witnesses").write_text("stale\n")
+    assert main([*suite, "--margin-tol", "1e-320", "--out", str(stale)]) == 4
+    assert read_files(stale) == read_files(tmp_path / "fresh-6")
+
+
+def test_main_keeps_no_state_between_runs(tmp_path):
+    # twelve commands through main twice in one process, the second pass in reverse order, each into its own fresh
+    # --out: every run gives the same exit code, stdout, stderr and files, whatever ran before it
+    digest = load_tool(CLI_DIGEST)
+    inputs = {
+        "singular.matx": np.diag([2.0, 1.0, 0.0]),
+        "full.matx": np.diag([2.0, 1.0, 0.5]),
+        "indefinite.matx": np.diag([1.0, -1.0, 0.0]),
+        "mc.cfg": "model = blind_channel\nfim_method = monte_carlo\nsamples = 500\n",
+    }
+    commands = [
+        ["analyze", "--input", "{tmp}/singular.matx"],
+        ["analyze", "--model", "blind_channel"],
+        ["analyze", "--input", "{tmp}/mc.cfg", "--seed", "2"],
+        ["analyze", "--input", "{tmp}/full.matx"],
+        ["certify", "--count", "2", "--seed", "1"],
+        ["certify", "--count", "3", "--seed", "3", "--margin-tol", "1e-320"],
+        ["certify", "--input", "{tmp}/singular.matx", "--count", "5"],
+        ["experiment", "--input", "{tmp}/singular.matx", "--count", "20"],
+        ["experiment", "--input", "{tmp}/mc.cfg", "--count", "10"],
+        ["analyze", "--input", "{tmp}/indefinite.matx"],
+        ["certify", "--input", "{tmp}/full.matx"],
+        ["analyze", "--count", "3"],
+    ]
+    passes = []
+    for name, order in (("first", range(len(commands))), ("second", reversed(range(len(commands))))):
+        directory = tmp_path / name
+        directory.mkdir()
+        digest.write_inputs(directory, inputs)
+        results = {}
+        for i in order:
+            out = directory / f"out-{i}"
+            results[i] = (*digest.sweep_run(main, commands[i], directory, out), digest.read_files(out))
+        passes.append(results)
+    assert passes[0] == passes[1]
+    assert sorted({code for code, *_ in passes[0].values()}) == ["0", "2", "4", "argparse"]
 
 
 def test_certify_rerun_is_byte_identical(tmp_path):

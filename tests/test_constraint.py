@@ -290,6 +290,29 @@ def test_the_trace_survey_holds_a_few_count_by_r_blocks():
     assert peak < 4 * count * basis.rank * 8
 
 
+def test_a_sampled_stack_peaks_near_twice_its_jacobians():
+    # _sample_stacks scales its directions g in place into L and then M, and sums F and X in place, so a J's sample
+    # holds g, F and X at most, about twice F at r = m (four times F before); the bytes are those of the formulas
+    # F = U_bar' + L U_r' and X = Lambda^-1 + M'M evaluated out of place
+    basis = ranked_svd(make_psd(np.random.default_rng(47), 32, 16))
+    count = 2000
+    tracemalloc.start()
+    try:
+        stack = sample_minimum_stack(basis, count, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * stack.f_jacs.nbytes
+    rng = np.random.default_rng(seed_sequence(5))
+    _, l_squares, _ = constraint_module._sampled(basis, count, rng)
+    g = rng.standard_normal((count, 16, 16))
+    l_mat = g * np.sqrt(l_squares / np.einsum("kij,kij->kj", g, g))[:, None, :]
+    m_mat = l_mat * np.sqrt(1.0 / basis.sigma)
+    x = np.diag(1.0 / basis.sigma) + m_mat.transpose(0, 2, 1) @ m_mat
+    assert stack.f_jacs.tobytes() == (basis.u_bar.T + l_mat @ basis.u_r.T).tobytes()
+    assert stack.utju_eigs.tobytes() == (1.0 / np.linalg.eigvalsh(x)[:, ::-1]).tobytes()
+
+
 def test_a_stage_sample_equals_each_js_own_bit_for_bit():
     # J of mixed sizes, several of one rank, so that the X of one shape (count, r, r) group across J, at counts
     # 33 and 70 too; each stack equals its J's own sample, bit for bit

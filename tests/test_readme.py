@@ -46,10 +46,12 @@ def test_readme_names_every_file_key_column_flag_setting_model_and_exit_code_of_
         "experiment": ["experiment", "--input", str(tmp_path / "singular.matx"), "--count", "5"],
     }
     files, keys, columns = {"witnesses/"}, set(), set()  # keys: those of analysis.csv
+    top = {"witnesses"}  # names in --out; with witnesses, which exit 4 adds, they are the cli.OUTPUTS a run removes
     for name, argv in runs.items():
         out = tmp_path / name
         assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK, name
         files |= {path.name for path in out.rglob("*") if path.is_file()}
+        top |= {path.name for path in out.iterdir()}
         for path in out.glob("*.csv"):
             lines = path.read_text(encoding="ascii").splitlines()[1:]  # past the version line
             columns |= {line[2:].partition(" = ")[0] for line in lines if line.startswith("# ")}  # baseline_trace
@@ -59,6 +61,7 @@ def test_readme_names_every_file_key_column_flag_setting_model_and_exit_code_of_
             else:
                 columns |= set(rows[0].split(","))
     assert {"j_pinv.matx", "crb_constrained.matx", "certificates.csv", "traces.csv"} <= files
+    assert top == cli.OUTPUTS
     assert {"fim_std_err_bound", "note", "constraint_exists", "sigma_<i>"} <= keys
     parser = cli.build_parser()
     (commands,) = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]

@@ -170,3 +170,29 @@ def test_every_stream_is_one_seed_sequence_of_the_seed():
                 if isinstance(node, ast.Attribute) and node.attr == "generate_state":
                     states.append(f"{name}:{node.lineno}")
     assert (builders, states) == ([("matlin.py", "seed_sequence")], [])
+
+
+def _cli_calls() -> list[tuple[str, str, int]]:
+    """Each call in cli.py: the function or class that makes it (<module> for a module statement), the name it calls
+    and its line."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [(getattr(top, "name", "<module>"), getattr(node.func, "id", None) or getattr(node.func, "attr", None),
+             node.lineno) for top in tree.body for node in ast.walk(top) if isinstance(node, ast.Call)]
+
+
+def test_only_write_manifest_removes_outputs():
+    # which earlier outputs a run removes from --out is decided in one place: nothing in cli.py but write_manifest
+    # calls unlink, rmtree or os.remove
+    assert {name for name, callee, _ in _cli_calls() if callee in ("unlink", "rmtree", "remove")} == {"write_manifest"}
+
+
+def test_every_command_calls_write_manifest_before_it_writes():
+    # write_manifest, which clears --out, is each command's first write: in each cmd_* of cli.py the first call to
+    # write_manifest comes before, in source order, every call that writes a file or makes a directory
+    writers = {"write_text", "save_matrix", "save_constraint_spec", "write_certificate_witnesses", "makedirs", "mkdir"}
+    first = {}
+    for name, callee, line in sorted(_cli_calls(), key=lambda call: call[2]):
+        if name.startswith("cmd_") and callee in writers | {"write_manifest"}:
+            first.setdefault(name, callee)
+    assert first == dict.fromkeys(["cmd_analyze", "cmd_certify", "cmd_experiment"], "write_manifest")

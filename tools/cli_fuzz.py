@@ -19,6 +19,10 @@ flags that the command's own subparser offers. Every run must:
   - let no exception escape main and issue no warning;
   - on exit 0 or 4, rerun from its manifest.cfg to byte-identical output files.
 
+Every rerun writes into one --out shared by all cases, so that check also tests
+that a run into a used --out leaves only its own files, across random pairs of
+commands.
+
 The tool prints the count of each exit and every violation, and exits 1 if there
 is one. The same SEED and COUNT draw the same commands on every run.
 """
@@ -180,7 +184,7 @@ def fuzz(seed: int, count: int) -> tuple[Counter, list[str]]:
             exits[code if not str(code).startswith("raised") else "raised"] += 1
             found = problems(code, err, caught)
             if code in (0, 4) and not found:
-                again = directory / f"rerun-{index}"
+                again = directory / "rerun"
                 rerun, _, err, caught = run(main, [argv[0], "--input", str(out / "manifest.cfg"), "--out", str(again)])
                 found += [f"rerun: {p}" for p in problems(rerun, err, caught)]
                 if rerun != code or read_files(again) != read_files(out):
